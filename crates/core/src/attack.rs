@@ -18,7 +18,7 @@ impl CrashedSystem {
 
     /// Replays a previously recorded node line into NVM.
     pub fn replay_node(&mut self, offset: u64, old_line: &[u8; 64]) {
-        self.nvm.poke(self.layout.node_addr(offset), old_line);
+        self.nvm.overwrite(self.layout.node_addr(offset), old_line);
     }
 
     /// Flips one bit of a metadata node in NVM (tampering), at the default
@@ -35,7 +35,7 @@ impl CrashedSystem {
         let addr = self.layout.node_addr(offset);
         let mut line = self.nvm.peek(addr);
         line[byte % 64] ^= mask;
-        self.nvm.poke(addr, &line);
+        self.nvm.overwrite(addr, &line);
     }
 
     /// Flips one bit of a user data line in NVM (tampering), at the default
@@ -50,7 +50,7 @@ impl CrashedSystem {
         let addr = self.layout.data_base + data_line * 64;
         let mut line = self.nvm.peek(addr);
         line[byte % 64] ^= mask;
-        self.nvm.poke(addr, &line);
+        self.nvm.overwrite(addr, &line);
     }
 
     /// Snapshot of a user data line (for data replay).
@@ -61,7 +61,7 @@ impl CrashedSystem {
     /// Replays a previously recorded data line.
     pub fn replay_data(&mut self, data_line: u64, old_line: &[u8; 64]) {
         self.nvm
-            .poke(self.layout.data_base + data_line * 64, old_line);
+            .overwrite(self.layout.data_base + data_line * 64, old_line);
     }
 
     /// Rewrites the offset record for metadata-cache slot `slot` — either
@@ -77,7 +77,7 @@ impl CrashedSystem {
             None => rl.clear(idx),
         }
         line = rl.to_line();
-        self.nvm.poke(addr, &line);
+        self.nvm.overwrite(addr, &line);
     }
 
     /// Reads the persisted record entry for cache slot `slot`.
@@ -95,7 +95,7 @@ impl CrashedSystem {
     /// Raw NVM overwrite at an arbitrary line address (generic attack
     /// primitive for regions without a dedicated helper).
     pub fn poke_raw(&mut self, addr: u64, line: &[u8; 64]) {
-        self.nvm.poke(addr, line);
+        self.nvm.overwrite(addr, line);
     }
 
     /// Every node offset currently marked dirty by the persisted records

@@ -133,7 +133,7 @@ impl BmtSystem {
         let id = self.layout.geometry.node_at_offset(offset);
         let node = *self.meta.peek(offset).expect("flush target resident");
         let addr = self.layout.node_addr(offset);
-        t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm);
+        t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm)?;
         self.meta.mark_clean(offset);
         let h = self.node_hash(&node, offset);
         t += self.cfg.hash_latency; // serial: the parent hash needs this one
@@ -171,7 +171,7 @@ impl BmtSystem {
         self.hash_ops += 1;
         self.hash_cycles += self.cfg.hash_latency;
         t += self.cfg.hash_latency; // data HMAC
-        t = self.wq.push(t, addr, &line, &mut self.nvm);
+        t = self.wq.push(t, addr, &line, &mut self.nvm)?;
         self.front_free = t;
         self.now = t;
         Ok(())
@@ -290,7 +290,7 @@ mod tests {
         let (_, addr, idx) = victim.expect("some persisted uncached leaf");
         let mut line = b.nvm.peek(addr);
         line[5] ^= 1;
-        b.nvm.poke(addr, &line);
+        b.nvm.overwrite(addr, &line);
         let data_line = geo.data_of_leaf(NodeId {
             level: 0,
             index: idx,

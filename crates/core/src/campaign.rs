@@ -29,13 +29,13 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use steins_metadata::CounterMode;
-use steins_nvm::CrashTripped;
 use steins_obs::{Alarm, AlarmKind, AlarmLog, Histogram, MetricRegistry};
 use steins_trace::rng::SmallRng;
 
 use crate::config::{SchemeKind, SystemConfig};
-use crate::crash::{silence_crash_trips, CrashSweep, PointSelection, SweepOp, TornCrash};
+use crate::crash::{CrashSweep, PointSelection, SweepOp, TornCrash};
 use crate::engine::synth_data;
+use crate::error::IntegrityError;
 use crate::online::{OnlinePolicy, OnlineService};
 use crate::par;
 use crate::scrub::ScrubReport;
@@ -781,8 +781,7 @@ pub struct ChaosReport {
     /// (degraded shard, quarantined line, MAC/media detection) — graceful
     /// degradation, not failure.
     pub typed_errors: u64,
-    /// Panics that escaped an operation (anything but the intentional
-    /// [`CrashTripped`] unwind). Must be zero.
+    /// Panics that escaped an operation. Must be zero.
     pub unwinds: u64,
     /// Reads acknowledged `Ok` with wrong bytes. Must be zero.
     pub silent_wrong: u64,
@@ -1198,13 +1197,13 @@ fn serve_chaos_shard(
                     out.expected.insert(gaddr, data);
                     out.indeterminate.remove(&gaddr);
                 }
-                Ok(Err(_)) => out.typed_errors += 1,
-                Err(p) if p.is::<CrashTripped>() => {
+                Ok(Err(IntegrityError::PowerCut)) => {
                     // The cut may or may not have persisted this write.
                     out.expected.remove(&gaddr);
                     out.indeterminate.insert(gaddr);
                     recover_tripped_shard(cfg, engine, s, i, &mut out, &mut armed_mask);
                 }
+                Ok(Err(_)) => out.typed_errors += 1,
                 Err(_) => {
                     out.unwinds += 1;
                     out.events.push(format!("s{s} op{i}: write panicked"));
@@ -1224,10 +1223,10 @@ fn serve_chaos_shard(
                         }
                     }
                 }
-                Ok(Err(_)) => out.typed_errors += 1,
-                Err(p) if p.is::<CrashTripped>() => {
+                Ok(Err(IntegrityError::PowerCut)) => {
                     recover_tripped_shard(cfg, engine, s, i, &mut out, &mut armed_mask);
                 }
+                Ok(Err(_)) => out.typed_errors += 1,
                 Err(_) => {
                     out.unwinds += 1;
                     out.events.push(format!("s{s} op{i}: read panicked"));
@@ -1243,7 +1242,9 @@ fn serve_chaos_shard(
     if !engine.is_degraded(s) {
         engine.with_shard(s, |sys| sys.ctrl.nvm.disarm_crash());
         if cfg.scrub && !out.media_faults.is_empty() {
-            engine.with_shard(s, |sys| sys.online_scrub_pass());
+            engine
+                .with_shard(s, |sys| sys.online_scrub_pass())
+                .expect("the settling pass runs disarmed");
         }
     }
     // Fault accounting: healed, quarantined, or the whole shard is parked.
@@ -1275,7 +1276,6 @@ fn serve_chaos_shard(
 /// schedules off a work-stealing queue while faults land mid-traffic, then
 /// a single-threaded verification sweep re-reads every acknowledged line.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    silence_crash_trips();
     let sys_cfg = SystemConfig::small_for_tests(SchemeKind::Steins, cfg.mode);
     let mut engine = ShardedEngine::new(sys_cfg, cfg.shards);
     if cfg.repair {

@@ -20,10 +20,9 @@ use crate::scheme::SchemeState;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
 use steins_crypto::{CryptoEngine, FxHashMap};
 use steins_metadata::{CounterMode, MemoryLayout, RootNode};
-use steins_nvm::{CrashTripped, NvmDevice, PersistKind, PersistPoint};
+use steins_nvm::{NvmDevice, PersistKind, PersistPoint};
 use steins_trace::rng::SmallRng;
 
 /// Per-scheme non-volatile remnants.
@@ -98,7 +97,7 @@ impl SecureNvmSystem {
             },
             SchemeState::Star(mut st) => {
                 for (addr, line) in st.bitmap_cache.crash_flush() {
-                    self.ctrl.nvm.poke(addr, &line);
+                    self.ctrl.nvm.overwrite(addr, &line);
                 }
                 NvState::Star {
                     nv_root: st.nv_root,
@@ -106,7 +105,7 @@ impl SecureNvmSystem {
             }
             SchemeState::Steins(mut st) => {
                 for (addr, line) in st.record_cache.crash_flush() {
-                    self.ctrl.nvm.poke(addr, &line);
+                    self.ctrl.nvm.overwrite(addr, &line);
                 }
                 NvState::Steins {
                     lincs: st.lincs,
@@ -380,22 +379,6 @@ pub struct CrashSweep {
     pub recovery_lanes: Option<usize>,
 }
 
-/// Silences the panic hook for the intentional [`CrashTripped`] unwinds the
-/// sweep throws (thousands per run); every other panic still reports
-/// through the previously installed hook.
-pub(crate) fn silence_crash_trips() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().is::<CrashTripped>() {
-                return;
-            }
-            prev(info);
-        }));
-    });
-}
-
 impl CrashSweep {
     /// A sweep of `ops` against `cfg`, testing the `selection` of points.
     pub fn new(cfg: SystemConfig, ops: Vec<SweepOp>, selection: PointSelection) -> Self {
@@ -498,7 +481,6 @@ impl CrashSweep {
         k: u64,
         word_mask: u8,
     ) -> Result<Option<TornCrash>, PointFailure> {
-        silence_crash_trips();
         let mut sys = SecureNvmSystem::new(cfg.clone());
         sys.ctrl.nvm.arm_crash_torn(k, word_mask);
 
@@ -506,27 +488,23 @@ impl CrashSweep {
         let mut acked: HashMap<u64, [u8; 64]> = HashMap::new();
         let mut in_flight: Option<(usize, SweepOp)> = None;
         for (i, &op) in ops.iter().enumerate() {
-            let run = catch_unwind(AssertUnwindSafe(|| Self::apply_op(&mut sys, op)));
-            match run {
-                Ok(Ok(())) => {
+            match Self::apply_op(&mut sys, op) {
+                Ok(()) => {
                     if let SweepOp::Write { line, tag } = op {
                         acked.insert(line * 64, SweepOp::payload(line, tag));
                     }
                 }
-                Ok(Err(e)) => {
+                Err(IntegrityError::PowerCut) => {
+                    in_flight = Some((i, op));
+                    break;
+                }
+                Err(e) => {
                     return Err(PointFailure {
                         op_index: i,
                         point: None,
                         error: format!("integrity error before the crash: {e}"),
                         divergent: "runtime state diverged pre-crash".into(),
                     });
-                }
-                Err(payload) => {
-                    if !payload.is::<CrashTripped>() {
-                        std::panic::resume_unwind(payload);
-                    }
-                    in_flight = Some((i, op));
-                    break;
                 }
             }
         }
@@ -841,23 +819,7 @@ impl CrashSweep {
     /// Re-runs the stream and crashes at point `k`, returning the crashed
     /// machine (diagnostics only).
     fn crash_at(cfg: &SystemConfig, ops: &[SweepOp], k: u64) -> Option<CrashedSystem> {
-        silence_crash_trips();
-        let mut sys = SecureNvmSystem::new(cfg.clone());
-        sys.ctrl.nvm.arm_crash(k);
-        for &op in ops {
-            match catch_unwind(AssertUnwindSafe(|| Self::apply_op(&mut sys, op))) {
-                Ok(Ok(())) => {}
-                Ok(Err(_)) => return None,
-                Err(payload) => {
-                    if !payload.is::<CrashTripped>() {
-                        std::panic::resume_unwind(payload);
-                    }
-                    sys.ctrl.nvm.disarm_crash();
-                    return Some(sys.crash());
-                }
-            }
-        }
-        None
+        Some(Self::crash_torn(cfg, ops, k, 0xFF).ok()??.crashed)
     }
 
     /// Finds the first failing point of `ops`, spending at most `budget`
@@ -914,38 +876,32 @@ impl CrashSweep {
         }
     }
 
+    /// The report of a sweep whose crash-free baseline run already fails.
+    fn baseline_failed(&self, label: String, e: IntegrityError) -> SweepReport {
+        SweepReport {
+            label: label.clone(),
+            total_points: 0,
+            tested_points: 0,
+            failures: vec![CrashRepro {
+                label,
+                ops: self.ops.clone(),
+                op_index: 0,
+                crash_point: 0,
+                point: None,
+                error: format!("baseline run failed: {e}"),
+                divergent: "stream does not complete without a crash".into(),
+            }],
+        }
+    }
+
     /// Runs the sweep.
     pub fn run(&self) -> SweepReport {
         let label = self.cfg.scheme.label(self.cfg.mode);
         let total = match Self::enumerate(&self.cfg, &self.ops) {
             Ok(t) => t,
-            Err(e) => {
-                return SweepReport {
-                    label: label.clone(),
-                    total_points: 0,
-                    tested_points: 0,
-                    failures: vec![CrashRepro {
-                        label,
-                        ops: self.ops.clone(),
-                        op_index: 0,
-                        crash_point: 0,
-                        point: None,
-                        error: format!("baseline run failed: {e}"),
-                        divergent: "stream does not complete without a crash".into(),
-                    }],
-                }
-            }
+            Err(e) => return self.baseline_failed(label, e),
         };
-        let points: Vec<u64> = match self.selection {
-            PointSelection::All => (1..=total).collect(),
-            PointSelection::AtMost(n) if (n as u64) >= total => (1..=total).collect(),
-            PointSelection::AtMost(n) => {
-                let n = n.max(1) as u64;
-                (0..n)
-                    .map(|i| 1 + i * (total - 1) / (n - 1).max(1))
-                    .collect()
-            }
-        };
+        let points = self.select((1..=total).collect());
         let mut failures = Vec::new();
         let mut tested = 0u64;
         for &k in &points {
@@ -1029,22 +985,7 @@ impl CrashSweep {
         let label = format!("{} torn", self.cfg.scheme.label(self.cfg.mode));
         let journal = match Self::enumerate_journal(&self.cfg, &self.ops) {
             Ok(j) => j,
-            Err(e) => {
-                return SweepReport {
-                    label: label.clone(),
-                    total_points: 0,
-                    tested_points: 0,
-                    failures: vec![CrashRepro {
-                        label,
-                        ops: self.ops.clone(),
-                        op_index: 0,
-                        crash_point: 0,
-                        point: None,
-                        error: format!("baseline run failed: {e}"),
-                        divergent: "stream does not complete without a crash".into(),
-                    }],
-                };
-            }
+            Err(e) => return self.baseline_failed(label, e),
         };
         let tearable: Vec<u64> = journal
             .iter()
@@ -1170,9 +1111,8 @@ impl CrashSweep {
         crashed.nvm.trace_pokes(true);
         crashed.nvm.arm_crash_torn(j, inner_mask);
         let mut slot = None;
-        let outcome = catch_unwind(AssertUnwindSafe(|| crashed.recover_into(&mut slot)));
-        let run = match outcome {
-            Ok(Ok(_report)) => {
+        let run = match crashed.recover_into(&mut slot) {
+            Ok(_report) => {
                 let Some(mut sys) = slot.take() else {
                     return Err(PointFailure {
                         op_index,
@@ -1185,11 +1125,7 @@ impl CrashSweep {
                 sys.ctrl.nvm.trace_pokes(false);
                 NestedRun::Completed(Box::new(sys))
             }
-            Ok(Err(e)) => NestedRun::StrictFailed(e),
-            Err(payload) => {
-                if !payload.is::<CrashTripped>() {
-                    std::panic::resume_unwind(payload);
-                }
+            Err(IntegrityError::PowerCut) => {
                 let Some(mut partial) = slot.take() else {
                     return Err(PointFailure {
                         op_index,
@@ -1204,6 +1140,7 @@ impl CrashSweep {
                 partial.ctrl.nvm.trace_pokes(false);
                 NestedRun::Crashed(Box::new(partial.crash()))
             }
+            Err(e) => NestedRun::StrictFailed(e),
         };
         Ok(Some((run, ctx)))
     }
@@ -1398,9 +1335,7 @@ impl CrashSweep {
                 crashed.nvm.trace_pokes(true);
                 crashed.nvm.arm_crash_torn(j, inner_mask);
                 let mut slot = None;
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| crashed.recover_lenient_into(&mut slot)));
-                match outcome {
+                match crashed.recover_lenient_into(&mut slot) {
                     Ok(report) => {
                         // Inner point beyond the scrub's horizon: the plain
                         // scrub contract applies.
@@ -1414,10 +1349,7 @@ impl CrashSweep {
                             strict, 0,
                         )
                     }
-                    Err(payload) => {
-                        if !payload.is::<CrashTripped>() {
-                            std::panic::resume_unwind(payload);
-                        }
+                    Err(_cut) => {
                         let Some(mut partial) = slot.take() else {
                             return Err(PointFailure {
                                 op_index,
@@ -1486,18 +1418,7 @@ impl CrashSweep {
         strict: &IntegrityError,
         min_restarts: u64,
     ) -> Result<(), PointFailure> {
-        let outcome = catch_unwind(AssertUnwindSafe(move || crashed.recover_lenient()));
-        let (sys, report) = match outcome {
-            Ok(r) => r,
-            Err(_) => {
-                return Err(PointFailure {
-                    op_index,
-                    point: trip,
-                    error: format!("scrub panicked after nested crash (strict error: {strict})"),
-                    divergent: "lenient recovery must be total".into(),
-                });
-            }
-        };
+        let (sys, report) = crashed.recover_lenient();
         Self::check_scrub_outcome(
             cfg,
             ops,
@@ -1659,22 +1580,7 @@ impl CrashSweep {
         let label = format!("{} nested", self.cfg.scheme.label(self.cfg.mode));
         let jobs = match self.nested_jobs(outer_masks, inner_masks, inner_sel) {
             Ok(j) => j,
-            Err(e) => {
-                return SweepReport {
-                    label: label.clone(),
-                    total_points: 0,
-                    tested_points: 0,
-                    failures: vec![CrashRepro {
-                        label,
-                        ops: self.ops.clone(),
-                        op_index: 0,
-                        crash_point: 0,
-                        point: None,
-                        error: format!("baseline run failed: {e}"),
-                        divergent: "stream does not complete without a crash".into(),
-                    }],
-                };
-            }
+            Err(e) => return self.baseline_failed(label, e),
         };
         let mut failures: Vec<CrashRepro> = Vec::new();
         let mut tested = 0u64;
@@ -1808,6 +1714,18 @@ mod tests {
         let report = sweep.run();
         assert!(report.total_points > 0);
         assert!(report.clean(), "{report}");
+    }
+
+    /// A real bug never passes for a power cut: a stream op past the data
+    /// region panics out of the probe instead of being reported as a crash
+    /// point.
+    #[test]
+    #[should_panic(expected = "outside the data region")]
+    fn probe_point_propagates_real_panics() {
+        let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
+        let line = cfg.data_lines;
+        let ops = vec![SweepOp::Write { line, tag: 1 }];
+        CrashSweep::new(cfg, ops, PointSelection::All).probe_point(1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::cme::{xor_otp, MacRecord};
 use crate::config::{LeafRecovery, SchemeKind, SystemConfig};
-use crate::error::IntegrityError;
+use crate::error::{pass_cut, IntegrityError};
 use crate::nvbuffer::NvBufferEntry;
 use crate::online::{OnlinePolicy, OnlineService};
 use crate::report::{LatencyStats, RunReport};
@@ -29,7 +29,7 @@ use steins_crypto::{data_mac_message, engine::make_engine, CryptoEngine, FxHashM
 use steins_metadata::counter::{CounterBlock, CounterMode, SplitIncrement};
 use steins_metadata::records::record_coords;
 use steins_metadata::{MemoryLayout, MetadataCache, NodeId, RootNode, SitNode};
-use steins_nvm::{Cycle, EnergyCounters, EnergyModel, NvmDevice, WriteQueue};
+use steins_nvm::{Cycle, EnergyCounters, EnergyModel, NvmDevice, PowerCut, WriteQueue};
 use steins_trace::{OpKind, TraceOp};
 
 /// The secure memory controller: functional state + timing + statistics.
@@ -47,6 +47,10 @@ pub struct SecureMemoryController {
     pub(crate) wlat: LatencyStats,
     pub(crate) rlat: LatencyStats,
     pinned: Vec<u64>,
+    /// Recovered nodes a Steins rebuild has yet to reinstall (empty outside
+    /// recovery): a fetch of one installs its recovered value, never the
+    /// stale NVM copy.
+    pub(crate) rebuild_pending: FxHashMap<u64, SitNode>,
     /// Scratch: STAR's per-write dirty-set collection, reused across calls
     /// so the set-MAC path performs no steady-state allocation.
     star_dirty: Vec<(u64, SitNode)>,
@@ -109,6 +113,7 @@ impl SecureMemoryController {
             wlat: LatencyStats::default(),
             rlat: LatencyStats::default(),
             pinned: Vec::new(),
+            rebuild_pending: FxHashMap::default(),
             star_dirty: Vec::new(),
             mac_msg: Vec::new(),
         }
@@ -118,18 +123,12 @@ impl SecureMemoryController {
     /// journal write in the controller crates goes through here — the MAC
     /// is what lets the next recovery attempt prove the resume marks were
     /// written by a holder of the key, not forged on the bus.
-    pub(crate) fn journal_write(&mut self, journal: steins_nvm::RecoveryJournal) {
+    pub(crate) fn journal_write(
+        &mut self,
+        journal: steins_nvm::RecoveryJournal,
+    ) -> Result<(), PowerCut> {
         let mac = crate::recovery::seal_journal(self.crypto.as_ref(), &journal);
-        self.nvm.set_recovery_journal(journal, mac);
-    }
-
-    /// Temporary diagnostic watchpoint (STEINS_WATCH=child_offset).
-    fn watch(&self, what: &str, offset: u64, extra: u64) {
-        if let Ok(w) = std::env::var("STEINS_WATCH") {
-            if w.parse::<u64>() == Ok(offset) {
-                eprintln!("[watch {offset}] {what} extra={extra}");
-            }
-        }
+        self.nvm.set_recovery_journal(journal, mac)
     }
 
     /// Whether Steins is the active scheme.
@@ -214,6 +213,9 @@ impl SecureMemoryController {
             self.energy.cache_accesses += 1;
             return Ok(t);
         }
+        if let Some(node) = self.rebuild_pending.remove(&offset) {
+            return self.install_node(t, id, node, true);
+        }
         // Steins drains the NV parent-counter buffer before node fetches so
         // verification always sees up-to-date parent counters (§III-E).
         // Entries stay in the buffer until applied, so fetches issued *by*
@@ -269,14 +271,9 @@ impl SecureMemoryController {
             loop {
                 if self.meta.contains(offset) {
                     // Nested work (a victim flush walking back through this
-                    // node) installed it already — and may have modified it
-                    // since, so for a clean fetch the cached copy wins. A
-                    // dirty install (recovery) carries the authoritative
-                    // reconstructed value and overwrites.
-                    if dirty {
-                        self.meta.write(offset, node);
-                        self.meta.mark_dirty(offset);
-                    }
+                    // node, or a drain fetching a rebuild's pending node)
+                    // installed it already — and may have modified it since,
+                    // so the cached copy wins.
                     return Ok(t);
                 }
                 match self.meta.probe_victim(offset, &self.pinned) {
@@ -330,11 +327,11 @@ impl SecureMemoryController {
             SchemeKind::WriteBack => {}
             SchemeKind::Steins => {
                 if was_clean {
-                    t = self.steins_record_update(t, slot, offset);
+                    t = self.steins_record_update(t, slot, offset)?;
                 }
             }
             SchemeKind::Asit => {
-                t = self.asit_slot_update(t, offset);
+                t = self.asit_slot_update(t, offset)?;
             }
             SchemeKind::Star => {
                 if was_clean {
@@ -345,7 +342,7 @@ impl SecureMemoryController {
                     // atomically (register writes emit no event).
                     let set = self.meta.set_index(offset);
                     t = self.star_tree_update_with(t, set, Some((offset, *pre)));
-                    t = self.star_bitmap_update(t, offset, true);
+                    t = self.star_bitmap_update(t, offset, true)?;
                 }
                 // The register refresh over the NEW content is deferred to
                 // the call site, where it rides the persist event that makes
@@ -363,7 +360,12 @@ impl SecureMemoryController {
     /// them — they cost NVM traffic and bank occupancy, not front-end time
     /// (the write stalls only on write-queue back-pressure). This is the
     /// cost asymmetry versus STAR's write-through bitmap below.
-    fn steins_record_update(&mut self, mut t: Cycle, cache_slot: u64, offset: u64) -> Cycle {
+    fn steins_record_update(
+        &mut self,
+        mut t: Cycle,
+        cache_slot: u64,
+        offset: u64,
+    ) -> Result<Cycle, PowerCut> {
         let (rline, _) = record_coords(cache_slot);
         let raddr = self.layout.record_addr(rline);
         let st = match &mut self.scheme {
@@ -373,15 +375,15 @@ impl SecureMemoryController {
         if !st.record_cache.touch(raddr) {
             let (line, _) = self.nvm.read(t, raddr); // posted: no t advance
             if let Some((ev_addr, ev_line)) = st.record_cache.insert(raddr, line) {
-                t = self.wq.push(t, ev_addr, &ev_line, &mut self.nvm);
+                t = self.wq.push(t, ev_addr, &ev_line, &mut self.nvm)?;
             }
         }
         st.set_record(raddr, cache_slot, offset);
         self.energy.cache_accesses += 1;
         // The record line lives in the ADR domain: this in-place update is a
         // durable-state transition (an enumerable crash point).
-        self.nvm.adr_persist_event(raddr);
-        t
+        self.nvm.adr_persist_event(raddr)?;
+        Ok(t)
     }
 
     /// STAR: flip the node's dirty bit in the bitmap.
@@ -390,7 +392,12 @@ impl SecureMemoryController {
     /// durable on its own, so every transition **writes the updated line
     /// through to NVM** (the "extra memory access overhead" of §II-D and
     /// the 1.3× traffic of Fig. 13). The line cache only absorbs re-reads.
-    fn star_bitmap_update(&mut self, mut t: Cycle, offset: u64, set_bit: bool) -> Cycle {
+    fn star_bitmap_update(
+        &mut self,
+        mut t: Cycle,
+        offset: u64,
+        set_bit: bool,
+    ) -> Result<Cycle, PowerCut> {
         let (baddr, bit) = self.layout.bitmap_slot(offset);
         let st = match &mut self.scheme {
             SchemeState::Star(s) => s,
@@ -413,9 +420,8 @@ impl SecureMemoryController {
         self.energy.cache_accesses += 1;
         // The cached bitmap line is in the ADR domain: flipping the bit is a
         // durable transition on its own, ahead of the write-through below.
-        self.nvm.adr_persist_event(baddr);
-        t = self.wq.push(t, baddr, &line, &mut self.nvm);
-        t
+        self.nvm.adr_persist_event(baddr)?;
+        self.wq.push(t, baddr, &line, &mut self.nvm)
     }
 
     /// STAR: recompute the set-MAC (sorted dirty nodes) and the cache-tree
@@ -486,7 +492,11 @@ impl SecureMemoryController {
 
     /// ASIT: mirror the slot's content into the shadow table and rebuild the
     /// cache-tree path for it.
-    pub(crate) fn asit_slot_update(&mut self, mut t: Cycle, offset: u64) -> Cycle {
+    pub(crate) fn asit_slot_update(
+        &mut self,
+        mut t: Cycle,
+        offset: u64,
+    ) -> Result<Cycle, PowerCut> {
         let slot = self.meta.slot_of(offset).expect("node resident");
         let node = *self.meta.peek(offset).expect("node resident");
         let line = node.to_line();
@@ -527,14 +537,15 @@ impl SecureMemoryController {
         // Shadow write: the 2× traffic of Fig. 13.
         t = self
             .wq
-            .push(t, self.layout.shadow_addr(slot), &line, &mut self.nvm);
+            .push(t, self.layout.shadow_addr(slot), &line, &mut self.nvm)?;
         // The queue accepted the line (durable): the update is no longer in
-        // flight. A crash inside the push above unwinds before this clear.
+        // flight. A power cut inside the push above returns before this
+        // clear, leaving the pre-image staged for recovery.
         match &mut self.scheme {
             SchemeState::Asit(s) => s.inflight = None,
             _ => unreachable!("asit hook under asit scheme"),
         }
-        t
+        Ok(t)
     }
 
     /// Flushes a dirty node to NVM **in place** (§III-E): the node stays
@@ -593,10 +604,8 @@ impl SecureMemoryController {
                     Some((pid, slot)) => {
                         let poff = self.layout.geometry.offset_of(pid);
                         if self.meta.contains(poff) {
-                            self.watch("apply-direct", offset, p_new);
                             t = self.steins_apply_parent(t, id, pid, slot, p_new)?;
                         } else {
-                            self.watch("park", offset, p_new);
                             self.scheme.steins().nv_buffer.push(NvBufferEntry {
                                 child_offset: offset,
                                 generated: p_new,
@@ -606,7 +615,7 @@ impl SecureMemoryController {
                 }
                 node.hmac = self.node_mac_field(&node, offset, p_new);
                 t += self.cfg.hash_latency;
-                t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm);
+                t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm)?;
                 // The NVM copy is now current: mirror the recomputed HMAC
                 // into the cached copy and clean it.
                 self.meta.write(offset, node);
@@ -664,7 +673,7 @@ impl SecureMemoryController {
                 let mut node = *self.meta.peek(offset).expect("flush target resident");
                 node.hmac = self.node_mac_field(&node, offset, pc);
                 t += self.cfg.hash_latency;
-                t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm);
+                t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm)?;
                 self.meta.write(offset, node);
                 self.meta.mark_clean(offset);
                 if matches!(self.cfg.scheme, SchemeKind::Star) {
@@ -677,7 +686,7 @@ impl SecureMemoryController {
                     // still covered it.
                     let set = self.meta.set_index(offset);
                     t = self.star_tree_update(t, set);
-                    t = self.star_bitmap_update(t, offset, false);
+                    t = self.star_bitmap_update(t, offset, false)?;
                 }
             }
             Ok(t)
@@ -702,10 +711,8 @@ impl SecureMemoryController {
         if p_new <= p_old {
             // Already applied (a later flush of the same child raced ahead
             // through the buffer); nothing to do.
-            self.watch("apply-skip", self.layout.geometry.offset_of(child), p_old);
             return Ok(t);
         }
-        self.watch("apply", self.layout.geometry.offset_of(child), p_new);
         let delta = p_new - p_old;
         let pre = p;
         p.counters.as_general_mut().set(slot, p_new);
@@ -759,11 +766,15 @@ impl SecureMemoryController {
         MacRecord::read_slot(&line, byte / 16)
     }
 
-    pub(crate) fn set_mac_record(&mut self, data_line: u64, rec: MacRecord) {
+    pub(crate) fn set_mac_record(
+        &mut self,
+        data_line: u64,
+        rec: MacRecord,
+    ) -> Result<(), PowerCut> {
         let (laddr, byte) = self.layout.mac_slot(data_line);
         let mut line = self.nvm.peek(laddr);
         rec.write_slot(&mut line, byte / 16);
-        self.nvm.poke(laddr, &line);
+        self.nvm.poke(laddr, &line)
     }
 
     /// Re-encrypts every persisted block a split leaf covers after a minor
@@ -848,8 +859,8 @@ impl SecureMemoryController {
                     mac,
                     recovery: MacRecord::pack_recovery(new_major, 0),
                 },
-            );
-            t = self.wq.push(t, *daddr, buf, &mut self.nvm);
+            )?;
+            t = self.wq.push(t, *daddr, buf, &mut self.nvm)?;
         }
         Ok(t)
     }
@@ -1004,8 +1015,8 @@ impl SecureMemoryController {
             let set = self.meta.set_index(loff);
             t = self.star_tree_update(t, set);
         }
-        self.set_mac_record(dline, MacRecord { mac, recovery });
-        t = self.wq.push(t, addr, &line, &mut self.nvm);
+        self.set_mac_record(dline, MacRecord { mac, recovery })?;
+        t = self.wq.push(t, addr, &line, &mut self.nvm)?;
         // Osiris stop-loss (§V): every `window` increments, write the leaf
         // through so the post-crash probe distance stays bounded.
         if let LeafRecovery::OsirisProbe { window } = self.cfg.leaf_recovery {
@@ -1343,7 +1354,9 @@ impl SecureNvmSystem {
         let prev = self.truth.insert(addr, *data);
         if let Some(MemEvent::WriteBack { addr: wb }) = self.hier.flush_line(addr) {
             let line = self.truth_line(wb);
-            if let Err(e) = self.ctrl.write_data(self.cpu.now, wb, &line) {
+            // A power cut leaves the store's durability to the crash path,
+            // which reconciles ground truth against the tripping persist.
+            if let Err(e) = pass_cut(self.ctrl.write_data(self.cpu.now, wb, &line))? {
                 // The store never became durable (e.g. its metadata path is
                 // damaged): the ack is an error, so ground truth must keep
                 // the previous value — the device still holds it with a
@@ -1355,8 +1368,7 @@ impl SecureNvmSystem {
                 return Err(e);
             }
         }
-        self.maybe_online_step();
-        Ok(())
+        self.maybe_online_step()
     }
 
     /// Direct API: securely reads one line (through the CPU caches; a hit
@@ -1383,7 +1395,7 @@ impl SecureNvmSystem {
                 }
             }
         }
-        self.maybe_online_step();
+        self.maybe_online_step()?;
         Ok(match from_mem {
             Some(data) => data,
             None => self.truth.get(&addr).copied().unwrap_or([0u8; 64]),
@@ -1402,14 +1414,16 @@ impl SecureNvmSystem {
 
     /// Runs a scrub step if the service is enabled and the period elapsed.
     /// The service is taken out of `self` for the step so it can drive the
-    /// controller through `&mut self` without aliasing.
-    fn maybe_online_step(&mut self) {
+    /// controller through `&mut self` without aliasing; a power cut inside
+    /// the step drops it with the rest of the volatile state.
+    fn maybe_online_step(&mut self) -> Result<(), IntegrityError> {
         if let Some(mut svc) = self.online.take() {
             if svc.note_op() {
-                svc.step(self);
+                svc.step(self)?;
             }
             self.online = Some(svc);
         }
+        Ok(())
     }
 
     /// Enables the online integrity service under `policy`, replacing any
@@ -1431,21 +1445,23 @@ impl SecureNvmSystem {
 
     /// Forces one scrub step now, regardless of the period (the throttle
     /// still applies). No-op when the service is disabled.
-    pub fn online_step(&mut self) {
+    pub fn online_step(&mut self) -> Result<(), IntegrityError> {
         if let Some(mut svc) = self.online.take() {
-            svc.step(self);
+            svc.step(self)?;
             self.online = Some(svc);
         }
+        Ok(())
     }
 
     /// Forces one full scrub pass over every data line, ignoring both the
     /// period and the throttle — the operator's "finish the scrub now"
     /// lever. No-op when the service is disabled.
-    pub fn online_scrub_pass(&mut self) {
+    pub fn online_scrub_pass(&mut self) -> Result<(), IntegrityError> {
         if let Some(mut svc) = self.online.take() {
-            svc.full_pass(self);
+            svc.full_pass(self)?;
             self.online = Some(svc);
         }
+        Ok(())
     }
 
     /// Drains the online service's alarm events (empty when disabled).
@@ -1494,13 +1510,14 @@ impl SecureNvmSystem {
             }
             Err(e)
         };
-        if let Err(e) = self.write(addr, data) {
+        // A power cut passes straight up: the service dies with the power.
+        if let Err(e) = pass_cut(self.write(addr, data))? {
             return requarantine(self, e);
         }
         // Verify-after-write: read straight from the device through the
         // MAC-checking path (not the CPU cache, which would echo the
         // just-written truth back without touching media).
-        match self.ctrl.read_data(self.cpu.now, addr) {
+        match pass_cut(self.ctrl.read_data(self.cpu.now, addr))? {
             Ok((got, _)) if got == *data => {
                 let shard = self.ctrl.nvm.shard();
                 let cycle = self.sim_cycles();

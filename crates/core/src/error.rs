@@ -58,9 +58,9 @@ pub enum IntegrityError {
     /// no longer sound — the caller must re-run the scrub instead.
     ScrubInterrupted,
     /// The request routed to a shard that has been parked `Degraded`
-    /// (poisoned lock, crash mid-operation, or an unrecoverable scrub
-    /// verdict). The shard fails typed instead of propagating a panic to
-    /// its neighbors; the rest of the engine keeps serving.
+    /// (a power cut mid-operation, an explicit park, or an unrecoverable
+    /// scrub verdict). The shard fails typed; the rest of the engine keeps
+    /// serving.
     ShardDegraded {
         /// The degraded shard.
         shard: u16,
@@ -78,6 +78,29 @@ pub enum IntegrityError {
     /// recovery. Strict recovery fails closed; the lenient scrub discards
     /// the journal and rebuilds from scratch.
     JournalForged,
+    /// A modeled power cut: the device's armed crash point tripped inside
+    /// this call (see [`steins_nvm::PowerCut`]). Nothing after the tripping
+    /// persist was issued; the machine must be `crash()`ed before anything
+    /// else touches it.
+    PowerCut,
+}
+
+impl From<steins_nvm::PowerCut> for IntegrityError {
+    fn from(_: steins_nvm::PowerCut) -> Self {
+        IntegrityError::PowerCut
+    }
+}
+
+/// Separates a power cut from every other outcome of `r`: the cut comes
+/// back as the outer `Err` for `?` to pass up, anything else — success or a
+/// detected violation — as the inner result.
+pub(crate) fn pass_cut<T>(
+    r: Result<T, IntegrityError>,
+) -> Result<Result<T, IntegrityError>, IntegrityError> {
+    match r {
+        Err(IntegrityError::PowerCut) => Err(IntegrityError::PowerCut),
+        other => Ok(other),
+    }
 }
 
 impl std::fmt::Display for IntegrityError {
@@ -139,6 +162,7 @@ impl std::fmt::Display for IntegrityError {
                     "recovery journal failed its MAC check: resume state untrusted, rebuild from scratch"
                 )
             }
+            IntegrityError::PowerCut => write!(f, "power cut at an armed persist point"),
         }
     }
 }

@@ -28,6 +28,8 @@ pub const ENTRY_BYTES: usize = 16;
 pub struct NvBuffer {
     entries: Vec<NvBufferEntry>,
     capacity: usize,
+    /// Entries retired since construction (FIFO position of the front).
+    retired: u64,
 }
 
 impl NvBuffer {
@@ -38,6 +40,7 @@ impl NvBuffer {
         NvBuffer {
             entries: Vec::with_capacity(capacity),
             capacity,
+            retired: 0,
         }
     }
 
@@ -77,8 +80,14 @@ impl NvBuffer {
         if self.entries.is_empty() {
             None
         } else {
+            self.retired += 1;
             Some(self.entries.remove(0))
         }
+    }
+
+    /// Entries retired through [`Self::pop_front`] since construction.
+    pub fn retired(&self) -> u64 {
+        self.retired
     }
 
     /// Read-only view (recovery replays without draining the register).

@@ -26,7 +26,7 @@
 //! * **Quarantine** — a line that fails its MAC, stays unreadable after
 //!   the retry budget, or exhausts its transient re-reads is parked in a
 //!   per-region quarantine: subsequent reads *and* writes fail typed with
-//!   [`IntegrityError::Quarantined`](crate::IntegrityError::Quarantined) until an operator clears it. The ack
+//!   [`IntegrityError::Quarantined`] until an operator clears it. The ack
 //!   is never silently wrong.
 //! * **Epoch re-encryption** — split-counter leaves whose major counter
 //!   reaches `epoch_threshold` are re-encrypted under a fresh epoch
@@ -51,6 +51,7 @@ use steins_obs::{Alarm, AlarmKind, AlarmLog, MetricRegistry};
 use crate::cme::MacRecord;
 use crate::config::LeafRecovery;
 use crate::engine::SecureNvmSystem;
+use crate::error::{pass_cut, IntegrityError};
 use crate::par;
 use crate::recovery::journal;
 
@@ -369,17 +370,21 @@ impl OnlineService {
     /// covering leaf spans and re-encrypt the leaf under a fresh epoch.
     /// Any sibling that fails verification is quarantined instead (and
     /// vetoes the sweep — re-encrypting it would launder garbage).
-    fn maybe_epoch_sweep(&mut self, sys: &mut SecureNvmSystem, d: u64) {
+    fn maybe_epoch_sweep(
+        &mut self,
+        sys: &mut SecureNvmSystem,
+        d: u64,
+    ) -> Result<(), IntegrityError> {
         if self.policy.epoch_threshold == u64::MAX
             || sys.cfg.mode != CounterMode::Split
             || !matches!(sys.cfg.leaf_recovery, LeafRecovery::MacRecord)
         {
-            return;
+            return Ok(());
         }
         let rec = sys.ctrl.data_mac_record(d);
         let (major, _) = MacRecord::unpack_recovery(rec.recovery);
         if major < self.policy.epoch_threshold {
-            return;
+            return Ok(());
         }
         let (leaf, _) = sys.ctrl.layout.geometry.leaf_of_data(d);
         let siblings = sys.ctrl.layout.geometry.data_of_leaf(leaf);
@@ -389,14 +394,15 @@ impl OnlineService {
                 LineVerdict::Unreadable | LineVerdict::Mismatch
             )
         });
-        if all_clean && sys.ctrl.epoch_reencrypt(leaf).unwrap_or(false) {
+        if all_clean && pass_cut(sys.ctrl.epoch_reencrypt(leaf))?.unwrap_or(false) {
             self.reencrypted_leaves += 1;
         }
+        Ok(())
     }
 
     /// End-of-pass work: LInc drift check (replay suspicion) and wear
     /// rotation.
-    fn end_of_pass(&mut self, sys: &mut SecureNvmSystem) {
+    fn end_of_pass(&mut self, sys: &mut SecureNvmSystem) -> Result<(), IntegrityError> {
         self.passes += 1;
         // Replay suspicion: the trusted LInc registers must equal a
         // recomputation from the cache + NV-buffer state. Drift means the
@@ -417,7 +423,7 @@ impl OnlineService {
         // device's problem, not remappable user content), lowest address
         // winning ties so the choice is deterministic.
         if self.policy.wear_rotation_writes == u64::MAX {
-            return;
+            return Ok(());
         }
         let mut best_count = 0u64;
         let mut best_addr = None;
@@ -433,12 +439,12 @@ impl OnlineService {
             }
         }
         let Some(hot) = best_addr else {
-            return;
+            return Ok(());
         };
         let t = sys.ctrl.front_free;
-        match sys.ctrl.read_data(t, hot) {
+        match pass_cut(sys.ctrl.read_data(t, hot))? {
             Ok((pt, t2)) => {
-                if sys.ctrl.write_data(t2, hot, &pt).is_ok() {
+                if pass_cut(sys.ctrl.write_data(t2, hot, &pt))?.is_ok() {
                     self.rotations += 1;
                 }
             }
@@ -448,12 +454,14 @@ impl OnlineService {
                 self.quarantine_line(AlarmKind::MacMismatch, shard, hot, cycle);
             }
         }
+        Ok(())
     }
 
     /// One scrub step: drain promotions, negotiate the throttle against
     /// live write-queue occupancy, verify the next batch of lines, stamp
-    /// the cursor into the journal's per-lane marks.
-    pub(crate) fn step(&mut self, sys: &mut SecureNvmSystem) {
+    /// the cursor into the journal's per-lane marks. Errs only with
+    /// [`IntegrityError::PowerCut`].
+    pub(crate) fn step(&mut self, sys: &mut SecureNvmSystem) -> Result<(), IntegrityError> {
         self.steps += 1;
         self.ops_since_step = 0;
         self.drain_retry_exhausted(sys);
@@ -461,11 +469,11 @@ impl OnlineService {
         let occ = sys.ctrl.wq.occupancy(now) as f64 / sys.ctrl.wq.capacity().max(1) as f64;
         if occ > self.policy.throttle_occupancy {
             self.throttled += 1;
-            return;
+            return Ok(());
         }
         let lines = sys.ctrl.layout.data_lines;
         if lines == 0 {
-            return;
+            return Ok(());
         }
         for _ in 0..self.policy.scrub_batch_lines.min(lines) {
             let d = self.cursor;
@@ -474,10 +482,10 @@ impl OnlineService {
                 self.cursor = 0;
             }
             if matches!(self.verify_line(sys, d), LineVerdict::Verified) {
-                self.maybe_epoch_sweep(sys, d);
+                self.maybe_epoch_sweep(sys, d)?;
             }
             if self.cursor == 0 {
-                self.end_of_pass(sys);
+                self.end_of_pass(sys)?;
             }
         }
         // Stamp the cursor (a cheap ADR persist): a crash between steps
@@ -487,24 +495,27 @@ impl OnlineService {
             self.passes.min(u64::from(u32::MAX)) as u32,
             RECOVERY_LANES as u8,
             Self::marks_for(self.cursor, lines),
-        ));
+        ))?;
+        Ok(())
     }
 
     /// One full drain pass over every data line, ignoring the period and
     /// throttle — the operator's "finish the scrub now" lever, and the
-    /// chaos harness's end-of-run settling pass.
-    pub(crate) fn full_pass(&mut self, sys: &mut SecureNvmSystem) {
+    /// chaos harness's end-of-run settling pass. Errs only with
+    /// [`IntegrityError::PowerCut`].
+    pub(crate) fn full_pass(&mut self, sys: &mut SecureNvmSystem) -> Result<(), IntegrityError> {
         self.drain_retry_exhausted(sys);
         let lines = sys.ctrl.layout.data_lines;
         for d in 0..lines {
             if matches!(self.verify_line(sys, d), LineVerdict::Verified) {
-                self.maybe_epoch_sweep(sys, d);
+                self.maybe_epoch_sweep(sys, d)?;
             }
         }
         self.cursor = 0;
         if lines > 0 {
-            self.end_of_pass(sys);
+            self.end_of_pass(sys)?;
         }
+        Ok(())
     }
 
     /// Exports the service's telemetry under `core.online.` plus the
@@ -533,7 +544,6 @@ mod tests {
     use super::*;
     use crate::config::{SchemeKind, SystemConfig};
     use crate::engine::synth_data;
-    use crate::error::IntegrityError;
 
     fn sys(mode: CounterMode) -> SecureNvmSystem {
         SecureNvmSystem::new(SystemConfig::small_for_tests(SchemeKind::Steins, mode))
@@ -558,7 +568,7 @@ mod tests {
         // Force enough steps to complete at least one pass.
         let lines = s.ctrl.layout.data_lines;
         for _ in 0..=lines / 8 {
-            s.online_step();
+            s.online_step().unwrap();
         }
         let svc = s.online().unwrap();
         assert!(svc.passes() >= 1, "cursor never wrapped");
@@ -584,7 +594,7 @@ mod tests {
         }
         let victim = 5 * 64;
         s.ctrl.nvm.inject_bit_flip(victim, 3, 1);
-        s.online_scrub_pass();
+        s.online_scrub_pass().unwrap();
         let svc = s.online().unwrap();
         assert!(svc.is_quarantined(victim));
         assert_eq!(svc.alarms().count(AlarmKind::MacMismatch), 1);
@@ -600,7 +610,7 @@ mod tests {
         assert_eq!(s.read(6 * 64).unwrap(), synth_data(6 * 64, 2));
         // Operator clears the quarantine; the next pass re-detects.
         assert!(s.clear_quarantine(victim));
-        s.online_scrub_pass();
+        s.online_scrub_pass().unwrap();
         assert!(s.online().unwrap().is_quarantined(victim));
     }
 
@@ -615,7 +625,7 @@ mod tests {
         s.ctrl.nvm.inject_transient_unreadable(2 * 64, 2);
         // Permanent: quarantined with an alarm.
         s.ctrl.nvm.inject_unreadable(4 * 64);
-        s.online_scrub_pass();
+        s.online_scrub_pass().unwrap();
         let svc = s.online().unwrap();
         assert!(svc.healed >= 1, "transient not healed");
         assert!(!svc.is_quarantined(2 * 64));
@@ -657,7 +667,7 @@ mod tests {
         for line in 1..4u64 {
             s.write(line * 64, &synth_data(line * 64, 1)).unwrap();
         }
-        s.online_scrub_pass();
+        s.online_scrub_pass().unwrap();
         let before = s.online().unwrap().reencrypted_leaves;
         assert!(before >= 1, "no epoch sweep ran");
         // The swept lines still read back correctly.
@@ -668,7 +678,7 @@ mod tests {
         // And the sweep is convergent: majors were reset below the
         // threshold only if threshold > post-sweep major; with threshold 1
         // a re-scan may sweep again, but reads must stay correct.
-        s.online_scrub_pass();
+        s.online_scrub_pass().unwrap();
         assert_eq!(s.read(0).unwrap(), synth_data(0, 299));
     }
 
@@ -685,7 +695,7 @@ mod tests {
         for line in 0..4u64 {
             s.write(line * 64, &synth_data(line * 64, 100)).unwrap();
         }
-        s.online_scrub_pass();
+        s.online_scrub_pass().unwrap();
         let svc = s.online().unwrap();
         assert!(svc.rotations >= 1, "hot line never rotated");
         assert_eq!(s.read(3 * 64).unwrap(), synth_data(3 * 64, 100));
@@ -701,7 +711,7 @@ mod tests {
         // Sabotage the trusted register directly: the recomputation no
         // longer matches, which is exactly what a replayed counter causes.
         s.ctrl.scheme.steins().lincs.add(0, 7);
-        s.online_scrub_pass();
+        s.online_scrub_pass().unwrap();
         let svc = s.online().unwrap();
         assert_eq!(svc.replay_suspected, 1);
         assert_eq!(svc.alarms().count(AlarmKind::Replay), 1);
@@ -718,7 +728,7 @@ mod tests {
         // path promotes the fault; the service must surface it.
         s.ctrl.nvm.inject_transient_unreadable(64, 100);
         assert!(matches!(s.read(64), Err(IntegrityError::Unreadable { .. })));
-        s.online_step();
+        s.online_step().unwrap();
         let svc = s.online().unwrap();
         assert!(svc.retry_exhausted >= 1);
         assert!(svc.is_quarantined(64));
@@ -735,12 +745,62 @@ mod tests {
                 s.write(line * 64, &synth_data(line * 64, 7)).unwrap();
             }
             s.ctrl.nvm.inject_unreadable(2 * 64);
-            s.online_scrub_pass();
+            s.online_scrub_pass().unwrap();
             s.report().metrics.to_json_deterministic().pretty()
         };
         let a = run();
         assert_eq!(a, run(), "online metrics must be deterministic");
         assert!(a.contains("core.online.steps"));
         assert!(a.contains("obs.alarms.total"));
+    }
+
+    /// Split-mode system whose written leaf crosses any epoch threshold and
+    /// whose hot line (line 0) crosses a wear-rotation budget of 8.
+    fn epoch_and_wear_candidate() -> SecureNvmSystem {
+        let mut s = sys(CounterMode::Split);
+        for v in 0..20 {
+            s.write(0, &synth_data(0, v)).unwrap();
+        }
+        for line in 1..8u64 {
+            s.write(line * 64, &synth_data(line * 64, 1)).unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn power_cut_in_epoch_sweep_or_wear_rotation_passes_up() {
+        let policy = OnlinePolicy {
+            epoch_threshold: 0,
+            wear_rotation_writes: 8,
+            ..OnlinePolicy::default()
+        };
+        // Reference pass: its persist range, epoch sweeps first, the wear
+        // rotation's rewrite of the hot line last.
+        let mut s = epoch_and_wear_candidate();
+        let mut svc = OnlineService::new(policy);
+        let first = s.ctrl.nvm.persist_seq() + 1;
+        svc.full_pass(&mut s).unwrap();
+        let last = s.ctrl.nvm.persist_seq();
+        assert!(svc.reencrypted_leaves > 0 && svc.rotations == 1);
+        // A cut inside `epoch_reencrypt`, then one inside the rotation's
+        // rewrite: each passes up, with no verdict drawn from it.
+        for at in [first, last] {
+            let mut s = epoch_and_wear_candidate();
+            s.ctrl.nvm.arm_crash(at);
+            let mut svc = OnlineService::new(policy);
+            assert_eq!(
+                svc.full_pass(&mut s),
+                Err(IntegrityError::PowerCut),
+                "cut at {at}"
+            );
+            assert_eq!(svc.rotations, 0, "cut at {at}");
+            assert_eq!(svc.reencrypted_leaves > 0, at == last, "cut at {at}");
+            assert!(svc.quarantine.is_empty(), "cut at {at}");
+            assert!(svc
+                .alarms
+                .events()
+                .iter()
+                .all(|a| a.kind != AlarmKind::MacMismatch));
+        }
     }
 }

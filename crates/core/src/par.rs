@@ -212,9 +212,8 @@ impl StealQueue {
 /// Runs `jobs` independent region jobs on `workers` OS threads driving a
 /// [`StealQueue`], returning the per-job results in job order plus the
 /// steal count. `f(job, worker)` must be independent across jobs — results
-/// are deterministic in `job` regardless of which worker ran it. Panics in
-/// `f` (e.g. an armed [`steins_nvm::CrashTripped`] inside one region's
-/// recovery) propagate after all workers have drained or parked.
+/// are deterministic in `job` regardless of which worker ran it. A panic in
+/// `f` propagates once every worker has stopped.
 pub fn run_regions<T, F>(workers: usize, jobs: usize, f: F) -> (Vec<T>, u64)
 where
     T: Send,
@@ -230,26 +229,13 @@ where
         }
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queue = &queue;
-                    let slots = &slots;
-                    let f = &f;
-                    scope.spawn(move || {
-                        while let Some(j) = queue.next(w) {
-                            *slots[j].lock().unwrap() = Some(f(j, w));
-                        }
-                    })
-                })
-                .collect();
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for h in handles {
-                if let Err(p) = h.join() {
-                    panic.get_or_insert(p);
-                }
-            }
-            if let Some(p) = panic {
-                std::panic::resume_unwind(p);
+            for w in 0..workers {
+                let (queue, slots, f) = (&queue, &slots, &f);
+                scope.spawn(move || {
+                    while let Some(j) = queue.next(w) {
+                        *slots[j].lock().unwrap() = Some(f(j, w));
+                    }
+                });
             }
         });
     }
@@ -257,7 +243,7 @@ where
         .into_iter()
         .map(|s| {
             s.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .expect("a worker's panic propagates out of the scope first")
                 .expect("drained queue visited every job")
         })
         .collect();

@@ -262,10 +262,11 @@ impl CrashedSystem {
     /// Restartable form of [`Self::recover`]: the rebuilt system is parked
     /// in `out` *before* recovery issues its first durable write, so if a
     /// second crash trips mid-rebuild (an armed persist point inside
-    /// recovery), the unwinding caller still owns the partially-rebuilt
-    /// system — including its NVM image and ADR recovery journal — and can
-    /// crash it again and re-run recovery. All planning and verification
-    /// happen before parking and touch nothing durable.
+    /// recovery, returned as [`IntegrityError::PowerCut`]), the caller still
+    /// owns the partially-rebuilt system — including its NVM image and ADR
+    /// recovery journal — and can crash it again and re-run recovery. All
+    /// planning and verification happen before parking and touch nothing
+    /// durable.
     pub fn recover_into(
         self,
         out: &mut Option<SecureNvmSystem>,
@@ -642,6 +643,10 @@ impl CrashedSystem {
     ///    buffer are installed in the same persist interval as the `DONE`
     ///    journal write, so no crash can observe new records with old
     ///    registers or vice versa beyond what phase 2 already reconciles.
+    ///    An over-full set's evicting install (phase 1) flushes a victim
+    ///    through the runtime path against the still-live crash-time
+    ///    registers; its LInc transfer and any parent update it parked are
+    ///    carried across the switch.
     fn rebuild_steins(
         self,
         out: &mut Option<SecureNvmSystem>,
@@ -657,12 +662,13 @@ impl CrashedSystem {
             NvState::Steins { lincs, nv_buffer } => (lincs.clone(), nv_buffer.clone()),
             _ => unreachable!("steins rebuild under steins scheme"),
         };
+        let (crash_queued, crash_retired) = (old_buffer.entries().len(), old_buffer.retired());
         let mut sys = SecureNvmSystem::new(cfg.clone());
         sys.ctrl.nvm = self.nvm;
         sys.ctrl.root = self.root;
         sys.truth = self.truth;
         sys.ctrl.scheme = SchemeState::Steins(SteinsState {
-            lincs: old_lincs,
+            lincs: old_lincs.clone(),
             nv_buffer: old_buffer,
             record_cache: AdrRegion::new(cfg.record_cache_lines),
             draining: false,
@@ -704,6 +710,14 @@ impl CrashedSystem {
         let mut ordered: Vec<((u64, SitNode), Option<u64>)> =
             items.into_iter().zip(assigned).collect();
         ordered.sort_by_key(|(_, slot)| slot.is_none());
+        // A fallback flush can drain the NV buffer, which fetches parents;
+        // a parent still waiting below must come back as its recovered
+        // value, not its stale NVM copy.
+        sys.ctrl.rebuild_pending = ordered
+            .iter()
+            .filter(|(_, slot)| slot.is_none())
+            .map(|&(item, _)| item)
+            .collect();
         *out = Some(sys);
         let sys = out.as_mut().expect("just parked");
         // The install loop below journals per-lane high-water marks: items
@@ -720,7 +734,7 @@ impl CrashedSystem {
             lanes,
             n,
             0,
-        ));
+        ))?;
         let total = n as u64;
         for (i, ((off, node), slot)) in ordered.into_iter().enumerate() {
             let id = geo.node_at_offset(off);
@@ -728,8 +742,13 @@ impl CrashedSystem {
                 Some(s) => sys.ctrl.meta.install_at(s, off, node, true),
                 // Set over-full (a parent landed in a set whose ways were
                 // all recorded dirty): fall back to the evicting install.
+                // The node stays pending until it is in, so a drain inside
+                // its own eviction installs it from the recovered value.
                 None => {
-                    sys.ctrl.install_node(0, id, node, true)?;
+                    if sys.ctrl.rebuild_pending.contains_key(&off) {
+                        sys.ctrl.install_node(0, id, node, true)?;
+                        sys.ctrl.rebuild_pending.remove(&off);
+                    }
                 }
             }
             sys.ctrl.journal_write(progress_journal(
@@ -738,14 +757,14 @@ impl CrashedSystem {
                 lanes,
                 n,
                 i + 1,
-            ));
+            ))?;
         }
         // Rewrite the record region to match the slot assignment.
         sys.ctrl.journal_write(RecoveryJournal::single(
             journal::STEINS_RECORDS,
             0,
             restarts,
-        ));
+        ))?;
         let slots = cfg.meta_cache.slots();
         let rec_lines = slots.div_ceil(RECORDS_PER_LINE) as usize;
         let mut lines = vec![RecordLine::default(); rec_lines];
@@ -755,16 +774,30 @@ impl CrashedSystem {
         }
         for (r, rl) in lines.iter().enumerate() {
             let addr = sys.ctrl.layout.record_addr(r as u64);
-            sys.ctrl.nvm.poke(addr, &rl.to_line());
+            sys.ctrl.nvm.poke(addr, &rl.to_line())?;
         }
         // Atomic register switch: recovered LIncs + empty buffer become
-        // live in the same persist interval as the DONE journal write.
+        // live in the same persist interval as the DONE journal write —
+        // plus whatever the fallback flushes did to the live registers:
+        // their LInc deltas, and the entries they parked behind the
+        // crash-time ones still queued. (A crash-time entry a fallback
+        // drain retires finds its parent recovered: its apply is a no-op.)
         if let SchemeState::Steins(st) = &mut sys.ctrl.scheme {
-            st.lincs = lincs;
-            st.nv_buffer = NvBuffer::new(cfg.nv_buffer_bytes);
+            let mut carried = lincs;
+            for k in 0..carried.levels() {
+                carried.add(k, st.lincs.get(k));
+                carried.sub(k, old_lincs.get(k));
+            }
+            let retired = (st.nv_buffer.retired() - crash_retired) as usize;
+            let mut buffer = NvBuffer::new(cfg.nv_buffer_bytes);
+            for &e in &st.nv_buffer.entries()[crash_queued.saturating_sub(retired)..] {
+                buffer.push(e);
+            }
+            st.lincs = carried;
+            st.nv_buffer = buffer;
         }
         sys.ctrl
-            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts));
+            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts))?;
         sys.ctrl.nvm.reset_stats();
         Ok(())
     }
@@ -953,21 +986,21 @@ impl CrashedSystem {
             lanes,
             n,
             0,
-        ));
+        ))?;
         let total = n as u64;
         for (i, (slot, off, node)) in items.into_iter().enumerate() {
             sys.ctrl.meta.install_at(slot, off, node, true);
-            sys.ctrl.asit_slot_update(0, off);
+            sys.ctrl.asit_slot_update(0, off)?;
             sys.ctrl.journal_write(progress_journal(
                 journal::ASIT_REPLAY,
                 restarts,
                 lanes,
                 n,
                 i + 1,
-            ));
+            ))?;
         }
         sys.ctrl
-            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts));
+            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts))?;
         sys.ctrl.nvm.reset_stats();
         let est_seconds = reads as f64 * read_ns * 1e-9;
         Ok(RecoveryReport {
@@ -1161,7 +1194,7 @@ impl CrashedSystem {
             lanes,
             n,
             0,
-        ));
+        ))?;
         // Reinstall in canonical order, refreshing the register after every
         // item: the durable bitmap, node lines and data plane are untouched,
         // so a crash here re-derives the same `recovered` set, and the
@@ -1181,10 +1214,10 @@ impl CrashedSystem {
                 lanes,
                 n,
                 i + 1,
-            ));
+            ))?;
         }
         sys.ctrl
-            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts));
+            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts))?;
         sys.ctrl.nvm.reset_stats();
         let est_seconds = reads as f64 * read_ns * 1e-9;
         Ok(RecoveryReport {
@@ -1263,26 +1296,51 @@ mod tests {
         // ways, and the rebuild's evicting fallback must not steal a way
         // reserved for a later slot-pinned install ("install_at into
         // occupied slot N").
-        let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
+        let small = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
         let coverage = CounterMode::General.leaf_coverage();
-        let writes = cfg.meta_cache.slots() * 3 / 2;
-        assert!(
-            writes * coverage <= cfg.data_lines,
-            "stride fits data region"
-        );
-        let mut sys = SecureNvmSystem::new(cfg);
-        let mut expected = Vec::new();
-        for i in 0..writes {
-            let addr = i * coverage * 64;
-            let mut data = [0u8; 64];
-            data[..8].copy_from_slice(&i.to_le_bytes());
-            sys.write(addr, &data).unwrap();
-            expected.push((addr, data));
-        }
-        let (mut recovered, report) = sys.crash().recover().expect("recovery verifies");
-        assert!(report.nvm_reads > 0);
-        for (addr, data) in expected {
-            assert_eq!(recovered.read(addr).unwrap(), data, "addr {addr:#x}");
+        let stride: Vec<(u64, [u8; 64])> = (0..small.meta_cache.slots() * 3 / 2)
+            .map(|i| (i * coverage * 64, crate::SweepOp::payload(i, i as u8)))
+            .collect();
+        assert!(stride.len() as u64 * coverage <= small.data_lines);
+        // A four-level tree under a random stream: the fallback's victims
+        // park parent updates and drain a three-entry NV buffer mid-rebuild,
+        // fetching parents the rebuild has not reinstalled yet.
+        let mut deep = small.clone();
+        deep.data_lines *= 16;
+        deep.nvm.capacity_bytes *= 16;
+        deep.nv_buffer_bytes = 48;
+        let random = crate::SweepOp::stream(5, deep.data_lines, 300)
+            .into_iter()
+            .filter_map(|op| match op {
+                crate::SweepOp::Write { line, tag } => {
+                    Some((line * 64, crate::SweepOp::payload(line, tag)))
+                }
+                crate::SweepOp::Read { .. } => None,
+            })
+            .collect();
+        for (cfg, writes) in [(small, stride), (deep, random)] {
+            let mut sys = SecureNvmSystem::new(cfg);
+            let mut expected = std::collections::BTreeMap::new();
+            for (addr, data) in writes {
+                sys.write(addr, &data).unwrap();
+                expected.insert(addr, data);
+            }
+            let (mut recovered, report) = sys.crash().recover().expect("recovery verifies");
+            assert!(report.nvm_reads > 0);
+            // The fallback's flushes ran against the crash-time registers;
+            // the switch must carry their LInc transfers and parked parent
+            // updates.
+            assert_eq!(recovered.ctrl.lincs(), recovered.ctrl.recompute_lincs());
+            for (&addr, &data) in &expected {
+                assert_eq!(recovered.read(addr).unwrap(), data, "addr {addr:#x}");
+            }
+            let (mut again, _) = recovered
+                .crash()
+                .recover()
+                .expect("second recovery verifies");
+            for (addr, data) in expected {
+                assert_eq!(again.read(addr).unwrap(), data, "addr {addr:#x} (second)");
+            }
         }
     }
 

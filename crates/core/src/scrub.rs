@@ -39,6 +39,7 @@ use crate::cme::MacRecord;
 use crate::config::{LeafRecovery, SchemeKind};
 use crate::crash::CrashedSystem;
 use crate::engine::SecureNvmSystem;
+use crate::error::IntegrityError;
 use crate::scheme::star;
 use steins_metadata::counter::{CounterBlock, SplitCounters};
 use steins_metadata::records::RecordLine;
@@ -194,24 +195,32 @@ impl CrashedSystem {
     /// Lenient recovery: scrubs the image, classifies every region, and
     /// rebuilds a consistent live system (`None` for WB, which has no
     /// metadata redundancy to rebuild from — the report still classifies
-    /// the data plane). Never panics, for any NVM image.
+    /// the data plane). Never panics, for any NVM image. The device must be
+    /// disarmed: a scrub that may be cut needs
+    /// [`Self::recover_lenient_into`], which keeps the half-scrubbed system.
     pub fn recover_lenient(self) -> (Option<SecureNvmSystem>, ScrubReport) {
         let mut out = None;
-        let report = self.recover_lenient_into(&mut out);
+        let report = self
+            .recover_lenient_into(&mut out)
+            .expect("power cut inside recover_lenient: use recover_lenient_into");
         (out, report)
     }
 
     /// Restartable form of [`Self::recover_lenient`]: the rebuilt system is
     /// parked in `out` *before* the scrub issues its first durable write
     /// (all classification and planning are peek-only). If a second crash
-    /// trips mid-rewrite, the unwinding caller still owns the half-scrubbed
-    /// system and can crash it and scrub again — the verdicts re-derive
+    /// trips mid-rewrite ([`crate::IntegrityError::PowerCut`], the only
+    /// error), the caller still owns the half-scrubbed system and can crash
+    /// it and scrub again — the verdicts re-derive
     /// identically because the scrub never rewrites the data plane or the
     /// MAC records it classifies from. The ADR recovery journal holds
     /// `SCRUB` for the whole rewrite (strict recovery refuses such an
     /// image: [`crate::IntegrityError::ScrubInterrupted`]) and `DONE` once
     /// complete.
-    pub fn recover_lenient_into(mut self, out: &mut Option<SecureNvmSystem>) -> ScrubReport {
+    pub fn recover_lenient_into(
+        mut self,
+        out: &mut Option<SecureNvmSystem>,
+    ) -> Result<ScrubReport, IntegrityError> {
         let geo = self.layout.geometry.clone();
         // Fail closed on a journal that does not authenticate: discard its
         // marks and rebuild from scratch (the scrub re-derives every verdict
@@ -279,7 +288,7 @@ impl CrashedSystem {
 
         if !self.recoverable() {
             report.nvm_reads = reads;
-            return report;
+            return Ok(report);
         }
 
         // —— 2. Parents bottom-up: regenerate every counter from children. ——
@@ -392,7 +401,7 @@ impl CrashedSystem {
             lanes,
             n_rewrites,
             0,
-        ));
+        ))?;
 
         // —— 6. Rewrite: planned node homes, then the derived regions reset
         //       to empty (all nodes come back clean, so records/shadow/
@@ -405,7 +414,7 @@ impl CrashedSystem {
         //       byte, marks untouched.
         let rewritten = n_rewrites as u64;
         for (i, (addr, line)) in rewrites.into_iter().enumerate() {
-            sys.ctrl.nvm.poke(addr, &line);
+            sys.ctrl.nvm.poke(addr, &line)?;
             if lanes > 1 {
                 sys.ctrl.journal_write(crate::recovery::progress_journal(
                     crate::recovery::journal::SCRUB,
@@ -413,7 +422,7 @@ impl CrashedSystem {
                     lanes,
                     n_rewrites,
                     i + 1,
-                ));
+                ))?;
             }
         }
         let slots = self.cfg.meta_cache.slots();
@@ -421,27 +430,27 @@ impl CrashedSystem {
         for r in 0..slots.div_ceil(steins_metadata::records::RECORDS_PER_LINE) {
             sys.ctrl
                 .nvm
-                .poke(sys.ctrl.layout.record_addr(r), &empty_record);
+                .poke(sys.ctrl.layout.record_addr(r), &empty_record)?;
         }
         for s in 0..slots {
             sys.ctrl
                 .nvm
-                .poke(sys.ctrl.layout.shadow_addr(s), &[0u8; 64]);
+                .poke(sys.ctrl.layout.shadow_addr(s), &[0u8; 64])?;
         }
         let bitmap_lines = geo.total_nodes().div_ceil(8).div_ceil(64);
         for l in 0..bitmap_lines {
             sys.ctrl
                 .nvm
-                .poke(sys.ctrl.layout.bitmap_base + l * 64, &[0u8; 64]);
+                .poke(sys.ctrl.layout.bitmap_base + l * 64, &[0u8; 64])?;
         }
         sys.ctrl.journal_write(steins_nvm::RecoveryJournal::single(
             crate::recovery::journal::DONE,
             rewritten,
             restarts32,
-        ));
+        ))?;
         sys.ctrl.nvm.disarm_crash();
         sys.ctrl.nvm.reset_stats();
-        report
+        Ok(report)
     }
 
     /// Rebuilds one leaf from the data plane, recording verdicts. Total on

@@ -30,16 +30,15 @@
 //! crash armed on one target shard at a time.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use steins_metadata::{CounterMode, ShardMap, StripeMode};
-use steins_nvm::{CrashTripped, PersistKind};
+use steins_nvm::PersistKind;
 use steins_obs::{Alarm, AlarmKind, AlarmLog, MetricRegistry};
 
 use crate::config::{SchemeKind, SystemConfig};
-use crate::crash::{silence_crash_trips, CrashSweep, CrashedSystem, PointSelection, SweepOp};
+use crate::crash::{CrashSweep, CrashedSystem, PointSelection, SweepOp};
 use crate::engine::SecureNvmSystem;
 use crate::error::IntegrityError;
 use crate::online::OnlinePolicy;
@@ -47,7 +46,8 @@ use crate::par;
 use crate::recovery::{journal, RecoveryReport};
 use crate::scrub::ScrubReport;
 
-/// Shard lifecycle states for the self-healing repair loop.
+/// Shard lifecycle states for the self-healing repair loop. Only a
+/// `Serving` shard accepts requests: the state is the serving gate.
 ///
 /// `Serving → Degraded` on any park ([`ShardedEngine::mark_degraded`]),
 /// `Degraded → Rebuilding` when a repair attempt claims the shard,
@@ -120,6 +120,24 @@ pub enum RepairOutcome {
 /// pulled, parked between repair attempts.
 type StashedImage = (CrashedSystem, Vec<u64>);
 
+/// Everything the engine keeps per shard.
+struct Shard {
+    /// The shard's system; empty while crashed, taken, or being rebuilt.
+    sys: Mutex<Option<SecureNvmSystem>>,
+    /// Lifecycle state ([`shard_state`]).
+    state: AtomicU8,
+    /// Repair attempts consumed ([`RepairPolicy::max_attempts`] bounds
+    /// them; [`ShardedEngine::put_shard`] resets the count).
+    repair_attempts: AtomicU32,
+    /// Modeled-cycle gate before which the next repair attempt is refused
+    /// ([`RepairOutcome::Backoff`]). `u64::MAX` as `now` bypasses it.
+    next_repair_at: AtomicU64,
+    /// Crashed image + captured quarantine set stashed between repair
+    /// attempts (a backoff-refused attempt parks its inputs here so the
+    /// retry does not need the caller to re-supply them).
+    stashed: Mutex<Option<StashedImage>>,
+}
+
 /// N independent secure-memory controllers behind one address space.
 ///
 /// Routing: a global byte address maps to `(shard, local address)` via the
@@ -130,22 +148,7 @@ type StashedImage = (CrashedSystem, Vec<u64>);
 pub struct ShardedEngine {
     map: ShardMap,
     shard_cfg: SystemConfig,
-    shards: Vec<Mutex<Option<SecureNvmSystem>>>,
-    /// Per-shard degraded flags. A degraded shard fails requests with
-    /// [`IntegrityError::ShardDegraded`] instead of serving (or panicking);
-    /// [`Self::put_shard`] clears the flag when a recovered system is
-    /// reinstated. Set on: a torn shard operation (a holder panicked
-    /// mid-operation, so the in-memory state is suspect), an explicit
-    /// [`Self::park_degraded`], or a scrub that could not rebuild a system.
-    degraded: Vec<AtomicBool>,
-    /// Per-shard "operation in flight" markers — the engine's own poison
-    /// flag. Set under the shard lock before calling into the system and
-    /// cleared after it returns; a panic unwinding through the call leaves
-    /// it set, and the next [`Self::guard`] parks the shard `Degraded`.
-    /// Unlike `std`'s sticky mutex poison (whose `clear_poison` needs Rust
-    /// 1.77, above this crate's MSRV), this flag is resettable: a
-    /// recovered system reinstated via [`Self::put_shard`] serves again.
-    mid_op: Vec<AtomicBool>,
+    shards: Vec<Shard>,
     /// Engine-level lifecycle alarms: `ShardDegraded` transitions raised
     /// by the engine itself, plus harness-observed events recorded via
     /// [`Self::raise_alarm`] (e.g. torn writes in the chaos campaign).
@@ -153,20 +156,6 @@ pub struct ShardedEngine {
     /// [`crate::online::OnlineService`]; [`Self::drain_alarms`] merges
     /// both in deterministic order.
     alarms: Mutex<AlarmLog>,
-    /// Per-shard repair lifecycle state ([`shard_state`]). Tracks the
-    /// `Serving → Degraded → Rebuilding → Serving | Parked` machine the
-    /// repair loop drives; `degraded` stays the fast-path serving gate.
-    state: Vec<AtomicU8>,
-    /// Repair attempts consumed per shard ([`RepairPolicy::max_attempts`]
-    /// bounds them; [`Self::put_shard`] resets the count).
-    repair_attempts: Vec<AtomicU32>,
-    /// Modeled-cycle gate before which the next repair attempt is refused
-    /// ([`RepairOutcome::Backoff`]). `u64::MAX` as `now` bypasses it.
-    next_repair_at: Vec<AtomicU64>,
-    /// Crashed image + captured quarantine set stashed between repair
-    /// attempts (a backoff-refused attempt parks its inputs here so the
-    /// retry does not need the caller to re-supply them).
-    parked_images: Vec<Mutex<Option<StashedImage>>>,
     /// Knobs for the repair loop (see [`RepairPolicy`]).
     repair_policy: RepairPolicy,
 }
@@ -186,32 +175,24 @@ impl ShardedEngine {
         cfg.data_lines -= cfg.data_lines % shards as u64;
         let map = ShardMap::new(mode, shards, cfg.data_lines);
         let shard_cfg = Self::split_config(&cfg, shards);
-        let insts = (0..shards)
+        let shards = (0..shards)
             .map(|i| {
                 let mut sys = SecureNvmSystem::new(shard_cfg.clone());
                 sys.ctrl.nvm.set_shard(i as u16);
-                Mutex::new(Some(sys))
+                Shard {
+                    sys: Mutex::new(Some(sys)),
+                    state: AtomicU8::new(shard_state::SERVING),
+                    repair_attempts: AtomicU32::new(0),
+                    next_repair_at: AtomicU64::new(0),
+                    stashed: Mutex::new(None),
+                }
             })
             .collect();
-        let degraded = (0..shards).map(|_| AtomicBool::new(false)).collect();
-        let mid_op = (0..shards).map(|_| AtomicBool::new(false)).collect();
-        let state = (0..shards)
-            .map(|_| AtomicU8::new(shard_state::SERVING))
-            .collect();
-        let repair_attempts = (0..shards).map(|_| AtomicU32::new(0)).collect();
-        let next_repair_at = (0..shards).map(|_| AtomicU64::new(0)).collect();
-        let parked_images = (0..shards).map(|_| Mutex::new(None)).collect();
         ShardedEngine {
             map,
             shard_cfg,
-            shards: insts,
-            degraded,
-            mid_op,
+            shards,
             alarms: Mutex::new(AlarmLog::new()),
-            state,
-            repair_attempts,
-            next_repair_at,
-            parked_images,
             repair_policy: RepairPolicy::default(),
         }
     }
@@ -253,42 +234,29 @@ impl ShardedEngine {
         &self.shard_cfg
     }
 
-    /// Locks shard `s`, recovering the guard if a previous holder panicked
-    /// (the crash harness unwinds [`CrashTripped`] through these locks by
-    /// design; the shard's state is exactly what the power cut left).
-    /// If the previous holder died mid-operation (its [`Self::mid_op`]
-    /// marker is still set), the shard is parked `Degraded`: until a
-    /// recovered system is reinstated ([`Self::put_shard`]) it must fail
-    /// typed rather than serve suspect state — and must never panic a
-    /// *neighbor's* request.
+    /// Locks shard `s`. A panic that escaped a shard operation poisoned
+    /// the lock; it propagates here instead of passing for a power cut.
     fn guard(&self, s: usize) -> MutexGuard<'_, Option<SecureNvmSystem>> {
-        let g = match self.shards[s].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // Checked under the lock, so a set marker can only mean a previous
-        // holder unwound mid-call — not a concurrent op in progress.
-        if self.mid_op[s].load(Ordering::Acquire) {
-            self.mark_degraded(s);
-        }
-        g
+        self.shards[s]
+            .sys
+            .lock()
+            .expect("shard lock poisoned by a panic")
     }
 
-    /// Parks shard `s` `Degraded`, raising a `ShardDegraded` alarm on the
-    /// false→true transition only. Lifecycle alarms carry cycle stamp 0:
-    /// the engine has no global clock, and a constant stamp keeps the
-    /// merged alarm log byte-identical across host thread schedules.
+    /// Parks a serving shard `s` `Degraded`, raising a `ShardDegraded`
+    /// alarm on that transition only; a shard already out of service keeps
+    /// its repair state. Lifecycle alarms carry cycle stamp 0: the engine
+    /// has no global clock, and a constant stamp keeps the merged alarm log
+    /// byte-identical across host thread schedules.
     fn mark_degraded(&self, s: usize) {
-        // The lifecycle state leaves `Serving` with the flag; a shard
-        // already `Rebuilding` or `Parked` keeps its repair state.
-        let _ = self.state[s].compare_exchange(
-            shard_state::SERVING,
-            shard_state::DEGRADED,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-        if self.degraded[s]
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+        if self.shards[s]
+            .state
+            .compare_exchange(
+                shard_state::SERVING,
+                shard_state::DEGRADED,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
             .is_ok()
         {
             self.raise_alarm(Alarm {
@@ -304,27 +272,36 @@ impl ShardedEngine {
     pub fn raise_alarm(&self, alarm: Alarm) {
         self.alarms
             .lock()
-            .unwrap_or_else(|p| p.into_inner())
+            .expect("alarm log poisoned by a panic")
             .raise(alarm);
     }
 
-    /// Runs `f` with the mid-op marker raised: a panic unwinding out of
-    /// `f` leaves the marker set, which parks the shard `Degraded` at the
-    /// next lock acquisition. Call only while holding shard `s`'s guard.
-    fn marked<R>(&self, s: usize, f: impl FnOnce() -> R) -> R {
-        self.mid_op[s].store(true, Ordering::Release);
-        let r = f();
-        self.mid_op[s].store(false, Ordering::Release);
+    /// Runs `f` on shard `s`'s system if the shard is serving, else fails
+    /// typed. A power cut inside `f` parks the shard `Degraded`; the
+    /// system stays in its slot for the caller's crash path.
+    fn serve<R>(
+        &self,
+        s: usize,
+        f: impl FnOnce(&mut SecureNvmSystem) -> Result<R, IntegrityError>,
+    ) -> Result<R, IntegrityError> {
+        let mut g = self.guard(s);
+        let Some(sys) = g.as_mut().filter(|_| !self.is_degraded(s)) else {
+            return Err(IntegrityError::ShardDegraded { shard: s as u16 });
+        };
+        let r = f(sys);
+        if matches!(r, Err(IntegrityError::PowerCut)) {
+            self.mark_degraded(s);
+        }
         r
     }
 
-    /// Whether shard `s` is parked `Degraded` (poisoned lock, explicit
-    /// park, or an unrecoverable scrub).
+    /// Whether shard `s` is out of service (`Degraded`, `Rebuilding` or
+    /// `Parked`).
     pub fn is_degraded(&self, s: usize) -> bool {
-        self.degraded[s].load(Ordering::Acquire)
+        self.shards[s].state.load(Ordering::Acquire) != shard_state::SERVING
     }
 
-    /// Shards currently parked `Degraded`, in shard order.
+    /// Shards currently out of service, in shard order.
     pub fn degraded_shards(&self) -> Vec<u16> {
         (0..self.shards())
             .filter(|&s| self.is_degraded(s))
@@ -336,7 +313,7 @@ impl ShardedEngine {
     /// budget is spent (or there was nothing left to rebuild from) and
     /// only an operator [`Self::put_shard`] revives it.
     pub fn is_parked(&self, s: usize) -> bool {
-        self.state[s].load(Ordering::Acquire) == shard_state::PARKED
+        self.shards[s].state.load(Ordering::Acquire) == shard_state::PARKED
     }
 
     /// Shards permanently `Parked`, in shard order.
@@ -359,25 +336,18 @@ impl ShardedEngine {
 
     /// Securely writes one 64 B line at a global address. A request routed
     /// to a degraded or crashed/taken shard fails typed — a fault on one
-    /// shard never panics traffic on the engine.
+    /// shard never panics traffic on the engine. A power cut parks the
+    /// shard `Degraded` and returns [`IntegrityError::PowerCut`].
     pub fn write(&self, addr: u64, data: &[u8; 64]) -> Result<(), IntegrityError> {
         let (s, local) = self.map.route(addr);
-        let mut g = self.guard(s);
-        match g.as_mut() {
-            Some(sys) if !self.is_degraded(s) => self.marked(s, || sys.write(local, data)),
-            _ => Err(IntegrityError::ShardDegraded { shard: s as u16 }),
-        }
+        self.serve(s, |sys| sys.write(local, data))
     }
 
     /// Securely reads one 64 B line at a global address. Degraded and
     /// crashed/taken shards fail typed, like [`Self::write`].
     pub fn read(&self, addr: u64) -> Result<[u8; 64], IntegrityError> {
         let (s, local) = self.map.route(addr);
-        let mut g = self.guard(s);
-        match g.as_mut() {
-            Some(sys) if !self.is_degraded(s) => self.marked(s, || sys.read(local)),
-            _ => Err(IntegrityError::ShardDegraded { shard: s as u16 }),
-        }
+        self.serve(s, |sys| sys.read(local))
     }
 
     /// Supervised heal of a quarantined global address: routes to
@@ -388,26 +358,20 @@ impl ShardedEngine {
     /// shards fail typed, like [`Self::write`].
     pub fn heal_write(&self, addr: u64, data: &[u8; 64]) -> Result<(), IntegrityError> {
         let (s, local) = self.map.route(addr);
-        let mut g = self.guard(s);
-        match g.as_mut() {
-            Some(sys) if !self.is_degraded(s) => self.marked(s, || sys.heal_write(local, data)),
-            _ => Err(IntegrityError::ShardDegraded { shard: s as u16 }),
-        }
+        self.serve(s, |sys| sys.heal_write(local, data))
     }
 
-    /// Runs `f` against shard `s`'s live system under its lock. A panic
-    /// unwinding out of `f` parks the shard `Degraded` (it died
-    /// mid-operation), like [`Self::write`]/[`Self::read`].
+    /// Runs `f` against shard `s`'s system under its lock, whatever its
+    /// lifecycle state (harness and inspection access).
     pub fn with_shard<R>(&self, s: usize, f: impl FnOnce(&mut SecureNvmSystem) -> R) -> R {
         let mut g = self.guard(s);
-        let sys = g
-            .as_mut()
-            .unwrap_or_else(|| panic!("shard {s} is crashed/taken"));
-        self.marked(s, || f(sys))
+        f(g.as_mut()
+            .unwrap_or_else(|| panic!("shard {s} is crashed/taken")))
     }
 
     /// Removes shard `s`'s system from the engine (its slot stays empty
-    /// until [`Self::put_shard`]; requests routed there panic meanwhile).
+    /// until [`Self::put_shard`]; requests routed there fail typed
+    /// meanwhile).
     pub fn take_shard(&self, s: usize) -> SecureNvmSystem {
         self.guard(s)
             .take()
@@ -427,19 +391,15 @@ impl ShardedEngine {
         let mut g = self.guard(s);
         assert!(g.is_none(), "shard {s} slot already occupied");
         *g = Some(sys);
-        // A freshly recovered/rebuilt system un-parks the shard; the
-        // mid-op marker the dying holder left behind is spent with it.
-        // This is also the operator's escape hatch for a permanently
-        // `Parked` shard: installing a system resets the repair lifecycle
-        // (state, attempt budget, backoff gate, stashed image).
-        self.mid_op[s].store(false, Ordering::Release);
-        self.degraded[s].store(false, Ordering::Release);
-        self.state[s].store(shard_state::SERVING, Ordering::Release);
-        self.repair_attempts[s].store(0, Ordering::Release);
-        self.next_repair_at[s].store(0, Ordering::Release);
-        *self.parked_images[s]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()) = None;
+        // A freshly recovered/rebuilt system un-parks the shard. This is
+        // also the operator's escape hatch for a permanently `Parked`
+        // shard: installing a system resets the repair lifecycle (state,
+        // attempt budget, backoff gate, stashed image).
+        let shard = &self.shards[s];
+        shard.state.store(shard_state::SERVING, Ordering::Release);
+        shard.repair_attempts.store(0, Ordering::Release);
+        shard.next_repair_at.store(0, Ordering::Release);
+        *shard.stashed.lock().expect("stash poisoned by a panic") = None;
     }
 
     /// Pulls the plug on shard `s` only. Every other shard keeps running.
@@ -499,17 +459,18 @@ impl ShardedEngine {
     /// Stashes a crashed image (and its captured quarantine set) for a
     /// later repair attempt.
     fn stash_image(&self, s: usize, crashed: CrashedSystem, quarantine: &[u64]) {
-        *self.parked_images[s]
+        *self.shards[s]
+            .stashed
             .lock()
-            .unwrap_or_else(|p| p.into_inner()) = Some((crashed, quarantine.to_vec()));
+            .expect("stash poisoned by a panic") = Some((crashed, quarantine.to_vec()));
     }
 
     /// One attempt of the online shard-repair loop: sources a crashed
     /// image for degraded shard `s` and delegates to
     /// [`Self::repair_shard_from`].
     ///
-    /// The image comes from, in order: the shard's own slot (a poisoned
-    /// but still-present system — its volatile quarantine set is captured,
+    /// The image comes from, in order: the shard's own slot (a parked but
+    /// still-present system — its volatile quarantine set is captured,
     /// then the plug is pulled), or a previously stashed image (a
     /// backoff-refused attempt). A degraded shard with neither has nothing
     /// left to rebuild from — no retry can ever succeed, so it is parked
@@ -537,14 +498,17 @@ impl ShardedEngine {
                     .unwrap_or_default();
                 (sys.crash(), q)
             }
-            None => match self.parked_images[s]
+            None => match self.shards[s]
+                .stashed
                 .lock()
-                .unwrap_or_else(|p| p.into_inner())
+                .expect("stash poisoned by a panic")
                 .take()
             {
                 Some((c, q)) => (c, q),
                 None => {
-                    self.state[s].store(shard_state::PARKED, Ordering::Release);
+                    self.shards[s]
+                        .state
+                        .store(shard_state::PARKED, Ordering::Release);
                     return RepairOutcome::Parked;
                 }
             },
@@ -584,7 +548,9 @@ impl ShardedEngine {
             self.stash_image(s, crashed, quarantine);
             return RepairOutcome::Parked;
         }
-        if self.state[s]
+        let shard = &self.shards[s];
+        if shard
+            .state
             .compare_exchange(
                 shard_state::DEGRADED,
                 shard_state::REBUILDING,
@@ -596,17 +562,17 @@ impl ShardedEngine {
             self.stash_image(s, crashed, quarantine);
             return RepairOutcome::NotDegraded;
         }
-        let until = self.next_repair_at[s].load(Ordering::Acquire);
+        let until = shard.next_repair_at.load(Ordering::Acquire);
         if now < until {
             self.stash_image(s, crashed, quarantine);
-            self.state[s].store(shard_state::DEGRADED, Ordering::Release);
+            shard.state.store(shard_state::DEGRADED, Ordering::Release);
             return RepairOutcome::Backoff { until };
         }
         let policy = self.repair_policy;
-        let attempt = self.repair_attempts[s].fetch_add(1, Ordering::AcqRel) + 1;
+        let attempt = shard.repair_attempts.fetch_add(1, Ordering::AcqRel) + 1;
         if attempt > policy.max_attempts {
             self.stash_image(s, crashed, quarantine);
-            self.state[s].store(shard_state::PARKED, Ordering::Release);
+            shard.state.store(shard_state::PARKED, Ordering::Release);
             return RepairOutcome::Parked;
         }
         self.raise_alarm(Alarm {
@@ -624,7 +590,8 @@ impl ShardedEngine {
                 // Re-verify the rebuilt tree end to end before re-admitting
                 // the shard: every line that is still bad is re-quarantined
                 // with a fresh alarm trail.
-                sys.online_scrub_pass();
+                sys.online_scrub_pass()
+                    .expect("the scrub leaves the rebuilt device disarmed");
                 // Replay the captured quarantine set: anything the full
                 // pass did not re-quarantine read back authentic from the
                 // rebuilt tree and is released, audited.
@@ -649,15 +616,15 @@ impl ShardedEngine {
             None => {
                 // The image is consumed; a retry needs a fresh one.
                 if attempt >= policy.max_attempts {
-                    self.state[s].store(shard_state::PARKED, Ordering::Release);
+                    shard.state.store(shard_state::PARKED, Ordering::Release);
                     return RepairOutcome::Parked;
                 }
                 let shift = (attempt - 1).min(16);
-                self.next_repair_at[s].store(
+                shard.next_repair_at.store(
                     now.saturating_add(policy.backoff_base_cycles << shift),
                     Ordering::Release,
                 );
-                self.state[s].store(shard_state::DEGRADED, Ordering::Release);
+                shard.state.store(shard_state::DEGRADED, Ordering::Release);
                 RepairOutcome::Failed { attempts: attempt }
             }
         }
@@ -694,7 +661,7 @@ impl ShardedEngine {
         let lifecycle = self
             .alarms
             .lock()
-            .unwrap_or_else(|p| p.into_inner())
+            .expect("alarm log poisoned by a panic")
             .metrics();
         agg.merge(&lifecycle);
         agg
@@ -712,19 +679,19 @@ impl ShardedEngine {
         }
     }
 
-    /// Runs one scrub step on every live, non-degraded shard (the
-    /// per-shard period is bypassed; the occupancy throttle still
-    /// applies). The engine-level analogue of
-    /// [`SecureNvmSystem::online_step`].
-    pub fn online_tick(&self) {
+    /// Runs one scrub step on every live, serving shard (the per-shard
+    /// period is bypassed; the occupancy throttle still applies). The
+    /// engine-level analogue of [`SecureNvmSystem::online_step`]. A power
+    /// cut parks the tripping shard, like [`Self::write`], and ends the
+    /// tick there.
+    pub fn online_tick(&self) -> Result<(), IntegrityError> {
         for s in 0..self.shards() {
-            let mut g = self.guard(s);
-            if let Some(sys) = g.as_mut() {
-                if !self.is_degraded(s) {
-                    self.marked(s, || sys.online_step());
-                }
+            match self.serve(s, |sys| sys.online_step()) {
+                Ok(()) | Err(IntegrityError::ShardDegraded { .. }) => {}
+                Err(e) => return Err(e),
             }
         }
+        Ok(())
     }
 
     /// Drains every pending alarm in deterministic order: the engine's
@@ -736,7 +703,7 @@ impl ShardedEngine {
         for a in self
             .alarms
             .lock()
-            .unwrap_or_else(|p| p.into_inner())
+            .expect("alarm log poisoned by a panic")
             .drain()
         {
             out.raise(a);
@@ -1044,6 +1011,45 @@ impl ShardSweep {
         }
     }
 
+    /// WB's contract at every point, nested or not: it refuses recovery.
+    fn wb_refuses(
+        &self,
+        target: usize,
+        k: u64,
+        op_index: usize,
+        crashed: CrashedSystem,
+    ) -> Result<(), ShardRepro> {
+        match crashed.recover() {
+            Err(IntegrityError::RecoveryUnsupported) => Ok(()),
+            other => Err(self.fail(
+                target,
+                k,
+                op_index,
+                format!(
+                    "WB must refuse recovery, got {:?}",
+                    other.err().map(|e| e.to_string())
+                ),
+                "n/a",
+            )),
+        }
+    }
+
+    /// The report of a sweep whose crash-free baseline run already fails.
+    fn baseline_failed(&self, label: String, e: IntegrityError) -> ShardSweepReport {
+        ShardSweepReport {
+            label,
+            shards: self.shards,
+            tested_points: 0,
+            failures: vec![self.fail(
+                0,
+                0,
+                0,
+                format!("baseline run failed: {e}"),
+                "stream does not complete without a crash",
+            )],
+        }
+    }
+
     /// Runs the stream crash-free, returning each shard's persist-point
     /// count (the per-shard sweep horizons).
     pub fn total_points(&self) -> Result<Vec<u64>, IntegrityError> {
@@ -1068,21 +1074,23 @@ impl ShardSweep {
         k: u64,
         word_mask: u8,
     ) -> Result<Option<ShardTornCrash>, ShardRepro> {
-        silence_crash_trips();
         let engine = self.engine();
         engine.with_shard(target, |sys| sys.ctrl.nvm.arm_crash_torn(k, word_mask));
 
         let mut acked: HashMap<u64, [u8; 64]> = HashMap::new();
         let mut in_flight: Option<(usize, SweepOp)> = None;
         for (i, &op) in self.ops.iter().enumerate() {
-            let run = catch_unwind(AssertUnwindSafe(|| Self::apply_op(&engine, op)));
-            match run {
-                Ok(Ok(())) => {
+            match Self::apply_op(&engine, op) {
+                Ok(()) => {
                     if let SweepOp::Write { line, tag } = op {
                         acked.insert(line * 64, SweepOp::payload(line, tag));
                     }
                 }
-                Ok(Err(e)) => {
+                Err(IntegrityError::PowerCut) => {
+                    in_flight = Some((i, op));
+                    break;
+                }
+                Err(e) => {
                     return Err(self.fail(
                         target,
                         k,
@@ -1090,13 +1098,6 @@ impl ShardSweep {
                         format!("integrity error before the crash: {e}"),
                         "runtime state diverged pre-crash",
                     ));
-                }
-                Err(payload) => {
-                    if !payload.is::<CrashTripped>() {
-                        std::panic::resume_unwind(payload);
-                    }
-                    in_flight = Some((i, op));
-                    break;
                 }
             }
         }
@@ -1119,7 +1120,7 @@ impl ShardSweep {
         let mut crashed = engine.crash_shard(target);
         if let SweepOp::Write { line, tag } = op {
             let gaddr = line * 64;
-            let (s_op, laddr) = self.map(&engine).route(gaddr);
+            let (s_op, laddr) = engine.map().route(gaddr);
             debug_assert_eq!(s_op, target, "crash tripped on an op routed elsewhere");
             let durable = word_mask == 0xFF
                 && trip
@@ -1147,7 +1148,7 @@ impl ShardSweep {
         if word_mask != 0xFF {
             if let Some(p) = trip {
                 if p.kind == PersistKind::LineWrite && crashed.layout.is_data(p.addr) {
-                    let gaddr = self.map(&engine).global_line(target, p.addr / 64) * 64;
+                    let gaddr = engine.map().global_line(target, p.addr / 64) * 64;
                     sacrificed = Some(gaddr);
                     expected.remove(&gaddr);
                     crashed.truth.remove(&p.addr);
@@ -1162,10 +1163,6 @@ impl ShardSweep {
             expected,
             sacrificed,
         }))
-    }
-
-    fn map<'a>(&self, engine: &'a ShardedEngine) -> &'a ShardMap {
-        engine.map()
     }
 
     /// Verifies the whole engine after the target shard was reinstated:
@@ -1201,8 +1198,8 @@ impl ShardSweep {
                         format!("acked write at {gaddr:#x} diverged after recovery"),
                         format!(
                             "shard {} local line {}: got {:02x?}…, want {:02x?}…",
-                            self.map(engine).shard_of(gaddr / 64),
-                            self.map(engine).local_line(gaddr / 64),
+                            engine.map().shard_of(gaddr / 64),
+                            engine.map().local_line(gaddr / 64),
                             &got[..8],
                             &want[..8]
                         ),
@@ -1214,7 +1211,7 @@ impl ShardSweep {
                         k,
                         op_index,
                         format!("read-back of {gaddr:#x} failed: {e}"),
-                        format!("owned by shard {}", self.map(engine).shard_of(gaddr / 64)),
+                        format!("owned by shard {}", engine.map().shard_of(gaddr / 64)),
                     ));
                 }
             }
@@ -1297,19 +1294,7 @@ impl ShardSweep {
         } = tc;
 
         if !crashed.recoverable() {
-            return match crashed.recover() {
-                Err(IntegrityError::RecoveryUnsupported) => Ok(()),
-                other => Err(self.fail(
-                    target,
-                    k,
-                    op_index,
-                    format!(
-                        "WB must refuse recovery, got {:?}",
-                        other.as_ref().err().map(|e| e.to_string())
-                    ),
-                    "n/a",
-                )),
-            };
+            return self.wb_refuses(target, k, op_index, crashed);
         }
 
         match engine.recover_shard(target, crashed) {
@@ -1384,19 +1369,7 @@ impl ShardSweep {
         } = tc;
 
         if !crashed.recoverable() {
-            return match crashed.recover() {
-                Err(IntegrityError::RecoveryUnsupported) => Ok(()),
-                other => Err(self.fail(
-                    target,
-                    k,
-                    op_index,
-                    format!(
-                        "WB must refuse recovery, got {:?}",
-                        other.as_ref().err().map(|e| e.to_string())
-                    ),
-                    "n/a",
-                )),
-            };
+            return self.wb_refuses(target, k, op_index, crashed);
         }
 
         match engine.recover_shard(target, crashed) {
@@ -1411,7 +1384,7 @@ impl ShardSweep {
                 let engine2 = tc2.engine;
                 let report = engine2.scrub_shard(target, tc2.crashed);
                 for &gaddr in report.unrecoverable_addrs.iter() {
-                    let g = self.map(&engine2).global_line(target, gaddr / 64) * 64;
+                    let g = engine2.map().global_line(target, gaddr / 64) * 64;
                     if tc2.expected.contains_key(&g) {
                         return Err(self.fail(
                             target,
@@ -1485,24 +1458,14 @@ impl ShardSweep {
         } = tc;
 
         if !crashed.recoverable() {
-            return match crashed.recover() {
-                Err(IntegrityError::RecoveryUnsupported) => Ok(()),
-                _ => Err(self.fail(
-                    target,
-                    k,
-                    op_index,
-                    "WB must refuse recovery under nested injection",
-                    "n/a",
-                )),
-            };
+            return self.wb_refuses(target, k, op_index, crashed);
         }
 
         crashed.nvm_mut().trace_pokes(true);
         crashed.nvm_mut().arm_crash_torn(j, 0xFF);
         let mut slot = None;
-        let outcome = catch_unwind(AssertUnwindSafe(|| crashed.recover_into(&mut slot)));
-        match outcome {
-            Ok(Ok(_report)) => {
+        match crashed.recover_into(&mut slot) {
+            Ok(_report) => {
                 // Inner point beyond recovery's horizon: single recovery.
                 let Some(mut sys) = slot.take() else {
                     return Err(self.fail(
@@ -1518,17 +1481,7 @@ impl ShardSweep {
                 engine.put_shard(target, sys);
                 self.verify(&engine, target, k, op_index, &expected, sacrificed, true)
             }
-            Ok(Err(e)) => Err(self.fail(
-                target,
-                k,
-                op_index,
-                format!("clean nested crash {k}>{j} failed strict recovery: {e}"),
-                "untorn nested crashes must recover strictly",
-            )),
-            Err(payload) => {
-                if !payload.is::<CrashTripped>() {
-                    std::panic::resume_unwind(payload);
-                }
+            Err(IntegrityError::PowerCut) => {
                 let Some(mut partial) = slot.take() else {
                     return Err(self.fail(
                         target,
@@ -1570,6 +1523,13 @@ impl ShardSweep {
                     )),
                 }
             }
+            Err(e) => Err(self.fail(
+                target,
+                k,
+                op_index,
+                format!("clean nested crash {k}>{j} failed strict recovery: {e}"),
+                "untorn nested crashes must recover strictly",
+            )),
         }
     }
 
@@ -1578,7 +1538,7 @@ impl ShardSweep {
     /// boundaries), then a parallel [`ShardedEngine::recover_all`]-style
     /// rebuild by `workers` threads with a second crash armed at absolute
     /// persist point `j` on the target's device. The worker driving the
-    /// target's region trips mid-rebuild and is caught in its region job;
+    /// target's region trips mid-rebuild and its region job reports the cut;
     /// every other worker's region must finish untouched. The target is
     /// then crashed again and strictly re-recovered; its ADR journal (now
     /// carrying per-lane marks) must report `core.recovery.restarts ≥ 1`
@@ -1623,16 +1583,7 @@ impl ShardSweep {
         } = tc;
 
         if !crashed.recoverable() {
-            return match crashed.recover() {
-                Err(IntegrityError::RecoveryUnsupported) => Ok(()),
-                _ => Err(self.fail(
-                    target,
-                    k,
-                    op_index,
-                    "WB must refuse recovery under worker-crash injection",
-                    "n/a",
-                )),
-            };
+            return self.wb_refuses(target, k, op_index, crashed);
         }
 
         // Whole-engine outage: the target crashed mid-op (already
@@ -1661,8 +1612,8 @@ impl ShardSweep {
                 .expect("each region runs exactly once")
                 .with_recovery_lanes(workers);
             let mut slot = None;
-            match catch_unwind(AssertUnwindSafe(|| img.recover_into(&mut slot))) {
-                Ok(Ok(report)) => {
+            match img.recover_into(&mut slot) {
+                Ok(report) => {
                     let Some(mut sys) = slot.take() else {
                         return Region::Failed("recovery returned Ok without parking".into());
                     };
@@ -1675,22 +1626,17 @@ impl ShardSweep {
                             .unwrap_or(0),
                     )
                 }
-                Ok(Err(e)) => Region::Failed(format!("strict recovery failed: {e}")),
-                Err(payload) => {
-                    if !payload.is::<CrashTripped>() {
-                        std::panic::resume_unwind(payload);
+                Err(IntegrityError::PowerCut) => match slot.take() {
+                    Some(mut partial) => {
+                        partial.ctrl.nvm.disarm_crash();
+                        *partials[s].lock().unwrap() = Some(partial);
+                        Region::Tripped
                     }
-                    match slot.take() {
-                        Some(mut partial) => {
-                            partial.ctrl.nvm.disarm_crash();
-                            *partials[s].lock().unwrap() = Some(partial);
-                            Region::Tripped
-                        }
-                        None => Region::Failed(
-                            "inner crash tripped before recovery parked the system".into(),
-                        ),
-                    }
-                }
+                    None => Region::Failed(
+                        "inner crash tripped before recovery parked the system".into(),
+                    ),
+                },
+                Err(e) => Region::Failed(format!("strict recovery failed: {e}")),
             }
         });
 
@@ -1808,23 +1754,25 @@ impl ShardSweep {
             self.cfg.scheme.label(self.cfg.mode),
             self.shards
         );
+        self.run_recovery_points(label, outer_sel, inner_sel, |target, k, j| {
+            self.probe_point_worker_crash(target, k, j, workers)
+        })
+    }
+
+    /// Drives `probe(target, k, j)` over every target shard's selected
+    /// outer points `k` × the persist points `j` its recovery fires
+    /// (bounded by `inner_sel`), plus one synthetic beyond-horizon inner
+    /// point when recovery fires none.
+    fn run_recovery_points(
+        &self,
+        label: String,
+        outer_sel: PointSelection,
+        inner_sel: PointSelection,
+        probe: impl Fn(usize, u64, u64) -> Option<ShardRepro>,
+    ) -> ShardSweepReport {
         let totals = match self.total_points() {
             Ok(t) => t,
-            Err(e) => {
-                return ShardSweepReport {
-                    label,
-                    shards: self.shards,
-                    tested_points: 0,
-                    failures: vec![ShardRepro {
-                        target: 0,
-                        crash_point: 0,
-                        inner_point: None,
-                        op_index: 0,
-                        error: format!("baseline run failed: {e}"),
-                        divergent: "stream does not complete without a crash".into(),
-                    }],
-                };
-            }
+            Err(e) => return self.baseline_failed(label, e),
         };
         let mut tested = 0u64;
         let mut failures = Vec::new();
@@ -1844,7 +1792,7 @@ impl ShardSweep {
                 };
                 for j in inner {
                     tested += 1;
-                    if let Some(fail) = self.probe_point_worker_crash(target, k, j, workers) {
+                    if let Some(fail) = probe(target, k, j) {
                         failures.push(fail);
                         if failures.len() >= self.max_failures {
                             break 'sweep;
@@ -1872,21 +1820,7 @@ impl ShardSweep {
         );
         let totals = match self.total_points() {
             Ok(t) => t,
-            Err(e) => {
-                return ShardSweepReport {
-                    label,
-                    shards: self.shards,
-                    tested_points: 0,
-                    failures: vec![ShardRepro {
-                        target: 0,
-                        crash_point: 0,
-                        inner_point: None,
-                        op_index: 0,
-                        error: format!("baseline run failed: {e}"),
-                        divergent: "stream does not complete without a crash".into(),
-                    }],
-                };
-            }
+            Err(e) => return self.baseline_failed(label, e),
         };
         let mut tested = 0u64;
         let mut failures = Vec::new();
@@ -1926,57 +1860,9 @@ impl ShardSweep {
             self.cfg.scheme.label(self.cfg.mode),
             self.shards
         );
-        let totals = match self.total_points() {
-            Ok(t) => t,
-            Err(e) => {
-                return ShardSweepReport {
-                    label,
-                    shards: self.shards,
-                    tested_points: 0,
-                    failures: vec![ShardRepro {
-                        target: 0,
-                        crash_point: 0,
-                        inner_point: None,
-                        op_index: 0,
-                        error: format!("baseline run failed: {e}"),
-                        divergent: "stream does not complete without a crash".into(),
-                    }],
-                };
-            }
-        };
-        let mut tested = 0u64;
-        let mut failures = Vec::new();
-        'sweep: for (target, &total) in totals.iter().enumerate() {
-            let outers = CrashSweep::select_with(outer_sel, (1..=total).collect());
-            for k in outers {
-                let inner = match self.recovery_points(target, k) {
-                    Ok(pts) if pts.is_empty() => vec![k + 1],
-                    Ok(pts) => CrashSweep::select_with(inner_sel, pts),
-                    Err(fail) => {
-                        failures.push(fail);
-                        if failures.len() >= self.max_failures {
-                            break 'sweep;
-                        }
-                        continue;
-                    }
-                };
-                for j in inner {
-                    tested += 1;
-                    if let Some(fail) = self.probe_point_nested(target, k, j) {
-                        failures.push(fail);
-                        if failures.len() >= self.max_failures {
-                            break 'sweep;
-                        }
-                    }
-                }
-            }
-        }
-        ShardSweepReport {
-            label,
-            shards: self.shards,
-            tested_points: tested,
-            failures,
-        }
+        self.run_recovery_points(label, outer_sel, inner_sel, |target, k, j| {
+            self.probe_point_nested(target, k, j)
+        })
     }
 }
 
@@ -2237,8 +2123,23 @@ mod tests {
         assert_eq!(engine.read(line1 * 64).unwrap(), SweepOp::payload(line1, 2));
     }
 
+    /// Cuts shard `s`'s power at its next persist: arms the device, then
+    /// rewrites `line` (one of shard `s`'s lines) with the payload it
+    /// already holds, so its content survives whichever persist the cut
+    /// lands on.
+    fn cut_shard(engine: &ShardedEngine, s: usize, line: u64, tag: u8) {
+        engine.with_shard(s, |sys| {
+            let next = sys.ctrl.nvm.persist_seq() + 1;
+            sys.ctrl.nvm.arm_crash(next);
+        });
+        assert_eq!(
+            engine.write(line * 64, &SweepOp::payload(line, tag)),
+            Err(IntegrityError::PowerCut)
+        );
+    }
+
     #[test]
-    fn poisoned_shard_parks_degraded_and_recovers_via_scrub() {
+    fn power_cut_parks_shard_degraded_and_recovers_via_scrub() {
         let engine = ShardedEngine::new(small(SchemeKind::Steins), 2);
         for line in 0..16u64 {
             engine.write(line * 64, &SweepOp::payload(line, 4)).unwrap();
@@ -2246,16 +2147,9 @@ mod tests {
         let m = *engine.map();
         let line0 = (0..16u64).find(|&l| m.shard_of(l) == 0).unwrap();
         let line1 = (0..16u64).find(|&l| m.shard_of(l) == 1).unwrap();
-        // Poison shard 0's mutex: a holder panics mid-operation.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            engine.with_shard(0, |_| panic!("holder dies mid-op"));
-        }));
-        std::panic::set_hook(prev);
-        assert!(unwound.is_err());
-        // The next request parks the shard Degraded and fails typed — it
-        // must not propagate the panic, and neighbors keep serving.
+        cut_shard(&engine, 0, line0, 4);
+        // The cut parked the shard Degraded: it fails typed, and its
+        // neighbor keeps serving.
         assert_eq!(
             engine.read(line0 * 64),
             Err(IntegrityError::ShardDegraded { shard: 0 })
@@ -2264,13 +2158,32 @@ mod tests {
         assert_eq!(engine.degraded_shards(), vec![0]);
         assert_eq!(engine.read(line1 * 64).unwrap(), SweepOp::payload(line1, 4));
         assert_eq!(engine.report().gauge("core.shards.degraded"), Some(1.0));
-        // Operator path: park (taking the suspect system), scrub offline,
-        // reinstate. put_shard clears the flag.
-        let suspect = engine.park_degraded(0).expect("system still in slot");
-        let report = engine.scrub_shard(0, suspect.crash());
+        // Operator path: park (taking the cut system), scrub its crashed
+        // image offline, reinstate. put_shard returns it to service.
+        let cut = engine.park_degraded(0).expect("system still in slot");
+        let report = engine.scrub_shard(0, cut.crash());
         assert!(report.clean(), "{report}");
         assert!(!engine.is_degraded(0));
         assert_eq!(engine.read(line0 * 64).unwrap(), SweepOp::payload(line0, 4));
+        let kinds: Vec<AlarmKind> = engine
+            .drain_alarms()
+            .events()
+            .iter()
+            .map(|a| a.kind)
+            .collect();
+        assert_eq!(kinds, vec![AlarmKind::ShardDegraded], "one park, one alarm");
+    }
+
+    /// A real bug never passes for a power cut: a stream op past the data
+    /// region panics out of the probe (at the router's range check, or the
+    /// shard's region check when debug assertions are off) instead of
+    /// being reported as a crash point.
+    #[test]
+    #[should_panic]
+    fn sharded_probe_point_propagates_real_panics() {
+        let cfg = small(SchemeKind::Steins);
+        let line = cfg.data_lines;
+        ShardSweep::new(cfg, 2, vec![SweepOp::Write { line, tag: 1 }]).probe_point(0, 1);
     }
 
     #[test]
@@ -2296,27 +2209,16 @@ mod tests {
         assert_eq!(engine.read(line0 * 64).unwrap(), SweepOp::payload(line0, 8));
     }
 
-    /// Poisons shard `s`'s mutex (a holder panics mid-operation) and
-    /// triggers the park via the next routed request.
-    fn poison_shard(engine: &ShardedEngine, s: usize) {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            engine.with_shard(s, |_| panic!("holder dies mid-op"));
-        }));
-        std::panic::set_hook(prev);
-        assert!(unwound.is_err());
-    }
-
     #[test]
-    fn repair_restores_poisoned_shard_and_replays_quarantine() {
+    fn repair_restores_cut_shard_and_replays_quarantine() {
         let engine = ShardedEngine::new(small(SchemeKind::Steins), 2);
         for line in 0..16u64 {
             engine.write(line * 64, &SweepOp::payload(line, 4)).unwrap();
         }
         engine.enable_online(OnlinePolicy::default());
         let m = *engine.map();
-        let line0 = (0..16u64).find(|&l| m.shard_of(l) == 0).unwrap();
+        let mut lines0 = (0..16u64).filter(|&l| m.shard_of(l) == 0);
+        let (line0, other0) = (lines0.next().unwrap(), lines0.next().unwrap());
         let line1 = (0..16u64).find(|&l| m.shard_of(l) == 1).unwrap();
         let (_, local0) = m.route(line0 * 64);
         // A serving shard has nothing to repair.
@@ -2324,9 +2226,9 @@ mod tests {
             engine.repair_shard(0, u64::MAX),
             RepairOutcome::NotDegraded
         ));
-        // Quarantine a (actually sound) line, then poison the shard: the
-        // volatile quarantine set must survive the repair as an audited
-        // replay, not silently evaporate with the power.
+        // Quarantine a (actually sound) line, then cut the shard's power:
+        // the volatile quarantine set must survive the repair as an
+        // audited replay, not silently evaporate with the power.
         engine.with_shard(0, |sys| {
             sys.online_mut().unwrap().requarantine(0, local0, 0);
         });
@@ -2334,7 +2236,7 @@ mod tests {
             engine.read(line0 * 64),
             Err(IntegrityError::Quarantined { .. })
         ));
-        poison_shard(&engine, 0);
+        cut_shard(&engine, 0, other0, 4);
         assert_eq!(
             engine.read(line0 * 64),
             Err(IntegrityError::ShardDegraded { shard: 0 })
@@ -2351,6 +2253,10 @@ mod tests {
         // The replay found the line authentic in the rebuilt tree and
         // released it with an audited QuarantineCleared.
         assert_eq!(engine.read(line0 * 64).unwrap(), SweepOp::payload(line0, 4));
+        assert_eq!(
+            engine.read(other0 * 64).unwrap(),
+            SweepOp::payload(other0, 4)
+        );
         assert_eq!(engine.read(line1 * 64).unwrap(), SweepOp::payload(line1, 4));
         engine.with_shard(0, |sys| {
             let svc = sys.online().unwrap();

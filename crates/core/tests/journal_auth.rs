@@ -39,7 +39,10 @@ fn forge_journal(crashed: &mut CrashedSystem) {
     j.marks[0] = LINES / 2;
     j.hwm = LINES / 2;
     j.restarts = 7;
-    crashed.nvm_mut().set_recovery_journal(j, stale_mac);
+    crashed
+        .nvm_mut()
+        .set_recovery_journal(j, stale_mac)
+        .unwrap();
 }
 
 #[test]
@@ -91,7 +94,8 @@ fn attacker_zeroing_journal_and_mac_degrades_to_from_scratch() {
     let mut crashed = crashed_image(CounterMode::General);
     crashed
         .nvm_mut()
-        .set_recovery_journal(RecoveryJournal::default(), 0);
+        .set_recovery_journal(RecoveryJournal::default(), 0)
+        .unwrap();
     let (mut sys, report) = crashed.recover().expect("default journal is authentic");
     assert_eq!(
         report

@@ -97,7 +97,7 @@ fn scrub_under_concurrent_writes_escalates_monotonically() {
                         .inject_transient_unreadable(line * 64, 64),
                 }
             }
-            sys.online_step();
+            sys.online_step().unwrap();
             let (q, alarms) = escalation(&sys);
             assert!(
                 q.is_superset(&prev_q),
@@ -120,7 +120,7 @@ fn scrub_under_concurrent_writes_escalates_monotonically() {
             prev_alarms = alarms;
         }
         // Drain pass: every permanent fault must now be classified.
-        sys.online_scrub_pass();
+        sys.online_scrub_pass().unwrap();
         let (q, _) = escalation(&sys);
         assert!(q.is_superset(&prev_q), "{mode:?}: drain pass retracted");
         assert!(!q.is_empty(), "{mode:?}: no fault was ever quarantined");

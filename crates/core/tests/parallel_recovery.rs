@@ -126,13 +126,11 @@ fn interrupt_then_resume(scheme: SchemeKind, first_lanes: usize, second_lanes: u
         .with_recovery_lanes(first_lanes);
     crashed.nvm_mut().arm_crash_torn(j, 0xFF);
     let mut slot = None;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crashed.recover_into(&mut slot)
-    }));
-    let Err(payload) = outcome else {
-        panic!("{scheme:?}: inner point {j} never tripped");
-    };
-    assert!(payload.is::<steins_nvm::CrashTripped>());
+    assert_eq!(
+        crashed.recover_into(&mut slot).err(),
+        Some(steins_core::IntegrityError::PowerCut),
+        "{scheme:?}: inner point {j} must trip"
+    );
     let partial = slot.take().expect("recovery parks before durable writes");
     let interrupted = partial.ctrl.nvm().recovery_journal();
     let mut crashed2: CrashedSystem = partial.crash().with_recovery_lanes(second_lanes);

@@ -396,7 +396,7 @@ mod tests {
                 let (_, b) = detailed.read(now, addr);
                 let _ = (a, b);
             } else {
-                simple.write(now, addr, &[0; 64]);
+                simple.write(now, addr, &[0; 64]).unwrap();
                 detailed.write(now, addr, &[0; 64]);
             }
             now += 400;

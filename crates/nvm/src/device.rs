@@ -306,11 +306,13 @@ pub struct PersistPoint {
     pub addr: u64,
 }
 
-/// Panic payload thrown when an armed crash point is reached. Fault-injection
-/// drivers `catch_unwind` and downcast to this type; anything else is a real
-/// panic and must be propagated.
-#[derive(Clone, Copy, Debug)]
-pub struct CrashTripped;
+/// The armed crash point was reached: the modeled power is gone. Every
+/// persist-edge call ([`NvmDevice::write`], a traced [`NvmDevice::poke`],
+/// [`NvmDevice::adr_persist_event`], [`NvmDevice::set_recovery_journal`])
+/// returns it as a value. The tripping transition has landed; the caller
+/// must issue nothing after it and hand the machine to its crash path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PowerCut;
 
 /// The NVM device: functional storage + timing state + statistics.
 pub struct NvmDevice {
@@ -329,7 +331,7 @@ pub struct NvmDevice {
     /// 8-byte word `i` of the line persisted. `0xFF` models the legacy
     /// whole-line-atomic crash; anything else is a torn write.
     crash_torn_mask: u8,
-    /// The point that tripped, readable after the unwind.
+    /// The point that tripped, readable after the cut.
     tripped: Option<PersistPoint>,
     /// The torn mask actually applied at the trip (`None` until tripped, or
     /// when the tripping transition was not a line write).
@@ -427,10 +429,10 @@ impl NvmDevice {
     }
 
     /// Records one durable-state transition and, if a crash is armed at this
-    /// sequence number, pulls the plug by unwinding with [`CrashTripped`].
-    /// The transition itself *has* happened (the state it made durable
-    /// survives); everything after it is lost.
-    fn persist_event(&mut self, kind: PersistKind, addr: u64) {
+    /// sequence number, pulls the plug: returns [`PowerCut`]. The transition
+    /// itself *has* happened (the state it made durable survives);
+    /// everything after it is lost.
+    fn persist_event(&mut self, kind: PersistKind, addr: u64) -> Result<(), PowerCut> {
         self.persist_seq += 1;
         match kind {
             PersistKind::LineWrite => self.persist_line_writes += 1,
@@ -456,15 +458,16 @@ impl NvmDevice {
                 // atomicity makes them untearable.
                 PersistKind::AdrUpdate => None,
             };
-            std::panic::panic_any(CrashTripped);
+            return Err(PowerCut);
         }
+        Ok(())
     }
 
     /// Marks an in-place update of an ADR-resident line as a crash point.
     /// Called by the controller whenever it mutates a record/bitmap line
     /// held in the ADR domain without writing NVM.
-    pub fn adr_persist_event(&mut self, addr: u64) {
-        self.persist_event(PersistKind::AdrUpdate, addr);
+    pub fn adr_persist_event(&mut self, addr: u64) -> Result<(), PowerCut> {
+        self.persist_event(PersistKind::AdrUpdate, addr)
     }
 
     /// Number of durable-state transitions since construction.
@@ -472,9 +475,9 @@ impl NvmDevice {
         self.persist_seq
     }
 
-    /// Arms a crash at transition number `at` (1-based). The device panics
-    /// with [`CrashTripped`] the moment that transition completes; the
-    /// tripping write persists in full (whole-line-atomic legacy model).
+    /// Arms a crash at transition number `at` (1-based). The call that
+    /// completes that transition returns [`PowerCut`]; the tripping write
+    /// persists in full (whole-line-atomic legacy model).
     pub fn arm_crash(&mut self, at: u64) {
         self.arm_crash_torn(at, 0xFF);
     }
@@ -587,7 +590,7 @@ impl NvmDevice {
     }
 
     /// Writes `line` at `addr`, returning the persist-completion cycle.
-    pub fn write(&mut self, now: Cycle, addr: u64, line: &Line) -> Cycle {
+    pub fn write(&mut self, now: Cycle, addr: u64, line: &Line) -> Result<Cycle, PowerCut> {
         let bank_idx = self.bank_of(addr);
         let row = self.row_of(addr);
         let bank = &mut self.banks[bank_idx];
@@ -605,15 +608,15 @@ impl NvmDevice {
         self.bank_hists[bank_idx].record(done - now);
 
         self.wear.record(addr);
-        self.store_line(addr, line);
-        done
+        self.store_line(addr, line)?;
+        Ok(done)
     }
 
     /// Stores a line with crash-point semantics: applies the torn-write
     /// word mask if this store trips the armed crash, then emits the
-    /// line-write persist event (which unwinds when armed). Shared by the
-    /// timed write path and traced pokes.
-    fn store_line(&mut self, addr: u64, line: &Line) {
+    /// line-write persist event. Shared by the timed write path and traced
+    /// pokes.
+    fn store_line(&mut self, addr: u64, line: &Line) -> Result<(), PowerCut> {
         // Torn-write injection: if this very write trips the armed crash
         // under a partial word mask, persist only the masked 8-byte words —
         // the line's other words keep their previous durable content.
@@ -629,7 +632,7 @@ impl NvmDevice {
         } else {
             self.storage.write(addr, line);
         }
-        self.persist_event(PersistKind::LineWrite, addr);
+        self.persist_event(PersistKind::LineWrite, addr)
     }
 
     /// Functional read without timing (used by recovery-time analysis which
@@ -709,16 +712,24 @@ impl NvmDevice {
         self.faults.len()
     }
 
-    /// Functional write without timing (used for ADR flush at crash and for
-    /// attack injection between runs). When poke tracing is on (recovery in
-    /// progress under the nested-crash harness), the write is a full persist
-    /// point: enumerable, armable, and tearable like a timed line write.
-    pub fn poke(&mut self, addr: u64, line: &Line) {
+    /// Functional write without timing: the controller's in-place rewrites
+    /// (MAC records, recovery and scrub rewrites). When poke tracing is on
+    /// (recovery in progress under the nested-crash harness), the write is
+    /// a full persist point: enumerable, armable, and tearable like a timed
+    /// line write.
+    pub fn poke(&mut self, addr: u64, line: &Line) -> Result<(), PowerCut> {
         if self.trace_pokes {
-            self.store_line(addr, line);
-        } else {
-            self.storage.write(addr, line);
+            return self.store_line(addr, line);
         }
+        self.storage.write(addr, line);
+        Ok(())
+    }
+
+    /// Overwrites the stored line at `addr` with no persist-point semantics,
+    /// whatever the tracing mode: the residual-power ADR flush of a machine
+    /// already crashed, and an attacker's write to a powered-off image.
+    pub fn overwrite(&mut self, addr: u64, line: &Line) {
+        self.storage.write(addr, line);
     }
 
     /// Enables/disables persist-event tracing of `poke` writes.
@@ -738,11 +749,15 @@ impl NvmDevice {
     /// ADR update. The device's shard label rides with the journal line
     /// (see [`Self::set_shard`]); the MAC is stored opaquely — the
     /// controller seals it under the engine key and verifies at read time.
-    pub fn set_recovery_journal(&mut self, journal: RecoveryJournal, mac: u64) {
+    pub fn set_recovery_journal(
+        &mut self,
+        journal: RecoveryJournal,
+        mac: u64,
+    ) -> Result<(), PowerCut> {
         self.recovery_journal = journal;
         self.journal_mac = mac;
         self.journal_owner = self.shard_label;
-        self.persist_event(PersistKind::AdrUpdate, RECOVERY_JOURNAL_ADDR);
+        self.persist_event(PersistKind::AdrUpdate, RECOVERY_JOURNAL_ADDR)
     }
 
     /// The MAC stored with the last recovery-journal write (0 if the
@@ -873,7 +888,7 @@ mod tests {
     fn read_returns_written_data_and_later_completion() {
         let mut d = dev();
         let line = [0x5A; 64];
-        let wdone = d.write(0, 128, &line);
+        let wdone = d.write(0, 128, &line).unwrap();
         assert!(wdone >= NvmTimings::default().write_cycles());
         let (data, rdone) = d.read(wdone, 128);
         assert_eq!(data, line);
@@ -923,7 +938,7 @@ mod tests {
     #[test]
     fn poke_peek_bypass_timing() {
         let mut d = dev();
-        d.poke(0, &[9; 64]);
+        d.poke(0, &[9; 64]).unwrap();
         assert_eq!(d.peek(0), [9; 64]);
         assert_eq!(d.stats().reads, 0);
         assert_eq!(d.stats().writes, 0);
@@ -933,53 +948,22 @@ mod tests {
     fn persist_points_count_writes_and_adr_updates() {
         let mut d = dev();
         assert_eq!(d.persist_seq(), 0);
-        d.write(0, 0, &[1; 64]);
-        d.write(0, 64, &[2; 64]);
-        d.adr_persist_event(128);
+        d.write(0, 0, &[1; 64]).unwrap();
+        d.write(0, 64, &[2; 64]).unwrap();
+        d.adr_persist_event(128).unwrap();
         assert_eq!(d.persist_seq(), 3);
         let (_, _) = d.read(0, 0);
-        d.poke(192, &[3; 64]);
+        d.poke(192, &[3; 64]).unwrap();
         assert_eq!(d.persist_seq(), 3, "reads and pokes are not persist events");
     }
 
     #[test]
-    fn armed_crash_trips_at_exact_point_and_keeps_that_write() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the expected unwind
+    fn armed_persist_returns_power_cut_and_keeps_only_masked_words() {
         let mut d = dev();
-        d.arm_crash(2);
-        d.write(0, 0, &[1; 64]);
-        let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.write(0, 64, &[2; 64]);
-        }));
-        std::panic::set_hook(prev);
-        let err = trip.expect_err("second write must trip");
-        assert!(err.is::<CrashTripped>());
-        // The tripping write itself is durable (accepted by the queue).
-        assert_eq!(d.peek(64), [2; 64]);
-        let p = d.tripped_at().expect("trip recorded");
-        assert_eq!(p.seq, 2);
-        assert_eq!(p.addr, 64);
-        assert_eq!(p.kind, PersistKind::LineWrite);
-        // Disarmed state is reachable again.
-        d.disarm_crash();
-        d.write(0, 128, &[3; 64]);
-        assert_eq!(d.persist_seq(), 3);
-    }
-
-    #[test]
-    fn torn_crash_persists_only_masked_words() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let mut d = dev();
-        d.write(0, 0, &[0x11; 64]);
+        d.write(0, 0, &[0x11; 64]).unwrap();
         // Arm point 2 with only the first three words persisting.
         d.arm_crash_torn(2, 0b0000_0111);
-        let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.write(0, 0, &[0x22; 64]);
-        }));
-        std::panic::set_hook(prev);
-        assert!(trip.expect_err("must trip").is::<CrashTripped>());
+        assert_eq!(d.write(0, 0, &[0x22; 64]), Err(PowerCut));
         let line = d.peek(0);
         assert_eq!(&line[..24], &[0x22; 24][..], "masked words persist");
         assert_eq!(
@@ -987,18 +971,48 @@ mod tests {
             &[0x11; 40][..],
             "unmasked words keep old content"
         );
+        let p = d.tripped_at().expect("trip recorded");
+        assert_eq!((p.seq, p.kind, p.addr), (2, PersistKind::LineWrite, 0));
         assert_eq!(d.tripped_torn_mask(), Some(0b0000_0111));
-        // Mask 0x00 at a fresh point: write dropped entirely.
+        // A whole-line trip keeps the tripping write in full.
+        d.arm_crash(3);
+        assert_eq!(d.write(0, 64, &[0x33; 64]), Err(PowerCut));
+        assert_eq!(d.peek(64), [0x33; 64]);
+        // Mask 0x00 drops the write entirely.
+        d.arm_crash_torn(4, 0x00);
+        assert_eq!(d.write(0, 128, &[0x44; 64]), Err(PowerCut));
+        assert_eq!(d.peek(128), [0u8; 64], "mask 0x00 drops the write");
+        // Traced pokes are tearable persist points; untraced ones are silent.
+        d.poke(192, &[2; 64]).unwrap();
+        assert_eq!(d.persist_seq(), 4, "untraced pokes are silent");
+        d.trace_pokes(true);
+        d.arm_crash_torn(5, 0x01);
+        assert_eq!(d.poke(192, &[3; 64]), Err(PowerCut));
+        assert_eq!(&d.peek(192)[..16], &[[3; 8], [2; 8]].concat()[..]);
+        // ADR updates trip untorn; the journal content is in place first.
+        d.arm_crash(6);
+        assert_eq!(d.adr_persist_event(256), Err(PowerCut));
+        assert_eq!(d.tripped_torn_mask(), None, "ADR updates never tear");
+        d.arm_crash(7);
+        let j = RecoveryJournal::single(4, 0, 0);
+        assert_eq!(d.set_recovery_journal(j, 0), Err(PowerCut));
+        assert_eq!(d.recovery_journal(), j);
+        assert_eq!(d.tripped_at().map(|p| p.addr), Some(RECOVERY_JOURNAL_ADDR));
+        // Disarmed, the persist edge is plain again.
         d.disarm_crash();
-        d.arm_crash_torn(3, 0x00);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.write(0, 64, &[0x33; 64]);
-        }));
-        std::panic::set_hook(prev);
-        assert!(trip.is_err());
-        assert_eq!(d.peek(64), [0u8; 64], "mask 0x00 drops the write");
+        d.write(0, 320, &[5; 64]).unwrap();
+        assert_eq!(d.persist_seq(), 8);
+    }
+
+    #[test]
+    fn recovery_journal_is_a_persist_point_and_survives_reset() {
+        let mut d = dev();
+        let j = RecoveryJournal::single(3, 17, 1);
+        d.set_recovery_journal(j, 0x1234).unwrap();
+        assert_eq!(d.persist_seq(), 1, "journal update is an ADR persist");
+        assert_eq!(d.recovery_journal(), j);
+        d.reset_stats();
+        assert_eq!(d.recovery_journal(), j, "journal is durable, not a stat");
     }
 
     #[test]
@@ -1009,7 +1023,8 @@ mod tests {
         assert_eq!(d.shard(), 3);
         // The stamp lands with the journal write, not with set_shard.
         assert_eq!(d.journal_owner(), 0);
-        d.set_recovery_journal(RecoveryJournal::single(1, 7, 0), 0xDEAD);
+        d.set_recovery_journal(RecoveryJournal::single(1, 7, 0), 0xDEAD)
+            .unwrap();
         assert_eq!(d.journal_owner(), 3);
         assert_eq!(d.recovery_journal().hwm, 7);
         assert_eq!(d.journal_mac(), 0xDEAD, "MAC is stored with the journal");
@@ -1019,9 +1034,9 @@ mod tests {
     fn point_journal_records_kinds() {
         let mut d = dev();
         d.journal_points(true);
-        d.write(0, 0, &[1; 64]);
-        d.adr_persist_event(64);
-        d.write(0, 128, &[2; 64]);
+        d.write(0, 0, &[1; 64]).unwrap();
+        d.adr_persist_event(64).unwrap();
+        d.write(0, 128, &[2; 64]).unwrap();
         let j = d.point_journal();
         assert_eq!(j.len(), 3);
         assert_eq!(j[0].kind, PersistKind::LineWrite);
@@ -1029,23 +1044,23 @@ mod tests {
         assert_eq!(j[1].addr, 64);
         assert_eq!(j[2].seq, 3);
         d.journal_points(false);
-        d.write(0, 192, &[3; 64]);
+        d.write(0, 192, &[3; 64]).unwrap();
         assert!(d.point_journal().is_empty(), "disabling clears the journal");
     }
 
     #[test]
     fn media_faults_overlay_reads_not_writes() {
         let mut d = dev();
-        d.write(0, 0, &[5; 64]);
+        d.write(0, 0, &[5; 64]).unwrap();
         d.inject_bit_flip(0, 3, 2);
         let mut want = [5u8; 64];
         want[3] ^= 1 << 2;
         assert_eq!(d.peek(0), want, "bit flip lands in storage");
-        d.write(0, 0, &[6; 64]);
+        d.write(0, 0, &[6; 64]).unwrap();
         assert_eq!(d.peek(0), [6; 64], "full-line write heals the flip");
 
         d.inject_stuck_line(64, [0xAA; 64]);
-        d.write(0, 64, &[7; 64]);
+        d.write(0, 64, &[7; 64]).unwrap();
         assert_eq!(d.peek(64), [0xAA; 64], "stuck line ignores writes");
         let (got, _) = d.read(0, 64);
         assert_eq!(got, [0xAA; 64]);
@@ -1063,7 +1078,7 @@ mod tests {
     #[test]
     fn transient_fault_retries_then_heals_or_promotes() {
         let mut d = dev();
-        d.write(0, 0, &[4; 64]);
+        d.write(0, 0, &[4; 64]).unwrap();
         // Fault-free baseline completion on the (open-row) line.
         let (_, t_plain) = d.read(10_000, 0);
         // Within the retry budget: the engine-visible read succeeds, paying
@@ -1123,58 +1138,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_pokes_are_tearable_persist_points() {
-        let mut d = dev();
-        d.poke(0, &[1; 64]);
-        assert_eq!(d.persist_seq(), 0, "untraced pokes are silent");
-        d.trace_pokes(true);
-        d.journal_points(true);
-        d.poke(0, &[2; 64]);
-        assert_eq!(d.persist_seq(), 1);
-        assert_eq!(d.point_journal()[0].kind, PersistKind::LineWrite);
-        // A traced poke honors torn-write masks like a timed write.
-        d.arm_crash_torn(2, 0x01);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.poke(0, &[3; 64]);
-        }));
-        std::panic::set_hook(prev);
-        assert!(trip
-            .expect_err("traced poke must trip")
-            .is::<CrashTripped>());
-        let line = d.peek(0);
-        assert_eq!(&line[..8], &[3; 8][..]);
-        assert_eq!(&line[8..], &[2; 56][..]);
-        d.disarm_crash();
-        d.trace_pokes(false);
-        d.poke(64, &[4; 64]);
-        assert_eq!(d.persist_seq(), 2, "tracing off: pokes silent again");
-    }
-
-    #[test]
-    fn recovery_journal_is_a_persist_point_and_survives_reset() {
-        let mut d = dev();
-        let j = RecoveryJournal::single(3, 17, 1);
-        d.set_recovery_journal(j, 0x1234);
-        assert_eq!(d.persist_seq(), 1, "journal update is an ADR persist");
-        assert_eq!(d.recovery_journal(), j);
-        d.reset_stats();
-        assert_eq!(d.recovery_journal(), j, "journal is durable, not a stat");
-        // An armed crash trips *after* the journal content is in place.
-        d.arm_crash(2);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.set_recovery_journal(RecoveryJournal::single(4, 0, 0), 0);
-        }));
-        std::panic::set_hook(prev);
-        assert!(trip.expect_err("must trip").is::<CrashTripped>());
-        assert_eq!(d.recovery_journal().phase, 4);
-        assert_eq!(d.tripped_at().map(|p| p.addr), Some(RECOVERY_JOURNAL_ADDR));
-    }
-
-    #[test]
     fn laned_journal_progress_matches_hwm() {
         let mut marks = [0u64; RECOVERY_LANES];
         marks[0] = 5;
@@ -1188,7 +1151,7 @@ mod tests {
         assert_eq!(legacy.progress(), 11);
         // Round-trips through the device like any journal.
         let mut d = dev();
-        d.set_recovery_journal(j, 0);
+        d.set_recovery_journal(j, 0).unwrap();
         assert_eq!(d.recovery_journal().marks[2], 3);
         assert_eq!(d.recovery_journal().progress(), 8);
     }
@@ -1196,7 +1159,7 @@ mod tests {
     #[test]
     fn write_then_read_same_bank_pays_wtr() {
         let mut d = dev();
-        let wdone = d.write(0, 0, &[1; 64]);
+        let wdone = d.write(0, 0, &[1; 64]).unwrap();
         let (_, rdone) = d.read(wdone, 0);
         let t = NvmTimings::default();
         // Read issued exactly at write completion still waits out tWTR.

@@ -34,7 +34,7 @@ pub use adr::AdrRegion;
 pub use command::{CommandNvmDevice, DdrCommand};
 pub use config::NvmConfig;
 pub use device::{
-    CrashTripped, JournalDecodeError, NvmDevice, PersistKind, PersistPoint, RecoveryJournal,
+    JournalDecodeError, NvmDevice, PersistKind, PersistPoint, PowerCut, RecoveryJournal,
     EXHAUSTED_LOG_CAP, JOURNAL_ENC_BYTES, JOURNAL_MAC_MSG_BYTES, JOURNAL_MAGIC, JOURNAL_MAX_PHASE,
     READ_RETRY_ATTEMPTS, READ_RETRY_BASE_CYCLES, RECOVERY_JOURNAL_ADDR, RECOVERY_LANES,
     WORDS_PER_LINE,

@@ -11,7 +11,7 @@
 //! crash are guaranteed durable (flushed with residual power), matching the
 //! crash semantics all four schemes assume.
 
-use crate::device::NvmDevice;
+use crate::device::{NvmDevice, PowerCut};
 use crate::storage::Line;
 use crate::Cycle;
 use std::collections::VecDeque;
@@ -66,7 +66,15 @@ impl WriteQueue {
     /// Enqueues a line write. Returns the cycle at which the *producer* may
     /// continue: `now` if the queue had room, or later if it had to stall for
     /// the oldest entry to drain. The write itself completes asynchronously.
-    pub fn push(&mut self, now: Cycle, addr: u64, line: &Line, dev: &mut NvmDevice) -> Cycle {
+    /// A write that trips the device's armed crash point returns its
+    /// [`PowerCut`] and leaves no queue entry behind.
+    pub fn push(
+        &mut self,
+        now: Cycle,
+        addr: u64,
+        line: &Line,
+        dev: &mut NvmDevice,
+    ) -> Result<Cycle, PowerCut> {
         let mut now = now;
         self.reap(now);
         if self.in_flight.len() == self.capacity {
@@ -78,10 +86,10 @@ impl WriteQueue {
             now = wait_until;
             self.reap(now);
         }
-        let completes_at = dev.write(now, addr, line);
+        let completes_at = dev.write(now, addr, line)?;
         self.in_flight.push_back(Entry { completes_at });
         self.occ_hist.record(self.in_flight.len() as u64);
-        now
+        Ok(now)
     }
 
     /// Enqueues a persist batch in submission order. Each line goes through
@@ -92,15 +100,21 @@ impl WriteQueue {
     /// signal via `nvm.write_queue.batch_size`), not reordering: the persist
     /// order of a batch IS its submission order, which is what lets the
     /// secure engine present `[record_i, data_i, …]` flush batches without
-    /// widening any crash window.
-    pub fn push_batch(&mut self, now: Cycle, lines: &[(u64, Line)], dev: &mut NvmDevice) -> Cycle {
+    /// widening any crash window. A power cut stops the batch at the
+    /// tripping line.
+    pub fn push_batch(
+        &mut self,
+        now: Cycle,
+        lines: &[(u64, Line)],
+        dev: &mut NvmDevice,
+    ) -> Result<Cycle, PowerCut> {
         let mut now = now;
         for (addr, line) in lines {
-            now = self.push(now, *addr, line, dev);
+            now = self.push(now, *addr, line, dev)?;
         }
         self.batch_hist.record(lines.len() as u64);
         self.batched_writes += lines.len() as u64;
-        now
+        Ok(now)
     }
 
     /// Number of writes still in flight at `now`.
@@ -150,7 +164,7 @@ mod tests {
         let (mut q, mut dev) = setup();
         let mut now = 0;
         for i in 0..4u64 {
-            let t = q.push(now, i * 64, &[0; 64], &mut dev);
+            let t = q.push(now, i * 64, &[0; 64], &mut dev).unwrap();
             assert_eq!(t, now, "no stall while queue has room");
             now = t;
         }
@@ -164,7 +178,7 @@ mod tests {
         let bank_stride = 64 * dev.config().banks as u64;
         let mut now = 0;
         for i in 0..10u64 {
-            now = q.push(now, i * bank_stride, &[0; 64], &mut dev);
+            now = q.push(now, i * bank_stride, &[0; 64], &mut dev).unwrap();
         }
         assert!(now > 0, "producer must have stalled");
         assert!(dev.stats().wq_stall_cycles > 0);
@@ -173,7 +187,7 @@ mod tests {
     #[test]
     fn entries_reap_over_time() {
         let (mut q, mut dev) = setup();
-        q.push(0, 0, &[0; 64], &mut dev);
+        q.push(0, 0, &[0; 64], &mut dev).unwrap();
         let horizon = q.drain_horizon();
         assert_eq!(q.occupancy(horizon), 0);
     }
@@ -181,7 +195,7 @@ mod tests {
     #[test]
     fn writes_are_functionally_applied() {
         let (mut q, mut dev) = setup();
-        q.push(0, 192, &[0xEE; 64], &mut dev);
+        q.push(0, 192, &[0xEE; 64], &mut dev).unwrap();
         assert_eq!(dev.peek(192), [0xEE; 64]);
     }
 
@@ -200,12 +214,12 @@ mod tests {
             .collect();
 
         let (mut qa, mut da) = setup();
-        let ta = qa.push_batch(0, &lines, &mut da);
+        let ta = qa.push_batch(0, &lines, &mut da).unwrap();
 
         let (mut qb, mut db) = setup();
         let mut tb = 0;
         for (addr, line) in &lines {
-            tb = qb.push(tb, *addr, line, &mut db);
+            tb = qb.push(tb, *addr, line, &mut db).unwrap();
         }
 
         assert_eq!(ta, tb, "batched producer time must match serial");
@@ -222,7 +236,7 @@ mod tests {
         // must win, proving the batch persists in submission order.
         let (mut q, mut dev) = setup();
         let lines = [(128u64, [0xAA; 64]), (192, [0x11; 64]), (128, [0xBB; 64])];
-        q.push_batch(0, &lines, &mut dev);
+        q.push_batch(0, &lines, &mut dev).unwrap();
         assert_eq!(dev.peek(128), [0xBB; 64], "later batch entry wins");
         assert_eq!(dev.peek(192), [0x11; 64]);
     }
@@ -230,8 +244,9 @@ mod tests {
     #[test]
     fn push_batch_records_metrics() {
         let (mut q, mut dev) = setup();
-        q.push_batch(0, &[(0, [1; 64]), (64, [2; 64])], &mut dev);
-        q.push_batch(0, &[(128, [3; 64])], &mut dev);
+        q.push_batch(0, &[(0, [1; 64]), (64, [2; 64])], &mut dev)
+            .unwrap();
+        q.push_batch(0, &[(128, [3; 64])], &mut dev).unwrap();
         assert_eq!(q.batch_hist.count(), 2);
         assert_eq!(q.batch_hist.sum(), 3);
 
@@ -245,7 +260,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop_on_timing() {
         let (mut q, mut dev) = setup();
-        assert_eq!(q.push_batch(7, &[], &mut dev), 7);
+        assert_eq!(q.push_batch(7, &[], &mut dev), Ok(7));
         assert_eq!(q.occupancy(7), 0);
         // Degenerate batches still show up in the size distribution.
         assert_eq!(q.batch_hist.count(), 1);

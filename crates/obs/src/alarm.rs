@@ -33,8 +33,9 @@ pub enum AlarmKind {
     /// The bounded exponential-backoff re-read schedule exhausted its
     /// budget; the transient fault was promoted to a permanent one.
     RetryExhausted,
-    /// A whole shard was parked `Degraded` (poisoned lock, crash, or an
-    /// unrecoverable scrub verdict); its reads/writes fail typed.
+    /// A whole shard was parked `Degraded` (a power cut mid-operation, an
+    /// explicit park, or an unrecoverable scrub verdict); its reads/writes
+    /// fail typed.
     ShardDegraded,
     /// A background repair of a degraded shard began (the shard entered
     /// `Rebuilding`; neighbors keep serving).
