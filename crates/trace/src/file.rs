@@ -9,11 +9,14 @@
 
 use crate::record::{OpKind, TraceOp};
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// File magic: "STNT" + format version 1.
 const MAGIC: [u8; 5] = *b"STNT\x01";
+
+/// Bytes per op record.
+const RECORD: usize = 13;
 
 fn kind_to_byte(k: OpKind) -> u8 {
     match k {
@@ -70,6 +73,30 @@ impl TraceFileReader {
         }
         Ok(TraceFileReader { r, errored: false })
     }
+
+    /// Reads the next record, or `None` at the end of the file. The end is
+    /// clean only at a record boundary: a torn last record is `InvalidData`.
+    fn read_op(&mut self) -> io::Result<Option<TraceOp>> {
+        if self.r.fill_buf()?.is_empty() {
+            return Ok(None);
+        }
+        let mut rec = [0u8; RECORD];
+        self.r.read_exact(&mut rec).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("torn trace: the last record has fewer than {RECORD} bytes"),
+                )
+            } else {
+                e
+            }
+        })?;
+        Ok(Some(TraceOp {
+            gap: u32::from_le_bytes(rec[..4].try_into().unwrap()),
+            kind: kind_from_byte(rec[4])?,
+            addr: u64::from_le_bytes(rec[5..].try_into().unwrap()),
+        }))
+    }
 }
 
 impl Iterator for TraceFileReader {
@@ -79,26 +106,9 @@ impl Iterator for TraceFileReader {
         if self.errored {
             return None;
         }
-        let mut rec = [0u8; 13];
-        match self.r.read_exact(&mut rec) {
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => None,
-            Err(e) => {
-                self.errored = true;
-                Some(Err(e))
-            }
-            Ok(()) => {
-                let gap = u32::from_le_bytes(rec[..4].try_into().unwrap());
-                let kind = match kind_from_byte(rec[4]) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        self.errored = true;
-                        return Some(Err(e));
-                    }
-                };
-                let addr = u64::from_le_bytes(rec[5..13].try_into().unwrap());
-                Some(Ok(TraceOp { gap, kind, addr }))
-            }
-        }
+        let op = self.read_op().transpose();
+        self.errored = matches!(op, Some(Err(_)));
+        op
     }
 }
 
@@ -141,16 +151,28 @@ mod tests {
     #[test]
     fn truncated_record_surfaces_an_error() {
         let path = tmp("truncated");
-        let wl = Workload::new(WorkloadKind::Lbm, 3, 1);
-        save_trace(&path, wl.generate()).unwrap();
-        // Chop 5 bytes off the tail: the last record is now partial.
+        let ops: Vec<TraceOp> = Workload::new(WorkloadKind::Lbm, 10, 1).generate().collect();
+        save_trace(&path, ops.iter().copied()).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        let results: Vec<_> = TraceFileReader::open(&path).unwrap().collect();
-        assert!(
-            results.iter().any(|r| r.is_err()) || results.len() == 2,
-            "truncation must lose or flag the partial record"
-        );
+        let nine = MAGIC.len() + 9 * RECORD;
+        assert_eq!(bytes.len(), nine + RECORD);
+        // Cut at the boundary before the last record: nine clean ops.
+        std::fs::write(&path, &bytes[..nine]).unwrap();
+        assert_eq!(load_trace(&path).unwrap(), ops[..9]);
+        // Leave 1–12 bytes of the last record: nine ops, then InvalidData.
+        for kept in 1..RECORD {
+            std::fs::write(&path, &bytes[..nine + kept]).unwrap();
+            let mut reader = TraceFileReader::open(&path).unwrap();
+            let read: Vec<TraceOp> = reader.by_ref().take(9).map(Result::unwrap).collect();
+            assert_eq!(read, ops[..9]);
+            let err = reader.next().expect("a torn tail is reported").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kept} bytes kept");
+            assert!(reader.next().is_none(), "the reader stops after an error");
+            assert_eq!(
+                load_trace(&path).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
