@@ -23,12 +23,14 @@
 //! and the doubly-crashed machine must recover again, restartably, off the
 //! ADR recovery journal.
 //!
-//! Phase four replays the same protocol through the sharded front-end:
-//! the stream routes across `STEINS_SHARD_SWEEP_SHARDS` controllers and
-//! the crash (whole-line and torn) is armed on one target shard at a
-//! time, with its neighbors required to keep serving and to report
-//! pristine journals afterwards. A nested leg re-crashes each target
-//! shard during its own recovery.
+//! Phase four runs the same harness at `STEINS_SHARD_SWEEP_SHARDS` shards
+//! (phases one to three are its 1-shard case): the stream routes across
+//! that many controllers and each crash (whole-line and torn) is armed on
+//! one target shard at a time, with its neighbors required to keep serving
+//! and to report pristine journals afterwards. A nested leg re-crashes each
+//! target shard during its own recovery, and a worker-crash leg trips the
+//! target's worker in the middle of a parallel rebuild of every shard on
+//! `STEINS_RECOVERY_WORKERS` threads, which must restart only that region.
 //!
 //! Env knobs: `STEINS_SWEEP_OPS` (stream length, default 150),
 //! `STEINS_TORN_POINTS` (line-write boundaries torn per combo, default 48),
@@ -36,11 +38,12 @@
 //! `STEINS_NESTED_INNER` (recovery-time points per outer crash, default 6),
 //! `STEINS_SHARD_SWEEP_SHARDS` (shard count of phase four, default 2),
 //! `STEINS_SHARD_POINTS` (points per target shard, default 4),
-//! `STEINS_SHARD_NESTED` (outer × inner nested points per shard, default 2),
-//! `STEINS_THREADS` (worker pool size).
+//! `STEINS_SHARD_NESTED` (outer × inner nested and worker-crash points per
+//! shard, default 2), `STEINS_RECOVERY_WORKERS` (worker-crash rebuild
+//! threads, default 1), `STEINS_THREADS` (worker pool size).
 
 use steins_bench::par;
-use steins_core::{CounterMode, CrashSweep, PointSelection, SchemeKind, ShardSweep};
+use steins_core::{CrashRepro, CrashSweep, IntegrityError, PointSelection};
 
 /// Torn-word masks swept at every selected line-write boundary: dropped,
 /// one-word prefix, half-line prefix, sparse even words, sparse odd words.
@@ -57,66 +60,65 @@ const NESTED_INNER_MASKS: [u8; 2] = [0xFF, 0x0F];
 /// (exercising the per-shard scrub leg).
 const SHARD_MASKS: [u8; 2] = [0xFF, 0x0F];
 
+fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Probes every job on the worker pool and prints the combo's row — jobs
+/// tested, failures, verdict — plus its first three repros. Returns whether
+/// every job held the contract.
+fn row<J: Send>(
+    label: &str,
+    jobs: Result<Vec<J>, IntegrityError>,
+    probe: impl Fn(J) -> Option<CrashRepro> + Sync,
+    [clean, violated]: [&str; 2],
+) -> bool {
+    let jobs = match jobs {
+        Ok(j) => j,
+        Err(e) => {
+            println!("{label:>10}  baseline run failed: {e}");
+            return false;
+        }
+    };
+    let tested = jobs.len();
+    let failures: Vec<CrashRepro> = par::map(jobs, probe).into_iter().flatten().collect();
+    let verdict = if failures.is_empty() { clean } else { violated };
+    println!("{label:>10}  {tested:>8}  {:>8}  {verdict}", failures.len());
+    for repro in failures.iter().take(3) {
+        println!("{repro}");
+    }
+    failures.is_empty()
+}
+
 fn main() {
-    let ops: usize = std::env::var("STEINS_SWEEP_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150);
-    let torn_points: usize = std::env::var("STEINS_TORN_POINTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48);
-    let nested_outer: usize = std::env::var("STEINS_NESTED_OUTER")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
-    let nested_inner: usize = std::env::var("STEINS_NESTED_INNER")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
-    let combos = [
-        (SchemeKind::WriteBack, CounterMode::General),
-        (SchemeKind::WriteBack, CounterMode::Split),
-        (SchemeKind::Asit, CounterMode::General),
-        (SchemeKind::Star, CounterMode::General),
-        (SchemeKind::Steins, CounterMode::General),
-        (SchemeKind::Steins, CounterMode::Split),
-    ];
+    let ops = env_usize("STEINS_SWEEP_OPS", 150);
+    let torn_points = env_usize("STEINS_TORN_POINTS", 48);
+    let nested_outer = env_usize("STEINS_NESTED_OUTER", 12);
+    let nested_inner = env_usize("STEINS_NESTED_INNER", 6);
+    let shard_shards = env_usize("STEINS_SHARD_SWEEP_SHARDS", 2);
+    let shard_points = env_usize("STEINS_SHARD_POINTS", 4);
+    let shard_nested = env_usize("STEINS_SHARD_NESTED", 2);
+    let combos = steins_core::campaign::COMBOS;
+    let bounded =
+        |scheme, mode, sel| CrashSweep::small(scheme, mode, ops, PointSelection::AtMost(sel));
+    let mut all_clean = true;
+
     println!(
         "Crash sweep: {ops}-op stream, every persist point, {} workers",
         par::threads()
     );
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "points", "failed");
-    let mut all_clean = true;
     for (scheme, mode) in combos {
         let sweep = CrashSweep::small(scheme, mode, ops, PointSelection::All);
-        let total = match sweep.total_points() {
-            Ok(t) => t,
-            Err(e) => {
-                all_clean = false;
-                println!("{:>10}  baseline run failed: {e}", scheme.label(mode));
-                continue;
-            }
-        };
-        let failures: Vec<_> = par::map((1..=total).collect(), |k| sweep.probe_point(k))
-            .into_iter()
-            .flatten()
-            .collect();
-        let verdict = if failures.is_empty() {
-            "all points recovered & verified".to_string()
-        } else {
-            all_clean = false;
-            "UNRECOVERABLE POINTS".to_string()
-        };
-        println!(
-            "{:>10}  {:>8}  {:>8}  {verdict}",
-            scheme.label(mode),
-            total,
-            failures.len()
+        all_clean &= row(
+            &scheme.label(mode),
+            sweep.crash_points(),
+            |p| sweep.probe_point(p),
+            ["all points recovered & verified", "UNRECOVERABLE POINTS"],
         );
-        for repro in failures.iter().take(3) {
-            println!("{repro}");
-        }
     }
     println!("{:>10}  skipped: general-counter-only baseline", "Asit-SC");
     println!("{:>10}  skipped: general-counter-only baseline", "Star-SC");
@@ -127,39 +129,22 @@ fn main() {
     );
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "torn", "failed");
     for (scheme, mode) in combos {
-        let sweep = CrashSweep::small(scheme, mode, ops, PointSelection::AtMost(torn_points));
-        let points = match sweep.tearable_points() {
-            Ok(p) => p,
-            Err(e) => {
-                all_clean = false;
-                println!("{:>10}  baseline run failed: {e}", scheme.label(mode));
-                continue;
-            }
-        };
-        let jobs: Vec<(u64, u8)> = points
-            .iter()
-            .flat_map(|&k| TORN_MASKS.iter().map(move |&m| (k, m)))
-            .collect();
-        let tested = jobs.len();
-        let failures: Vec<_> = par::map(jobs, |(k, m)| sweep.probe_point_torn(k, m))
-            .into_iter()
-            .flatten()
-            .collect();
-        let verdict = if failures.is_empty() {
-            "all torn points recovered or scrubbed".to_string()
-        } else {
-            all_clean = false;
-            "TORN CONTRACT VIOLATIONS".to_string()
-        };
-        println!(
-            "{:>10}  {:>8}  {:>8}  {verdict}",
-            scheme.label(mode),
-            tested,
-            failures.len()
+        let sweep = bounded(scheme, mode, torn_points);
+        let jobs = sweep.tearable_points().map(|points| {
+            points
+                .into_iter()
+                .flat_map(|p| TORN_MASKS.map(|m| (p, m)))
+                .collect()
+        });
+        all_clean &= row(
+            &scheme.label(mode),
+            jobs,
+            |(p, m)| sweep.probe_point_torn(p, m),
+            [
+                "all torn points recovered or scrubbed",
+                "TORN CONTRACT VIOLATIONS",
+            ],
         );
-        for repro in failures.iter().take(3) {
-            println!("{repro}");
-        }
     }
 
     println!(
@@ -169,101 +154,69 @@ fn main() {
     );
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "nested", "failed");
     for (scheme, mode) in combos {
-        let sweep = CrashSweep::small(scheme, mode, ops, PointSelection::AtMost(nested_outer));
-        let jobs = match sweep.nested_jobs(
-            &NESTED_OUTER_MASKS,
-            &NESTED_INNER_MASKS,
-            PointSelection::AtMost(nested_inner),
-        ) {
-            Ok(j) => j,
-            Err(e) => {
-                all_clean = false;
-                println!("{:>10}  baseline run failed: {e}", scheme.label(mode));
-                continue;
-            }
-        };
-        let tested = jobs.len();
-        let failures: Vec<_> = par::map(jobs, |(k, m0, j, m1)| {
-            sweep.probe_point_nested(k, m0, j, m1)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let verdict = if failures.is_empty() {
-            "all nested points re-recovered".to_string()
-        } else {
-            all_clean = false;
-            "NESTED CONTRACT VIOLATIONS".to_string()
-        };
-        println!(
-            "{:>10}  {:>8}  {:>8}  {verdict}",
-            scheme.label(mode),
-            tested,
-            failures.len()
+        let sweep = bounded(scheme, mode, nested_outer);
+        all_clean &= row(
+            &scheme.label(mode),
+            sweep.nested_jobs(
+                &NESTED_OUTER_MASKS,
+                &NESTED_INNER_MASKS,
+                PointSelection::AtMost(nested_inner),
+            ),
+            |(p, m0, j, m1)| sweep.probe_point_nested(p, m0, j, m1),
+            [
+                "all nested points re-recovered",
+                "NESTED CONTRACT VIOLATIONS",
+            ],
         );
-        for repro in failures.iter().take(3) {
-            println!("{repro}");
-        }
     }
 
-    let shard_shards: usize = std::env::var("STEINS_SHARD_SWEEP_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let shard_points: usize = std::env::var("STEINS_SHARD_POINTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let shard_nested: usize = std::env::var("STEINS_SHARD_NESTED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
     println!(
         "\nSharded sweep: {shard_shards} shards, crash+torn ≤{shard_points} points per target \
          shard (masks {SHARD_MASKS:02x?}), nested ≤{shard_nested}×{shard_nested}"
     );
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "tested", "failed");
-    let shard_jobs: Vec<_> = combos
-        .iter()
-        .flat_map(|&(scheme, mode)| [(scheme, mode, false), (scheme, mode, true)])
-        .collect();
-    let shard_reports = par::map(shard_jobs, |(scheme, mode, nested)| {
-        let sweep = ShardSweep::small(scheme, mode, shard_shards, ops);
-        let report = if nested {
-            sweep.run_nested(
-                PointSelection::AtMost(shard_nested),
-                PointSelection::AtMost(shard_nested),
-            )
-        } else {
-            sweep.run(PointSelection::AtMost(shard_points), &SHARD_MASKS)
-        };
-        (scheme, mode, nested, report)
-    });
-    for (scheme, mode, nested, report) in shard_reports {
-        let verdict = if report.clean() {
-            if nested {
-                "all shards re-recovered, neighbors pristine".to_string()
-            } else {
-                "all shards recovered, neighbors kept serving".to_string()
-            }
-        } else {
-            all_clean = false;
-            "SHARDED CONTRACT VIOLATIONS".to_string()
-        };
-        let label = if nested {
-            format!("{}*", scheme.label(mode))
-        } else {
-            scheme.label(mode)
-        };
-        println!(
-            "{:>10}  {:>8}  {:>8}  {verdict}",
-            label,
-            report.tested_points,
-            report.failures.len()
+    const SHARDED_VIOLATED: &str = "SHARDED CONTRACT VIOLATIONS";
+    let nested_sel = PointSelection::AtMost(shard_nested);
+    for (scheme, mode) in combos {
+        let label = scheme.label(mode);
+        let sweep = bounded(scheme, mode, shard_points).with_shards(shard_shards);
+        let jobs = sweep.crash_points().map(|points| {
+            points
+                .into_iter()
+                .flat_map(|p| SHARD_MASKS.map(|m| (p, m)))
+                .collect()
+        });
+        all_clean &= row(
+            &label,
+            jobs,
+            |(p, m)| sweep.probe_point_torn(p, m),
+            [
+                "all shards recovered, neighbors kept serving",
+                SHARDED_VIOLATED,
+            ],
         );
-        for repro in report.failures.iter().take(3) {
-            println!("{repro}");
-        }
+        let sweep = bounded(scheme, mode, shard_nested).with_shards(shard_shards);
+        all_clean &= row(
+            &format!("{label}*"),
+            sweep.nested_jobs(&[0xFF], &[0xFF], nested_sel),
+            |(p, m0, j, m1)| sweep.probe_point_nested(p, m0, j, m1),
+            [
+                "all shards re-recovered, neighbors pristine",
+                SHARDED_VIOLATED,
+            ],
+        );
+    }
+    let workers = steins_core::par::recovery_workers();
+    let worker_clean =
+        format!("only the crashed worker's region restarted ({workers}-worker rebuild)");
+    for (scheme, mode) in combos {
+        let sweep = bounded(scheme, mode, shard_nested).with_shards(shard_shards);
+        all_clean &= row(
+            &format!("{}+", scheme.label(mode)),
+            sweep.nested_jobs(&[0xFF], &[0xFF], nested_sel),
+            |(p, _, j, _)| sweep.probe_point_worker_crash(p, j, workers),
+            [&worker_clean, "WORKER-CRASH CONTRACT VIOLATIONS"],
+        );
     }
     println!("{:>10}  (* = nested crash-during-recovery leg)", "");
 

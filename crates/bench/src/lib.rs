@@ -107,8 +107,8 @@ pub fn run_one(cell: Cell, kind: WorkloadKind, ops: u64, seed: u64) -> RunReport
 pub type Matrix = BTreeMap<(String, &'static str), RunReport>;
 
 /// Runs `cells × workloads` in parallel — one job per simulation on the
-/// std-thread shared-counter work queue in [`par`] (`STEINS_THREADS`
-/// controls the worker count; there is no rayon dependency).
+/// work-stealing queue behind [`par`] (`STEINS_THREADS` controls the
+/// worker count; there is no rayon dependency).
 pub fn run_matrix(cells: &[Cell], workloads: &[WorkloadKind]) -> Matrix {
     let ops = ops();
     let seed = seed();

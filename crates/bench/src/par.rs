@@ -1,11 +1,7 @@
-//! Minimal std-only parallel map (work-stealing-free, index-chunked).
-//!
-//! Each simulation job is independent and long-running (seconds), so a
-//! simple shared-counter work queue over `std::thread::scope` gets the
-//! same utilization a full work-stealing pool would, without any
-//! external dependency.
+//! Order-preserving parallel map for the bench binaries: a thin layer over
+//! the work-stealing queue [`steins_core::par::run_regions`] that parallel
+//! recovery runs on, so the workspace keeps one job queue.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of worker threads: env `STEINS_THREADS`, default = available
@@ -42,33 +38,12 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(n);
-    if workers <= 1 {
-        return jobs.into_iter().map(f).collect();
-    }
     let jobs: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = jobs[i].lock().unwrap().take().expect("job taken once");
-                *results[i].lock().unwrap() = Some(f(job));
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.into_inner().unwrap().expect("worker filled every slot"))
-        .collect()
+    steins_core::par::run_regions(workers, jobs.len(), |i, _w| {
+        let job = jobs[i].lock().expect("job slot poisoned by a panic").take();
+        f(job.expect("each job runs exactly once"))
+    })
+    .0
 }
 
 #[cfg(test)]

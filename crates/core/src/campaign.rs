@@ -33,7 +33,7 @@ use steins_obs::{Alarm, AlarmKind, AlarmLog, Histogram, MetricRegistry};
 use steins_trace::rng::SmallRng;
 
 use crate::config::{SchemeKind, SystemConfig};
-use crate::crash::{CrashSweep, PointSelection, SweepOp, TornCrash};
+use crate::crash::{CrashPoint, CrashSweep, CrashedSystem, Outage, PointSelection, SweepOp};
 use crate::engine::synth_data;
 use crate::error::IntegrityError;
 use crate::online::{OnlinePolicy, OnlineService};
@@ -320,8 +320,7 @@ impl FaultCampaign {
     /// address the attack corrupted in storage, when it targeted the data
     /// plane directly (used for the no-false-`Intact` assertion), and
     /// whether the attack was a read-path media fault.
-    fn apply_attack(tc: &mut TornCrash, a: Attack) -> (Option<u64>, bool) {
-        let crashed = &mut tc.crashed;
+    fn apply_attack(crashed: &mut CrashedSystem, a: Attack) -> (Option<u64>, bool) {
         match a {
             Attack::TamperNode { offset, byte, mask } => {
                 crashed.tamper_node_at(offset, byte, mask);
@@ -366,30 +365,28 @@ impl FaultCampaign {
     /// Rebuilding from scratch (rather than cloning) keeps the image's
     /// fault plane and truth map exactly as recovery will see them.
     fn attacked_image(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
+        sweep: &CrashSweep,
         k: u64,
         mask: u8,
         attacks: &[Attack],
-    ) -> Option<(TornCrash, Vec<u64>, bool)> {
-        let mut tc = CrashSweep::crash_torn(cfg, ops, k, mask).ok()??;
+    ) -> Option<(CrashedSystem, Outage, Vec<u64>, bool)> {
+        let (mut crashed, out) = sweep.crash_torn(CrashPoint { shard: 0, k }, mask).ok()??;
         let mut tampered_data = Vec::new();
         let mut media = false;
         for &a in attacks {
-            let (data_addr, is_media) = Self::apply_attack(&mut tc, a);
+            let (data_addr, is_media) = Self::apply_attack(&mut crashed, a);
             if let Some(addr) = data_addr {
                 tampered_data.push(addr);
             }
             media |= is_media;
         }
-        Some((tc, tampered_data, media))
+        Some((crashed, out, tampered_data, media))
     }
 
     /// Runs one attack iteration; returns `Ok(outcome)` or a failure
     /// description.
     fn attack_iteration(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
+        sweep: &CrashSweep,
         k: u64,
         mask: u8,
         attacks: &[Attack],
@@ -397,12 +394,12 @@ impl FaultCampaign {
     ) -> Result<CampaignOutcome, String> {
         // Strict recovery first: it may detect (Err) or even succeed (the
         // attack can land on untouched regions) — it must never unwind.
-        let Some((tc, tampered, media)) = Self::attacked_image(cfg, ops, k, mask, attacks) else {
+        let Some((crashed, out, tampered, media)) = Self::attacked_image(sweep, k, mask, attacks)
+        else {
             return Err("attack image not reproducible".into());
         };
-        let expected = tc.expected.clone();
-        let sacrificed = tc.sacrificed;
-        let crashed = tc.crashed;
+        let expected = out.expected;
+        let sacrificed = out.sacrificed;
         let recoverable = crashed.recoverable();
         match catch_unwind(AssertUnwindSafe(move || crashed.recover().err())) {
             Ok(Some(_)) => report.strict_detected += 1,
@@ -415,10 +412,9 @@ impl FaultCampaign {
 
         // The lenient scrub on a fresh copy of the same image: total by
         // contract, and its damage report must not whitewash the attack.
-        let Some((tc2, _, _)) = Self::attacked_image(cfg, ops, k, mask, attacks) else {
+        let Some((crashed2, ..)) = Self::attacked_image(sweep, k, mask, attacks) else {
             return Err("attack image not reproducible".into());
         };
-        let crashed2 = tc2.crashed;
         let (sys, scrub): (Option<crate::SecureNvmSystem>, ScrubReport) =
             match catch_unwind(AssertUnwindSafe(move || crashed2.recover_lenient())) {
                 Ok(r) => r,
@@ -513,7 +509,7 @@ impl FaultCampaign {
             ..CampaignReport::default()
         };
         let total = match sweep.total_points() {
-            Ok(t) if t > 0 => t,
+            Ok(t) if t[0] > 0 => t[0],
             Ok(_) => return report,
             Err(e) => {
                 report
@@ -531,6 +527,7 @@ impl FaultCampaign {
         for i in range {
             let mut rng = self.rng_for(combo, i);
             let k = rng.gen_range_inclusive(1, total);
+            let p = CrashPoint { shard: 0, k };
             let mask = Self::draw_mask(&mut rng);
             report.point_hist.record(k);
             if i % 4 == 2 {
@@ -541,7 +538,7 @@ impl FaultCampaign {
                 report.nested_points += 1;
                 let draw = rng.next_u64();
                 let m1_draw = Self::draw_mask(&mut rng);
-                let inner = match CrashSweep::recovery_points(&cfg, &ops, k, mask) {
+                let inner = match sweep.recovery_points(p, mask) {
                     Ok(pts) => pts,
                     Err(fail) => {
                         report.failures.push(format!(
@@ -559,15 +556,15 @@ impl FaultCampaign {
                     // the refusal contract under nested arming.
                     (k + 1, 0xFF)
                 } else {
-                    let p = inner[(draw % inner.len() as u64) as usize];
-                    let m1 = if p.kind == steins_nvm::PersistKind::LineWrite {
+                    let q = inner[(draw % inner.len() as u64) as usize];
+                    let m1 = if q.kind == steins_nvm::PersistKind::LineWrite {
                         m1_draw
                     } else {
                         0xFF
                     };
-                    (p.seq, m1)
+                    (q.seq, m1)
                 };
-                if let Some(repro) = sweep.probe_point_nested(k, mask, j, m1) {
+                if let Some(repro) = sweep.probe_point_nested(p, mask, j, m1) {
                     report.failures.push(format!(
                         "{label} nested point {k}>{j} masks {mask:#04x}>{m1:#04x} \
                          (seed {:#x}, iter {i}, {} ops): {}",
@@ -579,7 +576,7 @@ impl FaultCampaign {
             } else if i % 2 == 0 {
                 // Crash-only point: the strong sweep contract, torn-aware.
                 report.crash_points += 1;
-                if let Some(repro) = sweep.probe_point_torn(k, mask) {
+                if let Some(repro) = sweep.probe_point_torn(p, mask) {
                     report.failures.push(format!(
                         "{label} crash point {k} mask {mask:#04x} \
                          (seed {:#x}, iter {i}, {} ops): {}",
@@ -595,25 +592,19 @@ impl FaultCampaign {
                 let attacks: Vec<Attack> = (0..n_attacks)
                     .map(|_| Self::draw_attack(&mut rng, total_nodes, data_lines, cache_slots))
                     .collect();
-                if let Err(why) = Self::attack_iteration(&cfg, &ops, k, mask, &attacks, &mut report)
-                {
+                if let Err(why) = Self::attack_iteration(&sweep, k, mask, &attacks, &mut report) {
                     // Shrink: re-run on the stream truncated past the
                     // in-flight op; keep the shorter repro when it still
                     // fails the same way.
                     let mut repro_ops = ops.len();
-                    if let Ok(Some(tc)) = CrashSweep::crash_torn(&cfg, &ops, k, mask) {
-                        let cut = tc.op_index + 1;
+                    if let Ok(Some((_, out))) = sweep.crash_torn(p, mask) {
+                        let cut = out.op_index + 1;
+                        let prefix =
+                            CrashSweep::new(cfg.clone(), ops[..cut].to_vec(), PointSelection::All);
                         let mut scratch = CampaignReport::default();
                         if cut < ops.len()
-                            && Self::attack_iteration(
-                                &cfg,
-                                &ops[..cut],
-                                k,
-                                mask,
-                                &attacks,
-                                &mut scratch,
-                            )
-                            .is_err()
+                            && Self::attack_iteration(&prefix, k, mask, &attacks, &mut scratch)
+                                .is_err()
                         {
                             repro_ops = cut;
                         }

@@ -16,10 +16,15 @@ use crate::engine::SecureNvmSystem;
 use crate::error::IntegrityError;
 use crate::linc::LincBank;
 use crate::nvbuffer::NvBuffer;
+use crate::par;
+use crate::recovery::{journal, RecoveryReport};
 use crate::scheme::SchemeState;
+use crate::scrub::ScrubReport;
+use crate::shard::ShardedEngine;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 use steins_crypto::{CryptoEngine, FxHashMap};
 use steins_metadata::{CounterMode, MemoryLayout, RootNode};
 use steins_nvm::{NvmDevice, PersistKind, PersistPoint};
@@ -171,13 +176,17 @@ impl CrashedSystem {
 //
 // The NVM device numbers every durable-state transition (each accepted 64 B
 // line write, each in-place ADR-line update). [`CrashSweep`] replays a fixed
-// op stream once to enumerate those points, then for every point k replays
-// the stream with the device armed to lose power the instant transition k
-// completes, recovers, and verifies: every acknowledged write reads back
-// (which re-verifies the whole ancestor chain of every populated tree path)
-// and, under Steins, the LInc registers match a from-scratch recomputation.
-// A failing point is shrunk to a minimal op stream and printed with the
-// first divergent node and a MAC-probe diagnosis (`debug_repro` style).
+// op stream through a [`ShardedEngine`] — an unsharded machine is the
+// 1-shard case — once to enumerate every shard's points. Then for every
+// crash point `(target shard, k)` it replays the stream with the target's
+// device armed to lose power the instant its transition k completes,
+// recovers that shard, and verifies the whole address space against the
+// sweep contract (DESIGN.md §6d): every acknowledged write reads back
+// through the router (which re-verifies the whole ancestor chain of every
+// populated tree path), and every shard's LInc registers and journal line
+// hold what they must. A failing point is shrunk to a minimal op stream and
+// printed with the first divergent node and a MAC-probe diagnosis
+// ([`crate::diagnose`]).
 
 /// One operation of the fixed, replayable stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -228,6 +237,14 @@ impl SweepOp {
         data[..8].copy_from_slice(&line.to_le_bytes());
         data
     }
+
+    /// Serves the op through the router (`line` is a global line index).
+    fn apply(self, engine: &ShardedEngine) -> Result<(), IntegrityError> {
+        match self {
+            SweepOp::Write { line, tag } => engine.write(line * 64, &SweepOp::payload(line, tag)),
+            SweepOp::Read { line } => engine.read(line * 64).map(|_| ()),
+        }
+    }
 }
 
 /// Which crash points of the enumeration to test.
@@ -235,9 +252,38 @@ impl SweepOp {
 pub enum PointSelection {
     /// Every point (the exhaustive sweep).
     All,
-    /// At most `n` points, evenly strided across the enumeration (the
-    /// bounded in-test sweep). Always includes point 1.
+    /// At most `n` points per shard, evenly strided across the shard's
+    /// enumeration (the bounded in-test sweep). Always includes the first
+    /// and the last point.
     AtMost(usize),
+}
+
+impl PointSelection {
+    /// Applies the selection to one point list, striding by index so first
+    /// and last survive bounding.
+    fn apply<T: Copy>(self, points: Vec<T>) -> Vec<T> {
+        match self {
+            PointSelection::All => points,
+            PointSelection::AtMost(n) if n >= points.len() => points,
+            PointSelection::AtMost(n) => {
+                let n = n.max(1) as u64;
+                let last = (points.len() - 1) as u64;
+                (0..n)
+                    .map(|i| points[(i * last / (n - 1).max(1)) as usize])
+                    .collect()
+            }
+        }
+    }
+}
+
+/// A crash point: the `k`-th persist event (1-based) of shard `shard`'s
+/// device. Every point of an unsharded sweep has `shard == 0`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CrashPoint {
+    /// The shard whose device loses power.
+    pub shard: usize,
+    /// The persist event the crash trips on.
+    pub k: u64,
 }
 
 /// A minimized failing crash point.
@@ -245,6 +291,8 @@ pub enum PointSelection {
 pub struct CrashRepro {
     /// Scheme/mode label ("Steins-SC" …).
     pub label: String,
+    /// The shard the crash was armed on, in a sweep of more than one shard.
+    pub shard: Option<usize>,
     /// The minimized op stream that still fails.
     pub ops: Vec<SweepOp>,
     /// Index of the op in flight when the crash hit.
@@ -261,9 +309,13 @@ pub struct CrashRepro {
 
 impl fmt::Display for CrashRepro {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let shard = self
+            .shard
+            .map(|s| format!("shard {s} "))
+            .unwrap_or_default();
         writeln!(
             f,
-            "{}: crash point {} (op {} of {}) is unrecoverable",
+            "{}: {shard}crash point {} (op {} of {}) is unrecoverable",
             self.label,
             self.crash_point,
             self.op_index,
@@ -283,7 +335,7 @@ impl fmt::Display for CrashRepro {
 pub struct SweepReport {
     /// Scheme/mode label.
     pub label: String,
-    /// Durable-state transitions the stream produces (= crash points).
+    /// Points (× masks) the leg enumerated before selection.
     pub total_points: u64,
     /// Points actually injected and verified.
     pub tested_points: u64,
@@ -325,31 +377,51 @@ pub(crate) struct PointFailure {
     pub(crate) divergent: String,
 }
 
-/// A replayed stream crashed at a (possibly torn) point, with ground truth
-/// already reconciled against the in-flight op and the sacrificial torn line.
-pub(crate) struct TornCrash {
-    pub(crate) crashed: CrashedSystem,
+/// What a crash of one target shard left besides the target's image: the
+/// engine — the target's slot empty, its neighbors live mid-stream with
+/// their CPU-dirty lines and half-drained queues — and ground truth
+/// reconciled against the in-flight op and the sacrificial torn line. Every
+/// later recovery of the target, however many it takes, verifies against
+/// these expectations.
+pub(crate) struct Outage {
+    engine: ShardedEngine,
+    target: usize,
     pub(crate) op_index: usize,
-    pub(crate) trip: Option<PersistPoint>,
-    /// Every line that must read back after recovery, with its content.
+    trip: Option<PersistPoint>,
+    /// Every line that must read back (global address), with its content.
     pub(crate) expected: HashMap<u64, [u8; 64]>,
-    /// A data line destroyed by the tear (in-place overwrite mixed old and
-    /// new words); reads of it must fail closed.
+    /// A data line (global address) destroyed by the tear — the in-place
+    /// overwrite mixed old and new words; reads of it must fail closed.
     pub(crate) sacrificed: Option<u64>,
 }
 
-/// What the outer crash promised: carried through a nested run so the
-/// final machine — however many recoveries it took — verifies against the
-/// same reconciled expectations.
-pub(crate) struct NestedCtx {
-    op_index: usize,
-    trip: Option<PersistPoint>,
-    expected: HashMap<u64, [u8; 64]>,
-    sacrificed: Option<u64>,
+impl Outage {
+    fn fail(&self, error: impl Into<String>, divergent: impl Into<String>) -> PointFailure {
+        PointFailure {
+            op_index: self.op_index,
+            point: self.trip,
+            error: error.into(),
+            divergent: divergent.into(),
+        }
+    }
+
+    /// WB's contract at every point: it refuses recovery.
+    fn refused(&self, err: Option<IntegrityError>) -> Result<(), PointFailure> {
+        match err {
+            Some(IntegrityError::RecoveryUnsupported) => Ok(()),
+            other => Err(self.fail(
+                format!(
+                    "WB must refuse recovery, got {:?}",
+                    other.map(|e| e.to_string())
+                ),
+                "n/a",
+            )),
+        }
+    }
 }
 
 /// Outcome of arming a second crash *inside* recovery of an outer crash.
-pub(crate) enum NestedRun {
+enum NestedRun {
     /// The inner point lay beyond recovery's horizon: recovery finished
     /// first and produced a fully recovered system.
     Completed(Box<SecureNvmSystem>),
@@ -362,34 +434,63 @@ pub(crate) enum NestedRun {
     Crashed(Box<CrashedSystem>),
 }
 
-/// The exhaustive persist-boundary fault-injection driver.
+/// Point tests spent shrinking one failure.
+const SHRINK_BUDGET: usize = 2_000;
+
+/// A sweep leg stops after this many failing points (keeps a badly broken
+/// scheme from taking forever).
+const MAX_FAILURES: usize = 3;
+
+/// `core.recovery.restarts` of a strict recovery.
+fn restarts(report: &RecoveryReport) -> u64 {
+    report
+        .metrics
+        .counter("core.recovery.restarts")
+        .unwrap_or(0)
+}
+
+/// Drops a second crash's arming and poke tracing from a system that
+/// recovery or the scrub handed back.
+fn disarmed(mut sys: SecureNvmSystem) -> SecureNvmSystem {
+    sys.ctrl.nvm.disarm_crash();
+    sys.ctrl.nvm.trace_pokes(false);
+    sys
+}
+
+/// The persist-boundary fault-injection driver: one protocol for one
+/// controller or N of them.
+#[derive(Clone)]
 pub struct CrashSweep {
     cfg: SystemConfig,
+    shards: usize,
     ops: Vec<SweepOp>,
     selection: PointSelection,
-    /// Point-test budget for shrinking a failure (0 disables shrinking).
-    pub shrink_budget: usize,
-    /// Stop after this many distinct failing points (keeps a badly broken
-    /// scheme from taking forever).
-    pub max_failures: usize,
     /// Lane-mark override for every recovery the nested probes run
     /// (`None` = the `STEINS_RECOVERY_WORKERS` env default). With > 1 the
     /// interrupted attempts leave *laned* ADR journals, so the sweep
     /// exercises resume-from-marks instead of resume-from-prefix.
-    pub recovery_lanes: Option<usize>,
+    recovery_lanes: Option<usize>,
 }
 
 impl CrashSweep {
-    /// A sweep of `ops` against `cfg`, testing the `selection` of points.
+    /// A sweep of `ops` (global line indices) against one `cfg` machine,
+    /// testing the `selection` of points.
     pub fn new(cfg: SystemConfig, ops: Vec<SweepOp>, selection: PointSelection) -> Self {
         CrashSweep {
             cfg,
+            shards: 1,
             ops,
             selection,
-            shrink_budget: 2_000,
-            max_failures: 3,
             recovery_lanes: None,
         }
+    }
+
+    /// Builder: replay the stream through `shards` interleave-striped
+    /// shards of `cfg` ([`ShardedEngine::new`]), arming the crash on one
+    /// target shard at a time.
+    pub fn with_shards(mut self, shards: usize) -> Self {
+        self.shards = shards;
+        self
     }
 
     /// Builder: run every nested probe's recoveries with `lanes` lane-mark
@@ -411,84 +512,95 @@ impl CrashSweep {
         CrashSweep::new(cfg, ops, selection)
     }
 
-    /// Enumerates the stream's persist points with a crash-free baseline
-    /// run. Every `k` in `1..=total` is an injectable crash point.
-    pub fn total_points(&self) -> Result<u64, IntegrityError> {
-        Self::enumerate(&self.cfg, &self.ops)
-    }
-
-    /// Injects a crash at point `k`, recovers and verifies; on failure
-    /// returns the minimized repro. The unit of work for point-parallel
-    /// sweeps (each call replays the stream from scratch).
-    pub fn probe_point(&self, k: u64) -> Option<CrashRepro> {
-        match Self::test_point(&self.cfg, &self.ops, k) {
-            Ok(()) => None,
-            Err(fail) => Some(self.shrink(k, fail)),
+    /// Scheme/mode label, plus the shard count when there is more than one.
+    fn label(&self) -> String {
+        let label = self.cfg.scheme.label(self.cfg.mode);
+        if self.shards > 1 {
+            format!("{label} x{}", self.shards)
+        } else {
+            label
         }
     }
 
-    /// Torn variant of [`Self::probe_point`]: at point `k` only the 8-byte
-    /// words selected by `word_mask` persist (bit *i* ⇒ word *i* durable;
-    /// `0x00` drops the write, `0xFF` is the classic full persist). Failures
-    /// are truncated to the in-flight op but not greedily shrunk.
-    pub fn probe_point_torn(&self, k: u64, word_mask: u8) -> Option<CrashRepro> {
-        match Self::test_point_torn(&self.cfg, &self.ops, k, word_mask) {
-            Ok(()) => None,
-            Err(fail) => Some(CrashRepro {
-                label: format!(
-                    "{} torn {word_mask:#04x}",
-                    self.cfg.scheme.label(self.cfg.mode)
-                ),
-                ops: self.ops[..=fail.op_index].to_vec(),
-                op_index: fail.op_index,
-                crash_point: k,
-                point: fail.point,
-                error: fail.error,
-                divergent: fail.divergent,
-            }),
+    fn engine(&self) -> ShardedEngine {
+        ShardedEngine::new(self.cfg.clone(), self.shards)
+    }
+
+    fn laned(&self, crashed: CrashedSystem) -> CrashedSystem {
+        match self.recovery_lanes {
+            Some(l) => crashed.with_recovery_lanes(l),
+            None => crashed,
         }
     }
 
-    fn apply_op(sys: &mut SecureNvmSystem, op: SweepOp) -> Result<(), IntegrityError> {
-        match op {
-            SweepOp::Write { line, tag } => sys.write(line * 64, &SweepOp::payload(line, tag)),
-            SweepOp::Read { line } => sys.read(line * 64).map(|_| ()),
+    /// Runs the stream crash-free with point journaling on, returning every
+    /// persist point of every shard's device.
+    fn enumerate(&self) -> Result<Vec<Vec<PersistPoint>>, IntegrityError> {
+        let engine = self.engine();
+        for s in 0..self.shards {
+            engine.with_shard(s, |sys| sys.ctrl.nvm.journal_points(true));
         }
-    }
-
-    /// Runs the stream to completion (no crash), returning the number of
-    /// persist points it produces.
-    fn enumerate(cfg: &SystemConfig, ops: &[SweepOp]) -> Result<u64, IntegrityError> {
-        let mut sys = SecureNvmSystem::new(cfg.clone());
-        for &op in ops {
-            Self::apply_op(&mut sys, op)?;
+        for &op in &self.ops {
+            op.apply(&engine)?;
         }
-        Ok(sys.ctrl.nvm.persist_seq())
+        Ok((0..self.shards)
+            .map(|s| engine.with_shard(s, |sys| sys.ctrl.nvm.point_journal().to_vec()))
+            .collect())
     }
 
-    /// Injects a crash at point `k`, recovers, verifies. `Ok(())` means the
-    /// point is recoverable (or provably unrecoverable by design for WB).
-    fn test_point(cfg: &SystemConfig, ops: &[SweepOp], k: u64) -> Result<(), PointFailure> {
-        Self::test_point_torn(cfg, ops, k, 0xFF)
+    /// Each shard's persist-point count: shard `s`'s crash points are
+    /// `k` in `1..=total[s]`.
+    pub fn total_points(&self) -> Result<Vec<u64>, IntegrityError> {
+        Ok(self.enumerate()?.iter().map(|j| j.len() as u64).collect())
     }
 
-    /// Replays `ops` with a (possibly torn) crash armed at `k`, then
-    /// reconciles ground truth. `Ok(None)` when `k` lies beyond the
-    /// stream's horizon. Shared with the randomized fault campaign.
+    /// The persist points that pass `keep`, the sweep's selection applied
+    /// per shard, plus how many passed before selection.
+    fn select_points(
+        &self,
+        keep: impl Fn(&PersistPoint) -> bool,
+    ) -> Result<(u64, Vec<CrashPoint>), IntegrityError> {
+        let mut total = 0;
+        let mut points = Vec::new();
+        for (shard, journal) in self.enumerate()?.into_iter().enumerate() {
+            let ks: Vec<u64> = journal.iter().filter(|p| keep(p)).map(|p| p.seq).collect();
+            total += ks.len() as u64;
+            let selected = self.selection.apply(ks);
+            points.extend(selected.into_iter().map(|k| CrashPoint { shard, k }));
+        }
+        Ok((total, points))
+    }
+
+    /// Every selected crash point: the unit list for point-parallel sweeps
+    /// via [`Self::probe_point`].
+    pub fn crash_points(&self) -> Result<Vec<CrashPoint>, IntegrityError> {
+        Ok(self.select_points(|_| true)?.1)
+    }
+
+    /// Every selected persist point that is a 64 B line write — the only
+    /// transitions that can tear (ADR updates are sub-word). The unit list
+    /// for point-parallel torn sweeps via [`Self::probe_point_torn`].
+    pub fn tearable_points(&self) -> Result<Vec<CrashPoint>, IntegrityError> {
+        Ok(self.select_points(|p| p.kind == PersistKind::LineWrite)?.1)
+    }
+
+    /// Replays the stream with a (possibly torn) crash armed at `p`, then
+    /// reconciles ground truth. `Ok(None)` when `p.k` lies beyond the
+    /// target's horizon. Shared with the randomized fault campaign.
     pub(crate) fn crash_torn(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-        k: u64,
+        &self,
+        p: CrashPoint,
         word_mask: u8,
-    ) -> Result<Option<TornCrash>, PointFailure> {
-        let mut sys = SecureNvmSystem::new(cfg.clone());
-        sys.ctrl.nvm.arm_crash_torn(k, word_mask);
+    ) -> Result<Option<(CrashedSystem, Outage)>, PointFailure> {
+        let engine = self.engine();
+        let target = p.shard;
+        engine.with_shard(target, |sys| sys.ctrl.nvm.arm_crash_torn(p.k, word_mask));
 
         // Replay until the armed point pulls the plug.
         let mut acked: HashMap<u64, [u8; 64]> = HashMap::new();
         let mut in_flight: Option<(usize, SweepOp)> = None;
-        for (i, &op) in ops.iter().enumerate() {
-            match Self::apply_op(&mut sys, op) {
+        for (i, &op) in self.ops.iter().enumerate() {
+            match op.apply(&engine) {
                 Ok(()) => {
                     if let SweepOp::Write { line, tag } = op {
                         acked.insert(line * 64, SweepOp::payload(line, tag));
@@ -509,36 +621,38 @@ impl CrashSweep {
             }
         }
         let Some((op_index, op)) = in_flight else {
-            // Armed beyond the stream's horizon: nothing to test.
+            // Armed beyond the target's horizon: nothing to test.
             return Ok(None);
         };
-        let trip = sys.ctrl.nvm.tripped_at();
-        sys.ctrl.nvm.disarm_crash();
+        let trip = engine.with_shard(target, |sys| {
+            sys.ctrl.nvm.disarm_crash();
+            sys.ctrl.nvm.tripped_at()
+        });
 
-        // Lose power. Then reconcile ground truth for the op the crash
-        // interrupted: its store is durable iff the tripping transition was
-        // the data line's own *full* write (the MAC record rides the same
-        // line's ECC bits, so the pair is atomic; a torn line is never an
-        // acknowledged store).
+        // Only the target loses power. Then reconcile ground truth for the
+        // op the crash interrupted: its store is durable iff the tripping
+        // transition was the data line's own *full* write (the MAC record
+        // rides the same line's ECC bits, so the pair is atomic; a torn line
+        // is never an acknowledged store). The trip address and the crashed
+        // image's truth are local to the target's device.
         let mut expected = acked.clone();
-        let mut crashed = sys.crash();
+        let mut crashed = engine.crash_shard(target);
         if let SweepOp::Write { line, tag } = op {
             let addr = line * 64;
+            let (_, local) = engine.map().route(addr);
             let durable = word_mask == 0xFF
-                && trip
-                    .map(|p| p.kind == PersistKind::LineWrite && p.addr == addr)
-                    .unwrap_or(false);
+                && trip.is_some_and(|t| t.kind == PersistKind::LineWrite && t.addr == local);
             if durable {
                 let data = SweepOp::payload(line, tag);
-                crashed.truth.insert(addr, data);
+                crashed.truth.insert(local, data);
                 expected.insert(addr, data);
             } else {
                 match acked.get(&addr) {
                     Some(v) => {
-                        crashed.truth.insert(addr, *v);
+                        crashed.truth.insert(local, *v);
                     }
                     None => {
-                        crashed.truth.remove(&addr);
+                        crashed.truth.remove(&local);
                     }
                 }
             }
@@ -551,227 +665,261 @@ impl CrashSweep {
         // acked line must still read back.
         let mut sacrificed = None;
         if word_mask != 0xFF {
-            if let Some(p) = trip {
-                if p.kind == PersistKind::LineWrite && crashed.layout.is_data(p.addr) {
-                    sacrificed = Some(p.addr);
-                    expected.remove(&p.addr);
-                    crashed.truth.remove(&p.addr);
+            if let Some(t) = trip {
+                if t.kind == PersistKind::LineWrite && crashed.layout.is_data(t.addr) {
+                    let addr = engine.map().global_line(target, t.addr / 64) * 64;
+                    sacrificed = Some(addr);
+                    expected.remove(&addr);
+                    crashed.truth.remove(&t.addr);
                 }
             }
         }
 
-        Ok(Some(TornCrash {
-            crashed,
+        let outage = Outage {
+            engine,
+            target,
             op_index,
             trip,
             expected,
             sacrificed,
-        }))
+        };
+        Ok(Some((crashed, outage)))
     }
 
-    /// Verifies a recovered (or scrubbed) machine against the reconciled
-    /// expectations.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_recovered(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-        k: u64,
-        recovered: &mut SecureNvmSystem,
-        expected: &HashMap<u64, [u8; 64]>,
-        sacrificed: Option<u64>,
-        op_index: usize,
-        trip: Option<PersistPoint>,
-    ) -> Result<(), PointFailure> {
-        // Read back every acknowledged write: verifies the data MACs and —
-        // through the fetch path — every ancestor node of every populated
-        // tree branch.
-        let mut lines: Vec<u64> = expected.keys().copied().collect();
+    /// Verifies the engine once the target has a system again: every
+    /// acknowledged line reads back through the router (which verifies the
+    /// data MACs and — through the fetch path — every ancestor node of every
+    /// populated tree branch), the sacrificed line fails closed, every
+    /// shard's LInc registers equal a from-scratch recomputation, and the
+    /// target's journal is stamped by the target. Neighbors must hold a
+    /// pristine `IDLE` journal after a one-shard outage, or — with
+    /// `co_recovered`, after a whole-engine rebuild — a finished journal
+    /// stamped by themselves.
+    fn verify(&self, out: &Outage, p: CrashPoint, co_recovered: bool) -> Result<(), PointFailure> {
+        let engine = &out.engine;
+        let mut lines: Vec<u64> = out.expected.keys().copied().collect();
         lines.sort_unstable();
         for addr in lines {
-            let want = expected[&addr];
-            match recovered.read(addr) {
+            let want = out.expected[&addr];
+            match engine.read(addr) {
                 Ok(got) if got == want => {}
                 Ok(got) => {
-                    return Err(PointFailure {
-                        op_index,
-                        point: trip,
-                        error: format!("acked write at {addr:#x} diverged after recovery"),
-                        divergent: format!(
+                    return Err(out.fail(
+                        format!("acked write at {addr:#x} diverged after recovery"),
+                        format!(
                             "data line {}: got {:02x?}…, want {:02x?}…",
                             addr / 64,
                             &got[..8],
                             &want[..8]
                         ),
-                    });
+                    ));
                 }
                 Err(e) => {
-                    return Err(PointFailure {
-                        op_index,
-                        point: trip,
-                        divergent: Self::diagnose_error(cfg, ops, k, &e),
-                        error: format!("read-back of {addr:#x} failed: {e}"),
-                    });
+                    let owner = engine.map().shard_of(addr / 64);
+                    let divergent = if owner == out.target {
+                        self.diagnose_error(p, &e)
+                    } else {
+                        format!("owned by shard {owner}")
+                    };
+                    return Err(out.fail(format!("read-back of {addr:#x} failed: {e}"), divergent));
                 }
             }
         }
 
         // The torn line must fail closed: its stored bytes are a mix that
         // cannot verify against the MAC record.
-        if let Some(addr) = sacrificed {
-            if recovered.read(addr).is_ok() {
-                return Err(PointFailure {
-                    op_index,
-                    point: trip,
-                    error: format!("torn data line {addr:#x} read back Ok"),
-                    divergent: "a torn line must fail its MAC, never return mixed words".into(),
-                });
+        if let Some(addr) = out.sacrificed {
+            if engine.read(addr).is_ok() {
+                return Err(out.fail(
+                    format!("torn data line {addr:#x} read back Ok"),
+                    "a torn line must fail its MAC, never return mixed words",
+                ));
             }
         }
 
-        // Steins: the recovered LInc registers must equal a from-scratch
-        // recomputation over the rebuilt cache + NV buffer.
-        if let (Some(stored), Some(expect)) =
-            (recovered.ctrl.lincs(), recovered.ctrl.recompute_lincs())
-        {
-            if stored != expect {
-                return Err(PointFailure {
-                    op_index,
-                    point: trip,
-                    error: "LInc registers inconsistent after recovery".into(),
-                    divergent: format!("lincs stored {stored:?} != recomputed {expect:?}"),
-                });
+        for s in 0..self.shards {
+            let bad = engine.with_shard(s, |sys| {
+                if let (Some(stored), Some(expect)) = (sys.ctrl.lincs(), sys.ctrl.recompute_lincs())
+                {
+                    if stored != expect {
+                        return Some((
+                            "LInc registers inconsistent after recovery",
+                            format!("shard {s}: lincs stored {stored:?} != recomputed {expect:?}"),
+                        ));
+                    }
+                }
+                let owner = sys.ctrl.nvm.journal_owner();
+                let phase = sys.ctrl.nvm.recovery_journal().phase;
+                let journal_bad = if s == out.target {
+                    owner != s as u16
+                } else if co_recovered {
+                    journal::in_progress(phase) || owner != s as u16
+                } else {
+                    phase != journal::IDLE
+                };
+                journal_bad.then(|| {
+                    (
+                        "journal line inconsistent after recovery",
+                        format!(
+                            "shard {s} (target {}) journal phase {} stamped by shard {owner}",
+                            out.target,
+                            journal::name(phase)
+                        ),
+                    )
+                })
+            });
+            if let Some((error, divergent)) = bad {
+                return Err(out.fail(error, divergent));
             }
         }
         Ok(())
     }
 
-    /// Injects a torn crash at point `k` (only `word_mask`'s words of the
-    /// tripping line persist) and verifies the torn contract: strict
-    /// recovery either succeeds — with every acked line intact and the torn
-    /// line failing closed — or errors cleanly, in which case the lenient
-    /// scrub must salvage everything except the torn line itself, without
-    /// panicking.
-    fn test_point_torn(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-        k: u64,
-        word_mask: u8,
+    /// Reinstates the target's recovered (or scrubbed) system and verifies
+    /// the one-shard outage.
+    fn reinstate(
+        &self,
+        out: &Outage,
+        p: CrashPoint,
+        sys: SecureNvmSystem,
     ) -> Result<(), PointFailure> {
-        let Some(tc) = Self::crash_torn(cfg, ops, k, word_mask)? else {
+        out.engine.put_shard(out.target, sys);
+        self.verify(out, p, false)
+    }
+
+    /// Liveness: after recovery every shard serves the rest of the stream
+    /// (skipping the interrupted op, whose ack never reached the caller),
+    /// and its writes join the expectations.
+    fn serve_rest(&self, out: &mut Outage) -> Result<(), PointFailure> {
+        for (i, &op) in self.ops.iter().enumerate().skip(out.op_index + 1) {
+            if let Err(e) = op.apply(&out.engine) {
+                return Err(PointFailure {
+                    op_index: i,
+                    point: out.trip,
+                    error: format!("post-recovery op failed: {e}"),
+                    divergent: "every shard must keep serving the stream after recovery".into(),
+                });
+            }
+            if let SweepOp::Write { line, tag } = op {
+                out.expected.insert(line * 64, SweepOp::payload(line, tag));
+            }
+        }
+        Ok(())
+    }
+
+    /// Injects a crash at `p` — torn: only `word_mask`'s 8-byte words of the
+    /// tripping line persist (bit *i* ⇒ word *i* durable; `0xFF` is the
+    /// classic full persist) — and checks the sweep contract. A whole-line
+    /// crash must recover strictly with `restarts == 0`, verify, serve the
+    /// rest of the stream on every shard, and verify again. A torn crash
+    /// either recovers strictly and verifies — the torn line failing closed
+    /// — or errors cleanly, in which case the lenient scrub must salvage
+    /// everything except the torn line itself, without panicking. WB must
+    /// refuse recovery at every point.
+    fn test_point(&self, p: CrashPoint, word_mask: u8) -> Result<(), PointFailure> {
+        let Some((crashed, mut out)) = self.crash_torn(p, word_mask)? else {
             return Ok(());
         };
-        let TornCrash {
-            crashed,
-            op_index,
-            trip,
-            expected,
-            sacrificed,
-        } = tc;
-
-        // WB has no recovery: the contract under fault injection is that it
-        // says so, at every single point.
         if !crashed.recoverable() {
-            return match crashed.recover() {
-                Err(IntegrityError::RecoveryUnsupported) => Ok(()),
-                other => Err(PointFailure {
-                    op_index,
-                    point: trip,
-                    error: format!(
-                        "WB must refuse recovery, got {:?}",
-                        other.as_ref().err().map(|e| e.to_string())
-                    ),
-                    divergent: "n/a".into(),
-                }),
-            };
+            return out.refused(crashed.recover().err());
         }
-
         match crashed.recover() {
-            Ok((mut recovered, _report)) => Self::verify_recovered(
-                cfg,
-                ops,
-                k,
-                &mut recovered,
-                &expected,
-                sacrificed,
-                op_index,
-                trip,
-            ),
-            Err(strict) => {
-                if word_mask == 0xFF {
-                    // Whole-line persists must always recover strictly.
-                    return Err(PointFailure {
-                        op_index,
-                        point: trip,
-                        divergent: Self::diagnose_error(cfg, ops, k, &strict),
-                        error: strict.to_string(),
-                    });
+            Ok((sys, report)) => {
+                self.reinstate(&out, p, sys)?;
+                if word_mask != 0xFF {
+                    return Ok(());
                 }
+                let restarts = restarts(&report);
+                if restarts != 0 {
+                    return Err(out.fail(
+                        format!("first recovery reported {restarts} restarts"),
+                        "a single crash starts from an idle journal",
+                    ));
+                }
+                self.serve_rest(&mut out)?;
+                self.verify(&out, p, false)
+            }
+            Err(strict) if word_mask == 0xFF => {
+                // Whole-line persists must always recover strictly.
+                Err(out.fail(strict.to_string(), self.diagnose_error(p, &strict)))
+            }
+            Err(strict) => {
                 // A torn line may defeat strict (fail-stop) recovery — e.g.
                 // a torn in-place node flush fails its MAC exactly like
                 // tampering. The lenient scrub must then rebuild everything
                 // from the data plane.
-                let Some(tc2) = Self::crash_torn(cfg, ops, k, word_mask)? else {
-                    return Err(PointFailure {
-                        op_index,
-                        point: trip,
-                        error: "crash image not reproducible for the scrub".into(),
-                        divergent: "n/a".into(),
-                    });
+                let Some((crashed2, out2)) = self.crash_torn(p, word_mask)? else {
+                    return Err(out.fail("crash image not reproducible for the scrub", "n/a"));
                 };
-                let crashed2 = tc2.crashed;
-                let outcome = catch_unwind(AssertUnwindSafe(move || crashed2.recover_lenient()));
-                let (sys, report) = match outcome {
-                    Ok(r) => r,
-                    Err(_) => {
-                        return Err(PointFailure {
-                            op_index,
-                            point: trip,
-                            error: format!("scrub panicked after strict error: {strict}"),
-                            divergent: "lenient recovery must be total".into(),
-                        });
-                    }
+                let Ok((sys, report)) =
+                    catch_unwind(AssertUnwindSafe(move || crashed2.recover_lenient()))
+                else {
+                    return Err(out.fail(
+                        format!("scrub panicked after strict error: {strict}"),
+                        "lenient recovery must be total",
+                    ));
                 };
-                if let Some(bad) = report
-                    .unrecoverable_addrs
-                    .iter()
-                    .find(|a| Some(**a) != sacrificed)
-                {
-                    return Err(PointFailure {
-                        op_index,
-                        point: trip,
-                        error: format!(
-                            "scrub lost durable data at {bad:#x} (strict error: {strict})"
-                        ),
-                        divergent: format!("{report}"),
-                    });
-                }
-                let Some(mut sys) = sys else {
-                    return Err(PointFailure {
-                        op_index,
-                        point: trip,
-                        error: "scrub returned no system for a recoverable scheme".into(),
-                        divergent: format!("{report}"),
-                    });
-                };
-                Self::verify_recovered(cfg, ops, k, &mut sys, &expected, sacrificed, op_index, trip)
+                self.check_scrub(&out2, p, sys, &report, &strict, 0)
             }
         }
     }
 
-    /// Rebuilds the crashed NVM image for point `k` and probes which counter
-    /// the failing MAC actually corresponds to (`debug_repro` style).
-    fn diagnose_error(cfg: &SystemConfig, ops: &[SweepOp], k: u64, e: &IntegrityError) -> String {
-        let crashed = match Self::crash_at(cfg, ops, k) {
-            Some(c) => c,
-            None => return "state not reproducible".into(),
+    /// The lenient contract: an interrupted prior pass is visible as a
+    /// restart, nothing beyond the sacrificed line is lost, a system comes
+    /// back, and the reinstated engine verifies.
+    fn check_scrub(
+        &self,
+        out: &Outage,
+        p: CrashPoint,
+        sys: Option<SecureNvmSystem>,
+        report: &ScrubReport,
+        strict: &IntegrityError,
+        min_restarts: u64,
+    ) -> Result<(), PointFailure> {
+        if report.restarts < min_restarts {
+            return Err(out.fail(
+                format!(
+                    "scrub after an interrupted pass reported {} restarts, need ≥ {min_restarts}",
+                    report.restarts
+                ),
+                "the ADR journal must record the interrupted attempt",
+            ));
+        }
+        let map = out.engine.map();
+        if let Some(bad) = report
+            .unrecoverable_addrs
+            .iter()
+            .map(|&a| map.global_line(out.target, a / 64) * 64)
+            .find(|&a| Some(a) != out.sacrificed)
+        {
+            return Err(out.fail(
+                format!("scrub lost durable data at {bad:#x} (strict error: {strict})"),
+                format!("{report}"),
+            ));
+        }
+        let Some(sys) = sys else {
+            return Err(out.fail(
+                "scrub returned no system for a recoverable scheme",
+                format!("{report}"),
+            ));
         };
-        let probe = SecureNvmSystem::new(cfg.clone()); // same key/layout
+        self.reinstate(out, p, sys)
+    }
+
+    /// Rebuilds the target's crashed image for `p` and probes which counter
+    /// the failing MAC actually corresponds to ([`crate::diagnose`]).
+    fn diagnose_error(&self, p: CrashPoint, e: &IntegrityError) -> String {
+        let Ok(Some((crashed, out))) = self.crash_torn(p, 0xFF) else {
+            return "state not reproducible".into();
+        };
+        // Same key and layout as the target shard.
+        let probe = SecureNvmSystem::new(out.engine.shard_config().clone());
         match *e {
             IntegrityError::NodeMac { node } => {
                 let geo = &crashed.layout.geometry;
                 let off = geo.offset_of(node);
                 let line = crashed.nvm.peek(crashed.layout.node_addr(off));
-                let n = if node.level == 0 && cfg.mode == CounterMode::Split {
+                let n = if node.level == 0 && self.cfg.mode == CounterMode::Split {
                     steins_metadata::SitNode::split_from_line(&line)
                 } else {
                     steins_metadata::SitNode::general_from_line(&line)
@@ -799,7 +947,7 @@ impl CrashSweep {
                 let rec = crate::cme::MacRecord::read_slot(&crashed.nvm.peek(laddr), byte / 16);
                 let (mj, _) = crate::cme::MacRecord::unpack_recovery(rec.recovery);
                 let data = crashed.nvm.peek(addr & !63);
-                let span = cfg.mode.leaf_coverage().max(64);
+                let span = self.cfg.mode.leaf_coverage().max(64);
                 format!(
                     "data line {dline}: {}",
                     diagnose::probe_data_mac(&probe.ctrl, addr & !63, &data, rec.mac, mj, 8, span)
@@ -816,64 +964,85 @@ impl CrashSweep {
         }
     }
 
-    /// Re-runs the stream and crashes at point `k`, returning the crashed
-    /// machine (diagnostics only).
-    fn crash_at(cfg: &SystemConfig, ops: &[SweepOp], k: u64) -> Option<CrashedSystem> {
-        Some(Self::crash_torn(cfg, ops, k, 0xFF).ok()??.crashed)
+    /// A repro of `fail` at `p`, labeled `"{label} {leg}"` and truncated to
+    /// the failing op (not greedily shrunk).
+    fn repro(&self, leg: &str, p: CrashPoint, fail: PointFailure) -> CrashRepro {
+        CrashRepro {
+            label: if leg.is_empty() {
+                self.label()
+            } else {
+                format!("{} {leg}", self.label())
+            },
+            shard: (self.shards > 1).then_some(p.shard),
+            ops: self.ops[..=fail.op_index].to_vec(),
+            op_index: fail.op_index,
+            crash_point: p.k,
+            point: fail.point,
+            error: fail.error,
+            divergent: fail.divergent,
+        }
     }
 
-    /// Finds the first failing point of `ops`, spending at most `budget`
-    /// point tests. Returns the point and its failure.
-    fn first_failure(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-        budget: &mut usize,
-    ) -> Option<(u64, PointFailure)> {
-        let total = Self::enumerate(cfg, ops).ok()?;
-        for k in 1..=total {
-            if *budget == 0 {
-                return None;
-            }
-            *budget -= 1;
-            if let Err(fail) = Self::test_point(cfg, ops, k) {
-                return Some((k, fail));
+    /// Injects a whole-line crash at `p`, recovers and verifies; on failure
+    /// returns the minimized repro. The unit of work for point-parallel
+    /// sweeps (each call replays the stream from scratch).
+    pub fn probe_point(&self, p: CrashPoint) -> Option<CrashRepro> {
+        let fail = self.test_point(p, 0xFF).err()?;
+        Some(self.shrink(p, fail))
+    }
+
+    /// Torn variant of [`Self::probe_point`] (see the torn contract there).
+    /// Failures are truncated to the in-flight op but not greedily shrunk.
+    pub fn probe_point_torn(&self, p: CrashPoint, word_mask: u8) -> Option<CrashRepro> {
+        let fail = self.test_point(p, word_mask).err()?;
+        Some(self.repro(&format!("torn {word_mask:#04x}"), p, fail))
+    }
+
+    /// Finds the first failing whole-line point of the stream, spending at
+    /// most `budget` point tests.
+    fn first_failure(&self, budget: &mut usize) -> Option<(CrashPoint, PointFailure)> {
+        for (shard, total) in self.total_points().ok()?.into_iter().enumerate() {
+            for k in 1..=total {
+                if *budget == 0 {
+                    return None;
+                }
+                *budget -= 1;
+                let p = CrashPoint { shard, k };
+                if let Err(fail) = self.test_point(p, 0xFF) {
+                    return Some((p, fail));
+                }
             }
         }
         None
     }
 
-    /// Shrinks a failing (ops, point) pair: truncate past the in-flight op,
+    /// Shrinks a failing (ops, point) pair: truncate past the failing op,
     /// then greedily drop earlier ops while *some* point still fails.
-    fn shrink(&self, k: u64, fail: PointFailure) -> CrashRepro {
-        let mut best_ops: Vec<SweepOp> = self.ops[..=fail.op_index].to_vec();
-        let mut best = (k, fail);
-        let mut budget = self.shrink_budget;
-        // Dropping ops after the in-flight one never changes the execution
-        // up to the crash, so the truncation above is free. Now try dropping
+    fn shrink(&self, p: CrashPoint, fail: PointFailure) -> CrashRepro {
+        let mut best = CrashSweep {
+            ops: self.ops[..=fail.op_index].to_vec(),
+            ..self.clone()
+        };
+        let mut best_fail = (p, fail);
+        let mut budget = SHRINK_BUDGET;
+        // Dropping ops after the failing one never changes the execution up
+        // to the failure, so the truncation above is free. Now try dropping
         // each earlier op, latest first (later ops are least likely to be
         // load-bearing for the corruption).
-        let mut j = best_ops.len().saturating_sub(1);
+        let mut j = best.ops.len().saturating_sub(1);
         while j > 0 && budget > 0 {
             j -= 1;
-            let mut candidate = best_ops.clone();
-            candidate.remove(j);
-            if let Some((k2, f2)) = Self::first_failure(&self.cfg, &candidate, &mut budget) {
-                best_ops = candidate;
-                best_ops.truncate(f2.op_index + 1);
-                best = (k2, f2);
-                j = j.min(best_ops.len().saturating_sub(1));
+            let mut candidate = best.clone();
+            candidate.ops.remove(j);
+            if let Some((p2, f2)) = candidate.first_failure(&mut budget) {
+                candidate.ops.truncate(f2.op_index + 1);
+                best = candidate;
+                best_fail = (p2, f2);
+                j = j.min(best.ops.len().saturating_sub(1));
             }
         }
-        let (crash_point, fail) = best;
-        CrashRepro {
-            label: self.cfg.scheme.label(self.cfg.mode),
-            op_index: fail.op_index,
-            crash_point,
-            point: fail.point,
-            error: fail.error,
-            divergent: fail.divergent,
-            ops: best_ops,
-        }
+        let (p, fail) = best_fail;
+        best.repro("", p, fail)
     }
 
     /// The report of a sweep whose crash-free baseline run already fails.
@@ -884,6 +1053,7 @@ impl CrashSweep {
             tested_points: 0,
             failures: vec![CrashRepro {
                 label,
+                shard: None,
                 ops: self.ops.clone(),
                 op_index: 0,
                 crash_point: 0,
@@ -894,23 +1064,21 @@ impl CrashSweep {
         }
     }
 
-    /// Runs the sweep.
-    pub fn run(&self) -> SweepReport {
-        let label = self.cfg.scheme.label(self.cfg.mode);
-        let total = match Self::enumerate(&self.cfg, &self.ops) {
-            Ok(t) => t,
-            Err(e) => return self.baseline_failed(label, e),
-        };
-        let points = self.select((1..=total).collect());
+    /// Probes `jobs` in order, stopping after [`MAX_FAILURES`] failures.
+    /// `total` is what the leg enumerated before selection.
+    fn drive<J: Copy>(
+        label: String,
+        total: u64,
+        jobs: &[J],
+        probe: impl Fn(J) -> Option<CrashRepro>,
+    ) -> SweepReport {
         let mut failures = Vec::new();
         let mut tested = 0u64;
-        for &k in &points {
+        for &job in jobs {
             tested += 1;
-            if let Err(fail) = Self::test_point(&self.cfg, &self.ops, k) {
-                failures.push(self.shrink(k, fail));
-                if failures.len() >= self.max_failures {
-                    break;
-                }
+            failures.extend(probe(job));
+            if failures.len() >= MAX_FAILURES {
+                break;
             }
         }
         SweepReport {
@@ -921,105 +1089,30 @@ impl CrashSweep {
         }
     }
 
-    /// Runs the stream to completion with point journaling on, returning
-    /// every persist point it produces (for kind-aware point selection).
-    fn enumerate_journal(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-    ) -> Result<Vec<PersistPoint>, IntegrityError> {
-        let mut sys = SecureNvmSystem::new(cfg.clone());
-        sys.ctrl.nvm.journal_points(true);
-        for &op in ops {
-            Self::apply_op(&mut sys, op)?;
-        }
-        let journal = sys.ctrl.nvm.point_journal().to_vec();
-        Ok(journal)
-    }
-
-    /// Applies the sweep's [`PointSelection`] to an arbitrary point list,
-    /// striding by index so first and last survive bounding.
-    fn select(&self, points: Vec<u64>) -> Vec<u64> {
-        Self::select_with(self.selection, points)
-    }
-
-    /// [`Self::select`] with an explicit selection (nested sweeps bound
-    /// outer and inner point lists independently; the sharded sweep reuses
-    /// the same striding so bounded runs compare across harnesses).
-    pub(crate) fn select_with<T: Copy>(selection: PointSelection, points: Vec<T>) -> Vec<T> {
-        match selection {
-            PointSelection::All => points,
-            PointSelection::AtMost(n) if n >= points.len() => points,
-            PointSelection::AtMost(n) => {
-                let n = n.max(1) as u64;
-                let last = (points.len() - 1) as u64;
-                (0..n)
-                    .map(|i| points[(i * last / (n - 1).max(1)) as usize])
-                    .collect()
-            }
+    /// Runs the whole-line sweep serially over every selected point.
+    pub fn run(&self) -> SweepReport {
+        let label = self.label();
+        match self.select_points(|_| true) {
+            Ok((total, points)) => Self::drive(label, total, &points, |p| self.probe_point(p)),
+            Err(e) => self.baseline_failed(label, e),
         }
     }
 
-    /// Every persist point of the stream that is a 64 B line write — the
-    /// only transitions that can tear (ADR updates are sub-word) — after
-    /// applying the sweep's [`PointSelection`]. The unit list for
-    /// point-parallel torn sweeps via [`Self::probe_point_torn`].
-    pub fn tearable_points(&self) -> Result<Vec<u64>, IntegrityError> {
-        let journal = Self::enumerate_journal(&self.cfg, &self.ops)?;
-        Ok(self.select(
-            journal
-                .iter()
-                .filter(|p| p.kind == PersistKind::LineWrite)
-                .map(|p| p.seq)
-                .collect(),
-        ))
-    }
-
-    /// Sweeps torn-write variants: for each selected `LineWrite` persist
-    /// point, re-runs the stream crashing there under every mask in
-    /// `word_masks` (bit *i* ⇒ 8-byte word *i* persists). ADR updates are
-    /// sub-word and never tear, so only line writes are enumerated. The
-    /// contract per (point, mask): strict recovery succeeds with the torn
-    /// line failing closed, or the lenient scrub salvages everything but the
-    /// torn line without panicking.
+    /// Sweeps torn-write variants: every selected line-write point (ADR
+    /// updates are sub-word and never tear) is re-crashed under every mask
+    /// in `word_masks` (bit *i* ⇒ 8-byte word *i* persists).
     pub fn run_torn(&self, word_masks: &[u8]) -> SweepReport {
-        let label = format!("{} torn", self.cfg.scheme.label(self.cfg.mode));
-        let journal = match Self::enumerate_journal(&self.cfg, &self.ops) {
-            Ok(j) => j,
-            Err(e) => return self.baseline_failed(label, e),
-        };
-        let tearable: Vec<u64> = journal
-            .iter()
-            .filter(|p| p.kind == PersistKind::LineWrite)
-            .map(|p| p.seq)
-            .collect();
-        let total = tearable.len() as u64;
-        let points = self.select(tearable);
-        let mut failures = Vec::new();
-        let mut tested = 0u64;
-        'outer: for &k in &points {
-            for &mask in word_masks {
-                tested += 1;
-                if let Err(fail) = Self::test_point_torn(&self.cfg, &self.ops, k, mask) {
-                    failures.push(CrashRepro {
-                        label: format!("{label} {mask:#04x}"),
-                        ops: self.ops[..=fail.op_index].to_vec(),
-                        op_index: fail.op_index,
-                        crash_point: k,
-                        point: fail.point,
-                        error: fail.error,
-                        divergent: fail.divergent,
-                    });
-                    if failures.len() >= self.max_failures {
-                        break 'outer;
-                    }
-                }
+        let label = format!("{} torn", self.label());
+        match self.select_points(|p| p.kind == PersistKind::LineWrite) {
+            Ok((total, points)) => {
+                let jobs: Vec<(CrashPoint, u8)> = points
+                    .iter()
+                    .flat_map(|&p| word_masks.iter().map(move |&m| (p, m)))
+                    .collect();
+                let total = total * word_masks.len() as u64;
+                Self::drive(label, total, &jobs, |(p, m)| self.probe_point_torn(p, m))
             }
-        }
-        SweepReport {
-            label,
-            total_points: total * word_masks.len() as u64,
-            tested_points: tested,
-            failures,
+            Err(e) => self.baseline_failed(label, e),
         }
     }
 
@@ -1028,28 +1121,26 @@ impl CrashSweep {
     // The recovery state machine journals its progress in the ADR domain
     // (`RecoveryJournal`), parks the partial system in the caller's slot
     // before its first durable write, and replays each phase re-entrantly.
-    // These drivers prove it: reproduce an outer crash, re-arm the device at
-    // a persist point *recovery itself* fires (journal updates, record and
-    // shadow rewrites, scrub pokes — pokes are traced as tearable points
-    // during injection), crash again, and require the second recovery to
-    // converge on the same verified state.
+    // These drivers prove it: reproduce an outer crash, re-arm the target's
+    // device at a persist point *recovery itself* fires (journal updates,
+    // record and shadow rewrites, scrub pokes — pokes are traced as tearable
+    // points during injection), crash again, and require the second
+    // recovery to converge on the same verified state.
 
     /// Enumerates the persist points recovery fires for the outer crash
-    /// `(k, outer_mask)`: journal updates, record/shadow line writes, and —
+    /// `(p, outer_mask)`: journal updates, record/shadow line writes, and —
     /// with poke tracing on — every in-place rewrite. When a torn outer
     /// defeats strict recovery the scrub's points are enumerated instead
-    /// (that is the path a second crash would interrupt). Empty when `k` is
-    /// beyond the stream's horizon or the scheme cannot recover.
+    /// (that is the path a second crash would interrupt). Empty when `p.k`
+    /// is beyond the target's horizon or the scheme cannot recover.
     pub(crate) fn recovery_points(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-        k: u64,
+        &self,
+        p: CrashPoint,
         outer_mask: u8,
     ) -> Result<Vec<PersistPoint>, PointFailure> {
-        let Some(tc) = Self::crash_torn(cfg, ops, k, outer_mask)? else {
+        let Some((mut crashed, _)) = self.crash_torn(p, outer_mask)? else {
             return Ok(Vec::new());
         };
-        let mut crashed = tc.crashed;
         if !crashed.recoverable() {
             return Ok(Vec::new());
         }
@@ -1062,10 +1153,9 @@ impl CrashSweep {
         }
         // Strict recovery refused (torn outer): the scrub is what a second
         // crash would interrupt — enumerate its points instead.
-        let Some(tc2) = Self::crash_torn(cfg, ops, k, outer_mask)? else {
+        let Some((mut crashed2, _)) = self.crash_torn(p, outer_mask)? else {
             return Ok(Vec::new());
         };
-        let mut crashed2 = tc2.crashed;
         crashed2.nvm.trace_pokes(true);
         crashed2.nvm.journal_points(true);
         let mut slot2 = None;
@@ -1075,77 +1165,52 @@ impl CrashSweep {
             .unwrap_or_default())
     }
 
-    /// Reproduces the outer crash `(k, outer_mask)`, re-arms the device at
-    /// absolute persist point `j` (torn by `inner_mask` for line writes)
-    /// with poke tracing on, and runs strict recovery once. Returns how the
-    /// nested run ended plus the outer crash's reconciled expectations.
-    /// `Ok(None)` when `k` lies beyond the stream's horizon.
-    pub(crate) fn crash_nested(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-        k: u64,
+    /// Reproduces the outer crash `(p, outer_mask)`, re-arms the target's
+    /// device at absolute persist point `j` (torn by `inner_mask` for line
+    /// writes) with poke tracing on, and runs strict recovery once. Returns
+    /// how the nested run ended plus the outer crash's outage. `Ok(None)`
+    /// when `p.k` lies beyond the target's horizon.
+    fn crash_nested(
+        &self,
+        p: CrashPoint,
         outer_mask: u8,
         j: u64,
         inner_mask: u8,
-        lanes: Option<usize>,
-    ) -> Result<Option<(NestedRun, NestedCtx)>, PointFailure> {
-        let Some(tc) = Self::crash_torn(cfg, ops, k, outer_mask)? else {
+    ) -> Result<Option<(NestedRun, Outage)>, PointFailure> {
+        let Some((crashed, out)) = self.crash_torn(p, outer_mask)? else {
             return Ok(None);
         };
-        let TornCrash {
-            mut crashed,
-            op_index,
-            trip,
-            expected,
-            sacrificed,
-        } = tc;
-        if let Some(l) = lanes {
-            crashed = crashed.with_recovery_lanes(l);
-        }
-        let ctx = NestedCtx {
-            op_index,
-            trip,
-            expected,
-            sacrificed,
-        };
+        let mut crashed = self.laned(crashed);
         crashed.nvm.trace_pokes(true);
         crashed.nvm.arm_crash_torn(j, inner_mask);
         let mut slot = None;
         let run = match crashed.recover_into(&mut slot) {
             Ok(_report) => {
-                let Some(mut sys) = slot.take() else {
-                    return Err(PointFailure {
-                        op_index,
-                        point: trip,
-                        error: "recovery returned Ok without parking the system".into(),
-                        divergent: "recover_into must fill the caller's slot".into(),
-                    });
+                let Some(sys) = slot.take() else {
+                    return Err(out.fail(
+                        "recovery returned Ok without parking the system",
+                        "recover_into must fill the caller's slot",
+                    ));
                 };
-                sys.ctrl.nvm.disarm_crash();
-                sys.ctrl.nvm.trace_pokes(false);
-                NestedRun::Completed(Box::new(sys))
+                NestedRun::Completed(Box::new(disarmed(sys)))
             }
             Err(IntegrityError::PowerCut) => {
-                let Some(mut partial) = slot.take() else {
-                    return Err(PointFailure {
-                        op_index,
-                        point: trip,
-                        error: format!(
+                let Some(partial) = slot.take() else {
+                    return Err(out.fail(
+                        format!(
                             "inner crash at point {j} tripped before recovery parked the system"
                         ),
-                        divergent: "recovery must park before its first durable write".into(),
-                    });
+                        "recovery must park before its first durable write",
+                    ));
                 };
-                partial.ctrl.nvm.disarm_crash();
-                partial.ctrl.nvm.trace_pokes(false);
-                NestedRun::Crashed(Box::new(partial.crash()))
+                NestedRun::Crashed(Box::new(disarmed(partial).crash()))
             }
             Err(e) => NestedRun::StrictFailed(e),
         };
-        Ok(Some((run, ctx)))
+        Ok(Some((run, out)))
     }
 
-    /// Tests one nested point: outer crash at `k` (mask `outer_mask`), a
+    /// Tests one nested point: outer crash at `p` (mask `outer_mask`), a
     /// second crash at recovery-time point `j` (mask `inner_mask`), then a
     /// *second* recovery of the doubly-crashed machine. The contract:
     /// * WB refuses recovery at every nested point;
@@ -1157,105 +1222,59 @@ impl CrashSweep {
     /// * only a torn write may defeat the strict path, in which case the
     ///   lenient scrub must salvage everything but the sacrificed line —
     ///   including when the inner crash interrupts the scrub itself.
-    pub(crate) fn test_point_nested(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-        k: u64,
+    fn test_point_nested(
+        &self,
+        p: CrashPoint,
         outer_mask: u8,
         j: u64,
         inner_mask: u8,
-        lanes: Option<usize>,
     ) -> Result<(), PointFailure> {
-        let Some((run, ctx)) = Self::crash_nested(cfg, ops, k, outer_mask, j, inner_mask, lanes)?
-        else {
+        let Some((run, out)) = self.crash_nested(p, outer_mask, j, inner_mask)? else {
             return Ok(());
         };
-        let NestedCtx {
-            op_index,
-            trip,
-            expected,
-            sacrificed,
-        } = ctx;
-
-        if matches!(cfg.scheme, SchemeKind::WriteBack) {
+        if matches!(self.cfg.scheme, SchemeKind::WriteBack) {
             return match run {
                 NestedRun::StrictFailed(IntegrityError::RecoveryUnsupported) => Ok(()),
-                _ => Err(PointFailure {
-                    op_index,
-                    point: trip,
-                    error: "WB must refuse recovery under nested injection".into(),
-                    divergent: "n/a".into(),
-                }),
+                _ => Err(out.fail("WB must refuse recovery under nested injection", "n/a")),
             };
         }
-
-        match run {
-            NestedRun::Completed(mut sys) => {
-                Self::verify_recovered(cfg, ops, k, &mut sys, &expected, sacrificed, op_index, trip)
-            }
+        let strict = match run {
+            NestedRun::Completed(sys) => return self.reinstate(&out, p, *sys),
             NestedRun::Crashed(crashed2) => {
-                let mut crashed2 = *crashed2;
-                if let Some(l) = lanes {
-                    crashed2 = crashed2.with_recovery_lanes(l);
-                }
-                let finished =
-                    !crate::recovery::journal::in_progress(crashed2.nvm.recovery_journal().phase);
+                let crashed2 = self.laned(*crashed2);
+                let finished = !journal::in_progress(crashed2.nvm.recovery_journal().phase);
                 match crashed2.recover() {
-                    Ok((mut sys2, report2)) => {
-                        let restarts = report2
-                            .metrics
-                            .counter("core.recovery.restarts")
-                            .unwrap_or(0);
-                        if restarts == 0 && !finished {
-                            return Err(PointFailure {
-                                op_index,
-                                point: trip,
-                                error: format!(
+                    Ok((sys2, report2)) => {
+                        if restarts(&report2) == 0 && !finished {
+                            return Err(out.fail(
+                                format!(
                                     "second recovery after inner crash at {j} reported no restart"
                                 ),
-                                divergent: "the ADR journal must record the interrupted attempt"
-                                    .into(),
-                            });
+                                "the ADR journal must record the interrupted attempt",
+                            ));
                         }
-                        Self::verify_recovered(
-                            cfg, ops, k, &mut sys2, &expected, sacrificed, op_index, trip,
-                        )
+                        return self.reinstate(&out, p, sys2);
                     }
-                    Err(strict) => {
-                        if outer_mask == 0xFF && inner_mask == 0xFF {
-                            return Err(PointFailure {
-                                op_index,
-                                point: trip,
-                                error: format!(
-                                    "clean nested crash {k}>{j} failed second recovery: {strict}"
-                                ),
-                                divergent: "untorn nested crashes must recover strictly".into(),
-                            });
-                        }
-                        Self::nested_scrub_leg(
-                            cfg, ops, k, outer_mask, j, inner_mask, lanes, &expected, sacrificed,
-                            op_index, trip, &strict,
-                        )
+                    Err(strict) if outer_mask == 0xFF && inner_mask == 0xFF => {
+                        return Err(out.fail(
+                            format!(
+                                "clean nested crash {}>{j} failed second recovery: {strict}",
+                                p.k
+                            ),
+                            "untorn nested crashes must recover strictly",
+                        ));
                     }
+                    Err(strict) => strict,
                 }
             }
-            NestedRun::StrictFailed(strict) => {
-                if outer_mask == 0xFF {
-                    // Whole-line outer persists must always recover strictly
-                    // — the inner crash never even fired here.
-                    return Err(PointFailure {
-                        op_index,
-                        point: trip,
-                        divergent: Self::diagnose_error(cfg, ops, k, &strict),
-                        error: strict.to_string(),
-                    });
-                }
-                Self::nested_scrub_leg(
-                    cfg, ops, k, outer_mask, j, inner_mask, lanes, &expected, sacrificed, op_index,
-                    trip, &strict,
-                )
+            // Whole-line outer persists must always recover strictly — the
+            // inner crash never even fired here.
+            NestedRun::StrictFailed(strict) if outer_mask == 0xFF => {
+                return Err(out.fail(strict.to_string(), self.diagnose_error(p, &strict)));
             }
-        }
+            NestedRun::StrictFailed(strict) => strict,
+        };
+        self.nested_scrub_leg(&out, p, outer_mask, j, inner_mask, &strict)
     }
 
     /// The lenient leg of a nested point: reproduces the nested run and
@@ -1264,74 +1283,38 @@ impl CrashSweep {
     /// against the scrub's own persist points (including a trip *during*
     /// the scrub, which must journal `SCRUB` and complete on the next
     /// lenient pass).
-    #[allow(clippy::too_many_arguments)]
     fn nested_scrub_leg(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-        k: u64,
+        &self,
+        out: &Outage,
+        p: CrashPoint,
         outer_mask: u8,
         j: u64,
         inner_mask: u8,
-        lanes: Option<usize>,
-        expected: &HashMap<u64, [u8; 64]>,
-        sacrificed: Option<u64>,
-        op_index: usize,
-        trip: Option<PersistPoint>,
         strict: &IntegrityError,
     ) -> Result<(), PointFailure> {
-        let Some((run, _ctx)) = Self::crash_nested(cfg, ops, k, outer_mask, j, inner_mask, lanes)?
-        else {
-            return Err(PointFailure {
-                op_index,
-                point: trip,
-                error: "nested crash not reproducible for the scrub".into(),
-                divergent: "n/a".into(),
-            });
+        let Some((run, out2)) = self.crash_nested(p, outer_mask, j, inner_mask)? else {
+            return Err(out.fail("nested crash not reproducible for the scrub", "n/a"));
         };
         match run {
-            NestedRun::Completed(_) => Err(PointFailure {
-                op_index,
-                point: trip,
-                error: "nested run is nondeterministic: completed on replay".into(),
-                divergent: format!("first attempt failed with: {strict}"),
-            }),
+            NestedRun::Completed(_) => Err(out2.fail(
+                "nested run is nondeterministic: completed on replay",
+                format!("first attempt failed with: {strict}"),
+            )),
             NestedRun::Crashed(crashed2) => {
-                let mut crashed2 = *crashed2;
-                if let Some(l) = lanes {
-                    crashed2 = crashed2.with_recovery_lanes(l);
-                }
-                let min_restarts = u64::from(crate::recovery::journal::in_progress(
-                    crashed2.nvm.recovery_journal().phase,
-                ));
-                Self::scrub_and_verify(
-                    cfg,
-                    ops,
-                    k,
-                    crashed2,
-                    expected,
-                    sacrificed,
-                    op_index,
-                    trip,
-                    strict,
-                    min_restarts,
-                )
+                let crashed2 = self.laned(*crashed2);
+                let min_restarts =
+                    u64::from(journal::in_progress(crashed2.nvm.recovery_journal().phase));
+                let (sys, report) = crashed2.recover_lenient();
+                self.check_scrub(&out2, p, sys, &report, strict, min_restarts)
             }
             NestedRun::StrictFailed(_) => {
                 // Strict recovery refused before the inner point tripped:
                 // the scrub is what runs next, with the inner crash armed
                 // against its own rewrites.
-                let Some(tc) = Self::crash_torn(cfg, ops, k, outer_mask)? else {
-                    return Err(PointFailure {
-                        op_index,
-                        point: trip,
-                        error: "outer crash not reproducible for the scrub".into(),
-                        divergent: "n/a".into(),
-                    });
+                let Some((crashed, out3)) = self.crash_torn(p, outer_mask)? else {
+                    return Err(out.fail("outer crash not reproducible for the scrub", "n/a"));
                 };
-                let mut crashed = tc.crashed;
-                if let Some(l) = lanes {
-                    crashed = crashed.with_recovery_lanes(l);
-                }
+                let mut crashed = self.laned(crashed);
                 crashed.nvm.trace_pokes(true);
                 crashed.nvm.arm_crash_torn(j, inner_mask);
                 let mut slot = None;
@@ -1339,229 +1322,93 @@ impl CrashSweep {
                     Ok(report) => {
                         // Inner point beyond the scrub's horizon: the plain
                         // scrub contract applies.
-                        let mut sys_opt = slot.take();
-                        if let Some(sys) = sys_opt.as_mut() {
-                            sys.ctrl.nvm.disarm_crash();
-                            sys.ctrl.nvm.trace_pokes(false);
-                        }
-                        Self::check_scrub_outcome(
-                            cfg, ops, k, sys_opt, &report, expected, sacrificed, op_index, trip,
-                            strict, 0,
-                        )
+                        let sys = slot.take().map(disarmed);
+                        self.check_scrub(&out3, p, sys, &report, strict, 0)
                     }
                     Err(_cut) => {
-                        let Some(mut partial) = slot.take() else {
-                            return Err(PointFailure {
-                                op_index,
-                                point: trip,
-                                error: format!(
+                        let Some(partial) = slot.take() else {
+                            return Err(out3.fail(
+                                format!(
                                     "inner crash at {j} tripped before the scrub parked the system"
                                 ),
-                                divergent: "the scrub must park before its first rewrite".into(),
-                            });
+                                "the scrub must park before its first rewrite",
+                            ));
                         };
-                        partial.ctrl.nvm.disarm_crash();
-                        partial.ctrl.nvm.trace_pokes(false);
-                        let mut crashed3 = partial.crash();
-                        if let Some(l) = lanes {
-                            crashed3 = crashed3.with_recovery_lanes(l);
-                        }
+                        let crashed3 = self.laned(disarmed(partial).crash());
                         // The interrupted scrub must be journaled: strict
                         // recovery is no longer sound on this image. A trip
                         // on the scrub's final write legitimately reads
                         // `DONE` — all durable work already landed.
                         let phase = crashed3.nvm.recovery_journal().phase;
-                        if phase != crate::recovery::journal::SCRUB
-                            && phase != crate::recovery::journal::DONE
-                        {
-                            return Err(PointFailure {
-                                op_index,
-                                point: trip,
-                                error: "interrupted scrub left no SCRUB journal entry".into(),
-                                divergent: format!(
-                                    "journal phase {}",
-                                    crate::recovery::journal::name(phase)
-                                ),
-                            });
+                        if phase != journal::SCRUB && phase != journal::DONE {
+                            return Err(out3.fail(
+                                "interrupted scrub left no SCRUB journal entry",
+                                format!("journal phase {}", journal::name(phase)),
+                            ));
                         }
-                        let min_restarts = u64::from(crate::recovery::journal::in_progress(phase));
-                        Self::scrub_and_verify(
-                            cfg,
-                            ops,
-                            k,
-                            crashed3,
-                            expected,
-                            sacrificed,
-                            op_index,
-                            trip,
-                            strict,
-                            min_restarts,
-                        )
+                        let min_restarts = u64::from(journal::in_progress(phase));
+                        let (sys, report) = crashed3.recover_lenient();
+                        self.check_scrub(&out3, p, sys, &report, strict, min_restarts)
                     }
                 }
             }
         }
     }
 
-    /// Scrubs a (possibly doubly-) crashed machine and checks the lenient
-    /// contract against the outer crash's expectations.
-    #[allow(clippy::too_many_arguments)]
-    fn scrub_and_verify(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-        k: u64,
-        crashed: CrashedSystem,
-        expected: &HashMap<u64, [u8; 64]>,
-        sacrificed: Option<u64>,
-        op_index: usize,
-        trip: Option<PersistPoint>,
-        strict: &IntegrityError,
-        min_restarts: u64,
-    ) -> Result<(), PointFailure> {
-        let (sys, report) = crashed.recover_lenient();
-        Self::check_scrub_outcome(
-            cfg,
-            ops,
-            k,
-            sys,
-            &report,
-            expected,
-            sacrificed,
-            op_index,
-            trip,
-            strict,
-            min_restarts,
-        )
-    }
-
-    /// The lenient contract: nothing beyond the sacrificed line is lost,
-    /// a system comes back, it verifies, and an interrupted prior pass is
-    /// visible as a restart.
-    #[allow(clippy::too_many_arguments)]
-    fn check_scrub_outcome(
-        cfg: &SystemConfig,
-        ops: &[SweepOp],
-        k: u64,
-        sys: Option<SecureNvmSystem>,
-        report: &crate::scrub::ScrubReport,
-        expected: &HashMap<u64, [u8; 64]>,
-        sacrificed: Option<u64>,
-        op_index: usize,
-        trip: Option<PersistPoint>,
-        strict: &IntegrityError,
-        min_restarts: u64,
-    ) -> Result<(), PointFailure> {
-        if report.restarts < min_restarts {
-            return Err(PointFailure {
-                op_index,
-                point: trip,
-                error: format!(
-                    "scrub after an interrupted pass reported {} restarts, need ≥ {min_restarts}",
-                    report.restarts
-                ),
-                divergent: "the ADR journal must record the interrupted attempt".into(),
-            });
-        }
-        if let Some(bad) = report
-            .unrecoverable_addrs
-            .iter()
-            .find(|a| Some(**a) != sacrificed)
-        {
-            return Err(PointFailure {
-                op_index,
-                point: trip,
-                error: format!("scrub lost durable data at {bad:#x} (strict error: {strict})"),
-                divergent: format!("{report}"),
-            });
-        }
-        let Some(mut sys) = sys else {
-            return Err(PointFailure {
-                op_index,
-                point: trip,
-                error: "scrub returned no system for a recoverable scheme".into(),
-                divergent: format!("{report}"),
-            });
-        };
-        Self::verify_recovered(cfg, ops, k, &mut sys, expected, sacrificed, op_index, trip)
-    }
-
     /// Probes one nested point, returning the repro on failure (campaign
     /// unit of work; truncated to the in-flight op, not greedily shrunk).
     pub fn probe_point_nested(
         &self,
-        k: u64,
+        p: CrashPoint,
         outer_mask: u8,
         j: u64,
         inner_mask: u8,
     ) -> Option<CrashRepro> {
-        match Self::test_point_nested(
-            &self.cfg,
-            &self.ops,
-            k,
-            outer_mask,
-            j,
-            inner_mask,
-            self.recovery_lanes,
-        ) {
-            Ok(()) => None,
-            Err(fail) => Some(CrashRepro {
-                label: format!(
-                    "{} nested {k}>{j} masks {outer_mask:#04x}>{inner_mask:#04x}",
-                    self.cfg.scheme.label(self.cfg.mode)
-                ),
-                ops: self.ops[..=fail.op_index].to_vec(),
-                op_index: fail.op_index,
-                crash_point: k,
-                point: fail.point,
-                error: fail.error,
-                divergent: fail.divergent,
-            }),
-        }
+        let fail = self.test_point_nested(p, outer_mask, j, inner_mask).err()?;
+        let leg = format!(
+            "nested {}>{j} masks {outer_mask:#04x}>{inner_mask:#04x}",
+            p.k
+        );
+        Some(self.repro(&leg, p, fail))
     }
 
-    /// Enumerates the nested sweep's job tuples `(k, outer_mask, j,
-    /// inner_mask)`: for every selected outer point × outer mask, the
-    /// persist points *recovery itself* fires, bounded by `inner_sel`. ADR
-    /// journal updates are sub-word and never tear, so torn inner masks
-    /// only pair with line writes; torn outer masks restrict the outer list
-    /// to line writes. When recovery fires no points (WB's refusal, or a
-    /// pre-crash error) one synthetic beyond-horizon inner point keeps the
-    /// contract checked. The unit list for point-parallel nested sweeps via
-    /// [`Self::probe_point_nested`].
+    /// Enumerates the nested sweep's jobs `(p, outer_mask, j, inner_mask)`:
+    /// for every selected outer point × outer mask, the persist points
+    /// *recovery itself* fires, bounded by `inner_sel`. ADR journal updates
+    /// are sub-word and never tear, so torn inner masks only pair with line
+    /// writes; torn outer masks restrict the outer list to line writes. When
+    /// recovery fires no points (WB's refusal, or a pre-crash error) one
+    /// synthetic beyond-horizon inner point keeps the contract checked. The
+    /// unit list for point-parallel nested sweeps via
+    /// [`Self::probe_point_nested`] and [`Self::probe_point_worker_crash`].
     pub fn nested_jobs(
         &self,
         outer_masks: &[u8],
         inner_masks: &[u8],
         inner_sel: PointSelection,
-    ) -> Result<Vec<(u64, u8, u64, u8)>, IntegrityError> {
-        let journal = Self::enumerate_journal(&self.cfg, &self.ops)?;
+    ) -> Result<Vec<(CrashPoint, u8, u64, u8)>, IntegrityError> {
         let mut jobs = Vec::new();
         for &m0 in outer_masks {
-            let outer: Vec<u64> = self.select(
-                journal
-                    .iter()
-                    .filter(|p| m0 == 0xFF || p.kind == PersistKind::LineWrite)
-                    .map(|p| p.seq)
-                    .collect(),
-            );
-            for &k in &outer {
-                let inner = Self::recovery_points(&self.cfg, &self.ops, k, m0).unwrap_or_default();
+            let (_, outer) =
+                self.select_points(|q| m0 == 0xFF || q.kind == PersistKind::LineWrite)?;
+            for p in outer {
+                let inner = self.recovery_points(p, m0).unwrap_or_default();
                 let inner = if inner.is_empty() {
                     vec![PersistPoint {
-                        seq: k + 1,
+                        seq: p.k + 1,
                         kind: PersistKind::AdrUpdate,
                         addr: 0,
                     }]
                 } else {
-                    Self::select_with(inner_sel, inner)
+                    inner_sel.apply(inner)
                 };
-                for p in &inner {
+                for q in &inner {
                     for &m1 in inner_masks {
-                        if p.kind != PersistKind::LineWrite && m1 != 0xFF {
+                        if q.kind != PersistKind::LineWrite && m1 != 0xFF {
                             // ADR updates are sub-word: they never tear.
                             continue;
                         }
-                        jobs.push((k, m0, p.seq, m1));
+                        jobs.push((p, m0, q.seq, m1));
                     }
                 }
             }
@@ -1577,43 +1424,163 @@ impl CrashSweep {
         inner_masks: &[u8],
         inner_sel: PointSelection,
     ) -> SweepReport {
-        let label = format!("{} nested", self.cfg.scheme.label(self.cfg.mode));
-        let jobs = match self.nested_jobs(outer_masks, inner_masks, inner_sel) {
-            Ok(j) => j,
-            Err(e) => return self.baseline_failed(label, e),
+        let label = format!("{} nested", self.label());
+        match self.nested_jobs(outer_masks, inner_masks, inner_sel) {
+            Ok(jobs) => Self::drive(label, jobs.len() as u64, &jobs, |(p, m0, j, m1)| {
+                self.probe_point_nested(p, m0, j, m1)
+            }),
+            Err(e) => self.baseline_failed(label, e),
+        }
+    }
+
+    /// Probes one *worker* crash: a whole-line crash at `p`, then a
+    /// whole-engine outage (every neighbor loses power at its own op
+    /// boundary), then a parallel rebuild of every shard by `workers`
+    /// threads ([`crate::par::run_regions`], as in
+    /// [`ShardedEngine::recover_all`]) with a second crash armed at absolute
+    /// persist point `j` on the target's device. The worker driving the
+    /// target's region trips mid-rebuild; every other region must finish
+    /// with `restarts == 0`. The target is then crashed again and strictly
+    /// re-recovered: its ADR journal, carrying per-lane marks, must report
+    /// `core.recovery.restarts ≥ 1` unless the inner crash landed after
+    /// `DONE`. Every shard then serves the rest of the stream, and the whole
+    /// space verifies with co-recovered neighbors.
+    pub fn probe_point_worker_crash(
+        &self,
+        p: CrashPoint,
+        j: u64,
+        workers: usize,
+    ) -> Option<CrashRepro> {
+        let fail = self.test_point_worker_crash(p, j, workers).err()?;
+        Some(self.repro(&format!("worker-crash {}>{j} w{workers}", p.k), p, fail))
+    }
+
+    fn test_point_worker_crash(
+        &self,
+        p: CrashPoint,
+        j: u64,
+        workers: usize,
+    ) -> Result<(), PointFailure> {
+        enum Region {
+            Done(u64),
+            Tripped(Box<SecureNvmSystem>),
+            Failed(String),
+        }
+
+        let Some((mut crashed, mut out)) = self.crash_torn(p, 0xFF)? else {
+            return Ok(());
         };
-        let mut failures: Vec<CrashRepro> = Vec::new();
-        let mut tested = 0u64;
-        for &(k, m0, j, m1) in &jobs {
-            tested += 1;
-            if let Err(fail) =
-                Self::test_point_nested(&self.cfg, &self.ops, k, m0, j, m1, self.recovery_lanes)
-            {
-                failures.push(CrashRepro {
-                    label: format!("{label} {k}>{j} masks {m0:#04x}>{m1:#04x}"),
-                    ops: self.ops[..=fail.op_index].to_vec(),
-                    op_index: fail.op_index,
-                    crash_point: k,
-                    point: fail.point,
-                    error: fail.error,
-                    divergent: fail.divergent,
-                });
-                if failures.len() >= self.max_failures {
-                    break;
+        if !crashed.recoverable() {
+            return out.refused(crashed.recover().err());
+        }
+        crashed.nvm.arm_crash_torn(j, 0xFF);
+        let mut target_img = Some(crashed);
+        let images: Vec<Mutex<Option<CrashedSystem>>> = (0..self.shards)
+            .map(|s| {
+                Mutex::new(Some(if s == out.target {
+                    target_img.take().expect("one target image")
+                } else {
+                    out.engine.crash_shard(s)
+                }))
+            })
+            .collect();
+        let workers = workers.clamp(1, par::MAX_WORKERS);
+        let engine = &out.engine;
+        let (regions, _steals) = par::run_regions(workers, self.shards, |s, _w| {
+            let img = images[s]
+                .lock()
+                .expect("image slot poisoned by a panic")
+                .take()
+                .expect("each region runs exactly once")
+                .with_recovery_lanes(workers);
+            let mut slot = None;
+            match (img.recover_into(&mut slot), slot.take()) {
+                (Ok(report), Some(sys)) => {
+                    engine.put_shard(s, disarmed(sys));
+                    Region::Done(restarts(&report))
+                }
+                (Err(IntegrityError::PowerCut), Some(partial)) => {
+                    Region::Tripped(Box::new(partial))
+                }
+                (Err(IntegrityError::PowerCut), None) => {
+                    Region::Failed("inner crash tripped before recovery parked the system".into())
+                }
+                (Err(e), _) => Region::Failed(format!("strict recovery failed: {e}")),
+                (Ok(_), None) => Region::Failed("recovery returned Ok without parking".into()),
+            }
+        });
+
+        for (s, region) in regions.into_iter().enumerate() {
+            match region {
+                Region::Done(0) => {}
+                Region::Done(restarts) => {
+                    return Err(out.fail(
+                        format!("uninterrupted region {s} reported {restarts} restarts"),
+                        "only the crashed worker's region may restart",
+                    ));
+                }
+                Region::Tripped(_) if s != out.target => {
+                    return Err(out.fail(
+                        format!(
+                            "inner crash armed on shard {} tripped region {s}",
+                            out.target
+                        ),
+                        "regions recover off their own devices",
+                    ));
+                }
+                Region::Tripped(partial) => {
+                    // Re-crash the interrupted worker's region and recover it
+                    // strictly; its journal must carry the interrupted attempt.
+                    let crashed2 = disarmed(*partial).crash();
+                    let finished = !journal::in_progress(crashed2.nvm.recovery_journal().phase);
+                    match crashed2.recover() {
+                        Ok((sys2, report2)) if restarts(&report2) > 0 || finished => {
+                            out.engine.put_shard(s, sys2);
+                        }
+                        Ok(_) => {
+                            return Err(out.fail(
+                                format!(
+                                    "second recovery after worker crash at {j} reported no restart"
+                                ),
+                                "the worker's lane marks must survive in the shard's ADR journal",
+                            ));
+                        }
+                        Err(e) => {
+                            return Err(out.fail(
+                                format!("worker crash {}>{j} failed second recovery: {e}", p.k),
+                                "untorn nested crashes must recover strictly",
+                            ));
+                        }
+                    }
+                }
+                Region::Failed(e) => {
+                    return Err(out.fail(
+                        format!("region {s}: {e}"),
+                        "untorn parallel regions must recover strictly",
+                    ));
                 }
             }
         }
-        SweepReport {
-            label,
-            total_points: jobs.len() as u64,
-            tested_points: tested,
-            failures,
+        self.serve_rest(&mut out)?;
+        self.verify(&out, p, true)
+    }
+
+    /// The worker-crash sweep: [`Self::nested_jobs`] over whole-line outer
+    /// and inner points × [`Self::probe_point_worker_crash`] on `workers`
+    /// threads.
+    pub fn run_worker_crashes(&self, inner_sel: PointSelection, workers: usize) -> SweepReport {
+        let label = format!("{} worker-crash w{workers}", self.label());
+        match self.nested_jobs(&[0xFF], &[0xFF], inner_sel) {
+            Ok(jobs) => Self::drive(label, jobs.len() as u64, &jobs, |(p, _, j, _)| {
+                self.probe_point_worker_crash(p, j, workers)
+            }),
+            Err(e) => self.baseline_failed(label, e),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use steins_metadata::CounterMode;
 
@@ -1646,6 +1613,40 @@ mod tests {
         assert_ne!(a, c, "different seeds must give different streams");
     }
 
+    /// Runs `ops` on a bare (unsharded) system: the reference the 1-shard
+    /// sweep must reproduce.
+    fn run_bare(sys: &mut SecureNvmSystem, ops: &[SweepOp]) {
+        for &op in ops {
+            match op {
+                SweepOp::Write { line, tag } => sys.write(line * 64, &SweepOp::payload(line, tag)),
+                SweepOp::Read { line } => sys.read(line * 64).map(|_| ()),
+            }
+            .expect("trace must run clean");
+        }
+    }
+
+    /// The fold rests on this: a 1-shard sweep replays the stream through
+    /// the router onto exactly the persist events a bare system fires, so
+    /// its crash points are the unsharded machine's.
+    #[test]
+    fn one_shard_sweep_enumerates_a_bare_systems_persist_points() {
+        for (scheme, mode) in crate::campaign::COMBOS {
+            let sweep = CrashSweep::small(scheme, mode, 60, PointSelection::All);
+            let mut bare = SecureNvmSystem::new(SystemConfig::small_for_tests(scheme, mode));
+            run_bare(&mut bare, &sweep.ops);
+            let total = bare.ctrl.nvm.persist_seq();
+            assert!(total > 0, "{scheme:?}/{mode:?}: stream persisted nothing");
+            assert_eq!(
+                sweep.total_points().unwrap(),
+                vec![total],
+                "{scheme:?}/{mode:?}"
+            );
+            let points = sweep.crash_points().unwrap();
+            assert_eq!(points.len() as u64, total, "{scheme:?}/{mode:?}");
+            assert!(points.iter().all(|p| p.shard == 0));
+        }
+    }
+
     #[test]
     fn steins_gc_sampled_points_all_recover() {
         let sweep = CrashSweep::small(
@@ -1670,8 +1671,8 @@ mod tests {
         let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
         let ops = vec![SweepOp::Write { line: 5, tag: 128 }];
         let sweep = CrashSweep::new(cfg, ops, PointSelection::All);
-        for k in 1..=sweep.total_points().unwrap() {
-            assert!(sweep.probe_point(k).is_none(), "point {k} must recover");
+        for p in sweep.crash_points().unwrap() {
+            assert!(sweep.probe_point(p).is_none(), "point {} must recover", p.k);
         }
     }
 
@@ -1716,16 +1717,40 @@ mod tests {
         assert!(report.clean(), "{report}");
     }
 
-    /// A real bug never passes for a power cut: a stream op past the data
-    /// region panics out of the probe instead of being reported as a crash
-    /// point.
-    #[test]
-    #[should_panic(expected = "outside the data region")]
-    fn probe_point_propagates_real_panics() {
+    /// A real bug never passes for a power cut: at any shard count, a
+    /// stream op past the data region panics out of the probe — at the
+    /// router's range check, or the shard's region check when debug
+    /// assertions are off — instead of being reported as a crash point.
+    /// Once the message is checked it panics again with a fixed text, so
+    /// a caller's `should_panic` is met only by a propagated bug, never by
+    /// a failed check here.
+    pub(crate) fn probe_past_the_data_region(shards: usize) -> ! {
         let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
         let line = cfg.data_lines;
         let ops = vec![SweepOp::Write { line, tag: 1 }];
-        CrashSweep::new(cfg, ops, PointSelection::All).probe_point(1);
+        let sweep = CrashSweep::new(cfg, ops, PointSelection::All).with_shards(shards);
+        let probe = catch_unwind(AssertUnwindSafe(|| {
+            sweep.probe_point(CrashPoint { shard: 0, k: 1 })
+        }));
+        let payload = probe.expect_err("the bug must panic, not become a verdict");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            msg.contains("out of range") || msg.contains("outside the data region"),
+            "{shards} shard(s): unexpected panic {msg:?}"
+        );
+        panic!("real panic propagated at {shards} shard(s): {msg}");
+    }
+
+    /// The 1-shard case; `shard::tests::sharded_probe_point_propagates_real_panics`
+    /// runs the same probe at 2 shards.
+    #[test]
+    #[should_panic(expected = "real panic propagated at 1 shard(s)")]
+    fn probe_point_propagates_real_panics() {
+        probe_past_the_data_region(1);
     }
 
     #[test]
@@ -1765,9 +1790,7 @@ mod tests {
             };
             sys.ctrl.nvm.trace_pokes(true);
             sys.ctrl.nvm.journal_points(true);
-            for op in SweepOp::stream(0xBA7C4ED, 64, 300) {
-                CrashSweep::apply_op(&mut sys, op).expect("trace must run clean");
-            }
+            run_bare(&mut sys, &SweepOp::stream(0xBA7C4ED, 64, 300));
             let points = sys.ctrl.nvm.point_journal().to_vec();
             // FNV-1a over (seq, kind, addr) — the sequence hash.
             let mut h = 0xcbf29ce484222325u64;
@@ -1801,14 +1824,24 @@ mod tests {
     fn bounded_selection_covers_first_and_last_point() {
         let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
         let ops = SweepOp::stream(7, 64, 20);
-        let total = CrashSweep::enumerate(&cfg, &ops).unwrap();
-        assert!(total > 16, "stream too short to exercise striding");
-        // AtMost(n) with n < total must stride from 1 to total inclusive.
-        let n = 8u64;
-        let points: Vec<u64> = (0..n).map(|i| 1 + i * (total - 1) / (n - 1)).collect();
-        assert_eq!(points[0], 1);
-        assert_eq!(*points.last().unwrap(), total);
-        assert_eq!(points.len() as u64, n);
+        // AtMost(n) with n < total must stride from 1 to total inclusive,
+        // on every shard.
+        for shards in [1, 2] {
+            let sweep = CrashSweep::new(cfg.clone(), ops.clone(), PointSelection::AtMost(8))
+                .with_shards(shards);
+            let points = sweep.crash_points().unwrap();
+            for (shard, total) in sweep.total_points().unwrap().into_iter().enumerate() {
+                assert!(total > 8, "stream too short to exercise striding");
+                let ks: Vec<u64> = points
+                    .iter()
+                    .filter(|p| p.shard == shard)
+                    .map(|p| p.k)
+                    .collect();
+                assert_eq!(ks.len(), 8);
+                assert_eq!(ks[0], 1);
+                assert_eq!(*ks.last().unwrap(), total);
+            }
+        }
     }
 
     /// Torn-write contract, sampled per recoverable scheme: at every
@@ -1904,34 +1937,28 @@ mod tests {
     #[test]
     fn interrupted_recovery_reports_restart_metrics() {
         let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
-        let ops = SweepOp::stream(0xD0C5, 64, 20);
-        let total = CrashSweep::enumerate(&cfg, &ops).unwrap();
-        let k = total / 2;
-        let inner = CrashSweep::recovery_points(&cfg, &ops, k, 0xFF)
-            .ok()
-            .unwrap();
+        let sweep = CrashSweep::new(cfg, SweepOp::stream(0xD0C5, 64, 20), PointSelection::All);
+        let total = sweep.total_points().unwrap()[0];
+        let p = CrashPoint {
+            shard: 0,
+            k: total / 2,
+        };
+        let inner = sweep.recovery_points(p, 0xFF).ok().unwrap();
         assert!(!inner.is_empty(), "recovery fires no persist points");
         // Trip on recovery's very first durable write (the phase journal
         // update), then recover the doubly-crashed machine.
         let j = inner[0].seq;
-        let (run, _ctx) = CrashSweep::crash_nested(&cfg, &ops, k, 0xFF, j, 0xFF, None)
-            .ok()
-            .unwrap()
-            .unwrap();
+        let (run, _out) = sweep.crash_nested(p, 0xFF, j, 0xFF).ok().unwrap().unwrap();
         let NestedRun::Crashed(crashed2) = run else {
             panic!("inner point must trip mid-recovery");
         };
         assert!(
-            crate::recovery::journal::in_progress(crashed2.nvm.recovery_journal().phase),
+            journal::in_progress(crashed2.nvm.recovery_journal().phase),
             "interrupted recovery must leave an in-progress journal phase"
         );
         let (_sys, report) = crashed2.recover().unwrap();
         assert!(
-            report
-                .metrics
-                .counter("core.recovery.restarts")
-                .unwrap_or(0)
-                >= 1,
+            restarts(&report) >= 1,
             "second recovery must report a restart"
         );
         assert_eq!(
@@ -1945,6 +1972,7 @@ mod tests {
     fn crash_repro_display_names_the_point() {
         let repro = CrashRepro {
             label: "Steins-GC".into(),
+            shard: None,
             ops: vec![SweepOp::Write { line: 3, tag: 9 }],
             op_index: 0,
             crash_point: 17,
@@ -1960,5 +1988,24 @@ mod tests {
         assert!(s.contains("crash point 17"), "{s}");
         assert!(s.contains("AdrUpdate"), "{s}");
         assert!(s.contains("LInc"), "{s}");
+        assert_eq!(
+            s,
+            "Steins-GC: crash point 17 (op 0 of 1) is unrecoverable\n  \
+             tripped at AdrUpdate of addr 0x40\n  \
+             error: LInc registers inconsistent after recovery\n  \
+             divergence: lincs stored [1] != recomputed [2]\n  \
+             ops: [Write { line: 3, tag: 9 }]",
+            "the 1-shard text names no shard"
+        );
+        let sharded = CrashRepro {
+            label: "Steins-GC x2".into(),
+            shard: Some(1),
+            ..repro
+        }
+        .to_string();
+        assert!(
+            sharded.starts_with("Steins-GC x2: shard 1 crash point 17 (op 0 of 1)"),
+            "{sharded}"
+        );
     }
 }

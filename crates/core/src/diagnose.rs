@@ -5,8 +5,8 @@
 //! practice almost every real divergence is a counter off by a bounded
 //! amount (a lost increment, a stale parent, a replayed line), so probing a
 //! window of candidate counters around the expected value pinpoints the
-//! first divergent quantity — the `debug_repro` workflow, packaged for the
-//! crash-sweep harness and ad-hoc debugging alike.
+//! first divergent quantity. The crash-sweep harness attaches this
+//! diagnosis to every repro it prints.
 
 use crate::engine::SecureMemoryController;
 use std::fmt;

@@ -54,17 +54,16 @@ pub use campaign::{
     FaultCampaign,
 };
 pub use config::{SchemeKind, SystemConfig};
-pub use crash::{CrashRepro, CrashSweep, CrashedSystem, PointSelection, SweepOp, SweepReport};
+pub use crash::{
+    CrashPoint, CrashRepro, CrashSweep, CrashedSystem, PointSelection, SweepOp, SweepReport,
+};
 pub use engine::SecureNvmSystem;
 pub use error::IntegrityError;
 pub use online::{OnlinePolicy, OnlineService};
 pub use recovery::RecoveryReport;
 pub use report::RunReport;
 pub use scrub::{ScrubReport, Verdict};
-pub use shard::{
-    ParallelRecovery, RepairOutcome, RepairPolicy, ShardRepro, ShardSweep, ShardSweepReport,
-    ShardedEngine,
-};
+pub use shard::{ParallelRecovery, RepairOutcome, RepairPolicy, ShardedEngine};
 
 // Re-export the counter mode so downstream users need only this crate.
 pub use steins_metadata::CounterMode;

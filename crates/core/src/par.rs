@@ -209,17 +209,19 @@ impl StealQueue {
     }
 }
 
-/// Runs `jobs` independent region jobs on `workers` OS threads driving a
-/// [`StealQueue`], returning the per-job results in job order plus the
-/// steal count. `f(job, worker)` must be independent across jobs — results
-/// are deterministic in `job` regardless of which worker ran it. A panic in
-/// `f` propagates once every worker has stopped.
+/// Runs `jobs` independent region jobs on `workers` OS threads (at most
+/// one per job) driving a [`StealQueue`], returning the per-job results in
+/// job order plus the steal count. `f(job, worker)` must be independent
+/// across jobs — results are deterministic in `job` regardless of which
+/// worker ran it. A panic in `f` propagates once every worker has stopped.
+/// Recovery callers clamp `workers` to [`MAX_WORKERS`] themselves (one
+/// journal mark slot per lane); the bench's parallel map uses any count.
 pub fn run_regions<T, F>(workers: usize, jobs: usize, f: F) -> (Vec<T>, u64)
 where
     T: Send,
     F: Fn(usize, usize) -> T + Sync,
 {
-    let workers = workers.clamp(1, MAX_WORKERS).min(jobs.max(1));
+    let workers = workers.max(1).min(jobs.max(1));
     let queue = StealQueue::new(jobs, workers);
     let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     if workers == 1 {

@@ -1,4 +1,4 @@
-//! The sharded multi-controller front-end and its crash harness.
+//! The sharded multi-controller front-end.
 //!
 //! [`ShardedEngine`] splits the protected data-line space across N
 //! independent [`SecureNvmSystem`] instances — each with its own SIT,
@@ -9,36 +9,25 @@
 //! accept requests from N threads with no coordination beyond one
 //! per-shard mutex.
 //!
-//! Three properties the harness below enforces:
-//!
-//! * **Independent recovery.** Each shard crashes and recovers off its own
-//!   journal line. The device stamps the journal with its owner
-//!   ([`steins_nvm::NvmDevice::journal_owner`]); recovering a shard off a
-//!   line stamped by another shard is a routing bug and fails loudly.
-//! * **Neighbor liveness.** A crash on one shard never touches another:
-//!   while the target shard recovers, neighbor shards keep accepting the
-//!   rest of the stream mid-write, and every acknowledged line on every
-//!   shard still reads back.
-//! * **Restartable per shard.** A second crash during one shard's recovery
-//!   bumps only that shard's `core.recovery.restarts`; untouched shards
-//!   report a pristine (`IDLE`) journal.
-//!
-//! [`ShardSweep`] is the shard-aware mirror of [`crate::CrashSweep`]: the
-//! same persist-boundary fault-injection protocol (torn-word masks,
-//! in-flight reconciliation, sacrificial torn data lines, nested
-//! crash-during-recovery), replayed through the sharded front-end with the
-//! crash armed on one target shard at a time.
+//! Each shard crashes and recovers on its own: [`ShardedEngine::crash_shard`]
+//! pulls one shard's plug while its neighbors keep serving, and
+//! [`ShardedEngine::recover_shard`] rebuilds it off its own journal line,
+//! which the device stamps with its owner
+//! ([`steins_nvm::NvmDevice::journal_owner`]) — recovering a shard off a
+//! line stamped by another shard is a routing bug and fails loudly.
+//! [`ShardedEngine::recover_all`] rebuilds every shard in parallel, and the
+//! repair loop ([`ShardedEngine::repair_shard`]) brings a degraded shard
+//! back online. The crash harness ([`crate::CrashSweep`]) drives every
+//! replay through this engine; an unsharded system is its 1-shard case.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use steins_metadata::{CounterMode, ShardMap, StripeMode};
-use steins_nvm::PersistKind;
+use steins_metadata::{ShardMap, StripeMode};
 use steins_obs::{Alarm, AlarmKind, AlarmLog, MetricRegistry};
 
-use crate::config::{SchemeKind, SystemConfig};
-use crate::crash::{CrashSweep, CrashedSystem, PointSelection, SweepOp};
+use crate::config::SystemConfig;
+use crate::crash::CrashedSystem;
 use crate::engine::SecureNvmSystem;
 use crate::error::IntegrityError;
 use crate::online::OnlinePolicy;
@@ -864,1016 +853,23 @@ impl ParallelRecovery {
     }
 }
 
-/// A minimized failing point from the sharded sweep.
-#[derive(Clone, Debug)]
-pub struct ShardRepro {
-    /// The shard the crash was armed on.
-    pub target: usize,
-    /// The (outer) persist point that tripped.
-    pub crash_point: u64,
-    /// The inner persist point, for nested probes.
-    pub inner_point: Option<u64>,
-    /// Index of the op in flight when the crash tripped.
-    pub op_index: usize,
-    /// What went wrong.
-    pub error: String,
-    /// What diverged.
-    pub divergent: String,
-}
-
-impl std::fmt::Display for ShardRepro {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {} point {}{}: {} ({})",
-            self.target,
-            self.crash_point,
-            self.inner_point
-                .map(|j| format!(">{j}"))
-                .unwrap_or_default(),
-            self.error,
-            self.divergent
-        )
-    }
-}
-
-/// Outcome of a sharded sweep.
-#[derive(Debug)]
-pub struct ShardSweepReport {
-    /// Scheme/mode label plus shard count.
-    pub label: String,
-    /// Shards in the engine.
-    pub shards: usize,
-    /// Points probed across all target shards.
-    pub tested_points: u64,
-    /// Every failing point (bounded by the sweep's failure cap).
-    pub failures: Vec<ShardRepro>,
-}
-
-impl ShardSweepReport {
-    /// True when every probed point held the contract.
-    pub fn clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-impl std::fmt::Display for ShardSweepReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} points across {} shards, {} failures",
-            self.label,
-            self.tested_points,
-            self.shards,
-            self.failures.len()
-        )?;
-        for fail in &self.failures {
-            write!(f, "\n  {fail}")?;
-        }
-        Ok(())
-    }
-}
-
-/// One shard crashed mid-stream, ground truth already reconciled.
-struct ShardTornCrash {
-    /// The engine with the target slot empty; neighbors are live, possibly
-    /// holding CPU-dirty lines and half-drained write queues.
-    engine: ShardedEngine,
-    /// The power-cut target shard.
-    crashed: CrashedSystem,
-    op_index: usize,
-    /// Global address → payload for every line that must read back.
-    expected: HashMap<u64, [u8; 64]>,
-    /// Global address of a torn-sacrificed data line (must fail closed).
-    sacrificed: Option<u64>,
-}
-
-/// The shard-aware persist-boundary fault-injection driver: replays one
-/// global op stream through a [`ShardedEngine`], crashes one target shard
-/// at an armed persist point, recovers only that shard, drives the rest of
-/// the stream across all shards, and verifies the whole address space.
-pub struct ShardSweep {
-    cfg: SystemConfig,
-    shards: usize,
-    mode: StripeMode,
-    ops: Vec<SweepOp>,
-    /// Stop after this many failures (mirrors [`CrashSweep`]).
-    pub max_failures: usize,
-}
-
-impl ShardSweep {
-    /// A sweep of `ops` (global line addresses) against `shards` shards
-    /// of `cfg`, interleave-striped.
-    pub fn new(cfg: SystemConfig, shards: usize, ops: Vec<SweepOp>) -> Self {
-        ShardSweep {
-            cfg,
-            shards,
-            mode: StripeMode::Interleave,
-            ops,
-            max_failures: 5,
-        }
-    }
-
-    /// Convenience: the same standard stream [`CrashSweep::small`] uses,
-    /// on the small test config, split across `shards` shards.
-    pub fn small(scheme: SchemeKind, mode: CounterMode, shards: usize, ops: usize) -> Self {
-        let cfg = SystemConfig::small_for_tests(scheme, mode);
-        let ops = SweepOp::stream(0x5EED ^ ops as u64, 192, ops);
-        ShardSweep::new(cfg, shards, ops)
-    }
-
-    fn engine(&self) -> ShardedEngine {
-        ShardedEngine::with_mode(self.cfg.clone(), self.shards, self.mode)
-    }
-
-    fn apply_op(engine: &ShardedEngine, op: SweepOp) -> Result<(), IntegrityError> {
-        match op {
-            SweepOp::Write { line, tag } => engine.write(line * 64, &SweepOp::payload(line, tag)),
-            SweepOp::Read { line } => engine.read(line * 64).map(|_| ()),
-        }
-    }
-
-    fn fail(
-        &self,
-        target: usize,
-        k: u64,
-        op_index: usize,
-        error: impl Into<String>,
-        divergent: impl Into<String>,
-    ) -> ShardRepro {
-        ShardRepro {
-            target,
-            crash_point: k,
-            inner_point: None,
-            op_index,
-            error: error.into(),
-            divergent: divergent.into(),
-        }
-    }
-
-    /// WB's contract at every point, nested or not: it refuses recovery.
-    fn wb_refuses(
-        &self,
-        target: usize,
-        k: u64,
-        op_index: usize,
-        crashed: CrashedSystem,
-    ) -> Result<(), ShardRepro> {
-        match crashed.recover() {
-            Err(IntegrityError::RecoveryUnsupported) => Ok(()),
-            other => Err(self.fail(
-                target,
-                k,
-                op_index,
-                format!(
-                    "WB must refuse recovery, got {:?}",
-                    other.err().map(|e| e.to_string())
-                ),
-                "n/a",
-            )),
-        }
-    }
-
-    /// The report of a sweep whose crash-free baseline run already fails.
-    fn baseline_failed(&self, label: String, e: IntegrityError) -> ShardSweepReport {
-        ShardSweepReport {
-            label,
-            shards: self.shards,
-            tested_points: 0,
-            failures: vec![self.fail(
-                0,
-                0,
-                0,
-                format!("baseline run failed: {e}"),
-                "stream does not complete without a crash",
-            )],
-        }
-    }
-
-    /// Runs the stream crash-free, returning each shard's persist-point
-    /// count (the per-shard sweep horizons).
-    pub fn total_points(&self) -> Result<Vec<u64>, IntegrityError> {
-        let engine = self.engine();
-        for &op in &self.ops {
-            Self::apply_op(&engine, op)?;
-        }
-        Ok((0..self.shards)
-            .map(|s| engine.with_shard(s, |sys| sys.ctrl.nvm.persist_seq()))
-            .collect())
-    }
-
-    /// Replays the stream with a (possibly torn) crash armed at persist
-    /// point `k` of shard `target`. `Ok(None)` when `k` lies beyond that
-    /// shard's horizon. Mirrors `CrashSweep::crash_torn`, with addresses
-    /// split between the global space (acked/expected maps, routed through
-    /// the engine) and the target shard's local space (the device's trip
-    /// point and the crashed image's ground truth).
-    fn crash_torn(
-        &self,
-        target: usize,
-        k: u64,
-        word_mask: u8,
-    ) -> Result<Option<ShardTornCrash>, ShardRepro> {
-        let engine = self.engine();
-        engine.with_shard(target, |sys| sys.ctrl.nvm.arm_crash_torn(k, word_mask));
-
-        let mut acked: HashMap<u64, [u8; 64]> = HashMap::new();
-        let mut in_flight: Option<(usize, SweepOp)> = None;
-        for (i, &op) in self.ops.iter().enumerate() {
-            match Self::apply_op(&engine, op) {
-                Ok(()) => {
-                    if let SweepOp::Write { line, tag } = op {
-                        acked.insert(line * 64, SweepOp::payload(line, tag));
-                    }
-                }
-                Err(IntegrityError::PowerCut) => {
-                    in_flight = Some((i, op));
-                    break;
-                }
-                Err(e) => {
-                    return Err(self.fail(
-                        target,
-                        k,
-                        i,
-                        format!("integrity error before the crash: {e}"),
-                        "runtime state diverged pre-crash",
-                    ));
-                }
-            }
-        }
-        let Some((op_index, op)) = in_flight else {
-            // Armed beyond the target shard's horizon: nothing to test.
-            return Ok(None);
-        };
-        let trip = engine.with_shard(target, |sys| {
-            let t = sys.ctrl.nvm.tripped_at();
-            sys.ctrl.nvm.disarm_crash();
-            t
-        });
-
-        // Only the target shard loses power; neighbors keep their CPU-dirty
-        // lines and queues. Reconcile the interrupted op exactly like the
-        // unsharded sweep: its store is durable iff the tripping transition
-        // was the data line's own full write. The trip address is local to
-        // the target's device.
-        let mut expected = acked.clone();
-        let mut crashed = engine.crash_shard(target);
-        if let SweepOp::Write { line, tag } = op {
-            let gaddr = line * 64;
-            let (s_op, laddr) = engine.map().route(gaddr);
-            debug_assert_eq!(s_op, target, "crash tripped on an op routed elsewhere");
-            let durable = word_mask == 0xFF
-                && trip
-                    .map(|p| p.kind == PersistKind::LineWrite && p.addr == laddr)
-                    .unwrap_or(false);
-            if durable {
-                let data = SweepOp::payload(line, tag);
-                crashed.truth.insert(laddr, data);
-                expected.insert(gaddr, data);
-            } else {
-                match acked.get(&gaddr) {
-                    Some(v) => {
-                        crashed.truth.insert(laddr, *v);
-                    }
-                    None => {
-                        crashed.truth.remove(&laddr);
-                    }
-                }
-            }
-        }
-
-        // A partial tear of a data line sacrifices that line (in-place
-        // overwrite mixed old and new words): it must fail closed.
-        let mut sacrificed = None;
-        if word_mask != 0xFF {
-            if let Some(p) = trip {
-                if p.kind == PersistKind::LineWrite && crashed.layout.is_data(p.addr) {
-                    let gaddr = engine.map().global_line(target, p.addr / 64) * 64;
-                    sacrificed = Some(gaddr);
-                    expected.remove(&gaddr);
-                    crashed.truth.remove(&p.addr);
-                }
-            }
-        }
-
-        Ok(Some(ShardTornCrash {
-            engine,
-            crashed,
-            op_index,
-            expected,
-            sacrificed,
-        }))
-    }
-
-    /// Verifies the whole engine after the target shard was reinstated:
-    /// every acknowledged line on every shard reads back through the
-    /// router, the sacrificed line (if any) fails closed, every shard's
-    /// LInc registers match a recomputation, and the target's journal is
-    /// stamped by the target. With `neighbors_idle` the non-target shards
-    /// must still hold a pristine `IDLE` journal (single-shard outage);
-    /// without it (whole-engine parallel recovery) they must instead hold a
-    /// finished journal stamped by themselves.
-    #[allow(clippy::too_many_arguments)]
-    fn verify(
-        &self,
-        engine: &ShardedEngine,
-        target: usize,
-        k: u64,
-        op_index: usize,
-        expected: &HashMap<u64, [u8; 64]>,
-        sacrificed: Option<u64>,
-        neighbors_idle: bool,
-    ) -> Result<(), ShardRepro> {
-        let mut lines: Vec<u64> = expected.keys().copied().collect();
-        lines.sort_unstable();
-        for gaddr in lines {
-            let want = expected[&gaddr];
-            match engine.read(gaddr) {
-                Ok(got) if got == want => {}
-                Ok(got) => {
-                    return Err(self.fail(
-                        target,
-                        k,
-                        op_index,
-                        format!("acked write at {gaddr:#x} diverged after recovery"),
-                        format!(
-                            "shard {} local line {}: got {:02x?}…, want {:02x?}…",
-                            engine.map().shard_of(gaddr / 64),
-                            engine.map().local_line(gaddr / 64),
-                            &got[..8],
-                            &want[..8]
-                        ),
-                    ));
-                }
-                Err(e) => {
-                    return Err(self.fail(
-                        target,
-                        k,
-                        op_index,
-                        format!("read-back of {gaddr:#x} failed: {e}"),
-                        format!("owned by shard {}", engine.map().shard_of(gaddr / 64)),
-                    ));
-                }
-            }
-        }
-
-        if let Some(gaddr) = sacrificed {
-            if engine.read(gaddr).is_ok() {
-                return Err(self.fail(
-                    target,
-                    k,
-                    op_index,
-                    format!("torn data line {gaddr:#x} read back Ok"),
-                    "a torn line must fail its MAC, never return mixed words",
-                ));
-            }
-        }
-
-        for s in 0..self.shards {
-            let bad = engine.with_shard(s, |sys| {
-                if let (Some(stored), Some(expect)) = (sys.ctrl.lincs(), sys.ctrl.recompute_lincs())
-                {
-                    if stored != expect {
-                        return Some(format!(
-                            "shard {s} lincs stored {stored:?} != recomputed {expect:?}"
-                        ));
-                    }
-                }
-                let owner = sys.ctrl.nvm.journal_owner();
-                let phase = sys.ctrl.nvm.recovery_journal().phase;
-                if s == target {
-                    if owner != s as u16 {
-                        return Some(format!(
-                            "recovered shard {s} journal stamped by shard {owner}"
-                        ));
-                    }
-                } else if neighbors_idle {
-                    if phase != journal::IDLE {
-                        return Some(format!(
-                            "untouched shard {s} journal left phase {phase} (owner {owner})"
-                        ));
-                    }
-                } else if journal::in_progress(phase) || owner != s as u16 {
-                    return Some(format!(
-                        "co-recovered shard {s} journal left phase {phase} (owner {owner})"
-                    ));
-                }
-                None
-            });
-            if let Some(divergent) = bad {
-                return Err(self.fail(
-                    target,
-                    k,
-                    op_index,
-                    "per-shard state inconsistent after recovery",
-                    divergent,
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Probes one clean (untorn) crash point on `target`: crash, strict
-    /// per-shard recovery, then the rest of the stream runs across *all*
-    /// shards — the recovered shard keeps working and the neighbors were
-    /// never interrupted — before the whole space is verified.
-    pub fn probe_point(&self, target: usize, k: u64) -> Option<ShardRepro> {
-        self.test_point(target, k).err()
-    }
-
-    fn test_point(&self, target: usize, k: u64) -> Result<(), ShardRepro> {
-        let Some(tc) = self.crash_torn(target, k, 0xFF)? else {
-            return Ok(());
-        };
-        let ShardTornCrash {
-            engine,
-            crashed,
-            op_index,
-            mut expected,
-            sacrificed,
-        } = tc;
-
-        if !crashed.recoverable() {
-            return self.wb_refuses(target, k, op_index, crashed);
-        }
-
-        match engine.recover_shard(target, crashed) {
-            Ok(report) => {
-                let restarts = report
-                    .metrics
-                    .counter("core.recovery.restarts")
-                    .unwrap_or(0);
-                if restarts != 0 {
-                    return Err(self.fail(
-                        target,
-                        k,
-                        op_index,
-                        format!("first recovery reported {restarts} restarts"),
-                        "a single crash starts from an idle journal",
-                    ));
-                }
-            }
-            Err(e) => {
-                return Err(self.fail(
-                    target,
-                    k,
-                    op_index,
-                    format!("strict recovery of an untorn crash failed: {e}"),
-                    "whole-line persists must always recover strictly",
-                ));
-            }
-        }
-
-        // Neighbor liveness + recovered-shard liveness: the rest of the
-        // stream (skipping the interrupted op, whose ack never reached the
-        // caller) runs across every shard.
-        for (i, &op) in self.ops.iter().enumerate().skip(op_index + 1) {
-            Self::apply_op(&engine, op).map_err(|e| {
-                self.fail(
-                    target,
-                    k,
-                    i,
-                    format!("post-recovery op failed: {e}"),
-                    "all shards must keep accepting the stream after one shard recovers",
-                )
-            })?;
-            if let SweepOp::Write { line, tag } = op {
-                expected.insert(line * 64, SweepOp::payload(line, tag));
-            }
-        }
-
-        self.verify(&engine, target, k, op_index, &expected, sacrificed, true)
-    }
-
-    /// Probes one torn crash point on `target`: only `word_mask`'s 8-byte
-    /// words of the tripping line persist. Strict recovery either succeeds
-    /// (verified immediately) or errors cleanly, in which case the lenient
-    /// scrub must salvage everything except the sacrificed line.
-    pub fn probe_point_torn(&self, target: usize, k: u64, word_mask: u8) -> Option<ShardRepro> {
-        self.test_point_torn(target, k, word_mask).err()
-    }
-
-    fn test_point_torn(&self, target: usize, k: u64, word_mask: u8) -> Result<(), ShardRepro> {
-        if word_mask == 0xFF {
-            return self.test_point(target, k);
-        }
-        let Some(tc) = self.crash_torn(target, k, word_mask)? else {
-            return Ok(());
-        };
-        let ShardTornCrash {
-            engine,
-            crashed,
-            op_index,
-            expected,
-            sacrificed,
-        } = tc;
-
-        if !crashed.recoverable() {
-            return self.wb_refuses(target, k, op_index, crashed);
-        }
-
-        match engine.recover_shard(target, crashed) {
-            Ok(_report) => self.verify(&engine, target, k, op_index, &expected, sacrificed, true),
-            Err(_strict) => {
-                // The torn line legitimately defeated fail-stop recovery.
-                // Reproduce (deterministic replay) and scrub the target;
-                // the engine's slot gets the rebuilt machine back.
-                let Some(tc2) = self.crash_torn(target, k, word_mask)? else {
-                    return Ok(());
-                };
-                let engine2 = tc2.engine;
-                let report = engine2.scrub_shard(target, tc2.crashed);
-                for &gaddr in report.unrecoverable_addrs.iter() {
-                    let g = engine2.map().global_line(target, gaddr / 64) * 64;
-                    if tc2.expected.contains_key(&g) {
-                        return Err(self.fail(
-                            target,
-                            k,
-                            op_index,
-                            format!("scrub lost acked line {g:#x}"),
-                            "the scrub may only lose the sacrificed torn line",
-                        ));
-                    }
-                }
-                self.verify(
-                    &engine2,
-                    target,
-                    k,
-                    op_index,
-                    &tc2.expected,
-                    tc2.sacrificed,
-                    true,
-                )
-            }
-        }
-    }
-
-    /// Enumerates the persist points the target shard's *recovery itself*
-    /// fires after a clean crash at `k` (absolute sequence numbers — the
-    /// device's persist clock keeps counting across the crash). Empty when
-    /// `k` is beyond the horizon or the scheme cannot recover.
-    pub fn recovery_points(&self, target: usize, k: u64) -> Result<Vec<u64>, ShardRepro> {
-        let Some(tc) = self.crash_torn(target, k, 0xFF)? else {
-            return Ok(Vec::new());
-        };
-        let mut crashed = tc.crashed;
-        if !crashed.recoverable() {
-            return Ok(Vec::new());
-        }
-        crashed.nvm_mut().trace_pokes(true);
-        crashed.nvm_mut().journal_points(true);
-        let mut slot = None;
-        if crashed.recover_into(&mut slot).is_ok() {
-            let sys = slot.take().expect("recovery parks the rebuilt system");
-            return Ok(sys.ctrl.nvm.point_journal().iter().map(|p| p.seq).collect());
-        }
-        Ok(Vec::new())
-    }
-
-    /// Probes one nested point: a clean crash on `target` at `k`, a second
-    /// crash at absolute persist point `j` *during that shard's recovery*,
-    /// then a second recovery. The contract: the interrupted shard's second
-    /// recovery reports `core.recovery.restarts ≥ 1` (unless the inner
-    /// crash landed after the journal already read `DONE`), and untouched
-    /// shards stay pristine.
-    pub fn probe_point_nested(&self, target: usize, k: u64, j: u64) -> Option<ShardRepro> {
-        self.test_point_nested(target, k, j)
-            .map_err(|mut r| {
-                r.inner_point = Some(j);
-                r
-            })
-            .err()
-    }
-
-    fn test_point_nested(&self, target: usize, k: u64, j: u64) -> Result<(), ShardRepro> {
-        let Some(tc) = self.crash_torn(target, k, 0xFF)? else {
-            return Ok(());
-        };
-        let ShardTornCrash {
-            engine,
-            mut crashed,
-            op_index,
-            expected,
-            sacrificed,
-        } = tc;
-
-        if !crashed.recoverable() {
-            return self.wb_refuses(target, k, op_index, crashed);
-        }
-
-        crashed.nvm_mut().trace_pokes(true);
-        crashed.nvm_mut().arm_crash_torn(j, 0xFF);
-        let mut slot = None;
-        match crashed.recover_into(&mut slot) {
-            Ok(_report) => {
-                // Inner point beyond recovery's horizon: single recovery.
-                let Some(mut sys) = slot.take() else {
-                    return Err(self.fail(
-                        target,
-                        k,
-                        op_index,
-                        "recovery returned Ok without parking the system",
-                        "recover_into must fill the caller's slot",
-                    ));
-                };
-                sys.ctrl.nvm.disarm_crash();
-                sys.ctrl.nvm.trace_pokes(false);
-                engine.put_shard(target, sys);
-                self.verify(&engine, target, k, op_index, &expected, sacrificed, true)
-            }
-            Err(IntegrityError::PowerCut) => {
-                let Some(mut partial) = slot.take() else {
-                    return Err(self.fail(
-                        target,
-                        k,
-                        op_index,
-                        format!("inner crash at {j} tripped before recovery parked the system"),
-                        "recovery must park before its first durable write",
-                    ));
-                };
-                partial.ctrl.nvm.disarm_crash();
-                partial.ctrl.nvm.trace_pokes(false);
-                let crashed2 = partial.crash();
-                let finished = !journal::in_progress(crashed2.nvm().recovery_journal().phase);
-                match engine.recover_shard(target, crashed2) {
-                    Ok(report2) => {
-                        let restarts = report2
-                            .metrics
-                            .counter("core.recovery.restarts")
-                            .unwrap_or(0);
-                        if restarts == 0 && !finished {
-                            return Err(self.fail(
-                                target,
-                                k,
-                                op_index,
-                                format!(
-                                    "second recovery after inner crash at {j} reported no restart"
-                                ),
-                                "the shard's own ADR journal must record the interrupted attempt",
-                            ));
-                        }
-                        self.verify(&engine, target, k, op_index, &expected, sacrificed, true)
-                    }
-                    Err(strict) => Err(self.fail(
-                        target,
-                        k,
-                        op_index,
-                        format!("clean nested crash {k}>{j} failed second recovery: {strict}"),
-                        "untorn nested crashes must recover strictly",
-                    )),
-                }
-            }
-            Err(e) => Err(self.fail(
-                target,
-                k,
-                op_index,
-                format!("clean nested crash {k}>{j} failed strict recovery: {e}"),
-                "untorn nested crashes must recover strictly",
-            )),
-        }
-    }
-
-    /// Probes one *worker* crash: a clean crash on `target` at `k`, then a
-    /// whole-engine outage (neighbors power-cut at their own op
-    /// boundaries), then a parallel [`ShardedEngine::recover_all`]-style
-    /// rebuild by `workers` threads with a second crash armed at absolute
-    /// persist point `j` on the target's device. The worker driving the
-    /// target's region trips mid-rebuild and its region job reports the cut;
-    /// every other worker's region must finish untouched. The target is
-    /// then crashed again and strictly re-recovered; its ADR journal (now
-    /// carrying per-lane marks) must report `core.recovery.restarts ≥ 1`
-    /// unless the inner crash landed after `DONE`.
-    pub fn probe_point_worker_crash(
-        &self,
-        target: usize,
-        k: u64,
-        j: u64,
-        workers: usize,
-    ) -> Option<ShardRepro> {
-        self.test_point_worker_crash(target, k, j, workers)
-            .map_err(|mut r| {
-                r.inner_point = Some(j);
-                r
-            })
-            .err()
-    }
-
-    fn test_point_worker_crash(
-        &self,
-        target: usize,
-        k: u64,
-        j: u64,
-        workers: usize,
-    ) -> Result<(), ShardRepro> {
-        enum Region {
-            Done(u64),
-            Tripped,
-            Failed(String),
-        }
-
-        let Some(tc) = self.crash_torn(target, k, 0xFF)? else {
-            return Ok(());
-        };
-        let ShardTornCrash {
-            engine,
-            mut crashed,
-            op_index,
-            mut expected,
-            sacrificed,
-        } = tc;
-
-        if !crashed.recoverable() {
-            return self.wb_refuses(target, k, op_index, crashed);
-        }
-
-        // Whole-engine outage: the target crashed mid-op (already
-        // reconciled); every neighbor loses power at its own op boundary.
-        // The inner crash is armed on the target's device only.
-        crashed.nvm_mut().arm_crash_torn(j, 0xFF);
-        let mut target_img = Some(crashed);
-        let images: Vec<Mutex<Option<CrashedSystem>>> = (0..self.shards)
-            .map(|s| {
-                Mutex::new(Some(if s == target {
-                    target_img.take().expect("one target image")
-                } else {
-                    engine.crash_shard(s)
-                }))
-            })
-            .collect();
-
-        let workers = workers.clamp(1, par::MAX_WORKERS);
-        let partials: Vec<Mutex<Option<SecureNvmSystem>>> =
-            (0..self.shards).map(|_| Mutex::new(None)).collect();
-        let (outcomes, _steals) = par::run_regions(workers, self.shards, |s, _w| {
-            let img = images[s]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("each region runs exactly once")
-                .with_recovery_lanes(workers);
-            let mut slot = None;
-            match img.recover_into(&mut slot) {
-                Ok(report) => {
-                    let Some(mut sys) = slot.take() else {
-                        return Region::Failed("recovery returned Ok without parking".into());
-                    };
-                    sys.ctrl.nvm.disarm_crash();
-                    engine.put_shard(s, sys);
-                    Region::Done(
-                        report
-                            .metrics
-                            .counter("core.recovery.restarts")
-                            .unwrap_or(0),
-                    )
-                }
-                Err(IntegrityError::PowerCut) => match slot.take() {
-                    Some(mut partial) => {
-                        partial.ctrl.nvm.disarm_crash();
-                        *partials[s].lock().unwrap() = Some(partial);
-                        Region::Tripped
-                    }
-                    None => Region::Failed(
-                        "inner crash tripped before recovery parked the system".into(),
-                    ),
-                },
-                Err(e) => Region::Failed(format!("strict recovery failed: {e}")),
-            }
-        });
-
-        let mut target_finished = true;
-        for (s, outcome) in outcomes.iter().enumerate() {
-            match outcome {
-                Region::Done(restarts) => {
-                    if *restarts != 0 {
-                        return Err(self.fail(
-                            target,
-                            k,
-                            op_index,
-                            format!("uninterrupted region {s} reported {restarts} restarts"),
-                            "only the crashed worker's region may restart",
-                        ));
-                    }
-                }
-                Region::Tripped => {
-                    if s != target {
-                        return Err(self.fail(
-                            target,
-                            k,
-                            op_index,
-                            format!("inner crash armed on shard {target} tripped region {s}"),
-                            "regions recover off their own devices",
-                        ));
-                    }
-                    target_finished = false;
-                }
-                Region::Failed(e) => {
-                    return Err(self.fail(
-                        target,
-                        k,
-                        op_index,
-                        format!("region {s}: {e}"),
-                        "untorn parallel regions must recover strictly",
-                    ));
-                }
-            }
-        }
-
-        if !target_finished {
-            // Re-crash the interrupted worker's region and recover it
-            // strictly; its journal must carry the interrupted attempt.
-            let partial = partials[target]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("tripped region parks its partial");
-            let crashed2 = partial.crash();
-            let finished = !journal::in_progress(crashed2.nvm().recovery_journal().phase);
-            match engine.recover_shard(target, crashed2) {
-                Ok(report2) => {
-                    let restarts = report2
-                        .metrics
-                        .counter("core.recovery.restarts")
-                        .unwrap_or(0);
-                    if restarts == 0 && !finished {
-                        return Err(self.fail(
-                            target,
-                            k,
-                            op_index,
-                            format!(
-                                "second recovery after worker crash at {j} reported no restart"
-                            ),
-                            "the worker's lane marks must survive in the shard's ADR journal",
-                        ));
-                    }
-                }
-                Err(e) => {
-                    return Err(self.fail(
-                        target,
-                        k,
-                        op_index,
-                        format!("worker crash {k}>{j} failed second recovery: {e}"),
-                        "untorn nested crashes must recover strictly",
-                    ));
-                }
-            }
-        }
-
-        // Liveness: every shard keeps serving the rest of the stream after
-        // the parallel recovery, then the whole space verifies. Neighbors
-        // were co-recovered, so their journals read DONE, not IDLE.
-        for (i, &op) in self.ops.iter().enumerate().skip(op_index + 1) {
-            Self::apply_op(&engine, op).map_err(|e| {
-                self.fail(
-                    target,
-                    k,
-                    i,
-                    format!("post-recovery op failed: {e}"),
-                    "all shards must keep serving after a parallel recovery",
-                )
-            })?;
-            if let SweepOp::Write { line, tag } = op {
-                expected.insert(line * 64, SweepOp::payload(line, tag));
-            }
-        }
-        self.verify(&engine, target, k, op_index, &expected, sacrificed, false)
-    }
-
-    /// The worker-crash sweep: for every target shard and selected outer
-    /// point, the inner points recovery itself fires are probed as worker
-    /// crashes under a `workers`-thread parallel rebuild (bounded by
-    /// `inner_sel`), plus one synthetic beyond-horizon inner point when
-    /// recovery fires none.
-    pub fn run_worker_crashes(
-        &self,
-        outer_sel: PointSelection,
-        inner_sel: PointSelection,
-        workers: usize,
-    ) -> ShardSweepReport {
-        let label = format!(
-            "{} x{} sharded worker-crash w{workers}",
-            self.cfg.scheme.label(self.cfg.mode),
-            self.shards
-        );
-        self.run_recovery_points(label, outer_sel, inner_sel, |target, k, j| {
-            self.probe_point_worker_crash(target, k, j, workers)
-        })
-    }
-
-    /// Drives `probe(target, k, j)` over every target shard's selected
-    /// outer points `k` × the persist points `j` its recovery fires
-    /// (bounded by `inner_sel`), plus one synthetic beyond-horizon inner
-    /// point when recovery fires none.
-    fn run_recovery_points(
-        &self,
-        label: String,
-        outer_sel: PointSelection,
-        inner_sel: PointSelection,
-        probe: impl Fn(usize, u64, u64) -> Option<ShardRepro>,
-    ) -> ShardSweepReport {
-        let totals = match self.total_points() {
-            Ok(t) => t,
-            Err(e) => return self.baseline_failed(label, e),
-        };
-        let mut tested = 0u64;
-        let mut failures = Vec::new();
-        'sweep: for (target, &total) in totals.iter().enumerate() {
-            let outers = CrashSweep::select_with(outer_sel, (1..=total).collect());
-            for k in outers {
-                let inner = match self.recovery_points(target, k) {
-                    Ok(pts) if pts.is_empty() => vec![k + 1],
-                    Ok(pts) => CrashSweep::select_with(inner_sel, pts),
-                    Err(fail) => {
-                        failures.push(fail);
-                        if failures.len() >= self.max_failures {
-                            break 'sweep;
-                        }
-                        continue;
-                    }
-                };
-                for j in inner {
-                    tested += 1;
-                    if let Some(fail) = probe(target, k, j) {
-                        failures.push(fail);
-                        if failures.len() >= self.max_failures {
-                            break 'sweep;
-                        }
-                    }
-                }
-            }
-        }
-        ShardSweepReport {
-            label,
-            shards: self.shards,
-            tested_points: tested,
-            failures,
-        }
-    }
-
-    /// The full sweep: for every target shard, every selected persist point
-    /// gets the clean-crash probe; when `word_masks` holds torn masks each
-    /// selected point is additionally probed torn.
-    pub fn run(&self, selection: PointSelection, word_masks: &[u8]) -> ShardSweepReport {
-        let label = format!(
-            "{} x{} sharded",
-            self.cfg.scheme.label(self.cfg.mode),
-            self.shards
-        );
-        let totals = match self.total_points() {
-            Ok(t) => t,
-            Err(e) => return self.baseline_failed(label, e),
-        };
-        let mut tested = 0u64;
-        let mut failures = Vec::new();
-        'sweep: for (target, &total) in totals.iter().enumerate() {
-            let points = CrashSweep::select_with(selection, (1..=total).collect());
-            for k in points {
-                for &mask in word_masks {
-                    tested += 1;
-                    if let Some(fail) = self.probe_point_torn(target, k, mask) {
-                        failures.push(fail);
-                        if failures.len() >= self.max_failures {
-                            break 'sweep;
-                        }
-                    }
-                }
-            }
-        }
-        ShardSweepReport {
-            label,
-            shards: self.shards,
-            tested_points: tested,
-            failures,
-        }
-    }
-
-    /// The nested sweep: for every target shard and selected outer point,
-    /// the inner points recovery itself fires are probed (bounded by
-    /// `inner_sel`), plus one synthetic beyond-horizon inner point when
-    /// recovery fires none.
-    pub fn run_nested(
-        &self,
-        outer_sel: PointSelection,
-        inner_sel: PointSelection,
-    ) -> ShardSweepReport {
-        let label = format!(
-            "{} x{} sharded nested",
-            self.cfg.scheme.label(self.cfg.mode),
-            self.shards
-        );
-        self.run_recovery_points(label, outer_sel, inner_sel, |target, k, j| {
-            self.probe_point_nested(target, k, j)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SchemeKind;
+    use crate::crash::{CrashSweep, PointSelection, SweepOp};
     use steins_metadata::CounterMode;
 
     fn small(scheme: SchemeKind) -> SystemConfig {
         SystemConfig::small_for_tests(scheme, CounterMode::General)
+    }
+
+    /// The 2-shard case of `crash::tests::probe_point_propagates_real_panics`:
+    /// a stream op past the data region panics out of the sharded probe.
+    #[test]
+    #[should_panic(expected = "real panic propagated at 2 shard(s)")]
+    fn sharded_probe_point_propagates_real_panics() {
+        crate::crash::tests::probe_past_the_data_region(2);
     }
 
     #[test]
@@ -1980,43 +976,39 @@ mod tests {
         );
     }
 
+    /// A 2-shard crash harness over `ops`, `sel` points per target shard.
+    fn sweep2(scheme: SchemeKind, seed: u64, len: usize, sel: PointSelection) -> CrashSweep {
+        let cfg = small(scheme);
+        let ops = SweepOp::stream(seed, cfg.data_lines.min(64), len);
+        CrashSweep::new(cfg, ops, sel).with_shards(2)
+    }
+
     /// The cross-shard smoke contract: crash each shard at sampled persist
     /// points while its neighbor is mid-write; both shards' recovered
-    /// state verifies. (The full four-scheme sweep lives in the
-    /// integration tests.)
+    /// state verifies, neighbors keep serving the rest of the stream, and
+    /// their journals stay `IDLE`. (The full four-scheme sweep lives in
+    /// the integration tests.)
     #[test]
     fn cross_shard_crash_smoke() {
-        let cfg = small(SchemeKind::Steins);
-        let ops = SweepOp::stream(11, cfg.data_lines.min(64), 40);
-        let sweep = ShardSweep::new(cfg, 2, ops);
-        let totals = sweep.total_points().unwrap();
-        for (target, &total) in totals.iter().enumerate() {
-            let points = CrashSweep::select_with(PointSelection::AtMost(3), (1..=total).collect());
-            for k in points {
-                assert!(
-                    sweep.probe_point(target, k).is_none(),
-                    "shard {target} point {k} failed"
-                );
-            }
+        let sweep = sweep2(SchemeKind::Steins, 11, 40, PointSelection::AtMost(3));
+        let points = sweep.crash_points().unwrap();
+        assert!(points.iter().any(|p| p.shard == 1));
+        for p in points {
+            assert!(sweep.probe_point(p).is_none(), "{p:?} failed");
         }
     }
 
     #[test]
     fn wb_refuses_sharded_recovery_at_every_point() {
-        let cfg = small(SchemeKind::WriteBack);
-        let ops = SweepOp::stream(5, cfg.data_lines.min(64), 24);
-        let sweep = ShardSweep::new(cfg, 2, ops);
-        let report = sweep.run(PointSelection::AtMost(2), &[0xFF]);
+        let report = sweep2(SchemeKind::WriteBack, 5, 24, PointSelection::AtMost(2)).run();
         assert!(report.clean(), "{report}");
         assert!(report.tested_points > 0);
     }
 
     #[test]
     fn nested_crash_restarts_only_the_interrupted_shard() {
-        let cfg = small(SchemeKind::Steins);
-        let ops = SweepOp::stream(23, cfg.data_lines.min(64), 32);
-        let sweep = ShardSweep::new(cfg, 2, ops);
-        let report = sweep.run_nested(PointSelection::AtMost(2), PointSelection::AtMost(2));
+        let sweep = sweep2(SchemeKind::Steins, 23, 32, PointSelection::AtMost(2));
+        let report = sweep.run_nested(&[0xFF], &[0xFF], PointSelection::AtMost(2));
         assert!(report.clean(), "{report}");
         assert!(report.tested_points > 0);
     }
@@ -2172,18 +1164,6 @@ mod tests {
             .map(|a| a.kind)
             .collect();
         assert_eq!(kinds, vec![AlarmKind::ShardDegraded], "one park, one alarm");
-    }
-
-    /// A real bug never passes for a power cut: a stream op past the data
-    /// region panics out of the probe (at the router's range check, or the
-    /// shard's region check when debug assertions are off) instead of
-    /// being reported as a crash point.
-    #[test]
-    #[should_panic]
-    fn sharded_probe_point_propagates_real_panics() {
-        let cfg = small(SchemeKind::Steins);
-        let line = cfg.data_lines;
-        ShardSweep::new(cfg, 2, vec![SweepOp::Write { line, tag: 1 }]).probe_point(0, 1);
     }
 
     #[test]
@@ -2427,11 +1407,8 @@ mod tests {
 
     #[test]
     fn worker_crash_mid_parallel_rebuild_restarts_only_that_region() {
-        let cfg = small(SchemeKind::Steins);
-        let ops = SweepOp::stream(29, cfg.data_lines.min(64), 32);
-        let sweep = ShardSweep::new(cfg, 2, ops);
-        let report =
-            sweep.run_worker_crashes(PointSelection::AtMost(2), PointSelection::AtMost(2), 4);
+        let sweep = sweep2(SchemeKind::Steins, 29, 32, PointSelection::AtMost(2));
+        let report = sweep.run_worker_crashes(PointSelection::AtMost(2), 4);
         assert!(report.clean(), "{report}");
         assert!(report.tested_points > 0);
     }

@@ -47,11 +47,13 @@ pub use steins_trace as trace;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use steins_core::config::{CounterMode, SchemeKind, SystemConfig};
-    pub use steins_core::crash::{CrashRepro, CrashSweep, PointSelection, SweepOp, SweepReport};
+    pub use steins_core::crash::{
+        CrashPoint, CrashRepro, CrashSweep, PointSelection, SweepOp, SweepReport,
+    };
     pub use steins_core::engine::SecureNvmSystem;
     pub use steins_core::recovery::RecoveryReport;
     pub use steins_core::report::RunReport;
-    pub use steins_core::shard::{ShardSweep, ShardedEngine};
+    pub use steins_core::shard::ShardedEngine;
     pub use steins_crypto::CryptoKind;
     pub use steins_metadata::{ShardMap, StripeMode};
     pub use steins_trace::workload::{Workload, WorkloadKind};
