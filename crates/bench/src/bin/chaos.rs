@@ -17,7 +17,7 @@
 //!   with the service off.
 //!
 //! With `STEINS_CHAOS_REPAIR=1`, tripped shards come back through the
-//! bounded self-healing repair loop (quarantine capture → laned rebuild →
+//! bounded self-healing repair loop (quarantine capture → scrub rebuild →
 //! full re-verification → audited replay) and the gate additionally
 //! requires [`steins_core::ChaosReport::repair_clean`]: after the soak
 //! every shard is `Serving` again or permanently parked behind its alarm

@@ -206,7 +206,7 @@ fn main() {
             ],
         );
     }
-    let workers = steins_core::par::recovery_workers();
+    let workers = env_usize("STEINS_RECOVERY_WORKERS", 1).max(1);
     let worker_clean =
         format!("only the crashed worker's region restarted ({workers}-worker rebuild)");
     for (scheme, mode) in combos {

@@ -1,6 +1,6 @@
 //! Order-preserving parallel map for the bench binaries: a thin layer over
-//! the work-stealing queue [`steins_core::par::run_regions`] that parallel
-//! recovery runs on, so the workspace keeps one job queue.
+//! the shared-counter job pool [`steins_core::par::run_regions`] that
+//! parallel recovery runs on, so the workspace keeps one parallel map.
 
 use std::sync::Mutex;
 
@@ -39,11 +39,10 @@ where
     F: Fn(T) -> R + Sync,
 {
     let jobs: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    steins_core::par::run_regions(workers, jobs.len(), |i, _w| {
+    steins_core::par::run_regions(workers, jobs.len(), |i| {
         let job = jobs[i].lock().expect("job slot poisoned by a panic").take();
         f(job.expect("each job runs exactly once"))
     })
-    .0
 }
 
 #[cfg(test)]

@@ -1060,7 +1060,7 @@ fn inject_chaos_fault(
 /// The power-fail path: the shard that tripped is parked `Degraded`
 /// (raising the lifecycle alarm), its image is crashed and leniently
 /// scrubbed back in, and the online service resumes its pass from the
-/// [`journal::ONLINE`](crate::recovery::journal::ONLINE) marks the
+/// [`journal::ONLINE`](crate::recovery::journal::ONLINE) cursor the
 /// interrupted scrub left in the ADR journal.
 fn recover_tripped_shard(
     cfg: &ChaosConfig,
@@ -1264,7 +1264,7 @@ fn serve_chaos_shard(
 }
 
 /// Runs chaos mode: `cfg.threads` workers serve `cfg.shards` shards'
-/// schedules off a work-stealing queue while faults land mid-traffic, then
+/// schedules off one shared job counter while faults land mid-traffic, then
 /// a single-threaded verification sweep re-reads every acknowledged line.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let sys_cfg = SystemConfig::small_for_tests(SchemeKind::Steins, cfg.mode);
@@ -1283,7 +1283,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let plans: Vec<ChaosPlan> = (0..cfg.shards)
         .map(|s| chaos_plan(cfg, s, engine.shard_config().data_lines))
         .collect();
-    let (outcomes, _steals) = par::run_regions(cfg.threads.max(1), cfg.shards, |s, _w| {
+    let outcomes = par::run_regions(cfg.threads, cfg.shards, |s| {
         serve_chaos_shard(cfg, &engine, s, &plans[s])
     });
 

@@ -7,8 +7,16 @@
 //!
 //! Survives: the NVM contents including every write the write queue had
 //! accepted (the queue is in the ADR domain), the ADR-cached record/bitmap
-//! lines (flushed with residual power), and the on-chip NV registers — the
-//! SIT root, Steins' LIncs and NV buffer, ASIT/STAR's cache-tree root.
+//! lines (flushed with residual power), the on-chip NV registers — the
+//! SIT root, Steins' LIncs and NV buffer, ASIT/STAR's cache-tree root — and
+//! the MAC-sealed ADR recovery journal (phase, `hwm`, restarts) that makes a
+//! crash during recovery resumable.
+//!
+//! [`CrashSweep`] is the one fault-injection harness: it replays a stream
+//! through a [`ShardedEngine`] (an unsharded system is the 1-shard case),
+//! crashes at every selected persist point, and checks recovery, the
+//! lenient scrub, nested crashes during recovery, and a worker crash in the
+//! middle of a parallel whole-engine rebuild.
 
 use crate::config::{SchemeKind, SystemConfig};
 use crate::diagnose;
@@ -73,9 +81,6 @@ pub struct CrashedSystem {
     pub(crate) truth: FxHashMap<u64, [u8; 64]>,
     /// Lines whose latest stores were lost in the CPU caches.
     pub(crate) lost_lines: Vec<u64>,
-    /// Recovery lane-count override for this image (None: the
-    /// `STEINS_RECOVERY_WORKERS` env default). See [`crate::par`].
-    pub(crate) recovery_lanes: Option<usize>,
 }
 
 impl SecureNvmSystem {
@@ -128,7 +133,6 @@ impl SecureNvmSystem {
             nv,
             truth,
             lost_lines,
-            recovery_lanes: None,
         }
     }
 }
@@ -139,14 +143,11 @@ impl CrashedSystem {
         &self.cfg
     }
 
-    /// Pins the recovery worker/lane count for this image, overriding the
-    /// `STEINS_RECOVERY_WORKERS` env default (clamped to
-    /// `1..=`[`crate::par::MAX_WORKERS`] at use). Worker count never
-    /// changes what recovery computes — install order, exported metrics and
-    /// the terminal journal are lane-count-invariant — only how the
-    /// in-progress journal partitions its per-lane high-water marks.
-    pub fn with_recovery_lanes(mut self, lanes: usize) -> Self {
-        self.recovery_lanes = Some(lanes);
+    /// A no-op that returns the image unchanged, kept so callers that pin
+    /// a lane count still build. One image always recovers serially and
+    /// journals one high-water mark; recovery parallelism is across shards
+    /// ([`ShardedEngine::recover_all`]'s `workers`).
+    pub fn with_recovery_lanes(self, _lanes: usize) -> Self {
         self
     }
 
@@ -465,11 +466,6 @@ pub struct CrashSweep {
     shards: usize,
     ops: Vec<SweepOp>,
     selection: PointSelection,
-    /// Lane-mark override for every recovery the nested probes run
-    /// (`None` = the `STEINS_RECOVERY_WORKERS` env default). With > 1 the
-    /// interrupted attempts leave *laned* ADR journals, so the sweep
-    /// exercises resume-from-marks instead of resume-from-prefix.
-    recovery_lanes: Option<usize>,
 }
 
 impl CrashSweep {
@@ -481,7 +477,6 @@ impl CrashSweep {
             shards: 1,
             ops,
             selection,
-            recovery_lanes: None,
         }
     }
 
@@ -490,13 +485,6 @@ impl CrashSweep {
     /// target shard at a time.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Builder: run every nested probe's recoveries with `lanes` lane-mark
-    /// slots (see [`CrashedSystem::with_recovery_lanes`]).
-    pub fn with_recovery_lanes(mut self, lanes: usize) -> Self {
-        self.recovery_lanes = Some(lanes);
         self
     }
 
@@ -524,13 +512,6 @@ impl CrashSweep {
 
     fn engine(&self) -> ShardedEngine {
         ShardedEngine::new(self.cfg.clone(), self.shards)
-    }
-
-    fn laned(&self, crashed: CrashedSystem) -> CrashedSystem {
-        match self.recovery_lanes {
-            Some(l) => crashed.with_recovery_lanes(l),
-            None => crashed,
-        }
     }
 
     /// Runs the stream crash-free with point journaling on, returning every
@@ -1177,10 +1158,9 @@ impl CrashSweep {
         j: u64,
         inner_mask: u8,
     ) -> Result<Option<(NestedRun, Outage)>, PointFailure> {
-        let Some((crashed, out)) = self.crash_torn(p, outer_mask)? else {
+        let Some((mut crashed, out)) = self.crash_torn(p, outer_mask)? else {
             return Ok(None);
         };
-        let mut crashed = self.laned(crashed);
         crashed.nvm.trace_pokes(true);
         crashed.nvm.arm_crash_torn(j, inner_mask);
         let mut slot = None;
@@ -1241,7 +1221,6 @@ impl CrashSweep {
         let strict = match run {
             NestedRun::Completed(sys) => return self.reinstate(&out, p, *sys),
             NestedRun::Crashed(crashed2) => {
-                let crashed2 = self.laned(*crashed2);
                 let finished = !journal::in_progress(crashed2.nvm.recovery_journal().phase);
                 match crashed2.recover() {
                     Ok((sys2, report2)) => {
@@ -1301,7 +1280,6 @@ impl CrashSweep {
                 format!("first attempt failed with: {strict}"),
             )),
             NestedRun::Crashed(crashed2) => {
-                let crashed2 = self.laned(*crashed2);
                 let min_restarts =
                     u64::from(journal::in_progress(crashed2.nvm.recovery_journal().phase));
                 let (sys, report) = crashed2.recover_lenient();
@@ -1311,10 +1289,9 @@ impl CrashSweep {
                 // Strict recovery refused before the inner point tripped:
                 // the scrub is what runs next, with the inner crash armed
                 // against its own rewrites.
-                let Some((crashed, out3)) = self.crash_torn(p, outer_mask)? else {
+                let Some((mut crashed, out3)) = self.crash_torn(p, outer_mask)? else {
                     return Err(out.fail("outer crash not reproducible for the scrub", "n/a"));
                 };
-                let mut crashed = self.laned(crashed);
                 crashed.nvm.trace_pokes(true);
                 crashed.nvm.arm_crash_torn(j, inner_mask);
                 let mut slot = None;
@@ -1334,7 +1311,7 @@ impl CrashSweep {
                                 "the scrub must park before its first rewrite",
                             ));
                         };
-                        let crashed3 = self.laned(disarmed(partial).crash());
+                        let crashed3 = disarmed(partial).crash();
                         // The interrupted scrub must be journaled: strict
                         // recovery is no longer sound on this image. A trip
                         // on the scrub's final write legitimately reads
@@ -1441,7 +1418,7 @@ impl CrashSweep {
     /// persist point `j` on the target's device. The worker driving the
     /// target's region trips mid-rebuild; every other region must finish
     /// with `restarts == 0`. The target is then crashed again and strictly
-    /// re-recovered: its ADR journal, carrying per-lane marks, must report
+    /// re-recovered: its ADR journal must make it report
     /// `core.recovery.restarts ≥ 1` unless the inner crash landed after
     /// `DONE`. Every shard then serves the rest of the stream, and the whole
     /// space verifies with co-recovered neighbors.
@@ -1484,15 +1461,13 @@ impl CrashSweep {
                 }))
             })
             .collect();
-        let workers = workers.clamp(1, par::MAX_WORKERS);
         let engine = &out.engine;
-        let (regions, _steals) = par::run_regions(workers, self.shards, |s, _w| {
+        let regions = par::run_regions(workers, self.shards, |s| {
             let img = images[s]
                 .lock()
                 .expect("image slot poisoned by a panic")
                 .take()
-                .expect("each region runs exactly once")
-                .with_recovery_lanes(workers);
+                .expect("each region runs exactly once");
             let mut slot = None;
             match (img.recover_into(&mut slot), slot.take()) {
                 (Ok(report), Some(sys)) => {
@@ -1542,7 +1517,7 @@ impl CrashSweep {
                                 format!(
                                     "second recovery after worker crash at {j} reported no restart"
                                 ),
-                                "the worker's lane marks must survive in the shard's ADR journal",
+                                "the worker's progress must survive in the shard's ADR journal",
                             ));
                         }
                         Err(e) => {
@@ -1917,21 +1892,6 @@ pub(crate) mod tests {
     #[test]
     fn wb_nested_points_keep_refusing_recovery() {
         nested_sweep(SchemeKind::WriteBack);
-    }
-
-    /// The nested contract must survive laned journals: with 4 lane-mark
-    /// slots every interrupted attempt leaves per-lane marks in the ADR
-    /// journal, and the second recovery resumes from the mark union.
-    #[test]
-    fn nested_points_recover_with_laned_journals() {
-        for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
-            let sweep =
-                CrashSweep::small(scheme, CounterMode::General, 18, PointSelection::AtMost(4))
-                    .with_recovery_lanes(4);
-            let report = sweep.run_nested(&[0xFF, 0x0F], &[0xFF], PointSelection::AtMost(3));
-            assert!(report.tested_points > 0, "no nested points enumerated");
-            assert!(report.clean(), "{report}");
-        }
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl SecureMemoryController {
 
     /// Writes the ADR recovery journal sealed under the engine key. Every
     /// journal write in the controller crates goes through here — the MAC
-    /// is what lets the next recovery attempt prove the resume marks were
+    /// is what lets the next recovery attempt prove the resume point was
     /// written by a holder of the key, not forged on the bus.
     pub(crate) fn journal_write(
         &mut self,
@@ -1438,7 +1438,7 @@ impl SecureNvmSystem {
     }
 
     /// The online integrity service, mutably (policy retuning, cursor
-    /// resume from a crashed image's journal marks).
+    /// resume from a crashed image's journal).
     pub fn online_mut(&mut self) -> Option<&mut OnlineService> {
         self.online.as_mut()
     }

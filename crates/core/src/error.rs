@@ -73,7 +73,7 @@ pub enum IntegrityError {
         /// Line address of the quarantined region.
         addr: u64,
     },
-    /// The ADR recovery journal failed its MAC check: the resume marks are
+    /// The ADR recovery journal failed its MAC check: the resume point is
     /// attacker-controlled (or the line rotted) and must not steer
     /// recovery. Strict recovery fails closed; the lenient scrub discards
     /// the journal and rebuilds from scratch.

@@ -14,11 +14,9 @@
 //!   the throttle bounds — and driving the device's bounded
 //!   exponential-backoff retry schedule, which heals short transient
 //!   faults), then the data MAC against the line's
-//!   [`MacRecord`]. The cursor is stamped into the
-//!   ADR recovery journal's per-lane marks (phase
-//!   [`journal::ONLINE`], laid out by
-//!   [`par::lane_spans`] exactly like parallel recovery's regions), so a
-//!   crash mid-pass resumes the pass instead of rescanning from zero.
+//!   [`MacRecord`]. The cursor is stamped into the ADR recovery journal's
+//!   `hwm` (phase [`journal::ONLINE`]), so a crash mid-pass resumes the
+//!   pass instead of rescanning from zero.
 //! * **Throttle negotiation** — a scrub step first consults the live
 //!   write-queue occupancy; above `throttle_occupancy` the step yields to
 //!   serving traffic (alarm draining still runs — detections are never
@@ -45,14 +43,13 @@
 use std::collections::BTreeSet;
 
 use steins_metadata::CounterMode;
-use steins_nvm::{RecoveryJournal, RECOVERY_LANES};
+use steins_nvm::RecoveryJournal;
 use steins_obs::{Alarm, AlarmKind, AlarmLog, MetricRegistry};
 
 use crate::cme::MacRecord;
 use crate::config::LeafRecovery;
 use crate::engine::SecureNvmSystem;
 use crate::error::{pass_cut, IntegrityError};
-use crate::par;
 use crate::recovery::journal;
 
 /// Runtime policy knobs of the online integrity service (Triad-NVM-style:
@@ -174,7 +171,7 @@ impl OnlineService {
     }
 
     /// Repositions the scrub cursor — used to resume an interrupted pass
-    /// from a crashed image's [`journal::ONLINE`] marks (see
+    /// from a crashed image's [`journal::ONLINE`] journal (see
     /// [`Self::resume_cursor`]).
     pub fn set_cursor(&mut self, cursor: u64) {
         self.cursor = cursor;
@@ -252,31 +249,10 @@ impl OnlineService {
     }
 
     /// The cursor a crashed image's journal proves the interrupted pass
-    /// had reached, when the journal is in the [`journal::ONLINE`] phase
-    /// (per-lane marks over `lines` data lines, [`par::lane_spans`]
-    /// layout — the same single↔multi-lane compatibility contract
-    /// parallel recovery uses).
+    /// had reached over `lines` data lines, when the journal is in the
+    /// [`journal::ONLINE`] phase: the patrol stamps its cursor as `hwm`.
     pub fn resume_cursor(j: &RecoveryJournal, lines: u64) -> Option<u64> {
-        if j.phase != journal::ONLINE || j.lanes == 0 {
-            return None;
-        }
-        let covered: u64 = par::lane_spans(lines as usize, j.lanes as usize)
-            .iter()
-            .zip(j.marks.iter())
-            .map(|(&(s, e), &m)| m.min((e - s) as u64))
-            .sum();
-        Some(covered % lines.max(1))
-    }
-
-    fn marks_for(cursor: u64, lines: u64) -> [u64; RECOVERY_LANES] {
-        let mut marks = [0u64; RECOVERY_LANES];
-        for (l, (s, e)) in par::lane_spans(lines as usize, RECOVERY_LANES)
-            .into_iter()
-            .enumerate()
-        {
-            marks[l] = (cursor as usize).clamp(s, e).saturating_sub(s) as u64;
-        }
-        marks
+        (j.phase == journal::ONLINE).then(|| j.hwm % lines.max(1))
     }
 
     fn raise(&mut self, kind: AlarmKind, shard: u16, addr: Option<u64>, cycle: u64) {
@@ -459,7 +435,7 @@ impl OnlineService {
 
     /// One scrub step: drain promotions, negotiate the throttle against
     /// live write-queue occupancy, verify the next batch of lines, stamp
-    /// the cursor into the journal's per-lane marks. Errs only with
+    /// the cursor into the journal's `hwm`. Errs only with
     /// [`IntegrityError::PowerCut`].
     pub(crate) fn step(&mut self, sys: &mut SecureNvmSystem) -> Result<(), IntegrityError> {
         self.steps += 1;
@@ -489,12 +465,11 @@ impl OnlineService {
             }
         }
         // Stamp the cursor (a cheap ADR persist): a crash between steps
-        // resumes the pass from these marks instead of line zero.
-        sys.ctrl.journal_write(RecoveryJournal::laned(
+        // resumes the pass from it instead of line zero.
+        sys.ctrl.journal_write(RecoveryJournal::new(
             journal::ONLINE,
+            self.cursor,
             self.passes.min(u64::from(u32::MAX)) as u32,
-            RECOVERY_LANES as u8,
-            Self::marks_for(self.cursor, lines),
         ))?;
         Ok(())
     }
@@ -575,13 +550,13 @@ mod tests {
         assert!(svc.verified >= 64, "verified {}", svc.verified);
         assert!(svc.alarms().is_empty());
         assert_eq!(svc.quarantined().count(), 0);
-        // The journal carries the online phase with resumable marks.
+        // The journal carries the online phase with the resumable cursor.
         let j = s.ctrl.nvm.recovery_journal();
         assert_eq!(j.phase, journal::ONLINE);
         assert_eq!(
             OnlineService::resume_cursor(&j, lines),
             Some(svc.cursor()),
-            "marks must round-trip the cursor"
+            "the journal must round-trip the cursor"
         );
     }
 

@@ -6,6 +6,12 @@
 //! metadata cache holds the recovered nodes marked dirty. NVM reads are
 //! counted and converted to an estimated wall time at the paper's 100 ns
 //! per read-and-verify (§IV-D) — the series Fig. 17 plots.
+//!
+//! One image recovers serially: every rebuild loop walks its items in one
+//! canonical order and journals `hwm` = items done after each, so an
+//! interrupted attempt's journal covers exactly the first `hwm` items.
+//! Parallelism lives one level up, across whole shards
+//! ([`crate::ShardedEngine::recover_all`]).
 
 use crate::cachetree::CacheTree;
 use crate::cme::MacRecord;
@@ -15,7 +21,6 @@ use crate::engine::SecureNvmSystem;
 use crate::error::IntegrityError;
 use crate::linc::LincBank;
 use crate::nvbuffer::NvBuffer;
-use crate::par;
 use crate::scheme::{star, AsitState, SchemeState, SteinsState};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use steins_crypto::CryptoEngine;
@@ -60,12 +65,12 @@ pub mod journal {
     /// The last recovery or scrub ran to completion.
     pub const DONE: u8 = 6;
     /// The online integrity service's incremental background scrub
-    /// (`crate::online`) is stamping its pass cursor into the per-lane
-    /// marks. The online pass is peek-only and idempotent — it rewrites
-    /// none of the structures strict recovery trusts — so this phase is
-    /// *terminal* (not in-progress): a crash mid-pass recovers strictly,
-    /// and the marks let the restarted service resume its cursor instead
-    /// of rescanning from line zero.
+    /// (`crate::online`) is stamping its pass cursor into `hwm`. The
+    /// online pass is peek-only and idempotent — it rewrites none of the
+    /// structures strict recovery trusts — so this phase is *terminal*
+    /// (not in-progress): a crash mid-pass recovers strictly, and the
+    /// cursor lets the restarted service resume instead of rescanning
+    /// from line zero.
     pub const ONLINE: u8 = 7;
 
     /// Human-readable phase name.
@@ -89,36 +94,6 @@ pub mod journal {
     }
 }
 
-/// The set of canonical item indices an interrupted rebuild's journal
-/// proves durably completed, as a mask over `0..n`.
-///
-/// A single-threaded-era journal (`lanes == 0`) covers the first `hwm`
-/// items. A laned journal covers, for each lane `l`, the first `marks[l]`
-/// items of lane `l`'s contiguous region ([`par::lane_spans`] over the
-/// *prior* attempt's lane count — the current attempt may run with a
-/// different worker count and still reads the old layout correctly, which
-/// is the whole single↔multi-lane compatibility contract).
-fn journal_cover(prior: &RecoveryJournal, n: usize) -> Vec<bool> {
-    let mut cover = vec![false; n];
-    if prior.lanes == 0 {
-        for c in cover.iter_mut().take((prior.hwm as usize).min(n)) {
-            *c = true;
-        }
-    } else {
-        // Defensive clamp: every journal that reaches here has passed the
-        // MAC check, but the cover computation itself must stay in-bounds
-        // for any lane count the type can express.
-        let lanes = (prior.lanes as usize).min(steins_nvm::RECOVERY_LANES);
-        for (l, (s, e)) in par::lane_spans(n, lanes).into_iter().enumerate() {
-            let done = (prior.marks[l] as usize).min(e - s);
-            for c in cover.iter_mut().skip(s).take(done) {
-                *c = true;
-            }
-        }
-    }
-    cover
-}
-
 /// Seals a journal under the engine key: the 64-bit tag stored with the
 /// durable journal line (see [`RecoveryJournal::mac_message`] for the
 /// domain-separated byte string it covers).
@@ -139,27 +114,6 @@ pub(crate) fn journal_authentic(crypto: &dyn CryptoEngine, nvm: &NvmDevice) -> b
         return true;
     }
     nvm.journal_mac() == seal_journal(crypto, &j)
-}
-
-/// Journals rebuild-loop progress in the layout the lane count selects:
-/// the legacy single-mark form for one lane (byte-identical to the
-/// pre-parallel recoverer), per-lane mark slots otherwise. `done` is the
-/// canonical index count completed so far out of `total`.
-pub(crate) fn progress_journal(
-    phase: u8,
-    restarts: u32,
-    lanes: usize,
-    total: usize,
-    done: usize,
-) -> RecoveryJournal {
-    if lanes <= 1 {
-        return RecoveryJournal::single(phase, done as u64, restarts);
-    }
-    let mut marks = [0u64; steins_nvm::RECOVERY_LANES];
-    for (l, (s, e)) in par::lane_spans(total, lanes).into_iter().enumerate() {
-        marks[l] = (done.min(e) - s.min(done)) as u64;
-    }
-    RecoveryJournal::laned(phase, restarts, lanes as u8, marks)
 }
 
 /// What a recovery run did and how long it would take on hardware.
@@ -291,20 +245,11 @@ impl CrashedSystem {
             0
         };
         let shard = self.nvm.shard();
-        // Lane count for this attempt's journal layout. The override (set by
-        // the harnesses and the sharded recoverer) wins over the
-        // `STEINS_RECOVERY_WORKERS` env default. Lane count shapes only the
-        // in-progress journal's mark partition — never the install order,
-        // the exported metrics, or the terminal journal.
-        let lanes = self
-            .recovery_lanes
-            .unwrap_or_else(par::recovery_workers)
-            .clamp(1, par::MAX_WORKERS);
         let mut report = match self.cfg.scheme {
             SchemeKind::WriteBack => unreachable!("handled above"),
-            SchemeKind::Steins => self.recover_steins(out, prior, restarts, lanes),
-            SchemeKind::Asit => self.recover_asit(out, prior, restarts, lanes),
-            SchemeKind::Star => self.recover_star(out, prior, restarts, lanes),
+            SchemeKind::Steins => self.recover_steins(out, prior, restarts),
+            SchemeKind::Asit => self.recover_asit(out, prior, restarts),
+            SchemeKind::Star => self.recover_star(out, prior, restarts),
         }?;
         // Which shard's journal line drove this attempt — the sharded
         // engine recovers each shard independently off its own line.
@@ -435,7 +380,6 @@ impl CrashedSystem {
         out: &mut Option<SecureNvmSystem>,
         prior: RecoveryJournal,
         restarts: u32,
-        lanes: usize,
     ) -> Result<RecoveryReport, IntegrityError> {
         let geo = self.layout.geometry.clone();
         let (mut lincs, nv_buffer) = match &self.nv {
@@ -615,7 +559,7 @@ impl CrashedSystem {
             restarts,
         );
         let read_ns = self.cfg.recovery_read_ns;
-        self.rebuild_steins(out, recovered, lincs, pinned, restarts, lanes)?;
+        self.rebuild_steins(out, recovered, lincs, pinned, restarts)?;
         let est_seconds = reads as f64 * read_ns * 1e-9;
         Ok(RecoveryReport {
             scheme: "Steins".into(),
@@ -654,7 +598,6 @@ impl CrashedSystem {
         lincs: LincBank,
         pinned: HashMap<u64, u64>,
         restarts: u32,
-        lanes: usize,
     ) -> Result<(), IntegrityError> {
         let cfg = self.cfg.clone();
         let geo = self.layout.geometry.clone();
@@ -720,22 +663,12 @@ impl CrashedSystem {
             .collect();
         *out = Some(sys);
         let sys = out.as_mut().expect("just parked");
-        // The install loop below journals per-lane high-water marks: items
-        // partition into `lanes` contiguous regions, and completing item
-        // `i` bumps its region's mark slot. Installs are volatile in this
-        // phase (a re-run repeats the whole recovery), so the marks are a
-        // progress record, not a resume point — but they make every torn
-        // mid-rebuild journal a state the multi-lane resume logic accepts,
-        // whichever lane count the *next* attempt runs with.
-        let n = ordered.len();
-        sys.ctrl.journal_write(progress_journal(
-            journal::STEINS_REBUILD,
-            restarts,
-            lanes,
-            n,
-            0,
-        ))?;
-        let total = n as u64;
+        // The install loop below journals `hwm` = items installed. Installs
+        // are volatile in this phase (a re-run repeats the whole recovery),
+        // so the mark is a progress record, not a resume point.
+        let total = ordered.len() as u64;
+        sys.ctrl
+            .journal_write(RecoveryJournal::new(journal::STEINS_REBUILD, 0, restarts))?;
         for (i, ((off, node), slot)) in ordered.into_iter().enumerate() {
             let id = geo.node_at_offset(off);
             match slot {
@@ -751,20 +684,15 @@ impl CrashedSystem {
                     }
                 }
             }
-            sys.ctrl.journal_write(progress_journal(
+            sys.ctrl.journal_write(RecoveryJournal::new(
                 journal::STEINS_REBUILD,
+                i as u64 + 1,
                 restarts,
-                lanes,
-                n,
-                i + 1,
             ))?;
         }
         // Rewrite the record region to match the slot assignment.
-        sys.ctrl.journal_write(RecoveryJournal::single(
-            journal::STEINS_RECORDS,
-            0,
-            restarts,
-        ))?;
+        sys.ctrl
+            .journal_write(RecoveryJournal::new(journal::STEINS_RECORDS, 0, restarts))?;
         let slots = cfg.meta_cache.slots();
         let rec_lines = slots.div_ceil(RECORDS_PER_LINE) as usize;
         let mut lines = vec![RecordLine::default(); rec_lines];
@@ -797,7 +725,7 @@ impl CrashedSystem {
             st.nv_buffer = buffer;
         }
         sys.ctrl
-            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts))?;
+            .journal_write(RecoveryJournal::new(journal::DONE, total, restarts))?;
         sys.ctrl.nvm.reset_stats();
         Ok(())
     }
@@ -809,7 +737,6 @@ impl CrashedSystem {
         out: &mut Option<SecureNvmSystem>,
         prior: RecoveryJournal,
         restarts: u32,
-        lanes: usize,
     ) -> Result<RecoveryReport, IntegrityError> {
         let (nv_root, shadow_tags, inflight) = match &self.nv {
             NvState::Asit {
@@ -970,37 +897,28 @@ impl CrashedSystem {
         // table and cache-tree converge on the reconciled content. Each
         // update is the normal runtime sequence (stage pre-image → update
         // registers → push shadow line), so a crash at any point inside it
-        // is recoverable like a runtime crash. The journal tracks progress
-        // in per-lane mark slots (lane = the item's contiguous region);
-        // every boundary is runtime-consistent, so the marks are a progress
-        // record for diagnostics, not a resume point.
+        // is recoverable like a runtime crash. The journal's `hwm` counts
+        // replayed items; every boundary is runtime-consistent, so the mark
+        // is a progress record for diagnostics, not a resume point.
         let mut items = entries;
         items.sort_by_key(|(_, off, _)| {
             let id = geo.node_at_offset(*off);
             (std::cmp::Reverse(id.level), id.index)
         });
-        let n = items.len();
-        sys.ctrl.journal_write(progress_journal(
-            journal::ASIT_REPLAY,
-            restarts,
-            lanes,
-            n,
-            0,
-        ))?;
-        let total = n as u64;
+        let total = items.len() as u64;
+        sys.ctrl
+            .journal_write(RecoveryJournal::new(journal::ASIT_REPLAY, 0, restarts))?;
         for (i, (slot, off, node)) in items.into_iter().enumerate() {
             sys.ctrl.meta.install_at(slot, off, node, true);
             sys.ctrl.asit_slot_update(0, off)?;
-            sys.ctrl.journal_write(progress_journal(
+            sys.ctrl.journal_write(RecoveryJournal::new(
                 journal::ASIT_REPLAY,
+                i as u64 + 1,
                 restarts,
-                lanes,
-                n,
-                i + 1,
             ))?;
         }
         sys.ctrl
-            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts))?;
+            .journal_write(RecoveryJournal::new(journal::DONE, total, restarts))?;
         sys.ctrl.nvm.reset_stats();
         let est_seconds = reads as f64 * read_ns * 1e-9;
         Ok(RecoveryReport {
@@ -1020,7 +938,6 @@ impl CrashedSystem {
         out: &mut Option<SecureNvmSystem>,
         prior: RecoveryJournal,
         restarts: u32,
-        lanes: usize,
     ) -> Result<RecoveryReport, IntegrityError> {
         let nv_root = match &self.nv {
             NvState::Star { nv_root } => *nv_root,
@@ -1110,17 +1027,13 @@ impl CrashedSystem {
         // 3. Verify the cache-tree register (per-set sorted MACs, exactly as
         //    maintained at runtime). A completed run's register covers every
         //    recovered node; an *interrupted rebuild's* register covers
-        //    exactly the items its journal marks record — the journal write
-        //    is the only persist boundary in the rebuild loop and always
-        //    follows the register update for the same item. A legacy
-        //    journal proves a canonical prefix; a laned journal proves the
-        //    union of each lane-region's completed prefix
-        //    ([`journal_cover`]) — the prior attempt's lane count decides
-        //    the partition, whatever this attempt runs with.
-        let cover = if prior.phase == journal::STAR_REBUILD {
-            journal_cover(&prior, items.len())
+        //    exactly the first `hwm` items of the canonical order — the
+        //    journal write is the only persist boundary in the rebuild loop
+        //    and always follows the register update for the same item.
+        let covered = if prior.phase == journal::STAR_REBUILD {
+            (prior.hwm as usize).min(items.len())
         } else {
-            vec![true; items.len()]
+            items.len()
         };
         let sets = self.cfg.meta_cache.sets();
         let mut leaf_macs = vec![0u64; sets as usize];
@@ -1130,11 +1043,10 @@ impl CrashedSystem {
         let mut occupied_sets: Vec<u64> = Vec::new();
         let mut set_msgs: Vec<Vec<u8>> = Vec::new();
         for set in 0..sets {
-            let mut in_set: Vec<(u64, &SitNode)> = items
+            let mut in_set: Vec<(u64, &SitNode)> = items[..covered]
                 .iter()
-                .zip(&cover)
-                .filter(|((off, _), c)| **c && *off % sets == set)
-                .map(|((off, n), _)| (*off, n))
+                .filter(|(off, _)| *off % sets == set)
+                .map(|(off, n)| (*off, n))
                 .collect();
             if in_set.is_empty() {
                 continue;
@@ -1187,37 +1099,29 @@ impl CrashedSystem {
         sys.truth = self.truth;
         *out = Some(sys);
         let sys = out.as_mut().expect("just parked");
-        let n = items.len();
-        sys.ctrl.journal_write(progress_journal(
-            journal::STAR_REBUILD,
-            restarts,
-            lanes,
-            n,
-            0,
-        ))?;
+        sys.ctrl
+            .journal_write(RecoveryJournal::new(journal::STAR_REBUILD, 0, restarts))?;
         // Reinstall in canonical order, refreshing the register after every
         // item: the durable bitmap, node lines and data plane are untouched,
         // so a crash here re-derives the same `recovered` set, and the
         // cover rule above re-verifies the partially-regrown register off
-        // the journal marks. Every dirty set was fully resident at crash
+        // the journal's `hwm`. Every dirty set was fully resident at crash
         // time, so no install can overflow its set (no evictions, no
         // durable node writes).
-        let total = n as u64;
+        let total = items.len() as u64;
         for (i, (off, node)) in items.into_iter().enumerate() {
             let id = geo.node_at_offset(off);
             sys.ctrl.install_node(0, id, node, true)?;
             let set = sys.ctrl.meta.set_index(off);
             sys.ctrl.star_tree_update(0, set);
-            sys.ctrl.journal_write(progress_journal(
+            sys.ctrl.journal_write(RecoveryJournal::new(
                 journal::STAR_REBUILD,
+                i as u64 + 1,
                 restarts,
-                lanes,
-                n,
-                i + 1,
             ))?;
         }
         sys.ctrl
-            .journal_write(RecoveryJournal::single(journal::DONE, total, restarts))?;
+            .journal_write(RecoveryJournal::new(journal::DONE, total, restarts))?;
         sys.ctrl.nvm.reset_stats();
         let est_seconds = reads as f64 * read_ns * 1e-9;
         Ok(RecoveryReport {
@@ -1408,96 +1312,5 @@ mod tests {
         // Line 0 was last written with value 128 (i = 128 ⇒ 128 % 128 == 0)…
         // writes above go i ∈ [0,200), so line 0 saw i = 0 and i = 128.
         assert_eq!(again.read(0).unwrap(), [128u8; 64]);
-    }
-
-    #[test]
-    fn journal_cover_legacy_is_a_prefix() {
-        let j = RecoveryJournal::single(journal::STAR_REBUILD, 3, 0);
-        assert_eq!(
-            journal_cover(&j, 5),
-            vec![true, true, true, false, false],
-            "legacy hwm covers a canonical prefix"
-        );
-        // Overlong hwm saturates.
-        let j = RecoveryJournal::single(journal::STAR_REBUILD, 99, 0);
-        assert_eq!(journal_cover(&j, 3), vec![true; 3]);
-    }
-
-    #[test]
-    fn journal_cover_laned_is_a_union_of_region_prefixes() {
-        // 10 items, 4 lanes → regions of 3: [0,3) [3,6) [6,9) [9,10).
-        let mut marks = [0u64; steins_nvm::RECOVERY_LANES];
-        marks[0] = 3; // region 0 complete
-        marks[1] = 1; // region 1: first item only
-        marks[3] = 1; // region 3 complete (out-of-order vs region 2 — a
-                      // state only true parallel interleaving reaches)
-        let j = RecoveryJournal::laned(journal::STAR_REBUILD, 0, 4, marks);
-        let cover = journal_cover(&j, 10);
-        let want = [
-            true, true, true, // region 0
-            true, false, false, // region 1 prefix
-            false, false, false, // region 2 untouched
-            true,  // region 3
-        ];
-        assert_eq!(cover, want);
-    }
-
-    #[test]
-    fn progress_journal_layouts_agree_on_totals() {
-        // One lane: byte-identical to the single-threaded-era journal.
-        assert_eq!(
-            progress_journal(journal::STEINS_REBUILD, 2, 1, 10, 7),
-            RecoveryJournal::single(journal::STEINS_REBUILD, 7, 2)
-        );
-        // Multi-lane: marks staircase over the regions, hwm = sum.
-        for lanes in 2..=8usize {
-            for n in [0usize, 1, 5, 10, 64] {
-                for done in 0..=n {
-                    let j = progress_journal(journal::ASIT_REPLAY, 0, lanes, n, done);
-                    assert_eq!(j.lanes as usize, lanes);
-                    assert_eq!(j.hwm, done as u64, "lanes={lanes} n={n} done={done}");
-                    assert_eq!(j.progress(), done as u64);
-                    // The cover of a staircase journal is exactly the
-                    // canonical prefix the sequential loop completed.
-                    let cover = journal_cover(&j, n);
-                    assert_eq!(
-                        cover.iter().filter(|c| **c).count(),
-                        done,
-                        "cover size matches"
-                    );
-                    assert!(cover[..done].iter().all(|c| *c), "cover is the prefix");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_count_does_not_change_recovery_results() {
-        // The workers=1 vs workers=4 determinism contract at unit scale:
-        // same crash image, different lane counts, identical reports
-        // (metrics included) and identical recovered reads.
-        for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
-            let (sys, expected) = exercise(scheme, CounterMode::General);
-            let crashed1 = sys.crash().with_recovery_lanes(1);
-            let (mut rec1, rep1) = crashed1.recover().expect("lanes=1 recovers");
-            let (sys4, _) = exercise(scheme, CounterMode::General);
-            let crashed4 = sys4.crash().with_recovery_lanes(4);
-            let (mut rec4, rep4) = crashed4.recover().expect("lanes=4 recovers");
-            assert_eq!(rep1.nvm_reads, rep4.nvm_reads, "{scheme:?}");
-            assert_eq!(
-                rep1.metrics.to_json_deterministic().pretty(),
-                rep4.metrics.to_json_deterministic().pretty(),
-                "{scheme:?}: metrics must be lane-count-invariant"
-            );
-            assert_eq!(
-                rec1.ctrl.nvm.recovery_journal(),
-                rec4.ctrl.nvm.recovery_journal(),
-                "{scheme:?}: terminal journal is layout-free"
-            );
-            for (addr, data) in expected {
-                assert_eq!(rec1.read(addr).unwrap(), data);
-                assert_eq!(rec4.read(addr).unwrap(), data);
-            }
-        }
     }
 }

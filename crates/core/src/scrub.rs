@@ -121,12 +121,11 @@ impl ScrubReport {
         }
     }
 
-    /// Folds another region's (or shard's) verdicts into this report:
-    /// counters and read totals add, unrecoverable addresses concatenate,
-    /// `restarts` takes the max. Identity fields (`scheme`, `shard`) keep
-    /// `self`'s values — regions of one scrub share them; for cross-shard
-    /// folds keep the per-shard reports too if per-shard identity matters.
-    /// Merging is associative, so regions fold in any grouping.
+    /// Folds another shard's verdicts into this report: counters and read
+    /// totals add, unrecoverable addresses concatenate, `restarts` takes
+    /// the max. Identity fields (`scheme`, `shard`) keep `self`'s values,
+    /// so keep the per-shard reports too if per-shard identity matters.
+    /// Merging is associative, so shards fold in any grouping.
     pub fn merge(&mut self, other: &ScrubReport) {
         self.data_intact += other.data_intact;
         self.data_untouched += other.data_untouched;
@@ -222,8 +221,8 @@ impl CrashedSystem {
         out: &mut Option<SecureNvmSystem>,
     ) -> Result<ScrubReport, IntegrityError> {
         let geo = self.layout.geometry.clone();
-        // Fail closed on a journal that does not authenticate: discard its
-        // marks and rebuild from scratch (the scrub re-derives every verdict
+        // Fail closed on a journal that does not authenticate: discard it
+        // and rebuild from scratch (the scrub re-derives every verdict
         // from the data plane anyway, so a discarded journal costs only the
         // resume shortcut — never correctness).
         let journal_rejected = !crate::recovery::journal_authentic(self.crypto.as_ref(), &self.nvm);
@@ -237,18 +236,6 @@ impl CrashedSystem {
         } else {
             0
         };
-        // Region structure: the leaf scan splits into `lanes` contiguous
-        // leaf ranges, each classified into its own partial report, merged
-        // afterwards ([`ScrubReport::merge`] — verdict counters add,
-        // unrecoverable addresses concatenate). The verdicts of one region
-        // depend only on that region's data plane, so the merged report is
-        // lane-count-invariant and the regions are safe to farm out (the
-        // sharded engine's parallel scrub runs one whole-shard region per
-        // worker; see `crate::shard`).
-        let lanes = self
-            .recovery_lanes
-            .unwrap_or_else(crate::par::recovery_workers)
-            .clamp(1, crate::par::MAX_WORKERS);
         let mut reads = 0u64;
         let mut report = ScrubReport::empty(
             self.cfg.scheme.label(self.cfg.mode),
@@ -257,34 +244,20 @@ impl CrashedSystem {
         );
         report.journal_rejected = journal_rejected;
 
-        // —— 1. Data plane: verify every MAC record, rebuild the leaves,
-        //       one lane region of leaves at a time. ——
+        // —— 1. Data plane: verify every MAC record, rebuild the leaves. ——
         let total = geo.total_nodes() as usize;
-        let leaves = geo.nodes_at(0) as usize;
         let mut nodes: Vec<SitNode> = vec![SitNode::general_from_line(&[0u8; 64]); total];
-        for (start, end) in crate::par::lane_spans(leaves, lanes) {
-            let mut region = ScrubReport::empty(report.scheme.clone(), restarts, report.shard);
-            let mut region_reads = 0u64;
-            for li in start as u64..end as u64 {
-                let id = NodeId {
-                    level: 0,
-                    index: li,
-                };
-                let off = geo.offset_of(id);
-                region_reads += 1;
-                let stale = parse_node(
-                    self.cfg.mode,
-                    id,
-                    &self.nvm.peek(self.layout.node_addr(off)),
-                );
-                let leaf = self.scrub_leaf(&mut region_reads, id, &stale, &mut region);
-                nodes[off as usize] = leaf;
-            }
-            region.nvm_reads = region_reads;
-            report.merge(&region);
+        for index in 0..geo.nodes_at(0) {
+            let id = NodeId { level: 0, index };
+            let off = geo.offset_of(id);
+            reads += 1;
+            let stale = parse_node(
+                self.cfg.mode,
+                id,
+                &self.nvm.peek(self.layout.node_addr(off)),
+            );
+            nodes[off as usize] = self.scrub_leaf(&mut reads, id, &stale, &mut report);
         }
-        reads += report.nvm_reads;
-        report.nvm_reads = 0;
 
         if !self.recoverable() {
             report.nvm_reads = reads;
@@ -394,36 +367,22 @@ impl CrashedSystem {
         *out = Some(sys);
         let sys = out.as_mut().expect("just parked");
         let restarts32 = restarts.min(u64::from(u32::MAX)) as u32;
-        let n_rewrites = rewrites.len();
-        sys.ctrl.journal_write(crate::recovery::progress_journal(
+        sys.ctrl.journal_write(steins_nvm::RecoveryJournal::new(
             crate::recovery::journal::SCRUB,
-            restarts32,
-            lanes,
-            n_rewrites,
             0,
+            restarts32,
         ))?;
 
         // —— 6. Rewrite: planned node homes, then the derived regions reset
         //       to empty (all nodes come back clean, so records/shadow/
         //       bitmap must say so). Every write is idempotent — a crash
         //       anywhere in here re-runs the scrub, which re-plans the same
-        //       rewrites from the untouched data plane. Under a multi-lane
-        //       scrub the journal additionally tracks per-lane rewrite
-        //       marks (same layout as strict recovery's rebuild phases);
-        //       one lane keeps the single-threaded-era journal byte-for-
-        //       byte, marks untouched.
-        let rewritten = n_rewrites as u64;
-        for (i, (addr, line)) in rewrites.into_iter().enumerate() {
+        //       rewrites from the untouched data plane, so the journal holds
+        //       `SCRUB` throughout and records the rewrite count only with
+        //       `DONE`.
+        let rewritten = rewrites.len() as u64;
+        for (addr, line) in rewrites {
             sys.ctrl.nvm.poke(addr, &line)?;
-            if lanes > 1 {
-                sys.ctrl.journal_write(crate::recovery::progress_journal(
-                    crate::recovery::journal::SCRUB,
-                    restarts32,
-                    lanes,
-                    n_rewrites,
-                    i + 1,
-                ))?;
-            }
         }
         let slots = self.cfg.meta_cache.slots();
         let empty_record = RecordLine::default().to_line();
@@ -443,7 +402,7 @@ impl CrashedSystem {
                 .nvm
                 .poke(sys.ctrl.layout.bitmap_base + l * 64, &[0u8; 64])?;
         }
-        sys.ctrl.journal_write(steins_nvm::RecoveryJournal::single(
+        sys.ctrl.journal_write(steins_nvm::RecoveryJournal::new(
             crate::recovery::journal::DONE,
             rewritten,
             restarts32,
@@ -672,33 +631,33 @@ mod tests {
         assert_eq!(unit, a);
     }
 
+    /// One serial leaf pass classifies the whole data plane; the terminal
+    /// journal records the rewrite count.
     #[test]
-    fn scrub_verdicts_are_lane_count_invariant() {
-        for lanes in [1usize, 2, 4, 8] {
-            let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
-            let mut sys = SecureNvmSystem::new(cfg);
-            for i in 0..24u64 {
-                sys.write(i * 64, &[i as u8 + 1; 64]).unwrap();
-            }
-            let mut crashed = sys.crash().with_recovery_lanes(lanes);
-            crashed.tamper_data_at(5, 9, 0x40);
-            let (sys, report) = crashed.recover_lenient();
-            assert_eq!(report.data_intact, 23, "lanes={lanes}: {report}");
-            assert_eq!(report.data_unrecoverable, 1, "lanes={lanes}");
-            assert_eq!(report.unrecoverable_addrs, vec![5 * 64], "lanes={lanes}");
-            let mut sys = sys.unwrap();
-            assert_eq!(
-                sys.ctrl.nvm.recovery_journal(),
-                steins_nvm::RecoveryJournal::single(
-                    crate::recovery::journal::DONE,
-                    report.meta_recovered,
-                    0
-                ),
-                "lanes={lanes}: terminal journal is layout-free"
-            );
-            for i in [0u64, 1, 2, 3, 4, 6, 7] {
-                assert_eq!(sys.read(i * 64).unwrap(), [i as u8 + 1; 64]);
-            }
+    fn scrub_verdicts_and_terminal_journal() {
+        let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
+        let mut sys = SecureNvmSystem::new(cfg);
+        for i in 0..24u64 {
+            sys.write(i * 64, &[i as u8 + 1; 64]).unwrap();
+        }
+        let mut crashed = sys.crash();
+        crashed.tamper_data_at(5, 9, 0x40);
+        let (sys, report) = crashed.recover_lenient();
+        assert_eq!(report.data_intact, 23, "{report}");
+        assert_eq!(report.data_unrecoverable, 1);
+        assert_eq!(report.unrecoverable_addrs, vec![5 * 64]);
+        let mut sys = sys.unwrap();
+        assert_eq!(
+            sys.ctrl.nvm.recovery_journal(),
+            steins_nvm::RecoveryJournal::new(
+                crate::recovery::journal::DONE,
+                report.meta_recovered,
+                0
+            ),
+            "DONE journal with hwm = rewrites"
+        );
+        for i in [0u64, 1, 2, 3, 4, 6, 7] {
+            assert_eq!(sys.read(i * 64).unwrap(), [i as u8 + 1; 64]);
         }
     }
 

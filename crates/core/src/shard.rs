@@ -510,7 +510,7 @@ impl ShardedEngine {
     /// serving (nothing here touches any other shard's lock).
     ///
     /// `Degraded → Rebuilding`: the attempt claims the shard, raises
-    /// `ShardRepairStarted` (lifecycle alarm, cycle 0), and runs the laned
+    /// `ShardRepairStarted` (lifecycle alarm, cycle 0), and runs the
     /// lenient scrub over the image. On success the rebuilt system is
     /// re-verified end to end (a full online scrub pass re-quarantines,
     /// with fresh alarms, any line that is still bad), the captured
@@ -571,7 +571,6 @@ impl ShardedEngine {
             cycle: 0,
         });
         Self::check_journal_owner(s, &crashed);
-        let crashed = crashed.with_recovery_lanes(par::recovery_workers());
         let (sys, report) = crashed.recover_lenient();
         match sys {
             Some(mut sys) => {
@@ -717,16 +716,15 @@ impl ShardedEngine {
     }
 
     /// Recovers the whole engine in parallel: the per-shard crashed images
-    /// are independent region jobs on a work-stealing queue served by
-    /// `workers` threads (clamped to [`par::MAX_WORKERS`]). Each region
-    /// recovers off its own ADR journal line with `workers` lane-mark slots
-    /// and reinstates itself into its slot as soon as it finishes.
+    /// are independent jobs that `workers` threads claim off one shared
+    /// counter ([`par::run_regions`]). Each shard recovers serially off its
+    /// own ADR journal line and reinstates itself into its slot as soon as
+    /// it finishes.
     ///
-    /// Determinism: every number in the returned [`ParallelRecovery`]
-    /// except `steals` is computed from the per-shard reports and the
-    /// *modeled* lane fold ([`par::fold_lanes`]) — byte-identical no matter
-    /// how the host actually schedules the worker threads. `steals` is the
-    /// wall-side steal count and is deliberately kept out of `metrics`.
+    /// Determinism: every number in the returned [`ParallelRecovery`] is
+    /// computed from the per-shard reports and the *modeled* lane fold
+    /// ([`par::fold_lanes`]) — byte-identical no matter how the host
+    /// actually schedules the worker threads.
     ///
     /// On the first per-shard error the whole call errors; regions that
     /// already recovered stay installed and the failing slot stays empty
@@ -737,16 +735,15 @@ impl ShardedEngine {
         workers: usize,
     ) -> Result<ParallelRecovery, IntegrityError> {
         assert_eq!(crashed.len(), self.shards(), "one crashed image per shard");
-        let workers = workers.clamp(1, par::MAX_WORKERS);
+        let workers = workers.max(1);
         let images: Vec<Mutex<Option<CrashedSystem>>> =
             crashed.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let (results, steals) = par::run_regions(workers, images.len(), |s, _w| {
+        let results = par::run_regions(workers, images.len(), |s| {
             let img = images[s]
                 .lock()
                 .unwrap()
                 .take()
-                .expect("each region runs exactly once")
-                .with_recovery_lanes(workers);
+                .expect("each region runs exactly once");
             self.recover_shard(s, img)
         });
         let mut reports = Vec::with_capacity(results.len());
@@ -773,7 +770,6 @@ impl ShardedEngine {
             workers,
             total_reads,
             makespan_reads,
-            steals,
             metrics,
         })
     }
@@ -789,16 +785,14 @@ impl ShardedEngine {
         workers: usize,
     ) -> (Vec<ScrubReport>, ScrubReport) {
         assert_eq!(crashed.len(), self.shards(), "one crashed image per shard");
-        let workers = workers.clamp(1, par::MAX_WORKERS);
         let images: Vec<Mutex<Option<CrashedSystem>>> =
             crashed.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let (reports, _steals) = par::run_regions(workers, images.len(), |s, _w| {
+        let reports = par::run_regions(workers, images.len(), |s| {
             let img = images[s]
                 .lock()
                 .unwrap()
                 .take()
-                .expect("each region runs exactly once")
-                .with_recovery_lanes(workers);
+                .expect("each region runs exactly once");
             self.scrub_shard(s, img)
         });
         let mut merged = ScrubReport::empty(reports[0].scheme.clone(), 0, 0);
@@ -817,11 +811,9 @@ impl ShardedEngine {
 
 /// Outcome of a whole-engine parallel recovery ([`ShardedEngine::recover_all`]).
 ///
-/// Everything here except `steals` is a pure function of the per-shard
-/// recovery reports and the requested worker count — the quantities the
-/// recovery ladder's scaling gate and its byte-identical JSON artifact are
-/// built from. `steals` reflects the host's actual thread interleaving and
-/// must never be exported.
+/// Everything here is a pure function of the per-shard recovery reports and
+/// the requested worker count — the quantities the recovery ladder's
+/// scaling gate and its byte-identical JSON artifact are built from.
 pub struct ParallelRecovery {
     /// Per-shard recovery reports, in shard order.
     pub reports: Vec<RecoveryReport>,
@@ -832,9 +824,6 @@ pub struct ParallelRecovery {
     /// Modeled makespan: the busiest lane's reads after the deterministic
     /// LPT fold of per-region costs onto `workers` lanes.
     pub makespan_reads: u64,
-    /// Work-stealing events observed on the wall-side queue. Varies with
-    /// host scheduling; excluded from `metrics` by design.
-    pub steals: u64,
     /// Folded registry: per-region `shard.NN.` prefixes, the unprefixed
     /// aggregate, `core.par.*` fold results, and per-lane `par.lane.NN.reads`.
     pub metrics: MetricRegistry,

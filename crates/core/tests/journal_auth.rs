@@ -1,7 +1,7 @@
 //! Authenticated recovery journal, end to end: a forged or tampered ADR
 //! journal is detected by its MAC — strict recovery fails closed with
 //! [`IntegrityError::JournalForged`], and the lenient scrub discards the
-//! untrusted resume marks and rebuilds from scratch, byte-correct.
+//! untrusted resume point and rebuilds from scratch, byte-correct.
 
 use steins_core::crash::CrashedSystem;
 use steins_core::{CounterMode, IntegrityError, SchemeKind, SecureNvmSystem, SystemConfig};
@@ -26,17 +26,14 @@ fn crashed_image(mode: CounterMode) -> CrashedSystem {
 }
 
 /// Tampers the image's journal line: a non-default journal whose stored
-/// MAC no longer covers it (the attacker steered the resume marks but
+/// MAC no longer covers it (the attacker steered the resume point but
 /// cannot produce the keyed MAC).
 fn forge_journal(crashed: &mut CrashedSystem) {
     let mut j = crashed.nvm().recovery_journal();
     let stale_mac = crashed.nvm().journal_mac();
-    // Claim a laned recovery was interrupted deep into the address space —
+    // Claim a recovery was interrupted halfway through its rebuild —
     // exactly the lie that would let an attacker skip re-verification.
     j.phase = 1;
-    j.lanes = 2;
-    j.marks = [0; steins_nvm::RECOVERY_LANES];
-    j.marks[0] = LINES / 2;
     j.hwm = LINES / 2;
     j.restarts = 7;
     crashed
@@ -90,7 +87,7 @@ fn forged_journal_lenient_scrub_rebuilds_from_scratch_byte_correct() {
 fn attacker_zeroing_journal_and_mac_degrades_to_from_scratch() {
     // Wiping both the journal line and its MAC is indistinguishable from a
     // never-written journal — and that state already means "no resume
-    // marks, rebuild from scratch", so the attacker gains nothing.
+    // point, rebuild from scratch", so the attacker gains nothing.
     let mut crashed = crashed_image(CounterMode::General);
     crashed
         .nvm_mut()

@@ -5,7 +5,7 @@
 //! 1. **Seeded determinism.** A chaos run is a function of its seed alone:
 //!    the event log, alarm log, metrics, and modeled makespan are
 //!    byte-identical no matter how many host worker threads serve the
-//!    shards (the work-stealing queue reorders *wall-clock* execution,
+//!    shards (the job pool reorders *wall-clock* execution,
 //!    never the per-shard modeled streams).
 //! 2. **Monotone escalation.** The background scrub running concurrently
 //!    with writes only ever escalates: the quarantine set grows

@@ -1,20 +1,27 @@
-//! Cross-cutting contracts of the parallel (laned) recovery path.
+//! Cross-cutting contracts of recovery across worker counts and restarts.
 //!
-//! * **Worker-count determinism** — the lane count a recovery runs with is
-//!   a journal-layout choice, never a semantic one: recoveries with 1 and 4
-//!   lanes produce byte-identical deterministic metric exports, identical
-//!   post-recovery tree state, and the same terminal journal, for all four
-//!   schemes (WB refuses either way).
-//! * **Journal compatibility** — an attempt interrupted under the legacy
-//!   single-mark layout resumes under the laned recoverer and vice versa,
-//!   with exactly one restart recorded (no spurious extras), and a
-//!   *completed* journal resumes with zero restarts whatever layout wrote
-//!   it.
+//! * **Worker-count determinism** — the sharded engine recovers whole
+//!   shards on `workers` threads, and each shard recovers serially, so the
+//!   per-shard reports, read counts and terminal ADR journals are identical
+//!   at every worker count, for all four schemes (WB refuses at every
+//!   count).
+//! * **Journal resume** — a recovery interrupted at any of its persist
+//!   points resumes off its one-mark ADR journal with exactly one restart
+//!   recorded (no spurious extras), and a *completed* journal resumes with
+//!   zero restarts.
+//! * **Resume across worker counts** — a shard's journal does not depend on
+//!   how many workers rebuilt the engine: a shard interrupted under a
+//!   serial engine recovery resumes under a parallel one and vice versa,
+//!   with exactly one restart on that shard and none on its neighbors.
+
+use std::sync::Mutex;
 
 use steins_core::recovery::journal;
 use steins_core::{
-    CounterMode, CrashedSystem, SchemeKind, SecureNvmSystem, ShardedEngine, SystemConfig,
+    par, CounterMode, CrashedSystem, IntegrityError, ParallelRecovery, SchemeKind, SecureNvmSystem,
+    ShardedEngine, SystemConfig,
 };
+use steins_nvm::RecoveryJournal;
 
 const LINES: u64 = 48;
 
@@ -48,59 +55,106 @@ fn expected(i: u64) -> [u8; 64] {
     }
 }
 
-/// Runs the full crash+recover scenario with `lanes` lane slots and
-/// returns everything an observer could compare across lane counts.
-fn recovered_state(scheme: SchemeKind, lanes: usize) -> (String, u64, steins_nvm::RecoveryJournal) {
-    let crashed = dirty_system(scheme).crash().with_recovery_lanes(lanes);
-    let (mut sys, report) = crashed.recover().unwrap();
+const SHARDS: usize = 4;
+
+/// The shard whose recovery the cross-worker-count resume tests interrupt.
+const TARGET: usize = 1;
+
+/// A [`SHARDS`]-shard engine written like [`dirty_system`].
+fn dirty_engine(scheme: SchemeKind) -> ShardedEngine {
+    let cfg = SystemConfig::small_for_tests(scheme, CounterMode::General);
+    let engine = ShardedEngine::new(cfg, SHARDS);
     for i in 0..LINES {
-        assert_eq!(sys.read(i * 64).unwrap(), expected(i), "line {i} diverged");
+        engine.write(i * 64, &payload(i)).unwrap();
     }
-    (
-        report.metrics.to_json_deterministic().pretty(),
-        report.nvm_reads,
-        sys.ctrl.nvm().recovery_journal(),
-    )
+    for i in 0..LINES / 3 {
+        engine.write(i * 64, &payload(i ^ 0x55)).unwrap();
+    }
+    engine
+}
+
+/// Reads every line back through the engine and returns each shard's
+/// terminal ADR journal.
+fn read_back(engine: &ShardedEngine) -> Vec<RecoveryJournal> {
+    for i in 0..LINES {
+        assert_eq!(
+            engine.read(i * 64).unwrap(),
+            expected(i),
+            "line {i} diverged"
+        );
+    }
+    (0..engine.shards())
+        .map(|s| engine.with_shard(s, |sys| sys.ctrl.nvm().recovery_journal()))
+        .collect()
+}
+
+/// A [`dirty_engine`] crashed whole, recovered on `workers` threads and
+/// read back; returns the recovery and each shard's terminal ADR journal.
+fn sharded_recovery(
+    scheme: SchemeKind,
+    workers: usize,
+) -> (ParallelRecovery, Vec<RecoveryJournal>) {
+    let engine = dirty_engine(scheme);
+    let pr = engine.recover_all(engine.crash_all(), workers).unwrap();
+    let journals = read_back(&engine);
+    (pr, journals)
+}
+
+fn per_shard_metrics(pr: &ParallelRecovery) -> Vec<String> {
+    pr.reports
+        .iter()
+        .map(|r| r.metrics.to_json_deterministic().pretty())
+        .collect()
 }
 
 #[test]
 fn worker_count_is_invisible_in_recovery_reports() {
     for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
-        let (m1, r1, j1) = recovered_state(scheme, 1);
-        for lanes in [2usize, 4, 8] {
-            let (m, r, j) = recovered_state(scheme, lanes);
-            assert_eq!(m1, m, "{scheme:?}: metrics diverge at {lanes} lanes");
-            assert_eq!(r1, r, "{scheme:?}: read counts diverge at {lanes} lanes");
+        let (pr1, j1) = sharded_recovery(scheme, 1);
+        for workers in [2usize, 4, 8] {
+            let (pr, j) = sharded_recovery(scheme, workers);
+            assert_eq!(
+                per_shard_metrics(&pr1),
+                per_shard_metrics(&pr),
+                "{scheme:?}: metrics diverge at {workers} workers"
+            );
+            assert_eq!(
+                pr1.total_reads, pr.total_reads,
+                "{scheme:?}: read counts diverge at {workers} workers"
+            );
             assert_eq!(
                 j1, j,
-                "{scheme:?}: terminal journal diverges at {lanes} lanes"
+                "{scheme:?}: terminal journals diverge at {workers} workers"
             );
         }
-        assert_eq!(j1.lanes, 0, "terminal journals are always legacy-form");
-        assert_eq!(j1.phase, journal::DONE);
+        assert!(j1.iter().all(|j| j.phase == journal::DONE), "{j1:?}");
     }
 }
 
 #[test]
 fn wb_refuses_recovery_at_every_lane_count() {
-    for lanes in [1usize, 4] {
-        let crashed = dirty_system(SchemeKind::WriteBack)
-            .crash()
-            .with_recovery_lanes(lanes);
+    assert!(matches!(
+        dirty_system(SchemeKind::WriteBack).crash().recover(),
+        Err(IntegrityError::RecoveryUnsupported)
+    ));
+    for workers in [1usize, 4] {
+        let cfg = SystemConfig::small_for_tests(SchemeKind::WriteBack, CounterMode::General);
+        let engine = ShardedEngine::new(cfg, 2);
+        engine.write(0, &payload(0)).unwrap();
         assert!(
             matches!(
-                crashed.recover(),
-                Err(steins_core::IntegrityError::RecoveryUnsupported)
+                engine.recover_all(engine.crash_all(), workers),
+                Err(IntegrityError::RecoveryUnsupported)
             ),
-            "WB must refuse recovery with {lanes} lanes"
+            "WB must refuse recovery with {workers} workers"
         );
     }
 }
 
 /// Enumerates the absolute persist points a recovery of `scheme`'s crashed
 /// image fires (on a sacrificial replay of the same deterministic scenario).
-fn recovery_points(scheme: SchemeKind, lanes: usize) -> Vec<u64> {
-    let mut probe = dirty_system(scheme).crash().with_recovery_lanes(lanes);
+fn recovery_points(scheme: SchemeKind) -> Vec<u64> {
+    let mut probe = dirty_system(scheme).crash();
     probe.nvm_mut().journal_points(true);
     let mut slot = None;
     probe.recover_into(&mut slot).unwrap();
@@ -113,50 +167,160 @@ fn recovery_points(scheme: SchemeKind, lanes: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Interrupts a recovery journaling with `first_lanes` lane slots at its
-/// `frac`-th durable write, then finishes the job with `second_lanes` —
-/// the journal written by one layout must be resumable by the other.
-fn interrupt_then_resume(scheme: SchemeKind, first_lanes: usize, second_lanes: usize, frac: f64) {
-    let points = recovery_points(scheme, first_lanes);
-    assert!(!points.is_empty(), "{scheme:?}: recovery fires no points");
-    let j = points[((points.len() - 1) as f64 * frac) as usize];
-
-    let mut crashed = dirty_system(scheme)
-        .crash()
-        .with_recovery_lanes(first_lanes);
-    crashed.nvm_mut().arm_crash_torn(j, 0xFF);
-    let mut slot = None;
-    assert_eq!(
-        crashed.recover_into(&mut slot).err(),
-        Some(steins_core::IntegrityError::PowerCut),
-        "{scheme:?}: inner point {j} must trip"
-    );
-    let partial = slot.take().expect("recovery parks before durable writes");
-    let interrupted = partial.ctrl.nvm().recovery_journal();
-    let mut crashed2: CrashedSystem = partial.crash().with_recovery_lanes(second_lanes);
-    crashed2.nvm_mut().disarm_crash();
-    let was_in_progress = journal::in_progress(interrupted.phase);
-    let (mut sys, report) = crashed2.recover().unwrap_or_else(|e| {
-        panic!("{scheme:?}: resume {first_lanes}→{second_lanes} lanes failed: {e}")
-    });
-    let restarts = report
-        .metrics
-        .counter("core.recovery.restarts")
-        .unwrap_or(0);
-    if was_in_progress {
-        assert_eq!(
-            restarts, 1,
-            "{scheme:?}: {first_lanes}→{second_lanes} lanes must record exactly one restart"
+/// Every point but the last (the `DONE` write) leaves an in-progress
+/// journal, so resuming at 25/60/90 % of the points must record exactly one
+/// restart, end `DONE`, and read every line back.
+#[test]
+fn interrupted_recovery_resumes_with_exactly_one_restart() {
+    for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
+        let points = recovery_points(scheme);
+        assert!(
+            points.len() > 1,
+            "{scheme:?}: recovery fires too few points"
         );
-    } else {
-        assert_eq!(restarts, 0, "{scheme:?}: finished journals restart nothing");
+        for frac in [0.25, 0.6, 0.9] {
+            let j = points[((points.len() - 1) as f64 * frac) as usize];
+            let mut crashed = dirty_system(scheme).crash();
+            crashed.nvm_mut().arm_crash_torn(j, 0xFF);
+            let mut slot = None;
+            assert_eq!(
+                crashed.recover_into(&mut slot).err(),
+                Some(IntegrityError::PowerCut),
+                "{scheme:?}: inner point {j} must trip"
+            );
+            let partial = slot.take().expect("recovery parks before durable writes");
+            let interrupted = partial.ctrl.nvm().recovery_journal();
+            assert!(
+                journal::in_progress(interrupted.phase),
+                "{scheme:?}: point {j} left {interrupted:?}"
+            );
+            let mut crashed2 = partial.crash();
+            crashed2.nvm_mut().disarm_crash();
+            let (mut sys, report) = crashed2
+                .recover()
+                .unwrap_or_else(|e| panic!("{scheme:?}: resume after point {j} failed: {e}"));
+            assert_eq!(
+                report.metrics.counter("core.recovery.restarts"),
+                Some(1),
+                "{scheme:?}: point {j} must record exactly one restart"
+            );
+            for i in 0..LINES {
+                assert_eq!(sys.read(i * 64).unwrap(), expected(i), "line {i} diverged");
+            }
+            assert_eq!(sys.ctrl.nvm().recovery_journal().phase, journal::DONE);
+        }
     }
-    for i in 0..LINES {
-        assert_eq!(sys.read(i * 64).unwrap(), expected(i), "line {i} diverged");
-    }
-    assert_eq!(sys.ctrl.nvm().recovery_journal().phase, journal::DONE);
 }
 
+/// Enumerates the absolute persist points shard [`TARGET`]'s recovery fires
+/// (on a sacrificial replay of the same deterministic engine).
+fn shard_recovery_points(scheme: SchemeKind) -> Vec<u64> {
+    let engine = dirty_engine(scheme);
+    let mut probe = engine.crash_shard(TARGET);
+    probe.nvm_mut().journal_points(true);
+    let mut slot = None;
+    probe.recover_into(&mut slot).unwrap();
+    let sys = slot.expect("recovery parks the rebuilt system");
+    sys.ctrl
+        .nvm()
+        .point_journal()
+        .iter()
+        .map(|p| p.seq)
+        .collect()
+}
+
+/// Crashes a [`dirty_engine`] whole and rebuilds it on `first_workers`
+/// threads with a second crash armed at the `frac`-th persist point of
+/// shard [`TARGET`]'s recovery; then crashes the engine again and finishes
+/// the job with [`ShardedEngine::recover_all`] on `second_workers` threads.
+/// The first attempt runs the regions by hand with `recover_into`, as
+/// `recover_all` does with `recover`, so the interrupted shard keeps its
+/// partial rebuild. The resume must record exactly one restart on the
+/// target, zero on every shard that finished the first time, end `DONE`
+/// everywhere and read every line back.
+fn interrupt_then_resume(
+    scheme: SchemeKind,
+    first_workers: usize,
+    second_workers: usize,
+    frac: f64,
+) {
+    let points = shard_recovery_points(scheme);
+    assert!(
+        points.len() > 1,
+        "{scheme:?}: shard {TARGET} recovery fires too few points"
+    );
+    let j = points[((points.len() - 1) as f64 * frac) as usize];
+
+    let engine = dirty_engine(scheme);
+    let mut images = engine.crash_all();
+    images[TARGET].nvm_mut().arm_crash_torn(j, 0xFF);
+    let images: Vec<Mutex<Option<CrashedSystem>>> =
+        images.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let first = par::run_regions(first_workers, SHARDS, |s| {
+        let img = images[s]
+            .lock()
+            .unwrap()
+            .take()
+            .expect("each region runs exactly once");
+        let mut slot = None;
+        (img.recover_into(&mut slot), slot)
+    });
+    let mut partial = None;
+    for (s, (result, sys)) in first.into_iter().enumerate() {
+        let sys = sys.expect("recovery parks before durable writes");
+        if s == TARGET {
+            assert_eq!(
+                result.err(),
+                Some(IntegrityError::PowerCut),
+                "{scheme:?}: inner point {j} must trip"
+            );
+            let interrupted = sys.ctrl.nvm().recovery_journal();
+            assert!(
+                journal::in_progress(interrupted.phase),
+                "{scheme:?}: point {j} left {interrupted:?}"
+            );
+            partial = Some(sys);
+        } else {
+            let report = result
+                .unwrap_or_else(|e| panic!("{scheme:?}: uninterrupted shard {s} failed: {e}"));
+            assert_eq!(report.metrics.counter("core.recovery.restarts"), Some(0));
+            engine.put_shard(s, sys);
+        }
+    }
+
+    let mut partial = partial.expect("the target region ran").crash();
+    partial.nvm_mut().disarm_crash();
+    let mut partial = Some(partial);
+    let images = (0..SHARDS)
+        .map(|s| {
+            if s == TARGET {
+                partial.take().expect("one target image")
+            } else {
+                engine.crash_shard(s)
+            }
+        })
+        .collect();
+    let pr = engine
+        .recover_all(images, second_workers)
+        .unwrap_or_else(|e| {
+            panic!("{scheme:?}: resume {first_workers}→{second_workers} workers failed: {e}")
+        });
+    for (s, report) in pr.reports.iter().enumerate() {
+        assert_eq!(
+            report.metrics.counter("core.recovery.restarts"),
+            Some(u64::from(s == TARGET)),
+            "{scheme:?}: shard {s} after {first_workers}→{second_workers} workers, point {j}"
+        );
+    }
+    let journals = read_back(&engine);
+    assert!(
+        journals.iter().all(|j| j.phase == journal::DONE),
+        "{journals:?}"
+    );
+}
+
+/// A shard interrupted while the engine recovers serially (the legacy,
+/// single-lane path) resumes under the 4-worker parallel recoverer.
 #[test]
 fn legacy_journal_resumes_under_the_parallel_recoverer() {
     for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
@@ -166,6 +330,8 @@ fn legacy_journal_resumes_under_the_parallel_recoverer() {
     }
 }
 
+/// A shard interrupted while 4 workers (lanes) rebuild the engine resumes
+/// under the serial recoverer.
 #[test]
 fn laned_journal_resumes_under_the_single_threaded_recoverer() {
     for scheme in [SchemeKind::Steins, SchemeKind::Asit, SchemeKind::Star] {
@@ -175,55 +341,36 @@ fn laned_journal_resumes_under_the_single_threaded_recoverer() {
     }
 }
 
+/// A journal that reads `DONE` (strict recovery's or the scrub's) is not an
+/// interrupted attempt, whichever recoverer wrote it.
 #[test]
-fn completed_journals_resume_with_zero_restarts_in_either_layout() {
-    for (first, second) in [(1usize, 4usize), (4, 1)] {
-        let crashed = dirty_system(SchemeKind::Steins)
-            .crash()
-            .with_recovery_lanes(first);
-        let (sys, _report) = crashed.recover().unwrap();
-        // Crash again right away: the ADR journal still reads DONE from the
-        // first recovery, whatever layout wrote its in-progress entries.
-        let crashed2 = sys.crash().with_recovery_lanes(second);
-        let (_sys, report) = crashed2.recover().unwrap();
+fn completed_journals_resume_with_zero_restarts() {
+    let (strict, _) = dirty_system(SchemeKind::Steins).crash().recover().unwrap();
+    let (scrubbed, _) = dirty_system(SchemeKind::Steins).crash().recover_lenient();
+    for sys in [strict, scrubbed.expect("Steins rebuilds")] {
+        let done = sys.ctrl.nvm().recovery_journal();
+        assert_eq!(done.phase, journal::DONE);
+        // Crash again right away: the ADR journal still reads DONE.
+        let (_sys, report) = sys.crash().recover().unwrap();
         assert_eq!(
-            report
-                .metrics
-                .counter("core.recovery.restarts")
-                .unwrap_or(0),
-            0,
-            "{first}→{second} lanes: a DONE journal is not an interrupted attempt"
+            report.metrics.counter("core.recovery.restarts"),
+            Some(0),
+            "a DONE journal (hwm {}) is not an interrupted attempt",
+            done.hwm
         );
     }
 }
 
 /// Whole-engine parallel recovery exercised through the public front-end:
 /// the same crash recovered by 1 and by 4 workers yields identical
-/// per-shard reports and identical modeled totals; only the fold changes.
+/// per-shard reports, identical terminal shard journals and identical
+/// modeled totals; only the fold changes.
 #[test]
 fn sharded_parallel_recovery_is_worker_count_deterministic() {
-    let run = |workers: usize| {
-        let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
-        let engine = ShardedEngine::new(cfg, 4);
-        for i in 0..96u64 {
-            engine.write(i * 64, &payload(i)).unwrap();
-        }
-        let images = engine.crash_all();
-        let pr = engine.recover_all(images, workers).unwrap();
-        for i in 0..96u64 {
-            assert_eq!(engine.read(i * 64).unwrap(), payload(i));
-        }
-        pr
-    };
-    let serial = run(1);
-    let quad = run(4);
+    let (serial, serial_journals) = sharded_recovery(SchemeKind::Steins, 1);
+    let (quad, quad_journals) = sharded_recovery(SchemeKind::Steins, 4);
     assert_eq!(serial.total_reads, quad.total_reads);
     assert!(quad.makespan_reads < serial.makespan_reads);
-    let per_shard = |pr: &steins_core::ParallelRecovery| {
-        pr.reports
-            .iter()
-            .map(|r| r.metrics.to_json_deterministic().pretty())
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(per_shard(&serial), per_shard(&quad));
+    assert_eq!(per_shard_metrics(&serial), per_shard_metrics(&quad));
+    assert_eq!(serial_journals, quad_journals);
 }

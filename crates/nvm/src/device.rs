@@ -39,13 +39,6 @@ pub const READ_RETRY_BASE_CYCLES: Cycle = 32;
 /// journal's persist events never collide with a real line.
 pub const RECOVERY_JOURNAL_ADDR: u64 = !63;
 
-/// Per-lane high-water-mark slots in the [`RecoveryJournal`]. Parallel
-/// recovery splits a rebuild into at most this many contiguous regions and
-/// journals each region's progress in its own slot (one 8 B word per slot —
-/// together with the phase/restart words the journal still fits one ADR
-/// line).
-pub const RECOVERY_LANES: usize = 8;
-
 /// Largest valid [`RecoveryJournal::phase`] value (the controller crate's
 /// `journal::ONLINE`). [`RecoveryJournal::decode`] rejects anything above
 /// it: a phase the controller never defined cannot have been written by a
@@ -53,17 +46,16 @@ pub const RECOVERY_LANES: usize = 8;
 pub const JOURNAL_MAX_PHASE: u8 = 7;
 
 /// Byte length of [`RecoveryJournal::mac_message`]: domain tag (8) +
-/// phase (1) + lanes (1) + zero padding (2) + restarts (4) + hwm (8) +
-/// marks (8 × 8).
-pub const JOURNAL_MAC_MSG_BYTES: usize = 88;
+/// phase (1) + zero padding (3) + restarts (4) + hwm (8).
+pub const JOURNAL_MAC_MSG_BYTES: usize = 24;
 
 /// Byte length of the durable journal encoding ([`RecoveryJournal::encode`]):
-/// magic (4) + phase (1) + lanes (1) + reserved (2) + restarts (4) +
-/// reserved (4) + hwm (8) + marks (64) + MAC (8).
-pub const JOURNAL_ENC_BYTES: usize = 96;
+/// magic (4) + phase (1) + reserved (3) + restarts (4) + reserved (4) +
+/// hwm (8) + MAC (8).
+pub const JOURNAL_ENC_BYTES: usize = 32;
 
 /// Magic prefix of the durable journal encoding.
-pub const JOURNAL_MAGIC: [u8; 4] = *b"SJR1";
+pub const JOURNAL_MAGIC: [u8; 4] = *b"SJR2";
 
 /// Capacity of the device's retry-exhaustion log: promotions beyond it
 /// evict the oldest entry and bump the dropped counter, so an undrained
@@ -83,14 +75,8 @@ pub enum JournalDecodeError {
     BadMagic,
     /// A phase tag above [`JOURNAL_MAX_PHASE`].
     BadPhase(u8),
-    /// A lane count above [`RECOVERY_LANES`].
-    BadLanes(u8),
     /// A reserved field is non-zero.
     ReservedNonZero,
-    /// The layout invariants are violated: a laned journal whose `hwm`
-    /// is not the sum of its lane marks, or a legacy journal carrying
-    /// non-zero marks.
-    BadMarks,
 }
 
 impl std::fmt::Display for JournalDecodeError {
@@ -101,14 +87,8 @@ impl std::fmt::Display for JournalDecodeError {
             }
             JournalDecodeError::BadMagic => write!(f, "journal magic mismatch"),
             JournalDecodeError::BadPhase(p) => write!(f, "journal phase {p} undefined"),
-            JournalDecodeError::BadLanes(l) => {
-                write!(f, "journal lane count {l} exceeds {RECOVERY_LANES}")
-            }
             JournalDecodeError::ReservedNonZero => {
                 write!(f, "journal reserved bytes non-zero")
-            }
-            JournalDecodeError::BadMarks => {
-                write!(f, "journal hwm/marks invariant violated")
             }
         }
     }
@@ -117,62 +97,28 @@ impl std::fmt::Display for JournalDecodeError {
 /// The ADR-resident recovery journal: a phase tag plus high-water mark that
 /// recovery updates as it replays durable state, making a second crash
 /// *during* recovery survivable. `phase` values are assigned by the
-/// controller crate (the device only persists them); `hwm` counts completed
-/// re-entrant steps within the phase; `restarts` counts recovery attempts
-/// that were interrupted before reaching their terminal phase.
-///
-/// **Lane marks.** A parallel recoverer additionally records per-region
-/// progress in `marks[..lanes]` (`lanes = 0` is the single-threaded-era
-/// layout: `hwm` alone carries progress and `marks` is all-zero). Writers
-/// keep `hwm` equal to the sum of the lane marks at every boundary, so a
-/// single-threaded recoverer resuming a multi-lane journal — or the
-/// reverse — sees a consistent total either way.
+/// controller crate (the device only persists them); `hwm` counts the
+/// items of the phase's canonical order completed so far (a resume covers
+/// exactly the first `hwm`); `restarts` counts recovery attempts that were
+/// interrupted before reaching their terminal phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryJournal {
     /// Controller-defined phase tag (0 = idle / never recovered).
     pub phase: u8,
     /// Completed steps within the phase (re-entry resumes past these).
-    /// Always the sum of the lane marks when `lanes > 0`.
     pub hwm: u64,
     /// Recovery attempts interrupted before completion.
     pub restarts: u32,
-    /// Lane-mark slots in use (0 = legacy single-mark layout).
-    pub lanes: u8,
-    /// Per-lane completed-step counts within each lane's region.
-    pub marks: [u64; RECOVERY_LANES],
 }
 
 impl RecoveryJournal {
-    /// The single-threaded-era journal layout: one global high-water mark,
-    /// no lane slots.
-    pub fn single(phase: u8, hwm: u64, restarts: u32) -> Self {
+    /// A journal at `phase` with `hwm` items done and `restarts` prior
+    /// interrupted attempts.
+    pub fn new(phase: u8, hwm: u64, restarts: u32) -> Self {
         RecoveryJournal {
             phase,
             hwm,
             restarts,
-            lanes: 0,
-            marks: [0; RECOVERY_LANES],
-        }
-    }
-
-    /// The multi-lane layout: per-region marks, `hwm` derived as their sum.
-    pub fn laned(phase: u8, restarts: u32, lanes: u8, marks: [u64; RECOVERY_LANES]) -> Self {
-        debug_assert!(lanes as usize <= RECOVERY_LANES);
-        RecoveryJournal {
-            phase,
-            hwm: marks.iter().sum(),
-            restarts,
-            lanes,
-            marks,
-        }
-    }
-
-    /// Total completed steps, whichever layout wrote the journal.
-    pub fn progress(&self) -> u64 {
-        if self.lanes == 0 {
-            self.hwm
-        } else {
-            self.marks[..self.lanes as usize].iter().sum()
         }
     }
 
@@ -184,13 +130,9 @@ impl RecoveryJournal {
         let mut msg = [0u8; JOURNAL_MAC_MSG_BYTES];
         msg[..8].copy_from_slice(b"SNVMJRNL");
         msg[8] = self.phase;
-        msg[9] = self.lanes;
-        // msg[10..12] stays zero (padding).
+        // msg[9..12] stays zero (padding).
         msg[12..16].copy_from_slice(&self.restarts.to_le_bytes());
         msg[16..24].copy_from_slice(&self.hwm.to_le_bytes());
-        for (i, m) in self.marks.iter().enumerate() {
-            msg[24 + i * 8..32 + i * 8].copy_from_slice(&m.to_le_bytes());
-        }
         msg
     }
 
@@ -202,26 +144,19 @@ impl RecoveryJournal {
         let mut out = [0u8; JOURNAL_ENC_BYTES];
         out[..4].copy_from_slice(&JOURNAL_MAGIC);
         out[4] = self.phase;
-        out[5] = self.lanes;
-        // out[6..8] reserved, zero.
+        // out[5..8] reserved, zero.
         out[8..12].copy_from_slice(&self.restarts.to_le_bytes());
         // out[12..16] reserved, zero.
         out[16..24].copy_from_slice(&self.hwm.to_le_bytes());
-        for (i, m) in self.marks.iter().enumerate() {
-            out[24 + i * 8..32 + i * 8].copy_from_slice(&m.to_le_bytes());
-        }
-        out[88..96].copy_from_slice(&mac.to_le_bytes());
+        out[24..32].copy_from_slice(&mac.to_le_bytes());
         out
     }
 
     /// Parses a durable journal image back into `(journal, mac)`,
     /// refusing (typed, never panicking) anything that violates the
-    /// layout: short input, wrong magic, an undefined phase tag, a lane
-    /// count above [`RECOVERY_LANES`], non-zero reserved bytes, a laned
-    /// journal whose `hwm` is not the sum of its lane marks, or a legacy
-    /// (`lanes == 0`) journal carrying non-zero marks. MAC verification
-    /// is the caller's job — decode only proves the bytes are *shaped*
-    /// like a journal.
+    /// layout: short input, wrong magic, an undefined phase tag, or
+    /// non-zero reserved bytes. MAC verification is the caller's job —
+    /// decode only proves the bytes are *shaped* like a journal.
     pub fn decode(bytes: &[u8]) -> Result<(RecoveryJournal, u64), JournalDecodeError> {
         if bytes.len() < JOURNAL_ENC_BYTES {
             return Err(JournalDecodeError::Truncated { got: bytes.len() });
@@ -233,45 +168,13 @@ impl RecoveryJournal {
         if phase > JOURNAL_MAX_PHASE {
             return Err(JournalDecodeError::BadPhase(phase));
         }
-        let lanes = bytes[5];
-        if lanes as usize > RECOVERY_LANES {
-            return Err(JournalDecodeError::BadLanes(lanes));
-        }
-        if bytes[6..8] != [0, 0] || bytes[12..16] != [0, 0, 0, 0] {
+        if bytes[5..8] != [0, 0, 0] || bytes[12..16] != [0, 0, 0, 0] {
             return Err(JournalDecodeError::ReservedNonZero);
         }
         let le4 = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap());
         let le8 = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-        let restarts = le4(&bytes[8..12]);
-        let hwm = le8(&bytes[16..24]);
-        let mut marks = [0u64; RECOVERY_LANES];
-        for (i, m) in marks.iter_mut().enumerate() {
-            *m = le8(&bytes[24 + i * 8..32 + i * 8]);
-        }
-        if lanes == 0 {
-            if marks.iter().any(|&m| m != 0) {
-                return Err(JournalDecodeError::BadMarks);
-            }
-        } else {
-            let sum: u64 = marks[..lanes as usize]
-                .iter()
-                .try_fold(0u64, |acc, &m| acc.checked_add(m))
-                .ok_or(JournalDecodeError::BadMarks)?;
-            if sum != hwm || marks[lanes as usize..].iter().any(|&m| m != 0) {
-                return Err(JournalDecodeError::BadMarks);
-            }
-        }
-        let mac = le8(&bytes[88..96]);
-        Ok((
-            RecoveryJournal {
-                phase,
-                hwm,
-                restarts,
-                lanes,
-                marks,
-            },
-            mac,
-        ))
+        let journal = RecoveryJournal::new(phase, le8(&bytes[16..24]), le4(&bytes[8..12]));
+        Ok((journal, le8(&bytes[24..32])))
     }
 }
 
@@ -994,7 +897,7 @@ mod tests {
         assert_eq!(d.adr_persist_event(256), Err(PowerCut));
         assert_eq!(d.tripped_torn_mask(), None, "ADR updates never tear");
         d.arm_crash(7);
-        let j = RecoveryJournal::single(4, 0, 0);
+        let j = RecoveryJournal::new(4, 0, 0);
         assert_eq!(d.set_recovery_journal(j, 0), Err(PowerCut));
         assert_eq!(d.recovery_journal(), j);
         assert_eq!(d.tripped_at().map(|p| p.addr), Some(RECOVERY_JOURNAL_ADDR));
@@ -1007,7 +910,7 @@ mod tests {
     #[test]
     fn recovery_journal_is_a_persist_point_and_survives_reset() {
         let mut d = dev();
-        let j = RecoveryJournal::single(3, 17, 1);
+        let j = RecoveryJournal::new(3, 17, 1);
         d.set_recovery_journal(j, 0x1234).unwrap();
         assert_eq!(d.persist_seq(), 1, "journal update is an ADR persist");
         assert_eq!(d.recovery_journal(), j);
@@ -1023,7 +926,7 @@ mod tests {
         assert_eq!(d.shard(), 3);
         // The stamp lands with the journal write, not with set_shard.
         assert_eq!(d.journal_owner(), 0);
-        d.set_recovery_journal(RecoveryJournal::single(1, 7, 0), 0xDEAD)
+        d.set_recovery_journal(RecoveryJournal::new(1, 7, 0), 0xDEAD)
             .unwrap();
         assert_eq!(d.journal_owner(), 3);
         assert_eq!(d.recovery_journal().hwm, 7);
@@ -1138,25 +1041,6 @@ mod tests {
     }
 
     #[test]
-    fn laned_journal_progress_matches_hwm() {
-        let mut marks = [0u64; RECOVERY_LANES];
-        marks[0] = 5;
-        marks[2] = 3;
-        let j = RecoveryJournal::laned(1, 0, 4, marks);
-        assert_eq!(j.hwm, 8, "hwm derives as the mark sum");
-        assert_eq!(j.progress(), 8);
-        // Legacy layout: hwm alone carries progress.
-        let legacy = RecoveryJournal::single(1, 11, 2);
-        assert_eq!(legacy.lanes, 0);
-        assert_eq!(legacy.progress(), 11);
-        // Round-trips through the device like any journal.
-        let mut d = dev();
-        d.set_recovery_journal(j, 0).unwrap();
-        assert_eq!(d.recovery_journal().marks[2], 3);
-        assert_eq!(d.recovery_journal().progress(), 8);
-    }
-
-    #[test]
     fn write_then_read_same_bank_pays_wtr() {
         let mut d = dev();
         let wdone = d.write(0, 0, &[1; 64]).unwrap();
@@ -1193,27 +1077,32 @@ mod tests {
 
     #[test]
     fn journal_encode_decode_round_trips_both_layouts() {
-        let legacy = RecoveryJournal::single(3, 17, 2);
-        let (got, mac) = RecoveryJournal::decode(&legacy.encode(0xFEED_BEEF)).unwrap();
-        assert_eq!(got, legacy);
-        assert_eq!(mac, 0xFEED_BEEF);
-
-        let mut marks = [0u64; RECOVERY_LANES];
-        marks[0] = 5;
-        marks[4] = 9;
-        let laned = RecoveryJournal::laned(7, 1, 5, marks);
-        let (got, mac) = RecoveryJournal::decode(&laned.encode(u64::MAX)).unwrap();
-        assert_eq!(got, laned);
-        assert_eq!(mac, u64::MAX);
-
-        // The MAC message is layout-sensitive: two different journals
-        // never share a message.
-        assert_ne!(legacy.mac_message(), laned.mac_message());
+        // The durable encoding round-trips every field plus the MAC...
+        for (j, mac) in [
+            (RecoveryJournal::new(3, 17, 2), 0xFEED_BEEF),
+            (
+                RecoveryJournal::new(JOURNAL_MAX_PHASE, u64::MAX, u32::MAX),
+                u64::MAX,
+            ),
+            (RecoveryJournal::default(), 0),
+        ] {
+            assert_eq!(RecoveryJournal::decode(&j.encode(mac)), Ok((j, mac)));
+        }
+        // ...and the MAC message binds every field: changing any one of
+        // them changes the message.
+        let base = RecoveryJournal::new(3, 17, 2);
+        for other in [
+            RecoveryJournal::new(4, 17, 2),
+            RecoveryJournal::new(3, 18, 2),
+            RecoveryJournal::new(3, 17, 3),
+        ] {
+            assert_ne!(base.mac_message(), other.mac_message(), "{other:?}");
+        }
     }
 
     #[test]
     fn journal_decode_rejects_malformed_images_typed() {
-        let good = RecoveryJournal::single(2, 9, 0).encode(42);
+        let good = RecoveryJournal::new(2, 9, 0).encode(42);
         // Truncations at every length below the full image.
         for len in 0..JOURNAL_ENC_BYTES {
             assert_eq!(
@@ -1235,15 +1124,8 @@ mod tests {
             RecoveryJournal::decode(&bad),
             Err(JournalDecodeError::BadPhase(JOURNAL_MAX_PHASE + 1))
         );
-        // Lane count past the slot array.
-        let mut bad = good;
-        bad[5] = RECOVERY_LANES as u8 + 1;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadLanes(RECOVERY_LANES as u8 + 1))
-        );
         // Reserved bytes must stay zero.
-        for idx in [6, 7, 12, 13, 14, 15] {
+        for idx in [5, 6, 7, 12, 13, 14, 15] {
             let mut bad = good;
             bad[idx] = 1;
             assert_eq!(
@@ -1251,41 +1133,6 @@ mod tests {
                 Err(JournalDecodeError::ReservedNonZero)
             );
         }
-        // Legacy layout with a smuggled lane mark.
-        let mut bad = good;
-        bad[24] = 1;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadMarks)
-        );
-        // Laned layout whose hwm disagrees with the mark sum.
-        let mut marks = [0u64; RECOVERY_LANES];
-        marks[0] = 4;
-        let mut bad = RecoveryJournal::laned(1, 0, 2, marks).encode(0);
-        bad[16] ^= 0x02;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadMarks)
-        );
-        // Laned layout with a mark beyond its lane count.
-        let mut bad = RecoveryJournal::laned(1, 0, 2, marks).encode(0);
-        bad[24 + 5 * 8] = 1;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadMarks)
-        );
-        // Lane-mark sum that overflows u64 fails typed, not by panic.
-        let mut marks = [0u64; RECOVERY_LANES];
-        marks[0] = u64::MAX;
-        marks[1] = u64::MAX;
-        let mut bad = RecoveryJournal::single(1, 0, 0).encode(0);
-        bad[5] = 2;
-        bad[24..32].copy_from_slice(&marks[0].to_le_bytes());
-        bad[32..40].copy_from_slice(&marks[1].to_le_bytes());
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadMarks)
-        );
     }
 
     #[test]
@@ -1311,7 +1158,6 @@ mod tests {
             if len >= JOURNAL_ENC_BYTES {
                 bytes[..4].copy_from_slice(&JOURNAL_MAGIC);
                 bytes[4] %= JOURNAL_MAX_PHASE + 1;
-                bytes[5] %= RECOVERY_LANES as u8 + 1;
                 let _ = RecoveryJournal::decode(&bytes);
             }
         }

@@ -36,8 +36,7 @@ pub use config::NvmConfig;
 pub use device::{
     JournalDecodeError, NvmDevice, PersistKind, PersistPoint, PowerCut, RecoveryJournal,
     EXHAUSTED_LOG_CAP, JOURNAL_ENC_BYTES, JOURNAL_MAC_MSG_BYTES, JOURNAL_MAGIC, JOURNAL_MAX_PHASE,
-    READ_RETRY_ATTEMPTS, READ_RETRY_BASE_CYCLES, RECOVERY_JOURNAL_ADDR, RECOVERY_LANES,
-    WORDS_PER_LINE,
+    READ_RETRY_ATTEMPTS, READ_RETRY_BASE_CYCLES, RECOVERY_JOURNAL_ADDR, WORDS_PER_LINE,
 };
 pub use energy::{EnergyCounters, EnergyModel};
 pub use fault::{FaultPlane, POISON_BYTE};
