@@ -16,18 +16,17 @@
 //!   *default* policy may cost at most 10% modeled makespan versus serving
 //!   with the service off.
 //!
-//! With `STEINS_CHAOS_REPAIR=1`, tripped shards come back through the
-//! bounded self-healing repair loop (quarantine capture → scrub rebuild →
-//! full re-verification → audited replay) and the gate additionally
-//! requires [`steins_core::ChaosReport::repair_clean`]: after the soak
-//! every shard is `Serving` again or permanently parked behind its alarm
-//! trail.
+//! With `STEINS_CHAOS_REPAIR=1`, tripped shards come back through one
+//! self-healing repair (quarantine capture → scrub rebuild → full
+//! re-verification → audited replay) and the gate additionally requires
+//! [`steins_core::ChaosReport::repair_clean`]: after the soak every shard
+//! is `Serving` again or parked behind its alarm trail.
 //!
 //! Fully deterministic for a fixed seed regardless of `STEINS_CHAOS_THREADS`.
 //! Env knobs: `STEINS_CHAOS_SHARDS` (default 4), `STEINS_CHAOS_THREADS`
 //! (default 4), `STEINS_CHAOS_OPS` (ops per shard, default 192),
 //! `STEINS_CHAOS_FAULTS` (faults per shard, default 5), `STEINS_CHAOS_SEED`,
-//! `STEINS_CHAOS_REPAIR` (any value enables the repair loop).
+//! `STEINS_CHAOS_REPAIR` (any value enables the repair).
 //! Writes `results/METRICS_chaos.json`; exits non-zero on any gate failure.
 
 use steins_bench::metrics::write_metrics;

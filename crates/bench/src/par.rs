@@ -1,8 +1,6 @@
-//! Order-preserving parallel map for the bench binaries: a thin layer over
-//! the shared-counter job pool [`steins_core::par::run_regions`] that
-//! parallel recovery runs on, so the workspace keeps one parallel map.
-
-use std::sync::Mutex;
+//! Order-preserving parallel map for the bench binaries: the shared job
+//! pool [`steins_core::par::run_regions`] that parallel recovery runs on,
+//! sized by `STEINS_THREADS`, so the workspace keeps one parallel map.
 
 /// Number of worker threads: env `STEINS_THREADS`, default = available
 /// parallelism.
@@ -19,30 +17,16 @@ pub fn threads() -> usize {
 }
 
 /// Applies `f` to every job on a pool of [`threads()`] workers, preserving
-/// input order in the result.
+/// input order in the result. Tests that compare worker counts call
+/// [`steins_core::par::run_regions`] directly, without racing on the
+/// process-global environment.
 pub fn map<T, R, F>(jobs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    map_with(threads(), jobs, f)
-}
-
-/// [`map`] with an explicit worker count, bypassing `STEINS_THREADS`.
-/// Lets tests compare 1-worker vs N-worker runs of the same sweep without
-/// racing on process-global environment variables.
-pub fn map_with<T, R, F>(workers: usize, jobs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let jobs: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    steins_core::par::run_regions(workers, jobs.len(), |i| {
-        let job = jobs[i].lock().expect("job slot poisoned by a panic").take();
-        f(job.expect("each job runs exactly once"))
-    })
+    steins_core::par::run_regions(threads(), jobs, f)
 }
 
 #[cfg(test)]
@@ -64,13 +48,5 @@ mod tests {
     #[test]
     fn single_job() {
         assert_eq!(map(vec![7u64], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn map_with_matches_sequential() {
-        let jobs: Vec<u64> = (0..37).collect();
-        let seq = map_with(1, jobs.clone(), |x| x * x);
-        let par = map_with(4, jobs, |x| x * x);
-        assert_eq!(seq, par);
     }
 }

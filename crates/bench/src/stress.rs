@@ -24,7 +24,7 @@
 use std::fmt::Write as _;
 
 use steins_core::engine::synth_data;
-use steins_core::{SchemeKind, ShardedEngine, SystemConfig};
+use steins_core::{par, SchemeKind, ShardedEngine, SystemConfig};
 use steins_metadata::CounterMode;
 use steins_obs::MetricRegistry;
 
@@ -164,8 +164,8 @@ pub fn run_cell(
     }
 
     let t0 = std::time::Instant::now();
-    crate::par::map_with(workers, (0..shards).collect(), |s| {
-        for &line in &per_shard[s] {
+    par::run_regions(workers, per_shard, |lines| {
+        for line in lines {
             engine
                 .write(line * 64, &synth_data(line * 64, line))
                 .expect("stress write");

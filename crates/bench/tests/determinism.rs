@@ -1,12 +1,13 @@
 //! The exported metrics JSON must not depend on sweep parallelism: a
 //! 1-worker and a 4-worker run of the same metric-emitting sweep produce
-//! byte-identical deterministic exports (`par::map_with` preserves input
-//! order, and each simulation is fully seeded).
+//! byte-identical deterministic exports (`par::run_regions` preserves
+//! input order, and each simulation is fully seeded).
 
 use std::collections::BTreeMap;
 use steins_bench::metrics::matrix_metrics;
-use steins_bench::{par, run_one, Cell};
+use steins_bench::{run_one, Cell};
 use steins_core::campaign::{CampaignConfig, CampaignReport, FaultCampaign, COMBOS};
+use steins_core::par;
 use steins_core::SchemeKind;
 use steins_metadata::CounterMode;
 use steins_trace::WorkloadKind;
@@ -21,14 +22,15 @@ fn sweep_json(workers: usize) -> String {
         .iter()
         .flat_map(|c| workloads.iter().map(move |w| (*c, *w)))
         .collect();
-    let matrix: BTreeMap<(String, &'static str), _> = par::map_with(workers, jobs, |(cell, wl)| {
-        (
-            (cell.0.label(cell.1), wl.label()),
-            run_one(cell, wl, 2_000, 42),
-        )
-    })
-    .into_iter()
-    .collect();
+    let matrix: BTreeMap<(String, &'static str), _> =
+        par::run_regions(workers, jobs, |(cell, wl)| {
+            (
+                (cell.0.label(cell.1), wl.label()),
+                run_one(cell, wl, 2_000, 42),
+            )
+        })
+        .into_iter()
+        .collect();
     matrix_metrics(&matrix).to_json_deterministic().pretty()
 }
 
@@ -52,7 +54,7 @@ fn campaign_json(workers: usize) -> String {
         ops: 14,
     };
     let campaign = FaultCampaign::new(cfg.clone());
-    let reports = par::map_with(
+    let reports = par::run_regions(
         workers,
         COMBOS.iter().enumerate().collect::<Vec<_>>(),
         |(ci, (scheme, mode))| campaign.run_combo(ci, *scheme, *mode),

@@ -39,7 +39,7 @@ use crate::error::IntegrityError;
 use crate::online::{OnlinePolicy, OnlineService};
 use crate::par;
 use crate::scrub::ScrubReport;
-use crate::shard::{RepairOutcome, RepairPolicy, ShardedEngine};
+use crate::shard::{RepairOutcome, ShardedEngine};
 
 /// The six supported (scheme, counter-mode) combinations: ASIT and STAR are
 /// general-counter designs (split-counter variants are out of scope by
@@ -664,12 +664,11 @@ pub struct ChaosConfig {
     pub faults_per_shard: usize,
     /// Whether the online integrity service runs during the chaos.
     pub scrub: bool,
-    /// Whether a tripped shard comes back through the bounded self-healing
-    /// repair loop ([`ShardedEngine::repair_shard_from`]) instead of the
-    /// plain lenient scrub: the volatile quarantine set is captured before
-    /// the plug is pulled and replayed (audited) against the rebuilt,
-    /// re-verified tree, and a shard whose repair budget runs dry is
-    /// parked permanently rather than retried forever.
+    /// Whether a tripped shard comes back through one self-healing repair
+    /// ([`ShardedEngine::repair_shard`]) instead of the plain lenient
+    /// scrub: the volatile quarantine set is captured before the plug is
+    /// pulled and replayed (audited) against the rebuilt, re-verified tree,
+    /// and a shard the scrub cannot rebuild is parked.
     pub repair: bool,
     /// Policy for the online service (when `scrub`).
     pub policy: OnlinePolicy,
@@ -802,15 +801,14 @@ pub struct ChaosReport {
     pub makespan_cycles: u64,
     /// Shards still parked degraded at the end of the run.
     pub degraded_shards: Vec<u16>,
-    /// Shards permanently parked by the repair loop (attempt budget spent).
+    /// Shards parked by a repair that rebuilt nothing.
     pub parked_shards: Vec<u16>,
-    /// Repair-loop attempts run against tripped shards (with
-    /// [`ChaosConfig::repair`]).
+    /// Repairs run against tripped shards (with [`ChaosConfig::repair`]).
     pub repairs_attempted: u64,
-    /// Tripped shards the repair loop rebuilt, re-verified, and returned
-    /// to `Serving` mid-run.
+    /// Tripped shards a repair rebuilt, re-verified, and returned to
+    /// `Serving` mid-run.
     pub shards_restored: u64,
-    /// Tripped shards the repair loop parked permanently mid-run.
+    /// Tripped shards a repair parked mid-run.
     pub shards_parked: u64,
 }
 
@@ -827,9 +825,9 @@ impl ChaosReport {
     }
 
     /// The self-healing contract on top of [`Self::clean`]: after the
-    /// soak, every shard is either `Serving` again or permanently parked
-    /// behind its alarm trail — a shard left `Degraded` but un-parked
-    /// means the repair loop abandoned it without a verdict.
+    /// soak, every shard is either `Serving` again or parked behind its
+    /// alarm trail — a shard left `Degraded` but un-parked means a repair
+    /// abandoned it without a verdict.
     pub fn repair_clean(&self) -> bool {
         self.degraded_shards
             .iter()
@@ -1057,11 +1055,13 @@ fn inject_chaos_fault(
     }
 }
 
-/// The power-fail path: the shard that tripped is parked `Degraded`
-/// (raising the lifecycle alarm), its image is crashed and leniently
-/// scrubbed back in, and the online service resumes its pass from the
-/// [`journal::ONLINE`](crate::recovery::journal::ONLINE) cursor the
-/// interrupted scrub left in the ADR journal.
+/// The power-fail path. The cut left the tripped shard `Degraded` (one
+/// lifecycle alarm) with its system in the slot; the trip point is read and
+/// the device disarmed there. With [`ChaosConfig::repair`] the shard comes
+/// back through one [`ShardedEngine::repair_shard`]; otherwise its image is
+/// crashed and leniently scrubbed back in, and the online service resumes
+/// its pass from the [`journal::ONLINE`](crate::recovery::journal::ONLINE)
+/// cursor the interrupted scrub left in the ADR journal.
 fn recover_tripped_shard(
     cfg: &ChaosConfig,
     engine: &ShardedEngine,
@@ -1070,12 +1070,6 @@ fn recover_tripped_shard(
     out: &mut ShardOutcome,
     armed_mask: &mut Option<u8>,
 ) {
-    let Some(mut sys) = engine.park_degraded(s) else {
-        out.unwinds += 1;
-        out.events
-            .push(format!("s{s} op{i}: trip on an already-empty slot"));
-        return;
-    };
     // The power cut drops dirty CPU-cache lines: a previously acknowledged
     // write may come back as an *older* acknowledged version. Durability
     // across crashes is the crash sweep's contract, not chaos's — chaos
@@ -1083,7 +1077,11 @@ fn recover_tripped_shard(
     // indeterminate until traffic rewrites the line.
     out.indeterminate
         .extend(out.expected.drain().map(|(a, _)| a));
-    let trip = sys.ctrl.nvm.tripped_at();
+    let (trip, quarantined) = engine.with_shard(s, |sys| {
+        let trip = sys.ctrl.nvm.tripped_at();
+        sys.ctrl.nvm.disarm_crash();
+        (trip, sys.online().map_or(0, |o| o.quarantined().count()))
+    });
     if armed_mask.take().map(|m| m != 0xFF) == Some(true) {
         engine.raise_alarm(Alarm {
             kind: AlarmKind::TornWrite,
@@ -1092,62 +1090,40 @@ fn recover_tripped_shard(
             cycle: 0,
         });
     }
-    sys.ctrl.nvm.disarm_crash();
-    let lines = engine.shard_config().data_lines;
+    let trip_seq = trip.map(|p| p.seq);
+    out.crashes_recovered += 1;
     if cfg.repair {
-        // Self-healing path: capture the volatile quarantine set before
-        // the plug is pulled, then drive the bounded repair loop to a
-        // verdict. `now = u64::MAX` forces past the backoff gate — the
-        // chaos worker must never read another shard's clock, and a
-        // host-time backoff would make the report schedule-dependent.
-        let quarantine: Vec<u64> = sys
-            .online()
-            .map(|o| o.quarantined().collect())
-            .unwrap_or_default();
-        let trip_seq = trip.map(|p| p.seq);
-        let mut crashed = Some(sys.crash());
-        loop {
-            out.repairs_attempted += 1;
-            let outcome = match crashed.take() {
-                Some(c) => engine.repair_shard_from(s, c, &quarantine, u64::MAX),
-                None => engine.repair_shard(s, u64::MAX),
-            };
-            match outcome {
-                RepairOutcome::Restored(scrub) => {
-                    out.shards_restored += 1;
-                    out.events.push(format!(
-                        "s{s} op{i}: crash tripped at {trip_seq:?}, repaired online \
-                         (data unrec {}, {} quarantined replayed)",
-                        scrub.data_unrecoverable,
-                        quarantine.len(),
-                    ));
-                    break;
-                }
-                RepairOutcome::Parked => {
-                    out.shards_parked += 1;
-                    out.events.push(format!(
-                        "s{s} op{i}: crash tripped at {trip_seq:?}, repair budget \
-                         spent, shard parked permanently"
-                    ));
-                    break;
-                }
-                RepairOutcome::Failed { .. } => continue,
-                // Unreachable with a forced `now`; never spin on them.
-                RepairOutcome::Backoff { .. } | RepairOutcome::NotDegraded => break,
+        out.repairs_attempted += 1;
+        match engine.repair_shard(s) {
+            RepairOutcome::Restored(scrub) => {
+                out.shards_restored += 1;
+                out.events.push(format!(
+                    "s{s} op{i}: crash tripped at {trip_seq:?}, repaired online \
+                     (data unrec {}, {quarantined} quarantined replayed)",
+                    scrub.data_unrecoverable,
+                ));
             }
+            RepairOutcome::Parked => {
+                out.shards_parked += 1;
+                out.events.push(format!(
+                    "s{s} op{i}: crash tripped at {trip_seq:?}, nothing rebuilt, \
+                     shard parked"
+                ));
+            }
+            RepairOutcome::NotDegraded => unreachable!("a power cut leaves shard {s} degraded"),
         }
-        out.crashes_recovered += 1;
         return;
     }
-    let crashed = sys.crash();
+    let crashed = engine
+        .park_degraded(s)
+        .expect("a power cut leaves the cut system in its slot")
+        .crash();
+    let lines = engine.shard_config().data_lines;
     let resume = OnlineService::resume_cursor(&crashed.nvm().recovery_journal(), lines);
     let scrub = engine.scrub_shard(s, crashed);
-    out.crashes_recovered += 1;
     out.events.push(format!(
-        "s{s} op{i}: crash tripped at {:?}, scrubbed back (data unrec {}), cursor {:?}",
-        trip.map(|p| p.seq),
-        scrub.data_unrecoverable,
-        resume,
+        "s{s} op{i}: crash tripped at {trip_seq:?}, scrubbed back (data unrec {}), cursor {:?}",
+        scrub.data_unrecoverable, resume,
     ));
     if cfg.scrub && !engine.is_degraded(s) {
         engine.with_shard(s, |sys| {
@@ -1264,27 +1240,19 @@ fn serve_chaos_shard(
 }
 
 /// Runs chaos mode: `cfg.threads` workers serve `cfg.shards` shards'
-/// schedules off one shared job counter while faults land mid-traffic, then
+/// schedules off one shared job queue while faults land mid-traffic, then
 /// a single-threaded verification sweep re-reads every acknowledged line.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let sys_cfg = SystemConfig::small_for_tests(SchemeKind::Steins, cfg.mode);
-    let mut engine = ShardedEngine::new(sys_cfg, cfg.shards);
-    if cfg.repair {
-        // The rebuilt shard comes back with the run's own online policy.
-        engine.set_repair_policy(RepairPolicy {
-            online: cfg.policy,
-            ..RepairPolicy::default()
-        });
-    }
-    let engine = engine;
+    let engine = ShardedEngine::new(sys_cfg, cfg.shards);
     if cfg.scrub {
         engine.enable_online(cfg.policy);
     }
-    let plans: Vec<ChaosPlan> = (0..cfg.shards)
-        .map(|s| chaos_plan(cfg, s, engine.shard_config().data_lines))
+    let plans: Vec<(usize, ChaosPlan)> = (0..cfg.shards)
+        .map(|s| (s, chaos_plan(cfg, s, engine.shard_config().data_lines)))
         .collect();
-    let outcomes = par::run_regions(cfg.threads, cfg.shards, |s| {
-        serve_chaos_shard(cfg, &engine, s, &plans[s])
+    let outcomes = par::run_regions(cfg.threads, plans, |(s, plan)| {
+        serve_chaos_shard(cfg, &engine, s, &plan)
     });
 
     let mut report = ChaosReport {

@@ -32,7 +32,6 @@ use crate::shard::ShardedEngine;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use steins_crypto::{CryptoEngine, FxHashMap};
 use steins_metadata::{CounterMode, MemoryLayout, RootNode};
 use steins_nvm::{NvmDevice, PersistKind, PersistPoint};
@@ -1452,22 +1451,18 @@ impl CrashSweep {
         }
         crashed.nvm.arm_crash_torn(j, 0xFF);
         let mut target_img = Some(crashed);
-        let images: Vec<Mutex<Option<CrashedSystem>>> = (0..self.shards)
+        let images: Vec<(usize, CrashedSystem)> = (0..self.shards)
             .map(|s| {
-                Mutex::new(Some(if s == out.target {
+                let img = if s == out.target {
                     target_img.take().expect("one target image")
                 } else {
                     out.engine.crash_shard(s)
-                }))
+                };
+                (s, img)
             })
             .collect();
         let engine = &out.engine;
-        let regions = par::run_regions(workers, self.shards, |s| {
-            let img = images[s]
-                .lock()
-                .expect("image slot poisoned by a panic")
-                .take()
-                .expect("each region runs exactly once");
+        let regions = par::run_regions(workers, images, |(s, img)| {
             let mut slot = None;
             match (img.recover_into(&mut slot), slot.take()) {
                 (Ok(report), Some(sys)) => {

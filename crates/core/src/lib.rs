@@ -63,7 +63,7 @@ pub use online::{OnlinePolicy, OnlineService};
 pub use recovery::RecoveryReport;
 pub use report::RunReport;
 pub use scrub::{ScrubReport, Verdict};
-pub use shard::{ParallelRecovery, RepairOutcome, RepairPolicy, ShardedEngine};
+pub use shard::{ParallelRecovery, RepairOutcome, ShardedEngine};
 
 // Re-export the counter mode so downstream users need only this crate.
 pub use steins_metadata::CounterMode;

@@ -5,11 +5,11 @@
 //!
 //! * **Execution** — independent jobs (one crashed shard each in
 //!   [`crate::ShardedEngine::recover_all`] and `scrub_all`, one chaos shard,
-//!   one bench job) really do run on OS threads. [`run_regions`] hands the
-//!   job indices out off one shared counter: an idle worker claims the next
-//!   unclaimed index with a single `fetch_add`. Within one image, recovery
-//!   is serial in canonical order and journals one high-water mark (see
-//!   `crate::recovery`).
+//!   one bench job) really do run on OS threads. [`run_regions`] takes the
+//!   jobs by value and hands them out off one shared queue: an idle worker
+//!   claims the next unclaimed job, moving it out of the queue. Within one
+//!   image, recovery is serial in canonical order and journals one
+//!   high-water mark (see `crate::recovery`).
 //! * **Reporting** — every exported number must be byte-identical no matter
 //!   how many threads the host actually ran. [`fold_lanes`] therefore
 //!   *models* the parallel schedule: per-job costs are assigned to `lanes`
@@ -17,7 +17,7 @@
 //!   idle workers claiming jobs converges to), and the makespan is the max
 //!   lane. Real thread count affects wall clock only.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Deterministic longest-processing-time-first fold of per-region costs
 /// onto `lanes` modeled workers: regions sorted by descending cost (index
@@ -45,38 +45,45 @@ pub fn makespan(costs: &[u64], lanes: usize) -> u64 {
     fold_lanes(costs, lanes).into_iter().max().unwrap_or(0)
 }
 
-/// Runs `jobs` independent jobs on `workers` OS threads (at most one per
-/// job), returning the per-job results in job order. Workers claim job
-/// indices off one shared counter, so every job runs exactly once. `f(job)`
-/// must be independent across jobs — its result is deterministic in `job`
-/// regardless of which thread ran it. One worker runs the jobs inline, in
-/// order, with no threads. A panic in `f` propagates, with its payload,
-/// once every worker has stopped.
-pub fn run_regions<T, F>(workers: usize, jobs: usize, f: F) -> Vec<T>
+/// Runs `f` over `jobs` on `workers` OS threads (at most one per job),
+/// returning the results in job order. Workers claim jobs one at a time off
+/// one shared queue, so every job runs exactly once; callers that need a
+/// job's position pass `(index, job)` pairs. `f(job)` must be independent
+/// across jobs — its result is deterministic in `job` regardless of which
+/// thread ran it. One worker runs the jobs inline, in order, with no
+/// threads. A panic in `f` propagates, with its payload, once every worker
+/// has stopped.
+pub fn run_regions<T, R, F>(workers: usize, jobs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    R: Send,
+    F: Fn(T) -> R + Sync,
 {
-    let workers = workers.clamp(1, jobs.max(1));
+    let n = jobs.len();
+    let workers = workers.clamp(1, n.max(1));
     if workers == 1 {
-        return (0..jobs).map(f).collect();
+        return jobs.into_iter().map(f).collect();
     }
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
                     loop {
-                        // Relaxed: the counter publishes no data, it only
-                        // hands out distinct indices; results come back
-                        // through `join`, which orders them after the work.
-                        let job = next.fetch_add(1, Ordering::Relaxed);
-                        if job >= jobs {
+                        // A `let` statement drops the queue guard before the
+                        // job runs (a `while let` would hold it through the
+                        // body), so jobs run in parallel and a panicking job
+                        // cannot poison the queue.
+                        let Some((i, job)) = queue
+                            .lock()
+                            .expect("no job runs under the queue lock")
+                            .next()
+                        else {
                             return done;
-                        }
-                        done.push((job, f(job)));
+                        };
+                        done.push((i, f(job)));
                     }
                 })
             })
@@ -85,14 +92,14 @@ where
             let done = handle
                 .join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            for (job, r) in done {
-                results[job] = Some(r);
+            for (i, r) in done {
+                results[i] = Some(r);
             }
         }
     });
     results
         .into_iter()
-        .map(|r| r.expect("the counter hands out every job"))
+        .map(|r| r.expect("the queue hands out every job"))
         .collect()
 }
 
@@ -118,7 +125,7 @@ mod tests {
     #[test]
     fn run_regions_returns_results_in_job_order() {
         for workers in [1usize, 2, 4, 8] {
-            let out = run_regions(workers, 37, |j| j * j);
+            let out = run_regions(workers, (0..37).collect(), |j| j * j);
             assert_eq!(out, (0..37).map(|j| j * j).collect::<Vec<_>>());
         }
     }
@@ -127,7 +134,7 @@ mod tests {
     fn run_regions_contended_threads_cover_all_jobs() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let hits = AtomicU64::new(0);
-        let out = run_regions(4, 200, |j| {
+        let out = run_regions(4, (0..200).collect(), |j| {
             hits.fetch_add(1, Ordering::Relaxed);
             // Skewed job costs: the heavy front jobs keep some workers busy
             // while the others drain the cheap tail.
@@ -145,9 +152,24 @@ mod tests {
     }
 
     #[test]
+    fn run_regions_runs_claimed_jobs_at_once() {
+        // Each of two jobs waits for the other to start: a pool that ran
+        // one job at a time, say by holding the queue lock through a job,
+        // would time out instead.
+        use std::sync::mpsc::channel;
+        let (tx0, rx0) = channel();
+        let (tx1, rx1) = channel();
+        let met = run_regions(2, vec![(tx0, rx1), (tx1, rx0)], |(tx, rx)| {
+            tx.send(()).expect("the other job holds the receiver");
+            rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok()
+        });
+        assert_eq!(met, vec![true, true]);
+    }
+
+    #[test]
     fn run_regions_propagates_region_panics() {
         let r = std::panic::catch_unwind(|| {
-            run_regions(4, 16, |j| {
+            run_regions(4, (0..16).collect(), |j| {
                 if j == 11 {
                     panic!("region 11 tripped");
                 }

@@ -9,18 +9,19 @@
 //! accept requests from N threads with no coordination beyond one
 //! per-shard mutex.
 //!
-//! Each shard crashes and recovers on its own: [`ShardedEngine::crash_shard`]
-//! pulls one shard's plug while its neighbors keep serving, and
+//! Each shard is one `Mutex<Slot>`: the enum is both the shard's lifecycle
+//! state and the place its system lives, so every lifecycle transition is
+//! one `match` under that lock. [`ShardedEngine::crash_shard`] pulls one
+//! shard's plug while its neighbors keep serving, and
 //! [`ShardedEngine::recover_shard`] rebuilds it off its own journal line,
 //! which the device stamps with its owner
 //! ([`steins_nvm::NvmDevice::journal_owner`]) — recovering a shard off a
 //! line stamped by another shard is a routing bug and fails loudly.
-//! [`ShardedEngine::recover_all`] rebuilds every shard in parallel, and the
-//! repair loop ([`ShardedEngine::repair_shard`]) brings a degraded shard
-//! back online. The crash harness ([`crate::CrashSweep`]) drives every
+//! [`ShardedEngine::recover_all`] rebuilds every shard in parallel, and
+//! [`ShardedEngine::repair_shard`] brings a degraded shard back online in
+//! one attempt. The crash harness ([`crate::CrashSweep`]) drives every
 //! replay through this engine; an unsharded system is its 1-shard case.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use steins_metadata::{ShardMap, StripeMode};
@@ -35,96 +36,53 @@ use crate::par;
 use crate::recovery::{journal, RecoveryReport};
 use crate::scrub::ScrubReport;
 
-/// Shard lifecycle states for the self-healing repair loop. Only a
-/// `Serving` shard accepts requests: the state is the serving gate.
-///
-/// `Serving → Degraded` on any park ([`ShardedEngine::mark_degraded`]),
-/// `Degraded → Rebuilding` when a repair attempt claims the shard,
-/// `Rebuilding → Serving` when the rebuilt system is re-admitted, and
-/// `Rebuilding → Degraded` when a scrub attempt fails (retryable after
-/// backoff) or `→ Parked` once the attempt budget is spent. `Parked` is
-/// terminal for the automatic loop; only an operator [`ShardedEngine::put_shard`]
-/// un-parks it.
-mod shard_state {
-    pub const SERVING: u8 = 0;
-    pub const DEGRADED: u8 = 1;
-    pub const REBUILDING: u8 = 2;
-    pub const PARKED: u8 = 3;
+/// One shard: its lifecycle state and, where the state has one, its
+/// system. Only `Serving` accepts routed requests.
+enum Slot {
+    /// In service.
+    Serving(SecureNvmSystem),
+    /// [`ShardedEngine::take_shard`] or [`ShardedEngine::crash_shard`]
+    /// removed the system for an offline recovery. Not degraded: routed
+    /// requests fail typed, but there is nothing to repair.
+    Taken,
+    /// Out of service. `Some` is the system a power cut (or a park) left in
+    /// place for [`ShardedEngine::repair_shard`]; `None` once a caller took
+    /// it away.
+    Degraded(Option<SecureNvmSystem>),
+    /// A repair attempt holds the cut image and runs its scrub with the
+    /// lock released.
+    Rebuilding,
+    /// The repair rebuilt nothing; only [`ShardedEngine::put_shard`]
+    /// revives the shard.
+    Parked,
 }
 
-/// Knobs for the background shard-repair loop
-/// ([`ShardedEngine::repair_shard`]).
-#[derive(Clone, Copy, Debug)]
-pub struct RepairPolicy {
-    /// Repair attempts a shard may consume before it is parked
-    /// permanently (state `Parked`; only an operator
-    /// [`ShardedEngine::put_shard`] revives it).
-    pub max_attempts: u32,
-    /// Base of the exponential retry backoff: after failed attempt `k`
-    /// (1-based) the next attempt is gated until
-    /// `now + backoff_base_cycles << (k - 1)` modeled cycles. Callers
-    /// passing `now = u64::MAX` (a forced/operator retry) bypass the gate.
-    pub backoff_base_cycles: u64,
-    /// Online-service policy re-armed on the rebuilt system before it is
-    /// re-admitted (the pre-crash service state is volatile and lost).
-    pub online: OnlinePolicy,
-}
-
-impl Default for RepairPolicy {
-    fn default() -> Self {
-        RepairPolicy {
-            max_attempts: 3,
-            backoff_base_cycles: 1024,
-            online: OnlinePolicy::default(),
+impl Slot {
+    fn system_mut(&mut self) -> Option<&mut SecureNvmSystem> {
+        match self {
+            Slot::Serving(sys) | Slot::Degraded(Some(sys)) => Some(sys),
+            _ => None,
         }
+    }
+
+    fn is_degraded(&self) -> bool {
+        matches!(self, Slot::Degraded(_) | Slot::Rebuilding | Slot::Parked)
     }
 }
 
-/// What one [`ShardedEngine::repair_shard`] attempt did.
+/// What one [`ShardedEngine::repair_shard`] call did.
 #[derive(Debug)]
 pub enum RepairOutcome {
     /// The shard was rebuilt, re-verified, and is `Serving` again. The
     /// report is the lenient scrub's verdict over the rebuilt image.
     Restored(ScrubReport),
-    /// The backoff gate is still closed: no attempt was consumed, the
-    /// image (if any was supplied) is stashed for the retry at `until`.
-    Backoff {
-        /// Modeled cycle at which the next attempt may run.
-        until: u64,
-    },
-    /// The attempt ran and could not rebuild a system; the shard is back
-    /// in `Degraded` awaiting the next (backoff-gated) attempt.
-    Failed {
-        /// Attempts consumed so far, including this one.
-        attempts: u32,
-    },
-    /// The attempt budget is spent (or there is nothing left to rebuild
-    /// from): the shard is parked permanently pending operator action.
+    /// Nothing could be rebuilt — the scheme keeps no metadata redundancy
+    /// (WB), or the shard's image was taken away — so the shard is parked
+    /// pending operator action.
     Parked,
-    /// The shard is serving; there is nothing to repair.
+    /// The shard is not degraded (serving, taken, or already being
+    /// rebuilt): there is nothing for this call to repair.
     NotDegraded,
-}
-
-/// A crashed image plus the quarantine set captured before the plug was
-/// pulled, parked between repair attempts.
-type StashedImage = (CrashedSystem, Vec<u64>);
-
-/// Everything the engine keeps per shard.
-struct Shard {
-    /// The shard's system; empty while crashed, taken, or being rebuilt.
-    sys: Mutex<Option<SecureNvmSystem>>,
-    /// Lifecycle state ([`shard_state`]).
-    state: AtomicU8,
-    /// Repair attempts consumed ([`RepairPolicy::max_attempts`] bounds
-    /// them; [`ShardedEngine::put_shard`] resets the count).
-    repair_attempts: AtomicU32,
-    /// Modeled-cycle gate before which the next repair attempt is refused
-    /// ([`RepairOutcome::Backoff`]). `u64::MAX` as `now` bypasses it.
-    next_repair_at: AtomicU64,
-    /// Crashed image + captured quarantine set stashed between repair
-    /// attempts (a backoff-refused attempt parks its inputs here so the
-    /// retry does not need the caller to re-supply them).
-    stashed: Mutex<Option<StashedImage>>,
 }
 
 /// N independent secure-memory controllers behind one address space.
@@ -137,7 +95,7 @@ struct Shard {
 pub struct ShardedEngine {
     map: ShardMap,
     shard_cfg: SystemConfig,
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Slot>>,
     /// Engine-level lifecycle alarms: `ShardDegraded` transitions raised
     /// by the engine itself, plus harness-observed events recorded via
     /// [`Self::raise_alarm`] (e.g. torn writes in the chaos campaign).
@@ -145,8 +103,6 @@ pub struct ShardedEngine {
     /// [`crate::online::OnlineService`]; [`Self::drain_alarms`] merges
     /// both in deterministic order.
     alarms: Mutex<AlarmLog>,
-    /// Knobs for the repair loop (see [`RepairPolicy`]).
-    repair_policy: RepairPolicy,
 }
 
 impl ShardedEngine {
@@ -168,13 +124,7 @@ impl ShardedEngine {
             .map(|i| {
                 let mut sys = SecureNvmSystem::new(shard_cfg.clone());
                 sys.ctrl.nvm.set_shard(i as u16);
-                Shard {
-                    sys: Mutex::new(Some(sys)),
-                    state: AtomicU8::new(shard_state::SERVING),
-                    repair_attempts: AtomicU32::new(0),
-                    next_repair_at: AtomicU64::new(0),
-                    stashed: Mutex::new(None),
-                }
+                Mutex::new(Slot::Serving(sys))
             })
             .collect();
         ShardedEngine {
@@ -182,19 +132,7 @@ impl ShardedEngine {
             shard_cfg,
             shards,
             alarms: Mutex::new(AlarmLog::new()),
-            repair_policy: RepairPolicy::default(),
         }
-    }
-
-    /// Replaces the repair-loop knobs (construction-time configuration;
-    /// the default is [`RepairPolicy::default`]).
-    pub fn set_repair_policy(&mut self, policy: RepairPolicy) {
-        self.repair_policy = policy;
-    }
-
-    /// The repair-loop knobs in force.
-    pub fn repair_policy(&self) -> RepairPolicy {
-        self.repair_policy
     }
 
     /// The per-shard configuration a global `cfg` splits into: `1/N` of the
@@ -225,36 +163,37 @@ impl ShardedEngine {
 
     /// Locks shard `s`. A panic that escaped a shard operation poisoned
     /// the lock; it propagates here instead of passing for a power cut.
-    fn guard(&self, s: usize) -> MutexGuard<'_, Option<SecureNvmSystem>> {
+    fn lock(&self, s: usize) -> MutexGuard<'_, Slot> {
         self.shards[s]
-            .sys
             .lock()
             .expect("shard lock poisoned by a panic")
     }
 
-    /// Parks a serving shard `s` `Degraded`, raising a `ShardDegraded`
-    /// alarm on that transition only; a shard already out of service keeps
-    /// its repair state. Lifecycle alarms carry cycle stamp 0: the engine
-    /// has no global clock, and a constant stamp keeps the merged alarm log
-    /// byte-identical across host thread schedules.
-    fn mark_degraded(&self, s: usize) {
-        if self.shards[s]
-            .state
-            .compare_exchange(
-                shard_state::SERVING,
-                shard_state::DEGRADED,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-        {
-            self.raise_alarm(Alarm {
-                kind: AlarmKind::ShardDegraded,
-                shard: s as u16,
-                addr: None,
-                cycle: 0,
-            });
-        }
+    /// Moves a `Serving` or `Taken` shard `s` to `Degraded`, keeping the
+    /// system it holds, and raises `ShardDegraded` on that transition only;
+    /// a shard already out of service keeps its state. Lifecycle alarms
+    /// carry cycle stamp 0: the engine has no global clock, and a constant
+    /// stamp keeps the merged alarm log byte-identical across host thread
+    /// schedules.
+    fn degrade(&self, s: usize, slot: &mut Slot) {
+        *slot = match std::mem::replace(slot, Slot::Taken) {
+            Slot::Serving(sys) => Slot::Degraded(Some(sys)),
+            Slot::Taken => Slot::Degraded(None),
+            out_of_service => {
+                *slot = out_of_service;
+                return;
+            }
+        };
+        self.raise_lifecycle(AlarmKind::ShardDegraded, s);
+    }
+
+    fn raise_lifecycle(&self, kind: AlarmKind, s: usize) {
+        self.raise_alarm(Alarm {
+            kind,
+            shard: s as u16,
+            addr: None,
+            cycle: 0,
+        });
     }
 
     /// Records an engine-level lifecycle alarm (see the `alarms` field).
@@ -273,21 +212,21 @@ impl ShardedEngine {
         s: usize,
         f: impl FnOnce(&mut SecureNvmSystem) -> Result<R, IntegrityError>,
     ) -> Result<R, IntegrityError> {
-        let mut g = self.guard(s);
-        let Some(sys) = g.as_mut().filter(|_| !self.is_degraded(s)) else {
+        let mut slot = self.lock(s);
+        let Slot::Serving(sys) = &mut *slot else {
             return Err(IntegrityError::ShardDegraded { shard: s as u16 });
         };
         let r = f(sys);
         if matches!(r, Err(IntegrityError::PowerCut)) {
-            self.mark_degraded(s);
+            self.degrade(s, &mut slot);
         }
         r
     }
 
     /// Whether shard `s` is out of service (`Degraded`, `Rebuilding` or
-    /// `Parked`).
+    /// `Parked`). A taken shard is not degraded.
     pub fn is_degraded(&self, s: usize) -> bool {
-        self.shards[s].state.load(Ordering::Acquire) != shard_state::SERVING
+        self.lock(s).is_degraded()
     }
 
     /// Shards currently out of service, in shard order.
@@ -298,14 +237,13 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Whether shard `s` is permanently `Parked`: its repair attempt
-    /// budget is spent (or there was nothing left to rebuild from) and
-    /// only an operator [`Self::put_shard`] revives it.
+    /// Whether shard `s` is `Parked`: a repair rebuilt nothing, and only an
+    /// operator [`Self::put_shard`] revives it.
     pub fn is_parked(&self, s: usize) -> bool {
-        self.shards[s].state.load(Ordering::Acquire) == shard_state::PARKED
+        matches!(*self.lock(s), Slot::Parked)
     }
 
-    /// Shards permanently `Parked`, in shard order.
+    /// Shards `Parked`, in shard order.
     pub fn parked_shards(&self) -> Vec<u16> {
         (0..self.shards())
             .filter(|&s| self.is_parked(s))
@@ -318,9 +256,12 @@ impl ShardedEngine {
     /// to the shard fail with [`IntegrityError::ShardDegraded`] until
     /// [`Self::put_shard`] reinstates a recovered system.
     pub fn park_degraded(&self, s: usize) -> Option<SecureNvmSystem> {
-        let mut g = self.guard(s);
-        self.mark_degraded(s);
-        g.take()
+        let mut slot = self.lock(s);
+        self.degrade(s, &mut slot);
+        match &mut *slot {
+            Slot::Degraded(sys) => sys.take(),
+            _ => None,
+        }
     }
 
     /// Securely writes one 64 B line at a global address. A request routed
@@ -350,26 +291,40 @@ impl ShardedEngine {
         self.serve(s, |sys| sys.heal_write(local, data))
     }
 
-    /// Runs `f` against shard `s`'s system under its lock, whatever its
-    /// lifecycle state (harness and inspection access).
+    /// Runs `f` against shard `s`'s system under its lock, serving or
+    /// degraded (harness and inspection access). Panics if the slot holds
+    /// no system.
     pub fn with_shard<R>(&self, s: usize, f: impl FnOnce(&mut SecureNvmSystem) -> R) -> R {
-        let mut g = self.guard(s);
-        f(g.as_mut()
-            .unwrap_or_else(|| panic!("shard {s} is crashed/taken")))
+        let mut slot = self.lock(s);
+        f(slot
+            .system_mut()
+            .unwrap_or_else(|| panic!("shard {s} holds no system")))
     }
 
-    /// Removes shard `s`'s system from the engine (its slot stays empty
-    /// until [`Self::put_shard`]; requests routed there fail typed
-    /// meanwhile).
+    /// Removes shard `s`'s system from the engine. A serving shard becomes
+    /// taken (requests routed there fail typed until [`Self::put_shard`]);
+    /// a degraded one stays degraded.
     pub fn take_shard(&self, s: usize) -> SecureNvmSystem {
-        self.guard(s)
-            .take()
-            .unwrap_or_else(|| panic!("shard {s} already crashed/taken"))
+        let mut slot = self.lock(s);
+        match std::mem::replace(&mut *slot, Slot::Taken) {
+            Slot::Serving(sys) => sys,
+            Slot::Degraded(Some(sys)) => {
+                *slot = Slot::Degraded(None);
+                sys
+            }
+            empty => {
+                *slot = empty;
+                panic!("shard {s} holds no system")
+            }
+        }
     }
 
-    /// Reinstates a system into shard `s`'s empty slot. The system must
-    /// carry `s`'s own device label — installing a machine built for a
-    /// different shard is a routing bug.
+    /// Reinstates a system into shard `s`, returning it to `Serving`. The
+    /// slot must hold no system and no running repair (`Taken`, a
+    /// `Degraded` slot whose system was taken, or `Parked` — this is the
+    /// operator's way out of `Parked`). The system must carry `s`'s own
+    /// device label — installing a machine built for a different shard is
+    /// a routing bug.
     pub fn put_shard(&self, s: usize, sys: SecureNvmSystem) {
         assert_eq!(
             sys.ctrl.nvm.shard(),
@@ -377,18 +332,11 @@ impl ShardedEngine {
             "installing shard {} machine into slot {s}",
             sys.ctrl.nvm.shard()
         );
-        let mut g = self.guard(s);
-        assert!(g.is_none(), "shard {s} slot already occupied");
-        *g = Some(sys);
-        // A freshly recovered/rebuilt system un-parks the shard. This is
-        // also the operator's escape hatch for a permanently `Parked`
-        // shard: installing a system resets the repair lifecycle (state,
-        // attempt budget, backoff gate, stashed image).
-        let shard = &self.shards[s];
-        shard.state.store(shard_state::SERVING, Ordering::Release);
-        shard.repair_attempts.store(0, Ordering::Release);
-        shard.next_repair_at.store(0, Ordering::Release);
-        *shard.stashed.lock().expect("stash poisoned by a panic") = None;
+        let mut slot = self.lock(s);
+        match *slot {
+            Slot::Taken | Slot::Degraded(None) | Slot::Parked => *slot = Slot::Serving(sys),
+            _ => panic!("shard {s} holds a system or a running repair"),
+        }
     }
 
     /// Pulls the plug on shard `s` only. Every other shard keeps running.
@@ -414,15 +362,15 @@ impl ShardedEngine {
 
     /// Leniently scrubs shard `s`'s crashed image, reinstating the rebuilt
     /// system when the scheme supports one. A scrub that cannot rebuild a
-    /// system (WB has no metadata redundancy) leaves the slot empty and
-    /// parks the shard `Degraded` — its verdict is unrecoverable at the
-    /// shard level, so routing fails typed instead of panicking.
+    /// system (WB has no metadata redundancy) installs nothing and parks
+    /// the shard `Degraded` — its verdict is unrecoverable at the shard
+    /// level, so routing fails typed instead of panicking.
     pub fn scrub_shard(&self, s: usize, crashed: CrashedSystem) -> ScrubReport {
         Self::check_journal_owner(s, &crashed);
         let (sys, report) = crashed.recover_lenient();
         match sys {
             Some(sys) => self.put_shard(s, sys),
-            None => self.mark_degraded(s),
+            None => self.degrade(s, &mut self.lock(s)),
         }
         report
     }
@@ -445,177 +393,73 @@ impl ShardedEngine {
         }
     }
 
-    /// Stashes a crashed image (and its captured quarantine set) for a
-    /// later repair attempt.
-    fn stash_image(&self, s: usize, crashed: CrashedSystem, quarantine: &[u64]) {
-        *self.shards[s]
-            .stashed
-            .lock()
-            .expect("stash poisoned by a panic") = Some((crashed, quarantine.to_vec()));
-    }
-
-    /// One attempt of the online shard-repair loop: sources a crashed
-    /// image for degraded shard `s` and delegates to
-    /// [`Self::repair_shard_from`].
+    /// Repairs degraded shard `s` in one attempt while its neighbors keep
+    /// serving (nothing here touches another shard's lock or clock).
     ///
-    /// The image comes from, in order: the shard's own slot (a parked but
-    /// still-present system — its volatile quarantine set is captured,
-    /// then the plug is pulled), or a previously stashed image (a
-    /// backoff-refused attempt). A degraded shard with neither has nothing
-    /// left to rebuild from — no retry can ever succeed, so it is parked
-    /// permanently right away.
+    /// The attempt takes the cut system out of its `Degraded` slot, leaving
+    /// `Rebuilding`, and raises `ShardRepairStarted`. It captures the
+    /// system's quarantine set and online policy (the service is volatile
+    /// and dies with the power), pulls the plug, and runs the lenient scrub
+    /// with the lock released. A rebuilt system is re-armed with the
+    /// captured policy ([`OnlinePolicy::default`] if the cut system ran no
+    /// service) and re-verified end to end: a full online scrub pass
+    /// re-quarantines, with fresh alarms, any line that is still bad. The
+    /// captured set is then replayed (lines the pass did *not*
+    /// re-quarantine read back authentic from the rebuilt tree and are
+    /// released with an audited `QuarantineCleared`), and the shard is
+    /// re-admitted (`→ Serving`, `ShardRestored`). A scrub that rebuilds
+    /// nothing parks the shard (`→ Parked`).
     ///
-    /// `now` is the caller's modeled-cycle clock for the backoff gate;
-    /// pass `u64::MAX` to force the attempt (operator retry, or the chaos
-    /// campaign, which must not read neighbor shards' clocks).
-    pub fn repair_shard(&self, s: usize, now: u64) -> RepairOutcome {
-        if self.is_parked(s) {
-            return RepairOutcome::Parked;
-        }
-        if !self.is_degraded(s) {
-            return RepairOutcome::NotDegraded;
-        }
-        let source = self.guard(s).take();
-        let (crashed, quarantine) = match source {
-            Some(sys) => {
-                // The online service dies with the power: capture the
-                // quarantine set before pulling the plug so the rebuilt
-                // shard can replay it.
-                let q: Vec<u64> = sys
-                    .online()
-                    .map(|o| o.quarantined().collect())
-                    .unwrap_or_default();
-                (sys.crash(), q)
-            }
-            None => match self.shards[s]
-                .stashed
-                .lock()
-                .expect("stash poisoned by a panic")
-                .take()
-            {
-                Some((c, q)) => (c, q),
-                None => {
-                    self.shards[s]
-                        .state
-                        .store(shard_state::PARKED, Ordering::Release);
-                    return RepairOutcome::Parked;
-                }
-            },
-        };
-        self.repair_shard_from(s, crashed, &quarantine, now)
-    }
-
-    /// Runs one bounded, backoff-gated repair attempt for degraded shard
-    /// `s` from a supplied crashed image, while neighbor shards keep
-    /// serving (nothing here touches any other shard's lock).
-    ///
-    /// `Degraded → Rebuilding`: the attempt claims the shard, raises
-    /// `ShardRepairStarted` (lifecycle alarm, cycle 0), and runs the
-    /// lenient scrub over the image. On success the rebuilt system is
-    /// re-verified end to end (a full online scrub pass re-quarantines,
-    /// with fresh alarms, any line that is still bad), the captured
-    /// `quarantine` set is replayed against it (lines the pass did *not*
-    /// re-quarantine are provably clean now and released with an audited
-    /// `QuarantineCleared`), and the system is atomically re-admitted
-    /// (`→ Serving`, `ShardRestored`). On failure the shard returns to
-    /// `Degraded` with an exponential backoff gate, until
-    /// [`RepairPolicy::max_attempts`] parks it permanently (`→ Parked`).
+    /// One attempt is all there is: the scrub reads only what NVM holds,
+    /// and it fails exactly when the scheme keeps no metadata redundancy
+    /// (WB), so a retry could never succeed. A `Degraded` slot whose system
+    /// was taken away parks at once; a shard serving, taken, or already
+    /// `Rebuilding` returns [`RepairOutcome::NotDegraded`].
     ///
     /// Determinism: lifecycle alarms carry cycle 0; replay releases are
-    /// stamped with the rebuilt shard's *own* modeled clock. The attempt
-    /// never reads another shard's clock, so concurrent repairs and host
-    /// scheduling cannot perturb the exported alarm stream.
-    pub fn repair_shard_from(
-        &self,
-        s: usize,
-        crashed: CrashedSystem,
-        quarantine: &[u64],
-        now: u64,
-    ) -> RepairOutcome {
-        if self.is_parked(s) {
-            // Keep the image for the operator's post-mortem.
-            self.stash_image(s, crashed, quarantine);
-            return RepairOutcome::Parked;
-        }
-        let shard = &self.shards[s];
-        if shard
-            .state
-            .compare_exchange(
-                shard_state::DEGRADED,
-                shard_state::REBUILDING,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_err()
-        {
-            self.stash_image(s, crashed, quarantine);
-            return RepairOutcome::NotDegraded;
-        }
-        let until = shard.next_repair_at.load(Ordering::Acquire);
-        if now < until {
-            self.stash_image(s, crashed, quarantine);
-            shard.state.store(shard_state::DEGRADED, Ordering::Release);
-            return RepairOutcome::Backoff { until };
-        }
-        let policy = self.repair_policy;
-        let attempt = shard.repair_attempts.fetch_add(1, Ordering::AcqRel) + 1;
-        if attempt > policy.max_attempts {
-            self.stash_image(s, crashed, quarantine);
-            shard.state.store(shard_state::PARKED, Ordering::Release);
-            return RepairOutcome::Parked;
-        }
-        self.raise_alarm(Alarm {
-            kind: AlarmKind::ShardRepairStarted,
-            shard: s as u16,
-            addr: None,
-            cycle: 0,
-        });
-        Self::check_journal_owner(s, &crashed);
-        let (sys, report) = crashed.recover_lenient();
-        match sys {
-            Some(mut sys) => {
-                sys.enable_online(policy.online);
-                // Re-verify the rebuilt tree end to end before re-admitting
-                // the shard: every line that is still bad is re-quarantined
-                // with a fresh alarm trail.
-                sys.online_scrub_pass()
-                    .expect("the scrub leaves the rebuilt device disarmed");
-                // Replay the captured quarantine set: anything the full
-                // pass did not re-quarantine read back authentic from the
-                // rebuilt tree and is released, audited.
-                let shard = s as u16;
-                let cycle = sys.sim_cycles();
-                if let Some(svc) = sys.online_mut() {
-                    for &addr in quarantine {
-                        if !svc.is_quarantined(addr) {
-                            svc.note_heal(shard, addr, cycle);
-                        }
-                    }
-                }
-                self.put_shard(s, sys);
-                self.raise_alarm(Alarm {
-                    kind: AlarmKind::ShardRestored,
-                    shard: s as u16,
-                    addr: None,
-                    cycle: 0,
-                });
-                RepairOutcome::Restored(report)
-            }
-            None => {
-                // The image is consumed; a retry needs a fresh one.
-                if attempt >= policy.max_attempts {
-                    shard.state.store(shard_state::PARKED, Ordering::Release);
+    /// stamped with the rebuilt shard's *own* modeled clock, so concurrent
+    /// repairs and host scheduling cannot perturb the exported alarm stream.
+    pub fn repair_shard(&self, s: usize) -> RepairOutcome {
+        let cut = {
+            let mut slot = self.lock(s);
+            match std::mem::replace(&mut *slot, Slot::Rebuilding) {
+                Slot::Degraded(Some(sys)) => sys,
+                Slot::Degraded(None) | Slot::Parked => {
+                    *slot = Slot::Parked;
                     return RepairOutcome::Parked;
                 }
-                let shift = (attempt - 1).min(16);
-                shard.next_repair_at.store(
-                    now.saturating_add(policy.backoff_base_cycles << shift),
-                    Ordering::Release,
-                );
-                shard.state.store(shard_state::DEGRADED, Ordering::Release);
-                RepairOutcome::Failed { attempts: attempt }
+                other => {
+                    *slot = other;
+                    return RepairOutcome::NotDegraded;
+                }
+            }
+        };
+        self.raise_lifecycle(AlarmKind::ShardRepairStarted, s);
+        let (quarantine, policy): (Vec<u64>, OnlinePolicy) = match cut.online() {
+            Some(svc) => (svc.quarantined().collect(), *svc.policy()),
+            None => (Vec::new(), OnlinePolicy::default()),
+        };
+        let crashed = cut.crash();
+        Self::check_journal_owner(s, &crashed);
+        let (rebuilt, report) = crashed.recover_lenient();
+        let Some(mut sys) = rebuilt else {
+            *self.lock(s) = Slot::Parked;
+            return RepairOutcome::Parked;
+        };
+        sys.enable_online(policy);
+        sys.online_scrub_pass()
+            .expect("the scrub leaves the rebuilt device disarmed");
+        let cycle = sys.sim_cycles();
+        if let Some(svc) = sys.online_mut() {
+            for &addr in &quarantine {
+                if !svc.is_quarantined(addr) {
+                    svc.note_heal(s as u16, addr, cycle);
+                }
             }
         }
+        *self.lock(s) = Slot::Serving(sys);
+        self.raise_lifecycle(AlarmKind::ShardRestored, s);
+        RepairOutcome::Restored(report)
     }
 
     /// Deterministic simulated-cycle makespan: the furthest any shard's
@@ -624,7 +468,7 @@ impl ShardedEngine {
     /// the stress bench's scaling gate is computed from.
     pub fn sim_cycles(&self) -> u64 {
         (0..self.shards())
-            .map(|s| self.guard(s).as_ref().map_or(0, |sys| sys.sim_cycles()))
+            .map(|s| self.lock(s).system_mut().map_or(0, |sys| sys.sim_cycles()))
             .max()
             .unwrap_or(0)
     }
@@ -637,7 +481,7 @@ impl ShardedEngine {
     pub fn report(&self) -> MetricRegistry {
         let mut agg = MetricRegistry::new();
         for s in 0..self.shards() {
-            if let Some(sys) = self.guard(s).as_ref() {
+            if let Some(sys) = self.lock(s).system_mut() {
                 let m = sys.report().metrics;
                 agg.fold_shard(&format!("shard.{s:02}"), &m);
             }
@@ -655,13 +499,14 @@ impl ShardedEngine {
         agg
     }
 
-    /// Enables the online integrity service on every live shard under one
-    /// shared `policy` (see [`crate::online::OnlinePolicy`]). Shards whose
-    /// slot is empty or degraded are skipped; a system reinstated later via
-    /// [`Self::put_shard`] must be re-enabled by the caller.
+    /// Enables the online integrity service on every shard that holds a
+    /// system, serving or degraded, under one shared `policy` (see
+    /// [`crate::online::OnlinePolicy`]). Empty slots are skipped; a system
+    /// reinstated later via [`Self::put_shard`] must be re-enabled by the
+    /// caller.
     pub fn enable_online(&self, policy: OnlinePolicy) {
         for s in 0..self.shards() {
-            if let Some(sys) = self.guard(s).as_mut() {
+            if let Some(sys) = self.lock(s).system_mut() {
                 sys.enable_online(policy);
             }
         }
@@ -697,8 +542,7 @@ impl ShardedEngine {
             out.raise(a);
         }
         for s in 0..self.shards() {
-            let mut g = self.guard(s);
-            if let Some(sys) = g.as_mut() {
+            if let Some(sys) = self.lock(s).system_mut() {
                 for a in sys.drain_alarms() {
                     out.raise(a);
                 }
@@ -717,7 +561,7 @@ impl ShardedEngine {
 
     /// Recovers the whole engine in parallel: the per-shard crashed images
     /// are independent jobs that `workers` threads claim off one shared
-    /// counter ([`par::run_regions`]). Each shard recovers serially off its
+    /// queue ([`par::run_regions`]). Each shard recovers serially off its
     /// own ADR journal line and reinstates itself into its slot as soon as
     /// it finishes.
     ///
@@ -736,16 +580,8 @@ impl ShardedEngine {
     ) -> Result<ParallelRecovery, IntegrityError> {
         assert_eq!(crashed.len(), self.shards(), "one crashed image per shard");
         let workers = workers.max(1);
-        let images: Vec<Mutex<Option<CrashedSystem>>> =
-            crashed.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let results = par::run_regions(workers, images.len(), |s| {
-            let img = images[s]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("each region runs exactly once");
-            self.recover_shard(s, img)
-        });
+        let jobs = crashed.into_iter().enumerate().collect();
+        let results = par::run_regions(workers, jobs, |(s, img)| self.recover_shard(s, img));
         let mut reports = Vec::with_capacity(results.len());
         for r in results {
             reports.push(r?);
@@ -785,16 +621,8 @@ impl ShardedEngine {
         workers: usize,
     ) -> (Vec<ScrubReport>, ScrubReport) {
         assert_eq!(crashed.len(), self.shards(), "one crashed image per shard");
-        let images: Vec<Mutex<Option<CrashedSystem>>> =
-            crashed.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let reports = par::run_regions(workers, images.len(), |s| {
-            let img = images[s]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("each region runs exactly once");
-            self.scrub_shard(s, img)
-        });
+        let jobs = crashed.into_iter().enumerate().collect();
+        let reports = par::run_regions(workers, jobs, |(s, img)| self.scrub_shard(s, img));
         let mut merged = ScrubReport::empty(reports[0].scheme.clone(), 0, 0);
         for (s, r) in reports.iter().enumerate() {
             let mut global = r.clone();
@@ -847,6 +675,7 @@ mod tests {
     use super::*;
     use crate::config::SchemeKind;
     use crate::crash::{CrashSweep, PointSelection, SweepOp};
+    use std::panic::AssertUnwindSafe;
     use steins_metadata::CounterMode;
 
     fn small(scheme: SchemeKind) -> SystemConfig {
@@ -1191,10 +1020,7 @@ mod tests {
         let line1 = (0..16u64).find(|&l| m.shard_of(l) == 1).unwrap();
         let (_, local0) = m.route(line0 * 64);
         // A serving shard has nothing to repair.
-        assert!(matches!(
-            engine.repair_shard(0, u64::MAX),
-            RepairOutcome::NotDegraded
-        ));
+        assert!(matches!(engine.repair_shard(0), RepairOutcome::NotDegraded));
         // Quarantine a (actually sound) line, then cut the shard's power:
         // the volatile quarantine set must survive the repair as an
         // audited replay, not silently evaporate with the power.
@@ -1211,7 +1037,7 @@ mod tests {
             Err(IntegrityError::ShardDegraded { shard: 0 })
         );
         // Online repair: neighbors keep serving throughout.
-        let outcome = engine.repair_shard(0, u64::MAX);
+        let outcome = engine.repair_shard(0);
         let report = match outcome {
             RepairOutcome::Restored(r) => r,
             other => panic!("expected Restored, got {other:?}"),
@@ -1244,69 +1070,37 @@ mod tests {
         assert!(kinds_s0.contains(&AlarmKind::ShardRestored));
         assert!(kinds_s0.contains(&AlarmKind::QuarantineCleared));
         // Nothing left to repair.
-        assert!(matches!(
-            engine.repair_shard(0, u64::MAX),
-            RepairOutcome::NotDegraded
-        ));
+        assert!(matches!(engine.repair_shard(0), RepairOutcome::NotDegraded));
     }
 
     #[test]
-    fn failed_repairs_back_off_exponentially_then_park_permanently() {
-        // WB images cannot be rebuilt, so every attempt fails — the loop
-        // must consume its bounded budget and park, never spin.
-        let donor = || {
-            let d = ShardedEngine::new(small(SchemeKind::WriteBack), 2);
-            for line in 0..16u64 {
-                d.write(line * 64, &SweepOp::payload(line, 8)).unwrap();
-            }
-            d.crash_shard(1)
-        };
+    fn unrebuildable_repair_parks_after_one_attempt() {
+        // WB keeps no metadata redundancy: the scrub rebuilds nothing from
+        // any image, so the one attempt parks the shard.
         let engine = ShardedEngine::new(small(SchemeKind::WriteBack), 2);
         for line in 0..16u64 {
             engine.write(line * 64, &SweepOp::payload(line, 8)).unwrap();
         }
-        let img = engine.park_degraded(1).unwrap().crash();
-        // Attempt 1 fails and arms the backoff gate at base << 0.
-        assert!(matches!(
-            engine.repair_shard_from(1, img, &[], 0),
-            RepairOutcome::Failed { attempts: 1 }
-        ));
-        match engine.repair_shard_from(1, donor(), &[], 100) {
-            RepairOutcome::Backoff { until } => assert_eq!(until, 1024),
-            other => panic!("expected Backoff, got {other:?}"),
-        }
-        // Past the gate, the stashed image feeds attempt 2; the gate
-        // doubles (5000 + 1024 << 1).
-        assert!(matches!(
-            engine.repair_shard(1, 5_000),
-            RepairOutcome::Failed { attempts: 2 }
-        ));
-        match engine.repair_shard_from(1, donor(), &[], 6_000) {
-            RepairOutcome::Backoff { until } => assert_eq!(until, 7_048),
-            other => panic!("expected Backoff, got {other:?}"),
-        }
-        // Attempt 3 spends the budget: permanently parked.
-        assert!(matches!(
-            engine.repair_shard(1, u64::MAX),
-            RepairOutcome::Parked
-        ));
+        let m = *engine.map();
+        let line1 = (0..16u64).find(|&l| m.shard_of(l) == 1).unwrap();
+        cut_shard(&engine, 1, line1, 8);
+        assert!(matches!(engine.repair_shard(1), RepairOutcome::Parked));
         assert!(engine.is_parked(1));
         assert!(engine.is_degraded(1));
         assert_eq!(engine.parked_shards(), vec![1]);
         assert_eq!(engine.report().gauge("core.shards.parked"), Some(1.0));
-        assert!(matches!(
-            engine.repair_shard(1, u64::MAX),
-            RepairOutcome::Parked
-        ));
-        let m = *engine.map();
-        let line1 = (0..16u64).find(|&l| m.shard_of(l) == 1).unwrap();
         assert_eq!(
             engine.read(line1 * 64),
             Err(IntegrityError::ShardDegraded { shard: 1 })
         );
-        // Exact alarm trail: one park, three started attempts, no restore.
-        let log = engine.drain_alarms();
-        let kinds_s1: Vec<AlarmKind> = log
+        assert_eq!(
+            engine.write(line1 * 64, &[0; 64]),
+            Err(IntegrityError::ShardDegraded { shard: 1 })
+        );
+        // A second call finds nothing to do and raises nothing.
+        assert!(matches!(engine.repair_shard(1), RepairOutcome::Parked));
+        let kinds_s1: Vec<AlarmKind> = engine
+            .drain_alarms()
             .events()
             .iter()
             .filter(|a| a.shard == 1)
@@ -1314,15 +1108,9 @@ mod tests {
             .collect();
         assert_eq!(
             kinds_s1,
-            vec![
-                AlarmKind::ShardDegraded,
-                AlarmKind::ShardRepairStarted,
-                AlarmKind::ShardRepairStarted,
-                AlarmKind::ShardRepairStarted,
-            ]
+            vec![AlarmKind::ShardDegraded, AlarmKind::ShardRepairStarted]
         );
-        // Operator escape hatch: installing a fresh system un-parks the
-        // shard and resets the repair lifecycle.
+        // Operator way out: installing a fresh system un-parks the shard.
         let mut fresh = SecureNvmSystem::new(engine.shard_config().clone());
         fresh.ctrl.nvm.set_shard(1);
         engine.put_shard(1, fresh);
@@ -1340,14 +1128,10 @@ mod tests {
         for line in 0..16u64 {
             engine.write(line * 64, &SweepOp::payload(line, 3)).unwrap();
         }
-        // The degraded shard's image is gone for good (dropped, not
-        // stashed): no retry can ever succeed, so repair parks it on the
-        // spot rather than burning attempts.
+        // The degraded shard's image is gone for good (taken and dropped):
+        // there is nothing to rebuild from, so repair parks it on the spot.
         drop(engine.park_degraded(0).unwrap());
-        assert!(matches!(
-            engine.repair_shard(0, u64::MAX),
-            RepairOutcome::Parked
-        ));
+        assert!(matches!(engine.repair_shard(0), RepairOutcome::Parked));
         assert!(engine.is_parked(0));
         let log = engine.drain_alarms();
         let kinds_s0: Vec<AlarmKind> = log
@@ -1357,6 +1141,244 @@ mod tests {
             .map(|a| a.kind)
             .collect();
         assert_eq!(kinds_s0, vec![AlarmKind::ShardDegraded]);
+    }
+
+    /// Every lifecycle state of the table test below.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum St {
+        Serving,
+        Taken,
+        DegradedSome,
+        DegradedNone,
+        Rebuilding,
+        Parked,
+    }
+
+    /// Every event the table test fires at shard 0.
+    #[derive(Clone, Copy, Debug)]
+    enum Ev {
+        /// A routed write, then a routed read.
+        Routed,
+        /// Arms the device's next persist (if the slot holds a system),
+        /// then a routed write.
+        CutInOp,
+        Park,
+        Take,
+        Crash,
+        Put,
+        Recover,
+        ScrubRebuilt,
+        ScrubWb,
+        Repair,
+        WithShard,
+    }
+
+    fn state(engine: &ShardedEngine) -> St {
+        match &*engine.lock(0) {
+            Slot::Serving(_) => St::Serving,
+            Slot::Taken => St::Taken,
+            Slot::Degraded(Some(_)) => St::DegradedSome,
+            Slot::Degraded(None) => St::DegradedNone,
+            Slot::Rebuilding => St::Rebuilding,
+            Slot::Parked => St::Parked,
+        }
+    }
+
+    /// A fresh 2-shard Steins engine with shard 0 in `st`, alarms drained.
+    fn engine_in(st: St) -> ShardedEngine {
+        let engine = dirtied(2, 16);
+        match st {
+            St::Serving => {}
+            St::Taken => drop(engine.take_shard(0)),
+            St::DegradedSome => cut_shard(&engine, 0, 0, 6),
+            St::DegradedNone => {
+                cut_shard(&engine, 0, 0, 6);
+                drop(engine.park_degraded(0));
+            }
+            // Only a running repair holds this state; build it directly.
+            St::Rebuilding => {
+                drop(engine.take_shard(0));
+                *engine.lock(0) = Slot::Rebuilding;
+            }
+            St::Parked => {
+                cut_shard(&engine, 0, 0, 6);
+                drop(engine.park_degraded(0));
+                assert!(matches!(engine.repair_shard(0), RepairOutcome::Parked));
+            }
+        }
+        assert_eq!(state(&engine), st);
+        engine.drain_alarms();
+        engine
+    }
+
+    /// A never-written `scheme` machine of the 2-shard geometry, labeled
+    /// shard 0, crashed.
+    fn image(scheme: SchemeKind) -> CrashedSystem {
+        let mut sys = SecureNvmSystem::new(ShardedEngine::split_config(&small(scheme), 2));
+        sys.ctrl.nvm.set_shard(0);
+        sys.crash()
+    }
+
+    /// Fires `ev` at shard 0 and names what it returned.
+    fn fire(engine: &ShardedEngine, ev: Ev) -> &'static str {
+        let typed = |r: Result<(), IntegrityError>| match r {
+            Ok(()) => "Ok",
+            Err(IntegrityError::PowerCut) => "PowerCut",
+            Err(IntegrityError::ShardDegraded { shard: 0 }) => "ShardDegraded",
+            Err(e) => panic!("unexpected {e}"),
+        };
+        match ev {
+            Ev::Routed => {
+                let w = typed(engine.write(0, &SweepOp::payload(0, 6)));
+                assert_eq!(w, typed(engine.read(0).map(|_| ())));
+                w
+            }
+            Ev::CutInOp => {
+                if let Some(sys) = engine.lock(0).system_mut() {
+                    let next = sys.ctrl.nvm.persist_seq() + 1;
+                    sys.ctrl.nvm.arm_crash(next);
+                }
+                typed(engine.write(0, &SweepOp::payload(0, 6)))
+            }
+            Ev::Park => engine.park_degraded(0).map_or("None", |_| "Some"),
+            Ev::Take => {
+                engine.take_shard(0);
+                "Ok"
+            }
+            Ev::Crash => {
+                engine.crash_shard(0);
+                "Ok"
+            }
+            Ev::Put => {
+                let mut sys = SecureNvmSystem::new(engine.shard_config().clone());
+                sys.ctrl.nvm.set_shard(0);
+                engine.put_shard(0, sys);
+                "Ok"
+            }
+            Ev::Recover => typed(
+                engine
+                    .recover_shard(0, image(SchemeKind::Steins))
+                    .map(|_| ()),
+            ),
+            Ev::ScrubRebuilt => {
+                engine.scrub_shard(0, image(SchemeKind::Steins));
+                "Ok"
+            }
+            Ev::ScrubWb => {
+                engine.scrub_shard(0, image(SchemeKind::WriteBack));
+                "Ok"
+            }
+            Ev::Repair => match engine.repair_shard(0) {
+                RepairOutcome::Restored(_) => "Restored",
+                RepairOutcome::Parked => "Parked",
+                RepairOutcome::NotDegraded => "NotDegraded",
+            },
+            Ev::WithShard => engine.with_shard(0, |_| "Ok"),
+        }
+    }
+
+    /// Every (state, event) pair of the shard lifecycle, fired
+    /// sequentially on a fresh engine: what the event returns, the state it
+    /// leaves, and the lifecycle alarms it raises. `"panic"` rows assert a
+    /// panic; their next-state column is not checked.
+    #[test]
+    fn lifecycle_table_covers_every_state_and_event() {
+        use AlarmKind::{ShardDegraded as D, ShardRepairStarted as S, ShardRestored as R};
+        use Ev::*;
+        use St::*;
+        #[rustfmt::skip]
+        let table: &[(St, Ev, &str, St, &[AlarmKind])] = &[
+            (Serving, Routed, "Ok", Serving, &[]),
+            (Serving, CutInOp, "PowerCut", DegradedSome, &[D]),
+            (Serving, Park, "Some", DegradedNone, &[D]),
+            (Serving, Take, "Ok", Taken, &[]),
+            (Serving, Crash, "Ok", Taken, &[]),
+            (Serving, Put, "panic", Serving, &[]),
+            (Serving, Recover, "panic", Serving, &[]),
+            (Serving, ScrubRebuilt, "panic", Serving, &[]),
+            (Serving, ScrubWb, "Ok", DegradedSome, &[D]),
+            (Serving, Repair, "NotDegraded", Serving, &[]),
+            (Serving, WithShard, "Ok", Serving, &[]),
+
+            (Taken, Routed, "ShardDegraded", Taken, &[]),
+            (Taken, CutInOp, "ShardDegraded", Taken, &[]),
+            (Taken, Park, "None", DegradedNone, &[D]),
+            (Taken, Take, "panic", Taken, &[]),
+            (Taken, Crash, "panic", Taken, &[]),
+            (Taken, Put, "Ok", Serving, &[]),
+            (Taken, Recover, "Ok", Serving, &[]),
+            (Taken, ScrubRebuilt, "Ok", Serving, &[]),
+            (Taken, ScrubWb, "Ok", DegradedNone, &[D]),
+            (Taken, Repair, "NotDegraded", Taken, &[]),
+            (Taken, WithShard, "panic", Taken, &[]),
+
+            (DegradedSome, Routed, "ShardDegraded", DegradedSome, &[]),
+            (DegradedSome, CutInOp, "ShardDegraded", DegradedSome, &[]),
+            (DegradedSome, Park, "Some", DegradedNone, &[]),
+            (DegradedSome, Take, "Ok", DegradedNone, &[]),
+            (DegradedSome, Crash, "Ok", DegradedNone, &[]),
+            (DegradedSome, Put, "panic", DegradedSome, &[]),
+            (DegradedSome, Recover, "panic", DegradedSome, &[]),
+            (DegradedSome, ScrubRebuilt, "panic", DegradedSome, &[]),
+            (DegradedSome, ScrubWb, "Ok", DegradedSome, &[]),
+            (DegradedSome, Repair, "Restored", Serving, &[S, R]),
+            (DegradedSome, WithShard, "Ok", DegradedSome, &[]),
+
+            (DegradedNone, Routed, "ShardDegraded", DegradedNone, &[]),
+            (DegradedNone, CutInOp, "ShardDegraded", DegradedNone, &[]),
+            (DegradedNone, Park, "None", DegradedNone, &[]),
+            (DegradedNone, Take, "panic", DegradedNone, &[]),
+            (DegradedNone, Crash, "panic", DegradedNone, &[]),
+            (DegradedNone, Put, "Ok", Serving, &[]),
+            (DegradedNone, Recover, "Ok", Serving, &[]),
+            (DegradedNone, ScrubRebuilt, "Ok", Serving, &[]),
+            (DegradedNone, ScrubWb, "Ok", DegradedNone, &[]),
+            (DegradedNone, Repair, "Parked", Parked, &[]),
+            (DegradedNone, WithShard, "panic", DegradedNone, &[]),
+
+            (Rebuilding, Routed, "ShardDegraded", Rebuilding, &[]),
+            (Rebuilding, CutInOp, "ShardDegraded", Rebuilding, &[]),
+            (Rebuilding, Park, "None", Rebuilding, &[]),
+            (Rebuilding, Take, "panic", Rebuilding, &[]),
+            (Rebuilding, Crash, "panic", Rebuilding, &[]),
+            (Rebuilding, Put, "panic", Rebuilding, &[]),
+            (Rebuilding, Recover, "panic", Rebuilding, &[]),
+            (Rebuilding, ScrubRebuilt, "panic", Rebuilding, &[]),
+            (Rebuilding, ScrubWb, "Ok", Rebuilding, &[]),
+            (Rebuilding, Repair, "NotDegraded", Rebuilding, &[]),
+            (Rebuilding, WithShard, "panic", Rebuilding, &[]),
+
+            (Parked, Routed, "ShardDegraded", Parked, &[]),
+            (Parked, CutInOp, "ShardDegraded", Parked, &[]),
+            (Parked, Park, "None", Parked, &[]),
+            (Parked, Take, "panic", Parked, &[]),
+            (Parked, Crash, "panic", Parked, &[]),
+            (Parked, Put, "Ok", Serving, &[]),
+            (Parked, Recover, "Ok", Serving, &[]),
+            (Parked, ScrubRebuilt, "Ok", Serving, &[]),
+            (Parked, ScrubWb, "Ok", Parked, &[]),
+            (Parked, Repair, "Parked", Parked, &[]),
+            (Parked, WithShard, "panic", Parked, &[]),
+        ];
+        assert_eq!(table.len(), 6 * 11, "one row per (state, event) pair");
+        for &(from, ev, want, next, alarms) in table {
+            let engine = engine_in(from);
+            let got =
+                std::panic::catch_unwind(AssertUnwindSafe(|| fire(&engine, ev))).unwrap_or("panic");
+            assert_eq!(got, want, "{from:?} x {ev:?}");
+            if got == "panic" {
+                continue;
+            }
+            assert_eq!(state(&engine), next, "{from:?} x {ev:?}");
+            assert_eq!(engine.is_degraded(0), engine.lock(0).is_degraded());
+            let raised: Vec<AlarmKind> = engine
+                .drain_alarms()
+                .events()
+                .iter()
+                .map(|a| a.kind)
+                .collect();
+            assert_eq!(raised, alarms, "{from:?} x {ev:?}");
+        }
     }
 
     #[test]

@@ -14,12 +14,10 @@
 //!   serial engine recovery resumes under a parallel one and vice versa,
 //!   with exactly one restart on that shard and none on its neighbors.
 
-use std::sync::Mutex;
-
 use steins_core::recovery::journal;
 use steins_core::{
-    par, CounterMode, CrashedSystem, IntegrityError, ParallelRecovery, SchemeKind, SecureNvmSystem,
-    ShardedEngine, SystemConfig,
+    par, CounterMode, IntegrityError, ParallelRecovery, SchemeKind, SecureNvmSystem, ShardedEngine,
+    SystemConfig,
 };
 use steins_nvm::RecoveryJournal;
 
@@ -254,14 +252,7 @@ fn interrupt_then_resume(
     let engine = dirty_engine(scheme);
     let mut images = engine.crash_all();
     images[TARGET].nvm_mut().arm_crash_torn(j, 0xFF);
-    let images: Vec<Mutex<Option<CrashedSystem>>> =
-        images.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let first = par::run_regions(first_workers, SHARDS, |s| {
-        let img = images[s]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("each region runs exactly once");
+    let first = par::run_regions(first_workers, images, |img| {
         let mut slot = None;
         (img.recover_into(&mut slot), slot)
     });

@@ -39,60 +39,14 @@ pub const READ_RETRY_BASE_CYCLES: Cycle = 32;
 /// journal's persist events never collide with a real line.
 pub const RECOVERY_JOURNAL_ADDR: u64 = !63;
 
-/// Largest valid [`RecoveryJournal::phase`] value (the controller crate's
-/// `journal::ONLINE`). [`RecoveryJournal::decode`] rejects anything above
-/// it: a phase the controller never defined cannot have been written by a
-/// legitimate recoverer.
-pub const JOURNAL_MAX_PHASE: u8 = 7;
-
 /// Byte length of [`RecoveryJournal::mac_message`]: domain tag (8) +
 /// phase (1) + zero padding (3) + restarts (4) + hwm (8).
 pub const JOURNAL_MAC_MSG_BYTES: usize = 24;
-
-/// Byte length of the durable journal encoding ([`RecoveryJournal::encode`]):
-/// magic (4) + phase (1) + reserved (3) + restarts (4) + reserved (4) +
-/// hwm (8) + MAC (8).
-pub const JOURNAL_ENC_BYTES: usize = 32;
-
-/// Magic prefix of the durable journal encoding.
-pub const JOURNAL_MAGIC: [u8; 4] = *b"SJR2";
 
 /// Capacity of the device's retry-exhaustion log: promotions beyond it
 /// evict the oldest entry and bump the dropped counter, so an undrained
 /// chaos soak sees bounded memory instead of unbounded growth.
 pub const EXHAUSTED_LOG_CAP: usize = 1024;
-
-/// Why a durable journal image failed to decode. Every variant is a typed
-/// refusal — [`RecoveryJournal::decode`] never panics, for any input bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JournalDecodeError {
-    /// Fewer than [`JOURNAL_ENC_BYTES`] bytes.
-    Truncated {
-        /// Bytes actually presented.
-        got: usize,
-    },
-    /// The magic prefix is wrong — the line never held a journal.
-    BadMagic,
-    /// A phase tag above [`JOURNAL_MAX_PHASE`].
-    BadPhase(u8),
-    /// A reserved field is non-zero.
-    ReservedNonZero,
-}
-
-impl std::fmt::Display for JournalDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalDecodeError::Truncated { got } => {
-                write!(f, "journal truncated: {got} of {JOURNAL_ENC_BYTES} bytes")
-            }
-            JournalDecodeError::BadMagic => write!(f, "journal magic mismatch"),
-            JournalDecodeError::BadPhase(p) => write!(f, "journal phase {p} undefined"),
-            JournalDecodeError::ReservedNonZero => {
-                write!(f, "journal reserved bytes non-zero")
-            }
-        }
-    }
-}
 
 /// The ADR-resident recovery journal: a phase tag plus high-water mark that
 /// recovery updates as it replays durable state, making a second crash
@@ -134,47 +88,6 @@ impl RecoveryJournal {
         msg[12..16].copy_from_slice(&self.restarts.to_le_bytes());
         msg[16..24].copy_from_slice(&self.hwm.to_le_bytes());
         msg
-    }
-
-    /// Serializes the journal plus its MAC into the durable on-media
-    /// layout (fixed [`JOURNAL_ENC_BYTES`] bytes, little-endian fields,
-    /// [`JOURNAL_MAGIC`] prefix). The device does not verify the MAC —
-    /// it has no key; the controller seals on write and checks on read.
-    pub fn encode(&self, mac: u64) -> [u8; JOURNAL_ENC_BYTES] {
-        let mut out = [0u8; JOURNAL_ENC_BYTES];
-        out[..4].copy_from_slice(&JOURNAL_MAGIC);
-        out[4] = self.phase;
-        // out[5..8] reserved, zero.
-        out[8..12].copy_from_slice(&self.restarts.to_le_bytes());
-        // out[12..16] reserved, zero.
-        out[16..24].copy_from_slice(&self.hwm.to_le_bytes());
-        out[24..32].copy_from_slice(&mac.to_le_bytes());
-        out
-    }
-
-    /// Parses a durable journal image back into `(journal, mac)`,
-    /// refusing (typed, never panicking) anything that violates the
-    /// layout: short input, wrong magic, an undefined phase tag, or
-    /// non-zero reserved bytes. MAC verification is the caller's job —
-    /// decode only proves the bytes are *shaped* like a journal.
-    pub fn decode(bytes: &[u8]) -> Result<(RecoveryJournal, u64), JournalDecodeError> {
-        if bytes.len() < JOURNAL_ENC_BYTES {
-            return Err(JournalDecodeError::Truncated { got: bytes.len() });
-        }
-        if bytes[..4] != JOURNAL_MAGIC {
-            return Err(JournalDecodeError::BadMagic);
-        }
-        let phase = bytes[4];
-        if phase > JOURNAL_MAX_PHASE {
-            return Err(JournalDecodeError::BadPhase(phase));
-        }
-        if bytes[5..8] != [0, 0, 0] || bytes[12..16] != [0, 0, 0, 0] {
-            return Err(JournalDecodeError::ReservedNonZero);
-        }
-        let le4 = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap());
-        let le8 = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-        let journal = RecoveryJournal::new(phase, le8(&bytes[16..24]), le4(&bytes[8..12]));
-        Ok((journal, le8(&bytes[24..32])))
     }
 }
 
@@ -1076,90 +989,22 @@ mod tests {
     }
 
     #[test]
-    fn journal_encode_decode_round_trips_both_layouts() {
-        // The durable encoding round-trips every field plus the MAC...
-        for (j, mac) in [
-            (RecoveryJournal::new(3, 17, 2), 0xFEED_BEEF),
-            (
-                RecoveryJournal::new(JOURNAL_MAX_PHASE, u64::MAX, u32::MAX),
-                u64::MAX,
-            ),
-            (RecoveryJournal::default(), 0),
-        ] {
-            assert_eq!(RecoveryJournal::decode(&j.encode(mac)), Ok((j, mac)));
-        }
-        // ...and the MAC message binds every field: changing any one of
-        // them changes the message.
+    fn journal_mac_message_binds_every_field() {
+        // The fixed layout: domain tag, phase, padding, restarts, hwm.
         let base = RecoveryJournal::new(3, 17, 2);
+        let msg = base.mac_message();
+        assert_eq!(&msg[..8], b"SNVMJRNL");
+        assert_eq!(msg[8..12], [3, 0, 0, 0]);
+        assert_eq!(msg[12..16], 2u32.to_le_bytes());
+        assert_eq!(msg[16..24], 17u64.to_le_bytes());
+        // Changing phase, hwm or restarts changes the message the journal
+        // MAC covers.
         for other in [
             RecoveryJournal::new(4, 17, 2),
             RecoveryJournal::new(3, 18, 2),
             RecoveryJournal::new(3, 17, 3),
         ] {
             assert_ne!(base.mac_message(), other.mac_message(), "{other:?}");
-        }
-    }
-
-    #[test]
-    fn journal_decode_rejects_malformed_images_typed() {
-        let good = RecoveryJournal::new(2, 9, 0).encode(42);
-        // Truncations at every length below the full image.
-        for len in 0..JOURNAL_ENC_BYTES {
-            assert_eq!(
-                RecoveryJournal::decode(&good[..len]),
-                Err(JournalDecodeError::Truncated { got: len })
-            );
-        }
-        // Wrong magic.
-        let mut bad = good;
-        bad[0] ^= 0xFF;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadMagic)
-        );
-        // Undefined phase tag.
-        let mut bad = good;
-        bad[4] = JOURNAL_MAX_PHASE + 1;
-        assert_eq!(
-            RecoveryJournal::decode(&bad),
-            Err(JournalDecodeError::BadPhase(JOURNAL_MAX_PHASE + 1))
-        );
-        // Reserved bytes must stay zero.
-        for idx in [5, 6, 7, 12, 13, 14, 15] {
-            let mut bad = good;
-            bad[idx] = 1;
-            assert_eq!(
-                RecoveryJournal::decode(&bad),
-                Err(JournalDecodeError::ReservedNonZero)
-            );
-        }
-    }
-
-    #[test]
-    fn journal_decode_never_panics_on_noise() {
-        // Deterministic xorshift noise: decode must refuse (or accept a
-        // coincidentally-valid image) without ever panicking, at every
-        // length from empty to past-full.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..256 {
-            let len = (trial * 7) % (JOURNAL_ENC_BYTES + 32);
-            let mut bytes = vec![0u8; len];
-            for b in bytes.iter_mut() {
-                *b = rnd() as u8;
-            }
-            let _ = RecoveryJournal::decode(&bytes);
-            // Valid prefix + noisy tail: exercises every later check too.
-            if len >= JOURNAL_ENC_BYTES {
-                bytes[..4].copy_from_slice(&JOURNAL_MAGIC);
-                bytes[4] %= JOURNAL_MAX_PHASE + 1;
-                let _ = RecoveryJournal::decode(&bytes);
-            }
         }
     }
 }

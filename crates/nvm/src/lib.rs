@@ -19,7 +19,6 @@
 //! through [`timing::NvmTimings::cycles`].
 
 pub mod adr;
-pub mod command;
 pub mod config;
 pub mod device;
 pub mod energy;
@@ -31,12 +30,11 @@ pub mod wear;
 pub mod write_queue;
 
 pub use adr::AdrRegion;
-pub use command::{CommandNvmDevice, DdrCommand};
 pub use config::NvmConfig;
 pub use device::{
-    JournalDecodeError, NvmDevice, PersistKind, PersistPoint, PowerCut, RecoveryJournal,
-    EXHAUSTED_LOG_CAP, JOURNAL_ENC_BYTES, JOURNAL_MAC_MSG_BYTES, JOURNAL_MAGIC, JOURNAL_MAX_PHASE,
-    READ_RETRY_ATTEMPTS, READ_RETRY_BASE_CYCLES, RECOVERY_JOURNAL_ADDR, WORDS_PER_LINE,
+    NvmDevice, PersistKind, PersistPoint, PowerCut, RecoveryJournal, EXHAUSTED_LOG_CAP,
+    JOURNAL_MAC_MSG_BYTES, READ_RETRY_ATTEMPTS, READ_RETRY_BASE_CYCLES, RECOVERY_JOURNAL_ADDR,
+    WORDS_PER_LINE,
 };
 pub use energy::{EnergyCounters, EnergyModel};
 pub use fault::{FaultPlane, POISON_BYTE};
