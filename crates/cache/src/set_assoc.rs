@@ -1,10 +1,15 @@
 //! Generic set-associative, true-LRU, write-back cache (tag array only).
 //!
-//! Used three ways in this repository: as the CPU L1/L2/L3 levels, as the
-//! secure metadata cache's replacement engine, and in unit benches. Lines
-//! are 64 B (the whole system's granularity, Table I).
+//! Used as the CPU L1/L2/L3 levels and in unit benches. Lines are 64 B (the
+//! whole system's granularity, Table I).
+//!
+//! The tag array is one contiguous slab of ways indexed `set * ways + way`
+//! (not a `Vec<Vec<_>>`), the layout the metadata cache uses too: building
+//! a cache is one allocation instead of one per set (5,376 for the Table I
+//! hierarchy), and a lookup scans one slice with no second pointer chase.
 
 use crate::stats::CacheStats;
+use std::ops::Range;
 
 /// Line size shared by every cache in the system.
 pub const LINE_BYTES: u64 = 64;
@@ -71,7 +76,10 @@ pub struct Victim {
 /// Tag-array set-associative cache with true LRU and write-back dirty bits.
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Way slab: way `w` of set `s` lives at index `s * ways + w`.
+    slab: Vec<Way>,
+    /// `cfg.sets()`, cached off the hot path.
+    sets: u64,
     stamp: u64,
     stats: CacheStats,
 }
@@ -79,12 +87,10 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Builds an empty cache for `cfg`.
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = (0..cfg.sets())
-            .map(|_| vec![Way::default(); cfg.ways])
-            .collect();
         SetAssocCache {
             cfg,
-            sets,
+            slab: vec![Way::default(); cfg.sets() as usize * cfg.ways],
+            sets: cfg.sets(),
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -92,13 +98,34 @@ impl SetAssocCache {
 
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr / LINE_BYTES;
-        let set = (line % self.cfg.sets()) as usize;
-        let tag = line / self.cfg.sets();
-        (set, tag)
+        ((line % self.sets) as usize, line / self.sets)
     }
 
     fn addr_of(&self, set: usize, tag: u64) -> u64 {
-        (tag * self.cfg.sets() + set as u64) * LINE_BYTES
+        (tag * self.sets + set as u64) * LINE_BYTES
+    }
+
+    /// Slab indices of set `set`'s ways.
+    fn ways_of(&self, set: usize) -> Range<usize> {
+        set * self.cfg.ways..(set + 1) * self.cfg.ways
+    }
+
+    /// The resident way holding `addr`, if any.
+    fn find_mut(&mut self, addr: u64) -> Option<&mut Way> {
+        let (set, tag) = self.index(addr);
+        let ways = self.ways_of(set);
+        self.slab[ways].iter_mut().find(|w| w.valid && w.tag == tag)
+    }
+
+    /// Resident lines' addresses, in slab order, filtered by `keep`.
+    fn lines_where(&self, keep: impl Fn(&Way) -> bool) -> Vec<u64> {
+        let ways = self.cfg.ways;
+        self.slab
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.valid && keep(w))
+            .map(|(i, w)| self.addr_of(i / ways, w.tag))
+            .collect()
     }
 
     /// Accesses `addr`; `write` marks the line dirty on hit/install.
@@ -107,8 +134,8 @@ impl SetAssocCache {
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         self.stamp += 1;
         let (set_idx, tag) = self.index(addr);
-        let sets_count = self.cfg.sets();
-        let set = &mut self.sets[set_idx];
+        let ways = self.ways_of(set_idx);
+        let set = &mut self.slab[ways];
 
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.lru = self.stamp;
@@ -134,7 +161,7 @@ impl SetAssocCache {
                 self.stats.clean_evictions += 1;
             }
             Some(Victim {
-                addr: (v.tag * sets_count + set_idx as u64) * LINE_BYTES,
+                addr: (v.tag * self.sets + set_idx as u64) * LINE_BYTES,
                 dirty: v.dirty,
             })
         } else {
@@ -152,72 +179,53 @@ impl SetAssocCache {
     /// Whether `addr` is currently cached (no LRU update, no stats).
     pub fn contains(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        self.sets[set].iter().any(|w| w.valid && w.tag == tag)
+        self.slab[self.ways_of(set)]
+            .iter()
+            .any(|w| w.valid && w.tag == tag)
     }
 
     /// Whether `addr` is cached *and* dirty.
     pub fn is_dirty(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        self.sets[set]
+        self.slab[self.ways_of(set)]
             .iter()
             .any(|w| w.valid && w.tag == tag && w.dirty)
     }
 
     /// Clears the dirty bit of `addr` (after an explicit write-back/flush).
     pub fn clean(&mut self, addr: u64) {
-        let (set, tag) = self.index(addr);
-        if let Some(w) = self.sets[set].iter_mut().find(|w| w.valid && w.tag == tag) {
+        if let Some(w) = self.find_mut(addr) {
             w.dirty = false;
         }
     }
 
     /// Invalidates `addr`, returning whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        if let Some(w) = self.sets[set].iter_mut().find(|w| w.valid && w.tag == tag) {
-            let dirty = w.dirty;
-            w.valid = false;
-            w.dirty = false;
-            dirty
-        } else {
-            false
+        match self.find_mut(addr) {
+            Some(w) => {
+                let dirty = w.dirty;
+                w.valid = false;
+                w.dirty = false;
+                dirty
+            }
+            None => false,
         }
     }
 
     /// All currently-resident dirty line addresses (crash modeling: these are
     /// the lines whose latest contents are lost).
     pub fn dirty_lines(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (set_idx, set) in self.sets.iter().enumerate() {
-            for w in set {
-                if w.valid && w.dirty {
-                    out.push(self.addr_of(set_idx, w.tag));
-                }
-            }
-        }
-        out
+        self.lines_where(|w| w.dirty)
     }
 
     /// All resident line addresses.
     pub fn resident_lines(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (set_idx, set) in self.sets.iter().enumerate() {
-            for w in set {
-                if w.valid {
-                    out.push(self.addr_of(set_idx, w.tag));
-                }
-            }
-        }
-        out
+        self.lines_where(|_| true)
     }
 
     /// Drops every line (crash: volatile contents vanish).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for w in set.iter_mut() {
-                *w = Way::default();
-            }
-        }
+        self.slab.fill(Way::default());
     }
 
     /// Statistics.
@@ -331,6 +339,30 @@ mod tests {
         c.clear();
         assert!(c.dirty_lines().is_empty());
         assert!(!c.contains(0));
+    }
+
+    #[test]
+    fn every_way_of_every_set_holds_its_own_line() {
+        // 8 lines fill 4 sets × 2 ways exactly: no slot is shared between
+        // sets, so nothing is evicted until a ninth line arrives.
+        let mut c = small();
+        let lines: Vec<u64> = (0..8).map(|i| i * 64).collect();
+        for &a in &lines {
+            assert_eq!(
+                c.access(a, a % 128 == 0),
+                AccessOutcome::Miss { victim: None }
+            );
+        }
+        // Slab order: set by set, way by way.
+        assert_eq!(
+            c.resident_lines(),
+            vec![0, 256, 64, 320, 128, 384, 192, 448]
+        );
+        assert_eq!(c.dirty_lines(), vec![0, 256, 128, 384]);
+        match c.access(3 * 64 + 512, false) {
+            AccessOutcome::Miss { victim: Some(v) } => assert_eq!(v.addr, 192),
+            other => panic!("expected set 3's LRU line, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,13 +6,18 @@
 //! counts and summarizes the wear profile, letting the harness report
 //! *where* each scheme concentrates its extra writes (shadow table, bitmap,
 //! record region, metadata…).
+//!
+//! The map is an [`FxHashMap`] for the reason the backing store's is: line
+//! addresses are internal, non-adversarial keys, and every timed NVM write
+//! updates it.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use steins_crypto::FxHashMap;
 
 /// Per-line write counters with summary statistics.
 #[derive(Clone, Debug, Default)]
 pub struct WearTracker {
-    writes: HashMap<u64, u64>,
+    writes: FxHashMap<u64, u64>,
 }
 
 /// Summary of a wear profile.
@@ -24,7 +29,7 @@ pub struct WearSummary {
     pub total_writes: u64,
     /// Most-written line's count (the wear-out bound).
     pub max_writes: u64,
-    /// Address of the most-written line.
+    /// Address of the most-written line (the lowest such address on a tie).
     pub hottest_line: u64,
     /// Mean writes per touched line.
     pub mean_writes: f64,
@@ -55,7 +60,7 @@ impl WearTracker {
         let (hottest_line, max_writes) = self
             .writes
             .iter()
-            .max_by_key(|(_, c)| **c)
+            .max_by_key(|(a, c)| (**c, Reverse(**a)))
             .map(|(a, c)| (*a, *c))
             .expect("nonempty");
         Some(WearSummary {
@@ -102,6 +107,21 @@ mod tests {
         assert!((s.mean_writes - 3.5).abs() < 1e-12);
         assert_eq!(w.of(64), 2);
         assert_eq!(w.of(128), 0);
+    }
+
+    #[test]
+    fn hottest_line_tie_goes_to_the_lowest_address() {
+        // Many equally hot lines, recorded high to low: whatever order the
+        // map iterates them in, the lowest address wins.
+        let mut w = WearTracker::new();
+        for line in (1..200u64).rev() {
+            w.record(line * 64);
+            w.record(line * 64);
+        }
+        w.record(64 * 500);
+        let s = w.summary().unwrap();
+        assert_eq!(s.max_writes, 2);
+        assert_eq!(s.hottest_line, 64);
     }
 
     #[test]

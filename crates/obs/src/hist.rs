@@ -4,21 +4,28 @@
 //! values below `2^SUB_BITS` land in exact unit buckets, larger values in
 //! buckets whose width doubles each octave, bounding the relative
 //! quantization error by `2^-SUB_BITS` (≈1.6% at the default 6 bits).
-//! Memory is constant (`BUCKETS` u64 counts ≈ 30 KB) regardless of sample
-//! count or range, and two histograms merge by element-wise addition —
-//! the property that lets per-workload latency series fold into one
-//! per-scheme distribution without losing the tail.
+//! Counts are kept only up to the octave of the largest sample and grow one
+//! octave (64 buckets, 512 B) at a time, so an empty histogram allocates
+//! nothing and samples below 2^20 need at most 15 octaves (7.5 KB), not the
+//! 59 (≈30 KB) that span all of `u64`. Because the length follows the
+//! largest sample, two histograms holding the same samples are equal however
+//! they were built. Two histograms merge by element-wise addition (the
+//! shorter side grows first) — the property that lets per-workload latency
+//! series fold into one per-scheme distribution without losing the tail.
 
 /// Sub-bucket precision bits: 64 sub-buckets per octave.
 const SUB_BITS: u32 = 6;
 /// Sub-buckets per octave.
 const SUB: usize = 1 << SUB_BITS;
-/// Total buckets covering the full u64 range.
+/// Total buckets covering the full u64 range (the longest `counts` gets).
+#[cfg(test)]
 const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
 
 /// Mergeable log-bucketed histogram over `u64` samples.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
+    /// Bucket counts up to the end of `max`'s octave; empty while `count`
+    /// is 0.
     counts: Vec<u64>,
     count: u64,
     sum: u128,
@@ -59,9 +66,9 @@ fn bucket_high(idx: usize) -> u64 {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Histogram {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -81,11 +88,23 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.counts[index_of(v)] += n;
+        let idx = index_of(v);
+        if idx >= self.counts.len() {
+            self.grow_to(idx);
+        }
+        self.counts[idx] += n;
         self.count += n;
         self.sum += v as u128 * n as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
+    }
+
+    /// Extends `counts` to the end of `idx`'s octave.
+    #[cold]
+    fn grow_to(&mut self, idx: usize) {
+        let len = (idx / SUB + 1) * SUB;
+        self.counts.reserve_exact(len - self.counts.len());
+        self.counts.resize(len, 0);
     }
 
     /// Number of recorded samples.
@@ -164,6 +183,9 @@ impl Histogram {
     /// commutative, so per-workload histograms merge into per-scheme ones
     /// in any order).
     pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.grow_to(other.counts.len() - 1);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -286,6 +308,54 @@ mod tests {
         assert_eq!(left, right, "merge associativity");
         assert_eq!(left, pooled, "merge equals pooled recording");
         assert_eq!(left.count(), 600);
+    }
+
+    #[test]
+    fn counts_end_at_the_octave_of_the_largest_sample() {
+        let mut h = Histogram::new();
+        assert_eq!(
+            h.counts.capacity(),
+            0,
+            "an empty histogram must not allocate"
+        );
+        h.record(5);
+        assert_eq!(h.counts.len(), SUB);
+        h.record(1 << 20);
+        assert_eq!(h.counts.len(), (index_of(1 << 20) / SUB + 1) * SUB);
+        h.record(7);
+        assert_eq!(h.counts.len(), (index_of(1 << 20) / SUB + 1) * SUB);
+        h.record(u64::MAX);
+        assert_eq!(h.counts.len(), BUCKETS);
+    }
+
+    #[test]
+    fn merge_grows_the_shorter_side() {
+        let mut small = Histogram::new();
+        small.record_n(3, 4);
+        let mut big = Histogram::new();
+        big.record(1 << 30);
+        let mut pooled = Histogram::new();
+        pooled.record(1 << 30);
+        pooled.record_n(3, 4);
+        let mut up = small.clone();
+        up.merge(&big);
+        let mut down = big.clone();
+        down.merge(&small);
+        assert_eq!(up, pooled, "short ⊕ long equals pooled recording");
+        assert_eq!(down, pooled, "long ⊕ short equals pooled recording");
+        assert_eq!(up.p50(), 3);
+        assert_eq!(up.quantile(1.0), 1 << 30);
+
+        // An empty side changes nothing, in either direction.
+        let mut empty = Histogram::new();
+        empty.merge(&Histogram::new());
+        assert_eq!(empty, Histogram::new());
+        assert_eq!(empty.counts.capacity(), 0);
+        empty.merge(&pooled);
+        assert_eq!(empty, pooled);
+        let mut same = pooled.clone();
+        same.merge(&Histogram::new());
+        assert_eq!(same, pooled);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! reports through:
 //!
 //! * [`hist::Histogram`] — a log-bucketed, mergeable latency histogram
-//!   with ~constant memory and p50/p90/p99/p999 queries,
+//!   whose memory grows with its largest sample (none while empty), with
+//!   p50/p90/p99/p999 queries,
 //! * [`registry::MetricRegistry`] — a typed metric store (counters,
 //!   gauges, histograms) keyed by component paths such as
 //!   `nvm.write_queue.occupancy` or `core.engine.mac_calls`,
