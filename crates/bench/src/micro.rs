@@ -32,12 +32,6 @@ pub fn group(name: &str) -> Group {
 }
 
 impl Group {
-    /// Overrides the per-benchmark measurement budget.
-    pub fn measurement_time(mut self, d: Duration) -> Self {
-        self.target = d;
-        self
-    }
-
     /// Benchmarks `f`, printing median ns/op. Returns the median so suites
     /// can record results (e.g. the `BENCH_crypto.json` speedup table).
     pub fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) -> f64 {

@@ -27,6 +27,8 @@ use steins_core::engine::synth_data;
 use steins_core::{par, SchemeKind, ShardedEngine, SystemConfig};
 use steins_metadata::CounterMode;
 use steins_obs::MetricRegistry;
+use steins_trace::rng::SmallRng;
+use steins_trace::Zipf;
 
 /// The grid and knobs one stress run covers.
 #[derive(Clone, Debug)]
@@ -91,34 +93,16 @@ impl Mix {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// A deterministic write stream: `len` line numbers over `[0, lines)`.
-/// Zipfian sampling walks a precomputed CDF by binary search.
+/// A deterministic write stream: `len` line numbers over `[0, lines)`,
+/// drawn from one [`SmallRng`] seeded from `seed`. The Zipfian mix samples
+/// [`Zipf`], the sampler the trace workloads use.
 pub fn stream(mix: Mix, seed: u64, lines: u64, len: usize) -> Vec<u64> {
-    let mut rng = seed ^ 0xda3e_39cb_94b9_5bdb;
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xda3e_39cb_94b9_5bdb);
     match mix {
-        Mix::Uniform => (0..len).map(|_| splitmix64(&mut rng) % lines).collect(),
+        Mix::Uniform => (0..len).map(|_| rng.gen_range(0, lines)).collect(),
         Mix::Zipfian => {
-            const THETA: f64 = 0.99;
-            let mut cdf = Vec::with_capacity(lines as usize);
-            let mut sum = 0.0;
-            for i in 0..lines {
-                sum += 1.0 / ((i + 1) as f64).powf(THETA);
-                cdf.push(sum);
-            }
-            (0..len)
-                .map(|_| {
-                    let u = (splitmix64(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * sum;
-                    cdf.partition_point(|&c| c < u) as u64
-                })
-                .collect()
+            let zipf = Zipf::new(lines, 0.99);
+            (0..len).map(|_| zipf.sample(&mut rng)).collect()
         }
     }
 }
@@ -143,29 +127,30 @@ pub struct Cell {
     pub wall_ns: u128,
 }
 
-/// Runs one cell: partitions the global stream per shard (routing order is
-/// preserved inside each shard, so the result is independent of `workers`),
-/// replays it on `workers` OS threads claiming whole-shard jobs, and folds
-/// the per-shard clocks onto `threads` model lanes.
+/// Replays one cell: partitions the global stream per shard (routing order
+/// is preserved inside each shard, so the result is independent of
+/// `workers`) and replays it on `workers` OS threads claiming whole-shard
+/// jobs. Returns the engine, each shard's simulated clock, and the replay's
+/// wall-clock nanoseconds.
 pub fn run_cell(
     cfg: &SystemConfig,
     mix: Mix,
     shards: usize,
-    threads: usize,
+    lines: u64,
     ops: usize,
     seed: u64,
     workers: usize,
-) -> (Cell, ShardedEngine) {
+) -> (ShardedEngine, Vec<u64>, u128) {
     let engine = ShardedEngine::new(cfg.clone(), shards);
-    let global = stream(mix, seed, cfg.data_lines, ops);
+    let global = stream(mix, seed, lines, ops);
     let mut per_shard: Vec<Vec<u64>> = vec![Vec::new(); shards];
     for &line in &global {
         per_shard[engine.map().shard_of(line)].push(line);
     }
 
     let t0 = std::time::Instant::now();
-    par::run_regions(workers, per_shard, |lines| {
-        for line in lines {
+    par::run_regions(workers, per_shard, |shard_lines| {
+        for line in shard_lines {
             engine
                 .write(line * 64, &synth_data(line * 64, line))
                 .expect("stress write");
@@ -173,24 +158,10 @@ pub fn run_cell(
     });
     let wall_ns = t0.elapsed().as_nanos();
 
-    let clocks: Vec<u64> = (0..shards)
+    let clocks = (0..shards)
         .map(|s| engine.with_shard(s, |sys| sys.sim_cycles()))
         .collect();
-    let lanes = threads.min(shards).max(1);
-    let mut lane_cycles = vec![0u64; lanes];
-    for (s, &c) in clocks.iter().enumerate() {
-        lane_cycles[s % lanes] += c;
-    }
-    let cell = Cell {
-        shards,
-        threads,
-        mix,
-        makespan_cycles: lane_cycles.iter().copied().max().unwrap_or(0),
-        max_shard_cycles: clocks.iter().copied().max().unwrap_or(0),
-        scaling: 1.0,
-        wall_ns,
-    };
-    (cell, engine)
+    (engine, clocks, wall_ns)
 }
 
 /// A full grid run: cells, the gate verdict, the shard-stress metric
@@ -218,24 +189,29 @@ impl StressReport {
 /// Runs the whole grid on `workers` OS threads. The artifact and gate
 /// verdict depend only on the grid, ops, and seed — never on `workers`.
 pub fn run_grid(cfg: &SystemConfig, sc: &StressConfig, workers: usize) -> StressReport {
+    // `ShardedEngine` rounds its region down to a multiple of the shard
+    // count, so every cell draws over the largest line count that every
+    // grid shard count divides.
+    let lines = (1..=cfg.data_lines)
+        .rev()
+        .find(|&n| sc.shards.iter().all(|&s| n % s as u64 == 0))
+        .expect("no line count in the data region divides by every shard count");
     let mut cells = Vec::new();
     let mut failures = Vec::new();
     let mut metrics = MetricRegistry::new();
     let mut biggest_uniform = 0usize;
 
     for &mix in &[Mix::Uniform, Mix::Zipfian] {
-        let (baseline, _) = run_cell(cfg, mix, 1, 1, sc.ops, sc.seed, workers);
-        let base_cycles = baseline.makespan_cycles.max(1);
+        let (_, base, _) = run_cell(cfg, mix, 1, lines, sc.ops, sc.seed, workers);
+        let base_cycles = base[0].max(1);
         for &s in &sc.shards {
             // One replay per shard count; the model lanes reuse its clocks.
-            let (proto, engine) = run_cell(cfg, mix, s, 1, sc.ops, sc.seed, workers);
+            let (engine, clocks, wall_ns) = run_cell(cfg, mix, s, lines, sc.ops, sc.seed, workers);
             if mix == Mix::Uniform && s >= biggest_uniform {
                 biggest_uniform = s;
                 metrics = engine.report();
             }
-            let clocks: Vec<u64> = (0..s)
-                .map(|i| engine.with_shard(i, |sys| sys.sim_cycles()))
-                .collect();
+            let max_shard_cycles = clocks.iter().copied().max().unwrap_or(0);
             for &t in &sc.threads {
                 let lanes = t.min(s).max(1);
                 let mut lane_cycles = vec![0u64; lanes];
@@ -258,9 +234,9 @@ pub fn run_grid(cfg: &SystemConfig, sc: &StressConfig, workers: usize) -> Stress
                     threads: t,
                     mix,
                     makespan_cycles: makespan,
-                    max_shard_cycles: proto.max_shard_cycles,
+                    max_shard_cycles,
                     scaling,
-                    wall_ns: proto.wall_ns,
+                    wall_ns,
                 });
             }
         }
@@ -364,6 +340,19 @@ mod tests {
             .find(|c| c.mix == Mix::Uniform && c.shards == 2 && c.threads == 2)
             .unwrap();
         assert!(cell.scaling >= 1.5, "2x2 scaling {}", cell.scaling);
+    }
+
+    /// Three shards do not divide the 4,096-line region, so each engine
+    /// keeps only 4,095 lines. Every drawn line must still route inside
+    /// its shard.
+    #[test]
+    fn non_dividing_shard_count_draws_inside_every_region() {
+        let sc = StressConfig {
+            shards: vec![1, 3],
+            ..tiny()
+        };
+        let report = run_grid(&default_cfg(), &sc, 1);
+        assert!(report.pass(), "{:?}", report.failures);
     }
 
     /// The BENCH_shard.json artifact must not depend on how many OS

@@ -6,7 +6,6 @@
 //! The output of an access is the list of [`MemEvent`]s the secure memory
 //! controller must service, in order.
 
-use crate::prefetch::{PrefetchConfig, StreamPrefetcher};
 use crate::set_assoc::{AccessOutcome, CacheConfig, SetAssocCache};
 use crate::stats::CacheStats;
 
@@ -31,8 +30,6 @@ pub struct HierarchyConfig {
     pub l2_lat: u64,
     /// L3 hit latency, cycles.
     pub l3_lat: u64,
-    /// Optional L2 stream prefetcher.
-    pub prefetch: PrefetchConfig,
 }
 
 impl Default for HierarchyConfig {
@@ -47,7 +44,6 @@ impl Default for HierarchyConfig {
             l1_lat: 2,
             l2_lat: 10,
             l3_lat: 30,
-            prefetch: PrefetchConfig::default(),
         }
     }
 }
@@ -66,7 +62,6 @@ impl HierarchyConfig {
             l1_lat: 2,
             l2_lat: 10,
             l3_lat: 30,
-            prefetch: PrefetchConfig::default(),
         }
     }
 }
@@ -78,7 +73,9 @@ pub enum MemEvent {
     Fill { addr: u64 },
     /// Dirty line write-back (off the critical path; enters the write queue).
     WriteBack { addr: u64 },
-    /// Prefetch fill (off the critical path; ignore its latency).
+    /// Prefetch fill. Never emitted: Table I's hierarchy has no
+    /// prefetcher. The variant stays because the `benchmark/` package's
+    /// replay loops match on it.
     Prefetch { addr: u64 },
 }
 
@@ -98,7 +95,6 @@ pub struct CacheHierarchy {
     l1: SetAssocCache,
     l2: SetAssocCache,
     l3: SetAssocCache,
-    prefetcher: StreamPrefetcher,
     cfg: HierarchyConfig,
 }
 
@@ -109,7 +105,6 @@ impl CacheHierarchy {
             l1: SetAssocCache::new(CacheConfig::new(cfg.l1_bytes, cfg.l1_ways)),
             l2: SetAssocCache::new(CacheConfig::new(cfg.l2_bytes, cfg.l2_ways)),
             l3: SetAssocCache::new(CacheConfig::new(cfg.l3_bytes, cfg.l3_ways)),
-            prefetcher: StreamPrefetcher::new(cfg.prefetch),
             cfg,
         }
     }
@@ -162,20 +157,6 @@ impl CacheHierarchy {
                     }
                 }
                 events.push(MemEvent::Fill { addr });
-                // Stream prefetcher: install candidates at L3 (and emit
-                // off-critical-path fills) on confirmed strides.
-                for pf_addr in self.prefetcher.observe_miss(addr) {
-                    if !self.l3.contains(pf_addr) {
-                        if let AccessOutcome::Miss { victim: Some(v) } =
-                            self.l3.access(pf_addr, false)
-                        {
-                            if v.dirty {
-                                events.push(MemEvent::WriteBack { addr: v.addr });
-                            }
-                        }
-                        events.push(MemEvent::Prefetch { addr: pf_addr });
-                    }
-                }
                 HierarchyAccess {
                     on_chip_cycles: on_chip,
                     events,

@@ -15,12 +15,10 @@
 
 pub mod cpu;
 pub mod hierarchy;
-pub mod prefetch;
 pub mod set_assoc;
 pub mod stats;
 
 pub use cpu::{CpuConfig, CpuModel};
 pub use hierarchy::{CacheHierarchy, HierarchyConfig, MemEvent};
-pub use prefetch::{PrefetchConfig, StreamPrefetcher};
 pub use set_assoc::{AccessOutcome, CacheConfig, SetAssocCache};
 pub use stats::CacheStats;

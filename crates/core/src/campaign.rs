@@ -31,6 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use steins_metadata::CounterMode;
 use steins_obs::{Alarm, AlarmKind, AlarmLog, Histogram, MetricRegistry};
 use steins_trace::rng::SmallRng;
+use steins_trace::Zipf;
 
 use crate::config::{SchemeKind, SystemConfig};
 use crate::crash::{CrashPoint, CrashSweep, CrashedSystem, Outage, PointSelection, SweepOp};
@@ -736,26 +737,6 @@ struct ChaosPlan {
     faults: Vec<(usize, ChaosFault)>,
 }
 
-/// Zipfian CDF over `n` items, skew `theta` (θ = 0.99, the YCSB default,
-/// matches the stress bench's hot-set mix).
-fn zipf_cdf(n: u64, theta: f64) -> Vec<f64> {
-    let mut cdf = Vec::with_capacity(n as usize);
-    let mut sum = 0.0;
-    for i in 1..=n {
-        sum += 1.0 / (i as f64).powf(theta);
-        cdf.push(sum);
-    }
-    for v in &mut cdf {
-        *v /= sum;
-    }
-    cdf
-}
-
-fn zipf_draw(cdf: &[f64], rng: &mut SmallRng) -> u64 {
-    let u = rng.gen_f64();
-    (cdf.partition_point(|&c| c < u) as u64).min(cdf.len() as u64 - 1)
-}
-
 /// Aggregated chaos-run results. [`Self::clean`] is the CI gate.
 #[derive(Clone, Debug, Default)]
 pub struct ChaosReport {
@@ -984,10 +965,11 @@ fn chaos_plan(cfg: &ChaosConfig, shard: usize, lines: u64) -> ChaosPlan {
     let mut rng =
         SmallRng::seed_from_u64(cfg.seed ^ (shard as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407));
     let universe = lines.clamp(1, 128);
-    let cdf = zipf_cdf(universe, 0.99);
+    // θ = 0.99, the YCSB default, matches the stress bench's hot-set mix.
+    let zipf = Zipf::new(universe, 0.99);
     let ops = (0..cfg.ops_per_shard)
         .map(|_| {
-            let line = zipf_draw(&cdf, &mut rng);
+            let line = zipf.sample(&mut rng);
             let is_write = rng.next_u64() % 3 != 0; // write-heavy mix
             (line, is_write)
         })

@@ -100,11 +100,6 @@ pub struct SystemConfig {
     pub recovery_read_ns: f64,
     /// Leaf-counter recovery mechanism (§V).
     pub leaf_recovery: LeafRecovery,
-    /// Eager tree updates (§II-C): every data write updates the whole
-    /// ancestor branch instead of only the leaf. Kept as an ablation
-    /// baseline (WB only) to quantify why all evaluated schemes use the
-    /// lazy scheme.
-    pub eager_update: bool,
 }
 
 impl SystemConfig {
@@ -127,7 +122,6 @@ impl SystemConfig {
             key_seed: 0x57E_145,
             recovery_read_ns: 100.0,
             leaf_recovery: LeafRecovery::MacRecord,
-            eager_update: false,
         }
     }
 
@@ -163,7 +157,6 @@ impl SystemConfig {
             key_seed: 0xDEC0DE,
             recovery_read_ns: 100.0,
             leaf_recovery: LeafRecovery::MacRecord,
-            eager_update: false,
         }
     }
 
@@ -193,13 +186,6 @@ impl SystemConfig {
             "NV buffer must hold at least one 16 B entry"
         );
         assert!(self.record_cache_lines >= 1);
-        if self.eager_update {
-            assert_eq!(
-                self.scheme,
-                SchemeKind::WriteBack,
-                "eager updates are an ablation baseline for WB only"
-            );
-        }
         if let LeafRecovery::OsirisProbe { window } = self.leaf_recovery {
             assert!(window >= 2, "Osiris stop-loss window must be at least 2");
             assert_eq!(

@@ -626,48 +626,32 @@ impl SecureMemoryController {
                 // may run arbitrary nested evictions — the node is pinned
                 // and resident, so they see (and may even update) it; its
                 // value is re-read afterwards.
-                // Under eager updates the ancestors were already advanced
-                // at write time; the flush just reads the current value.
-                let eager = self.cfg.eager_update;
                 let pc = match self.layout.geometry.parent_of(id) {
                     None => {
                         let slot = self.layout.geometry.root_slot(id);
-                        if eager {
-                            self.root.get(slot)
-                        } else {
-                            let v = self.root.get(slot) + 1;
-                            self.root.set(slot, v);
-                            v
-                        }
+                        let v = self.root.get(slot) + 1;
+                        self.root.set(slot, v);
+                        v
                     }
                     Some((pid, slot)) => {
                         t = self.ensure_cached(t, pid)?;
                         let poff = self.layout.geometry.offset_of(pid);
-                        if eager {
-                            self.meta
-                                .peek(poff)
-                                .expect("parent just ensured")
-                                .counters
-                                .as_general()
-                                .get(slot)
-                        } else {
-                            let pre = *self.meta.peek(poff).expect("parent just ensured");
-                            let mut p = pre;
-                            p.counters.as_general_mut().increment(slot);
-                            let v = p.counters.as_general().get(slot);
-                            self.meta.write(poff, p);
-                            t = self.on_node_modified(t, poff, &pre)?;
-                            if matches!(self.cfg.scheme, SchemeKind::Star) {
-                                // Refresh the register over the incremented
-                                // parent: it rides the child's line write
-                                // below, which is the persist event making
-                                // the increment reconstructible (the child's
-                                // counter LSBs carry it).
-                                let pset = self.meta.set_index(poff);
-                                t = self.star_tree_update(t, pset);
-                            }
-                            v
+                        let pre = *self.meta.peek(poff).expect("parent just ensured");
+                        let mut p = pre;
+                        p.counters.as_general_mut().increment(slot);
+                        let v = p.counters.as_general().get(slot);
+                        self.meta.write(poff, p);
+                        t = self.on_node_modified(t, poff, &pre)?;
+                        if matches!(self.cfg.scheme, SchemeKind::Star) {
+                            // Refresh the register over the incremented
+                            // parent: it rides the child's line write below,
+                            // which is the persist event making the
+                            // increment reconstructible (the child's counter
+                            // LSBs carry it).
+                            let pset = self.meta.set_index(poff);
+                            t = self.star_tree_update(t, pset);
                         }
+                        v
                     }
                 };
                 let mut node = *self.meta.peek(offset).expect("flush target resident");
@@ -915,32 +899,6 @@ impl SecureMemoryController {
         Ok(true)
     }
 
-    /// Eager update (§II-C, ablation): advance every ancestor's counter for
-    /// the written branch, fetching missing ancestors on the critical path —
-    /// the cost the lazy scheme exists to avoid.
-    fn eager_propagate(&mut self, mut t: Cycle, leaf: NodeId) -> Result<Cycle, IntegrityError> {
-        let mut child = leaf;
-        while let Some((pid, slot)) = self.layout.geometry.parent_of(child) {
-            t = self.ensure_cached(t, pid)?;
-            let poff = self.layout.geometry.offset_of(pid);
-            let pre = *self.meta.peek(poff).expect("ancestor just ensured");
-            let mut p = pre;
-            p.counters.as_general_mut().increment(slot);
-            self.meta.write(poff, p);
-            t = self.on_node_modified(t, poff, &pre)?;
-            if matches!(self.cfg.scheme, SchemeKind::Star) {
-                // Eager ablation: refresh immediately (recovery is not
-                // modeled crash-consistent under eager updates).
-                let set = self.meta.set_index(poff);
-                t = self.star_tree_update(t, set);
-            }
-            child = pid;
-        }
-        let slot = self.layout.geometry.root_slot(child);
-        self.root.set(slot, self.root.get(slot) + 1);
-        Ok(t)
-    }
-
     /// Secure write of one 64 B user line (LLC write-back or flush, §III-F).
     /// Returns the cycle the controller front-end is free again.
     pub fn write_data(
@@ -979,9 +937,6 @@ impl SecureMemoryController {
         let pv_after = leaf.counters.parent_value();
         self.meta.write(loff, leaf);
         t = self.on_node_modified(t, loff, &pre_leaf)?;
-        if self.cfg.eager_update {
-            t = self.eager_propagate(t, leaf_id)?;
-        }
         if let Some((old_major, old_minors)) = reenc {
             t = self.reencrypt_leaf(t, leaf_id, old_major, &old_minors, major, dline)?;
         }
@@ -1289,13 +1244,7 @@ impl SecureNvmSystem {
                     }
                     fill = Some(ready.saturating_sub(self.cpu.now));
                 }
-                MemEvent::Prefetch { addr } => {
-                    // Off the critical path: the fill's latency is hidden.
-                    // Stride candidates may run past the data region; skip.
-                    if self.ctrl.layout.is_data(addr) {
-                        let _ = self.ctrl.read_data(self.cpu.now, addr)?;
-                    }
-                }
+                MemEvent::Prefetch { .. } => {}
             }
         }
         Ok(fill)
@@ -1388,11 +1337,7 @@ impl SecureNvmSystem {
                     let (data, _) = self.ctrl.read_data(self.cpu.now, a)?;
                     from_mem = Some(data);
                 }
-                MemEvent::Prefetch { addr: a } => {
-                    if self.ctrl.layout.is_data(a) {
-                        let _ = self.ctrl.read_data(self.cpu.now, a)?;
-                    }
-                }
+                MemEvent::Prefetch { .. } => {}
             }
         }
         self.maybe_online_step()?;
@@ -1675,34 +1620,6 @@ mod tests {
         );
         let got = sys.read(0).unwrap();
         assert_eq!(u64::from_le_bytes(got[..8].try_into().unwrap()), 69);
-    }
-
-    #[test]
-    fn eager_update_works_and_costs_more() {
-        let run = |eager: bool| {
-            let mut cfg =
-                SystemConfig::small_for_tests(SchemeKind::WriteBack, CounterMode::General);
-            cfg.eager_update = eager;
-            let mut sys = SecureNvmSystem::new(cfg);
-            for i in 0..400u64 {
-                sys.write((i * 13 % 1024) * 64, &[i as u8; 64]).unwrap();
-            }
-            for i in (0..1024u64).step_by(31) {
-                let _ = sys.read(i * 64).unwrap();
-            }
-            sys.report()
-        };
-        let lazy = run(false);
-        let eager = run(true);
-        // Functional behaviour is identical (the in-run truth asserts cover
-        // it); the cost signature differs: eager touches every ancestor on
-        // every write, so its metadata-cache activity is far higher.
-        assert!(
-            eager.energy_events.cache_accesses > lazy.energy_events.cache_accesses * 5 / 4,
-            "eager {} vs lazy {} metadata-cache accesses",
-            eager.energy_events.cache_accesses,
-            lazy.energy_events.cache_accesses
-        );
     }
 
     #[test]

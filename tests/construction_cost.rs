@@ -53,7 +53,7 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
-/// A figure-sweep machine takes 17 allocations: one slab per cache, and
+/// A figure-sweep machine takes 16 allocations: one slab per cache, and
 /// none for an empty histogram. The bound leaves room for a few more, but
 /// not for one per CPU-cache set (5,376 at the Table I geometry).
 const SWEEP_MACHINE_ALLOCS: u64 = 32;
