@@ -1295,8 +1295,16 @@ impl SecureNvmSystem {
     }
 
     /// Direct API: securely writes one line and persists it (store + clwb).
+    /// Panics on an address past the data region.
     pub fn write(&mut self, addr: u64, data: &[u8; 64]) -> Result<(), IntegrityError> {
         let addr = addr & !63;
+        // Checked before the caches or `truth` see the address: otherwise
+        // the write-allocate fill panics first, naming a read.
+        assert!(
+            addr / 64 < self.cfg.data_lines,
+            "write at {addr:#x} outside the data region ({} lines)",
+            self.cfg.data_lines
+        );
         self.check_quarantine(addr)?;
         let acc = self.hier.access(addr, true);
         self.service_events(&acc.events)?;

@@ -264,19 +264,33 @@ impl ShardedEngine {
         }
     }
 
+    /// Routes a global byte address for `op`. An address past the engine's
+    /// lines is a caller bug and panics here, before any shard lock is
+    /// taken: a panic under the lock would poison that shard for good.
+    fn route(&self, op: &str, addr: u64) -> (usize, u64) {
+        let lines = self.map.total_lines();
+        assert!(
+            addr / 64 < lines,
+            "{op} at {addr:#x} outside the data region ({lines} lines)"
+        );
+        self.map.route(addr)
+    }
+
     /// Securely writes one 64 B line at a global address. A request routed
     /// to a degraded or crashed/taken shard fails typed — a fault on one
     /// shard never panics traffic on the engine. A power cut parks the
-    /// shard `Degraded` and returns [`IntegrityError::PowerCut`].
+    /// shard `Degraded` and returns [`IntegrityError::PowerCut`]. Panics
+    /// on an address past the engine's lines.
     pub fn write(&self, addr: u64, data: &[u8; 64]) -> Result<(), IntegrityError> {
-        let (s, local) = self.map.route(addr);
+        let (s, local) = self.route("write", addr);
         self.serve(s, |sys| sys.write(local, data))
     }
 
     /// Securely reads one 64 B line at a global address. Degraded and
-    /// crashed/taken shards fail typed, like [`Self::write`].
+    /// crashed/taken shards fail typed, and an address past the engine's
+    /// lines panics, like [`Self::write`].
     pub fn read(&self, addr: u64) -> Result<[u8; 64], IntegrityError> {
-        let (s, local) = self.map.route(addr);
+        let (s, local) = self.route("read", addr);
         self.serve(s, |sys| sys.read(local))
     }
 
@@ -287,7 +301,7 @@ impl ShardedEngine {
     /// [`SecureNvmSystem::clear_quarantine`]). Degraded and crashed/taken
     /// shards fail typed, like [`Self::write`].
     pub fn heal_write(&self, addr: u64, data: &[u8; 64]) -> Result<(), IntegrityError> {
-        let (s, local) = self.map.route(addr);
+        let (s, local) = self.route("heal write", addr);
         self.serve(s, |sys| sys.heal_write(local, data))
     }
 
@@ -688,6 +702,31 @@ mod tests {
     #[should_panic(expected = "real panic propagated at 2 shard(s)")]
     fn sharded_probe_point_propagates_real_panics() {
         crate::crash::tests::probe_past_the_data_region(2);
+    }
+
+    /// An out-of-range address panics before routing, naming the global
+    /// address, and the shard it would have reached keeps serving.
+    #[test]
+    fn an_out_of_range_write_panics_without_poisoning_a_shard() {
+        let engine = ShardedEngine::new(small(SchemeKind::Steins), 4);
+        let lines = engine.map().total_lines();
+        let addr = lines * 64;
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| engine.write(addr, &[7; 64])))
+            .expect_err("an out-of-range write panics");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            msg.contains(&format!("write at {addr:#x}")) && msg.contains(&format!("{lines} lines")),
+            "{msg:?}"
+        );
+        // Line `lines` would stripe onto shard 0, as line 0 does.
+        assert_eq!(engine.map().route(0).0, 0);
+        engine
+            .write(0, &[9; 64])
+            .expect("shard 0 still serves writes");
+        assert_eq!(engine.read(0).expect("and reads"), [9; 64]);
     }
 
     #[test]

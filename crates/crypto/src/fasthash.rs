@@ -85,8 +85,8 @@ impl SipHash24 {
 /// FxHash-style 64-bit hasher (rustc's `FxHasher`, re-derived from its
 /// public description: `hash = (hash rol 5 ^ word) * K` per word, with a
 /// fixed odd multiplier). Deterministic and unkeyed — only for internal,
-/// non-adversarial maps such as the sparse line store and the oracle
-/// `truth` map.
+/// non-adversarial maps such as the oracle `truth` map and the device's
+/// wear counts.
 #[derive(Default, Clone, Copy)]
 pub struct FxHasher64 {
     hash: u64,

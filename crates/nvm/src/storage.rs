@@ -1,15 +1,25 @@
 //! Sparse 64 B-line backing store.
 //!
-//! The simulated device addresses 16 GB; materializing that is pointless for
-//! a simulator, so lines live in a hash map keyed by line index and absent
-//! lines read as all-zeroes (matching a freshly initialized secure region
-//! whose counters are all zero).
+//! The simulated device addresses far more lines than any run writes, so
+//! the store keeps only the lines written; a line never written reads as
+//! all-zeroes (matching a freshly initialized secure region whose counters
+//! are all zero).
 //!
-//! The map uses [`FxHashMap`] rather than std's randomized SipHash: line
-//! indices are internal, non-adversarial keys, and every simulated memory
-//! operation performs several store lookups, so the hash is hot.
-
-use steins_crypto::FxHashMap;
+//! Two structures hold it, both allocated on first write:
+//!
+//! * an **index**: one 4 KB page of `u32` slot numbers per 1,024 lines,
+//!   behind a directory that grows to the highest page written. Slot `s`
+//!   names line `s` of the arena; slot 0 means never written;
+//! * an **arena**: the lines in first-write order, in fixed 64 KB chunks,
+//!   after an all-zero line 0. A chunk never moves, so a growing store never
+//!   holds two copies of its lines.
+//!
+//! A read goes directory → page → chunk → line, with no hash and no probe.
+//! A stored line costs its 64 bytes plus its share of its index page: 68 B
+//! per line when writes fill whole pages, 96 B at a stride of 8 lines, up
+//! to 4 KB for a page holding a single line. The directory adds 8 B per
+//! page up to the highest one written. [`SparseStore::iter`] yields lines
+//! in ascending address order.
 
 /// Cache-line granularity of the whole system (Table I: 64 B everywhere).
 pub const LINE_BYTES: usize = 64;
@@ -17,55 +27,128 @@ pub const LINE_BYTES: usize = 64;
 /// One 64-byte memory line.
 pub type Line = [u8; LINE_BYTES];
 
+/// Lines one index page maps (4 KB of `u32` slots).
+const PAGE_LINES: usize = 1024;
+
+/// Lines one arena chunk holds (64 KB).
+const CHUNK_LINES: usize = 1024;
+
+/// Arena slot numbers of one page's lines (0 = never written).
+type Page = [u32; PAGE_LINES];
+
+/// One arena chunk. Its lines keep the allocator's 16-byte alignment: a
+/// 64-byte-aligned chunk goes through `posix_memalign`, whose split-off
+/// slivers fragment the heap enough to cost a multi-session run several
+/// MB of peak RSS.
+type Chunk = [Line; CHUNK_LINES];
+
 /// Sparse line-granular storage with zero-fill semantics.
 #[derive(Clone, Default)]
 pub struct SparseStore {
-    lines: FxHashMap<u64, Line>,
+    /// Index pages by page number; `None` for a page never written.
+    pages: Vec<Option<Box<Page>>>,
+    /// The arena. Its line 0, the one slot 0 names, stays all-zero, so a
+    /// read inside a written page needs no test for a never-written slot.
+    chunks: Vec<Box<Chunk>>,
+    /// Lines written: arena lines `1..=len`.
+    len: usize,
 }
 
-/// Byte address → line index. All accessors go through this one helper so
-/// alignment handling cannot diverge between `read`, `write`, and
-/// `contains`.
+/// Byte address → (index page, slot within it). All accessors go through
+/// this one helper so alignment handling cannot diverge between `read`,
+/// `write`, and `contains`. A page number past `usize` maps to
+/// `usize::MAX`, which no directory reaches.
 #[inline]
-fn line_index(addr: u64) -> u64 {
+fn locate(addr: u64) -> (usize, usize) {
     debug_assert_eq!(addr % LINE_BYTES as u64, 0, "unaligned line address");
-    addr / LINE_BYTES as u64
+    let line = addr / LINE_BYTES as u64;
+    let page = usize::try_from(line / PAGE_LINES as u64).unwrap_or(usize::MAX);
+    (page, (line % PAGE_LINES as u64) as usize)
+}
+
+/// Slot → (arena chunk, line within it).
+#[inline]
+fn position(slot: u32) -> (usize, usize) {
+    (slot as usize / CHUNK_LINES, slot as usize % CHUNK_LINES)
 }
 
 impl SparseStore {
-    /// Creates an empty (all-zero) store.
+    /// Creates an empty (all-zero) store. Allocates nothing.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// The index page holding byte address `addr` and the slot's offset
+    /// in it, if that page was ever written.
+    #[inline]
+    fn page_of(&self, addr: u64) -> Option<(&Page, usize)> {
+        let (page, off) = locate(addr);
+        Some((self.pages.get(page)?.as_deref()?, off))
+    }
+
+    /// The arena line a slot of a written page names.
+    #[inline]
+    fn line(&self, slot: u32) -> &Line {
+        let (chunk, i) = position(slot);
+        &self.chunks[chunk][i]
+    }
+
     /// Reads the line holding byte address `addr` (which must be 64 B
     /// aligned conceptually; callers pass line-aligned addresses).
+    #[inline]
     pub fn read(&self, addr: u64) -> Line {
-        self.lines
-            .get(&line_index(addr))
-            .copied()
-            .unwrap_or([0u8; LINE_BYTES])
+        match self.page_of(addr) {
+            Some((page, off)) => *self.line(page[off]),
+            None => [0u8; LINE_BYTES],
+        }
     }
 
     /// Writes a full line at byte address `addr`.
     pub fn write(&mut self, addr: u64, line: &Line) {
-        self.lines.insert(line_index(addr), *line);
+        let (page, off) = locate(addr);
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let slot = &mut self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_LINES]))[off];
+        if *slot == 0 {
+            let next = self.len + 1;
+            *slot = u32::try_from(next).expect("the index holds at most u32::MAX lines");
+            if next / CHUNK_LINES == self.chunks.len() {
+                // Built on the heap: a 64 KB array would pass through the
+                // stack.
+                let chunk = vec![[0; LINE_BYTES]; CHUNK_LINES].into_boxed_slice();
+                self.chunks
+                    .push(chunk.try_into().expect("a chunk holds CHUNK_LINES lines"));
+            }
+            self.len = next;
+        }
+        let (chunk, i) = position(*slot);
+        self.chunks[chunk][i] = *line;
     }
 
     /// Whether the line was ever written (used by attack injection to pick
     /// interesting targets).
     pub fn contains(&self, addr: u64) -> bool {
-        self.lines.contains_key(&line_index(addr))
+        self.page_of(addr).is_some_and(|(page, off)| page[off] != 0)
     }
 
     /// Number of distinct lines written.
     pub fn population(&self) -> usize {
-        self.lines.len()
+        self.len
     }
 
-    /// Iterates over `(byte_addr, line)` pairs of populated lines.
+    /// Iterates over `(byte_addr, line)` pairs of populated lines, in
+    /// ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Line)> {
-        self.lines.iter().map(|(k, v)| (k * LINE_BYTES as u64, v))
+        let pages = self.pages.iter().enumerate();
+        let pages = pages.filter_map(|(p, page)| Some((p, page.as_deref()?)));
+        pages.flat_map(move |(p, page)| {
+            let slots = page.iter().enumerate().filter(|&(_, &slot)| slot != 0);
+            slots.map(move |(off, &slot)| {
+                let line = (p * PAGE_LINES + off) as u64;
+                (line * LINE_BYTES as u64, self.line(slot))
+            })
+        })
     }
 }
 
@@ -143,6 +226,50 @@ mod tests {
         assert_eq!(s.population(), addrs.len());
         let touched: std::collections::BTreeSet<u64> = s.iter().map(|(a, _)| a).collect();
         assert_eq!(touched, addrs.iter().copied().collect());
+    }
+
+    /// Seeded differential run against a plain map: random lines across
+    /// four index pages, the lines on both sides of each page boundary, a
+    /// far address, overwrites and all-zero writes. Every accessor must
+    /// agree with the model after every operation.
+    #[test]
+    fn matches_a_plain_map() {
+        use std::collections::HashMap;
+        // xorshift64: this crate has no RNG.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let edges = [1023u64, 1024, 2047, 2048, (1 << 33) / 64];
+        let mut s = SparseStore::new();
+        let mut model: HashMap<u64, Line> = HashMap::new();
+        for op in 0..20_000u32 {
+            let r = next();
+            let line = match r % 8 {
+                0 => edges[(r >> 8) as usize % edges.len()],
+                _ => (r >> 8) % 4096,
+            };
+            let addr = line * 64;
+            if r % 3 == 0 {
+                let data = if r % 5 == 0 { [0; 64] } else { [r as u8; 64] };
+                s.write(addr, &data);
+                model.insert(addr, data);
+            }
+            let want = model.get(&addr).copied().unwrap_or([0; 64]);
+            assert_eq!(s.read(addr), want, "op {op}: read {addr:#x}");
+            assert_eq!(s.contains(addr), model.contains_key(&addr), "op {op}");
+            assert_eq!(s.population(), model.len(), "op {op}");
+        }
+        let mut want: Vec<(u64, Line)> = model.into_iter().collect();
+        want.sort_unstable_by_key(|&(a, _)| a);
+        let got: Vec<(u64, Line)> = s.iter().map(|(a, l)| (a, *l)).collect();
+        assert_eq!(
+            got, want,
+            "iter yields the model in ascending address order"
+        );
     }
 
     #[test]

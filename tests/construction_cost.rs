@@ -1,44 +1,64 @@
 //! Pins what it costs to build a machine. Every benchmark session, shard,
 //! crash point and recovery builds a fresh `SecureNvmSystem`, so its set-up
-//! allocations bound how large a sweep or test we can afford.
+//! allocations bound how large a sweep or test we can afford. It also pins
+//! the bytes the NVM line store holds per line, the largest item in a
+//! large run's peak memory.
 //!
-//! A counting global allocator tallies allocation calls per thread, so the
-//! test harness's other threads never leak into a measurement.
+//! A counting global allocator tallies allocation calls and live bytes per
+//! thread, so the test harness's other threads never leak into a
+//! measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use steins::nvm::SparseStore;
 use steins::prelude::*;
 use steins_obs::Histogram;
 
 struct Counting;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+/// One thread's allocator traffic. `live` is signed: a thread may free
+/// what another allocated.
+#[derive(Clone, Copy)]
+struct Tally {
+    calls: u64,
+    live: i64,
+    peak: i64,
 }
 
-fn bump() {
+thread_local! {
+    static TALLY: Cell<Tally> = const { Cell::new(Tally { calls: 0, live: 0, peak: 0 }) };
+}
+
+fn record(calls: u64, bytes: i64) {
     // `try_with`: a thread's last frees and allocations may run after its
     // locals are gone.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = TALLY.try_with(|t| {
+        let mut v = t.get();
+        v.calls += calls;
+        v.live += bytes;
+        v.peak = v.peak.max(v.live);
+        t.set(v);
+    });
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        record(1, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        record(1, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        record(1, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -48,9 +68,22 @@ static GLOBAL: Counting = Counting;
 
 /// Allocation calls `f` makes on this thread, and its result.
 fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.with(Cell::get);
+    let before = TALLY.with(Cell::get).calls;
     let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
+    (TALLY.with(Cell::get).calls - before, out)
+}
+
+/// The most bytes live at once on this thread while `f` runs, above what
+/// was live when it started, and its result.
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let start = TALLY.with(|t| {
+        let mut v = t.get();
+        v.peak = v.live;
+        t.set(v);
+        v.live
+    });
+    let out = f();
+    (TALLY.with(Cell::get).peak - start, out)
 }
 
 /// A figure-sweep machine takes 16 allocations: one slab per cache, and
@@ -84,7 +117,47 @@ fn empty_histograms_allocate_nothing() {
 
 #[test]
 fn the_counter_sees_this_threads_allocations() {
-    // Guards the two tests above against a counter that never moves.
+    // Guards the tests here against a counter that never moves.
     let (n, v) = allocations(|| vec![1u8; 64]);
     assert_eq!((n, v.len()), (1, 64));
+    let (peak, v) = peak_bytes(|| {
+        drop(vec![0u8; 4096]);
+        vec![1u8; 64]
+    });
+    assert_eq!((peak, v.len()), (4096, 64));
+}
+
+#[test]
+fn an_empty_line_store_allocates_nothing() {
+    let (n, _) = allocations(SparseStore::new);
+    assert_eq!(n, 0, "SparseStore::new");
+}
+
+/// Peak bytes per line while a fresh store takes `lines` writes, `stride`
+/// lines apart.
+fn store_bytes_per_line(lines: u64, stride: u64) -> f64 {
+    let (peak, store) = peak_bytes(|| {
+        let mut s = SparseStore::new();
+        for i in 0..lines {
+            s.write(i * stride * 64, &[i as u8; 64]);
+        }
+        s
+    });
+    assert_eq!(store.population() as u64, lines);
+    peak as f64 / lines as f64
+}
+
+/// Dense writes pay the 64 B line plus 4 B of index (68 B).
+#[test]
+fn a_dense_line_costs_at_most_80_bytes() {
+    let b = store_bytes_per_line(100_000, 1);
+    assert!(b <= 80.0, "{b:.1} B per line written densely");
+}
+
+/// At stride 8, the recovery ladder's leaf-strided fill in general-counter
+/// mode, each index page maps 128 written lines (96 B per line).
+#[test]
+fn a_line_written_at_stride_8_costs_at_most_112_bytes() {
+    let b = store_bytes_per_line(100_000, 8);
+    assert!(b <= 112.0, "{b:.1} B per line written at stride 8");
 }
