@@ -674,7 +674,7 @@ pub struct ChaosConfig {
     /// Policy for the online service (when `scrub`).
     pub policy: OnlinePolicy,
     /// Counter mode (the scheme is always Steins — chaos exercises the
-    /// paper's design; `Split` additionally drives epoch re-encryption).
+    /// paper's design).
     pub mode: CounterMode,
 }
 
@@ -692,8 +692,6 @@ impl Default for ChaosConfig {
                 scrub_period_ops: 16,
                 scrub_batch_lines: 4,
                 throttle_occupancy: 0.9,
-                epoch_threshold: u64::MAX,
-                wear_rotation_writes: u64::MAX,
             },
             mode: CounterMode::Split,
         }
@@ -1191,9 +1189,7 @@ fn serve_chaos_shard(
     if !engine.is_degraded(s) {
         engine.with_shard(s, |sys| sys.ctrl.nvm.disarm_crash());
         if cfg.scrub && !out.media_faults.is_empty() {
-            engine
-                .with_shard(s, |sys| sys.online_scrub_pass())
-                .expect("the settling pass runs disarmed");
+            engine.with_shard(s, |sys| sys.online_scrub_pass());
         }
     }
     // Fault accounting: healed, quarantined, or the whole shard is parked.

@@ -44,25 +44,6 @@ impl SchemeKind {
     }
 }
 
-/// How a leaf node's counters are recovered after a crash (§V).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LeafRecovery {
-    /// Default: the encryption counter rides in the per-block MAC record
-    /// (the ECC-spare-bits substitution of DESIGN.md §2.7) — §II-D's
-    /// "store the major counter in the HMAC of the data block".
-    MacRecord,
-    /// Osiris-style (§V): no counter is stored with the data. Instead every
-    /// counter is write-through-flushed each `window` increments
-    /// (stop-loss), and recovery *probes* counters in
-    /// `[stale, stale + window]` until the data MAC verifies. The retrieved
-    /// leaves are then verified with `L0Inc`, exactly as the paper sketches
-    /// for the Osiris integration.
-    OsirisProbe {
-        /// Stop-loss window (Osiris' N).
-        window: u64,
-    },
-}
-
 /// Full system configuration.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
@@ -98,8 +79,6 @@ pub struct SystemConfig {
     /// Assumed latency to read-and-verify one metadata line during
     /// *recovery*, in nanoseconds (§IV-D: 100 ns, as in Anubis/STAR/Osiris).
     pub recovery_read_ns: f64,
-    /// Leaf-counter recovery mechanism (§V).
-    pub leaf_recovery: LeafRecovery,
 }
 
 impl SystemConfig {
@@ -121,7 +100,6 @@ impl SystemConfig {
             bitmap_cache_lines: 16,
             key_seed: 0x57E_145,
             recovery_read_ns: 100.0,
-            leaf_recovery: LeafRecovery::MacRecord,
         }
     }
 
@@ -156,7 +134,6 @@ impl SystemConfig {
             bitmap_cache_lines: 4,
             key_seed: 0xDEC0DE,
             recovery_read_ns: 100.0,
-            leaf_recovery: LeafRecovery::MacRecord,
         }
     }
 
@@ -186,14 +163,6 @@ impl SystemConfig {
             "NV buffer must hold at least one 16 B entry"
         );
         assert!(self.record_cache_lines >= 1);
-        if let LeafRecovery::OsirisProbe { window } = self.leaf_recovery {
-            assert!(window >= 2, "Osiris stop-loss window must be at least 2");
-            assert_eq!(
-                self.mode,
-                CounterMode::General,
-                "Osiris probing recovers plain counters; use GC mode"
-            );
-        }
     }
 }
 

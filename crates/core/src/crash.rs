@@ -253,8 +253,9 @@ pub enum PointSelection {
     /// Every point (the exhaustive sweep).
     All,
     /// At most `n` points per shard, evenly strided across the shard's
-    /// enumeration (the bounded in-test sweep). Always includes the first
-    /// and the last point.
+    /// enumeration (the bounded in-test sweep). With `n ≥ 2` the first and
+    /// the last point are always included; `n = 1` keeps only the first,
+    /// and `n = 0` selects nothing.
     AtMost(usize),
 }
 
@@ -265,8 +266,9 @@ impl PointSelection {
         match self {
             PointSelection::All => points,
             PointSelection::AtMost(n) if n >= points.len() => points,
+            PointSelection::AtMost(0) => Vec::new(),
             PointSelection::AtMost(n) => {
-                let n = n.max(1) as u64;
+                let n = n as u64;
                 let last = (points.len() - 1) as u64;
                 (0..n)
                     .map(|i| points[(i * last / (n - 1).max(1)) as usize])
@@ -1581,6 +1583,25 @@ pub(crate) mod tests {
         assert!(a.iter().any(|op| matches!(op, SweepOp::Read { .. })));
         let c = SweepOp::stream(43, 64, 200);
         assert_ne!(a, c, "different seeds must give different streams");
+    }
+
+    #[test]
+    fn at_most_strides_over_first_and_last_and_zero_selects_nothing() {
+        let points = vec![10, 20, 30, 40, 50];
+        for (n, want) in [
+            (0, vec![]),
+            (1, vec![10]),
+            (2, vec![10, 50]),
+            (3, vec![10, 30, 50]),
+            (5, points.clone()),
+            (9, points.clone()),
+        ] {
+            assert_eq!(
+                PointSelection::AtMost(n).apply(points.clone()),
+                want,
+                "n = {n}"
+            );
+        }
     }
 
     /// Runs `ops` on a bare (unsharded) system: the reference the 1-shard

@@ -18,7 +18,7 @@
 //! how the paper's execution-time differences arise.
 
 use crate::cme::{xor_otp, MacRecord};
-use crate::config::{LeafRecovery, SchemeKind, SystemConfig};
+use crate::config::{SchemeKind, SystemConfig};
 use crate::error::{pass_cut, IntegrityError};
 use crate::nvbuffer::NvBufferEntry;
 use crate::online::{OnlinePolicy, OnlineService};
@@ -849,56 +849,6 @@ impl SecureMemoryController {
         Ok(t)
     }
 
-    /// Epoch re-encryption sweep step, driven by the online integrity
-    /// service (`crate::online`): advances a split leaf's major counter
-    /// past its current epoch and re-encrypts every persisted block it
-    /// covers under the fresh `(major′, 0)` pairs — the same
-    /// [`Self::reencrypt_leaf`] machinery the natural minor-overflow path
-    /// uses, triggered by policy instead of by overflow. Returns `false`
-    /// (no-op) for general-counter leaves, which have no epoch.
-    ///
-    /// The major bump absorbs the minors being reset (`Δ = ⌈Σminors/64⌉`,
-    /// floored at 1), so the generated parent value (Eq. 2) stays
-    /// monotone and the L0Inc accounting mirrors the overflow path
-    /// exactly. Runs in the background: device and queue occupancy are
-    /// charged, the controller front-end is not ratcheted.
-    ///
-    /// The caller should verify every covered line first; as defense in
-    /// depth [`Self::reencrypt_leaf`] additionally re-checks each line's
-    /// MAC under its old pair and skips any that fail, so a poisoned or
-    /// stuck line is never laundered under a fresh MAC.
-    pub(crate) fn epoch_reencrypt(&mut self, leaf_id: NodeId) -> Result<bool, IntegrityError> {
-        let t = self.front_free;
-        let t = self.ensure_cached(t, leaf_id)?;
-        let loff = self.layout.geometry.offset_of(leaf_id);
-        let pre = *self.meta.peek(loff).expect("leaf just ensured");
-        let mut leaf = pre;
-        let CounterBlock::Split(s) = &mut leaf.counters else {
-            return Ok(false);
-        };
-        let old_major = s.major;
-        let old_minors = s.minors;
-        let minor_sum: u64 = s.minors.iter().map(|&m| u64::from(m)).sum();
-        let delta = minor_sum.div_ceil(64).max(1);
-        s.major += delta;
-        s.minors = [0; 64];
-        let pv_delta = leaf.counters.parent_value() - pre.counters.parent_value();
-        self.meta.write(loff, leaf);
-        let t = self.on_node_modified(t, loff, &pre)?;
-        self.reencrypt_leaf(
-            t,
-            leaf_id,
-            old_major,
-            &old_minors,
-            old_major + delta,
-            u64::MAX,
-        )?;
-        if self.is_steins() {
-            self.scheme.steins().lincs.add(0, pv_delta);
-        }
-        Ok(true)
-    }
-
     /// Secure write of one 64 B user line (LLC write-back or flush, §III-F).
     /// Returns the cycle the controller front-end is free again.
     pub fn write_data(
@@ -947,11 +897,7 @@ impl SecureMemoryController {
         self.energy.hashes += 1;
         let mac = self.crypto.data_mac(addr, &line, major, minor);
         t += self.cfg.hash_latency;
-        let recovery = match self.cfg.leaf_recovery {
-            // Osiris keeps no counter beside the data; recovery probes.
-            LeafRecovery::OsirisProbe { .. } => 0,
-            LeafRecovery::MacRecord => MacRecord::pack_recovery(major, minor),
-        };
+        let recovery = MacRecord::pack_recovery(major, minor);
         // The L0Inc bump must ride atomically with the write that makes the
         // counter increment durable (the data line + its MacRecord, below):
         // register updates emit no persist event, so placing the bump here —
@@ -972,13 +918,6 @@ impl SecureMemoryController {
         }
         self.set_mac_record(dline, MacRecord { mac, recovery })?;
         t = self.wq.push(t, addr, &line, &mut self.nvm)?;
-        // Osiris stop-loss (§V): every `window` increments, write the leaf
-        // through so the post-crash probe distance stays bounded.
-        if let LeafRecovery::OsirisProbe { window } = self.cfg.leaf_recovery {
-            if major % window == 0 && self.meta.is_dirty(loff) {
-                t = self.flush_in_place(t, loff)?;
-            }
-        }
         self.front_free = t;
         self.wlat.record(arrival, t);
         Ok(t)
@@ -1054,11 +993,6 @@ impl SecureMemoryController {
         &mut self.nvm
     }
 
-    /// Peeks a cached node (diagnostics).
-    pub fn meta_peek(&self, offset: u64) -> Option<&SitNode> {
-        self.meta.peek(offset)
-    }
-
     /// Offsets of every dirty node currently in the metadata cache
     /// (tests/diagnostics — the state a crash would lose).
     pub fn meta_dirty_offsets(&self) -> Vec<u64> {
@@ -1095,11 +1029,6 @@ impl SecureMemoryController {
     /// The memory layout in force.
     pub fn layout(&self) -> &MemoryLayout {
         &self.layout
-    }
-
-    /// Metadata cache hit/miss counters.
-    pub fn meta_stats(&self) -> (u64, u64) {
-        self.meta.stats()
     }
 
     /// Current LInc values (Steins only; used by invariant tests).
@@ -1390,8 +1319,8 @@ impl SecureNvmSystem {
         self.online.as_ref()
     }
 
-    /// The online integrity service, mutably (policy retuning, cursor
-    /// resume from a crashed image's journal).
+    /// The online integrity service, mutably (cursor resume from a crashed
+    /// image's journal, quarantine audits).
     pub fn online_mut(&mut self) -> Option<&mut OnlineService> {
         self.online.as_mut()
     }
@@ -1409,12 +1338,11 @@ impl SecureNvmSystem {
     /// Forces one full scrub pass over every data line, ignoring both the
     /// period and the throttle — the operator's "finish the scrub now"
     /// lever. No-op when the service is disabled.
-    pub fn online_scrub_pass(&mut self) -> Result<(), IntegrityError> {
+    pub fn online_scrub_pass(&mut self) {
         if let Some(mut svc) = self.online.take() {
-            svc.full_pass(self)?;
+            svc.full_pass(self);
             self.online = Some(svc);
         }
-        Ok(())
     }
 
     /// Drains the online service's alarm events (empty when disabled).

@@ -21,16 +21,13 @@
 //!   points × torn-word masks × attacks/media faults, plus the chaos mode
 //!   that injects them under live multi-shard serving traffic.
 //! * [`online`] — the online integrity service: incremental background
-//!   scrub, epoch re-encryption, wear rotation, quarantine, and alarms.
+//!   scrub, quarantine, and alarms.
 //! * [`par`] — the shared-counter job pool and deterministic lane folding
 //!   behind parallel recovery (see [`shard::ParallelRecovery`]).
 //! * [`cme`], [`linc`], [`nvbuffer`], [`cachetree`] — building blocks.
-//! * [`bmt`] — the Bonsai-Merkle-Tree baseline of §II-C, quantifying why
-//!   the paper (and this engine) build on the SIT instead.
 //! * [`report`] — run metrics backing every figure of §IV.
 
 pub mod attack;
-pub mod bmt;
 pub mod cachetree;
 pub mod campaign;
 pub mod cme;

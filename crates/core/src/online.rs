@@ -1,6 +1,6 @@
-//! Online integrity service: incremental background scrub, epoch
-//! re-encryption, wear rotation, and attack-detection alarms — running
-//! concurrently with serving traffic instead of stop-the-world.
+//! Online integrity service: incremental background scrub, quarantine and
+//! attack-detection alarms — running concurrently with serving traffic
+//! instead of stop-the-world.
 //!
 //! The post-crash lenient scrub ([`crate::scrub`]) verifies the whole
 //! machine in one pass while nothing else runs. This module converts that
@@ -26,15 +26,6 @@
 //!   per-region quarantine: subsequent reads *and* writes fail typed with
 //!   [`IntegrityError::Quarantined`] until an operator clears it. The ack
 //!   is never silently wrong.
-//! * **Epoch re-encryption** — split-counter leaves whose major counter
-//!   reaches `epoch_threshold` are re-encrypted under a fresh epoch
-//!   (`SecureMemoryController::epoch_reencrypt`), after every covered
-//!   line verifies — re-encrypting an unverified line would launder
-//!   garbage under a fresh MAC.
-//! * **Wear rotation** — once per pass, if the wear telemetry's hottest
-//!   line exceeds `wear_rotation_writes`, the line is refreshed through
-//!   the secure read+write path (modeling a start-gap-style remap copy)
-//!   and counted.
 //! * **Alarms** — MAC mismatches, replay suspicion (LInc drift),
 //!   unreadable regions, and exhausted retries surface as typed
 //!   [`Alarm`]s through the obs alarm channel; the sharded engine adds
@@ -42,17 +33,15 @@
 
 use std::collections::BTreeSet;
 
-use steins_metadata::CounterMode;
 use steins_nvm::RecoveryJournal;
 use steins_obs::{Alarm, AlarmKind, AlarmLog, MetricRegistry};
 
 use crate::cme::MacRecord;
-use crate::config::LeafRecovery;
 use crate::engine::SecureNvmSystem;
-use crate::error::{pass_cut, IntegrityError};
+use crate::error::IntegrityError;
 use crate::recovery::journal;
 
-/// Runtime policy knobs of the online integrity service (Triad-NVM-style:
+/// Policy knobs of the online integrity service (Triad-NVM-style:
 /// the operator trades scrub latency against serving throughput).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OnlinePolicy {
@@ -63,12 +52,6 @@ pub struct OnlinePolicy {
     /// Write-queue occupancy fraction above which a scrub step yields to
     /// serving traffic (alarm draining still runs).
     pub throttle_occupancy: f64,
-    /// Split-counter major value that triggers an epoch re-encryption
-    /// sweep of the covering leaf. `u64::MAX` disables epoch sweeps.
-    pub epoch_threshold: u64,
-    /// Hottest-line write count that triggers a wear-rotation refresh at
-    /// the end of a pass. `u64::MAX` disables rotation.
-    pub wear_rotation_writes: u64,
 }
 
 impl Default for OnlinePolicy {
@@ -80,24 +63,8 @@ impl Default for OnlinePolicy {
             scrub_period_ops: 128,
             scrub_batch_lines: 2,
             throttle_occupancy: 0.5,
-            epoch_threshold: u64::MAX,
-            wear_rotation_writes: u64::MAX,
         }
     }
-}
-
-/// How one line's background verification resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LineVerdict {
-    /// Never written, already quarantined, or counter mode carries no
-    /// per-line record to check (Osiris probing is a recovery-only path).
-    Skipped,
-    /// Readable and the data MAC verified.
-    Verified,
-    /// Unreadable after the device's full retry budget.
-    Unreadable,
-    /// Readable bytes, wrong MAC: tampering or silent corruption.
-    Mismatch,
 }
 
 /// The per-system online integrity service: scrub cursor, quarantine set,
@@ -126,8 +93,6 @@ pub struct OnlineService {
     /// Quarantine releases (operator clears + supervised heals).
     cleared: u64,
     retry_exhausted: u64,
-    reencrypted_leaves: u64,
-    rotations: u64,
     replay_suspected: u64,
 }
 
@@ -149,8 +114,6 @@ impl OnlineService {
             quarantine_events: 0,
             cleared: 0,
             retry_exhausted: 0,
-            reencrypted_leaves: 0,
-            rotations: 0,
             replay_suspected: 0,
         }
     }
@@ -158,11 +121,6 @@ impl OnlineService {
     /// The policy in force.
     pub fn policy(&self) -> &OnlinePolicy {
         &self.policy
-    }
-
-    /// Replaces the policy knobs (takes effect at the next step).
-    pub fn set_policy(&mut self, policy: OnlinePolicy) {
-        self.policy = policy;
     }
 
     /// The scrub cursor (next data line to verify).
@@ -291,10 +249,11 @@ impl OnlineService {
     /// Verifies one data line in the background. Reads through the timed
     /// device path (charging bank occupancy, driving the retry/backoff
     /// schedule), then checks the data MAC against the line's record.
-    fn verify_line(&mut self, sys: &mut SecureNvmSystem, d: u64) -> LineVerdict {
+    /// Lines already quarantined are skipped.
+    fn verify_line(&mut self, sys: &mut SecureNvmSystem, d: u64) {
         let daddr = sys.ctrl.layout.data_base + d * 64;
         if self.quarantine.contains(&daddr) {
-            return LineVerdict::Skipped;
+            return;
         }
         // Never-written lines still get the media probe below (a patrol
         // scrub reads the whole region, and faults land anywhere); only
@@ -313,72 +272,27 @@ impl OnlineService {
             let shard = sys.ctrl.nvm.shard();
             let cycle = sys.sim_cycles();
             self.quarantine_line(AlarmKind::UnreadableRegion, shard, daddr, cycle);
-            return LineVerdict::Unreadable;
+            return;
         }
         if was_bad {
             self.healed += 1;
         }
         let rec = sys.ctrl.data_mac_record(d);
         if rec == MacRecord::default() && ct == [0u8; 64] {
-            return LineVerdict::Skipped; // never-written: defined zeros
+            return; // never-written: defined zeros
         }
-        match sys.cfg.leaf_recovery {
-            LeafRecovery::MacRecord => {
-                let (major, minor) = MacRecord::unpack_recovery(rec.recovery);
-                if sys.ctrl.data_mac_probe(daddr, &ct, major, minor) == rec.mac {
-                    self.verified += 1;
-                    LineVerdict::Verified
-                } else {
-                    let shard = sys.ctrl.nvm.shard();
-                    let cycle = sys.sim_cycles();
-                    self.quarantine_line(AlarmKind::MacMismatch, shard, daddr, cycle);
-                    LineVerdict::Mismatch
-                }
-            }
-            // Osiris keeps no counter beside the data; its probe is a
-            // recovery-time protocol. Online, the scrub is readability-only.
-            LeafRecovery::OsirisProbe { .. } => LineVerdict::Skipped,
+        let (major, minor) = MacRecord::unpack_recovery(rec.recovery);
+        if sys.ctrl.data_mac_probe(daddr, &ct, major, minor) == rec.mac {
+            self.verified += 1;
+        } else {
+            let shard = sys.ctrl.nvm.shard();
+            let cycle = sys.sim_cycles();
+            self.quarantine_line(AlarmKind::MacMismatch, shard, daddr, cycle);
         }
     }
 
-    /// Epoch check for the line just verified: when its recorded major
-    /// counter has reached the policy threshold, verify every sibling the
-    /// covering leaf spans and re-encrypt the leaf under a fresh epoch.
-    /// Any sibling that fails verification is quarantined instead (and
-    /// vetoes the sweep — re-encrypting it would launder garbage).
-    fn maybe_epoch_sweep(
-        &mut self,
-        sys: &mut SecureNvmSystem,
-        d: u64,
-    ) -> Result<(), IntegrityError> {
-        if self.policy.epoch_threshold == u64::MAX
-            || sys.cfg.mode != CounterMode::Split
-            || !matches!(sys.cfg.leaf_recovery, LeafRecovery::MacRecord)
-        {
-            return Ok(());
-        }
-        let rec = sys.ctrl.data_mac_record(d);
-        let (major, _) = MacRecord::unpack_recovery(rec.recovery);
-        if major < self.policy.epoch_threshold {
-            return Ok(());
-        }
-        let (leaf, _) = sys.ctrl.layout.geometry.leaf_of_data(d);
-        let siblings = sys.ctrl.layout.geometry.data_of_leaf(leaf);
-        let all_clean = siblings.iter().all(|&s| {
-            !matches!(
-                self.verify_line(sys, s),
-                LineVerdict::Unreadable | LineVerdict::Mismatch
-            )
-        });
-        if all_clean && pass_cut(sys.ctrl.epoch_reencrypt(leaf))?.unwrap_or(false) {
-            self.reencrypted_leaves += 1;
-        }
-        Ok(())
-    }
-
-    /// End-of-pass work: LInc drift check (replay suspicion) and wear
-    /// rotation.
-    fn end_of_pass(&mut self, sys: &mut SecureNvmSystem) -> Result<(), IntegrityError> {
+    /// End-of-pass work: the LInc drift check (replay suspicion).
+    fn end_of_pass(&mut self, sys: &mut SecureNvmSystem) {
         self.passes += 1;
         // Replay suspicion: the trusted LInc registers must equal a
         // recomputation from the cache + NV-buffer state. Drift means the
@@ -392,45 +306,6 @@ impl OnlineService {
                 self.raise(AlarmKind::Replay, shard, None, cycle);
             }
         }
-        // Wear rotation: refresh the hottest data line through the secure
-        // read+write path (modeling a start-gap remap copy) when telemetry
-        // says it crossed the endurance budget. The scan is over data lines
-        // only (record/metadata lines are inherently hotter and are the
-        // device's problem, not remappable user content), lowest address
-        // winning ties so the choice is deterministic.
-        if self.policy.wear_rotation_writes == u64::MAX {
-            return Ok(());
-        }
-        let mut best_count = 0u64;
-        let mut best_addr = None;
-        for d in 0..sys.ctrl.layout.data_lines {
-            let a = sys.ctrl.layout.data_base + d * 64;
-            if self.quarantine.contains(&a) {
-                continue;
-            }
-            let c = sys.ctrl.nvm.wear().of(a);
-            if c >= self.policy.wear_rotation_writes && c > best_count {
-                best_count = c;
-                best_addr = Some(a);
-            }
-        }
-        let Some(hot) = best_addr else {
-            return Ok(());
-        };
-        let t = sys.ctrl.front_free;
-        match pass_cut(sys.ctrl.read_data(t, hot))? {
-            Ok((pt, t2)) => {
-                if pass_cut(sys.ctrl.write_data(t2, hot, &pt))?.is_ok() {
-                    self.rotations += 1;
-                }
-            }
-            Err(_) => {
-                let shard = sys.ctrl.nvm.shard();
-                let cycle = sys.sim_cycles();
-                self.quarantine_line(AlarmKind::MacMismatch, shard, hot, cycle);
-            }
-        }
-        Ok(())
     }
 
     /// One scrub step: drain promotions, negotiate the throttle against
@@ -457,11 +332,9 @@ impl OnlineService {
             if self.cursor >= lines {
                 self.cursor = 0;
             }
-            if matches!(self.verify_line(sys, d), LineVerdict::Verified) {
-                self.maybe_epoch_sweep(sys, d)?;
-            }
+            self.verify_line(sys, d);
             if self.cursor == 0 {
-                self.end_of_pass(sys)?;
+                self.end_of_pass(sys);
             }
         }
         // Stamp the cursor (a cheap ADR persist): a crash between steps
@@ -476,21 +349,17 @@ impl OnlineService {
 
     /// One full drain pass over every data line, ignoring the period and
     /// throttle — the operator's "finish the scrub now" lever, and the
-    /// chaos harness's end-of-run settling pass. Errs only with
-    /// [`IntegrityError::PowerCut`].
-    pub(crate) fn full_pass(&mut self, sys: &mut SecureNvmSystem) -> Result<(), IntegrityError> {
+    /// chaos harness's end-of-run settling pass. Persists nothing.
+    pub(crate) fn full_pass(&mut self, sys: &mut SecureNvmSystem) {
         self.drain_retry_exhausted(sys);
         let lines = sys.ctrl.layout.data_lines;
         for d in 0..lines {
-            if matches!(self.verify_line(sys, d), LineVerdict::Verified) {
-                self.maybe_epoch_sweep(sys, d)?;
-            }
+            self.verify_line(sys, d);
         }
         self.cursor = 0;
         if lines > 0 {
-            self.end_of_pass(sys)?;
+            self.end_of_pass(sys);
         }
-        Ok(())
     }
 
     /// Exports the service's telemetry under `core.online.` plus the
@@ -505,8 +374,6 @@ impl OnlineService {
         reg.counter_add("core.online.quarantine_events", self.quarantine_events);
         reg.counter_add("core.online.quarantine_cleared", self.cleared);
         reg.counter_add("core.online.retry_exhausted", self.retry_exhausted);
-        reg.counter_add("core.online.reencrypted_leaves", self.reencrypted_leaves);
-        reg.counter_add("core.online.rotations", self.rotations);
         reg.counter_add("core.online.replay_suspected", self.replay_suspected);
         reg.gauge_set("core.online.quarantined", self.quarantine.len() as f64);
         reg.gauge_set("core.online.cursor", self.cursor as f64);
@@ -519,6 +386,7 @@ mod tests {
     use super::*;
     use crate::config::{SchemeKind, SystemConfig};
     use crate::engine::synth_data;
+    use steins_metadata::CounterMode;
 
     fn sys(mode: CounterMode) -> SecureNvmSystem {
         SecureNvmSystem::new(SystemConfig::small_for_tests(SchemeKind::Steins, mode))
@@ -529,7 +397,6 @@ mod tests {
             scrub_period_ops: 8,
             scrub_batch_lines: 8,
             throttle_occupancy: 1.0,
-            ..OnlinePolicy::default()
         }
     }
 
@@ -569,7 +436,7 @@ mod tests {
         }
         let victim = 5 * 64;
         s.ctrl.nvm.inject_bit_flip(victim, 3, 1);
-        s.online_scrub_pass().unwrap();
+        s.online_scrub_pass();
         let svc = s.online().unwrap();
         assert!(svc.is_quarantined(victim));
         assert_eq!(svc.alarms().count(AlarmKind::MacMismatch), 1);
@@ -585,7 +452,7 @@ mod tests {
         assert_eq!(s.read(6 * 64).unwrap(), synth_data(6 * 64, 2));
         // Operator clears the quarantine; the next pass re-detects.
         assert!(s.clear_quarantine(victim));
-        s.online_scrub_pass().unwrap();
+        s.online_scrub_pass();
         assert!(s.online().unwrap().is_quarantined(victim));
     }
 
@@ -600,7 +467,7 @@ mod tests {
         s.ctrl.nvm.inject_transient_unreadable(2 * 64, 2);
         // Permanent: quarantined with an alarm.
         s.ctrl.nvm.inject_unreadable(4 * 64);
-        s.online_scrub_pass().unwrap();
+        s.online_scrub_pass();
         let svc = s.online().unwrap();
         assert!(svc.healed >= 1, "transient not healed");
         assert!(!svc.is_quarantined(2 * 64));
@@ -616,7 +483,6 @@ mod tests {
             scrub_period_ops: 4,
             scrub_batch_lines: 2,
             throttle_occupancy: 0.0, // always throttled
-            ..OnlinePolicy::default()
         });
         for line in 0..32u64 {
             s.write(line * 64, &synth_data(line * 64, 4)).unwrap();
@@ -625,55 +491,6 @@ mod tests {
         assert!(svc.steps >= 32 / 4, "steps {}", svc.steps);
         assert_eq!(svc.scanned, 0, "a fully-throttled scrub scans nothing");
         assert_eq!(svc.throttled, svc.steps);
-    }
-
-    #[test]
-    fn epoch_sweep_reencrypts_hot_split_leaves() {
-        let mut s = sys(CounterMode::Split);
-        s.enable_online(OnlinePolicy {
-            epoch_threshold: 1,
-            ..active_policy()
-        });
-        // Hammer one line until its leaf's major counter crosses the
-        // threshold (minor overflow advances the major).
-        for v in 0..300u64 {
-            s.write(0, &synth_data(0, v)).unwrap();
-        }
-        for line in 1..4u64 {
-            s.write(line * 64, &synth_data(line * 64, 1)).unwrap();
-        }
-        s.online_scrub_pass().unwrap();
-        let before = s.online().unwrap().reencrypted_leaves;
-        assert!(before >= 1, "no epoch sweep ran");
-        // The swept lines still read back correctly.
-        assert_eq!(s.read(0).unwrap(), synth_data(0, 299));
-        for line in 1..4u64 {
-            assert_eq!(s.read(line * 64).unwrap(), synth_data(line * 64, 1));
-        }
-        // And the sweep is convergent: majors were reset below the
-        // threshold only if threshold > post-sweep major; with threshold 1
-        // a re-scan may sweep again, but reads must stay correct.
-        s.online_scrub_pass().unwrap();
-        assert_eq!(s.read(0).unwrap(), synth_data(0, 299));
-    }
-
-    #[test]
-    fn wear_rotation_refreshes_the_hottest_line() {
-        let mut s = sys(CounterMode::General);
-        s.enable_online(OnlinePolicy {
-            wear_rotation_writes: 8,
-            ..active_policy()
-        });
-        for v in 0..32u64 {
-            s.write(3 * 64, &synth_data(3 * 64, v)).unwrap();
-        }
-        for line in 0..4u64 {
-            s.write(line * 64, &synth_data(line * 64, 100)).unwrap();
-        }
-        s.online_scrub_pass().unwrap();
-        let svc = s.online().unwrap();
-        assert!(svc.rotations >= 1, "hot line never rotated");
-        assert_eq!(s.read(3 * 64).unwrap(), synth_data(3 * 64, 100));
     }
 
     #[test]
@@ -686,7 +503,7 @@ mod tests {
         // Sabotage the trusted register directly: the recomputation no
         // longer matches, which is exactly what a replayed counter causes.
         s.ctrl.scheme.steins().lincs.add(0, 7);
-        s.online_scrub_pass().unwrap();
+        s.online_scrub_pass();
         let svc = s.online().unwrap();
         assert_eq!(svc.replay_suspected, 1);
         assert_eq!(svc.alarms().count(AlarmKind::Replay), 1);
@@ -720,62 +537,12 @@ mod tests {
                 s.write(line * 64, &synth_data(line * 64, 7)).unwrap();
             }
             s.ctrl.nvm.inject_unreadable(2 * 64);
-            s.online_scrub_pass().unwrap();
+            s.online_scrub_pass();
             s.report().metrics.to_json_deterministic().pretty()
         };
         let a = run();
         assert_eq!(a, run(), "online metrics must be deterministic");
         assert!(a.contains("core.online.steps"));
         assert!(a.contains("obs.alarms.total"));
-    }
-
-    /// Split-mode system whose written leaf crosses any epoch threshold and
-    /// whose hot line (line 0) crosses a wear-rotation budget of 8.
-    fn epoch_and_wear_candidate() -> SecureNvmSystem {
-        let mut s = sys(CounterMode::Split);
-        for v in 0..20 {
-            s.write(0, &synth_data(0, v)).unwrap();
-        }
-        for line in 1..8u64 {
-            s.write(line * 64, &synth_data(line * 64, 1)).unwrap();
-        }
-        s
-    }
-
-    #[test]
-    fn power_cut_in_epoch_sweep_or_wear_rotation_passes_up() {
-        let policy = OnlinePolicy {
-            epoch_threshold: 0,
-            wear_rotation_writes: 8,
-            ..OnlinePolicy::default()
-        };
-        // Reference pass: its persist range, epoch sweeps first, the wear
-        // rotation's rewrite of the hot line last.
-        let mut s = epoch_and_wear_candidate();
-        let mut svc = OnlineService::new(policy);
-        let first = s.ctrl.nvm.persist_seq() + 1;
-        svc.full_pass(&mut s).unwrap();
-        let last = s.ctrl.nvm.persist_seq();
-        assert!(svc.reencrypted_leaves > 0 && svc.rotations == 1);
-        // A cut inside `epoch_reencrypt`, then one inside the rotation's
-        // rewrite: each passes up, with no verdict drawn from it.
-        for at in [first, last] {
-            let mut s = epoch_and_wear_candidate();
-            s.ctrl.nvm.arm_crash(at);
-            let mut svc = OnlineService::new(policy);
-            assert_eq!(
-                svc.full_pass(&mut s),
-                Err(IntegrityError::PowerCut),
-                "cut at {at}"
-            );
-            assert_eq!(svc.rotations, 0, "cut at {at}");
-            assert_eq!(svc.reencrypted_leaves > 0, at == last, "cut at {at}");
-            assert!(svc.quarantine.is_empty(), "cut at {at}");
-            assert!(svc
-                .alarms
-                .events()
-                .iter()
-                .all(|a| a.kind != AlarmKind::MacMismatch));
-        }
     }
 }

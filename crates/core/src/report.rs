@@ -1,6 +1,6 @@
 //! Run metrics — the raw series behind every figure of §IV.
 
-use steins_nvm::{EnergyCounters, EnergyModel, NvmStats};
+use steins_nvm::{EnergyCounters, NvmStats};
 use steins_obs::{Histogram, MetricRegistry};
 
 /// Arrival→completion latency accumulator: running mean plus the full
@@ -76,11 +76,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Recomputes `energy_pj` under a different energy model (ablations).
-    pub fn energy_under(&self, model: &EnergyModel) -> f64 {
-        self.energy_events.total_pj(model)
-    }
-
     /// Write traffic in bytes.
     pub fn write_traffic(&self) -> u64 {
         self.nvm.write_traffic_bytes()

@@ -36,7 +36,7 @@
 //! callers pick per §III-H threat model.
 
 use crate::cme::MacRecord;
-use crate::config::{LeafRecovery, SchemeKind};
+use crate::config::SchemeKind;
 use crate::crash::CrashedSystem;
 use crate::engine::SecureNvmSystem;
 use crate::error::IntegrityError;
@@ -182,14 +182,6 @@ enum DataOutcome {
     Bad { major: u64 },
 }
 
-fn parse_node(mode: CounterMode, id: NodeId, line: &[u8; 64]) -> SitNode {
-    if id.level == 0 && mode == CounterMode::Split {
-        SitNode::split_from_line(line)
-    } else {
-        SitNode::general_from_line(line)
-    }
-}
-
 impl CrashedSystem {
     /// Lenient recovery: scrubs the image, classifies every region, and
     /// rebuilds a consistent live system (`None` for WB, which has no
@@ -249,14 +241,7 @@ impl CrashedSystem {
         let mut nodes: Vec<SitNode> = vec![SitNode::general_from_line(&[0u8; 64]); total];
         for index in 0..geo.nodes_at(0) {
             let id = NodeId { level: 0, index };
-            let off = geo.offset_of(id);
-            reads += 1;
-            let stale = parse_node(
-                self.cfg.mode,
-                id,
-                &self.nvm.peek(self.layout.node_addr(off)),
-            );
-            nodes[off as usize] = self.scrub_leaf(&mut reads, id, &stale, &mut report);
+            nodes[geo.offset_of(id) as usize] = self.scrub_leaf(&mut reads, id, &mut report);
         }
 
         if !self.recoverable() {
@@ -414,19 +399,13 @@ impl CrashedSystem {
 
     /// Rebuilds one leaf from the data plane, recording verdicts. Total on
     /// arbitrary record/data bytes.
-    fn scrub_leaf(
-        &mut self,
-        reads: &mut u64,
-        id: NodeId,
-        stale: &SitNode,
-        report: &mut ScrubReport,
-    ) -> SitNode {
+    fn scrub_leaf(&mut self, reads: &mut u64, id: NodeId, report: &mut ScrubReport) -> SitNode {
         let geo = self.layout.geometry.clone();
         let outcomes: Vec<(usize, u64, DataOutcome)> = geo
             .data_of_leaf(id)
             .into_iter()
             .enumerate()
-            .map(|(j, d)| (j, d, self.scrub_data_line(reads, j, d, stale)))
+            .map(|(j, d)| (j, d, self.scrub_data_line(reads, d)))
             .collect();
         let mut unrecoverable = Vec::new();
         for (_, d, o) in &outcomes {
@@ -481,13 +460,7 @@ impl CrashedSystem {
     }
 
     /// Classifies one data line against its MAC record.
-    fn scrub_data_line(
-        &self,
-        reads: &mut u64,
-        slot: usize,
-        data_line: u64,
-        stale_leaf: &SitNode,
-    ) -> DataOutcome {
+    fn scrub_data_line(&self, reads: &mut u64, data_line: u64) -> DataOutcome {
         let (laddr, byte) = self.layout.mac_slot(data_line);
         *reads += 1;
         let rec = MacRecord::read_slot(&self.nvm.peek(laddr), byte / 16);
@@ -496,17 +469,6 @@ impl CrashedSystem {
         let data = self.nvm.peek(addr);
         if rec == MacRecord::default() && data == [0u8; 64] {
             return DataOutcome::Untouched;
-        }
-        if let LeafRecovery::OsirisProbe { window } = self.cfg.leaf_recovery {
-            // No counter stored with the data: probe from the (untrusted,
-            // totally-decoded) stale leaf value up to the stop-loss window.
-            let c0 = stale_leaf.counters.as_general().get(slot);
-            return match (c0..=c0.saturating_add(window))
-                .find(|&c| self.crypto.data_mac(addr, &data, c, 0) == rec.mac)
-            {
-                Some(c) => DataOutcome::Verified { major: c, minor: 0 },
-                None => DataOutcome::Bad { major: c0 },
-            };
         }
         let (major, minor) = MacRecord::unpack_recovery(rec.recovery);
         if self.crypto.data_mac(addr, &data, major, minor) == rec.mac {
@@ -658,6 +620,23 @@ mod tests {
         );
         for i in [0u64, 1, 2, 3, 4, 6, 7] {
             assert_eq!(sys.read(i * 64).unwrap(), [i as u8 + 1; 64]);
+        }
+    }
+
+    /// The read bill: one MAC-record read and one data read per data line,
+    /// then one home-copy read per node.
+    #[test]
+    fn scrub_reads_each_data_line_twice_and_each_node_once() {
+        for (scheme, mode) in [
+            (SchemeKind::Steins, CounterMode::General),
+            (SchemeKind::Steins, CounterMode::Split),
+            (SchemeKind::Asit, CounterMode::General),
+            (SchemeKind::Star, CounterMode::General),
+        ] {
+            let (sys, report) = scrubbed(scheme, mode);
+            let layout = sys.expect("schemes with NV anchors rebuild").ctrl.layout;
+            let bill = 2 * layout.data_lines + layout.geometry.total_nodes();
+            assert_eq!(report.nvm_reads, bill, "{report}");
         }
     }
 

@@ -24,7 +24,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use steins_metadata::{ShardMap, StripeMode};
+use steins_metadata::ShardMap;
 use steins_obs::{Alarm, AlarmKind, AlarmLog, MetricRegistry};
 
 use crate::config::SystemConfig;
@@ -110,15 +110,10 @@ impl ShardedEngine {
     /// space. A `cfg.data_lines` that does not divide evenly is rounded
     /// down to the nearest multiple (shards are identical machines; the
     /// remainder lines are simply not addressable through the front-end).
-    pub fn new(cfg: SystemConfig, shards: usize) -> Self {
-        Self::with_mode(cfg, shards, StripeMode::Interleave)
-    }
-
-    /// [`Self::new`] with an explicit striping mode.
-    pub fn with_mode(mut cfg: SystemConfig, shards: usize, mode: StripeMode) -> Self {
+    pub fn new(mut cfg: SystemConfig, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         cfg.data_lines -= cfg.data_lines % shards as u64;
-        let map = ShardMap::new(mode, shards, cfg.data_lines);
+        let map = ShardMap::new(shards, cfg.data_lines);
         let shard_cfg = Self::split_config(&cfg, shards);
         let shards = (0..shards)
             .map(|i| {
@@ -461,8 +456,7 @@ impl ShardedEngine {
             return RepairOutcome::Parked;
         };
         sys.enable_online(policy);
-        sys.online_scrub_pass()
-            .expect("the scrub leaves the rebuilt device disarmed");
+        sys.online_scrub_pass();
         let cycle = sys.sim_cycles();
         if let Some(svc) = sys.online_mut() {
             for &addr in &quarantine {
@@ -524,21 +518,6 @@ impl ShardedEngine {
                 sys.enable_online(policy);
             }
         }
-    }
-
-    /// Runs one scrub step on every live, serving shard (the per-shard
-    /// period is bypassed; the occupancy throttle still applies). The
-    /// engine-level analogue of [`SecureNvmSystem::online_step`]. A power
-    /// cut parks the tripping shard, like [`Self::write`], and ends the
-    /// tick there.
-    pub fn online_tick(&self) -> Result<(), IntegrityError> {
-        for s in 0..self.shards() {
-            match self.serve(s, |sys| sys.online_step()) {
-                Ok(()) | Err(IntegrityError::ShardDegraded { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
     }
 
     /// Drains every pending alarm in deterministic order: the engine's

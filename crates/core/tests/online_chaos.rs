@@ -71,7 +71,6 @@ fn scrub_under_concurrent_writes_escalates_monotonically() {
             scrub_period_ops: u64::MAX, // stepped manually below
             scrub_batch_lines: 16,
             throttle_occupancy: 1.0,
-            ..OnlinePolicy::default()
         });
         let mut rng = SmallRng::seed_from_u64(0x5C2B_0000 ^ mode as u64);
         let lines = 96u64;
@@ -120,7 +119,7 @@ fn scrub_under_concurrent_writes_escalates_monotonically() {
             prev_alarms = alarms;
         }
         // Drain pass: every permanent fault must now be classified.
-        sys.online_scrub_pass().unwrap();
+        sys.online_scrub_pass();
         let (q, _) = escalation(&sys);
         assert!(q.is_superset(&prev_q), "{mode:?}: drain pass retracted");
         assert!(!q.is_empty(), "{mode:?}: no fault was ever quarantined");

@@ -33,4 +33,4 @@ pub use geometry::{NodeId, SitGeometry};
 pub use layout::MemoryLayout;
 pub use node::{RootNode, SitNode};
 pub use records::{RecordLine, RECORDS_PER_LINE, RECORD_EMPTY};
-pub use shard::{ShardMap, StripeMode};
+pub use shard::ShardMap;

@@ -12,28 +12,13 @@
 //! * **shard + local** line — which controller owns it and at what offset
 //!   inside that controller's own layout.
 //!
-//! Two stripings are supported:
-//!
-//! * [`StripeMode::Interleave`] (default): `shard = line % N`, like banks —
-//!   sequential global lines round-robin across shards, so uniform *and*
-//!   sequential traffic both spread.
-//! * [`StripeMode::Region`]: `shard = line / lines_per_shard` — each shard
-//!   owns one contiguous region, which keeps spatial locality inside one
-//!   shard (one tenant per shard).
-
-/// How global lines map onto shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StripeMode {
-    /// Round-robin: `shard = line % shards` (bank-style).
-    Interleave,
-    /// Contiguous regions: `shard = line / lines_per_shard`.
-    Region,
-}
+//! The striping interleaves: `shard = line % N`, like banks — sequential
+//! global lines round-robin across shards, so uniform *and* sequential
+//! traffic both spread — and the local line is `line / N`.
 
 /// The pure global ⇄ (shard, local) line mapping.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardMap {
-    mode: StripeMode,
     shards: u64,
     lines_per_shard: u64,
 }
@@ -41,7 +26,7 @@ pub struct ShardMap {
 impl ShardMap {
     /// A map of `shards` shards over `total_lines` global lines.
     /// `total_lines` must divide evenly (shards are identical machines).
-    pub fn new(mode: StripeMode, shards: usize, total_lines: u64) -> Self {
+    pub fn new(shards: usize, total_lines: u64) -> Self {
         assert!(shards >= 1, "need at least one shard");
         let shards = shards as u64;
         assert!(
@@ -49,7 +34,6 @@ impl ShardMap {
             "total_lines {total_lines} must be a positive multiple of shards {shards}"
         );
         ShardMap {
-            mode,
             shards,
             lines_per_shard: total_lines / shards,
         }
@@ -70,36 +54,22 @@ impl ShardMap {
         self.lines_per_shard * self.shards
     }
 
-    /// The striping in use.
-    pub fn mode(&self) -> StripeMode {
-        self.mode
-    }
-
     /// Owning shard of a global line.
     pub fn shard_of(&self, line: u64) -> usize {
         debug_assert!(line < self.total_lines(), "line {line} out of range");
-        (match self.mode {
-            StripeMode::Interleave => line % self.shards,
-            StripeMode::Region => line / self.lines_per_shard,
-        }) as usize
+        (line % self.shards) as usize
     }
 
     /// The line's offset inside its owning shard.
     pub fn local_line(&self, line: u64) -> u64 {
         debug_assert!(line < self.total_lines(), "line {line} out of range");
-        match self.mode {
-            StripeMode::Interleave => line / self.shards,
-            StripeMode::Region => line % self.lines_per_shard,
-        }
+        line / self.shards
     }
 
     /// Inverse of ([`Self::shard_of`], [`Self::local_line`]).
     pub fn global_line(&self, shard: usize, local: u64) -> u64 {
         debug_assert!((shard as u64) < self.shards && local < self.lines_per_shard);
-        match self.mode {
-            StripeMode::Interleave => local * self.shards + shard as u64,
-            StripeMode::Region => shard as u64 * self.lines_per_shard + local,
-        }
+        local * self.shards + shard as u64
     }
 
     /// Routes a global byte address: `(shard, local byte address)`.
@@ -117,49 +87,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_both_modes() {
-        for mode in [StripeMode::Interleave, StripeMode::Region] {
-            let m = ShardMap::new(mode, 4, 64);
-            for line in 0..m.total_lines() {
-                let (s, l) = (m.shard_of(line), m.local_line(line));
-                assert!(s < 4);
-                assert!(l < m.lines_per_shard());
-                assert_eq!(m.global_line(s, l), line, "{mode:?} line {line}");
-            }
+    fn roundtrip() {
+        let m = ShardMap::new(4, 64);
+        for line in 0..m.total_lines() {
+            let (s, l) = (m.shard_of(line), m.local_line(line));
+            assert!(s < 4);
+            assert!(l < m.lines_per_shard());
+            assert_eq!(m.global_line(s, l), line, "line {line}");
         }
     }
 
     #[test]
     fn stripes_are_balanced_partitions() {
-        for mode in [StripeMode::Interleave, StripeMode::Region] {
-            let m = ShardMap::new(mode, 4, 64);
-            let mut per_shard = [0u64; 4];
-            for line in 0..m.total_lines() {
-                per_shard[m.shard_of(line)] += 1;
-            }
-            assert_eq!(per_shard, [16; 4], "{mode:?}");
+        let m = ShardMap::new(4, 64);
+        let mut per_shard = [0u64; 4];
+        for line in 0..m.total_lines() {
+            per_shard[m.shard_of(line)] += 1;
         }
+        assert_eq!(per_shard, [16; 4]);
     }
 
     #[test]
     fn interleave_round_robins_sequential_lines() {
-        let m = ShardMap::new(StripeMode::Interleave, 4, 64);
+        let m = ShardMap::new(4, 64);
         let shards: Vec<usize> = (0..8).map(|l| m.shard_of(l)).collect();
         assert_eq!(shards, [0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
-    fn region_keeps_locality() {
-        let m = ShardMap::new(StripeMode::Region, 4, 64);
-        assert_eq!(m.shard_of(0), 0);
-        assert_eq!(m.shard_of(15), 0);
-        assert_eq!(m.shard_of(16), 1);
-        assert_eq!(m.shard_of(63), 3);
-    }
-
-    #[test]
     fn route_preserves_intra_line_offset() {
-        let m = ShardMap::new(StripeMode::Interleave, 2, 8);
+        let m = ShardMap::new(2, 8);
         let (s, local) = m.route(5 * 64 + 17);
         assert_eq!(s, m.shard_of(5));
         assert_eq!(local % 64, 17);
@@ -169,12 +126,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of shards")]
     fn uneven_split_rejected() {
-        ShardMap::new(StripeMode::Interleave, 3, 64);
+        ShardMap::new(3, 64);
     }
 
     #[test]
     fn single_shard_is_identity() {
-        let m = ShardMap::new(StripeMode::Interleave, 1, 16);
+        let m = ShardMap::new(1, 16);
         for line in 0..16 {
             assert_eq!(m.shard_of(line), 0);
             assert_eq!(m.local_line(line), line);

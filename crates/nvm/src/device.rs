@@ -648,16 +648,6 @@ impl NvmDevice {
         self.exhausted_dropped = 0;
     }
 
-    /// Service-cycle distribution of reads (arrival → data ready).
-    pub fn read_service_hist(&self) -> &Histogram {
-        &self.read_hist
-    }
-
-    /// Service-cycle distribution of writes (arrival → persisted).
-    pub fn write_service_hist(&self) -> &Histogram {
-        &self.write_hist
-    }
-
     /// Exports device metrics under the `nvm.` prefix: event counters,
     /// ADR persist counts, global and per-bank service-latency histograms
     /// (idle banks are omitted).
@@ -683,11 +673,6 @@ impl NvmDevice {
                 reg.insert_hist(&format!("nvm.bank.{i:02}.service_cycles"), h);
             }
         }
-    }
-
-    /// Earliest cycle at which every bank is idle (drain horizon).
-    pub fn all_banks_free(&self) -> Cycle {
-        self.banks.iter().map(|b| b.next_free).max().unwrap_or(0)
     }
 }
 

@@ -133,11 +133,6 @@ impl WriteQueue {
         self.capacity
     }
 
-    /// Post-push occupancy distribution.
-    pub fn occupancy_hist(&self) -> &Histogram {
-        &self.occ_hist
-    }
-
     /// Exports queue metrics under the `nvm.write_queue.` prefix.
     pub fn export_metrics(&self, reg: &mut MetricRegistry) {
         reg.gauge_set("nvm.write_queue.capacity", self.capacity as f64);

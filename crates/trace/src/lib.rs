@@ -15,16 +15,13 @@
 //!   stencil, uniform-random, pointer-chase, Zipfian).
 //! * [`workload::Workload`] — the ten named workloads with calibrated
 //!   parameters, plus custom constructors.
-//! * [`mod@file`] — compact binary trace record/replay (13 B/op, streaming).
 
-pub mod file;
 pub mod pattern;
 pub mod record;
 pub mod rng;
 pub mod workload;
 pub mod zipf;
 
-pub use file::{load_trace, save_trace, TraceFileReader};
 pub use pattern::Pattern;
 pub use record::{OpKind, TraceOp};
 pub use workload::{TraceGen, Workload, WorkloadKind};

@@ -10,8 +10,7 @@
 //!
 //! * `ShardedEngine::new(cfg, n)` splits `cfg.data_lines` across `n`
 //!   shards, interleave-striped: global line `l` belongs to shard `l % n`,
-//!   at local line `l / n`. `with_mode(…, StripeMode::Region)` gives each
-//!   shard one contiguous region instead.
+//!   at local line `l / n`.
 //! * `engine.write(addr, &line)` / `engine.read(addr)` take **global**
 //!   byte addresses and route internally — callers never see shard-local
 //!   coordinates. Both take `&self`: threads drive disjoint shards

@@ -55,6 +55,6 @@ pub mod prelude {
     pub use steins_core::report::RunReport;
     pub use steins_core::shard::ShardedEngine;
     pub use steins_crypto::CryptoKind;
-    pub use steins_metadata::{ShardMap, StripeMode};
+    pub use steins_metadata::ShardMap;
     pub use steins_trace::workload::{Workload, WorkloadKind};
 }
