@@ -67,7 +67,8 @@ pub enum NvState {
     },
 }
 
-/// A machine that lost power: only non-volatile state remains.
+/// A machine that lost power: only non-volatile state remains, beside the
+/// empty machine that recovery revives it into.
 pub struct CrashedSystem {
     pub(crate) cfg: SystemConfig,
     pub(crate) layout: MemoryLayout,
@@ -80,11 +81,24 @@ pub struct CrashedSystem {
     pub(crate) truth: FxHashMap<u64, [u8; 64]>,
     /// Lines whose latest stores were lost in the CPU caches.
     pub(crate) lost_lines: Vec<u64>,
+    /// A fresh machine of the same configuration: empty caches, write
+    /// queue and CPU, fresh scheme registers. [`Self::revive`] moves the
+    /// image into it, so recovery never builds a machine of its own.
+    pub(crate) machine: SecureNvmSystem,
 }
 
 impl SecureNvmSystem {
     /// Pulls the power plug. Consumes the system; only non-volatile state
-    /// crosses into the [`CrashedSystem`].
+    /// crosses into the [`CrashedSystem`], with the empty machine its
+    /// recovery will fill.
+    ///
+    /// The old volatile state is freed before that machine is built, so a
+    /// crash never holds two machines. Building it here, not in recovery,
+    /// keeps it off the recovery workers: a worker thread allocates from
+    /// its own glibc arena, which cannot reuse what the crash freed in the
+    /// crashing thread's, so a machine built there costs a second
+    /// machine's worth of resident memory (DESIGN.md §5b, "Recovery
+    /// memory").
     pub fn crash(mut self) -> CrashedSystem {
         // CPU-cache-resident dirty lines are lost: their last-stored values
         // never reached the controller.
@@ -123,6 +137,9 @@ impl SecureNvmSystem {
             }
         };
 
+        // The bulk of the volatile state goes before its replacement comes.
+        drop((self.hier, self.ctrl.meta, self.ctrl.wq));
+        let machine = SecureNvmSystem::new(self.cfg.clone());
         CrashedSystem {
             cfg: self.cfg,
             layout: self.ctrl.layout,
@@ -132,6 +149,7 @@ impl SecureNvmSystem {
             nv,
             truth,
             lost_lines,
+            machine,
         }
     }
 }
@@ -169,6 +187,19 @@ impl CrashedSystem {
     /// stuck-at lines, unreadable lines land on the crashed image here).
     pub fn nvm_mut(&mut self) -> &mut NvmDevice {
         &mut self.nvm
+    }
+
+    /// The revived machine: the image's NVM, SIT root and ground truth in
+    /// the empty machine the crash built, whose scheme registers start
+    /// fresh (zero LIncs, empty shadow tags, empty cache trees). Every
+    /// recovery and the lenient scrub revive through here, after their
+    /// verification and before their first durable write.
+    pub(crate) fn revive(self) -> SecureNvmSystem {
+        let mut sys = self.machine;
+        sys.ctrl.nvm = self.nvm;
+        sys.ctrl.root = self.root;
+        sys.truth = self.truth;
+        sys
     }
 }
 
@@ -891,11 +922,11 @@ impl CrashSweep {
     /// Rebuilds the target's crashed image for `p` and probes which counter
     /// the failing MAC actually corresponds to ([`crate::diagnose`]).
     fn diagnose_error(&self, p: CrashPoint, e: &IntegrityError) -> String {
-        let Ok(Some((crashed, out))) = self.crash_torn(p, 0xFF) else {
+        let Ok(Some((crashed, _))) = self.crash_torn(p, 0xFF) else {
             return "state not reproducible".into();
         };
-        // Same key and layout as the target shard.
-        let probe = SecureNvmSystem::new(out.engine.shard_config().clone());
+        // The image's empty machine: same key and layout as the target.
+        let probe = &crashed.machine;
         match *e {
             IntegrityError::NodeMac { node } => {
                 let geo = &crashed.layout.geometry;

@@ -441,17 +441,19 @@ impl CrashedSystem {
 
         let reads_buffer_replay = reads - reads_record_scan;
 
-        // 3. Group by level.
-        let mut by_level: Vec<Vec<u64>> = vec![Vec::new(); geo.levels()];
-        for off in dirty {
-            by_level[geo.node_at_offset(off).level].push(off);
-        }
-
-        // 4. Top-down recovery with per-level LInc verification.
-        let mut recovered: HashMap<u64, SitNode> = HashMap::new();
+        // 3. Top-down recovery with per-level LInc verification. Offsets
+        //    run level by level, so a level's dirty nodes are one range of
+        //    `dirty`. The recovered nodes go into one Vec in install order
+        //    (level descending, offset ascending), where a node's parent
+        //    sits in the previous level's run.
+        let mut recovered: Vec<(u64, SitNode)> = Vec::with_capacity(dirty.len());
+        let mut per_level = vec![0usize; geo.levels()];
+        let mut parents = 0..0;
         for k in (0..geo.levels()).rev() {
             let mut delta_sum: i128 = 0;
-            for &off in &by_level[k] {
+            let run = recovered.len();
+            let base = geo.offset_of(NodeId { level: k, index: 0 });
+            for &off in dirty.range(base..base + geo.nodes_at(k)) {
                 let id = geo.node_at_offset(off);
                 reads += 1;
                 let stale = parse_node(
@@ -466,9 +468,10 @@ impl CrashedSystem {
                 } else {
                     let (pid, slot) = geo.parent_of(id).expect("non-top");
                     let poff = geo.offset_of(pid);
-                    let parent = match recovered.get(&poff) {
-                        Some(p) => *p,
-                        None => {
+                    let level_above = &recovered[parents.clone()];
+                    let parent = match level_above.binary_search_by_key(&poff, |&(o, _)| o) {
+                        Ok(i) => level_above[i].1,
+                        Err(_) => {
                             reads += 1;
                             parse_node(
                                 self.cfg.mode,
@@ -506,8 +509,10 @@ impl CrashedSystem {
                 };
                 delta_sum +=
                     rec.counters.parent_value() as i128 - stale.counters.parent_value() as i128;
-                recovered.insert(off, rec);
+                recovered.push((off, rec));
             }
+            per_level[k] = recovered.len() - run;
+            parents = run..recovered.len();
             if delta_sum != lincs.get(k) as i128 {
                 return Err(IntegrityError::LIncMismatch {
                     level: k,
@@ -517,7 +522,6 @@ impl CrashedSystem {
             }
         }
 
-        let per_level: Vec<usize> = by_level.iter().map(|v| v.len()).collect();
         let nodes = recovered.len();
         let metrics = recovery_metrics(
             &[
@@ -544,7 +548,9 @@ impl CrashedSystem {
         })
     }
 
-    /// Rebuilds the live Steins system, restartably. The phase structure:
+    /// Rebuilds the live Steins system, restartably, from the recovered
+    /// nodes in install order (level descending, offset ascending). The
+    /// phase structure:
     ///
     /// 1. `STEINS_REBUILD` — reinstall recovered nodes into the metadata
     ///    cache (volatile). The scheme registers keep their *crash-time*
@@ -567,7 +573,7 @@ impl CrashedSystem {
     fn rebuild_steins(
         self,
         out: &mut Option<SecureNvmSystem>,
-        recovered: HashMap<u64, SitNode>,
+        recovered: Vec<(u64, SitNode)>,
         lincs: LincBank,
         pinned: HashMap<u64, u64>,
         restarts: u32,
@@ -579,87 +585,74 @@ impl CrashedSystem {
             _ => unreachable!("steins rebuild under steins scheme"),
         };
         let (crash_queued, crash_retired) = (old_buffer.entries().len(), old_buffer.retired());
-        let mut sys = SecureNvmSystem::new(cfg.clone());
-        sys.ctrl.nvm = self.nvm;
-        sys.ctrl.root = self.root;
-        sys.truth = self.truth;
+        let sys = out.insert(self.revive());
         sys.ctrl.scheme = SchemeState::Steins(SteinsState {
             lincs: old_lincs.clone(),
             nv_buffer: old_buffer,
             record_cache: AdrRegion::new(cfg.record_cache_lines),
             draining: false,
         });
-        // Reinstall recovered nodes dirty, top level first (§III-G: "all
-        // the retrieved nodes will be marked as dirty"). Nodes with a
-        // record entry go back into their recorded slot; buffer-replay
-        // parents (never recorded) take a free way in their set.
-        let mut items: Vec<(u64, SitNode)> = recovered.into_iter().collect();
-        items.sort_by_key(|(off, _)| {
-            let id = geo.node_at_offset(*off);
-            (std::cmp::Reverse(id.level), id.index)
-        });
+        // Reinstall recovered nodes dirty (§III-G: "all the retrieved nodes
+        // will be marked as dirty"). Nodes with a record entry go back into
+        // their recorded slot; buffer-replay parents (never recorded) take
+        // a free way in their set. Slot-assigned installs must all land
+        // before any over-full fallback runs: the evicting install picks
+        // its own victim way and would otherwise fill a way that `occupied`
+        // reserved for a later pinned install (tripping install_at's
+        // occupied-slot assert at small cache sizes). So a node with no
+        // way left waits in `deferred`, in install order, for a second
+        // pass. Both passes journal `hwm` = items installed. Installs are
+        // volatile in this phase (a re-run repeats the whole recovery), so
+        // the mark is a progress record, not a resume point.
         let sets = cfg.meta_cache.sets();
         let ways = cfg.meta_cache.ways as u64;
         let mut occupied: HashSet<u64> = pinned.values().copied().collect();
-        let assigned: Vec<Option<u64>> = items
-            .iter()
-            .map(|(off, _)| match pinned.get(off) {
-                Some(&slot) => Some(slot),
-                None => {
-                    let set = off % sets;
-                    let free = (0..ways)
-                        .map(|w| set * ways + w)
-                        .find(|f| !occupied.contains(f));
-                    if let Some(f) = free {
-                        occupied.insert(f);
-                    }
-                    free
-                }
-            })
-            .collect();
-        // Slot-assigned installs must all land before any over-full
-        // fallback runs: the evicting install picks its own victim way and
-        // would otherwise fill a way that `occupied` reserved for a later
-        // pinned install (tripping install_at's occupied-slot assert at
-        // small cache sizes). The sort is stable, so top-level-first order
-        // is preserved within each class.
-        let mut ordered: Vec<((u64, SitNode), Option<u64>)> =
-            items.into_iter().zip(assigned).collect();
-        ordered.sort_by_key(|(_, slot)| slot.is_none());
-        // A fallback flush can drain the NV buffer, which fetches parents;
-        // a parent still waiting below must come back as its recovered
-        // value, not its stale NVM copy.
-        sys.ctrl.rebuild_pending = ordered
-            .iter()
-            .filter(|(_, slot)| slot.is_none())
-            .map(|&(item, _)| item)
-            .collect();
-        *out = Some(sys);
-        let sys = out.as_mut().expect("just parked");
-        // The install loop below journals `hwm` = items installed. Installs
-        // are volatile in this phase (a re-run repeats the whole recovery),
-        // so the mark is a progress record, not a resume point.
-        let total = ordered.len() as u64;
+        let total = recovered.len() as u64;
+        let mut installed = 0u64;
+        let mut deferred = Vec::new();
         sys.ctrl
             .journal_write(RecoveryJournal::new(journal::STEINS_REBUILD, 0, restarts))?;
-        for (i, ((off, node), slot)) in ordered.into_iter().enumerate() {
-            let id = geo.node_at_offset(off);
-            match slot {
-                Some(s) => sys.ctrl.meta.install_at(s, off, node, true),
-                // Set over-full (a parent landed in a set whose ways were
-                // all recorded dirty): fall back to the evicting install.
-                // The node stays pending until it is in, so a drain inside
-                // its own eviction installs it from the recovered value.
-                None => {
-                    if sys.ctrl.rebuild_pending.contains_key(&off) {
-                        sys.ctrl.install_node(0, id, node, true)?;
-                        sys.ctrl.rebuild_pending.remove(&off);
-                    }
+        for (off, node) in recovered {
+            let slot = pinned.get(&off).copied().or_else(|| {
+                let set = off % sets;
+                let free = (0..ways)
+                    .map(|w| set * ways + w)
+                    .find(|f| !occupied.contains(f));
+                if let Some(f) = free {
+                    occupied.insert(f);
                 }
-            }
+                free
+            });
+            let Some(s) = slot else {
+                deferred.push((off, node));
+                continue;
+            };
+            sys.ctrl.meta.install_at(s, off, node, true);
+            installed += 1;
             sys.ctrl.journal_write(RecoveryJournal::new(
                 journal::STEINS_REBUILD,
-                i as u64 + 1,
+                installed,
+                restarts,
+            ))?;
+        }
+        // Set over-full (a parent landed in a set whose ways were all
+        // recorded dirty): fall back to the evicting install. A fallback
+        // flush can drain the NV buffer, which fetches parents; a parent
+        // still waiting here must come back as its recovered value, not its
+        // stale NVM copy. So every deferred node stays pending until it is
+        // in, and a drain inside an earlier one's eviction installs it from
+        // the recovered value.
+        sys.ctrl.rebuild_pending = deferred.iter().copied().collect();
+        for (off, node) in deferred {
+            if sys.ctrl.rebuild_pending.contains_key(&off) {
+                sys.ctrl
+                    .install_node(0, geo.node_at_offset(off), node, true)?;
+                sys.ctrl.rebuild_pending.remove(&off);
+            }
+            installed += 1;
+            sys.ctrl.journal_write(RecoveryJournal::new(
+                journal::STEINS_REBUILD,
+                installed,
                 restarts,
             ))?;
         }
@@ -844,9 +837,7 @@ impl CrashedSystem {
             restarts,
         );
 
-        let cfg = self.cfg.clone();
-        let read_ns = cfg.recovery_read_ns;
-        let mut sys = SecureNvmSystem::new(cfg);
+        let read_ns = self.cfg.recovery_read_ns;
         // Seed the scheme state from the verified durable image instead of
         // starting empty: the tags, tree and root already describe what is
         // in NVM, so every boundary inside the replay below is a state this
@@ -854,17 +845,13 @@ impl CrashedSystem {
         let seeded = CacheTree::from_leaves(self.crypto.as_ref(), &leaf_macs);
         debug_assert_eq!(seeded.root(), seed_root, "seed tree must match root");
         let tags: HashMap<u64, u64> = entries.iter().map(|(s, off, _)| (*s, *off)).collect();
+        let sys = out.insert(self.revive());
         sys.ctrl.scheme = SchemeState::Asit(AsitState {
             cache_tree: seeded,
             nv_root: seed_root,
             shadow_tags: tags,
             inflight: seed_inflight,
         });
-        sys.ctrl.nvm = self.nvm;
-        sys.ctrl.root = self.root;
-        sys.truth = self.truth;
-        *out = Some(sys);
-        let sys = out.as_mut().expect("just parked");
         // Install every shadow copy as dirty (home copies may be stale) in
         // its *original* slot, and replay the slot updates so the shadow
         // table and cache-tree converge on the reconciled content. Each
@@ -1064,14 +1051,8 @@ impl CrashedSystem {
             prior,
             restarts,
         );
-        let cfg = self.cfg.clone();
-        let read_ns = cfg.recovery_read_ns;
-        let mut sys = SecureNvmSystem::new(cfg);
-        sys.ctrl.nvm = self.nvm;
-        sys.ctrl.root = self.root;
-        sys.truth = self.truth;
-        *out = Some(sys);
-        let sys = out.as_mut().expect("just parked");
+        let read_ns = self.cfg.recovery_read_ns;
+        let sys = out.insert(self.revive());
         sys.ctrl
             .journal_write(RecoveryJournal::new(journal::STAR_REBUILD, 0, restarts))?;
         // Reinstall in canonical order, refreshing the register after every

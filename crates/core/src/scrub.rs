@@ -339,18 +339,12 @@ impl CrashedSystem {
             }
         }
 
-        // —— 5. Fresh machine around the image, parked *before* the first
-        //       durable write. `new` builds the per-scheme NV state from
-        //       scratch (zero LIncs, empty shadow tags, fresh cache-tree
-        //       roots) — exactly the state a clean, all-nodes-clean machine
-        //       holds.
+        // —— 5. The image revived, parked *before* the first durable
+        //       write. Its scheme registers start fresh (zero LIncs, empty
+        //       shadow tags, fresh cache-tree roots) — exactly the state a
+        //       clean, all-nodes-clean machine holds.
         report.nvm_reads = reads;
-        let mut sys = SecureNvmSystem::new(self.cfg.clone());
-        sys.ctrl.nvm = self.nvm;
-        sys.ctrl.root = self.root;
-        sys.truth = self.truth;
-        *out = Some(sys);
-        let sys = out.as_mut().expect("just parked");
+        let sys = out.insert(self.revive());
         let restarts32 = restarts.min(u64::from(u32::MAX)) as u32;
         sys.ctrl.journal_write(steins_nvm::RecoveryJournal::new(
             crate::recovery::journal::SCRUB,
@@ -369,7 +363,7 @@ impl CrashedSystem {
         for (addr, line) in rewrites {
             sys.ctrl.nvm.poke(addr, &line)?;
         }
-        let slots = self.cfg.meta_cache.slots();
+        let slots = sys.config().meta_cache.slots();
         let empty_record = RecordLine::default().to_line();
         for r in 0..slots.div_ceil(steins_metadata::records::RECORDS_PER_LINE) {
             sys.ctrl

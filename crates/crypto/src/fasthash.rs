@@ -85,8 +85,9 @@ impl SipHash24 {
 /// FxHash-style 64-bit hasher (rustc's `FxHasher`, re-derived from its
 /// public description: `hash = (hash rol 5 ^ word) * K` per word, with a
 /// fixed odd multiplier). Deterministic and unkeyed — only for internal,
-/// non-adversarial maps such as the oracle `truth` map and the device's
-/// wear counts.
+/// non-adversarial maps such as the oracle `truth` map. The NVM device's
+/// line store and wear counts use no hash at all: a page index and one
+/// count per store slot (`steins_nvm::SparseStore`, `WearTracker`).
 #[derive(Default, Clone, Copy)]
 pub struct FxHasher64 {
     hash: u64,

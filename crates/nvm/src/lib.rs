@@ -41,7 +41,7 @@ pub use fault::{FaultPlane, POISON_BYTE};
 pub use stats::NvmStats;
 pub use storage::{Line, SparseStore, LINE_BYTES};
 pub use timing::NvmTimings;
-pub use wear::{WearSummary, WearTracker};
+pub use wear::{WearProfile, WearSummary, WearTracker};
 pub use write_queue::WriteQueue;
 
 /// Simulation time unit: memory-controller clock cycles.

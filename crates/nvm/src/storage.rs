@@ -20,6 +20,12 @@
 //! to 4 KB for a page holding a single line. The directory adds 8 B per
 //! page up to the highest one written. [`SparseStore::iter`] yields lines
 //! in ascending address order.
+//!
+//! A line keeps its slot for the life of the store, and
+//! [`SparseStore::write`] returns it, so a per-line side table can be a
+//! plain array indexed by slot: the device's wear counts
+//! ([`crate::WearTracker`]) add 4 B per line that way, with no second
+//! lookup. [`SparseStore::slots`] walks the slots in address order.
 
 /// Cache-line granularity of the whole system (Table I: 64 B everywhere).
 pub const LINE_BYTES: usize = 64;
@@ -103,8 +109,10 @@ impl SparseStore {
         }
     }
 
-    /// Writes a full line at byte address `addr`.
-    pub fn write(&mut self, addr: u64, line: &Line) {
+    /// Writes a full line at byte address `addr` and returns its slot: the
+    /// same number for every write to one line, from 1 up, in first-write
+    /// order.
+    pub fn write(&mut self, addr: u64, line: &Line) -> u32 {
         let (page, off) = locate(addr);
         if page >= self.pages.len() {
             self.pages.resize_with(page + 1, || None);
@@ -122,8 +130,10 @@ impl SparseStore {
             }
             self.len = next;
         }
-        let (chunk, i) = position(*slot);
+        let slot = *slot;
+        let (chunk, i) = position(slot);
         self.chunks[chunk][i] = *line;
+        slot
     }
 
     /// Whether the line was ever written (used by attack injection to pick
@@ -140,13 +150,19 @@ impl SparseStore {
     /// Iterates over `(byte_addr, line)` pairs of populated lines, in
     /// ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Line)> {
+        self.slots().map(|(addr, slot)| (addr, self.line(slot)))
+    }
+
+    /// Iterates over `(byte_addr, slot)` pairs of populated lines, in
+    /// ascending address order.
+    pub fn slots(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         let pages = self.pages.iter().enumerate();
         let pages = pages.filter_map(|(p, page)| Some((p, page.as_deref()?)));
-        pages.flat_map(move |(p, page)| {
+        pages.flat_map(|(p, page)| {
             let slots = page.iter().enumerate().filter(|&(_, &slot)| slot != 0);
             slots.map(move |(off, &slot)| {
                 let line = (p * PAGE_LINES + off) as u64;
-                (line * LINE_BYTES as u64, self.line(slot))
+                (line * LINE_BYTES as u64, slot)
             })
         })
     }
@@ -194,6 +210,15 @@ mod tests {
         s.write(0, &[2; 64]);
         assert_eq!(s.read(0), [2; 64]);
         assert_eq!(s.population(), 1);
+    }
+
+    #[test]
+    fn a_line_keeps_the_slot_its_first_write_got() {
+        let mut s = SparseStore::new();
+        assert_eq!(s.write(4096, &[1; 64]), 1);
+        assert_eq!(s.write(0, &[2; 64]), 2);
+        assert_eq!(s.write(4096, &[3; 64]), 1);
+        assert_eq!(s.slots().collect::<Vec<_>>(), [(0, 2), (4096, 1)]);
     }
 
     #[test]

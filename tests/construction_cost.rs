@@ -1,8 +1,9 @@
-//! Pins what it costs to build a machine. Every benchmark session, shard,
-//! crash point and recovery builds a fresh `SecureNvmSystem`, so its set-up
-//! allocations bound how large a sweep or test we can afford. It also pins
-//! the bytes the NVM line store holds per line, the largest item in a
-//! large run's peak memory.
+//! Pins what it costs to build a machine. Every benchmark session, shard
+//! and crash builds a fresh `SecureNvmSystem`, so its set-up allocations
+//! bound how large a sweep or test we can afford. A recovery builds none:
+//! the crash built the machine it revives into, after freeing the old
+//! volatile state. It also pins the bytes the NVM device holds per line,
+//! the largest item in a large run's peak memory.
 //!
 //! A counting global allocator tallies allocation calls and live bytes per
 //! thread, so the test harness's other threads never leak into a
@@ -133,6 +134,77 @@ fn an_empty_line_store_allocates_nothing() {
     assert_eq!(n, 0, "SparseStore::new");
 }
 
+/// The most bytes live at once while a machine of `cfg` is built.
+fn machine_bytes(cfg: &SystemConfig) -> i64 {
+    let (bytes, sys) = peak_bytes(|| SecureNvmSystem::new(cfg.clone()));
+    drop(sys);
+    bytes
+}
+
+/// A sweep machine after `ops` operations of the persistent B-tree trace.
+fn served(scheme: SchemeKind, mode: CounterMode, ops: u64) -> SecureNvmSystem {
+    let mut sys = SecureNvmSystem::new(SystemConfig::sweep(scheme, mode));
+    sys.run_trace(Workload::new(WorkloadKind::PTree, ops, 42).generate())
+        .expect("clean run");
+    sys
+}
+
+/// Recovery revives the image into the machine the crash built: its peak
+/// is its own working set, below what building a machine costs.
+#[test]
+fn recovery_builds_no_machine() {
+    for mode in [CounterMode::General, CounterMode::Split] {
+        let bound = machine_bytes(&SystemConfig::sweep(SchemeKind::Steins, mode));
+        let crashed = served(SchemeKind::Steins, mode, 20_000).crash();
+        let (peak, recovered) = peak_bytes(|| crashed.recover());
+        let (_, report) = recovered.expect("recovery verifies");
+        assert!(report.nodes_recovered > 0, "{mode:?}: nothing to recover");
+        assert!(
+            peak < bound,
+            "{mode:?}: recovery peaked at {peak} B, a machine costs {bound} B"
+        );
+    }
+}
+
+/// The crash frees the old volatile state before it builds the machine
+/// the image revives into, so the two never coexist.
+#[test]
+fn a_crash_holds_one_machine_at_a_time() {
+    let (scheme, mode) = (SchemeKind::Steins, CounterMode::General);
+    let bound = machine_bytes(&SystemConfig::sweep(scheme, mode));
+    let sys = served(scheme, mode, 2_000);
+    let (peak, crashed) = peak_bytes(|| sys.crash());
+    assert!(
+        peak < bound / 2,
+        "the crash peaked {peak} B above its start; a machine costs {bound} B"
+    );
+    drop(crashed);
+}
+
+/// A whole-engine recovery on one worker runs on this thread and builds
+/// no shard machine.
+#[test]
+fn engine_recovery_builds_no_shard_machine() {
+    let cfg = SystemConfig::sweep(SchemeKind::Steins, CounterMode::General);
+    let engine = ShardedEngine::new(cfg, 4);
+    let bound = machine_bytes(engine.shard_config());
+    let lines = engine.map().total_lines();
+    for i in 0..4_000u64 {
+        let line = i * 97 % lines;
+        engine
+            .write(line * 64, &SweepOp::payload(line, i as u8))
+            .expect("clean write");
+    }
+    let images = engine.crash_all();
+    let (peak, recovered) = peak_bytes(|| engine.recover_all(images, 1));
+    let pr = recovered.expect("every shard recovers");
+    assert_eq!(pr.reports.len(), 4);
+    assert!(
+        peak < bound,
+        "recover_all peaked at {peak} B, one shard machine costs {bound} B"
+    );
+}
+
 /// Peak bytes per line while a fresh store takes `lines` writes, `stride`
 /// lines apart.
 fn store_bytes_per_line(lines: u64, stride: u64) -> f64 {
@@ -160,4 +232,35 @@ fn a_dense_line_costs_at_most_80_bytes() {
 fn a_line_written_at_stride_8_costs_at_most_112_bytes() {
     let b = store_bytes_per_line(100_000, 8);
     assert!(b <= 112.0, "{b:.1} B per line written at stride 8");
+}
+
+/// Peak bytes per line while a fresh device takes `lines` timed writes,
+/// `stride` lines apart: the line store plus the wear counts.
+fn device_bytes_per_line(lines: u64, stride: u64) -> f64 {
+    let cfg = steins::nvm::NvmConfig::default();
+    let (peak, dev) = peak_bytes(|| {
+        let mut dev = steins::nvm::NvmDevice::new(cfg);
+        for i in 0..lines {
+            dev.write(0, i * stride * 64, &[i as u8; 64])
+                .expect("no crash armed");
+        }
+        dev
+    });
+    let wear = dev.wear().summary().expect("writes happened");
+    assert_eq!((wear.lines_touched, wear.total_writes), (lines, lines));
+    peak as f64 / lines as f64
+}
+
+/// Dense timed writes pay the store's 68 B and 4 B of wear count.
+#[test]
+fn a_dense_device_line_costs_at_most_80_bytes() {
+    let b = device_bytes_per_line(100_000, 1);
+    assert!(b <= 80.0, "{b:.1} B per line written densely");
+}
+
+/// At stride 8 the store holds 96 B per line, and wear adds 4 B.
+#[test]
+fn a_device_line_written_at_stride_8_costs_at_most_108_bytes() {
+    let b = device_bytes_per_line(100_000, 8);
+    assert!(b <= 108.0, "{b:.1} B per line written at stride 8");
 }
