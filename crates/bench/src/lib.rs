@@ -173,46 +173,6 @@ pub fn print_normalized(
     rows
 }
 
-/// Convenience: run + print a GC-normalized figure in one call, exporting
-/// the sweep's registry as `results/METRICS_<run>.json`.
-pub fn figure_gc(
-    run: &str,
-    title: &str,
-    metric: impl Fn(&RunReport) -> f64,
-) -> Vec<(String, Vec<f64>, f64)> {
-    let matrix = run_matrix(&GC_MATRIX, &WorkloadKind::ALL);
-    let rows = print_normalized(
-        title,
-        &matrix,
-        &GC_MATRIX,
-        &WorkloadKind::ALL,
-        GC_MATRIX[0],
-        metric,
-    );
-    metrics::write_metrics(run, &metrics::matrix_metrics(&matrix));
-    rows
-}
-
-/// Convenience: run + print an SC-normalized figure in one call, exporting
-/// the sweep's registry as `results/METRICS_<run>.json`.
-pub fn figure_sc(
-    run: &str,
-    title: &str,
-    metric: impl Fn(&RunReport) -> f64,
-) -> Vec<(String, Vec<f64>, f64)> {
-    let matrix = run_matrix(&SC_MATRIX, &WorkloadKind::ALL);
-    let rows = print_normalized(
-        title,
-        &matrix,
-        &SC_MATRIX,
-        &WorkloadKind::ALL,
-        SC_MATRIX[0],
-        metric,
-    );
-    metrics::write_metrics(run, &metrics::matrix_metrics(&matrix));
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

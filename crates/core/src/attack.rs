@@ -101,10 +101,8 @@ impl CrashedSystem {
     /// Every node offset currently marked dirty by the persisted records
     /// (attack reconnaissance / test assertions).
     pub fn recorded_dirty_offsets(&self) -> Vec<u64> {
-        let slots = self.cfg.meta_cache.slots();
-        let lines = slots.div_ceil(steins_metadata::records::RECORDS_PER_LINE);
         let mut out = Vec::new();
-        for r in 0..lines {
+        for r in 0..self.layout.record_lines() {
             let line = self.nvm.peek(self.layout.record_addr(r));
             let rl = RecordLine::from_line(&line);
             for (_, off) in rl.entries() {

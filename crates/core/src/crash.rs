@@ -22,11 +22,9 @@ use crate::config::{SchemeKind, SystemConfig};
 use crate::diagnose;
 use crate::engine::SecureNvmSystem;
 use crate::error::IntegrityError;
-use crate::linc::LincBank;
-use crate::nvbuffer::NvBuffer;
 use crate::par;
 use crate::recovery::{journal, RecoveryReport};
-use crate::scheme::SchemeState;
+use crate::scheme::NvState;
 use crate::scrub::ScrubReport;
 use crate::shard::ShardedEngine;
 use std::collections::HashMap;
@@ -36,36 +34,6 @@ use steins_crypto::{CryptoEngine, FxHashMap};
 use steins_metadata::{CounterMode, MemoryLayout, RootNode};
 use steins_nvm::{NvmDevice, PersistKind, PersistPoint};
 use steins_trace::rng::SmallRng;
-
-/// Per-scheme non-volatile remnants.
-pub enum NvState {
-    /// WB keeps nothing (and can recover nothing).
-    WriteBack,
-    /// ASIT: cache-tree root register + shadow-table tags (non-volatile
-    /// alongside the table; see `scheme::asit`).
-    Asit {
-        /// NV cache-tree root.
-        nv_root: u64,
-        /// slot → node offset for occupied shadow entries.
-        shadow_tags: HashMap<u64, u64>,
-        /// ADR-domain pre-image of an in-flight shadow update (None after a
-        /// clean boundary; Some exactly when the crash landed inside the
-        /// shadow write, where the line may have torn).
-        inflight: Option<crate::scheme::asit::AsitInflight>,
-    },
-    /// STAR: cache-tree root register.
-    Star {
-        /// NV cache-tree root.
-        nv_root: u64,
-    },
-    /// Steins: LInc register + NV parent-counter buffer.
-    Steins {
-        /// The per-level trust bases.
-        lincs: LincBank,
-        /// Parked parent updates.
-        nv_buffer: NvBuffer,
-    },
-}
 
 /// A machine that lost power: only non-volatile state remains, beside the
 /// empty machine that recovery revives it into.
@@ -111,31 +79,7 @@ impl SecureNvmSystem {
         // ADR flush: residual power pushes the controller's ADR-domain lines
         // into NVM. (Write-queue entries were applied to the device at
         // acceptance, so they are already durable.)
-        let nv = match self.ctrl.scheme {
-            SchemeState::WriteBack => NvState::WriteBack,
-            SchemeState::Asit(st) => NvState::Asit {
-                nv_root: st.nv_root,
-                shadow_tags: st.shadow_tags,
-                inflight: st.inflight,
-            },
-            SchemeState::Star(mut st) => {
-                for (addr, line) in st.bitmap_cache.crash_flush() {
-                    self.ctrl.nvm.overwrite(addr, &line);
-                }
-                NvState::Star {
-                    nv_root: st.nv_root,
-                }
-            }
-            SchemeState::Steins(mut st) => {
-                for (addr, line) in st.record_cache.crash_flush() {
-                    self.ctrl.nvm.overwrite(addr, &line);
-                }
-                NvState::Steins {
-                    lincs: st.lincs,
-                    nv_buffer: st.nv_buffer,
-                }
-            }
-        };
+        let nv = self.ctrl.scheme.power_cut(&mut self.ctrl.nvm);
 
         // The bulk of the volatile state goes before its replacement comes.
         drop((self.hier, self.ctrl.meta, self.ctrl.wq));
@@ -170,7 +114,7 @@ impl CrashedSystem {
 
     /// Whether the scheme can recover at all.
     pub fn recoverable(&self) -> bool {
-        !matches!(self.cfg.scheme, SchemeKind::WriteBack)
+        self.cfg.scheme.supports_recovery()
     }
 
     /// Lines whose latest values were lost in the volatile CPU caches.
@@ -238,9 +182,11 @@ pub enum SweepOp {
 
 impl SweepOp {
     /// Deterministic mixed stream over `lines` data lines: ~2/3 writes, a
-    /// quarter of the traffic concentrated on 8 hot lines so counters
-    /// advance far enough to exercise minor-overflow re-encryption (SC) and
-    /// NV-buffer churn.
+    /// quarter of the traffic concentrated on 8 hot lines. At the sweep's
+    /// sizes (192 lines, up to 1,000 ops) no line is written the 64 times
+    /// a split-mode minor overflow needs, and a stream whose tree nodes fit
+    /// the metadata cache evicts nothing: no node flush, NV-buffer park or
+    /// drain runs.
     pub fn stream(seed: u64, lines: u64, len: usize) -> Vec<SweepOp> {
         let mut rng = SmallRng::seed_from_u64(seed);
         (0..len)
@@ -931,23 +877,10 @@ impl CrashSweep {
             IntegrityError::NodeMac { node } => {
                 let geo = &crashed.layout.geometry;
                 let off = geo.offset_of(node);
-                let line = crashed.nvm.peek(crashed.layout.node_addr(off));
-                let n = if node.level == 0 && self.cfg.mode == CounterMode::Split {
-                    steins_metadata::SitNode::split_from_line(&line)
-                } else {
-                    steins_metadata::SitNode::general_from_line(&line)
-                };
+                let n = crashed.stale_node(node);
                 let pc = match geo.parent_of(node) {
                     None => crashed.root.get(geo.root_slot(node)),
-                    Some((pid, slot)) => {
-                        let pline = crashed
-                            .nvm
-                            .peek(crashed.layout.node_addr(geo.offset_of(pid)));
-                        steins_metadata::SitNode::general_from_line(&pline)
-                            .counters
-                            .as_general()
-                            .get(slot)
-                    }
+                    Some((pid, slot)) => crashed.stale_node(pid).counters.as_general().get(slot),
                 };
                 format!(
                     "node {node:?}: {}",
@@ -1244,7 +1177,7 @@ impl CrashSweep {
         let Some((run, out)) = self.crash_nested(p, outer_mask, j, inner_mask)? else {
             return Ok(());
         };
-        if matches!(self.cfg.scheme, SchemeKind::WriteBack) {
+        if !self.cfg.scheme.supports_recovery() {
             return match run {
                 NestedRun::StrictFailed(IntegrityError::RecoveryUnsupported) => Ok(()),
                 _ => Err(out.fail("WB must refuse recovery under nested injection", "n/a")),
@@ -1704,7 +1637,7 @@ pub(crate) mod tests {
     /// and the shadow leaf legitimately runs one increment ahead of the
     /// data plane between the shadow push and the data push (reconciled
     /// against MacRecords at recovery). Both orderings live in
-    /// `asit_slot_update` / `recover_asit`.
+    /// `scheme/asit.rs` (`asit_mirror`, `recover_asit`).
     #[test]
     fn asit_gc_sampled_points_all_recover() {
         let sweep = CrashSweep::small(
@@ -1723,7 +1656,7 @@ pub(crate) mod tests {
     /// post-mutation node while recovery reconstructs the pre-mutation
     /// content, and the set-MAC included the HMAC field, which the flush
     /// path rewrites without any counter changing. Fixed by the pre-image
-    /// substitution in `star_tree_update_with` (refresh deferred to the
+    /// substitution in `star_set_mac` (refresh deferred to the
     /// mutation's own persist event) and by zeroing `hmac` in the set-MAC
     /// on both the runtime and recovery sides.
     #[test]
@@ -1787,6 +1720,100 @@ pub(crate) mod tests {
         assert!(report.clean(), "{report}");
     }
 
+    /// The test config with its metadata cache cut to one set of 8 ways
+    /// (Table I's associativity): a stream over 1,024 lines evicts dirty
+    /// nodes, so node flushes, NV-buffer parks and drains and ASIT slot
+    /// retirements all run.
+    pub(crate) fn one_set(scheme: SchemeKind, mode: CounterMode) -> SystemConfig {
+        let mut cfg = SystemConfig::small_for_tests(scheme, mode);
+        cfg.meta_cache.capacity_bytes = 512;
+        cfg
+    }
+
+    /// `SweepOp::stream(seed, 1024, len)` followed by 70 writes to line 0,
+    /// which forces one minor overflow (a re-encryption) in split mode.
+    fn evicting_stream(seed: u64, len: usize) -> Vec<SweepOp> {
+        let mut ops = SweepOp::stream(seed, 1024, len);
+        ops.extend((0..70).map(|tag| SweepOp::Write { line: 0, tag }));
+        ops
+    }
+
+    /// FNV-1a over each point's (seq, kind, addr), continuing from `h`:
+    /// the persist-sequence hash.
+    fn fold_points(mut h: u64, points: &[PersistPoint]) -> u64 {
+        for p in points {
+            for w in [p.seq, p.kind as u64, p.addr] {
+                for b in w.to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// FNV-1a's offset basis: the hash of no points.
+    const FNV_BASIS: u64 = 0xcbf29ce484222325;
+
+    /// Pins the persist order of a stream that evicts: the runtime point
+    /// journal, then the points recovery fires after a whole-line crash at
+    /// the first, middle and last runtime point and after a `0x0F` tear at
+    /// the middle one. Node flushes, NV-buffer parks and drains, ASIT slot
+    /// retirements, a Steins-SC re-encryption and every scheme's strict
+    /// recovery all feed the hash, so a refactor of the engine, the scheme
+    /// hooks or recovery that moves, adds or drops one persist changes it.
+    #[test]
+    fn evicting_persist_order_is_pinned() {
+        // Computed before the scheme hooks moved into `scheme/<name>.rs`.
+        let pinned = [
+            ("WB-GC", 302, 0x3701e399639f6ea1),
+            ("WB-SC", 215, 0x1d3fb8b4658f0d22),
+            ("ASIT-GC", 539, 0xc66bdab50d438975),
+            ("STAR-GC", 880, 0xe10bb61e7fd0c02d),
+            ("Steins-GC", 447, 0xb8080070bb9aab43),
+            ("Steins-SC", 265, 0xfda7c171fab18932),
+        ];
+        let got = crate::campaign::COMBOS.map(|(scheme, mode)| {
+            let ops = evicting_stream(0x5EED ^ 150, 150);
+            let sweep = CrashSweep::new(one_set(scheme, mode), ops, PointSelection::All);
+            let runtime = sweep.enumerate().unwrap().remove(0);
+            let total = runtime.len() as u64;
+            let mut h = fold_points(FNV_BASIS, &runtime);
+            for (k, mask) in [
+                (1, 0xFF),
+                (total / 2, 0xFF),
+                (total, 0xFF),
+                (total / 2, 0x0F),
+            ] {
+                let inner = sweep.recovery_points(CrashPoint { shard: 0, k }, mask);
+                h = fold_points(h, &inner.ok().expect("outer crash reproduces"));
+            }
+            (sweep.label(), total, h)
+        });
+        assert_eq!(got, pinned.map(|(l, n, h)| (l.to_string(), n, h)));
+    }
+
+    /// A crash inside a Steins rebuild whose over-full set forced the
+    /// evicting fallback. Leaf 0's fallback install flushes its parent,
+    /// whose recovered counters already include a value still parked in
+    /// the crash-time NV buffer, so the flush moves that delta out of a
+    /// live L1Inc that never received it. The `DONE` switch reconciles the
+    /// registers; a crash before it (inner points 79–82) leaves them off,
+    /// and the second recovery fails with an L1Inc mismatch ("stored 3,
+    /// recomputed 4"). A crash on the `DONE` write itself (83) recovers.
+    #[test]
+    #[ignore = "the rebuild fallback's LInc carry breaks under a nested crash (ROADMAP item 8)"]
+    fn steins_rebuild_fallback_survives_a_nested_crash() {
+        let ops = SweepOp::stream(0x5EED ^ 150, 1024, 150)[..25].to_vec();
+        let cfg = one_set(SchemeKind::Steins, CounterMode::General);
+        let sweep = CrashSweep::new(cfg, ops, PointSelection::All);
+        for j in 79..=83 {
+            let p = CrashPoint { shard: 0, k: 69 };
+            if let Some(repro) = sweep.probe_point_nested(p, 0xFF, j, 0xFF) {
+                panic!("inner point {j}:\n{repro}");
+            }
+        }
+    }
+
     /// Batching stops at the crypto: for a fixed trace, the multi-lane
     /// (batched) crypto presentation must drive the *exact* durable-state
     /// transition sequence the serial presentation does — same persist
@@ -1803,7 +1830,7 @@ pub(crate) mod tests {
             mode: CounterMode,
             serial: bool,
         ) -> (u64, Vec<PersistPoint>) {
-            let cfg = SystemConfig::small_for_tests(scheme, mode);
+            let cfg = one_set(scheme, mode);
             let mut sys = if serial {
                 let eng = SerialPresentation(RealCrypto::new(cfg.secret_key()));
                 SecureNvmSystem::with_engine(cfg, Box::new(eng))
@@ -1812,18 +1839,9 @@ pub(crate) mod tests {
             };
             sys.ctrl.nvm.trace_pokes(true);
             sys.ctrl.nvm.journal_points(true);
-            run_bare(&mut sys, &SweepOp::stream(0xBA7C4ED, 64, 300));
+            run_bare(&mut sys, &evicting_stream(0xBA7C4ED, 300));
             let points = sys.ctrl.nvm.point_journal().to_vec();
-            // FNV-1a over (seq, kind, addr) — the sequence hash.
-            let mut h = 0xcbf29ce484222325u64;
-            for p in &points {
-                for w in [p.seq, p.kind as u64, p.addr] {
-                    for b in w.to_le_bytes() {
-                        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-                    }
-                }
-            }
-            (h, points)
+            (fold_points(FNV_BASIS, &points), points)
         }
 
         for (scheme, mode) in [

@@ -1,11 +1,11 @@
 //! The secure memory controller and the full trace-driven system.
 //!
 //! [`SecureMemoryController`] implements the paper's runtime (§III-E/F):
-//! counter-mode encryption, the lazy-update SIT with per-scheme hooks, the
-//! metadata cache, the write queue, and the controller front-end that
-//! serializes requests (per §IV-F, requests to one DIMM are processed
-//! serially). [`SecureNvmSystem`] wraps it with the CPU model and cache
-//! hierarchy and runs workload traces.
+//! counter-mode encryption, the lazy-update SIT (whose per-scheme hooks
+//! live in `scheme/<name>.rs`), the metadata cache, the write queue, and
+//! the controller front-end that serializes requests (per §IV-F, requests
+//! to one DIMM are processed serially). [`SecureNvmSystem`] wraps it with
+//! the CPU model and cache hierarchy and runs workload traces.
 //!
 //! ## Timing model
 //!
@@ -20,17 +20,55 @@
 use crate::cme::{xor_otp, MacRecord};
 use crate::config::{SchemeKind, SystemConfig};
 use crate::error::{pass_cut, IntegrityError};
-use crate::nvbuffer::NvBufferEntry;
 use crate::online::{OnlinePolicy, OnlineService};
 use crate::report::{LatencyStats, RunReport};
-use crate::scheme::{star, AsitState, SchemeState, StarState, SteinsState};
+use crate::scheme::{self, SchemeState};
 use steins_cache::{CacheHierarchy, CpuModel, MemEvent};
 use steins_crypto::{data_mac_message, engine::make_engine, CryptoEngine, FxHashMap};
 use steins_metadata::counter::{CounterBlock, CounterMode, SplitIncrement};
-use steins_metadata::records::record_coords;
 use steins_metadata::{MemoryLayout, MetadataCache, NodeId, RootNode, SitNode};
 use steins_nvm::{Cycle, EnergyCounters, EnergyModel, NvmDevice, PowerCut, WriteQueue};
 use steins_trace::{OpKind, TraceOp};
+
+/// Parses a metadata NVM line by its level: split-mode leaves hold split
+/// counters, every other node general ones.
+pub(crate) fn parse_node(mode: CounterMode, id: NodeId, line: &[u8; 64]) -> SitNode {
+    if id.level == 0 && mode == CounterMode::Split {
+        SitNode::split_from_line(line)
+    } else {
+        SitNode::general_from_line(line)
+    }
+}
+
+/// The lazily-initialized state: a never-written, all-zero node.
+pub(crate) fn is_zero_node(node: &SitNode) -> bool {
+    node.hmac == 0 && node.to_line() == [0u8; 64]
+}
+
+/// Verifies a node's stored MAC field against its parent counter `pc`,
+/// adding the MAC it computes to `hashes`. A zero node under a zero parent
+/// counter is the lazily-initialized state and passes unhashed.
+pub(crate) fn verify_node(
+    crypto: &dyn CryptoEngine,
+    layout: &MemoryLayout,
+    scheme: SchemeKind,
+    node: &SitNode,
+    id: NodeId,
+    pc: u64,
+    hashes: &mut u64,
+) -> Result<(), IntegrityError> {
+    if pc == 0 && is_zero_node(node) {
+        return Ok(());
+    }
+    let offset = layout.geometry.offset_of(id);
+    *hashes += 1;
+    let mac = crypto.mac64_72(&node.mac_message(layout.node_addr(offset), pc));
+    if scheme::node_mac_opens(scheme, node.hmac, mac) {
+        Ok(())
+    } else {
+        Err(IntegrityError::NodeMac { node: id })
+    }
+}
 
 /// The secure memory controller: functional state + timing + statistics.
 pub struct SecureMemoryController {
@@ -47,15 +85,6 @@ pub struct SecureMemoryController {
     pub(crate) wlat: LatencyStats,
     pub(crate) rlat: LatencyStats,
     pinned: Vec<u64>,
-    /// Recovered nodes a Steins rebuild has yet to reinstall (empty outside
-    /// recovery): a fetch of one installs its recovered value, never the
-    /// stale NVM copy.
-    pub(crate) rebuild_pending: FxHashMap<u64, SitNode>,
-    /// Scratch: STAR's per-write dirty-set collection, reused across calls
-    /// so the set-MAC path performs no steady-state allocation.
-    star_dirty: Vec<(u64, SitNode)>,
-    /// Scratch: variable-length MAC message buffer, reused across calls.
-    mac_msg: Vec<u8>,
 }
 
 impl SecureMemoryController {
@@ -82,23 +111,7 @@ impl SecureMemoryController {
         let wq = WriteQueue::new(cfg.nvm.write_queue_entries);
         let meta = MetadataCache::new(cfg.meta_cache);
         let root = RootNode::new(layout.geometry.root_fanout());
-        let scheme = match cfg.scheme {
-            SchemeKind::WriteBack => SchemeState::WriteBack,
-            SchemeKind::Asit => SchemeState::Asit(AsitState::new(
-                crypto.as_ref(),
-                cfg.meta_cache.slots() as usize,
-            )),
-            SchemeKind::Star => SchemeState::Star(StarState::new(
-                crypto.as_ref(),
-                cfg.meta_cache.sets() as usize,
-                cfg.bitmap_cache_lines,
-            )),
-            SchemeKind::Steins => SchemeState::Steins(SteinsState::new(
-                layout.geometry.levels(),
-                cfg.nv_buffer_bytes,
-                cfg.record_cache_lines,
-            )),
-        };
+        let scheme = scheme::new_state(&cfg, &layout, crypto.as_ref());
         SecureMemoryController {
             cfg,
             layout,
@@ -113,82 +126,23 @@ impl SecureMemoryController {
             wlat: LatencyStats::default(),
             rlat: LatencyStats::default(),
             pinned: Vec::new(),
-            rebuild_pending: FxHashMap::default(),
-            star_dirty: Vec::new(),
-            mac_msg: Vec::new(),
         }
     }
 
-    /// Writes the ADR recovery journal sealed under the engine key. Every
-    /// journal write in the controller crates goes through here — the MAC
-    /// is what lets the next recovery attempt prove the resume point was
-    /// written by a holder of the key, not forged on the bus.
+    /// Writes the ADR recovery journal `(phase, hwm, restarts)` sealed under
+    /// the engine key. Every journal write in the controller crates goes
+    /// through here — the MAC is what lets the next recovery attempt prove
+    /// the resume point was written by a holder of the key, not forged on
+    /// the bus.
     pub(crate) fn journal_write(
         &mut self,
-        journal: steins_nvm::RecoveryJournal,
+        phase: u8,
+        hwm: u64,
+        restarts: u32,
     ) -> Result<(), PowerCut> {
+        let journal = steins_nvm::RecoveryJournal::new(phase, hwm, restarts);
         let mac = crate::recovery::seal_journal(self.crypto.as_ref(), &journal);
         self.nvm.set_recovery_journal(journal, mac)
-    }
-
-    /// Whether Steins is the active scheme.
-    fn is_steins(&self) -> bool {
-        matches!(self.cfg.scheme, SchemeKind::Steins)
-    }
-
-    /// Parses a metadata NVM line according to the node's level.
-    pub(crate) fn parse_node(&self, id: NodeId, line: &[u8; 64]) -> SitNode {
-        if id.level == 0 && self.cfg.mode == CounterMode::Split {
-            SitNode::split_from_line(line)
-        } else {
-            SitNode::general_from_line(line)
-        }
-    }
-
-    fn is_zero_node(node: &SitNode) -> bool {
-        node.hmac == 0 && node.to_line() == [0u8; 64]
-    }
-
-    /// Computes the 64-bit MAC a node stores when flushed with parent
-    /// counter `pc` (STAR packs the counter LSBs into the field).
-    fn node_mac_field(&mut self, node: &SitNode, offset: u64, pc: u64) -> u64 {
-        self.energy.hashes += 1;
-        let mac = self
-            .crypto
-            .mac64_72(&node.mac_message(self.layout.node_addr(offset), pc));
-        if matches!(self.cfg.scheme, SchemeKind::Star) {
-            star::pack_hmac(mac, pc)
-        } else {
-            mac
-        }
-    }
-
-    /// Verifies a fetched node against its parent counter. Zero nodes under
-    /// a zero parent counter are the lazily-initialized state and pass.
-    pub(crate) fn verify_node(
-        &mut self,
-        node: &SitNode,
-        id: NodeId,
-        pc: u64,
-    ) -> Result<(), IntegrityError> {
-        if pc == 0 && Self::is_zero_node(node) {
-            return Ok(());
-        }
-        let offset = self.layout.geometry.offset_of(id);
-        self.energy.hashes += 1;
-        let mac = self
-            .crypto
-            .mac64_72(&node.mac_message(self.layout.node_addr(offset), pc));
-        let ok = if matches!(self.cfg.scheme, SchemeKind::Star) {
-            star::unpack_hmac(node.hmac).0 == mac & star::STAR_MAC_MASK
-        } else {
-            node.hmac == mac
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(IntegrityError::NodeMac { node: id })
-        }
     }
 
     /// The trusted parent counter for `id`, fetching/verifying ancestors as
@@ -213,18 +167,8 @@ impl SecureMemoryController {
             self.energy.cache_accesses += 1;
             return Ok(t);
         }
-        if let Some(node) = self.rebuild_pending.remove(&offset) {
-            return self.install_node(t, id, node, true);
-        }
-        // Steins drains the NV parent-counter buffer before node fetches so
-        // verification always sees up-to-date parent counters (§III-E).
-        // Entries stay in the buffer until applied, so fetches issued *by*
-        // the drain itself must not re-enter it.
-        if self.is_steins()
-            && !self.scheme.steins_ref().draining
-            && !self.scheme.steins_ref().nv_buffer.is_empty()
-        {
-            self.drain_nv_buffer(t)?;
+        if let Some(t) = self.scheme_fetch(t, id, offset)? {
+            return Ok(t);
         }
         let (pc, t) = self.parent_counter(t, id)?;
         // Fetching the parent can evict a dirty node whose flush walks back
@@ -233,22 +177,12 @@ impl SecureMemoryController {
         if self.meta.contains(offset) {
             return Ok(t);
         }
-        // If this node was flushed with a generated counter that is still
-        // parked in the NV buffer (or held by an in-progress drain), its
-        // stored HMAC was computed with that value, not the parent's stale
-        // counter (§III-E).
-        let pc = if self.is_steins() {
-            match self.scheme.steins_ref().parked_generated(offset) {
-                Some(g) => pc.max(g),
-                None => pc,
-            }
-        } else {
-            pc
-        };
+        let pc = self.scheme_fetch_counter(offset, pc);
         let (line, t) = self.nvm.read(t, self.layout.node_addr(offset));
-        let node = self.parse_node(id, &line);
+        let node = parse_node(self.cfg.mode, id, &line);
         let t = t + self.cfg.hash_latency;
-        self.verify_node(&node, id, pc)?;
+        let (crypto, hashes) = (self.crypto.as_ref(), &mut self.energy.hashes);
+        verify_node(crypto, &self.layout, self.cfg.scheme, &node, id, pc, hashes)?;
         self.install_node(t, id, node, false)
     }
 
@@ -288,458 +222,69 @@ impl SecureMemoryController {
             let evicted = self.meta.install_pinned(offset, node, dirty, &self.pinned);
             if let Some(ev) = evicted {
                 debug_assert!(!ev.dirty, "victims are flushed in place first");
-                t = self.scheme_slot_vacated(t, ev.slot, ev.offset);
+                t = self.slot_vacated(t, ev.slot);
             }
             Ok(t)
         })();
         self.pinned.pop();
         result
-    }
-
-    /// Scheme work when a cache slot's previous (clean) occupant leaves:
-    /// ASIT retires the slot's shadow entry from the cache-tree. Clean
-    /// fetches cost nothing under any scheme (ASIT mirrors modifications,
-    /// not installs; STAR's cache-tree covers dirty nodes only).
-    fn scheme_slot_vacated(&mut self, mut t: Cycle, slot: u64, _offset: u64) -> Cycle {
-        if let SchemeState::Asit(st) = &mut self.scheme {
-            if st.shadow_tags.remove(&slot).is_some() {
-                let hashes = st.cache_tree.update(self.crypto.as_ref(), slot as usize, 0);
-                st.commit_root();
-                self.energy.hashes += hashes as u64;
-                t += hashes as u64 * self.cfg.hash_latency;
-            }
-        }
-        t
-    }
-
-    /// Marks a cached node dirty after a content change and runs the
-    /// per-scheme tracking/persistence hooks (§III table in `scheme`).
-    /// `pre` is the node's content just before the mutation — STAR's
-    /// cache-tree needs it at a clean→dirty transition (see below).
-    pub(crate) fn on_node_modified(
-        &mut self,
-        mut t: Cycle,
-        offset: u64,
-        pre: &SitNode,
-    ) -> Result<Cycle, IntegrityError> {
-        let (slot, was_clean) = self.meta.mark_dirty(offset);
-        match self.cfg.scheme {
-            SchemeKind::WriteBack => {}
-            SchemeKind::Steins => {
-                if was_clean {
-                    t = self.steins_record_update(t, slot, offset)?;
-                }
-            }
-            SchemeKind::Asit => {
-                t = self.asit_slot_update(t, offset)?;
-            }
-            SchemeKind::Star => {
-                if was_clean {
-                    // Cache-tree register first — over the node's
-                    // PRE-mutation content, which is what recovery can
-                    // reconstruct from NVM at this boundary — so the
-                    // register rides the bitmap line's persist event
-                    // atomically (register writes emit no event).
-                    let set = self.meta.set_index(offset);
-                    t = self.star_tree_update_with(t, set, Some((offset, *pre)));
-                    t = self.star_bitmap_update(t, offset, true)?;
-                }
-                // The register refresh over the NEW content is deferred to
-                // the call site, where it rides the persist event that makes
-                // the mutation itself durable (data-line or child write).
-            }
-        }
-        Ok(t)
-    }
-
-    /// Steins §III-C: write the dirty node's offset into its record line,
-    /// fetching the line into the ADR record cache on a miss.
-    ///
-    /// The fetch and any evicted-line write-back are *posted*: the record
-    /// cache lives in the ADR domain, so the controller does not wait for
-    /// them — they cost NVM traffic and bank occupancy, not front-end time
-    /// (the write stalls only on write-queue back-pressure). This is the
-    /// cost asymmetry versus STAR's write-through bitmap below.
-    fn steins_record_update(
-        &mut self,
-        mut t: Cycle,
-        cache_slot: u64,
-        offset: u64,
-    ) -> Result<Cycle, PowerCut> {
-        let (rline, _) = record_coords(cache_slot);
-        let raddr = self.layout.record_addr(rline);
-        let st = match &mut self.scheme {
-            SchemeState::Steins(s) => s,
-            _ => unreachable!("steins hook under steins scheme"),
-        };
-        if !st.record_cache.touch(raddr) {
-            let (line, _) = self.nvm.read(t, raddr); // posted: no t advance
-            if let Some((ev_addr, ev_line)) = st.record_cache.insert(raddr, line) {
-                t = self.wq.push(t, ev_addr, &ev_line, &mut self.nvm)?;
-            }
-        }
-        st.set_record(raddr, cache_slot, offset);
-        self.energy.cache_accesses += 1;
-        // The record line lives in the ADR domain: this in-place update is a
-        // durable-state transition (an enumerable crash point).
-        self.nvm.adr_persist_event(raddr)?;
-        Ok(t)
-    }
-
-    /// STAR: flip the node's dirty bit in the bitmap.
-    ///
-    /// STAR predates Steins' ADR-resident record trick: its bitmap must be
-    /// durable on its own, so every transition **writes the updated line
-    /// through to NVM** (the "extra memory access overhead" of §II-D and
-    /// the 1.3× traffic of Fig. 13). The line cache only absorbs re-reads.
-    fn star_bitmap_update(
-        &mut self,
-        mut t: Cycle,
-        offset: u64,
-        set_bit: bool,
-    ) -> Result<Cycle, PowerCut> {
-        let (baddr, bit) = self.layout.bitmap_slot(offset);
-        let st = match &mut self.scheme {
-            SchemeState::Star(s) => s,
-            _ => unreachable!("star hook under star scheme"),
-        };
-        if !st.bitmap_cache.touch(baddr) {
-            let (line, t2) = self.nvm.read(t, baddr);
-            t = t2;
-            // Write-through lines are never dirty: drop evictions silently.
-            st.bitmap_cache.insert(baddr, line);
-        }
-        let line = st.bitmap_cache.get_mut(baddr).expect("just ensured");
-        let (byte, off) = (bit / 8, bit % 8);
-        if set_bit {
-            line[byte] |= 1 << off;
-        } else {
-            line[byte] &= !(1 << off);
-        }
-        let line = *line;
-        self.energy.cache_accesses += 1;
-        // The cached bitmap line is in the ADR domain: flipping the bit is a
-        // durable transition on its own, ahead of the write-through below.
-        self.nvm.adr_persist_event(baddr)?;
-        self.wq.push(t, baddr, &line, &mut self.nvm)
-    }
-
-    /// STAR: recompute the set-MAC (sorted dirty nodes) and the cache-tree
-    /// path above it.
-    pub(crate) fn star_tree_update(&mut self, t: Cycle, set: usize) -> Cycle {
-        self.star_tree_update_with(t, set, None)
-    }
-
-    /// The set-MAC, optionally substituting one node's content (used at a
-    /// clean→dirty transition, where the register must cover the node's
-    /// PRE-mutation content: that is what recovery reconstructs from NVM at
-    /// the bitmap write's persist boundary — the mutated content only
-    /// becomes reconstructible at its own persist event, where the caller
-    /// refreshes the register again).
-    ///
-    /// The HMAC field is excluded from the MAC (zeroed): a dirty node's
-    /// stored HMAC is recomputed when it flushes, so including it would tie
-    /// the register to a field whose NVM copy changes at the flush boundary
-    /// without any counter changing.
-    fn star_tree_update_with(
-        &mut self,
-        t: Cycle,
-        set: usize,
-        substitute: Option<(u64, SitNode)>,
-    ) -> Cycle {
-        // Reusable scratch (taken/restored around the &mut self borrows):
-        // this runs once per STAR write, so a fresh Vec per call was the
-        // scheme's single largest allocation source.
-        let mut dirty = std::mem::take(&mut self.star_dirty);
-        dirty.clear();
-        self.meta.dirty_set_nodes_into(set, &mut dirty);
-        if let Some((off, node)) = substitute {
-            for e in &mut dirty {
-                if e.0 == off {
-                    e.1 = node;
-                }
-            }
-        }
-        dirty.sort_unstable_by_key(|(o, _)| *o);
-        let leaf_mac = if dirty.is_empty() {
-            0
-        } else {
-            let mut msg = std::mem::take(&mut self.mac_msg);
-            msg.clear();
-            msg.reserve(dirty.len() * 72);
-            for (o, n) in &dirty {
-                let mut n = *n;
-                n.hmac = 0;
-                msg.extend_from_slice(&o.to_le_bytes());
-                msg.extend_from_slice(&n.to_line());
-            }
-            self.energy.hashes += 1;
-            let mac = self.crypto.mac64(&msg);
-            self.mac_msg = msg;
-            mac
-        };
-        self.star_dirty = dirty;
-        let st = match &mut self.scheme {
-            SchemeState::Star(s) => s,
-            _ => unreachable!("star hook under star scheme"),
-        };
-        let hashes = st.cache_tree.update(self.crypto.as_ref(), set, leaf_mac);
-        st.commit_root();
-        self.energy.hashes += hashes as u64;
-        let ways = self.cfg.meta_cache.ways;
-        t + StarState::sort_latency(ways) + (1 + hashes as u64) * self.cfg.hash_latency
-    }
-
-    /// ASIT: mirror the slot's content into the shadow table and rebuild the
-    /// cache-tree path for it.
-    pub(crate) fn asit_slot_update(
-        &mut self,
-        mut t: Cycle,
-        offset: u64,
-    ) -> Result<Cycle, PowerCut> {
-        let slot = self.meta.slot_of(offset).expect("node resident");
-        let node = *self.meta.peek(offset).expect("node resident");
-        let line = node.to_line();
-        // Leaf MAC over (content ‖ slot), then the path to the root. The
-        // register updates are persist-event-free, so doing them BEFORE the
-        // shadow-line write makes them atomic with it: a crash at the shadow
-        // write's persist boundary observes the new shadow content together
-        // with the root that authenticates it (updating the root after the
-        // write left a boundary where recovery rebuilt a root the register
-        // did not hold yet).
-        let mut msg = [0u8; 72];
-        msg[..64].copy_from_slice(&line);
-        msg[64..].copy_from_slice(&slot.to_le_bytes());
-        self.energy.hashes += 1;
-        let leaf_mac = self.crypto.mac64_72(&msg);
-        // Stage the pre-image (slot, previous root/tag/durable line) in the
-        // ADR-domain in-flight buffer before touching any register: under
-        // 8 B write atomicity the shadow line below can tear, and recovery
-        // falls back to this authenticated pre-state (see `AsitInflight`).
-        let prev_line = self.nvm.peek(self.layout.shadow_addr(slot));
-        let st = match &mut self.scheme {
-            SchemeState::Asit(s) => s,
-            _ => unreachable!("asit hook under asit scheme"),
-        };
-        st.inflight = Some(crate::scheme::asit::AsitInflight {
-            slot,
-            prev_root: st.nv_root,
-            prev_tag: st.shadow_tags.get(&slot).copied(),
-            prev_line,
-        });
-        st.shadow_tags.insert(slot, offset);
-        let hashes = st
-            .cache_tree
-            .update(self.crypto.as_ref(), slot as usize, leaf_mac);
-        st.commit_root();
-        self.energy.hashes += hashes as u64;
-        t += (1 + hashes as u64) * self.cfg.hash_latency;
-        // Shadow write: the 2× traffic of Fig. 13.
-        t = self
-            .wq
-            .push(t, self.layout.shadow_addr(slot), &line, &mut self.nvm)?;
-        // The queue accepted the line (durable): the update is no longer in
-        // flight. A power cut inside the push above returns before this
-        // clear, leaving the pre-image staged for recovery.
-        match &mut self.scheme {
-            SchemeState::Asit(s) => s.inflight = None,
-            _ => unreachable!("asit hook under asit scheme"),
-        }
-        Ok(t)
     }
 
     /// Flushes a dirty node to NVM **in place** (§III-E): the node stays
     /// resident (and pinned) throughout, so nested fetches triggered by the
     /// parent walk always observe its live counters. On return the node is
     /// clean; its NVM copy matches the cached value at flush time.
-    ///
-    /// Steins generates the parent counter locally and never touches the
-    /// parent on the critical path (NV buffer on a miss); baselines
-    /// self-increment the — possibly fetched — parent first.
     pub(crate) fn flush_in_place(
+        &mut self,
+        t: Cycle,
+        offset: u64,
+    ) -> Result<Cycle, IntegrityError> {
+        self.pinned.push(offset);
+        let result = self.scheme_flush(t, offset);
+        self.pinned.pop();
+        result
+    }
+
+    /// The self-increment flush WB, ASIT and STAR share: the — possibly
+    /// fetched — parent counter is incremented first, since the child's
+    /// HMAC needs it. The parent walk may run arbitrary nested evictions —
+    /// the node is pinned and resident, so they see (and may even update)
+    /// it; its value is re-read afterwards.
+    pub(crate) fn increment_flush(
         &mut self,
         mut t: Cycle,
         offset: u64,
     ) -> Result<Cycle, IntegrityError> {
         let id = self.layout.geometry.node_at_offset(offset);
+        let pc = match self.layout.geometry.parent_of(id) {
+            None => {
+                let slot = self.layout.geometry.root_slot(id);
+                let v = self.root.get(slot) + 1;
+                self.root.set(slot, v);
+                v
+            }
+            Some((pid, slot)) => {
+                t = self.ensure_cached(t, pid)?;
+                let poff = self.layout.geometry.offset_of(pid);
+                let pre = *self.meta.peek(poff).expect("parent just ensured");
+                let mut p = pre;
+                p.counters.as_general_mut().increment(slot);
+                let v = p.counters.as_general().get(slot);
+                self.meta.write(poff, p);
+                t = self.on_node_modified(t, poff, &pre)?;
+                t = self.counters_moved(t, poff, &pre, &p);
+                v
+            }
+        };
+        let mut node = *self.meta.peek(offset).expect("flush target resident");
+        self.energy.hashes += 1;
+        node.hmac = self.mac_probe(&node, offset, pc);
+        t += self.cfg.hash_latency;
         let addr = self.layout.node_addr(offset);
-        self.pinned.push(offset);
-        let result = (|| {
-            if self.is_steins() {
-                // Preparatory work that can run nested evictions (which may
-                // even advance this pinned node's counters) goes FIRST: fetch
-                // the parent for a re-entrant drain flush, or make room in
-                // the NV buffer. Only afterwards is the node snapshotted.
-                let parent = self.layout.geometry.parent_of(id);
-                if let Some((pid, _)) = parent {
-                    let poff = self.layout.geometry.offset_of(pid);
-                    if !self.meta.contains(poff) {
-                        if self.scheme.steins_ref().draining {
-                            // Re-entrant eviction during a drain: fetch inline.
-                            t = self.ensure_cached(t, pid)?;
-                        } else if self.scheme.steins_ref().nv_buffer.is_full() {
-                            self.drain_nv_buffer(t)?;
-                        }
-                    }
-                }
-                let mut node = *self.meta.peek(offset).expect("flush target resident");
-                let p_new = node.counters.parent_value();
-                // Crash-ordering invariant: the parent-side accounting for
-                // `p_new` (parent record + counter apply, or NV-buffer park,
-                // or root-register update) becomes durable BEFORE the
-                // child's line write below, and the final register updates
-                // share the child write's persist interval. A crash at any
-                // persist boundary therefore observes either the old child
-                // with the old accounting, or the new child with accounting
-                // that recovery can replay — never a flushed child whose
-                // generated counter no record, buffer entry, or register
-                // accounts for.
-                match parent {
-                    None => {
-                        let slot = self.layout.geometry.root_slot(id);
-                        let delta = p_new - self.root.get(slot);
-                        self.root.set(slot, p_new);
-                        self.scheme.steins().lincs.sub(id.level, delta);
-                    }
-                    Some((pid, slot)) => {
-                        let poff = self.layout.geometry.offset_of(pid);
-                        if self.meta.contains(poff) {
-                            t = self.steins_apply_parent(t, id, pid, slot, p_new)?;
-                        } else {
-                            self.scheme.steins().nv_buffer.push(NvBufferEntry {
-                                child_offset: offset,
-                                generated: p_new,
-                            });
-                        }
-                    }
-                }
-                node.hmac = self.node_mac_field(&node, offset, p_new);
-                t += self.cfg.hash_latency;
-                t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm)?;
-                // The NVM copy is now current: mirror the recomputed HMAC
-                // into the cached copy and clean it.
-                self.meta.write(offset, node);
-                self.meta.mark_clean(offset);
-            } else {
-                // WB / ASIT / STAR: self-increasing parent counter, needed
-                // before the child's HMAC can be computed. The parent walk
-                // may run arbitrary nested evictions — the node is pinned
-                // and resident, so they see (and may even update) it; its
-                // value is re-read afterwards.
-                let pc = match self.layout.geometry.parent_of(id) {
-                    None => {
-                        let slot = self.layout.geometry.root_slot(id);
-                        let v = self.root.get(slot) + 1;
-                        self.root.set(slot, v);
-                        v
-                    }
-                    Some((pid, slot)) => {
-                        t = self.ensure_cached(t, pid)?;
-                        let poff = self.layout.geometry.offset_of(pid);
-                        let pre = *self.meta.peek(poff).expect("parent just ensured");
-                        let mut p = pre;
-                        p.counters.as_general_mut().increment(slot);
-                        let v = p.counters.as_general().get(slot);
-                        self.meta.write(poff, p);
-                        t = self.on_node_modified(t, poff, &pre)?;
-                        if matches!(self.cfg.scheme, SchemeKind::Star) {
-                            // Refresh the register over the incremented
-                            // parent: it rides the child's line write below,
-                            // which is the persist event making the
-                            // increment reconstructible (the child's counter
-                            // LSBs carry it).
-                            let pset = self.meta.set_index(poff);
-                            t = self.star_tree_update(t, pset);
-                        }
-                        v
-                    }
-                };
-                let mut node = *self.meta.peek(offset).expect("flush target resident");
-                node.hmac = self.node_mac_field(&node, offset, pc);
-                t += self.cfg.hash_latency;
-                t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm)?;
-                self.meta.write(offset, node);
-                self.meta.mark_clean(offset);
-                if matches!(self.cfg.scheme, SchemeKind::Star) {
-                    // dirty→clean transition: STAR must clear the bitmap bit
-                    // (the tracking write Steins avoids, §IV-B) and drop the
-                    // node from the set-MAC. Register first: it emits no
-                    // persist event, so it rides the bitmap clear's event
-                    // atomically — clearing the bit first left a boundary
-                    // where the bitmap excluded the node but the register
-                    // still covered it.
-                    let set = self.meta.set_index(offset);
-                    t = self.star_tree_update(t, set);
-                    t = self.star_bitmap_update(t, offset, false)?;
-                }
-            }
-            Ok(t)
-        })();
-        self.pinned.pop();
-        result
-    }
-
-    /// Applies a generated parent counter to a cached parent and transfers
-    /// the LInc delta between levels (§III-E steps ④–⑤).
-    fn steins_apply_parent(
-        &mut self,
-        t: Cycle,
-        child: NodeId,
-        pid: NodeId,
-        slot: usize,
-        p_new: u64,
-    ) -> Result<Cycle, IntegrityError> {
-        let poff = self.layout.geometry.offset_of(pid);
-        let mut p = self.meta.read(poff).expect("parent resident");
-        let p_old = p.counters.as_general().get(slot);
-        if p_new <= p_old {
-            // Already applied (a later flush of the same child raced ahead
-            // through the buffer); nothing to do.
-            return Ok(t);
-        }
-        let delta = p_new - p_old;
-        let pre = p;
-        p.counters.as_general_mut().set(slot, p_new);
-        self.meta.write(poff, p);
-        let t = self.on_node_modified(t, poff, &pre)?;
-        let st = self.scheme.steins();
-        st.lincs.sub(child.level, delta);
-        st.lincs.add(pid.level, delta);
-        Ok(t)
-    }
-
-    /// Drains the NV buffer: fetch parents (off the critical path), apply
-    /// generated counters, transfer LInc deltas (§III-E step ④–⑦).
-    ///
-    /// Each entry is retired from the (non-volatile) buffer only *after* its
-    /// parent update and LInc transfer complete. A crash at any persist
-    /// boundary inside the drain therefore still finds every not-yet-applied
-    /// entry in the buffer, and recovery replays it (§III-G step ⑤). The
-    /// already-applied prefix is harmless to replay: the `p_new ≤ p_old`
-    /// guards here and in recovery skip it.
-    fn drain_nv_buffer(&mut self, t: Cycle) -> Result<(), IntegrityError> {
-        if self.scheme.steins_ref().nv_buffer.is_empty() {
-            return Ok(());
-        }
-        self.scheme.steins().draining = true;
-        let result = (|| {
-            while let Some(e) = self.scheme.steins_ref().nv_buffer.front() {
-                let cid = self.layout.geometry.node_at_offset(e.child_offset);
-                let (pid, slot) = self
-                    .layout
-                    .geometry
-                    .parent_of(cid)
-                    .expect("root parents are applied inline, never buffered");
-                // Background fetch: charges device occupancy but not
-                // front_free.
-                let t2 = self.ensure_cached(t, pid)?;
-                self.steins_apply_parent(t2, cid, pid, slot, e.generated)?;
-                self.scheme.steins().nv_buffer.pop_front();
-            }
-            Ok(())
-        })();
-        self.scheme.steins().draining = false;
-        result
+        t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm)?;
+        self.meta.write(offset, node);
+        self.meta.mark_clean(offset);
+        Ok(self.scheme_cleaned(t, offset)?)
     }
 
     // ——— MAC records (functionally ECC-embedded; see DESIGN.md §2.7) ———
@@ -869,7 +414,6 @@ impl SecureMemoryController {
         let loff = self.layout.geometry.offset_of(leaf_id);
         let pre_leaf = *self.meta.peek(loff).expect("leaf just ensured");
         let mut leaf = pre_leaf;
-        let pv_before = leaf.counters.parent_value();
         let mut reenc: Option<(u64, [u8; 64])> = None;
         match &mut leaf.counters {
             CounterBlock::General(g) => {
@@ -877,14 +421,14 @@ impl SecureMemoryController {
             }
             CounterBlock::Split(s) => {
                 let old = *s;
-                let skip = self.is_steins();
-                if let SplitIncrement::Overflow { .. } = s.increment(slot, skip) {
+                if let SplitIncrement::Overflow { .. } =
+                    s.increment(slot, self.scheme.skip_update())
+                {
                     reenc = Some((old.major, old.minors));
                 }
             }
         }
         let (major, minor) = leaf.counters.enc_pair(slot);
-        let pv_after = leaf.counters.parent_value();
         self.meta.write(loff, leaf);
         t = self.on_node_modified(t, loff, &pre_leaf)?;
         if let Some((old_major, old_minors)) = reenc {
@@ -898,24 +442,9 @@ impl SecureMemoryController {
         let mac = self.crypto.data_mac(addr, &line, major, minor);
         t += self.cfg.hash_latency;
         let recovery = MacRecord::pack_recovery(major, minor);
-        // The L0Inc bump must ride atomically with the write that makes the
-        // counter increment durable (the data line + its MacRecord, below):
-        // register updates emit no persist event, so placing the bump here —
-        // with no persist boundary before the push — means a crash either
-        // observes both the new MacRecord and the bumped register, or
-        // neither. Bumping earlier (before the record update above) left a
-        // crash window where L0Inc counted an increment no MacRecord had
-        // durably recorded, which recovery rejects as a replay.
-        if self.is_steins() {
-            self.scheme.steins().lincs.add(0, pv_after - pv_before);
-        }
-        if matches!(self.cfg.scheme, SchemeKind::Star) {
-            // STAR's deferred register refresh: the new leaf counter becomes
-            // reconstructible exactly when this data line + MacRecord land,
-            // so the refresh rides the push's persist event atomically.
-            let set = self.meta.set_index(loff);
-            t = self.star_tree_update(t, set);
-        }
+        // Scheme registers ride the data line + MacRecord push below: it is
+        // the persist event that makes the counter increment durable.
+        t = self.counters_moved(t, loff, &pre_leaf, &leaf);
         self.set_mac_record(dline, MacRecord { mac, recovery })?;
         t = self.wq.push(t, addr, &line, &mut self.nvm)?;
         self.front_free = t;
@@ -1013,78 +542,18 @@ impl SecureMemoryController {
         self.crypto.data_mac(addr, data, major, minor)
     }
 
-    /// Recomputes the MAC a node would store under parent counter `pc`
-    /// (diagnostics/ablation probing; does not touch energy counters).
+    /// Recomputes the MAC field a node would store under parent counter
+    /// `pc` (diagnostics/ablation probing; does not touch energy counters).
     pub fn mac_probe(&self, node: &SitNode, offset: u64, pc: u64) -> u64 {
         let mac = self
             .crypto
             .mac64_72(&node.mac_message(self.layout.node_addr(offset), pc));
-        if matches!(self.cfg.scheme, SchemeKind::Star) {
-            star::pack_hmac(mac, pc)
-        } else {
-            mac
-        }
+        scheme::seal_node_mac(self.cfg.scheme, mac, pc)
     }
 
     /// The memory layout in force.
     pub fn layout(&self) -> &MemoryLayout {
         &self.layout
-    }
-
-    /// Current LInc values (Steins only; used by invariant tests).
-    pub fn lincs(&self) -> Option<Vec<u64>> {
-        match &self.scheme {
-            SchemeState::Steins(s) => Some((0..s.lincs.levels()).map(|k| s.lincs.get(k)).collect()),
-            _ => None,
-        }
-    }
-
-    /// Recomputes, from first principles, what each LInc should be: the sum
-    /// over dirty cached nodes of (generated parent value of cached) −
-    /// (generated parent value of NVM-stale copy), **plus** parked NV-buffer
-    /// deltas not yet transferred. Used by the LInc-invariant tests.
-    pub fn recompute_lincs(&self) -> Option<Vec<u64>> {
-        let st = match &self.scheme {
-            SchemeState::Steins(s) => s,
-            _ => return None,
-        };
-        let geo = &self.layout.geometry;
-        let mut expect = vec![0u64; geo.levels()];
-        for (_, offset, node, dirty) in self.meta.resident_nodes() {
-            if !dirty {
-                continue;
-            }
-            let id = geo.node_at_offset(offset);
-            let stale = self.parse_node(id, &self.nvm.peek(self.layout.node_addr(offset)));
-            expect[id.level] += node.counters.parent_value() - stale.counters.parent_value();
-        }
-        // Parked entries: the child's NVM copy already carries the new
-        // counters, but the parent (and the level transfer) is pending, so
-        // the child's level still owes the delta and the parent's does not
-        // yet hold it.
-        for e in st.nv_buffer.entries() {
-            let cid = geo.node_at_offset(e.child_offset);
-            let (pid, slot) = geo.parent_of(cid).expect("buffered parents are non-root");
-            let stale_parent = self.parse_node(
-                pid,
-                &self.nvm.peek(self.layout.node_addr(geo.offset_of(pid))),
-            );
-            let p_old = if self.meta.is_dirty(geo.offset_of(pid)) {
-                // Parent dirty in cache: its cached value is the reference.
-                self.meta
-                    .peek(geo.offset_of(pid))
-                    .expect("dirty implies resident")
-                    .counters
-                    .as_general()
-                    .get(slot)
-            } else {
-                stale_parent.counters.as_general().get(slot)
-            };
-            if e.generated > p_old {
-                expect[cid.level] += e.generated - p_old;
-            }
-        }
-        Some(expect)
     }
 }
 
@@ -1505,9 +974,9 @@ mod tests {
     #[test]
     fn many_writes_roundtrip_through_evictions() {
         for (scheme, mode) in all_schemes() {
-            let cfg = SystemConfig::small_for_tests(scheme, mode);
-            let mut sys = SecureNvmSystem::new(cfg);
-            // Enough lines to overflow the tiny metadata cache repeatedly.
+            // One set of 8 ways: 600 lines overflow it repeatedly, so dirty
+            // nodes are evicted and flushed.
+            let mut sys = SecureNvmSystem::new(crate::crash::tests::one_set(scheme, mode));
             for i in 0..600u64 {
                 let mut data = [0u8; 64];
                 data[..8].copy_from_slice(&i.to_le_bytes());

@@ -4,16 +4,17 @@
 //! evaluated against:
 //!
 //! * [`engine`] — the secure memory controller: counter-mode encryption,
-//!   lazy-update SGX-style integrity tree, metadata cache, write queue, and
-//!   the per-scheme runtime hooks; plus [`engine::SecureNvmSystem`], the
-//!   full system (CPU model + cache hierarchy + controller) that runs
-//!   traces.
-//! * [`scheme`] — the four recovery schemes: **WB** (write-back baseline,
-//!   no recovery), **ASIT** (Anubis: shadow table + cache-tree), **STAR**
-//!   (dirty bitmap + sorted-set cache-tree), and **Steins**
-//!   (counter-generation + offset records + LIncs + NV buffer).
+//!   lazy-update SGX-style integrity tree, metadata cache and write queue;
+//!   plus [`engine::SecureNvmSystem`], the full system (CPU model + cache
+//!   hierarchy + controller) that runs traces.
+//! * `scheme` (crate-private) — the four recovery schemes, one file each:
+//!   **WB** (write-back baseline, no recovery), **ASIT** (Anubis: shadow
+//!   table + cache-tree), **STAR** (dirty bitmap + sorted-set cache-tree),
+//!   and **Steins** (counter-generation + offset records + LIncs + NV
+//!   buffer). Each file holds the scheme's state, its runtime hooks, its
+//!   crash remnant and its strict recovery.
 //! * [`crash`] / [`recovery`] — crash injection (volatile state loss with
-//!   ADR flush) and the per-scheme recovery engines with full verification.
+//!   ADR flush) and the scaffolding the schemes' strict recoveries share.
 //! * [`attack`] — tampering/replay injection used by the security tests.
 //! * [`scrub`] — lenient recovery: the non-panicking integrity scrub with
 //!   region-granular verdicts (`Intact`/`Recovered`/`Unrecoverable`).
@@ -42,7 +43,7 @@ pub mod online;
 pub mod par;
 pub mod recovery;
 pub mod report;
-pub mod scheme;
+mod scheme;
 pub mod scrub;
 pub mod shard;
 

@@ -339,11 +339,9 @@ impl OnlineService {
         }
         // Stamp the cursor (a cheap ADR persist): a crash between steps
         // resumes the pass from it instead of line zero.
-        sys.ctrl.journal_write(RecoveryJournal::new(
-            journal::ONLINE,
-            self.cursor,
-            self.passes.min(u64::from(u32::MAX)) as u32,
-        ))?;
+        let passes = self.passes.min(u64::from(u32::MAX)) as u32;
+        sys.ctrl
+            .journal_write(journal::ONLINE, self.cursor, passes)?;
         Ok(())
     }
 
@@ -502,7 +500,9 @@ mod tests {
         }
         // Sabotage the trusted register directly: the recomputation no
         // longer matches, which is exactly what a replayed counter causes.
-        s.ctrl.scheme.steins().lincs.add(0, 7);
+        if let crate::scheme::SchemeState::Steins(st) = &mut s.ctrl.scheme {
+            st.nv.lincs.add(0, 7);
+        }
         s.online_scrub_pass();
         let svc = s.online().unwrap();
         assert_eq!(svc.replay_suspected, 1);

@@ -36,11 +36,11 @@
 //! callers pick per §III-H threat model.
 
 use crate::cme::MacRecord;
-use crate::config::SchemeKind;
 use crate::crash::CrashedSystem;
-use crate::engine::SecureNvmSystem;
+use crate::engine::{is_zero_node, SecureNvmSystem};
 use crate::error::IntegrityError;
-use crate::scheme::star;
+use crate::recovery::journal;
+use crate::scheme::seal_node_mac;
 use steins_metadata::counter::{CounterBlock, SplitCounters};
 use steins_metadata::records::RecordLine;
 use steins_metadata::{CounterMode, NodeId, SitNode};
@@ -223,7 +223,7 @@ impl CrashedSystem {
         } else {
             self.nvm.recovery_journal()
         };
-        let restarts = if crate::recovery::journal::in_progress(prior.phase) {
+        let restarts = if journal::in_progress(prior.phase) {
             u64::from(prior.restarts.saturating_add(1))
         } else {
             0
@@ -301,7 +301,7 @@ impl CrashedSystem {
             pcs[off as usize] = pc;
             let mut node = nodes[off as usize];
             node.hmac = 0;
-            if !(pc == 0 && node.to_line() == [0u8; 64]) {
+            if !(pc == 0 && is_zero_node(&node)) {
                 need.push(off);
                 msgs.push(node.mac_message(self.layout.node_addr(off), pc));
             }
@@ -321,11 +321,7 @@ impl CrashedSystem {
                 // Lazily-initialized state: zero node under a zero counter.
                 None => [0u8; 64],
                 Some(mac) => {
-                    node.hmac = if matches!(self.cfg.scheme, SchemeKind::Star) {
-                        star::pack_hmac(mac, pcs[off as usize])
-                    } else {
-                        mac
-                    };
+                    node.hmac = seal_node_mac(self.cfg.scheme, mac, pcs[off as usize]);
                     node.to_line()
                 }
             };
@@ -346,11 +342,7 @@ impl CrashedSystem {
         report.nvm_reads = reads;
         let sys = out.insert(self.revive());
         let restarts32 = restarts.min(u64::from(u32::MAX)) as u32;
-        sys.ctrl.journal_write(steins_nvm::RecoveryJournal::new(
-            crate::recovery::journal::SCRUB,
-            0,
-            restarts32,
-        ))?;
+        sys.ctrl.journal_write(journal::SCRUB, 0, restarts32)?;
 
         // —— 6. Rewrite: planned node homes, then the derived regions reset
         //       to empty (all nodes come back clean, so records/shadow/
@@ -365,7 +357,7 @@ impl CrashedSystem {
         }
         let slots = sys.config().meta_cache.slots();
         let empty_record = RecordLine::default().to_line();
-        for r in 0..slots.div_ceil(steins_metadata::records::RECORDS_PER_LINE) {
+        for r in 0..sys.ctrl.layout.record_lines() {
             sys.ctrl
                 .nvm
                 .poke(sys.ctrl.layout.record_addr(r), &empty_record)?;
@@ -375,17 +367,13 @@ impl CrashedSystem {
                 .nvm
                 .poke(sys.ctrl.layout.shadow_addr(s), &[0u8; 64])?;
         }
-        let bitmap_lines = geo.total_nodes().div_ceil(8).div_ceil(64);
-        for l in 0..bitmap_lines {
+        for l in 0..sys.ctrl.layout.bitmap_lines() {
             sys.ctrl
                 .nvm
                 .poke(sys.ctrl.layout.bitmap_base + l * 64, &[0u8; 64])?;
         }
-        sys.ctrl.journal_write(steins_nvm::RecoveryJournal::new(
-            crate::recovery::journal::DONE,
-            rewritten,
-            restarts32,
-        ))?;
+        sys.ctrl
+            .journal_write(journal::DONE, rewritten, restarts32)?;
         sys.ctrl.nvm.disarm_crash();
         sys.ctrl.nvm.reset_stats();
         Ok(report)
@@ -476,7 +464,7 @@ impl CrashedSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::config::{SchemeKind, SystemConfig};
 
     fn scrubbed(scheme: SchemeKind, mode: CounterMode) -> (Option<SecureNvmSystem>, ScrubReport) {
         let cfg = SystemConfig::small_for_tests(scheme, mode);

@@ -103,6 +103,16 @@ impl MemoryLayout {
         self.records_base + record_line * 64
     }
 
+    /// Lines in the offset-record region.
+    pub fn record_lines(&self) -> u64 {
+        (self.shadow_base - self.records_base) / 64
+    }
+
+    /// Lines in the dirty-bitmap region.
+    pub fn bitmap_lines(&self) -> u64 {
+        (self.end - self.bitmap_base) / 64
+    }
+
     /// NVM address of the shadow-table line for cache slot `s`.
     pub fn shadow_addr(&self, slot: u64) -> u64 {
         self.shadow_base + slot * 64

@@ -1,6 +1,6 @@
 //! Mini Fig. 17: recovery time versus metadata cache size, at example scale
 //! (three small cache sizes so it finishes in seconds; the full sweep is
-//! `cargo run -p steins-bench --release --bin fig17`).
+//! Fig. 17 of `cargo run -p steins-bench --release --bin all`).
 //!
 //! Run: `cargo run --release --example recovery_sweep`
 
