@@ -27,10 +27,11 @@ use crate::recovery::{journal, RecoveryReport};
 use crate::scheme::NvState;
 use crate::scrub::ScrubReport;
 use crate::shard::ShardedEngine;
+use crate::truth::Truth;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use steins_crypto::{CryptoEngine, FxHashMap};
+use steins_crypto::CryptoEngine;
 use steins_metadata::{CounterMode, MemoryLayout, RootNode};
 use steins_nvm::{NvmDevice, PersistKind, PersistPoint};
 use steins_trace::rng::SmallRng;
@@ -46,7 +47,7 @@ pub struct CrashedSystem {
     pub(crate) nv: NvState,
     /// Ground truth restricted to lines whose latest value was persisted
     /// (CPU-dirty lines are genuinely lost).
-    pub(crate) truth: FxHashMap<u64, [u8; 64]>,
+    pub(crate) truth: Truth,
     /// Lines whose latest stores were lost in the CPU caches.
     pub(crate) lost_lines: Vec<u64>,
     /// A fresh machine of the same configuration: empty caches, write
@@ -72,7 +73,7 @@ impl SecureNvmSystem {
         // never reached the controller.
         let lost_lines = self.hier.dirty_lines();
         let mut truth = self.truth;
-        for addr in &lost_lines {
+        for &addr in &lost_lines {
             truth.remove(addr);
         }
 
@@ -603,16 +604,12 @@ impl CrashSweep {
                 && trip.is_some_and(|t| t.kind == PersistKind::LineWrite && t.addr == local);
             if durable {
                 let data = SweepOp::payload(line, tag);
-                crashed.truth.insert(local, data);
+                crashed.truth.set(local, &data);
                 expected.insert(addr, data);
             } else {
                 match acked.get(&addr) {
-                    Some(v) => {
-                        crashed.truth.insert(local, *v);
-                    }
-                    None => {
-                        crashed.truth.remove(&local);
-                    }
+                    Some(v) => crashed.truth.set(local, v),
+                    None => crashed.truth.remove(local),
                 }
             }
         }
@@ -629,7 +626,7 @@ impl CrashSweep {
                     let addr = engine.map().global_line(target, t.addr / 64) * 64;
                     sacrificed = Some(addr);
                     expected.remove(&addr);
-                    crashed.truth.remove(&t.addr);
+                    crashed.truth.remove(t.addr);
                 }
             }
         }
@@ -1527,7 +1524,7 @@ pub(crate) mod tests {
         // write() flushes, so this line is persisted truth.
         sys.write(0x100 * 64, &[7; 64]).unwrap();
         let crashed = sys.crash();
-        assert!(crashed.truth.contains_key(&(0x100 * 64)));
+        assert_eq!(crashed.truth.get(0x100 * 64), Some([7; 64]));
         assert!(crashed.recoverable());
     }
 

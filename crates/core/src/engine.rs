@@ -23,8 +23,9 @@ use crate::error::{pass_cut, IntegrityError};
 use crate::online::{OnlinePolicy, OnlineService};
 use crate::report::{LatencyStats, RunReport};
 use crate::scheme::{self, SchemeState};
+use crate::truth::Truth;
 use steins_cache::{CacheHierarchy, CpuModel, MemEvent};
-use steins_crypto::{data_mac_message, engine::make_engine, CryptoEngine, FxHashMap};
+use steins_crypto::{data_mac_message, engine::make_engine, CryptoEngine};
 use steins_metadata::counter::{CounterBlock, CounterMode, SplitIncrement};
 use steins_metadata::{MemoryLayout, MetadataCache, NodeId, RootNode, SitNode};
 use steins_nvm::{Cycle, EnergyCounters, EnergyModel, NvmDevice, PowerCut, WriteQueue};
@@ -558,7 +559,10 @@ impl SecureMemoryController {
 }
 
 /// Deterministic synthetic content for trace-driven stores: a recognizable
-/// pattern over (address, version).
+/// pattern over (address, version). It is also the ground truth's payload
+/// generator: a trace store's truth keeps only its version and regenerates
+/// the line from this function, so it must stay a pure function of
+/// (address, version).
 pub fn synth_data(addr: u64, version: u64) -> [u8; 64] {
     let mut line = [0u8; 64];
     for (i, chunk) in line.chunks_exact_mut(16).enumerate() {
@@ -576,8 +580,7 @@ pub struct SecureNvmSystem {
     pub(crate) cpu: CpuModel,
     pub(crate) hier: CacheHierarchy,
     /// Last-stored plaintext per line — the functional ground truth.
-    /// FxHash-keyed: consulted on every simulated read and write.
-    pub(crate) truth: FxHashMap<u64, [u8; 64]>,
+    pub(crate) truth: Truth,
     write_seq: u64,
     /// The online integrity service ([`crate::online`]), when enabled.
     /// `None` by default: existing single-system workloads pay nothing.
@@ -604,7 +607,7 @@ impl SecureNvmSystem {
             hier: CacheHierarchy::new(cfg.hierarchy),
             cfg,
             ctrl,
-            truth: FxHashMap::default(),
+            truth: Truth::default(),
             write_seq: 0,
             online: None,
         }
@@ -616,10 +619,22 @@ impl SecureNvmSystem {
     }
 
     fn truth_line(&self, addr: u64) -> [u8; 64] {
-        *self
-            .truth
-            .get(&addr)
+        self.truth
+            .get(addr)
             .expect("write-back of a line that was never stored")
+    }
+
+    /// Reads `addr` from the controller for a CPU-cache fill. The access
+    /// that asked for the fill has already installed the line, so a fill
+    /// that fails invalidates it and discards its write-back: otherwise a
+    /// later hit would serve the truth as `Ok`, and a later write-back
+    /// would re-seal it over the line the controller refused.
+    fn fill(&mut self, addr: u64) -> Result<([u8; 64], Cycle), IntegrityError> {
+        let filled = self.ctrl.read_data(self.cpu.now, addr);
+        if filled.is_err() {
+            self.hier.flush_line(addr);
+        }
+        filled
     }
 
     /// Services the memory events one CPU access produced. Returns the fill
@@ -633,10 +648,10 @@ impl SecureNvmSystem {
                     self.ctrl.write_data(self.cpu.now, addr, &data)?;
                 }
                 MemEvent::Fill { addr } => {
-                    let (data, ready) = self.ctrl.read_data(self.cpu.now, addr)?;
-                    if let Some(expected) = self.truth.get(&addr) {
+                    let (data, ready) = self.fill(addr)?;
+                    if let Some(expected) = self.truth.get(addr) {
                         assert_eq!(
-                            &data, expected,
+                            data, expected,
                             "decrypted fill diverged from stored plaintext at {addr:#x}"
                         );
                     }
@@ -670,8 +685,7 @@ impl SecureNvmSystem {
                     let acc = self.hier.access(op.addr, true);
                     let fill = self.service_events(&acc.events)?;
                     self.write_seq += 1;
-                    self.truth
-                        .insert(op.addr, synth_data(op.addr, self.write_seq));
+                    self.truth.set_version(op.addr, self.write_seq);
                     // Write-allocate: the store waits for its fill like a
                     // load; write-backs ride the controller front-end.
                     self.cpu.load(acc.on_chip_cycles, fill);
@@ -706,23 +720,21 @@ impl SecureNvmSystem {
         self.check_quarantine(addr)?;
         let acc = self.hier.access(addr, true);
         self.service_events(&acc.events)?;
-        let prev = self.truth.insert(addr, *data);
-        if let Some(MemEvent::WriteBack { addr: wb }) = self.hier.flush_line(addr) {
-            let line = self.truth_line(wb);
+        let written = match self.hier.flush_line(addr) {
+            Some(_) => self.ctrl.write_data(self.cpu.now, addr, data).map(drop),
+            None => Ok(()),
+        };
+        match written {
+            // The store never became durable (e.g. its metadata path is
+            // damaged): the ack is an error, so ground truth keeps the
+            // previous value — the device still holds it with a valid MAC,
+            // and a later fill must not count as divergence.
+            Err(ref e) if *e != IntegrityError::PowerCut => {}
             // A power cut leaves the store's durability to the crash path,
             // which reconciles ground truth against the tripping persist.
-            if let Err(e) = pass_cut(self.ctrl.write_data(self.cpu.now, wb, &line))? {
-                // The store never became durable (e.g. its metadata path is
-                // damaged): the ack is an error, so ground truth must keep
-                // the previous value — the device still holds it with a
-                // valid MAC, and a later fill must not count as divergence.
-                match prev {
-                    Some(p) => self.truth.insert(addr, p),
-                    None => self.truth.remove(&addr),
-                };
-                return Err(e);
-            }
+            _ => self.truth.set(addr, data),
         }
+        written?;
         self.maybe_online_step()
     }
 
@@ -740,7 +752,7 @@ impl SecureNvmSystem {
                     self.ctrl.write_data(self.cpu.now, a, &data)?;
                 }
                 MemEvent::Fill { addr: a } => {
-                    let (data, _) = self.ctrl.read_data(self.cpu.now, a)?;
+                    let (data, _) = self.fill(a)?;
                     from_mem = Some(data);
                 }
                 MemEvent::Prefetch { .. } => {}
@@ -749,7 +761,7 @@ impl SecureNvmSystem {
         self.maybe_online_step()?;
         Ok(match from_mem {
             Some(data) => data,
-            None => self.truth.get(&addr).copied().unwrap_or([0u8; 64]),
+            None => self.truth.get(addr).unwrap_or([0u8; 64]),
         })
     }
 
@@ -969,6 +981,61 @@ mod tests {
                 "{scheme:?}/{mode:?} roundtrip"
             );
         }
+    }
+
+    /// A line whose NVM copy was tampered with fails every read, and a
+    /// write over it fails and leaves it failing: a failed fill leaves no
+    /// copy in the CPU caches for a later hit to serve as `Ok`, nor a dirty
+    /// one whose write-back would re-seal the old truth over the tampering.
+    #[test]
+    fn a_tampered_line_fails_every_access() {
+        for (scheme, mode) in all_schemes() {
+            let mut sys = SecureNvmSystem::new(SystemConfig::small_for_tests(scheme, mode));
+            let (read, written) = (5 * 64, 9 * 64);
+            for addr in [read, written] {
+                sys.write(addr, &[addr as u8; 64]).unwrap();
+                sys.ctrl.nvm_mut().inject_bit_flip(addr, 3, 1);
+            }
+            let refused = |addr| Err(IntegrityError::DataMac { addr });
+            for i in 0..3 {
+                assert_eq!(
+                    sys.read(read),
+                    refused(read),
+                    "{scheme:?}/{mode:?} read {i}"
+                );
+            }
+            assert_eq!(
+                sys.write(written, &[0xEE; 64]),
+                Err(IntegrityError::DataMac { addr: written }),
+                "{scheme:?}/{mode:?} write"
+            );
+            assert!(
+                !sys.hier.dirty_lines().contains(&written),
+                "{scheme:?}/{mode:?}: the failed write left its line dirty"
+            );
+            for i in 0..3 {
+                assert_eq!(
+                    sys.read(written),
+                    refused(written),
+                    "{scheme:?}/{mode:?} read {i} after the write"
+                );
+            }
+        }
+    }
+
+    /// The fill check compares every decrypted fill with the truth, which
+    /// regenerates a trace store's payload from its version.
+    #[test]
+    #[should_panic(expected = "decrypted fill diverged")]
+    fn a_fill_that_disagrees_with_the_truth_panics() {
+        let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
+        let mut sys = SecureNvmSystem::new(cfg);
+        let addr = 12 * 64;
+        let op = |kind| TraceOp::new(0, kind, addr);
+        sys.run_trace([op(OpKind::Store), op(OpKind::Flush)].into_iter())
+            .unwrap();
+        sys.truth.set_version(addr, sys.write_seq + 1);
+        let _ = sys.run_trace(std::iter::once(op(OpKind::Load)));
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! * [`par`] — the shared-counter job pool and deterministic lane folding
 //!   behind parallel recovery (see [`shard::ParallelRecovery`]).
 //! * [`cme`], [`linc`], [`nvbuffer`], [`cachetree`] — building blocks.
+//! * `truth` (crate-private) — the functional ground truth every fill is
+//!   checked against: a trace store's version, or a given payload.
 //! * [`report`] — run metrics backing every figure of §IV.
 
 pub mod attack;
@@ -46,6 +48,7 @@ pub mod report;
 mod scheme;
 pub mod scrub;
 pub mod shard;
+mod truth;
 
 pub use campaign::{
     run_chaos, CampaignConfig, CampaignOutcome, CampaignReport, ChaosConfig, ChaosReport,

@@ -406,7 +406,7 @@ impl CrashedSystem {
         // so post-scrub reads of these lines fail deterministically (the
         // stored record still disagrees with the stored bytes).
         for addr in unrecoverable {
-            self.truth.remove(&addr);
+            self.truth.remove(addr);
         }
         match self.cfg.mode {
             CounterMode::General => {

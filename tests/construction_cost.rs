@@ -3,63 +3,98 @@
 //! bound how large a sweep or test we can afford. A recovery builds none:
 //! the crash built the machine it revives into, after freeing the old
 //! volatile state. It also pins the bytes the NVM device holds per line,
-//! the largest item in a large run's peak memory.
+//! the largest item in a large run's peak memory, and what a line stored
+//! by `run_trace` costs with the ground truth beside it.
 //!
 //! A counting global allocator tallies allocation calls and live bytes per
 //! thread, so the test harness's other threads never leak into a
-//! measurement.
+//! measurement. It also splits the live bytes by size class, so the
+//! ignored `heap_profile` test can say what the peak is made of.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::RefCell;
 use steins::nvm::SparseStore;
 use steins::prelude::*;
+use steins::trace::{OpKind, TraceOp};
 use steins_obs::Histogram;
 
 struct Counting;
 
+/// Size classes: class `c` holds blocks of 2^(c−1) + 1 to 2^c bytes.
+const CLASSES: usize = 48;
+
+/// The size class of a `bytes`-long block.
+fn class(bytes: usize) -> usize {
+    (usize::BITS - bytes.saturating_sub(1).leading_zeros()) as usize
+}
+
 /// One thread's allocator traffic. `live` is signed: a thread may free
 /// what another allocated.
-#[derive(Clone, Copy)]
 struct Tally {
     calls: u64,
     live: i64,
     peak: i64,
+    /// Live bytes per size class.
+    class_live: [i64; CLASSES],
+    /// `class_live` when `peak` was last reached.
+    class_at_peak: [i64; CLASSES],
+}
+
+impl Tally {
+    /// Restarts the peak from what is live now.
+    fn reset_peak(&mut self) {
+        self.peak = self.live;
+        self.class_at_peak = self.class_live;
+    }
 }
 
 thread_local! {
-    static TALLY: Cell<Tally> = const { Cell::new(Tally { calls: 0, live: 0, peak: 0 }) };
+    static TALLY: RefCell<Tally> = const {
+        RefCell::new(Tally {
+            calls: 0,
+            live: 0,
+            peak: 0,
+            class_live: [0; CLASSES],
+            class_at_peak: [0; CLASSES],
+        })
+    };
 }
 
-fn record(calls: u64, bytes: i64) {
+/// Files `calls` allocation calls that freed a block of `freed` bytes and
+/// allocated one of `allocated` (0 for none).
+fn record(calls: u64, freed: usize, allocated: usize) {
     // `try_with`: a thread's last frees and allocations may run after its
     // locals are gone.
     let _ = TALLY.try_with(|t| {
-        let mut v = t.get();
+        let mut v = t.borrow_mut();
         v.calls += calls;
-        v.live += bytes;
-        v.peak = v.peak.max(v.live);
-        t.set(v);
+        v.class_live[class(freed)] -= freed as i64;
+        v.class_live[class(allocated)] += allocated as i64;
+        v.live += allocated as i64 - freed as i64;
+        if v.live > v.peak {
+            v.reset_peak();
+        }
     });
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(1, layout.size() as i64);
+        record(1, 0, layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(1, layout.size() as i64);
+        record(1, 0, layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(1, new_size as i64 - layout.size() as i64);
+        record(1, layout.size(), new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        record(0, -(layout.size() as i64));
+        record(0, layout.size(), 0);
         System.dealloc(ptr, layout)
     }
 }
@@ -69,22 +104,21 @@ static GLOBAL: Counting = Counting;
 
 /// Allocation calls `f` makes on this thread, and its result.
 fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = TALLY.with(Cell::get).calls;
+    let before = TALLY.with(|t| t.borrow().calls);
     let out = f();
-    (TALLY.with(Cell::get).calls - before, out)
+    (TALLY.with(|t| t.borrow().calls) - before, out)
 }
 
 /// The most bytes live at once on this thread while `f` runs, above what
 /// was live when it started, and its result.
 fn peak_bytes<T>(f: impl FnOnce() -> T) -> (i64, T) {
     let start = TALLY.with(|t| {
-        let mut v = t.get();
-        v.peak = v.live;
-        t.set(v);
+        let mut v = t.borrow_mut();
+        v.reset_peak();
         v.live
     });
     let out = f();
-    (TALLY.with(Cell::get).peak - start, out)
+    (TALLY.with(|t| t.borrow().peak) - start, out)
 }
 
 /// A figure-sweep machine takes 16 allocations: one slab per cache, and
@@ -251,6 +285,30 @@ fn device_bytes_per_line(lines: u64, stride: u64) -> f64 {
     peak as f64 / lines as f64
 }
 
+/// Peak bytes per line while a sweep machine's `run_trace` stores and
+/// flushes `lines` distinct lines in address order: the device's line
+/// store and wear counts, the metadata the stores write back, and the
+/// ground truth.
+fn traced_bytes_per_line(lines: u64) -> f64 {
+    let cfg = SystemConfig::sweep(SchemeKind::Steins, CounterMode::General);
+    let mut sys = SecureNvmSystem::new(cfg);
+    let ops = (0..lines)
+        .flat_map(|i| [OpKind::Store, OpKind::Flush].map(|kind| TraceOp::new(0, kind, i * 64)));
+    let (peak, report) = peak_bytes(|| sys.run_trace(ops).expect("clean run"));
+    assert!(report.nvm.writes >= lines);
+    peak as f64 / lines as f64
+}
+
+/// The ground truth keeps a trace store's version (16 B) and regenerates
+/// its payload, where it kept the 64 B payload: a line stored by
+/// `run_trace` peaked at 201.9 B with the payload map and peaks at
+/// 137.4 B.
+#[test]
+fn a_traced_line_costs_at_most_170_bytes() {
+    let b = traced_bytes_per_line(100_000);
+    assert!(b <= 170.0, "{b:.1} B per line stored by run_trace");
+}
+
 /// Dense timed writes pay the store's 68 B and 4 B of wear count.
 #[test]
 fn a_dense_device_line_costs_at_most_80_bytes() {
@@ -263,4 +321,63 @@ fn a_dense_device_line_costs_at_most_80_bytes() {
 fn a_device_line_written_at_stride_8_costs_at_most_108_bytes() {
     let b = device_bytes_per_line(100_000, 8);
     assert!(b <= 108.0, "{b:.1} B per line written at stride 8");
+}
+
+/// This thread's live bytes per size class at its peak, largest first,
+/// skipping classes under 10 kB.
+fn peak_classes() -> Vec<(usize, i64)> {
+    let at_peak = TALLY.with(|t| t.borrow().class_at_peak);
+    let mut classes: Vec<(usize, i64)> = (0..CLASSES)
+        .map(|c| (c, at_peak[c]))
+        .filter(|&(_, b)| b >= 10_000)
+        .collect();
+    classes.sort_by_key(|&(_, b)| std::cmp::Reverse(b));
+    classes
+}
+
+/// A power of two in B, KiB or MiB.
+fn binary_size(bytes: u64) -> String {
+    match bytes {
+        b if b >= 1 << 20 => format!("{} MiB", b >> 20),
+        b if b >= 1 << 10 => format!("{} KiB", b >> 10),
+        b => format!("{b} B"),
+    }
+}
+
+/// Prints where a figure-sweep Steins-GC machine's heap peaks while it
+/// serves 300 k cactusADM ops, crashes and recovers, all on this thread,
+/// and the live bytes per block size class at that peak. Run with `cargo
+/// test --release --test construction_cost -- --ignored heap_profile
+/// --nocapture`.
+#[test]
+#[ignore = "a profile to read, not a check"]
+fn heap_profile() {
+    let mb = |b: i64| b as f64 / 1e6;
+    let cfg = SystemConfig::sweep(SchemeKind::Steins, CounterMode::General);
+    let mut sys = SecureNvmSystem::new(cfg);
+    let mut phases = Vec::new();
+    let mut phase = |name: &'static str, peak: i64| phases.push((name, peak, peak_classes()));
+    let wl = Workload::new(WorkloadKind::CactusAdm, 300_000, 42);
+    let (peak, report) = peak_bytes(|| sys.run_trace(wl.generate()).expect("clean run"));
+    phase("serve", peak);
+    let (peak, crashed) = peak_bytes(|| sys.crash());
+    phase("crash", peak);
+    let (peak, recovered) = peak_bytes(|| crashed.recover());
+    phase("recover", peak);
+    let (_, rr) = recovered.expect("recovery verifies");
+    println!(
+        "300000 cactusADM ops: {} NVM writes, {} nodes recovered",
+        report.nvm.writes, rr.nodes_recovered
+    );
+    for (name, peak, _) in &phases {
+        println!("{name:>8}: heap peak {:.2} MB above its start", mb(*peak));
+    }
+    let (name, _, classes) = phases
+        .iter()
+        .max_by_key(|(_, p, _)| *p)
+        .expect("three phases");
+    println!("live at the {name} peak, by block size:");
+    for (c, bytes) in classes {
+        println!("  ≤ {:>7} {:>8.2} MB", binary_size(1 << c), mb(*bytes));
+    }
 }
