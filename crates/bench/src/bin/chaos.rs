@@ -26,37 +26,26 @@
 //! Env knobs: `STEINS_CHAOS_SHARDS` (default 4), `STEINS_CHAOS_THREADS`
 //! (default 4), `STEINS_CHAOS_OPS` (ops per shard, default 192),
 //! `STEINS_CHAOS_FAULTS` (faults per shard, default 5), `STEINS_CHAOS_SEED`,
-//! `STEINS_CHAOS_REPAIR` (any value enables the repair).
+//! `STEINS_CHAOS_REPAIR` (`1` enables the repair), `STEINS_CHAOS_VERBOSE`
+//! (`1` prints every event and alarm).
 //! Writes `results/METRICS_chaos.json`; exits non-zero on any gate failure.
 
+use steins_bench::env;
 use steins_bench::metrics::write_metrics;
 use steins_core::campaign::{run_chaos, ChaosConfig};
 use steins_core::OnlinePolicy;
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| {
-            let v = v.trim();
-            match v.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => v.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
-}
 
 const OVERHEAD_LIMIT: f64 = 1.10;
 
 fn main() {
     let defaults = ChaosConfig::default();
-    let repair = std::env::var("STEINS_CHAOS_REPAIR").is_ok();
+    let repair = env::flag("STEINS_CHAOS_REPAIR");
     let cfg = ChaosConfig {
-        seed: env_u64("STEINS_CHAOS_SEED", defaults.seed),
-        shards: env_u64("STEINS_CHAOS_SHARDS", 4) as usize,
-        threads: env_u64("STEINS_CHAOS_THREADS", 4) as usize,
-        ops_per_shard: env_u64("STEINS_CHAOS_OPS", 192) as usize,
-        faults_per_shard: env_u64("STEINS_CHAOS_FAULTS", 5) as usize,
+        seed: env::int("STEINS_CHAOS_SEED").unwrap_or(defaults.seed),
+        shards: env::int("STEINS_CHAOS_SHARDS").unwrap_or(4),
+        threads: env::int("STEINS_CHAOS_THREADS").unwrap_or(4),
+        ops_per_shard: env::int("STEINS_CHAOS_OPS").unwrap_or(192),
+        faults_per_shard: env::int("STEINS_CHAOS_FAULTS").unwrap_or(5),
         repair,
         ..defaults
     };
@@ -80,7 +69,7 @@ fn main() {
             r.degraded_shards, r.parked_shards
         );
     }
-    if !r.clean() || !repair_ok || std::env::var("STEINS_CHAOS_VERBOSE").is_ok() {
+    if !r.clean() || !repair_ok || env::flag("STEINS_CHAOS_VERBOSE") {
         for e in &r.events {
             println!("  {e}");
         }

@@ -42,7 +42,7 @@
 //! shard, default 2), `STEINS_RECOVERY_WORKERS` (worker-crash rebuild
 //! threads, default 1), `STEINS_THREADS` (worker pool size).
 
-use steins_bench::par;
+use steins_bench::{env, par};
 use steins_core::{CrashRepro, CrashSweep, IntegrityError, PointSelection};
 
 /// Torn-word masks swept at every selected line-write boundary: dropped,
@@ -59,13 +59,6 @@ const NESTED_INNER_MASKS: [u8; 2] = [0xFF, 0x0F];
 /// Masks of the sharded phase: whole-line crash plus a half-line tear
 /// (exercising the per-shard scrub leg).
 const SHARD_MASKS: [u8; 2] = [0xFF, 0x0F];
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Probes every job on the worker pool and prints the combo's row — jobs
 /// tested, failures, verdict — plus its first three repros. Returns whether
@@ -94,13 +87,13 @@ fn row<J: Send>(
 }
 
 fn main() {
-    let ops = env_usize("STEINS_SWEEP_OPS", 150);
-    let torn_points = env_usize("STEINS_TORN_POINTS", 48);
-    let nested_outer = env_usize("STEINS_NESTED_OUTER", 12);
-    let nested_inner = env_usize("STEINS_NESTED_INNER", 6);
-    let shard_shards = env_usize("STEINS_SHARD_SWEEP_SHARDS", 2);
-    let shard_points = env_usize("STEINS_SHARD_POINTS", 4);
-    let shard_nested = env_usize("STEINS_SHARD_NESTED", 2);
+    let ops = env::int("STEINS_SWEEP_OPS").unwrap_or(150);
+    let torn_points = env::int("STEINS_TORN_POINTS").unwrap_or(48);
+    let nested_outer = env::int("STEINS_NESTED_OUTER").unwrap_or(12);
+    let nested_inner = env::int("STEINS_NESTED_INNER").unwrap_or(6);
+    let shard_shards = env::int("STEINS_SHARD_SWEEP_SHARDS").unwrap_or(2);
+    let shard_points = env::int("STEINS_SHARD_POINTS").unwrap_or(4);
+    let shard_nested = env::int("STEINS_SHARD_NESTED").unwrap_or(2);
     let combos = steins_core::campaign::COMBOS;
     let bounded =
         |scheme, mode, sel| CrashSweep::small(scheme, mode, ops, PointSelection::AtMost(sel));
@@ -206,7 +199,7 @@ fn main() {
             ],
         );
     }
-    let workers = env_usize("STEINS_RECOVERY_WORKERS", 1).max(1);
+    let workers = env::int("STEINS_RECOVERY_WORKERS").unwrap_or(1).max(1);
     let worker_clean =
         format!("only the crashed worker's region restarted ({workers}-worker rebuild)");
     for (scheme, mode) in combos {

@@ -27,7 +27,7 @@
 //! `STEINS_CAMPAIGN_SEED` (default `0x5EED_FA17`), `STEINS_THREADS`.
 
 use steins_bench::metrics::write_metrics;
-use steins_bench::par;
+use steins_bench::{env, par};
 use steins_core::campaign::{CampaignConfig, CampaignReport, FaultCampaign, COMBOS};
 
 /// Parses a `--repro` point spec `<combo-label>:<iteration>` against the
@@ -41,24 +41,11 @@ fn parse_repro(spec: &str) -> Option<(usize, usize)> {
     Some((combo, iter))
 }
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| {
-            let v = v.trim();
-            match v.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => v.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
-}
-
 fn main() {
     let cfg = CampaignConfig {
-        seed: env_u64("STEINS_CAMPAIGN_SEED", 0x5EED_FA17),
-        points_per_combo: env_u64("STEINS_CAMPAIGN_POINTS", 168) as usize,
-        ops: env_u64("STEINS_CAMPAIGN_OPS", 40) as usize,
+        seed: env::int("STEINS_CAMPAIGN_SEED").unwrap_or(0x5EED_FA17),
+        points_per_combo: env::int("STEINS_CAMPAIGN_POINTS").unwrap_or(168),
+        ops: env::int("STEINS_CAMPAIGN_OPS").unwrap_or(40),
     };
 
     let args: Vec<String> = std::env::args().collect();

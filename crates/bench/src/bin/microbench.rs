@@ -8,6 +8,9 @@
 //! * HMAC-SHA-256/64 over the 72 B node-MAC message (msgs/s) — midstate
 //!   fast path vs clone-based two-hasher reference
 //! * the 88 B data-MAC (msgs/s)
+//! * one SHA-256 compression (blocks/s) — the portable body vs
+//!   `Sha256::compress`, which runs SHA-NI where the CPU has it (the run
+//!   prints which)
 //! * sparse line-store reads (reads/s) — FxHash store vs std SipHash map
 //! * end-to-end secure writes (writes/s) at both crypto fidelities
 //!
@@ -15,7 +18,7 @@
 //! (trace length of the end-to-end runs, default 2000).
 
 use std::collections::HashMap;
-use steins_bench::micro;
+use steins_bench::{env, micro};
 use steins_core::{SchemeKind, SystemConfig};
 use steins_crypto::aes::reference::RefAes128;
 use steins_crypto::{engine::make_engine, Aes128, CryptoKind, HmacSha256, SecretKey, Sha256};
@@ -78,10 +81,7 @@ impl Entry {
 }
 
 fn end_to_end_ns_per_write(g: &mut micro::Group, label: &str, kind: CryptoKind) -> f64 {
-    let ops: u64 = std::env::var("STEINS_MICRO_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000);
+    let ops: u64 = env::int("STEINS_MICRO_OPS").unwrap_or(2000);
     let med_run_ns = g.bench_batched(
         label,
         || {
@@ -184,59 +184,27 @@ fn main() {
         "data_mac must build the canonical 88 B message and route it through mac64_88"
     );
 
-    let mut g = micro::group("hmac_batched");
-    const BATCH: usize = 64;
-    let msgs72: Vec<[u8; 72]> = (0..BATCH)
-        .map(|i| core::array::from_fn(|j| (i * 7 + j) as u8))
-        .collect();
-    let msgs88: Vec<[u8; 88]> = (0..BATCH)
-        .map(|i| core::array::from_fn(|j| (i * 11 + j + 1) as u8))
-        .collect();
-    let mut out = [0u64; BATCH];
-    let before = g.bench("mac64_72B_serial_loop", || {
-        for (m, o) in msgs72.iter().zip(out.iter_mut()) {
-            *o = hmac.mac64_72(m);
-        }
-        std::hint::black_box(&out);
-    }) / BATCH as f64;
-    let after = g.bench("mac64_72B_multi_lane", || {
-        hmac.mac64_72_many(&msgs72, &mut out);
-        std::hint::black_box(&out);
-    }) / BATCH as f64;
-    {
-        // Differential: the measured batch must produce the serial bytes.
-        let mut serial = [0u64; BATCH];
-        for (m, o) in msgs72.iter().zip(serial.iter_mut()) {
-            *o = hmac.mac64_72(m);
-        }
-        let mut batched = [0u64; BATCH];
-        hmac.mac64_72_many(&msgs72, &mut batched);
-        assert_eq!(serial, batched, "batched path must compute the same MACs");
-    }
-    entries.push(Entry {
-        name: "hmac_mac64_72B_batched",
-        unit: "ns per 72 B MAC (batch of 64, serial loop vs multi-lane)",
-        before_ns: before,
-        after_ns: after,
-        rate_unit: "msgs/s",
-        work_per_op: 1.0,
+    let mut g = micro::group("sha256_compress");
+    println!(
+        "Sha256::compress runs the {} compression",
+        Sha256::compression()
+    );
+    let block: [u8; 64] = core::array::from_fn(|i| (i * 7 + 1) as u8);
+    let mut state = [0u32; 8];
+    let before = g.bench("compress_portable", || {
+        Sha256::compress_portable(&mut state, std::hint::black_box(&block));
+        std::hint::black_box(&state);
     });
-    let before = g.bench("mac64_88B_serial_loop", || {
-        for (m, o) in msgs88.iter().zip(out.iter_mut()) {
-            *o = hmac.mac64_88(m);
-        }
-        std::hint::black_box(&out);
-    }) / BATCH as f64;
-    let after = g.bench("mac64_88B_multi_lane", || {
-        hmac.mac64_88_many(&msgs88, &mut out);
-        std::hint::black_box(&out);
-    }) / BATCH as f64;
+    let after = g.bench("compress_dispatched", || {
+        Sha256::compress(&mut state, std::hint::black_box(&block));
+        std::hint::black_box(&state);
+    });
     entries.push(Entry {
-        name: "data_mac_88B_batched",
-        unit: "ns per 88 B data MAC (batch of 64, serial loop vs multi-lane)",
+        name: "sha256_compress",
+        unit: "ns per 64 B compression (portable vs dispatched)",
         before_ns: before,
         after_ns: after,
-        rate_unit: "msgs/s",
+        rate_unit: "blocks/s",
         work_per_op: 1.0,
     });
 

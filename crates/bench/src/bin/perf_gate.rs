@@ -57,10 +57,7 @@ fn main() {
         .get(1)
         .map(String::as_str)
         .unwrap_or("results/BENCH_crypto.json");
-    let tol: f64 = std::env::var("STEINS_PERF_TOL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.25);
+    let tol = steins_bench::env::float("STEINS_PERF_TOL").unwrap_or(0.25);
 
     let baseline = benches(&load(baseline_path), baseline_path);
     let fresh = benches(&load(fresh_path), fresh_path);

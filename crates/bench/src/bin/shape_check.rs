@@ -19,24 +19,10 @@
 use std::collections::BTreeMap;
 use steins_bench::recovery_bench::recovery_at_cache_size;
 use steins_bench::shape::{check_below, check_close, check_increasing};
-use steins_bench::{gmean, par, run_one, Cell, GC_MATRIX, SC_MATRIX};
+use steins_bench::{env, gmean, par, run_one, Cell, GC_MATRIX, SC_MATRIX};
 use steins_core::{RunReport, SchemeKind};
 use steins_metadata::CounterMode;
 use steins_trace::WorkloadKind;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Gmean over all workloads of `metric(cell) / metric(baseline)`.
 fn norm_gmean(
@@ -61,9 +47,9 @@ fn norm_gmean(
 }
 
 fn main() {
-    let ops = env_u64("STEINS_SHAPE_OPS", 20_000);
-    let seed = env_u64("STEINS_SEED", 42);
-    let tol = env_f64("STEINS_SHAPE_TOL", 0.15);
+    let ops = env::int("STEINS_SHAPE_OPS").unwrap_or(20_000);
+    let seed = env::int("STEINS_SEED").unwrap_or(42);
+    let tol = env::float("STEINS_SHAPE_TOL").unwrap_or(0.15);
     println!("shape_check: ops/workload = {ops}, seed = {seed}, tol = {tol}");
 
     let cells: Vec<Cell> = GC_MATRIX.iter().chain(SC_MATRIX.iter()).copied().collect();

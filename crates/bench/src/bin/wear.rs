@@ -11,10 +11,7 @@ use steins_metadata::CounterMode;
 use steins_trace::{Workload, WorkloadKind};
 
 fn main() {
-    let ops = std::env::var("STEINS_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000u64);
+    let ops: u64 = steins_bench::env::int("STEINS_OPS").unwrap_or(200_000);
     println!("== Write-endurance attribution ({ops} ops of phash) ==\n");
     println!(
         "{:<11}{:>10}{:>10}{:>10}{:>10}{:>10}{:>12}{:>10}",

@@ -32,6 +32,7 @@
 //! `STEINS_LADDER_WORKERS` (default `1,2,4,8`), `STEINS_LADDER_SHARDS`
 //! (default 8), `STEINS_RECOVERY_SCALE_TOL`.
 
+use crate::env;
 use std::fmt::Write as _;
 
 use steins_core::par;
@@ -57,28 +58,11 @@ pub struct LadderConfig {
 impl LadderConfig {
     /// Grid from the environment (see module docs for the knobs).
     pub fn from_env() -> Self {
-        fn list(var: &str) -> Option<Vec<u64>> {
-            let v: Vec<u64> = std::env::var(var)
-                .ok()?
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&n| n > 0)
-                .collect();
-            (!v.is_empty()).then_some(v)
-        }
-        let num = |var: &str, default: f64| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
         LadderConfig {
-            rungs_mb: list("STEINS_LADDER_MB").unwrap_or_else(|| vec![256, 1024, 4096]),
-            workers: list("STEINS_LADDER_WORKERS")
-                .map(|v| v.into_iter().map(|n| n as usize).collect())
-                .unwrap_or_else(|| vec![1, 2, 4, 8]),
-            shards: num("STEINS_LADDER_SHARDS", 8.0) as usize,
-            tol: num("STEINS_RECOVERY_SCALE_TOL", 0.375),
+            rungs_mb: env::list("STEINS_LADDER_MB").unwrap_or_else(|| vec![256, 1024, 4096]),
+            workers: env::list("STEINS_LADDER_WORKERS").unwrap_or_else(|| vec![1, 2, 4, 8]),
+            shards: env::int("STEINS_LADDER_SHARDS").unwrap_or(8),
+            tol: env::float("STEINS_RECOVERY_SCALE_TOL").unwrap_or(0.375),
         }
     }
 }

@@ -13,6 +13,9 @@
 //! * `STEINS_SEED` — trace seed (default 42).
 //! * `STEINS_THREADS` — sweep worker count (default: available parallelism).
 //!
+//! Every binary reads its knobs through [`mod@env`]: a malformed value exits 2
+//! naming the variable, never falls back to the default.
+//!
 //! Besides the printed tables and `results/*.csv`, every figure run exports
 //! its full metric registry (tail-latency histograms, device/cache/metadata
 //! counters) as `results/METRICS_<run>.json` — see [`metrics`].
@@ -22,6 +25,7 @@ use steins_core::{RunReport, SchemeKind, SystemConfig};
 use steins_metadata::CounterMode;
 use steins_trace::{Workload, WorkloadKind};
 
+pub mod env;
 pub mod ladder;
 pub mod metrics;
 pub mod micro;
@@ -78,18 +82,12 @@ pub const SC_MATRIX: [Cell; 2] = [
 
 /// Memory operations per workload (env `STEINS_OPS`).
 pub fn ops() -> u64 {
-    std::env::var("STEINS_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000)
+    env::int("STEINS_OPS").unwrap_or(1_000_000)
 }
 
 /// Trace seed (env `STEINS_SEED`).
 pub fn seed() -> u64 {
-    std::env::var("STEINS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
+    env::int("STEINS_SEED").unwrap_or(42)
 }
 
 /// Runs one (scheme, mode, workload) simulation and returns its report.

@@ -19,9 +19,7 @@ pub struct Group {
 /// CI's perf-smoke job sets a small value so the suite completes quickly.
 pub fn group(name: &str) -> Group {
     println!("\n== bench group: {name} ==");
-    let target = std::env::var("STEINS_MICRO_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
+    let target = crate::env::int("STEINS_MICRO_MS")
         .map(Duration::from_millis)
         .unwrap_or(Duration::from_secs(2));
     Group {

@@ -2,12 +2,10 @@
 //! pool [`steins_core::par::run_regions`] that parallel recovery runs on,
 //! sized by `STEINS_THREADS`, so the workspace keeps one parallel map.
 
-/// Number of worker threads: env `STEINS_THREADS`, default = available
+/// Number of worker threads: env `STEINS_THREADS`; unset or `0` = available
 /// parallelism.
 pub fn threads() -> usize {
-    std::env::var("STEINS_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
+    crate::env::int("STEINS_THREADS")
         .filter(|&n| n > 0)
         .unwrap_or_else(|| {
             std::thread::available_parallelism()

@@ -21,6 +21,7 @@
 //! default `1,2,4,8`), `STEINS_STRESS_OPS` (writes per cell), `STEINS_SEED`,
 //! `STEINS_SCALE_TOL`.
 
+use crate::env;
 use std::fmt::Write as _;
 
 use steins_core::engine::synth_data;
@@ -48,27 +49,12 @@ pub struct StressConfig {
 impl StressConfig {
     /// Grid from the environment (see module docs for the knobs).
     pub fn from_env() -> Self {
-        fn list(var: &str) -> Option<Vec<usize>> {
-            let v: Vec<usize> = std::env::var(var)
-                .ok()?
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&n| n > 0)
-                .collect();
-            (!v.is_empty()).then_some(v)
-        }
-        let num = |var: &str, default: f64| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
         StressConfig {
-            shards: list("STEINS_STRESS_SHARDS").unwrap_or_else(|| vec![1, 2, 4, 8]),
-            threads: list("STEINS_STRESS_THREADS").unwrap_or_else(|| vec![1, 2, 4, 8]),
-            ops: num("STEINS_STRESS_OPS", 24_000.0) as usize,
-            seed: num("STEINS_SEED", 42.0) as u64,
-            tol: num("STEINS_SCALE_TOL", 0.25),
+            shards: env::list("STEINS_STRESS_SHARDS").unwrap_or_else(|| vec![1, 2, 4, 8]),
+            threads: env::list("STEINS_STRESS_THREADS").unwrap_or_else(|| vec![1, 2, 4, 8]),
+            ops: env::int("STEINS_STRESS_OPS").unwrap_or(24_000),
+            seed: env::int("STEINS_SEED").unwrap_or(42),
+            tol: env::float("STEINS_SCALE_TOL").unwrap_or(0.25),
         }
     }
 }

@@ -43,20 +43,11 @@ impl CacheTree {
         for level in 1..self.levels.len() {
             let (lower, upper) = self.levels.split_at_mut(level);
             let below = lower.last().expect("level >= 1");
-            let here = upper.first_mut().expect("level exists");
-            // Present the whole level as one batch: every parent's node-MAC
-            // message is independent, so the engine can fill its lanes
-            // (full-fanout parents share one length; a ragged tail parent
-            // falls back to the scalar path inside the engine).
-            let msgs: Vec<([u8; CT_FANOUT * 8 + 16], usize)> = (0..here.len())
-                .map(|parent| {
-                    let first = parent * CT_FANOUT;
-                    let last = (first + CT_FANOUT).min(below.len());
-                    Self::node_mac_message(level, parent, &below[first..last])
-                })
-                .collect();
-            let refs: Vec<&[u8]> = msgs.iter().map(|(m, n)| &m[..*n]).collect();
-            engine.mac64_many(&refs, here);
+            for (parent, mac) in upper[0].iter_mut().enumerate() {
+                let first = parent * CT_FANOUT;
+                let last = (first + CT_FANOUT).min(below.len());
+                *mac = Self::node_mac(engine, level, parent, &below[first..last]);
+            }
         }
     }
 
@@ -65,15 +56,11 @@ impl CacheTree {
         self.levels.len() - 1
     }
 
-    /// Builds the node-MAC message (`children LE ‖ level ‖ index`) into a
-    /// stack buffer, returning it with its used length. Shared by the
-    /// scalar per-update path and the batched level recomputation so both
-    /// MAC the exact same bytes.
-    fn node_mac_message(
-        level: usize,
-        index: usize,
-        children: &[u64],
-    ) -> ([u8; CT_FANOUT * 8 + 16], usize) {
+    /// MAC of one interior node: `children LE ‖ level ‖ index`.
+    fn node_mac(engine: &dyn CryptoEngine, level: usize, index: usize, children: &[u64]) -> u64 {
+        // Stack buffer: ≤ CT_FANOUT children plus level/index, never larger.
+        // This runs `depth` times per leaf update — the hot inner loop of
+        // every ASIT/STAR write.
         debug_assert!(children.len() <= CT_FANOUT);
         let mut msg = [0u8; CT_FANOUT * 8 + 16];
         for (i, c) in children.iter().enumerate() {
@@ -82,15 +69,7 @@ impl CacheTree {
         let n = children.len() * 8;
         msg[n..n + 8].copy_from_slice(&(level as u64).to_le_bytes());
         msg[n + 8..n + 16].copy_from_slice(&(index as u64).to_le_bytes());
-        (msg, n + 16)
-    }
-
-    fn node_mac(engine: &dyn CryptoEngine, level: usize, index: usize, children: &[u64]) -> u64 {
-        // Stack buffer: ≤ CT_FANOUT children plus level/index, never larger.
-        // This runs `depth` times per leaf update — the hot inner loop of
-        // every ASIT/STAR write.
-        let (msg, n) = Self::node_mac_message(level, index, children);
-        engine.mac64(&msg[..n])
+        engine.mac64(&msg[..n + 16])
     }
 
     /// Sets leaf `slot` to `leaf_mac` and recomputes the path to the root.

@@ -1811,52 +1811,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// Batching stops at the crypto: for a fixed trace, the multi-lane
-    /// (batched) crypto presentation must drive the *exact* durable-state
-    /// transition sequence the serial presentation does — same persist
-    /// events, same order, same addresses — or crash-point enumeration
-    /// would silently change meaning between the two paths. Compared via a
-    /// sequence hash (and the raw journals, for a readable diff on
-    /// failure) across the schemes whose hot paths present batches.
-    #[test]
-    fn batched_flush_persist_sequence_matches_serial() {
-        use steins_crypto::{RealCrypto, SerialPresentation};
-
-        fn journal(
-            scheme: SchemeKind,
-            mode: CounterMode,
-            serial: bool,
-        ) -> (u64, Vec<PersistPoint>) {
-            let cfg = one_set(scheme, mode);
-            let mut sys = if serial {
-                let eng = SerialPresentation(RealCrypto::new(cfg.secret_key()));
-                SecureNvmSystem::with_engine(cfg, Box::new(eng))
-            } else {
-                SecureNvmSystem::new(cfg)
-            };
-            sys.ctrl.nvm.trace_pokes(true);
-            sys.ctrl.nvm.journal_points(true);
-            run_bare(&mut sys, &evicting_stream(0xBA7C4ED, 300));
-            let points = sys.ctrl.nvm.point_journal().to_vec();
-            (fold_points(FNV_BASIS, &points), points)
-        }
-
-        for (scheme, mode) in [
-            (SchemeKind::Steins, CounterMode::General),
-            (SchemeKind::Steins, CounterMode::Split), // minor overflow ⇒ batched re-encryption
-            (SchemeKind::Asit, CounterMode::General), // cache-tree level batches
-        ] {
-            let (bh, bj) = journal(scheme, mode, false);
-            let (sh, sj) = journal(scheme, mode, true);
-            assert!(
-                !bj.is_empty(),
-                "{scheme:?}/{mode:?}: trace persisted nothing"
-            );
-            assert_eq!(bj, sj, "{scheme:?}/{mode:?}: persist sequences diverge");
-            assert_eq!(bh, sh, "{scheme:?}/{mode:?}: sequence hash diverges");
-        }
-    }
-
     #[test]
     fn bounded_selection_covers_first_and_last_point() {
         let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);

@@ -25,7 +25,7 @@ use crate::report::{LatencyStats, RunReport};
 use crate::scheme::{self, SchemeState};
 use crate::truth::Truth;
 use steins_cache::{CacheHierarchy, CpuModel, MemEvent};
-use steins_crypto::{data_mac_message, engine::make_engine, CryptoEngine};
+use steins_crypto::{engine::make_engine, CryptoEngine};
 use steins_metadata::counter::{CounterBlock, CounterMode, SplitIncrement};
 use steins_metadata::{MemoryLayout, MetadataCache, NodeId, RootNode, SitNode};
 use steins_nvm::{Cycle, EnergyCounters, EnergyModel, NvmDevice, PowerCut, WriteQueue};
@@ -95,10 +95,9 @@ impl SecureMemoryController {
         Self::with_engine(cfg, crypto)
     }
 
-    /// Builds a fresh controller around an injected crypto engine. Tests use
-    /// this to wrap the real engine (e.g. in a `SerialPresentation`) and
-    /// prove batched and serial crypto presentation drive byte-identical
-    /// system behavior; `cfg.crypto` is ignored in favor of `crypto`.
+    /// Builds a fresh controller around an injected crypto engine (the
+    /// benchmark's timed engine, for one); `cfg.crypto` is ignored in favor
+    /// of `crypto`.
     pub fn with_engine(cfg: SystemConfig, crypto: Box<dyn CryptoEngine>) -> Self {
         cfg.validate();
         let layout = MemoryLayout::new(cfg.mode, cfg.data_lines, cfg.meta_cache.slots());
@@ -324,16 +323,15 @@ impl SecureMemoryController {
         new_major: u64,
         skip_line: u64,
     ) -> Result<Cycle, IntegrityError> {
-        // Phase 1 — verify, then compute. Each covered line's ciphertext is
+        // Phase 1 — read, verify, compute. Each covered line's ciphertext is
         // read through the fault overlay, so it must be authenticated under
         // the *old* pair before being touched: re-encrypting a flipped or
         // stuck line and stamping it with a fresh MAC would launder the
         // corruption into an authenticated block. A line that fails the
         // check (or is unreadable outright) is left exactly as it was — old
         // ciphertext, old record — so it keeps failing closed on reads until
-        // the scrub quarantines it. Only the crypto is batched; no durable
-        // state changes in this phase.
-        let mut candidates: Vec<(u64, u64, [u8; 64], u64)> = Vec::new();
+        // the scrub quarantines it. No durable state changes in this phase.
+        let mut pending: Vec<(u64, u64, [u8; 64], u64)> = Vec::new();
         for d in self.layout.geometry.data_of_leaf(leaf) {
             if d == skip_line {
                 continue;
@@ -345,52 +343,35 @@ impl SecureMemoryController {
             if !self.nvm.is_readable(daddr) {
                 continue; // fails closed already; the scrub will alarm it
             }
-            let slot = (d % self.cfg.mode.leaf_coverage()) as usize;
-            let (ct, t2) = self.nvm.read(t, daddr);
+            let minor = u64::from(old_minors[(d % self.cfg.mode.leaf_coverage()) as usize]);
+            let (mut buf, t2) = self.nvm.read(t, daddr);
             t = t2;
-            candidates.push((d, daddr, ct, u64::from(old_minors[slot])));
-        }
-        let verify_msgs: Vec<[u8; 88]> = candidates
-            .iter()
-            .map(|(_, daddr, ct, minor)| data_mac_message(*daddr, ct, old_major, *minor))
-            .collect();
-        let mut verify_macs = vec![0u64; verify_msgs.len()];
-        self.crypto.mac64_88_many(&verify_msgs, &mut verify_macs);
-        let mut pending: Vec<(u64, u64, [u8; 64])> = Vec::new();
-        for ((d, daddr, ct, minor), vmac) in candidates.into_iter().zip(verify_macs) {
             self.energy.hashes += 1;
-            if self.get_mac_record(d).mac != vmac {
+            if self.get_mac_record(d).mac != self.crypto.data_mac(daddr, &buf, old_major, minor) {
                 continue; // corrupt under the old pair: skip, never launder
             }
-            let mut buf = ct;
             // Decrypt under the old pair, re-encrypt under (new major, 0).
             xor_otp(self.crypto.as_ref(), daddr, old_major, minor, &mut buf);
             xor_otp(self.crypto.as_ref(), daddr, new_major, 0, &mut buf);
             self.energy.aes_ops += 2;
             self.energy.hashes += 1;
-            pending.push((d, daddr, buf));
+            let mac = self.crypto.data_mac(daddr, &buf, new_major, 0);
+            pending.push((d, daddr, buf, mac));
         }
-        let msgs: Vec<[u8; 88]> = pending
-            .iter()
-            .map(|(_, daddr, buf)| data_mac_message(*daddr, buf, new_major, 0))
-            .collect();
-        let mut macs = vec![0u64; msgs.len()];
-        self.crypto.mac64_88_many(&msgs, &mut macs);
         // Phase 2 — persist, in exactly the serial order the crash sweeps
         // enumerate: [record_1, data_1, record_2, data_2, …]. Hoisting the
         // records ahead of the data writes would open crash windows where a
         // record describes counters no durable ciphertext matches, so the
-        // per-line interleaving must never change — batching stops at the
-        // crypto.
-        for ((d, daddr, buf), mac) in pending.iter().zip(macs) {
+        // per-line interleaving must never change.
+        for (d, daddr, buf, mac) in pending {
             self.set_mac_record(
-                *d,
+                d,
                 MacRecord {
                     mac,
                     recovery: MacRecord::pack_recovery(new_major, 0),
                 },
             )?;
-            t = self.wq.push(t, *daddr, buf, &mut self.nvm)?;
+            t = self.wq.push(t, daddr, &buf, &mut self.nvm)?;
         }
         Ok(t)
     }

@@ -184,24 +184,13 @@ impl CrashedSystem {
         let mut reads = slots.div_ceil(8);
         let mut leaf_macs = vec![0u64; slots as usize];
         let mut slot_lines: Vec<Option<(u64, [u8; 64])>> = vec![None; slots as usize];
-        // Read every occupied shadow slot first, then MAC all of their
-        // leaf strings in one batch — the whole scan is independent reads,
-        // the recovery shape that benefits most from full crypto lanes.
-        let mut occupied: Vec<u64> = Vec::new();
-        let mut msgs: Vec<[u8; 72]> = Vec::new();
         for slot in 0..slots {
             if let Some(&off) = nv.shadow_tags.get(&slot) {
                 reads += 1;
                 let line = self.nvm.peek(self.layout.shadow_addr(slot));
-                occupied.push(slot);
-                msgs.push(leaf_message(&line, slot));
+                leaf_macs[slot as usize] = self.crypto.mac64_72(&leaf_message(&line, slot));
                 slot_lines[slot as usize] = Some((off, line));
             }
-        }
-        let mut macs = vec![0u64; msgs.len()];
-        self.crypto.mac64_72_many(&msgs, &mut macs);
-        for (slot, mac) in occupied.iter().zip(macs) {
-            leaf_macs[*slot as usize] = mac;
         }
         let reads_shadow_scan = reads;
         // The seed for the rebuilt system's cache-tree: the tree over the

@@ -332,15 +332,10 @@ impl CrashedSystem {
         };
         let sets = self.cfg.meta_cache.sets();
         let mut leaf_macs = vec![0u64; sets as usize];
-        // Build every occupied set's MAC message, then present the set MACs
-        // to the engine as one batch (messages are variable-length; sets of
-        // equal occupancy still share lanes).
-        let mut occupied_sets: Vec<u64> = Vec::new();
-        let mut set_msgs: Vec<Vec<u8>> = Vec::new();
-        for set in 0..sets {
+        for (set, leaf) in leaf_macs.iter_mut().enumerate() {
             let mut in_set: Vec<(u64, &SitNode)> = items[..covered]
                 .iter()
-                .filter(|(off, _)| *off % sets == set)
+                .filter(|(off, _)| *off % sets == set as u64)
                 .map(|(off, n)| (*off, n))
                 .collect();
             if in_set.is_empty() {
@@ -349,14 +344,7 @@ impl CrashedSystem {
             in_set.sort_by_key(|(off, _)| *off);
             let mut msg = Vec::with_capacity(in_set.len() * 72);
             set_message(&mut msg, in_set.into_iter());
-            occupied_sets.push(set);
-            set_msgs.push(msg);
-        }
-        let refs: Vec<&[u8]> = set_msgs.iter().map(|m| m.as_slice()).collect();
-        let mut macs = vec![0u64; refs.len()];
-        self.crypto.mac64_many(&refs, &mut macs);
-        for (set, mac) in occupied_sets.iter().zip(macs) {
-            leaf_macs[*set as usize] = mac;
+            *leaf = self.crypto.mac64(&msg);
         }
         let (rebuilt, _) = CacheTree::rebuild(self.crypto.as_ref(), &leaf_macs);
         if rebuilt != nv_root {

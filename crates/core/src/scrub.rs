@@ -281,14 +281,6 @@ impl CrashedSystem {
         //       counter and classify against the stale home copy (peek-only;
         //       the rewrites are collected and issued after parking). ——
         let mut rewrites: Vec<(u64, [u8; 64])> = Vec::new();
-        // First sweep: derive every node's regenerated parent counter and
-        // collect the 72 B MAC messages of all nodes that need one, so the
-        // whole-tree re-MAC runs through the engine lanes in one batch
-        // (this sweep is the scrub's dominant crypto cost).
-        let mut pcs = vec![0u64; total];
-        let mut node_macs: Vec<Option<u64>> = vec![None; total];
-        let mut need: Vec<u64> = Vec::new();
-        let mut msgs: Vec<[u8; 72]> = Vec::new();
         for off in 0..total as u64 {
             let id = geo.node_at_offset(off);
             let pc = match geo.parent_of(id) {
@@ -298,40 +290,23 @@ impl CrashedSystem {
                     .as_general()
                     .get(slot),
             };
-            pcs[off as usize] = pc;
             let mut node = nodes[off as usize];
             node.hmac = 0;
-            if !(pc == 0 && is_zero_node(&node)) {
-                need.push(off);
-                msgs.push(node.mac_message(self.layout.node_addr(off), pc));
-            }
-        }
-        let mut macs = vec![0u64; msgs.len()];
-        self.crypto.mac64_72_many(&msgs, &mut macs);
-        for (off, mac) in need.iter().zip(macs) {
-            node_macs[*off as usize] = Some(mac);
-        }
-        // Second sweep: assemble each node's expected home line and classify
-        // against the stale copy (peek-only; rewrites are issued after
-        // parking).
-        for off in 0..total as u64 {
-            let mut node = nodes[off as usize];
-            node.hmac = 0;
-            let line = match node_macs[off as usize] {
+            let addr = self.layout.node_addr(off);
+            let line = if pc == 0 && is_zero_node(&node) {
                 // Lazily-initialized state: zero node under a zero counter.
-                None => [0u8; 64],
-                Some(mac) => {
-                    node.hmac = seal_node_mac(self.cfg.scheme, mac, pcs[off as usize]);
-                    node.to_line()
-                }
+                [0u8; 64]
+            } else {
+                let mac = self.crypto.mac64_72(&node.mac_message(addr, pc));
+                node.hmac = seal_node_mac(self.cfg.scheme, mac, pc);
+                node.to_line()
             };
             reads += 1;
-            let stale_line = self.nvm.peek(self.layout.node_addr(off));
-            if stale_line == line {
+            if self.nvm.peek(addr) == line {
                 report.meta_intact += 1;
             } else {
                 report.meta_recovered += 1;
-                rewrites.push((self.layout.node_addr(off), line));
+                rewrites.push((addr, line));
             }
         }
 

@@ -29,9 +29,8 @@ pub enum CryptoKind {
 }
 
 /// Builds the 88-byte data-MAC message of §II-C: `data ‖ addr ‖ major ‖
-/// minor`, all little-endian. Shared by the scalar [`CryptoEngine::data_mac`]
-/// default and the batched data-MAC paths, so both sides of a
-/// batched-vs-serial comparison MAC the exact same bytes.
+/// minor`, all little-endian. [`CryptoEngine::data_mac`] MACs exactly these
+/// bytes.
 pub fn data_mac_message(addr: u64, data: &[u8; 64], major: u64, minor: u64) -> [u8; 88] {
     let mut msg = [0u8; 64 + 8 + 8 + 8];
     msg[..64].copy_from_slice(data);
@@ -72,31 +71,32 @@ pub trait CryptoEngine: Send + Sync {
         self.mac64_88(&data_mac_message(addr, data, major, minor))
     }
 
-    /// How many MAC lanes a batch should aim to fill. `1` means the engine
-    /// has no lane parallelism; batch callers may then skip building message
-    /// buffers and loop scalar calls directly.
+    /// MAC lanes per call: `1`, since no engine batches (DESIGN.md §5e).
+    /// It and the three batch loops below stay only because the
+    /// `benchmark` package's timed engine (`benchmark/src/traced.rs`)
+    /// overrides them; nothing in the workspace calls them.
     fn mac_lanes(&self) -> usize {
         1
     }
 
-    /// Batched [`Self::mac64`]: `out[i] = mac64(msgs[i])`. Callers *present*
-    /// batches (all sibling MACs of a flush, a recovery level, a scrub
-    /// sweep); engines with lane parallelism fill their lanes, the default
-    /// just loops. Output bytes never depend on batch shape.
+    /// `out[i] = mac64(msgs[i])`, one call per message; kept only for the
+    /// `benchmark` package's timed engine.
     fn mac64_many(&self, msgs: &[&[u8]], out: &mut [u64]) {
         for (m, o) in msgs.iter().zip(out.iter_mut()) {
             *o = self.mac64(m);
         }
     }
 
-    /// Batched [`Self::mac64_72`] over the 72-byte hot strings.
+    /// `out[i] = mac64_72(msgs[i])`, one call per message; kept only for
+    /// the `benchmark` package's timed engine.
     fn mac64_72_many(&self, msgs: &[[u8; 72]], out: &mut [u64]) {
         for (m, o) in msgs.iter().zip(out.iter_mut()) {
             *o = self.mac64_72(m);
         }
     }
 
-    /// Batched [`Self::mac64_88`] over the 88-byte data-MAC strings.
+    /// `out[i] = mac64_88(msgs[i])`, one call per message; kept only for
+    /// the `benchmark` package's timed engine.
     fn mac64_88_many(&self, msgs: &[[u8; 88]], out: &mut [u64]) {
         for (m, o) in msgs.iter().zip(out.iter_mut()) {
             *o = self.mac64_88(m);
@@ -142,22 +142,6 @@ impl CryptoEngine for RealCrypto {
     fn mac64_88(&self, msg: &[u8; 88]) -> u64 {
         self.hmac.mac64_88(msg)
     }
-
-    fn mac_lanes(&self) -> usize {
-        self.hmac.lane_count()
-    }
-
-    fn mac64_many(&self, msgs: &[&[u8]], out: &mut [u64]) {
-        self.hmac.mac64_many(msgs, out);
-    }
-
-    fn mac64_72_many(&self, msgs: &[[u8; 72]], out: &mut [u64]) {
-        self.hmac.mac64_72_many(msgs, out);
-    }
-
-    fn mac64_88_many(&self, msgs: &[[u8; 88]], out: &mut [u64]) {
-        self.hmac.mac64_88_many(msgs, out);
-    }
 }
 
 /// Fast engine: SipHash-2-4 expanded OTPs and SipHash MACs.
@@ -202,36 +186,6 @@ pub fn make_engine(kind: CryptoKind, key: SecretKey) -> Box<dyn CryptoEngine> {
         CryptoKind::Real => Box::new(RealCrypto::new(key)),
         CryptoKind::Fast => Box::new(FastCrypto::new(key)),
     }
-}
-
-/// Wraps an engine but hides its lane parallelism: scalar operations forward
-/// to the inner engine, while every batch entry point stays on the trait's
-/// serial default loop. Byte-identical to the wrapped engine on every input —
-/// only the batching strategy differs — so driving a whole simulation once
-/// with `E` and once with `SerialPresentation<E>` and comparing the persist
-/// traces proves batch presentation never reorders or alters an observable
-/// event.
-pub struct SerialPresentation<E: CryptoEngine>(pub E);
-
-impl<E: CryptoEngine> CryptoEngine for SerialPresentation<E> {
-    fn otp(&self, addr: u64, major: u64, minor: u64) -> [u8; 64] {
-        self.0.otp(addr, major, minor)
-    }
-
-    fn mac64(&self, msg: &[u8]) -> u64 {
-        self.0.mac64(msg)
-    }
-
-    fn mac64_72(&self, msg: &[u8; 72]) -> u64 {
-        self.0.mac64_72(msg)
-    }
-
-    fn mac64_88(&self, msg: &[u8; 88]) -> u64 {
-        self.0.mac64_88(msg)
-    }
-
-    // `data_mac`, `mac_lanes` (= 1) and the `*_many` loops are deliberately
-    // left on the trait defaults: serial presentation is the point.
 }
 
 #[cfg(test)]
@@ -317,21 +271,13 @@ mod tests {
         }
     }
 
-    /// Every batch entry point — on every engine, including the serial
-    /// wrapper — must match a scalar loop for batch sizes straddling the
-    /// lane boundaries.
+    /// The batch methods kept for the benchmark's timed engine are serial
+    /// loops on every engine: the same MACs as one call per message, on
+    /// every batch size, and one lane.
     #[test]
     fn batched_trait_methods_match_scalar_loops() {
-        let key = SecretKey([0x42; 16]);
-        let mut engines: Vec<(&'static str, Box<dyn CryptoEngine>)> = vec![
-            ("real", Box::new(RealCrypto::new(key))),
-            ("fast", Box::new(FastCrypto::new(key))),
-            (
-                "serial(real)",
-                Box::new(SerialPresentation(RealCrypto::new(key))),
-            ),
-        ];
-        for (name, e) in engines.iter_mut() {
+        for (name, e) in engines() {
+            assert_eq!(e.mac_lanes(), 1, "{name}");
             for n in [0usize, 1, 3, 4, 5, 8, 9, 26] {
                 let m72: Vec<[u8; 72]> = (0..n)
                     .map(|i| core::array::from_fn(|j| (i * 7 + j) as u8))
@@ -355,31 +301,6 @@ mod tests {
                 assert_eq!(got, expect, "{name}: mac64_88_many n={n}");
             }
         }
-    }
-
-    /// The serial wrapper must be byte-identical to the engine it wraps on
-    /// every operation — it changes presentation, never values.
-    #[test]
-    fn serial_presentation_is_byte_identical() {
-        let key = SecretKey([0x42; 16]);
-        let real = RealCrypto::new(key);
-        let serial = SerialPresentation(RealCrypto::new(key));
-        assert_eq!(serial.mac_lanes(), 1);
-        assert!(real.mac_lanes() >= 4);
-        let data: [u8; 64] = core::array::from_fn(|i| i as u8);
-        assert_eq!(real.otp(0x1000, 5, 3)[..], serial.otp(0x1000, 5, 3)[..]);
-        assert_eq!(
-            real.data_mac(0x40, &data, 2, 1),
-            serial.data_mac(0x40, &data, 2, 1)
-        );
-        let msgs: Vec<[u8; 72]> = (0..13)
-            .map(|i| core::array::from_fn(|j| (i * 72 + j) as u8))
-            .collect();
-        let mut a = vec![0u64; msgs.len()];
-        let mut b = vec![0u64; msgs.len()];
-        real.mac64_72_many(&msgs, &mut a);
-        serial.mac64_72_many(&msgs, &mut b);
-        assert_eq!(a, b);
     }
 
     #[test]

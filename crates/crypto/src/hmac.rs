@@ -10,18 +10,12 @@
 //! the message from the inner midstate (padding built on the stack) and
 //! finishes with exactly **one** outer compression: the 32-byte inner digest
 //! plus its padding is a single block. No allocation, no buffer copies, no
-//! intermediate `Sha256` clones.
-//!
-//! On top of the scalar path sit the **batched** entry points
-//! ([`HmacSha256::mac64_many`] and the fixed-length variants): `N`
-//! independent messages are pressed through the multi-lane compression of
-//! [`crate::sha256_multi`], 8 messages per call where AVX2 is available
-//! (runtime-detected, like the AES-NI path) and 4 otherwise, with scalar
-//! mop-up for ragged tails. Lane outputs are bit-identical to the serial
-//! path — batching changes throughput, never bytes.
+//! intermediate `Sha256` clones. Every compression is
+//! [`Sha256::compress`], SHA-NI where the CPU has it; the private
+//! `new_with`/`mac_with` take the compression as a parameter, so the tests
+//! can compare every entry point against the portable one.
 
 use crate::sha256::{Sha256, H0};
-use crate::sha256_multi::{compress_lanes, wide_lanes_available, LANES_PORTABLE, LANES_WIDE};
 
 /// Keyed HMAC-SHA-256 instance with precomputed inner/outer midstates.
 #[derive(Clone)]
@@ -30,17 +24,21 @@ pub struct HmacSha256 {
     istate: [u32; 8],
     /// Chaining value after compressing `key ^ opad`.
     ostate: [u32; 8],
-    /// Whether the running CPU's 8-lane (AVX2) compression is usable.
-    wide: bool,
 }
 
 impl HmacSha256 {
     /// Creates an HMAC instance for `key` (any length; hashed if > 64 bytes).
     pub fn new(key: &[u8]) -> Self {
+        Self::new_with(key, Sha256::compress)
+    }
+
+    /// [`Self::new`] on the given compression.
+    pub(crate) fn new_with(key: &[u8], compress: impl Fn(&mut [u32; 8], &[u8; 64]) + Copy) -> Self {
         let mut k = [0u8; 64];
         if key.len() > 64 {
-            let d = Sha256::digest(key);
-            k[..32].copy_from_slice(&d);
+            let mut h = Sha256::new();
+            h.absorb(key, compress);
+            k[..32].copy_from_slice(&h.finish(compress));
         } else {
             k[..key.len()].copy_from_slice(key);
         }
@@ -51,40 +49,19 @@ impl HmacSha256 {
             opad[i] ^= k[i];
         }
         let mut istate = H0;
-        Sha256::compress(&mut istate, &ipad);
+        compress(&mut istate, &ipad);
         let mut ostate = H0;
-        Sha256::compress(&mut ostate, &opad);
-        HmacSha256 {
-            istate,
-            ostate,
-            wide: wide_lanes_available(),
-        }
-    }
-
-    /// Lanes the batched paths fill per multi-lane call on this CPU.
-    pub fn lane_count(&self) -> usize {
-        if self.wide {
-            LANES_WIDE
-        } else {
-            LANES_PORTABLE
-        }
-    }
-
-    /// Caps the instance at the portable 4-lane path even where AVX2 is
-    /// available — differential tests exercise both widths on one machine.
-    #[cfg(any(test, feature = "ref-impls"))]
-    pub fn force_narrow_lanes(mut self) -> Self {
-        self.wide = false;
-        self
+        compress(&mut ostate, &opad);
+        HmacSha256 { istate, ostate }
     }
 
     /// Inner hash: `SHA-256(ipad-midstate ‖ msg)` with stack-built padding.
     #[inline]
-    fn inner_state(&self, msg: &[u8]) -> [u32; 8] {
+    fn inner_state(&self, msg: &[u8], compress: impl Fn(&mut [u32; 8], &[u8; 64])) -> [u32; 8] {
         let mut st = self.istate;
         let mut chunks = msg.chunks_exact(64);
         for chunk in &mut chunks {
-            Sha256::compress(&mut st, chunk.try_into().unwrap());
+            compress(&mut st, chunk.try_into().unwrap());
         }
         let rest = chunks.remainder();
         // Total hashed length includes the 64-byte ipad block.
@@ -93,18 +70,22 @@ impl HmacSha256 {
         block[..rest.len()].copy_from_slice(rest);
         block[rest.len()] = 0x80;
         if rest.len() >= 56 {
-            Sha256::compress(&mut st, &block);
+            compress(&mut st, &block);
             block = [0u8; 64];
         }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        Sha256::compress(&mut st, &block);
+        compress(&mut st, &block);
         st
     }
 
     /// Outer hash: one compression — 32 digest bytes, padding, and the
     /// length (64 + 32 bytes = 768 bits) all fit in a single block.
     #[inline]
-    fn outer_state(&self, inner: [u32; 8]) -> [u32; 8] {
+    fn outer_state(
+        &self,
+        inner: [u32; 8],
+        compress: impl Fn(&mut [u32; 8], &[u8; 64]),
+    ) -> [u32; 8] {
         let mut block = [0u8; 64];
         for (i, word) in inner.iter().enumerate() {
             block[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -112,13 +93,22 @@ impl HmacSha256 {
         block[32] = 0x80;
         block[56..].copy_from_slice(&(96u64 * 8).to_be_bytes());
         let mut st = self.ostate;
-        Sha256::compress(&mut st, &block);
+        compress(&mut st, &block);
         st
     }
 
     /// Full 32-byte HMAC of `msg`.
     pub fn mac(&self, msg: &[u8]) -> [u8; 32] {
-        let st = self.outer_state(self.inner_state(msg));
+        self.mac_with(msg, Sha256::compress)
+    }
+
+    /// [`Self::mac`] on the given compression.
+    pub(crate) fn mac_with(
+        &self,
+        msg: &[u8],
+        compress: impl Fn(&mut [u32; 8], &[u8; 64]) + Copy,
+    ) -> [u8; 32] {
+        let st = self.outer_state(self.inner_state(msg, compress), compress);
         let mut out = [0u8; 32];
         for (i, word) in st.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -130,11 +120,8 @@ impl HmacSha256 {
     /// One-shot: only the first two state words are ever serialized.
     #[inline]
     pub fn mac64(&self, msg: &[u8]) -> u64 {
-        let st = self.outer_state(self.inner_state(msg));
-        let mut first8 = [0u8; 8];
-        first8[..4].copy_from_slice(&st[0].to_be_bytes());
-        first8[4..].copy_from_slice(&st[1].to_be_bytes());
-        u64::from_le_bytes(first8)
+        let inner = self.inner_state(msg, Sha256::compress);
+        Self::truncate64(&self.outer_state(inner, Sha256::compress))
     }
 
     /// Message lengths with a dedicated monomorphized fast path wired into
@@ -170,8 +157,7 @@ impl HmacSha256 {
         }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
         Sha256::compress(&mut st, &block);
-        let st = self.outer_state(st);
-        Self::truncate64(&st)
+        Self::truncate64(&self.outer_state(st, Sha256::compress))
     }
 
     /// Fixed-length fast path for the 72-byte node-MAC string.
@@ -193,171 +179,6 @@ impl HmacSha256 {
         first8[..4].copy_from_slice(&st[0].to_be_bytes());
         first8[4..].copy_from_slice(&st[1].to_be_bytes());
         u64::from_le_bytes(first8)
-    }
-
-    /// `L` truncated MACs over `L` equal-length messages, lane-parallel: the
-    /// inner block loop, tail padding, and single outer compression all run
-    /// across lanes in lock-step through `compress`. Bit-identical to `L`
-    /// serial [`Self::mac64`] calls for any correct lane compression.
-    #[inline(always)]
-    fn mac64_lanes_with<const L: usize>(
-        &self,
-        msgs: [&[u8]; L],
-        compress: &mut impl FnMut(&mut [[u32; 8]; L], &[[u8; 64]; L]),
-    ) -> [u64; L] {
-        let len = msgs[0].len();
-        debug_assert!(msgs.iter().all(|m| m.len() == len), "lanes need one length");
-        let mut st: [[u32; 8]; L] = [self.istate; L];
-        let mut blocks = [[0u8; 64]; L];
-        for b in 0..len / 64 {
-            for (l, block) in blocks.iter_mut().enumerate() {
-                block.copy_from_slice(&msgs[l][b * 64..b * 64 + 64]);
-            }
-            compress(&mut st, &blocks);
-        }
-        let rem = len % 64;
-        let bit_len = ((64 + len) as u64) * 8;
-        for (l, block) in blocks.iter_mut().enumerate() {
-            *block = [0u8; 64];
-            block[..rem].copy_from_slice(&msgs[l][len - rem..]);
-            block[rem] = 0x80;
-        }
-        if rem >= 56 {
-            compress(&mut st, &blocks);
-            blocks = [[0u8; 64]; L];
-        }
-        for block in blocks.iter_mut() {
-            block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        }
-        compress(&mut st, &blocks);
-        // Outer: 32 digest bytes + padding + length fit in a single block.
-        let mut ost: [[u32; 8]; L] = [self.ostate; L];
-        for (l, block) in blocks.iter_mut().enumerate() {
-            *block = [0u8; 64];
-            for (i, word) in st[l].iter().enumerate() {
-                block[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-            }
-            block[32] = 0x80;
-            block[56..].copy_from_slice(&(96u64 * 8).to_be_bytes());
-        }
-        compress(&mut ost, &blocks);
-        core::array::from_fn(|l| Self::truncate64(&ost[l]))
-    }
-
-    /// Portable lane batch (autovectorized compression).
-    #[inline(always)]
-    fn mac64_lanes<const L: usize>(&self, msgs: [&[u8]; L]) -> [u64; L] {
-        self.mac64_lanes_with(msgs, &mut compress_lanes::<L>)
-    }
-
-    /// The 8-lane batch on the explicit AVX2 compression.
-    ///
-    /// # Safety
-    /// The `avx2` target feature must be available (runtime-detected via
-    /// `self.wide`, which is set only by `is_x86_feature_detected!`).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mac64_lanes8_avx2(&self, msgs: [&[u8]; 8]) -> [u64; 8] {
-        // SAFETY: the caller guarantees AVX2; `compress8` requires it.
-        self.mac64_lanes_with::<8>(msgs, &mut |st, blocks| unsafe {
-            crate::sha256_multi::avx2::compress8(st, blocks)
-        })
-    }
-
-    /// Batched [`Self::mac64`]: `out[i] = mac64(msgs[i])` for every `i`.
-    ///
-    /// Runs of [`Self::lane_count`] equal-length messages go through the
-    /// multi-lane compression; mixed-length runs and the ragged tail fall
-    /// back to the scalar path, so output bytes never depend on batch shape.
-    pub fn mac64_many(&self, msgs: &[&[u8]], out: &mut [u64]) {
-        assert_eq!(msgs.len(), out.len(), "one output slot per message");
-        let mut i = 0;
-        #[cfg(target_arch = "x86_64")]
-        if self.wide {
-            while i + LANES_WIDE <= msgs.len() {
-                let chunk: [&[u8]; LANES_WIDE] = msgs[i..i + LANES_WIDE].try_into().unwrap();
-                if chunk.iter().all(|m| m.len() == chunk[0].len()) {
-                    // SAFETY: `wide` is set only when `is_x86_feature_detected!`
-                    // confirmed AVX2 on this CPU.
-                    let macs = unsafe { self.mac64_lanes8_avx2(chunk) };
-                    out[i..i + LANES_WIDE].copy_from_slice(&macs);
-                    i += LANES_WIDE;
-                } else {
-                    out[i] = self.mac64(msgs[i]);
-                    i += 1;
-                }
-            }
-        }
-        while i + LANES_PORTABLE <= msgs.len() {
-            let chunk: [&[u8]; LANES_PORTABLE] = msgs[i..i + LANES_PORTABLE].try_into().unwrap();
-            if chunk.iter().all(|m| m.len() == chunk[0].len()) {
-                let macs = self.mac64_lanes::<LANES_PORTABLE>(chunk);
-                out[i..i + LANES_PORTABLE].copy_from_slice(&macs);
-                i += LANES_PORTABLE;
-            } else {
-                out[i] = self.mac64(msgs[i]);
-                i += 1;
-            }
-        }
-        while i < msgs.len() {
-            out[i] = self.mac64(msgs[i]);
-            i += 1;
-        }
-    }
-
-    /// Batched fixed-length MACs (uniform length by construction, so every
-    /// full chunk takes the multi-lane path; the tail is scalar mop-up).
-    #[inline]
-    pub fn mac64_fixed_many<const N: usize>(&self, msgs: &[[u8; N]], out: &mut [u64]) {
-        assert_eq!(msgs.len(), out.len(), "one output slot per message");
-        let mut i = 0;
-        #[cfg(target_arch = "x86_64")]
-        if self.wide {
-            while i + LANES_WIDE <= msgs.len() {
-                let chunk: [&[u8]; LANES_WIDE] = core::array::from_fn(|l| msgs[i + l].as_slice());
-                // SAFETY: `wide` is set only when `is_x86_feature_detected!`
-                // confirmed AVX2 on this CPU.
-                let macs = unsafe { self.mac64_lanes8_avx2(chunk) };
-                out[i..i + LANES_WIDE].copy_from_slice(&macs);
-                i += LANES_WIDE;
-            }
-        }
-        while i + LANES_PORTABLE <= msgs.len() {
-            let chunk: [&[u8]; LANES_PORTABLE] = core::array::from_fn(|l| msgs[i + l].as_slice());
-            let macs = self.mac64_lanes::<LANES_PORTABLE>(chunk);
-            out[i..i + LANES_PORTABLE].copy_from_slice(&macs);
-            i += LANES_PORTABLE;
-        }
-        while i < msgs.len() {
-            out[i] = self.mac64_fixed(&msgs[i]);
-            i += 1;
-        }
-    }
-
-    /// Batched 72-byte MACs (node-MAC strings of a flush batch).
-    pub fn mac64_72_many(&self, msgs: &[[u8; 72]], out: &mut [u64]) {
-        self.mac64_fixed_many(msgs, out);
-    }
-
-    /// Batched 88-byte MACs (data-MAC strings of a flush batch).
-    pub fn mac64_88_many(&self, msgs: &[[u8; 88]], out: &mut [u64]) {
-        self.mac64_fixed_many(msgs, out);
-    }
-}
-
-/// Scalar reference implementations of the batch entry points, kept for the
-/// differential tests and the `ref-impls` microbenchmark baseline (the
-/// "before" side of the multi-lane speedup, like [`crate::aes::reference`]).
-#[cfg(any(test, feature = "ref-impls"))]
-pub mod reference {
-    use super::HmacSha256;
-
-    /// Per-message scalar `mac64` — the semantics `mac64_many` must match
-    /// byte-for-byte on every batch shape.
-    pub fn mac64_many_ref(h: &HmacSha256, msgs: &[&[u8]], out: &mut [u64]) {
-        for (m, o) in msgs.iter().zip(out.iter_mut()) {
-            *o = h.mac64(m);
-        }
     }
 }
 
@@ -394,39 +215,51 @@ mod tests {
         outer.finalize()
     }
 
+    /// An RFC 4231 case on the public (dispatched) path and on the
+    /// portable compression.
+    fn check_rfc4231(key: &[u8], msg: &[u8], expect: &str) {
+        assert_eq!(hex(&HmacSha256::new(key).mac(msg)), expect, "dispatched");
+        let p = Sha256::compress_portable;
+        assert_eq!(
+            hex(&HmacSha256::new_with(key, p).mac_with(msg, p)),
+            expect,
+            "portable"
+        );
+    }
+
     #[test]
     fn rfc4231_case1() {
-        let h = HmacSha256::new(&[0x0b; 20]);
-        assert_eq!(
-            hex(&h.mac(b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        check_rfc4231(
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_case2() {
-        let h = HmacSha256::new(b"Jefe");
-        assert_eq!(
-            hex(&h.mac(b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        check_rfc4231(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
     #[test]
     fn rfc4231_case3() {
-        let h = HmacSha256::new(&[0xaa; 20]);
-        assert_eq!(
-            hex(&h.mac(&[0xdd; 50])),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        check_rfc4231(
+            &[0xaa; 20],
+            &[0xdd; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     #[test]
     fn rfc4231_case6_long_key() {
-        let h = HmacSha256::new(&[0xaa; 131]);
-        assert_eq!(
-            hex(&h.mac(b"Test Using Larger Than Block-Size Key - Hash Key First")),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        check_rfc4231(
+            &[0xaa; 131],
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
     }
 
@@ -510,6 +343,10 @@ mod tests {
         check::<200>(&h);
     }
 
+    fn prefix64(mac: [u8; 32]) -> u64 {
+        u64::from_le_bytes(mac[..8].try_into().unwrap())
+    }
+
     fn lcg(x: &mut u64) -> u64 {
         *x = x
             .wrapping_mul(6364136223846793005)
@@ -517,93 +354,65 @@ mod tests {
         *x
     }
 
-    /// The tentpole differential: 10 000 random messages (random lengths,
-    /// random bytes) pressed through the multi-lane batch path in random
-    /// batch shapes must be byte-identical to the scalar reference — at both
-    /// lane widths.
+    /// Dispatched vs portable on the variable-length entry points: 10 000
+    /// random messages of 0–300 B through `mac` and `mac64`, and random
+    /// lines through `RealCrypto::data_mac`, each against the full HMAC on
+    /// the portable compression (whose first 8 bytes are the 64-bit MAC).
+    /// The data-MAC key is derived on the portable compression too.
     #[test]
-    fn multi_lane_matches_scalar_on_10k_random_messages() {
-        let wide = HmacSha256::new(b"multi-lane-key");
-        let narrow = wide.clone().force_narrow_lanes();
+    fn dispatched_matches_portable_on_10k_random_messages() {
+        use crate::engine::{data_mac_message, CryptoEngine, RealCrypto};
+        use crate::SecretKey;
+        eprintln!("comparing {} against portable", Sha256::compression());
+        let p = Sha256::compress_portable;
         let mut seed = 0x5eed_1234_u64;
-        let mut msgs: Vec<Vec<u8>> = Vec::with_capacity(10_000);
-        for _ in 0..10_000 {
-            let len = (lcg(&mut seed) % 160) as usize;
-            msgs.push((0..len).map(|_| lcg(&mut seed) as u8).collect());
-        }
-        let mut start = 0;
-        while start < msgs.len() {
-            let batch = 1 + (lcg(&mut seed) % 37) as usize;
-            let end = (start + batch).min(msgs.len());
-            let refs: Vec<&[u8]> = msgs[start..end].iter().map(|m| m.as_slice()).collect();
-            let mut expect = vec![0u64; refs.len()];
-            reference::mac64_many_ref(&wide, &refs, &mut expect);
-            for h in [&wide, &narrow] {
-                let mut got = vec![0u64; refs.len()];
-                h.mac64_many(&refs, &mut got);
-                assert_eq!(got, expect, "batch [{start}, {end})");
-            }
-            start = end;
+        let mut key = vec![0u8; 1 + (lcg(&mut seed) % 100) as usize];
+        key.iter_mut().for_each(|b| *b = lcg(&mut seed) as u8);
+        let dispatched = HmacSha256::new(&key);
+        let portable = HmacSha256::new_with(&key, p);
+        let secret = SecretKey([0x42; 16]);
+        let real = RealCrypto::new(secret);
+        let mut derive = Sha256::new();
+        derive.absorb(&secret.0, p);
+        derive.absorb(b"mac", p);
+        let data_key = HmacSha256::new_with(&derive.finish(p)[..16], p);
+        for i in 0..10_000 {
+            let len = (lcg(&mut seed) % 301) as usize;
+            let msg: Vec<u8> = (0..len).map(|_| lcg(&mut seed) as u8).collect();
+            let want = portable.mac_with(&msg, p);
+            assert_eq!(dispatched.mac(&msg), want, "mac #{i} len={len}");
+            assert_eq!(dispatched.mac64(&msg), prefix64(want), "mac64 #{i}");
+            let line: [u8; 64] = core::array::from_fn(|_| lcg(&mut seed) as u8);
+            let (addr, major, minor) = (lcg(&mut seed), lcg(&mut seed), lcg(&mut seed) % 128);
+            let want = data_key.mac_with(&data_mac_message(addr, &line, major, minor), p);
+            assert_eq!(
+                real.data_mac(addr, &line, major, minor),
+                prefix64(want),
+                "data_mac #{i}"
+            );
         }
     }
 
-    /// Uniform-length batches (the hot shape): 10 000 random 72 B and 88 B
-    /// messages through the fixed batch paths.
+    /// Dispatched vs portable on the fixed-length entry points (the hot
+    /// shapes): 5 000 random 72 B and 5 000 random 88 B messages through
+    /// `mac64_fixed`, `mac64_72` and `mac64_88`.
     #[test]
-    fn fixed_many_matches_scalar_on_10k_random_messages() {
-        let wide = HmacSha256::new(b"fixed-many-key");
-        let narrow = wide.clone().force_narrow_lanes();
+    fn fixed_dispatched_matches_portable_on_10k_random_messages() {
+        eprintln!("comparing {} against portable", Sha256::compression());
+        let dispatched = HmacSha256::new(b"fixed-key");
+        let portable = HmacSha256::new_with(b"fixed-key", Sha256::compress_portable);
         let mut seed = 0xfeed_5678_u64;
-        fn run<const N: usize>(wide: &HmacSha256, narrow: &HmacSha256, seed: &mut u64) {
-            let msgs: Vec<[u8; N]> = (0..5_000)
-                .map(|_| core::array::from_fn(|_| lcg(seed) as u8))
-                .collect();
-            let expect: Vec<u64> = msgs.iter().map(|m| wide.mac64(m)).collect();
-            for h in [wide, narrow] {
-                let mut got = vec![0u64; msgs.len()];
-                h.mac64_fixed_many(&msgs, &mut got);
-                assert_eq!(got, expect, "N={N}");
-            }
+        for i in 0..5_000 {
+            let m72: [u8; 72] = core::array::from_fn(|_| lcg(&mut seed) as u8);
+            let want = prefix64(portable.mac_with(&m72, Sha256::compress_portable));
+            assert_eq!(dispatched.mac64_fixed(&m72), want, "72 B #{i}");
+            assert_eq!(dispatched.mac64_72(&m72), want, "mac64_72 #{i}");
         }
-        run::<72>(&wide, &narrow, &mut seed);
-        run::<88>(&wide, &narrow, &mut seed);
-    }
-
-    /// Ragged batch sizes around the lane count: 1, L−1, L, L+1, 3L+2 — the
-    /// shapes where a lane/tail split bug would hide.
-    #[test]
-    fn ragged_batch_sizes_match_serial() {
-        for h in [
-            HmacSha256::new(b"ragged-key"),
-            HmacSha256::new(b"ragged-key").force_narrow_lanes(),
-        ] {
-            let lanes = h.lane_count();
-            for n in [1, lanes - 1, lanes, lanes + 1, 3 * lanes + 2] {
-                let msgs: Vec<[u8; 72]> = (0..n)
-                    .map(|i| core::array::from_fn(|j| (i * 72 + j) as u8))
-                    .collect();
-                let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-                let expect: Vec<u64> = msgs.iter().map(|m| h.mac64(m)).collect();
-                let mut got = vec![0u64; n];
-                h.mac64_many(&refs, &mut got);
-                assert_eq!(got, expect, "mac64_many n={n} lanes={lanes}");
-                let mut got_fixed = vec![0u64; n];
-                h.mac64_72_many(&msgs, &mut got_fixed);
-                assert_eq!(got_fixed, expect, "mac64_72_many n={n} lanes={lanes}");
-            }
+        for i in 0..5_000 {
+            let m88: [u8; 88] = core::array::from_fn(|_| lcg(&mut seed) as u8);
+            let want = prefix64(portable.mac_with(&m88, Sha256::compress_portable));
+            assert_eq!(dispatched.mac64_fixed(&m88), want, "88 B #{i}");
+            assert_eq!(dispatched.mac64_88(&m88), want, "mac64_88 #{i}");
         }
-    }
-
-    /// Mixed-length batches must fall back per message, never mixing lanes.
-    #[test]
-    fn mixed_length_batches_match_serial() {
-        let h = HmacSha256::new(b"mixed-key");
-        let msgs: Vec<Vec<u8>> = (0..40).map(|i| vec![i as u8; (i * 11) % 97]).collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let mut expect = vec![0u64; refs.len()];
-        reference::mac64_many_ref(&h, &refs, &mut expect);
-        let mut got = vec![0u64; refs.len()];
-        h.mac64_many(&refs, &mut got);
-        assert_eq!(got, expect);
     }
 }

@@ -20,16 +20,12 @@ pub mod engine;
 pub mod fasthash;
 pub mod hmac;
 pub mod sha256;
-pub mod sha256_multi;
 
 pub use aes::Aes128;
-pub use engine::{
-    data_mac_message, CryptoEngine, CryptoKind, FastCrypto, RealCrypto, SerialPresentation,
-};
+pub use engine::{data_mac_message, CryptoEngine, CryptoKind, FastCrypto, RealCrypto};
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHasher64, SipHash24};
 pub use hmac::HmacSha256;
 pub use sha256::Sha256;
-pub use sha256_multi::{wide_lanes_available, LANES_PORTABLE, LANES_WIDE};
 
 /// A 128-bit secret key, shared by the OTP and MAC engines.
 ///

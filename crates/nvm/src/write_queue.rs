@@ -32,10 +32,6 @@ pub struct WriteQueue {
     stalls: u64,
     /// Producer cycles lost waiting for the oldest entry to drain.
     stall_cycles: u64,
-    /// Batch-size distribution of [`WriteQueue::push_batch`] calls.
-    batch_hist: Histogram,
-    /// Lines submitted through the batched entry point.
-    batched_writes: u64,
 }
 
 impl WriteQueue {
@@ -48,8 +44,6 @@ impl WriteQueue {
             occ_hist: Histogram::new(),
             stalls: 0,
             stall_cycles: 0,
-            batch_hist: Histogram::new(),
-            batched_writes: 0,
         }
     }
 
@@ -92,31 +86,6 @@ impl WriteQueue {
         Ok(now)
     }
 
-    /// Enqueues a persist batch in submission order. Each line goes through
-    /// the same admission path as [`WriteQueue::push`] — same stall
-    /// accounting, same device timing — so a batch is *byte- and
-    /// order-identical* to pushing its lines one by one. Batching buys the
-    /// caller a single producer handoff (and gives the model a batch-size
-    /// signal via `nvm.write_queue.batch_size`), not reordering: the persist
-    /// order of a batch IS its submission order, which is what lets the
-    /// secure engine present `[record_i, data_i, …]` flush batches without
-    /// widening any crash window. A power cut stops the batch at the
-    /// tripping line.
-    pub fn push_batch(
-        &mut self,
-        now: Cycle,
-        lines: &[(u64, Line)],
-        dev: &mut NvmDevice,
-    ) -> Result<Cycle, PowerCut> {
-        let mut now = now;
-        for (addr, line) in lines {
-            now = self.push(now, *addr, line, dev)?;
-        }
-        self.batch_hist.record(lines.len() as u64);
-        self.batched_writes += lines.len() as u64;
-        Ok(now)
-    }
-
     /// Number of writes still in flight at `now`.
     pub fn occupancy(&mut self, now: Cycle) -> usize {
         self.reap(now);
@@ -138,9 +107,7 @@ impl WriteQueue {
         reg.gauge_set("nvm.write_queue.capacity", self.capacity as f64);
         reg.counter_add("nvm.write_queue.stalls", self.stalls);
         reg.counter_add("nvm.write_queue.stall_cycles", self.stall_cycles);
-        reg.counter_add("nvm.write_queue.batched_writes", self.batched_writes);
         reg.insert_hist("nvm.write_queue.occupancy", &self.occ_hist);
-        reg.insert_hist("nvm.write_queue.batch_size", &self.batch_hist);
     }
 }
 
@@ -198,67 +165,5 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_rejected() {
         WriteQueue::new(0);
-    }
-
-    #[test]
-    fn push_batch_equals_serial_pushes() {
-        // Same lines through push_batch and through a push loop: identical
-        // producer time, identical stall stats, identical device contents.
-        let lines: Vec<(u64, Line)> = (0..10u64)
-            .map(|i| (i * 64 * 4, [i as u8; 64])) // hammer bank 0 (4 banks in test cfg)
-            .collect();
-
-        let (mut qa, mut da) = setup();
-        let ta = qa.push_batch(0, &lines, &mut da).unwrap();
-
-        let (mut qb, mut db) = setup();
-        let mut tb = 0;
-        for (addr, line) in &lines {
-            tb = qb.push(tb, *addr, line, &mut db).unwrap();
-        }
-
-        assert_eq!(ta, tb, "batched producer time must match serial");
-        assert_eq!(da.stats().wq_stall_cycles, db.stats().wq_stall_cycles);
-        for (addr, line) in &lines {
-            assert_eq!(da.peek(*addr), *line);
-            assert_eq!(db.peek(*addr), *line);
-        }
-    }
-
-    #[test]
-    fn push_batch_preserves_submission_order() {
-        // Two writes to the same address inside one batch: the later entry
-        // must win, proving the batch persists in submission order.
-        let (mut q, mut dev) = setup();
-        let lines = [(128u64, [0xAA; 64]), (192, [0x11; 64]), (128, [0xBB; 64])];
-        q.push_batch(0, &lines, &mut dev).unwrap();
-        assert_eq!(dev.peek(128), [0xBB; 64], "later batch entry wins");
-        assert_eq!(dev.peek(192), [0x11; 64]);
-    }
-
-    #[test]
-    fn push_batch_records_metrics() {
-        let (mut q, mut dev) = setup();
-        q.push_batch(0, &[(0, [1; 64]), (64, [2; 64])], &mut dev)
-            .unwrap();
-        q.push_batch(0, &[(128, [3; 64])], &mut dev).unwrap();
-        assert_eq!(q.batch_hist.count(), 2);
-        assert_eq!(q.batch_hist.sum(), 3);
-
-        let mut reg = MetricRegistry::new();
-        q.export_metrics(&mut reg);
-        let json = reg.to_json().pretty();
-        assert!(json.contains("nvm.write_queue.batched_writes"));
-        assert!(json.contains("nvm.write_queue.batch_size"));
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop_on_timing() {
-        let (mut q, mut dev) = setup();
-        assert_eq!(q.push_batch(7, &[], &mut dev), Ok(7));
-        assert_eq!(q.occupancy(7), 0);
-        // Degenerate batches still show up in the size distribution.
-        assert_eq!(q.batch_hist.count(), 1);
-        assert_eq!(q.batch_hist.sum(), 0);
     }
 }
