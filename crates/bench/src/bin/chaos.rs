@@ -12,22 +12,19 @@
 //! * **alarm shape** — every quarantined line sits behind an alarm carrying
 //!   its `(shard, addr)`, every fault ends up healed or quarantined (or its
 //!   whole shard parked `Degraded` behind the lifecycle alarm);
+//! * **repair verdicts** — a tripped shard comes back through one
+//!   self-healing repair (quarantine capture → scrub rebuild → full
+//!   re-verification → audited replay), so after the run every shard is
+//!   `Serving` again or parked behind its alarm trail;
 //! * **scrub overhead** — with zero faults, enabling the service at the
 //!   *default* policy may cost at most 10% modeled makespan versus serving
 //!   with the service off.
 //!
-//! With `STEINS_CHAOS_REPAIR=1`, tripped shards come back through one
-//! self-healing repair (quarantine capture → scrub rebuild → full
-//! re-verification → audited replay) and the gate additionally requires
-//! [`steins_core::ChaosReport::repair_clean`]: after the soak every shard
-//! is `Serving` again or parked behind its alarm trail.
-//!
 //! Fully deterministic for a fixed seed regardless of `STEINS_CHAOS_THREADS`.
-//! Env knobs: `STEINS_CHAOS_SHARDS` (default 4), `STEINS_CHAOS_THREADS`
-//! (default 4), `STEINS_CHAOS_OPS` (ops per shard, default 192),
-//! `STEINS_CHAOS_FAULTS` (faults per shard, default 5), `STEINS_CHAOS_SEED`,
-//! `STEINS_CHAOS_REPAIR` (`1` enables the repair), `STEINS_CHAOS_VERBOSE`
-//! (`1` prints every event and alarm).
+//! Env knobs (defaults from [`ChaosConfig::default`]): `STEINS_CHAOS_SHARDS`
+//! (4), `STEINS_CHAOS_THREADS` (4), `STEINS_CHAOS_OPS` (ops per shard, 192),
+//! `STEINS_CHAOS_FAULTS` (faults per shard, 5), `STEINS_CHAOS_SEED`,
+//! `STEINS_CHAOS_VERBOSE` (`1` prints every event and alarm).
 //! Writes `results/METRICS_chaos.json`; exits non-zero on any gate failure.
 
 use steins_bench::env;
@@ -39,37 +36,22 @@ const OVERHEAD_LIMIT: f64 = 1.10;
 
 fn main() {
     let defaults = ChaosConfig::default();
-    let repair = env::flag("STEINS_CHAOS_REPAIR");
     let cfg = ChaosConfig {
         seed: env::int("STEINS_CHAOS_SEED").unwrap_or(defaults.seed),
-        shards: env::int("STEINS_CHAOS_SHARDS").unwrap_or(4),
-        threads: env::int("STEINS_CHAOS_THREADS").unwrap_or(4),
-        ops_per_shard: env::int("STEINS_CHAOS_OPS").unwrap_or(192),
-        faults_per_shard: env::int("STEINS_CHAOS_FAULTS").unwrap_or(5),
-        repair,
+        shards: env::int("STEINS_CHAOS_SHARDS").unwrap_or(defaults.shards),
+        threads: env::int("STEINS_CHAOS_THREADS").unwrap_or(defaults.threads),
+        ops_per_shard: env::int("STEINS_CHAOS_OPS").unwrap_or(defaults.ops_per_shard),
+        faults_per_shard: env::int("STEINS_CHAOS_FAULTS").unwrap_or(defaults.faults_per_shard),
         ..defaults
     };
     println!(
-        "Chaos: seed {:#x}, {} shards x {} ops ({} faults/shard), {} workers, scrub on, repair {}",
-        cfg.seed,
-        cfg.shards,
-        cfg.ops_per_shard,
-        cfg.faults_per_shard,
-        cfg.threads,
-        if repair { "on" } else { "off" },
+        "Chaos: seed {:#x}, {} shards x {} ops ({} faults/shard), {} workers, scrub on",
+        cfg.seed, cfg.shards, cfg.ops_per_shard, cfg.faults_per_shard, cfg.threads,
     );
 
     let r = run_chaos(&cfg);
     println!("{r}");
-    let repair_ok = !repair || r.repair_clean();
-    if !repair_ok {
-        println!(
-            "repair gate FAIL: degraded {:?} vs parked {:?} — a shard was \
-             abandoned without a repair verdict",
-            r.degraded_shards, r.parked_shards
-        );
-    }
-    if !r.clean() || !repair_ok || env::flag("STEINS_CHAOS_VERBOSE") {
+    if !r.clean() || env::flag("STEINS_CHAOS_VERBOSE") {
         for e in &r.events {
             println!("  {e}");
         }
@@ -128,16 +110,15 @@ fn main() {
             let _ = f.write_all(
                 format!(
                     "### Chaos under load\n\n\
-                     | ops | ok | typed | unwinds | silent-wrong | crashes | repairs | restored | parked | faults | healed | quarantined | alarms | scrub overhead | result |\n\
-                     |---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n\
-                     | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}x | {} |\n",
+                     | ops | ok | typed | unwinds | silent-wrong | crashes | restored | parked | faults | healed | quarantined | alarms | scrub overhead | result |\n\
+                     |---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n\
+                     | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}x | {} |\n",
                     r.ops_attempted,
                     r.served_ok,
                     r.typed_errors,
                     r.unwinds,
                     r.silent_wrong,
                     r.crashes_recovered,
-                    r.repairs_attempted,
                     r.shards_restored,
                     r.shards_parked,
                     r.faults_injected,
@@ -145,7 +126,7 @@ fn main() {
                     r.faults_quarantined,
                     r.alarms.len(),
                     overhead,
-                    if r.clean() && repair_ok && overhead_ok {
+                    if r.clean() && overhead_ok {
                         "pass"
                     } else {
                         "FAIL"
@@ -156,7 +137,7 @@ fn main() {
         }
     }
 
-    if !r.clean() || !repair_ok || !overhead_ok {
+    if !r.clean() || !overhead_ok {
         std::process::exit(1);
     }
 }

@@ -235,14 +235,16 @@ fn main() {
         work_per_op: 1.0,
     });
 
+    // Fast is the baseline and Real the measured side, so a faster real
+    // engine raises the row's speedup.
     let mut g = micro::group("end_to_end");
     let real = end_to_end_ns_per_write(&mut g, "steins_writes_real_crypto", CryptoKind::Real);
     let fast = end_to_end_ns_per_write(&mut g, "steins_writes_fast_crypto", CryptoKind::Fast);
     entries.push(Entry {
         name: "end_to_end_write_real_vs_fast",
-        unit: "ns per op (Real as before, Fast as after)",
-        before_ns: real,
-        after_ns: fast,
+        unit: "ns per op (Fast as before, Real as after)",
+        before_ns: fast,
+        after_ns: real,
         rate_unit: "ops/s",
         work_per_op: 1.0,
     });

@@ -37,7 +37,7 @@ use crate::config::{SchemeKind, SystemConfig};
 use crate::crash::{CrashPoint, CrashSweep, CrashedSystem, Outage, PointSelection, SweepOp};
 use crate::engine::synth_data;
 use crate::error::IntegrityError;
-use crate::online::{OnlinePolicy, OnlineService};
+use crate::online::OnlinePolicy;
 use crate::par;
 use crate::scrub::ScrubReport;
 use crate::shard::{RepairOutcome, ShardedEngine};
@@ -73,22 +73,6 @@ impl Default for CampaignConfig {
             ops: 60,
         }
     }
-}
-
-/// How one injected fault point resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CampaignOutcome {
-    /// Crash-only point: the strong sweep contract held.
-    CrashRecovered,
-    /// Crash-only point: the strong contract was violated.
-    CrashFailed,
-    /// Attacked point: no panic, verdicts and read-backs consistent.
-    AttackHandled,
-    /// Attacked point: strict recovery or the scrub unwound.
-    AttackPanicked,
-    /// Attacked point: a tampered durable line was reported intact, or a
-    /// read returned wrong data with `Ok`.
-    AttackInconsistent,
 }
 
 /// Aggregated campaign results (merge-able across combos).
@@ -384,15 +368,15 @@ impl FaultCampaign {
         Some((crashed, out, tampered_data, media))
     }
 
-    /// Runs one attack iteration; returns `Ok(outcome)` or a failure
-    /// description.
+    /// Runs one attack iteration; returns a failure description when the
+    /// robustness contract breaks.
     fn attack_iteration(
         sweep: &CrashSweep,
         k: u64,
         mask: u8,
         attacks: &[Attack],
         report: &mut CampaignReport,
-    ) -> Result<CampaignOutcome, String> {
+    ) -> Result<(), String> {
         // Strict recovery first: it may detect (Err) or even succeed (the
         // attack can land on untouched regions) — it must never unwind.
         let Some((crashed, out, tampered, media)) = Self::attacked_image(sweep, k, mask, attacks)
@@ -476,7 +460,7 @@ impl FaultCampaign {
                 }
             }
         }
-        Ok(CampaignOutcome::AttackHandled)
+        Ok(())
     }
 
     /// Runs the campaign for one (scheme, mode) combination.
@@ -665,17 +649,8 @@ pub struct ChaosConfig {
     pub faults_per_shard: usize,
     /// Whether the online integrity service runs during the chaos.
     pub scrub: bool,
-    /// Whether a tripped shard comes back through one self-healing repair
-    /// ([`ShardedEngine::repair_shard`]) instead of the plain lenient
-    /// scrub: the volatile quarantine set is captured before the plug is
-    /// pulled and replayed (audited) against the rebuilt, re-verified tree,
-    /// and a shard the scrub cannot rebuild is parked.
-    pub repair: bool,
     /// Policy for the online service (when `scrub`).
     pub policy: OnlinePolicy,
-    /// Counter mode (the scheme is always Steins — chaos exercises the
-    /// paper's design).
-    pub mode: CounterMode,
 }
 
 impl Default for ChaosConfig {
@@ -684,16 +659,14 @@ impl Default for ChaosConfig {
             seed: 0xC4A0_5EED,
             shards: 4,
             threads: 4,
-            ops_per_shard: 96,
-            faults_per_shard: 3,
+            ops_per_shard: 192,
+            faults_per_shard: 5,
             scrub: true,
-            repair: false,
             policy: OnlinePolicy {
                 scrub_period_ops: 16,
                 scrub_batch_lines: 4,
                 throttle_occupancy: 0.9,
             },
-            mode: CounterMode::Split,
         }
     }
 }
@@ -754,8 +727,8 @@ pub struct ChaosReport {
     pub unwinds: u64,
     /// Reads acknowledged `Ok` with wrong bytes. Must be zero.
     pub silent_wrong: u64,
-    /// Whole-shard crashes tripped and brought back through the lenient
-    /// scrub mid-run.
+    /// Whole-shard power cuts tripped mid-run, each answered by one
+    /// [`ShardedEngine::repair_shard`].
     pub crashes_recovered: u64,
     /// Media faults injected (bit flips, stuck, unreadable, transient).
     pub faults_injected: u64,
@@ -782,8 +755,6 @@ pub struct ChaosReport {
     pub degraded_shards: Vec<u16>,
     /// Shards parked by a repair that rebuilt nothing.
     pub parked_shards: Vec<u16>,
-    /// Repairs run against tripped shards (with [`ChaosConfig::repair`]).
-    pub repairs_attempted: u64,
     /// Tripped shards a repair rebuilt, re-verified, and returned to
     /// `Serving` mid-run.
     pub shards_restored: u64,
@@ -793,24 +764,26 @@ pub struct ChaosReport {
 
 impl ChaosReport {
     /// The chaos contract: no escaped panic, no silently wrong ack, every
-    /// quarantined line behind an alarm, and — when the scrub ran — every
-    /// injected fault accounted for (healed, quarantined, or its whole
-    /// shard degraded).
+    /// quarantined line behind an alarm, when the scrub ran every injected
+    /// fault accounted for (healed, quarantined, or its whole shard
+    /// degraded), and every shard either `Serving` again or parked behind
+    /// its alarm trail: a shard left `Degraded` but un-parked means a repair
+    /// abandoned it without a verdict.
     pub fn clean(&self) -> bool {
         self.unwinds == 0
             && self.silent_wrong == 0
             && self.alarm_shape_violations.is_empty()
             && self.unaccounted_faults.is_empty()
+            && self.abandoned_shards().is_empty()
     }
 
-    /// The self-healing contract on top of [`Self::clean`]: after the
-    /// soak, every shard is either `Serving` again or parked behind its
-    /// alarm trail — a shard left `Degraded` but un-parked means a repair
-    /// abandoned it without a verdict.
-    pub fn repair_clean(&self) -> bool {
+    /// Shards left degraded without a repair verdict (degraded, not parked).
+    fn abandoned_shards(&self) -> Vec<u16> {
         self.degraded_shards
             .iter()
-            .all(|s| self.parked_shards.contains(s))
+            .copied()
+            .filter(|s| !self.parked_shards.contains(s))
+            .collect()
     }
 
     /// Exports the chaos counters under `core.chaos.` plus the alarm
@@ -838,7 +811,6 @@ impl ChaosReport {
             "core.chaos.alarm_shape_violations",
             self.alarm_shape_violations.len() as u64,
         );
-        m.counter_add("core.chaos.repairs.attempted", self.repairs_attempted);
         m.counter_add("core.chaos.repairs.restored", self.shards_restored);
         m.counter_add("core.chaos.repairs.parked", self.shards_parked);
         m.gauge_set("core.chaos.makespan_cycles", self.makespan_cycles as f64);
@@ -878,12 +850,11 @@ impl std::fmt::Display for ChaosReport {
             self.unaccounted_faults.len(),
             self.alarms.len(),
         )?;
-        if self.repairs_attempted > 0 {
+        if self.crashes_recovered > 0 {
             writeln!(
                 f,
-                "  repair: {} attempts -> {} restored, {} parked permanently \
+                "  repair: {} restored, {} parked permanently \
                  ({} shards parked at end)",
-                self.repairs_attempted,
                 self.shards_restored,
                 self.shards_parked,
                 self.parked_shards.len(),
@@ -899,6 +870,9 @@ impl std::fmt::Display for ChaosReport {
                 .chain(self.alarm_shape_violations.iter())
             {
                 writeln!(f, "  - {e}")?;
+            }
+            for s in self.abandoned_shards() {
+                writeln!(f, "  - shard {s} left degraded without a repair verdict")?;
             }
         }
         Ok(())
@@ -926,7 +900,6 @@ struct ShardOutcome {
     healed: u64,
     quarantined: u64,
     unaccounted: Vec<String>,
-    repairs_attempted: u64,
     shards_restored: u64,
     shards_parked: u64,
 }
@@ -1036,14 +1009,10 @@ fn inject_chaos_fault(
 }
 
 /// The power-fail path. The cut left the tripped shard `Degraded` (one
-/// lifecycle alarm) with its system in the slot; the trip point is read and
-/// the device disarmed there. With [`ChaosConfig::repair`] the shard comes
-/// back through one [`ShardedEngine::repair_shard`]; otherwise its image is
-/// crashed and leniently scrubbed back in, and the online service resumes
-/// its pass from the [`journal::ONLINE`](crate::recovery::journal::ONLINE)
-/// cursor the interrupted scrub left in the ADR journal.
+/// lifecycle alarm) with its system in the slot; the trip point is read, the
+/// device disarmed there, and the shard comes back through one
+/// [`ShardedEngine::repair_shard`].
 fn recover_tripped_shard(
-    cfg: &ChaosConfig,
     engine: &ShardedEngine,
     s: usize,
     i: usize,
@@ -1072,46 +1041,23 @@ fn recover_tripped_shard(
     }
     let trip_seq = trip.map(|p| p.seq);
     out.crashes_recovered += 1;
-    if cfg.repair {
-        out.repairs_attempted += 1;
-        match engine.repair_shard(s) {
-            RepairOutcome::Restored(scrub) => {
-                out.shards_restored += 1;
-                out.events.push(format!(
-                    "s{s} op{i}: crash tripped at {trip_seq:?}, repaired online \
-                     (data unrec {}, {quarantined} quarantined replayed)",
-                    scrub.data_unrecoverable,
-                ));
-            }
-            RepairOutcome::Parked => {
-                out.shards_parked += 1;
-                out.events.push(format!(
-                    "s{s} op{i}: crash tripped at {trip_seq:?}, nothing rebuilt, \
-                     shard parked"
-                ));
-            }
-            RepairOutcome::NotDegraded => unreachable!("a power cut leaves shard {s} degraded"),
+    match engine.repair_shard(s) {
+        RepairOutcome::Restored(scrub) => {
+            out.shards_restored += 1;
+            out.events.push(format!(
+                "s{s} op{i}: crash tripped at {trip_seq:?}, repaired online \
+                 (data unrec {}, {quarantined} quarantined replayed)",
+                scrub.data_unrecoverable,
+            ));
         }
-        return;
-    }
-    let crashed = engine
-        .park_degraded(s)
-        .expect("a power cut leaves the cut system in its slot")
-        .crash();
-    let lines = engine.shard_config().data_lines;
-    let resume = OnlineService::resume_cursor(&crashed.nvm().recovery_journal(), lines);
-    let scrub = engine.scrub_shard(s, crashed);
-    out.events.push(format!(
-        "s{s} op{i}: crash tripped at {trip_seq:?}, scrubbed back (data unrec {}), cursor {:?}",
-        scrub.data_unrecoverable, resume,
-    ));
-    if cfg.scrub && !engine.is_degraded(s) {
-        engine.with_shard(s, |sys| {
-            sys.enable_online(cfg.policy);
-            if let (Some(c), Some(svc)) = (resume, sys.online_mut()) {
-                svc.set_cursor(c);
-            }
-        });
+        RepairOutcome::Parked => {
+            out.shards_parked += 1;
+            out.events.push(format!(
+                "s{s} op{i}: crash tripped at {trip_seq:?}, nothing rebuilt, \
+                 shard parked"
+            ));
+        }
+        RepairOutcome::NotDegraded => unreachable!("a power cut leaves shard {s} degraded"),
     }
 }
 
@@ -1148,7 +1094,7 @@ fn serve_chaos_shard(
                     // The cut may or may not have persisted this write.
                     out.expected.remove(&gaddr);
                     out.indeterminate.insert(gaddr);
-                    recover_tripped_shard(cfg, engine, s, i, &mut out, &mut armed_mask);
+                    recover_tripped_shard(engine, s, i, &mut out, &mut armed_mask);
                 }
                 Ok(Err(_)) => out.typed_errors += 1,
                 Err(_) => {
@@ -1171,7 +1117,7 @@ fn serve_chaos_shard(
                     }
                 }
                 Ok(Err(IntegrityError::PowerCut)) => {
-                    recover_tripped_shard(cfg, engine, s, i, &mut out, &mut armed_mask);
+                    recover_tripped_shard(engine, s, i, &mut out, &mut armed_mask);
                 }
                 Ok(Err(_)) => out.typed_errors += 1,
                 Err(_) => {
@@ -1220,8 +1166,10 @@ fn serve_chaos_shard(
 /// Runs chaos mode: `cfg.threads` workers serve `cfg.shards` shards'
 /// schedules off one shared job queue while faults land mid-traffic, then
 /// a single-threaded verification sweep re-reads every acknowledged line.
+/// The engine runs Steins in split-counter mode: chaos exercises the
+/// paper's design.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    let sys_cfg = SystemConfig::small_for_tests(SchemeKind::Steins, cfg.mode);
+    let sys_cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::Split);
     let engine = ShardedEngine::new(sys_cfg, cfg.shards);
     if cfg.scrub {
         engine.enable_online(cfg.policy);
@@ -1249,7 +1197,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         report.faults_skipped_degraded += out.faults_skipped_degraded;
         report.faults_healed += out.healed;
         report.faults_quarantined += out.quarantined;
-        report.repairs_attempted += out.repairs_attempted;
         report.shards_restored += out.shards_restored;
         report.shards_parked += out.shards_parked;
         report
@@ -1413,8 +1360,7 @@ mod tests {
 
     #[test]
     fn chaos_smoke_degrades_gracefully() {
-        let cfg = ChaosConfig::default();
-        let r = run_chaos(&cfg);
+        let r = run_chaos(&ChaosConfig::default());
         assert!(r.clean(), "chaos failed:\n{r}");
         assert_eq!(r.unwinds, 0, "panics escaped:\n{r}");
         assert_eq!(r.silent_wrong, 0, "silently wrong acks:\n{r}");
@@ -1425,90 +1371,40 @@ mod tests {
             r.ops_attempted
         );
         // The fault mix makes shard crashes likely across 4 shards; with
-        // the default seed at least one must trip and be scrubbed back.
+        // the default seed at least one must trip and be repaired.
         assert!(r.crashes_recovered > 0, "no crash exercised:\n{r}");
-    }
-
-    #[test]
-    fn chaos_report_is_identical_across_worker_counts() {
-        let base = ChaosConfig {
-            seed: 0xD1CE,
-            threads: 1,
-            ..ChaosConfig::default()
-        };
-        let one = run_chaos(&base);
-        let four = run_chaos(&ChaosConfig {
-            threads: 4,
-            ..base.clone()
-        });
-        assert_eq!(one.events, four.events, "event logs diverged");
-        assert_eq!(
-            one.alarms.to_json().pretty(),
-            four.alarms.to_json().pretty(),
-            "alarm logs diverged"
-        );
-        assert_eq!(
-            one.metrics().to_json_deterministic().pretty(),
-            four.metrics().to_json_deterministic().pretty(),
-            "metrics diverged"
-        );
-        assert_eq!(one.makespan_cycles, four.makespan_cycles);
-        assert_eq!(one.degraded_shards, four.degraded_shards);
     }
 
     #[test]
     fn chaos_with_repair_restores_or_parks_every_shard() {
-        let cfg = ChaosConfig {
-            repair: true,
-            ..ChaosConfig::default()
-        };
-        let r = run_chaos(&cfg);
-        assert!(r.clean(), "chaos failed:\n{r}");
-        assert!(r.repair_clean(), "shard left degraded but un-parked:\n{r}");
+        let r = run_chaos(&ChaosConfig::default());
+        assert!(r.clean(), "shard left degraded but un-parked:\n{r}");
         assert!(r.crashes_recovered > 0, "no crash exercised:\n{r}");
-        assert!(r.repairs_attempted >= r.crashes_recovered);
         assert_eq!(
             r.shards_restored + r.shards_parked,
             r.crashes_recovered,
             "every tripped shard needs a repair verdict:\n{r}"
         );
         // A restored shard announces itself: started + restored alarms.
-        if r.shards_restored > 0 {
-            let started = r
-                .alarms
-                .events()
-                .iter()
-                .filter(|a| a.kind == AlarmKind::ShardRepairStarted)
-                .count() as u64;
-            let restored = r
-                .alarms
-                .events()
-                .iter()
-                .filter(|a| a.kind == AlarmKind::ShardRestored)
-                .count() as u64;
-            assert!(started >= r.shards_restored);
-            assert_eq!(restored, r.shards_restored);
-        }
+        let count =
+            |kind: AlarmKind| r.alarms.events().iter().filter(|a| a.kind == kind).count() as u64;
+        assert_eq!(count(AlarmKind::ShardRepairStarted), r.crashes_recovered);
+        assert_eq!(count(AlarmKind::ShardRestored), r.shards_restored);
     }
 
-    #[test]
-    fn chaos_repair_report_is_identical_across_worker_counts() {
-        let base = ChaosConfig {
-            seed: 0xD1CE,
-            threads: 1,
-            repair: true,
-            ..ChaosConfig::default()
+    /// Runs `cfg` at 1, 2, 4 and 8 worker threads, asserts that every run
+    /// matches the single-threaded one — a chaos run is a function of its
+    /// config alone — and returns that run.
+    fn run_at_every_worker_count(cfg: ChaosConfig) -> ChaosReport {
+        let run = |threads| {
+            run_chaos(&ChaosConfig {
+                threads,
+                ..cfg.clone()
+            })
         };
-        let one = run_chaos(&base);
-        let two = run_chaos(&ChaosConfig {
-            threads: 2,
-            ..base.clone()
-        });
-        let eight = run_chaos(&ChaosConfig {
-            threads: 8,
-            ..base.clone()
-        });
-        for other in [&two, &eight] {
+        let one = run(1);
+        for threads in [2, 4, 8] {
+            let other = run(threads);
             assert_eq!(one.events, other.events, "event logs diverged");
             assert_eq!(
                 one.alarms.to_json().pretty(),
@@ -1524,6 +1420,28 @@ mod tests {
             assert_eq!(one.degraded_shards, other.degraded_shards);
             assert_eq!(one.parked_shards, other.parked_shards);
         }
+        one
+    }
+
+    #[test]
+    fn chaos_report_is_identical_across_worker_counts() {
+        let one = run_at_every_worker_count(ChaosConfig {
+            seed: 0xD1CE,
+            ..ChaosConfig::default()
+        });
+        assert!(one.clean(), "chaos failed:\n{one}");
+    }
+
+    #[test]
+    fn chaos_repair_report_is_identical_across_worker_counts() {
+        // Which shards a repair restores and which it parks is part of the
+        // report, so the seed must trip at least one shard.
+        let one = run_at_every_worker_count(ChaosConfig {
+            seed: 0x0DD5_EED0,
+            ..ChaosConfig::default()
+        });
+        assert!(one.clean(), "chaos failed:\n{one}");
+        assert!(one.crashes_recovered > 0, "no repair exercised:\n{one}");
     }
 
     #[test]
@@ -1534,7 +1452,10 @@ mod tests {
             ..ChaosConfig::default()
         });
         // Without the online service there is no quarantine ledger, so
-        // fault accounting is relaxed — but the core contract holds.
+        // fault accounting is relaxed — but the core contract holds. A
+        // repaired shard still comes back patrolling, under
+        // `OnlinePolicy::default()`: `repair_shard` re-verifies the rebuilt
+        // tree before it re-admits the shard.
         assert_eq!(r.unwinds, 0, "panics escaped:\n{r}");
         assert_eq!(r.silent_wrong, 0, "silently wrong acks:\n{r}");
     }

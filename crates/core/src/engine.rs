@@ -716,7 +716,8 @@ impl SecureNvmSystem {
             _ => self.truth.set(addr, data),
         }
         written?;
-        self.maybe_online_step()
+        self.maybe_online_step();
+        Ok(())
     }
 
     /// Direct API: securely reads one line (through the CPU caches; a hit
@@ -739,7 +740,7 @@ impl SecureNvmSystem {
                 MemEvent::Prefetch { .. } => {}
             }
         }
-        self.maybe_online_step()?;
+        self.maybe_online_step();
         Ok(match from_mem {
             Some(data) => data,
             None => self.truth.get(addr).unwrap_or([0u8; 64]),
@@ -758,16 +759,14 @@ impl SecureNvmSystem {
 
     /// Runs a scrub step if the service is enabled and the period elapsed.
     /// The service is taken out of `self` for the step so it can drive the
-    /// controller through `&mut self` without aliasing; a power cut inside
-    /// the step drops it with the rest of the volatile state.
-    fn maybe_online_step(&mut self) -> Result<(), IntegrityError> {
+    /// controller through `&mut self` without aliasing.
+    fn maybe_online_step(&mut self) {
         if let Some(mut svc) = self.online.take() {
             if svc.note_op() {
-                svc.step(self)?;
+                svc.step(self);
             }
             self.online = Some(svc);
         }
-        Ok(())
     }
 
     /// Enables the online integrity service under `policy`, replacing any
@@ -781,20 +780,18 @@ impl SecureNvmSystem {
         self.online.as_ref()
     }
 
-    /// The online integrity service, mutably (cursor resume from a crashed
-    /// image's journal, quarantine audits).
+    /// The online integrity service, mutably (quarantine audits).
     pub fn online_mut(&mut self) -> Option<&mut OnlineService> {
         self.online.as_mut()
     }
 
     /// Forces one scrub step now, regardless of the period (the throttle
     /// still applies). No-op when the service is disabled.
-    pub fn online_step(&mut self) -> Result<(), IntegrityError> {
+    pub fn online_step(&mut self) {
         if let Some(mut svc) = self.online.take() {
-            svc.step(self)?;
+            svc.step(self);
             self.online = Some(svc);
         }
-        Ok(())
     }
 
     /// Forces one full scrub pass over every data line, ignoring both the

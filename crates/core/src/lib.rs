@@ -51,8 +51,7 @@ pub mod shard;
 mod truth;
 
 pub use campaign::{
-    run_chaos, CampaignConfig, CampaignOutcome, CampaignReport, ChaosConfig, ChaosReport,
-    FaultCampaign,
+    run_chaos, CampaignConfig, CampaignReport, ChaosConfig, ChaosReport, FaultCampaign,
 };
 pub use config::{SchemeKind, SystemConfig};
 pub use crash::{

@@ -4,7 +4,7 @@
 //!
 //! The post-crash lenient scrub ([`crate::scrub`]) verifies the whole
 //! machine in one pass while nothing else runs. This module converts that
-//! pass into a *resumable, cursor-driven* background service a live
+//! pass into a *cursor-driven* background service a live
 //! [`crate::SecureNvmSystem`] (and, per shard, a
 //! [`crate::ShardedEngine`]) runs between serving requests:
 //!
@@ -14,9 +14,9 @@
 //!   the throttle bounds — and driving the device's bounded
 //!   exponential-backoff retry schedule, which heals short transient
 //!   faults), then the data MAC against the line's
-//!   [`MacRecord`]. The cursor is stamped into the ADR recovery journal's
-//!   `hwm` (phase [`journal::ONLINE`]), so a crash mid-pass resumes the
-//!   pass instead of rescanning from zero.
+//!   [`MacRecord`]. The patrol persists nothing: its cursor is volatile
+//!   and dies with the power, so a restarted service starts at line zero
+//!   (a repaired shard runs one full pass before it serves again).
 //! * **Throttle negotiation** — a scrub step first consults the live
 //!   write-queue occupancy; above `throttle_occupancy` the step yields to
 //!   serving traffic (alarm draining still runs — detections are never
@@ -24,8 +24,8 @@
 //! * **Quarantine** — a line that fails its MAC, stays unreadable after
 //!   the retry budget, or exhausts its transient re-reads is parked in a
 //!   per-region quarantine: subsequent reads *and* writes fail typed with
-//!   [`IntegrityError::Quarantined`] until an operator clears it. The ack
-//!   is never silently wrong.
+//!   [`IntegrityError::Quarantined`](crate::IntegrityError::Quarantined)
+//!   until an operator clears it. The ack is never silently wrong.
 //! * **Alarms** — MAC mismatches, replay suspicion (LInc drift),
 //!   unreadable regions, and exhausted retries surface as typed
 //!   [`Alarm`]s through the obs alarm channel; the sharded engine adds
@@ -33,13 +33,10 @@
 
 use std::collections::BTreeSet;
 
-use steins_nvm::RecoveryJournal;
 use steins_obs::{Alarm, AlarmKind, AlarmLog, MetricRegistry};
 
 use crate::cme::MacRecord;
 use crate::engine::SecureNvmSystem;
-use crate::error::IntegrityError;
-use crate::recovery::journal;
 
 /// Policy knobs of the online integrity service (Triad-NVM-style:
 /// the operator trades scrub latency against serving throughput).
@@ -128,13 +125,6 @@ impl OnlineService {
         self.cursor
     }
 
-    /// Repositions the scrub cursor — used to resume an interrupted pass
-    /// from a crashed image's [`journal::ONLINE`] journal (see
-    /// [`Self::resume_cursor`]).
-    pub fn set_cursor(&mut self, cursor: u64) {
-        self.cursor = cursor;
-    }
-
     /// Completed full passes.
     pub fn passes(&self) -> u64 {
         self.passes
@@ -204,13 +194,6 @@ impl OnlineService {
     pub(crate) fn note_op(&mut self) -> bool {
         self.ops_since_step += 1;
         self.ops_since_step >= self.policy.scrub_period_ops
-    }
-
-    /// The cursor a crashed image's journal proves the interrupted pass
-    /// had reached over `lines` data lines, when the journal is in the
-    /// [`journal::ONLINE`] phase: the patrol stamps its cursor as `hwm`.
-    pub fn resume_cursor(j: &RecoveryJournal, lines: u64) -> Option<u64> {
-        (j.phase == journal::ONLINE).then(|| j.hwm % lines.max(1))
     }
 
     fn raise(&mut self, kind: AlarmKind, shard: u16, addr: Option<u64>, cycle: u64) {
@@ -309,10 +292,9 @@ impl OnlineService {
     }
 
     /// One scrub step: drain promotions, negotiate the throttle against
-    /// live write-queue occupancy, verify the next batch of lines, stamp
-    /// the cursor into the journal's `hwm`. Errs only with
-    /// [`IntegrityError::PowerCut`].
-    pub(crate) fn step(&mut self, sys: &mut SecureNvmSystem) -> Result<(), IntegrityError> {
+    /// live write-queue occupancy, verify the next batch of lines. Persists
+    /// nothing.
+    pub(crate) fn step(&mut self, sys: &mut SecureNvmSystem) {
         self.steps += 1;
         self.ops_since_step = 0;
         self.drain_retry_exhausted(sys);
@@ -320,11 +302,11 @@ impl OnlineService {
         let occ = sys.ctrl.wq.occupancy(now) as f64 / sys.ctrl.wq.capacity().max(1) as f64;
         if occ > self.policy.throttle_occupancy {
             self.throttled += 1;
-            return Ok(());
+            return;
         }
         let lines = sys.ctrl.layout.data_lines;
         if lines == 0 {
-            return Ok(());
+            return;
         }
         for _ in 0..self.policy.scrub_batch_lines.min(lines) {
             let d = self.cursor;
@@ -337,12 +319,6 @@ impl OnlineService {
                 self.end_of_pass(sys);
             }
         }
-        // Stamp the cursor (a cheap ADR persist): a crash between steps
-        // resumes the pass from it instead of line zero.
-        let passes = self.passes.min(u64::from(u32::MAX)) as u32;
-        sys.ctrl
-            .journal_write(journal::ONLINE, self.cursor, passes)?;
-        Ok(())
     }
 
     /// One full drain pass over every data line, ignoring the period and
@@ -384,6 +360,7 @@ mod tests {
     use super::*;
     use crate::config::{SchemeKind, SystemConfig};
     use crate::engine::synth_data;
+    use crate::error::IntegrityError;
     use steins_metadata::CounterMode;
 
     fn sys(mode: CounterMode) -> SecureNvmSystem {
@@ -408,21 +385,52 @@ mod tests {
         // Force enough steps to complete at least one pass.
         let lines = s.ctrl.layout.data_lines;
         for _ in 0..=lines / 8 {
-            s.online_step().unwrap();
+            s.online_step();
         }
         let svc = s.online().unwrap();
         assert!(svc.passes() >= 1, "cursor never wrapped");
         assert!(svc.verified >= 64, "verified {}", svc.verified);
         assert!(svc.alarms().is_empty());
         assert_eq!(svc.quarantined().count(), 0);
-        // The journal carries the online phase with the resumable cursor.
-        let j = s.ctrl.nvm.recovery_journal();
-        assert_eq!(j.phase, journal::ONLINE);
-        assert_eq!(
-            OnlineService::resume_cursor(&j, lines),
-            Some(svc.cursor()),
-            "the journal must round-trip the cursor"
+    }
+
+    /// The patrol is read-only: no step and no full pass fires a persist,
+    /// so a crash armed at the next persist never trips inside it, and a
+    /// read that issues no persist of its own cannot fail `PowerCut`
+    /// because a scrub step ran after it.
+    #[test]
+    fn a_patrol_step_persists_nothing() {
+        let mut s = sys(CounterMode::General);
+        s.enable_online(active_policy());
+        for line in 0..16u64 {
+            s.write(line * 64, &synth_data(line * 64, 8)).unwrap();
+        }
+        let seq = s.ctrl.nvm.persist_seq();
+        s.ctrl.nvm.arm_crash(seq + 1);
+        let cursor = s.online().unwrap().cursor();
+        s.online_step();
+        assert_ne!(
+            s.online().unwrap().cursor(),
+            cursor,
+            "the step scanned nothing"
         );
+        s.online_scrub_pass();
+        assert_eq!(s.ctrl.nvm.persist_seq(), seq);
+        assert!(s.ctrl.nvm.tripped_at().is_none());
+
+        // A step due after every op: the first read on a fresh machine
+        // fetches its line, persists nothing, and runs a step.
+        let mut s = sys(CounterMode::General);
+        s.enable_online(OnlinePolicy {
+            scrub_period_ops: 1,
+            ..active_policy()
+        });
+        let seq = s.ctrl.nvm.persist_seq();
+        s.ctrl.nvm.arm_crash(seq + 1);
+        assert_eq!(s.read(3 * 64), Ok([0u8; 64]));
+        assert_eq!(s.online().unwrap().steps, 1);
+        assert_eq!(s.ctrl.nvm.persist_seq(), seq);
+        assert!(s.ctrl.nvm.tripped_at().is_none());
     }
 
     #[test]
@@ -520,7 +528,7 @@ mod tests {
         // path promotes the fault; the service must surface it.
         s.ctrl.nvm.inject_transient_unreadable(64, 100);
         assert!(matches!(s.read(64), Err(IntegrityError::Unreadable { .. })));
-        s.online_step().unwrap();
+        s.online_step();
         let svc = s.online().unwrap();
         assert!(svc.retry_exhausted >= 1);
         assert!(svc.is_quarantined(64));

@@ -4,8 +4,8 @@
 //! requirements:
 //!
 //! * **Execution** — independent jobs (one crashed shard each in
-//!   [`crate::ShardedEngine::recover_all`] and `scrub_all`, one chaos shard,
-//!   one bench job) really do run on OS threads. [`run_regions`] takes the
+//!   [`crate::ShardedEngine::recover_all`], one chaos shard, one bench job)
+//!   really do run on OS threads. [`run_regions`] takes the
 //!   jobs by value and hands them out off one shared queue: an idle worker
 //!   claims the next unclaimed job, moving it out of the queue. Within one
 //!   image, recovery is serial in canonical order and journals one

@@ -60,14 +60,6 @@ pub mod journal {
     pub const SCRUB: u8 = 5;
     /// The last recovery or scrub ran to completion.
     pub const DONE: u8 = 6;
-    /// The online integrity service's incremental background scrub
-    /// (`crate::online`) is stamping its pass cursor into `hwm`. The
-    /// online pass is peek-only and idempotent — it rewrites none of the
-    /// structures strict recovery trusts — so this phase is *terminal*
-    /// (not in-progress): a crash mid-pass recovers strictly, and the
-    /// cursor lets the restarted service resume instead of rescanning
-    /// from line zero.
-    pub const ONLINE: u8 = 7;
 
     /// Human-readable phase name.
     pub fn name(phase: u8) -> &'static str {
@@ -79,14 +71,13 @@ pub mod journal {
             STAR_REBUILD => "star-rebuild",
             SCRUB => "scrub",
             DONE => "done",
-            ONLINE => "online-scrub",
             _ => "unknown",
         }
     }
 
     /// Whether the journal records an interrupted (non-terminal) recovery.
     pub fn in_progress(phase: u8) -> bool {
-        !matches!(phase, IDLE | DONE | ONLINE)
+        !matches!(phase, IDLE | DONE)
     }
 }
 

@@ -102,8 +102,7 @@ impl ScrubReport {
         self.data_unrecoverable == 0
     }
 
-    /// An all-zero report carrying only identity (label/restarts/shard) —
-    /// the unit of [`Self::merge`].
+    /// An all-zero report carrying only identity (label/restarts/shard).
     pub fn empty(scheme: String, restarts: u64, shard: u16) -> ScrubReport {
         ScrubReport {
             scheme,
@@ -119,25 +118,6 @@ impl ScrubReport {
             shard,
             journal_rejected: false,
         }
-    }
-
-    /// Folds another shard's verdicts into this report: counters and read
-    /// totals add, unrecoverable addresses concatenate, `restarts` takes
-    /// the max. Identity fields (`scheme`, `shard`) keep `self`'s values,
-    /// so keep the per-shard reports too if per-shard identity matters.
-    /// Merging is associative, so shards fold in any grouping.
-    pub fn merge(&mut self, other: &ScrubReport) {
-        self.data_intact += other.data_intact;
-        self.data_untouched += other.data_untouched;
-        self.data_unrecoverable += other.data_unrecoverable;
-        self.unrecoverable_addrs
-            .extend_from_slice(&other.unrecoverable_addrs);
-        self.meta_intact += other.meta_intact;
-        self.meta_recovered += other.meta_recovered;
-        self.anchors_updated += other.anchors_updated;
-        self.nvm_reads += other.nvm_reads;
-        self.restarts = self.restarts.max(other.restarts);
-        self.journal_rejected |= other.journal_rejected;
     }
 
     /// Exports the verdict counters under `core.scrub.`.
@@ -511,43 +491,6 @@ mod tests {
         for i in 0..8u64 {
             assert_eq!(sys.read(i * 64).unwrap(), [5; 64]);
         }
-    }
-
-    #[test]
-    fn merge_is_associative_with_empty_unit() {
-        let mut a = ScrubReport::empty("Steins-GC".into(), 0, 0);
-        a.data_intact = 3;
-        a.unrecoverable_addrs = vec![64, 128];
-        a.data_unrecoverable = 2;
-        a.nvm_reads = 10;
-        let mut b = ScrubReport::empty("Steins-GC".into(), 1, 0);
-        b.data_intact = 5;
-        b.meta_recovered = 7;
-        b.nvm_reads = 4;
-        let mut c = ScrubReport::empty("Steins-GC".into(), 0, 0);
-        c.data_untouched = 11;
-        c.unrecoverable_addrs = vec![512];
-        c.data_unrecoverable = 1;
-
-        // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-        assert_eq!(left.data_intact, 8);
-        assert_eq!(left.data_unrecoverable, 3);
-        assert_eq!(left.unrecoverable_addrs, vec![64, 128, 512]);
-        assert_eq!(left.nvm_reads, 14);
-        assert_eq!(left.restarts, 1, "restarts take the max");
-
-        // Empty is the unit.
-        let mut unit = a.clone();
-        unit.merge(&ScrubReport::empty("Steins-GC".into(), 0, 0));
-        assert_eq!(unit, a);
     }
 
     /// One serial leaf pass classifies the whole data plane; the terminal

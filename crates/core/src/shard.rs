@@ -45,9 +45,8 @@ enum Slot {
     /// removed the system for an offline recovery. Not degraded: routed
     /// requests fail typed, but there is nothing to repair.
     Taken,
-    /// Out of service. `Some` is the system a power cut (or a park) left in
-    /// place for [`ShardedEngine::repair_shard`]; `None` once a caller took
-    /// it away.
+    /// Out of service. `Some` is the system a power cut left in place for
+    /// [`ShardedEngine::repair_shard`]; `None` once a caller took it away.
     Degraded(Option<SecureNvmSystem>),
     /// A repair attempt holds the cut image and runs its scrub with the
     /// lock released.
@@ -164,21 +163,16 @@ impl ShardedEngine {
             .expect("shard lock poisoned by a panic")
     }
 
-    /// Moves a `Serving` or `Taken` shard `s` to `Degraded`, keeping the
-    /// system it holds, and raises `ShardDegraded` on that transition only;
-    /// a shard already out of service keeps its state. Lifecycle alarms
-    /// carry cycle stamp 0: the engine has no global clock, and a constant
-    /// stamp keeps the merged alarm log byte-identical across host thread
-    /// schedules.
+    /// Moves serving shard `s` to `Degraded`, keeping its system in the
+    /// slot for [`Self::repair_shard`], and raises `ShardDegraded`.
+    /// Lifecycle alarms carry cycle stamp 0: the engine has no global clock,
+    /// and a constant stamp keeps the merged alarm log byte-identical across
+    /// host thread schedules.
     fn degrade(&self, s: usize, slot: &mut Slot) {
-        *slot = match std::mem::replace(slot, Slot::Taken) {
-            Slot::Serving(sys) => Slot::Degraded(Some(sys)),
-            Slot::Taken => Slot::Degraded(None),
-            out_of_service => {
-                *slot = out_of_service;
-                return;
-            }
+        let Slot::Serving(sys) = std::mem::replace(slot, Slot::Taken) else {
+            unreachable!("only a serving shard degrades");
         };
+        *slot = Slot::Degraded(Some(sys));
         self.raise_lifecycle(AlarmKind::ShardDegraded, s);
     }
 
@@ -244,19 +238,6 @@ impl ShardedEngine {
             .filter(|&s| self.is_parked(s))
             .map(|s| s as u16)
             .collect()
-    }
-
-    /// Parks shard `s` `Degraded`, returning its system (if the slot still
-    /// held one) so the caller can crash/scrub it offline. Requests routed
-    /// to the shard fail with [`IntegrityError::ShardDegraded`] until
-    /// [`Self::put_shard`] reinstates a recovered system.
-    pub fn park_degraded(&self, s: usize) -> Option<SecureNvmSystem> {
-        let mut slot = self.lock(s);
-        self.degrade(s, &mut slot);
-        match &mut *slot {
-            Slot::Degraded(sys) => sys.take(),
-            _ => None,
-        }
     }
 
     /// Routes a global byte address for `op`. An address past the engine's
@@ -357,7 +338,7 @@ impl ShardedEngine {
     /// it. Validates journal ownership first: if the image's ADR journal
     /// line was ever written, it must have been stamped by shard `s`'s own
     /// controller. On error the slot stays empty (callers may fall back to
-    /// [`Self::scrub_shard`]).
+    /// [`CrashedSystem::recover_lenient`] and [`Self::put_shard`]).
     pub fn recover_shard(
         &self,
         s: usize,
@@ -367,21 +348,6 @@ impl ShardedEngine {
         let (sys, report) = crashed.recover()?;
         self.put_shard(s, sys);
         Ok(report)
-    }
-
-    /// Leniently scrubs shard `s`'s crashed image, reinstating the rebuilt
-    /// system when the scheme supports one. A scrub that cannot rebuild a
-    /// system (WB has no metadata redundancy) installs nothing and parks
-    /// the shard `Degraded` — its verdict is unrecoverable at the shard
-    /// level, so routing fails typed instead of panicking.
-    pub fn scrub_shard(&self, s: usize, crashed: CrashedSystem) -> ScrubReport {
-        Self::check_journal_owner(s, &crashed);
-        let (sys, report) = crashed.recover_lenient();
-        match sys {
-            Some(sys) => self.put_shard(s, sys),
-            None => self.degrade(s, &mut self.lock(s)),
-        }
-        report
     }
 
     fn check_journal_owner(s: usize, crashed: &CrashedSystem) {
@@ -564,8 +530,7 @@ impl ShardedEngine {
     /// actually schedules the worker threads.
     ///
     /// On the first per-shard error the whole call errors; regions that
-    /// already recovered stay installed and the failing slot stays empty
-    /// (callers may fall back to [`Self::scrub_all`] on a replay).
+    /// already recovered stay installed and the failing slot stays empty.
     pub fn recover_all(
         &self,
         crashed: Vec<CrashedSystem>,
@@ -602,32 +567,6 @@ impl ShardedEngine {
             metrics,
         })
     }
-
-    /// The lenient mirror of [`Self::recover_all`]: scrubs every region in
-    /// parallel and merges the per-region verdicts ([`ScrubReport::merge`])
-    /// into one whole-engine report whose `unrecoverable_addrs` are
-    /// translated back into global byte addresses. Shards whose scheme
-    /// yields a rebuilt system are reinstated; WB slots stay empty.
-    pub fn scrub_all(
-        &self,
-        crashed: Vec<CrashedSystem>,
-        workers: usize,
-    ) -> (Vec<ScrubReport>, ScrubReport) {
-        assert_eq!(crashed.len(), self.shards(), "one crashed image per shard");
-        let jobs = crashed.into_iter().enumerate().collect();
-        let reports = par::run_regions(workers, jobs, |(s, img)| self.scrub_shard(s, img));
-        let mut merged = ScrubReport::empty(reports[0].scheme.clone(), 0, 0);
-        for (s, r) in reports.iter().enumerate() {
-            let mut global = r.clone();
-            global.unrecoverable_addrs = r
-                .unrecoverable_addrs
-                .iter()
-                .map(|&a| self.map.global_line(s, a / 64) * 64)
-                .collect();
-            merged.merge(&global);
-        }
-        (reports, merged)
-    }
 }
 
 /// Outcome of a whole-engine parallel recovery ([`ShardedEngine::recover_all`]).
@@ -655,11 +594,6 @@ impl ParallelRecovery {
     /// reads at `read_ns` nanoseconds each.
     pub fn est_seconds(&self, read_ns: f64) -> f64 {
         self.makespan_reads as f64 * read_ns * 1e-9
-    }
-
-    /// Modeled speedup of this fold over a baseline fold of the same work.
-    pub fn speedup_over(&self, baseline: &ParallelRecovery) -> f64 {
-        baseline.makespan_reads as f64 / self.makespan_reads.max(1) as f64
     }
 }
 
@@ -897,7 +831,7 @@ mod tests {
         assert_eq!(serial.makespan_reads, serial.total_reads);
         assert_eq!(serial.total_reads, quad.total_reads);
         assert!(
-            quad.speedup_over(&serial) >= 3.0,
+            3 * quad.makespan_reads <= serial.makespan_reads,
             "4 balanced regions must fold ≥3x: serial {} quad {}",
             serial.makespan_reads,
             quad.makespan_reads
@@ -910,22 +844,6 @@ mod tests {
                 a.metrics.to_json_deterministic().pretty(),
                 b.metrics.to_json_deterministic().pretty()
             );
-        }
-    }
-
-    #[test]
-    fn parallel_scrub_all_merges_region_verdicts() {
-        let engine = dirtied(4, 64);
-        let images = engine.crash_all();
-        let (reports, merged) = engine.scrub_all(images, 4);
-        assert_eq!(reports.len(), 4);
-        assert_eq!(
-            merged.data_intact,
-            reports.iter().map(|r| r.data_intact).sum::<u64>()
-        );
-        assert_eq!(merged.data_unrecoverable, 0, "{merged}");
-        for line in 0..64u64 {
-            assert_eq!(engine.read(line * 64).unwrap(), SweepOp::payload(line, 6));
         }
     }
 
@@ -986,12 +904,15 @@ mod tests {
         assert_eq!(engine.degraded_shards(), vec![0]);
         assert_eq!(engine.read(line1 * 64).unwrap(), SweepOp::payload(line1, 4));
         assert_eq!(engine.report().gauge("core.shards.degraded"), Some(1.0));
-        // Operator path: park (taking the cut system), scrub its crashed
-        // image offline, reinstate. put_shard returns it to service.
-        let cut = engine.park_degraded(0).expect("system still in slot");
-        let report = engine.scrub_shard(0, cut.crash());
+        // The repair rebuilds the cut image by the lenient scrub and
+        // returns the shard to service.
+        let report = match engine.repair_shard(0) {
+            RepairOutcome::Restored(r) => r,
+            other => panic!("expected Restored, got {other:?}"),
+        };
         assert!(report.clean(), "{report}");
         assert!(!engine.is_degraded(0));
+        assert_eq!(engine.report().gauge("core.shards.degraded"), Some(0.0));
         assert_eq!(engine.read(line0 * 64).unwrap(), SweepOp::payload(line0, 4));
         let kinds: Vec<AlarmKind> = engine
             .drain_alarms()
@@ -999,7 +920,15 @@ mod tests {
             .iter()
             .map(|a| a.kind)
             .collect();
-        assert_eq!(kinds, vec![AlarmKind::ShardDegraded], "one park, one alarm");
+        assert_eq!(
+            kinds,
+            vec![
+                AlarmKind::ShardDegraded,
+                AlarmKind::ShardRepairStarted,
+                AlarmKind::ShardRestored
+            ],
+            "one cut, one ShardDegraded alarm"
+        );
     }
 
     #[test]
@@ -1009,13 +938,13 @@ mod tests {
             engine.write(line * 64, &SweepOp::payload(line, 8)).unwrap();
         }
         let m = *engine.map();
-        let crashed = engine.crash_shard(1);
-        // WB has no metadata redundancy: the scrub classifies but cannot
-        // rebuild, so the shard parks Degraded instead of panicking.
-        let report = engine.scrub_shard(1, crashed);
-        assert!(report.data_intact > 0);
-        assert!(engine.is_degraded(1));
         let line1 = (0..16u64).find(|&l| m.shard_of(l) == 1).unwrap();
+        cut_shard(&engine, 1, line1, 8);
+        // WB has no metadata redundancy: the repair's scrub classifies the
+        // cut image but cannot rebuild it, so the shard parks Degraded
+        // instead of panicking.
+        assert!(matches!(engine.repair_shard(1), RepairOutcome::Parked));
+        assert!(engine.is_degraded(1));
         assert_eq!(
             engine.read(line1 * 64),
             Err(IntegrityError::ShardDegraded { shard: 1 })
@@ -1148,7 +1077,8 @@ mod tests {
         }
         // The degraded shard's image is gone for good (taken and dropped):
         // there is nothing to rebuild from, so repair parks it on the spot.
-        drop(engine.park_degraded(0).unwrap());
+        cut_shard(&engine, 0, 0, 3);
+        drop(engine.take_shard(0));
         assert!(matches!(engine.repair_shard(0), RepairOutcome::Parked));
         assert!(engine.is_parked(0));
         let log = engine.drain_alarms();
@@ -1180,13 +1110,10 @@ mod tests {
         /// Arms the device's next persist (if the slot holds a system),
         /// then a routed write.
         CutInOp,
-        Park,
         Take,
         Crash,
         Put,
         Recover,
-        ScrubRebuilt,
-        ScrubWb,
         Repair,
         WithShard,
     }
@@ -1211,7 +1138,7 @@ mod tests {
             St::DegradedSome => cut_shard(&engine, 0, 0, 6),
             St::DegradedNone => {
                 cut_shard(&engine, 0, 0, 6);
-                drop(engine.park_degraded(0));
+                drop(engine.take_shard(0));
             }
             // Only a running repair holds this state; build it directly.
             St::Rebuilding => {
@@ -1220,7 +1147,7 @@ mod tests {
             }
             St::Parked => {
                 cut_shard(&engine, 0, 0, 6);
-                drop(engine.park_degraded(0));
+                drop(engine.take_shard(0));
                 assert!(matches!(engine.repair_shard(0), RepairOutcome::Parked));
             }
         }
@@ -1229,10 +1156,11 @@ mod tests {
         engine
     }
 
-    /// A never-written `scheme` machine of the 2-shard geometry, labeled
+    /// A never-written Steins machine of the 2-shard geometry, labeled
     /// shard 0, crashed.
-    fn image(scheme: SchemeKind) -> CrashedSystem {
-        let mut sys = SecureNvmSystem::new(ShardedEngine::split_config(&small(scheme), 2));
+    fn image() -> CrashedSystem {
+        let mut sys =
+            SecureNvmSystem::new(ShardedEngine::split_config(&small(SchemeKind::Steins), 2));
         sys.ctrl.nvm.set_shard(0);
         sys.crash()
     }
@@ -1258,7 +1186,6 @@ mod tests {
                 }
                 typed(engine.write(0, &SweepOp::payload(0, 6)))
             }
-            Ev::Park => engine.park_degraded(0).map_or("None", |_| "Some"),
             Ev::Take => {
                 engine.take_shard(0);
                 "Ok"
@@ -1273,19 +1200,7 @@ mod tests {
                 engine.put_shard(0, sys);
                 "Ok"
             }
-            Ev::Recover => typed(
-                engine
-                    .recover_shard(0, image(SchemeKind::Steins))
-                    .map(|_| ()),
-            ),
-            Ev::ScrubRebuilt => {
-                engine.scrub_shard(0, image(SchemeKind::Steins));
-                "Ok"
-            }
-            Ev::ScrubWb => {
-                engine.scrub_shard(0, image(SchemeKind::WriteBack));
-                "Ok"
-            }
+            Ev::Recover => typed(engine.recover_shard(0, image()).map(|_| ())),
             Ev::Repair => match engine.repair_shard(0) {
                 RepairOutcome::Restored(_) => "Restored",
                 RepairOutcome::Parked => "Parked",
@@ -1308,77 +1223,59 @@ mod tests {
         let table: &[(St, Ev, &str, St, &[AlarmKind])] = &[
             (Serving, Routed, "Ok", Serving, &[]),
             (Serving, CutInOp, "PowerCut", DegradedSome, &[D]),
-            (Serving, Park, "Some", DegradedNone, &[D]),
             (Serving, Take, "Ok", Taken, &[]),
             (Serving, Crash, "Ok", Taken, &[]),
             (Serving, Put, "panic", Serving, &[]),
             (Serving, Recover, "panic", Serving, &[]),
-            (Serving, ScrubRebuilt, "panic", Serving, &[]),
-            (Serving, ScrubWb, "Ok", DegradedSome, &[D]),
             (Serving, Repair, "NotDegraded", Serving, &[]),
             (Serving, WithShard, "Ok", Serving, &[]),
 
             (Taken, Routed, "ShardDegraded", Taken, &[]),
             (Taken, CutInOp, "ShardDegraded", Taken, &[]),
-            (Taken, Park, "None", DegradedNone, &[D]),
             (Taken, Take, "panic", Taken, &[]),
             (Taken, Crash, "panic", Taken, &[]),
             (Taken, Put, "Ok", Serving, &[]),
             (Taken, Recover, "Ok", Serving, &[]),
-            (Taken, ScrubRebuilt, "Ok", Serving, &[]),
-            (Taken, ScrubWb, "Ok", DegradedNone, &[D]),
             (Taken, Repair, "NotDegraded", Taken, &[]),
             (Taken, WithShard, "panic", Taken, &[]),
 
             (DegradedSome, Routed, "ShardDegraded", DegradedSome, &[]),
             (DegradedSome, CutInOp, "ShardDegraded", DegradedSome, &[]),
-            (DegradedSome, Park, "Some", DegradedNone, &[]),
             (DegradedSome, Take, "Ok", DegradedNone, &[]),
             (DegradedSome, Crash, "Ok", DegradedNone, &[]),
             (DegradedSome, Put, "panic", DegradedSome, &[]),
             (DegradedSome, Recover, "panic", DegradedSome, &[]),
-            (DegradedSome, ScrubRebuilt, "panic", DegradedSome, &[]),
-            (DegradedSome, ScrubWb, "Ok", DegradedSome, &[]),
             (DegradedSome, Repair, "Restored", Serving, &[S, R]),
             (DegradedSome, WithShard, "Ok", DegradedSome, &[]),
 
             (DegradedNone, Routed, "ShardDegraded", DegradedNone, &[]),
             (DegradedNone, CutInOp, "ShardDegraded", DegradedNone, &[]),
-            (DegradedNone, Park, "None", DegradedNone, &[]),
             (DegradedNone, Take, "panic", DegradedNone, &[]),
             (DegradedNone, Crash, "panic", DegradedNone, &[]),
             (DegradedNone, Put, "Ok", Serving, &[]),
             (DegradedNone, Recover, "Ok", Serving, &[]),
-            (DegradedNone, ScrubRebuilt, "Ok", Serving, &[]),
-            (DegradedNone, ScrubWb, "Ok", DegradedNone, &[]),
             (DegradedNone, Repair, "Parked", Parked, &[]),
             (DegradedNone, WithShard, "panic", DegradedNone, &[]),
 
             (Rebuilding, Routed, "ShardDegraded", Rebuilding, &[]),
             (Rebuilding, CutInOp, "ShardDegraded", Rebuilding, &[]),
-            (Rebuilding, Park, "None", Rebuilding, &[]),
             (Rebuilding, Take, "panic", Rebuilding, &[]),
             (Rebuilding, Crash, "panic", Rebuilding, &[]),
             (Rebuilding, Put, "panic", Rebuilding, &[]),
             (Rebuilding, Recover, "panic", Rebuilding, &[]),
-            (Rebuilding, ScrubRebuilt, "panic", Rebuilding, &[]),
-            (Rebuilding, ScrubWb, "Ok", Rebuilding, &[]),
             (Rebuilding, Repair, "NotDegraded", Rebuilding, &[]),
             (Rebuilding, WithShard, "panic", Rebuilding, &[]),
 
             (Parked, Routed, "ShardDegraded", Parked, &[]),
             (Parked, CutInOp, "ShardDegraded", Parked, &[]),
-            (Parked, Park, "None", Parked, &[]),
             (Parked, Take, "panic", Parked, &[]),
             (Parked, Crash, "panic", Parked, &[]),
             (Parked, Put, "Ok", Serving, &[]),
             (Parked, Recover, "Ok", Serving, &[]),
-            (Parked, ScrubRebuilt, "Ok", Serving, &[]),
-            (Parked, ScrubWb, "Ok", Parked, &[]),
             (Parked, Repair, "Parked", Parked, &[]),
             (Parked, WithShard, "panic", Parked, &[]),
         ];
-        assert_eq!(table.len(), 6 * 11, "one row per (state, event) pair");
+        assert_eq!(table.len(), 6 * 8, "one row per (state, event) pair");
         for &(from, ev, want, next, alarms) in table {
             let engine = engine_in(from);
             let got =

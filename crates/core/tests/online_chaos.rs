@@ -96,7 +96,7 @@ fn scrub_under_concurrent_writes_escalates_monotonically() {
                         .inject_transient_unreadable(line * 64, 64),
                 }
             }
-            sys.online_step().unwrap();
+            sys.online_step();
             let (q, alarms) = escalation(&sys);
             assert!(
                 q.is_superset(&prev_q),

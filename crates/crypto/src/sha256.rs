@@ -315,16 +315,20 @@ impl Sha256 {
     }
 
     /// [`Sha256::finalize`] on the given compression.
-    pub(crate) fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[u8; 64]) + Copy) -> [u8; 32] {
+    pub(crate) fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[u8; 64])) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.absorb(&[0x80], compress);
-        while self.buf_len != 56 {
-            self.absorb(&[0], compress);
+        // Padding: 0x80, zeros, 64-bit big-endian length, written into one
+        // block after the buffered tail. A tail of 56 bytes or more leaves
+        // no room for the length, so a second block carries it.
+        let n = self.buf_len;
+        let mut block = [0u8; 64];
+        block[..n].copy_from_slice(&self.buf[..n]);
+        block[n] = 0x80;
+        if n >= 56 {
+            compress(&mut self.state, &block);
+            block = [0u8; 64];
         }
-        // Manual length append: bypass absorb's total_len accounting.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.state, &block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -411,6 +415,69 @@ mod tests {
                 h.absorb(&data[split..], c);
                 assert_eq!(h.finish(c), digest_with(&data, c), "{name} split={split}");
             }
+        }
+    }
+
+    /// Byte-at-a-time padding, one `absorb` per pad byte: the reference
+    /// `finish`'s in-place padding is compared with.
+    fn finish_bytewise(mut h: Sha256, compress: Compress) -> [u8; 32] {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.absorb(&[0x80], compress);
+        while h.buf_len != 56 {
+            h.absorb(&[0], compress);
+        }
+        h.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = h.buf;
+        compress(&mut h.state, &block);
+        let mut out = [0u8; 32];
+        for (i, word) in h.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Every tail length, across one and two padding blocks and after
+    /// whole blocks, pads exactly as the byte-at-a-time padding did.
+    #[test]
+    fn in_place_padding_matches_bytewise_padding() {
+        for (name, c) in compressions() {
+            for len in 0..=256usize {
+                let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+                let mut h = Sha256::new();
+                h.absorb(&data, c);
+                assert_eq!(
+                    h.clone().finish(c),
+                    finish_bytewise(h, c),
+                    "{name} len={len}"
+                );
+            }
+        }
+    }
+
+    /// Known answers (Python's `hashlib`) at the padding edges: the last
+    /// one-block tail (55), the two-block tails (63, 119) and a whole
+    /// block (64).
+    #[test]
+    fn padding_edge_vectors() {
+        for (len, expect) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+        ] {
+            check_vector(&vec![b'a'; len], expect);
         }
     }
 

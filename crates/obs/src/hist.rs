@@ -194,16 +194,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty buckets as `(bucket_high, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_high(i), c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -281,7 +271,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.p50(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //! * [`registry::MetricRegistry`] — a typed metric store (counters,
 //!   gauges, histograms) keyed by component paths such as
 //!   `nvm.write_queue.occupancy` or `core.engine.mac_calls`,
-//! * [`registry::PhaseTimer`] — a scoped wall-clock phase timer for the
-//!   bench harness (wall metrics live under the `wall.` prefix so the
-//!   deterministic export can exclude them),
 //! * [`json::Json`] — a minimal JSON value with a byte-stable serializer
 //!   and a parser, used for `results/METRICS_*.json` and the CI perf gate,
 //! * [`alarm::AlarmLog`] — the typed attack-detection alarm channel for
@@ -31,4 +28,4 @@ pub mod registry;
 pub use alarm::{Alarm, AlarmKind, AlarmLog};
 pub use hist::Histogram;
 pub use json::Json;
-pub use registry::{Metric, MetricRegistry, PhaseTimer};
+pub use registry::{Metric, MetricRegistry};

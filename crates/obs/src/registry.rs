@@ -2,18 +2,13 @@
 //!
 //! Naming convention: `<crate>.<component>.<metric>` — e.g.
 //! `nvm.write_queue.occupancy`, `core.engine.mac_calls`,
-//! `meta.cache.hits`. Wall-clock phase timings go under the reserved
-//! `wall.` prefix; [`MetricRegistry::to_json_deterministic`] excludes that
-//! subtree so `results/METRICS_*.json` stays byte-identical under a fixed
-//! seed while `to_json` keeps the full picture for interactive runs.
+//! `meta.cache.hits`. Registries hold modeled quantities only (wall clock
+//! is printed, never recorded), so [`MetricRegistry::to_json_deterministic`]
+//! keeps `results/METRICS_*.json` byte-identical under a fixed seed.
 
 use crate::hist::Histogram;
 use crate::json::Json;
 use std::collections::BTreeMap;
-use std::time::Instant;
-
-/// Path prefix for wall-clock (non-deterministic) metrics.
-pub const WALL_PREFIX: &str = "wall.";
 
 /// One metric: a monotonic counter, a point-in-time gauge, or a
 /// latency/size distribution.
@@ -186,23 +181,11 @@ impl MetricRegistry {
         self.merge(shard);
     }
 
-    /// Full JSON export, including `wall.` metrics.
-    pub fn to_json(&self) -> Json {
-        self.export(true)
-    }
-
-    /// JSON export excluding the `wall.` subtree — byte-identical across
-    /// runs with the same seed and op budget.
+    /// JSON export in sorted path order — byte-identical across runs with
+    /// the same seed and op budget.
     pub fn to_json_deterministic(&self) -> Json {
-        self.export(false)
-    }
-
-    fn export(&self, include_wall: bool) -> Json {
         let mut out = BTreeMap::new();
         for (path, metric) in &self.metrics {
-            if !include_wall && path.starts_with(WALL_PREFIX) {
-                continue;
-            }
             let value = match metric {
                 Metric::Counter(c) => Json::obj([
                     ("type".to_string(), Json::Str("counter".into())),
@@ -235,35 +218,6 @@ pub fn hist_summary(h: &Histogram) -> Json {
         ("p99".to_string(), Json::Num(h.p99() as f64)),
         ("p999".to_string(), Json::Num(h.p999() as f64)),
     ])
-}
-
-/// Scoped wall-clock phase timer.
-///
-/// [`PhaseTimer::stop`] records elapsed nanoseconds as a counter at
-/// `wall.<name>.ns` — under the reserved prefix so deterministic exports
-/// skip it. Dropping without `stop` records nothing (useful on early
-/// returns where a partial phase time would mislead).
-pub struct PhaseTimer {
-    name: String,
-    start: Instant,
-}
-
-impl PhaseTimer {
-    /// Starts timing phase `name`.
-    pub fn start(name: &str) -> Self {
-        PhaseTimer {
-            name: name.to_string(),
-            start: Instant::now(),
-        }
-    }
-
-    /// Stops the timer, recording `wall.<name>.ns` into `reg`, and
-    /// returns the elapsed nanoseconds.
-    pub fn stop(self, reg: &mut MetricRegistry) -> u64 {
-        let ns = self.start.elapsed().as_nanos() as u64;
-        reg.counter_add(&format!("{WALL_PREFIX}{}.ns", self.name), ns);
-        ns
-    }
 }
 
 #[cfg(test)]
@@ -387,28 +341,12 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_export_excludes_wall() {
-        let mut r = MetricRegistry::new();
-        r.counter_add("core.ops", 10);
-        let t = PhaseTimer::start("sweep");
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let ns = t.stop(&mut r);
-        assert!(ns > 0);
-        assert!(r.counter("wall.sweep.ns").unwrap() >= ns);
-        let full = r.to_json().pretty();
-        let det = r.to_json_deterministic().pretty();
-        assert!(full.contains("wall.sweep.ns"));
-        assert!(!det.contains("wall.sweep.ns"));
-        assert!(det.contains("core.ops"));
-    }
-
-    #[test]
     fn hist_summary_has_percentile_ladder() {
         let mut r = MetricRegistry::new();
         for v in 1..=100 {
             r.record("lat", v);
         }
-        let j = r.to_json();
+        let j = r.to_json_deterministic();
         let h = j.get("lat").unwrap();
         assert_eq!(h.get("type").unwrap().as_str(), Some("histogram"));
         assert_eq!(h.get("p50").unwrap().as_f64(), Some(50.0));
