@@ -15,6 +15,7 @@
 
 pub mod cpu;
 pub mod hierarchy;
+mod lru_rank;
 pub mod set_assoc;
 pub mod stats;
 

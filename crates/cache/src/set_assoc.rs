@@ -7,7 +7,10 @@
 //! (not a `Vec<Vec<_>>`), the layout the metadata cache uses too: building
 //! a cache is one allocation instead of one per set (5,376 for the Table I
 //! hierarchy), and a lookup scans one slice with no second pointer chase.
+//! A way is one 8-byte tag word holding its tag, valid and dirty bits and
+//! LRU rank (`lru_rank.rs`), so a set holds at most 64 ways.
 
+use crate::lru_rank::{self, check_ways, fill, find, key, rank, tag_of, touch, DIRTY, VALID};
 use crate::stats::CacheStats;
 use std::ops::Range;
 
@@ -19,13 +22,14 @@ pub const LINE_BYTES: u64 = 64;
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
-    /// Associativity (ways per set).
+    /// Associativity (ways per set, at most 64).
     pub ways: usize,
 }
 
 impl CacheConfig {
     /// Creates a config, asserting the geometry is realizable.
     pub fn new(capacity_bytes: u64, ways: usize) -> Self {
+        check_ways(ways);
         let cfg = CacheConfig {
             capacity_bytes,
             ways,
@@ -43,15 +47,6 @@ impl CacheConfig {
     pub fn lines(&self) -> u64 {
         self.capacity_bytes / LINE_BYTES
     }
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct Way {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    /// Monotone use stamp; smaller = older (true LRU).
-    lru: u64,
 }
 
 /// What happened on an access.
@@ -76,22 +71,21 @@ pub struct Victim {
 /// Tag-array set-associative cache with true LRU and write-back dirty bits.
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    /// Way slab: way `w` of set `s` lives at index `s * ways + w`.
-    slab: Vec<Way>,
+    /// Tag-word slab: way `w` of set `s` lives at index `s * ways + w`.
+    slab: Vec<u64>,
     /// `cfg.sets()`, cached off the hot path.
     sets: u64,
-    stamp: u64,
     stats: CacheStats,
 }
 
 impl SetAssocCache {
     /// Builds an empty cache for `cfg`.
     pub fn new(cfg: CacheConfig) -> Self {
+        let cfg = CacheConfig::new(cfg.capacity_bytes, cfg.ways);
         SetAssocCache {
             cfg,
-            slab: vec![Way::default(); cfg.sets() as usize * cfg.ways],
+            slab: vec![0; cfg.sets() as usize * cfg.ways],
             sets: cfg.sets(),
-            stamp: 0,
             stats: CacheStats::default(),
         }
     }
@@ -110,21 +104,30 @@ impl SetAssocCache {
         set * self.cfg.ways..(set + 1) * self.cfg.ways
     }
 
-    /// The resident way holding `addr`, if any.
-    fn find_mut(&mut self, addr: u64) -> Option<&mut Way> {
+    /// `addr`'s set and the way of it holding `addr`, if resident.
+    fn find_mut(&mut self, addr: u64) -> Option<(&mut [u64], usize)> {
         let (set, tag) = self.index(addr);
         let ways = self.ways_of(set);
-        self.slab[ways].iter_mut().find(|w| w.valid && w.tag == tag)
+        let set = &mut self.slab[ways];
+        let way = find(set, tag)?;
+        Some((set, way))
+    }
+
+    /// The tag word holding `addr`, if resident.
+    fn word(&self, addr: u64) -> Option<u64> {
+        let (set, tag) = self.index(addr);
+        let set = &self.slab[self.ways_of(set)];
+        find(set, tag).map(|w| set[w])
     }
 
     /// Resident lines' addresses, in slab order, filtered by `keep`.
-    fn lines_where(&self, keep: impl Fn(&Way) -> bool) -> Vec<u64> {
+    fn lines_where(&self, keep: impl Fn(u64) -> bool) -> Vec<u64> {
         let ways = self.cfg.ways;
         self.slab
             .iter()
             .enumerate()
-            .filter(|(_, w)| w.valid && keep(w))
-            .map(|(i, w)| self.addr_of(i / ways, w.tag))
+            .filter(|&(_, &w)| w & VALID != 0 && keep(w))
+            .map(|(i, &w)| self.addr_of(i / ways, tag_of(w)))
             .collect()
     }
 
@@ -132,90 +135,77 @@ impl SetAssocCache {
     /// On a miss the line is installed (allocate-on-miss for both reads and
     /// writes, the policy of write-back caches with write-allocate).
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
-        self.stamp += 1;
         let (set_idx, tag) = self.index(addr);
         let ways = self.ways_of(set_idx);
         let set = &mut self.slab[ways];
+        let dirty = if write { DIRTY } else { 0 };
 
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru = self.stamp;
-            way.dirty |= write;
+        if let Some(way) = find(set, tag) {
+            touch(set, way);
+            set[way] |= dirty;
             self.stats.hits += 1;
             return AccessOutcome::Hit;
         }
 
         self.stats.misses += 1;
-        // Choose victim: an invalid way, else the true-LRU way.
-        let victim_idx = set.iter().position(|w| !w.valid).unwrap_or_else(|| {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru)
-                .map(|(i, _)| i)
-                .expect("ways nonzero")
-        });
-        let victim = if set[victim_idx].valid {
-            let v = set[victim_idx];
-            if v.dirty {
+        // Choose victim: an invalid way, else the true-LRU (highest-ranked)
+        // way.
+        let way = lru_rank::victim(set, |_| true).expect("ways nonzero");
+        let old = set[way];
+        let victim = if old & VALID != 0 {
+            let dirty = old & DIRTY != 0;
+            if dirty {
                 self.stats.writebacks += 1;
             } else {
                 self.stats.clean_evictions += 1;
             }
             Some(Victim {
-                addr: (v.tag * self.sets + set_idx as u64) * LINE_BYTES,
-                dirty: v.dirty,
+                addr: (tag_of(old) * self.sets + set_idx as u64) * LINE_BYTES,
+                dirty,
             })
         } else {
             None
         };
-        set[victim_idx] = Way {
-            valid: true,
-            dirty: write,
-            tag,
-            lru: self.stamp,
-        };
+        fill(set, way, key(tag) | dirty);
         AccessOutcome::Miss { victim }
     }
 
     /// Whether `addr` is currently cached (no LRU update, no stats).
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        self.slab[self.ways_of(set)]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        self.word(addr).is_some()
     }
 
     /// Whether `addr` is cached *and* dirty.
     pub fn is_dirty(&self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        self.slab[self.ways_of(set)]
-            .iter()
-            .any(|w| w.valid && w.tag == tag && w.dirty)
+        self.word(addr).is_some_and(|w| w & DIRTY != 0)
     }
 
     /// Clears the dirty bit of `addr` (after an explicit write-back/flush).
     pub fn clean(&mut self, addr: u64) {
-        if let Some(w) = self.find_mut(addr) {
-            w.dirty = false;
+        if let Some((set, w)) = self.find_mut(addr) {
+            set[w] &= !DIRTY;
         }
     }
 
-    /// Invalidates `addr`, returning whether it was dirty.
+    /// Invalidates `addr`, returning whether it was dirty. The ways ranked
+    /// after it move up one, closing the gap.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        match self.find_mut(addr) {
-            Some(w) => {
-                let dirty = w.dirty;
-                w.valid = false;
-                w.dirty = false;
-                dirty
+        let Some((set, w)) = self.find_mut(addr) else {
+            return false;
+        };
+        let old = std::mem::take(&mut set[w]);
+        for x in set {
+            if *x & VALID != 0 && rank(*x) > rank(old) {
+                *x -= 1;
             }
-            None => false,
         }
+        old & DIRTY != 0
     }
 
     /// All currently-resident dirty line addresses (crash modeling: these are
     /// the lines whose latest contents are lost).
     pub fn dirty_lines(&self) -> Vec<u64> {
-        self.lines_where(|w| w.dirty)
+        self.lines_where(|w| w & DIRTY != 0)
     }
 
     /// All resident line addresses.
@@ -225,7 +215,7 @@ impl SetAssocCache {
 
     /// Drops every line (crash: volatile contents vanish).
     pub fn clear(&mut self) {
-        self.slab.fill(Way::default());
+        self.slab.fill(0);
     }
 
     /// Statistics.
@@ -247,10 +237,182 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru_rank::next;
 
     fn small() -> SetAssocCache {
         // 4 sets × 2 ways × 64B = 512B.
         SetAssocCache::new(CacheConfig::new(512, 2))
+    }
+
+    /// The per-access use stamps the tag words' ranks replaced, kept as
+    /// the reference the ranks are checked against: each way keeps the
+    /// stamp of its last access, and the victim is the first invalid way,
+    /// else the way with the oldest stamp.
+    #[derive(Clone, Copy, Default)]
+    struct StampWay {
+        valid: bool,
+        dirty: bool,
+        tag: u64,
+        lru: u64,
+    }
+
+    struct StampCache {
+        ways: usize,
+        sets: u64,
+        slab: Vec<StampWay>,
+        stamp: u64,
+    }
+
+    impl StampCache {
+        fn new(cfg: CacheConfig) -> Self {
+            StampCache {
+                ways: cfg.ways,
+                sets: cfg.sets(),
+                slab: vec![StampWay::default(); cfg.sets() as usize * cfg.ways],
+                stamp: 0,
+            }
+        }
+
+        /// `addr`'s set index, tag and ways.
+        fn set(&mut self, addr: u64) -> (usize, u64, &mut [StampWay]) {
+            let line = addr / LINE_BYTES;
+            let set = (line % self.sets) as usize;
+            let ways = &mut self.slab[set * self.ways..(set + 1) * self.ways];
+            (set, line / self.sets, ways)
+        }
+
+        fn find(&mut self, addr: u64) -> Option<&mut StampWay> {
+            let (_, tag, set) = self.set(addr);
+            set.iter_mut().find(|w| w.valid && w.tag == tag)
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
+            self.stamp += 1;
+            let (stamp, sets) = (self.stamp, self.sets);
+            let (set_idx, tag, set) = self.set(addr);
+            if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+                way.lru = stamp;
+                way.dirty |= write;
+                return AccessOutcome::Hit;
+            }
+            let i = set.iter().position(|w| !w.valid).unwrap_or_else(|| {
+                (0..set.len())
+                    .min_by_key(|&i| set[i].lru)
+                    .expect("ways nonzero")
+            });
+            let v = set[i];
+            set[i] = StampWay {
+                valid: true,
+                dirty: write,
+                tag,
+                lru: stamp,
+            };
+            AccessOutcome::Miss {
+                victim: v.valid.then_some(Victim {
+                    addr: (v.tag * sets + set_idx as u64) * LINE_BYTES,
+                    dirty: v.dirty,
+                }),
+            }
+        }
+
+        fn clean(&mut self, addr: u64) {
+            if let Some(w) = self.find(addr) {
+                w.dirty = false;
+            }
+        }
+
+        fn invalidate(&mut self, addr: u64) -> bool {
+            self.find(addr).is_some_and(|w| {
+                let dirty = w.dirty;
+                (w.valid, w.dirty) = (false, false);
+                dirty
+            })
+        }
+
+        fn clear(&mut self) {
+            self.slab.fill(StampWay::default());
+        }
+
+        fn lines_where(&self, keep: impl Fn(&StampWay) -> bool) -> Vec<u64> {
+            self.slab
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.valid && keep(w))
+                .map(|(i, w)| (w.tag * self.sets + (i / self.ways) as u64) * LINE_BYTES)
+                .collect()
+        }
+    }
+
+    /// Seeded random access/invalidate/clean/clear streams give the same
+    /// outcome, victim and dirty set under ranks as under stamps, on 2-,
+    /// 8-, 16- and 64-way sets.
+    #[test]
+    fn ranks_match_stamps_op_for_op() {
+        for ways in [2usize, 8, 16, 64] {
+            let cfg = CacheConfig::new(4 * ways as u64 * LINE_BYTES, ways);
+            for seed in 1..=4u64 {
+                let mut ranks = SetAssocCache::new(cfg);
+                let mut stamps = StampCache::new(cfg);
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                for op in 0..50_000 {
+                    let r = next(&mut rng);
+                    // Half the lines come from a hot half-capacity range,
+                    // so hits land at every rank; the rest from three
+                    // times the capacity, so sets fill and evict.
+                    let lines = if r & 1 == 0 {
+                        cfg.lines() / 2
+                    } else {
+                        3 * cfg.lines()
+                    };
+                    let addr = (r >> 16) % lines * LINE_BYTES;
+                    let at = format!("{ways} ways, seed {seed}, op {op}");
+                    match (r >> 8) % 1000 {
+                        0 => {
+                            ranks.clear();
+                            stamps.clear();
+                        }
+                        1..=99 => {
+                            ranks.clean(addr);
+                            stamps.clean(addr);
+                        }
+                        100..=199 => {
+                            let got = ranks.invalidate(addr);
+                            assert_eq!(got, stamps.invalidate(addr), "invalidate, {at}");
+                        }
+                        _ => {
+                            let write = r & 2 != 0;
+                            let got = ranks.access(addr, write);
+                            assert_eq!(got, stamps.access(addr, write), "access, {at}");
+                        }
+                    }
+                    assert_eq!(
+                        ranks.dirty_lines(),
+                        stamps.lines_where(|w| w.dirty),
+                        "dirty lines, {at}"
+                    );
+                    assert_eq!(
+                        ranks.resident_lines(),
+                        stamps.lines_where(|_| true),
+                        "resident lines, {at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn a_65_way_geometry_is_refused() {
+        CacheConfig::new(65 * LINE_BYTES, 65);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn a_65_way_cache_is_refused_without_new() {
+        SetAssocCache::new(CacheConfig {
+            capacity_bytes: 65 * LINE_BYTES,
+            ways: 65,
+        });
     }
 
     #[test]

@@ -6,20 +6,23 @@
 //! `set · ways + way`, the coordinate Steins' offset records are keyed by
 //! (§III-C: "a record for each metadata cache line").
 //!
-//! Storage is a single contiguous slab of slots indexed `set * ways + way`
-//! (not a `Vec<Vec<_>>`): every lookup on the simulation hot path walks one
-//! set's ways, and the flat layout makes that a bounds-checked slice scan
-//! with no second pointer chase.
+//! Storage is one slab of slots indexed by that flat slot (not a
+//! `Vec<Vec<_>>`). A slot is its node beside one 8-byte tag word, the CPU
+//! caches' way: the node offset as the tag, the valid and dirty bits, and
+//! the slot's LRU rank among its set's resident slots (`lru_rank.rs` in
+//! `steins-cache`, included here by path), 96 B in all. The victim is the
+//! first empty slot, else the least recently used unpinned one, and a set
+//! holds at most 64 ways.
 //!
-//! Each slot carries a plain `Empty`/`Clean`/`Dirty` state and its tag
-//! (the node offset) beside the node value. One controller owns the cache
-//! and mutates it through `&mut` — the sharded engine holds the shard's
-//! mutex — so no slot state is shared across threads. Recovery's
-//! slot-pinned [`MetadataCache::install_at`] refuses an occupied slot, so a
-//! pinned install can never silently overwrite a node another install
-//! already placed.
+//! One controller owns the cache and mutates it through `&mut` — the
+//! sharded engine holds the shard's mutex — so no slot state is shared
+//! across threads. Recovery's slot-pinned [`MetadataCache::install_at`]
+//! refuses an occupied slot, so a pinned install can never silently
+//! overwrite a node another install already placed.
 
 use crate::node::SitNode;
+use lru_rank::{check_ways, fill, find, key, tag_of, touch, Way, DIRTY, TAG_SHIFT, VALID};
+use std::ops::Range;
 use steins_crypto as _; // crate-level dependency kept for doc links
 use steins_obs::{Histogram, MetricRegistry};
 
@@ -28,7 +31,7 @@ use steins_obs::{Histogram, MetricRegistry};
 pub struct MetaCacheConfig {
     /// Capacity in bytes (nodes are 64 B).
     pub capacity_bytes: u64,
-    /// Associativity.
+    /// Associativity (at most 64).
     pub ways: usize,
 }
 
@@ -64,43 +67,22 @@ impl MetaCacheConfig {
     }
 }
 
-/// Occupancy of one cache slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SlotState {
-    /// Holds nothing.
-    Empty,
-    /// Holds a node equal to its NVM copy.
-    Clean,
-    /// Holds a node newer than its NVM copy (lost on crash).
-    Dirty,
-}
+#[path = "../../cache/src/lru_rank.rs"]
+mod lru_rank;
 
+/// One slot: its tag word and the node it holds (stale while empty).
+#[derive(Clone, Copy)]
 struct Slot {
-    state: SlotState,
-    /// The resident node's offset (meaningless while `Empty`).
-    offset: u64,
+    word: u64,
     node: SitNode,
-    lru: u64,
 }
 
-impl Default for Slot {
-    fn default() -> Self {
-        Slot {
-            state: SlotState::Empty,
-            offset: 0,
-            node: SitNode::zero_general(),
-            lru: 0,
-        }
+impl Way for Slot {
+    fn word(&self) -> u64 {
+        self.word
     }
-}
-
-impl Slot {
-    fn resident(&self) -> bool {
-        self.state != SlotState::Empty
-    }
-
-    fn holds(&self, offset: u64) -> bool {
-        self.resident() && self.offset == offset
+    fn word_mut(&mut self) -> &mut u64 {
+        &mut self.word
     }
 }
 
@@ -121,11 +103,10 @@ pub struct EvictedNode {
 /// offset.
 pub struct MetadataCache {
     cfg: MetaCacheConfig,
-    /// Flat slot slab: slot `(set, way)` lives at index `set * ways + way`.
+    /// Slot `(set, way)` lives at index `set * ways + way`.
     slots: Vec<Slot>,
     sets: usize,
     ways: usize,
-    stamp: u64,
     hits: u64,
     misses: u64,
     /// Dirty resident nodes right now (maintained incrementally — the slab
@@ -141,15 +122,21 @@ pub struct MetadataCache {
 impl MetadataCache {
     /// Builds an empty cache.
     pub fn new(cfg: MetaCacheConfig) -> Self {
+        check_ways(cfg.ways);
         assert!(cfg.sets() >= 1, "metadata cache too small");
         let sets = cfg.sets() as usize;
         let ways = cfg.ways;
         MetadataCache {
             cfg,
-            slots: (0..sets * ways).map(|_| Slot::default()).collect(),
+            slots: vec![
+                Slot {
+                    word: 0,
+                    node: SitNode::zero_general(),
+                };
+                sets * ways
+            ],
             sets,
             ways,
-            stamp: 0,
             hits: 0,
             misses: 0,
             dirty_count: 0,
@@ -163,33 +150,37 @@ impl MetadataCache {
     }
 
     /// Flat slot index of `(set, way)`.
-    fn flat(&self, set: usize, way: usize) -> u64 {
-        (set * self.ways + way) as u64
+    fn flat(&self, set: usize, way: usize) -> usize {
+        set * self.ways + way
     }
 
-    /// The slot at `(set, way)`.
-    #[inline]
-    fn slot(&self, set: usize, way: usize) -> &Slot {
-        &self.slots[set * self.ways + way]
+    /// Flat slot indices of set `set`.
+    fn slots_of(&self, set: usize) -> Range<usize> {
+        set * self.ways..(set + 1) * self.ways
     }
 
     /// The way of `set` holding `offset`, if resident.
     #[inline]
     fn way_of(&self, set: usize, offset: u64) -> Option<usize> {
-        (0..self.ways).find(|&w| self.slot(set, w).holds(offset))
+        find(&self.slots[self.slots_of(set)], offset)
+    }
+
+    /// The flat slot holding `offset`, if resident.
+    fn find(&self, offset: u64) -> Option<usize> {
+        let set = self.set_of(offset);
+        self.way_of(set, offset).map(|w| self.flat(set, w))
     }
 
     /// Looks up the node at `offset`, updating LRU and hit/miss counters.
     pub fn lookup(&mut self, offset: u64) -> Option<&mut SitNode> {
-        self.stamp += 1;
-        let stamp = self.stamp;
         let set = self.set_of(offset);
         match self.way_of(set, offset) {
             Some(way) => {
                 self.hits += 1;
-                let s = &mut self.slots[set * self.ways + way];
-                s.lru = stamp;
-                Some(&mut s.node)
+                let slots = self.slots_of(set);
+                touch(&mut self.slots[slots], way);
+                let flat = self.flat(set, way);
+                Some(&mut self.slots[flat].node)
             }
             None => {
                 self.misses += 1;
@@ -207,10 +198,9 @@ impl MetadataCache {
     /// Copy-in write of a resident node's contents (no hit/miss accounting;
     /// pairs with [`Self::read`]). Returns `false` if the node is absent.
     pub fn write(&mut self, offset: u64, node: SitNode) -> bool {
-        let set = self.set_of(offset);
-        match self.way_of(set, offset) {
-            Some(way) => {
-                self.slots[set * self.ways + way].node = node;
+        match self.find(offset) {
+            Some(flat) => {
+                self.slots[flat].node = node;
                 true
             }
             None => false,
@@ -222,13 +212,18 @@ impl MetadataCache {
         self.set_of(offset)
     }
 
+    /// Resident slots of one set, in way order.
+    fn resident_in(&self, set: usize) -> impl Iterator<Item = &Slot> {
+        self.slots[self.slots_of(set)]
+            .iter()
+            .filter(|s| s.word & VALID != 0)
+    }
+
     /// All resident nodes of one set as `(offset, node, dirty)`, in way
     /// order (STAR sorts these by address before MACing).
     pub fn set_nodes(&self, set: usize) -> Vec<(u64, SitNode, bool)> {
-        (0..self.ways)
-            .map(|w| self.slot(set, w))
-            .filter(|s| s.resident())
-            .map(|s| (s.offset, s.node, s.state == SlotState::Dirty))
+        self.resident_in(set)
+            .map(|s| (tag_of(s.word), s.node, s.word & DIRTY != 0))
             .collect()
     }
 
@@ -238,12 +233,11 @@ impl MetadataCache {
     /// engine reuses one scratch vector across calls.
     pub fn dirty_set_nodes_into(&mut self, set: usize, out: &mut Vec<(u64, SitNode)>) {
         let before = out.len();
-        for w in 0..self.ways {
-            let s = self.slot(set, w);
-            if s.state == SlotState::Dirty {
-                out.push((s.offset, s.node));
-            }
-        }
+        out.extend(
+            self.resident_in(set)
+                .filter(|s| s.word & DIRTY != 0)
+                .map(|s| (tag_of(s.word), s.node)),
+        );
         self.flush_batch_hist.record((out.len() - before) as u64);
     }
 
@@ -254,48 +248,43 @@ impl MetadataCache {
 
     /// Peeks without LRU/stat side effects.
     pub fn peek(&self, offset: u64) -> Option<&SitNode> {
-        let set = self.set_of(offset);
-        self.way_of(set, offset)
-            .map(|w| &self.slots[set * self.ways + w].node)
+        self.find(offset).map(|flat| &self.slots[flat].node)
     }
 
     /// Whether `offset` is resident.
     pub fn contains(&self, offset: u64) -> bool {
-        self.way_of(self.set_of(offset), offset).is_some()
+        self.find(offset).is_some()
     }
 
     /// Whether `offset` is resident and dirty (no LRU or stat side
     /// effects).
     pub fn is_dirty(&self, offset: u64) -> bool {
-        let set = self.set_of(offset);
-        self.way_of(set, offset)
-            .is_some_and(|w| self.slot(set, w).state == SlotState::Dirty)
+        self.find(offset)
+            .is_some_and(|flat| self.slots[flat].word & DIRTY != 0)
     }
 
     /// Marks a resident node dirty. Returns `(slot, was_clean)`; panics if
     /// the node is absent (engine bug).
     pub fn mark_dirty(&mut self, offset: u64) -> (u64, bool) {
-        let set = self.set_of(offset);
-        let way = self
-            .way_of(set, offset)
+        let flat = self
+            .find(offset)
             .unwrap_or_else(|| panic!("mark_dirty on non-resident node offset {offset}"));
-        let s = &mut self.slots[set * self.ways + way];
-        let was_clean = s.state == SlotState::Clean;
-        s.state = SlotState::Dirty;
+        let word = &mut self.slots[flat].word;
+        let was_clean = *word & DIRTY == 0;
+        *word |= DIRTY;
         if was_clean {
             self.dirty_count += 1;
             self.dirty_occ_hist.record(self.dirty_count);
         }
-        (self.flat(set, way), was_clean)
+        (flat as u64, was_clean)
     }
 
     /// Clears the dirty bit (after a flush that kept the node resident).
     pub fn mark_clean(&mut self, offset: u64) {
-        let set = self.set_of(offset);
-        if let Some(way) = self.way_of(set, offset) {
-            let s = &mut self.slots[set * self.ways + way];
-            if s.state == SlotState::Dirty {
-                s.state = SlotState::Clean;
+        if let Some(flat) = self.find(offset) {
+            let word = &mut self.slots[flat].word;
+            if *word & DIRTY != 0 {
+                *word &= !DIRTY;
                 self.dirty_count -= 1;
             }
         }
@@ -307,6 +296,15 @@ impl MetadataCache {
         self.install_pinned(offset, node, dirty, &[])
     }
 
+    /// The way [`Self::install_pinned`] fills for a node of `set`: the
+    /// first empty way, else the least recently used (highest-ranked) way
+    /// whose node is not `pinned`. `None` if every way is pinned.
+    fn victim_way(&self, set: usize, pinned: &[u64]) -> Option<usize> {
+        lru_rank::victim(&self.slots[self.slots_of(set)], |w| {
+            !pinned.contains(&tag_of(w))
+        })
+    }
+
     /// Reports what [`Self::install_pinned`] would evict for `offset` right
     /// now, without evicting: `None` if a free way exists, otherwise the
     /// victim's `(offset, dirty)`. The engine uses this to flush dirty
@@ -314,23 +312,19 @@ impl MetadataCache {
     /// before the actual install.
     pub fn probe_victim(&self, offset: u64, pinned: &[u64]) -> Option<(u64, bool)> {
         let set = self.set_of(offset);
-        if (0..self.ways).any(|w| !self.slot(set, w).resident()) {
-            return None;
-        }
-        (0..self.ways)
-            .map(|w| self.slot(set, w))
-            .filter(|s| !pinned.contains(&s.offset))
-            .min_by_key(|s| s.lru)
-            .map(|s| (s.offset, s.state == SlotState::Dirty))
+        let w = self.slots[self.flat(set, self.victim_way(set, pinned)?)].word;
+        (w & VALID != 0).then_some((tag_of(w), w & DIRTY != 0))
     }
 
     /// Like [`Self::install`], but never evicts a way holding one of the
     /// `pinned` offsets. The secure engine pins the ancestor chain it is
     /// operating on so recursive evictions cannot displace in-flight nodes.
     ///
-    /// Panics if every way of the set is pinned — with ≥ 8 ways and tree
-    /// heights ≤ 9 this needs a pathological set collision the shipped
-    /// configurations cannot produce.
+    /// Panics if every way of the set is pinned. Nothing bounds the pin
+    /// depth by the associativity yet: a one-set metadata cache under the
+    /// `small_for_tests` hierarchy reaches this panic at 2 and 3 ways
+    /// (Steins-GC, when an NV-buffer drain nests victim flushes), and
+    /// whether the Table I geometry (8 ways) can reach it is open.
     pub fn install_pinned(
         &mut self,
         offset: u64,
@@ -338,35 +332,26 @@ impl MetadataCache {
         dirty: bool,
         pinned: &[u64],
     ) -> Option<EvictedNode> {
-        self.stamp += 1;
-        let stamp = self.stamp;
         let set = self.set_of(offset);
         assert!(
             !self.contains(offset),
             "install over resident node {offset} (duplicate would desync counters)"
         );
-        // Pick an empty way, else the LRU way among resident non-pinned
-        // ones.
-        let way = (0..self.ways)
-            .find(|&w| !self.slot(set, w).resident())
-            .or_else(|| {
-                (0..self.ways)
-                    .filter(|&w| !pinned.contains(&self.slot(set, w).offset))
-                    .min_by_key(|&w| self.slot(set, w).lru)
-            })
+        let way = self
+            .victim_way(set, pinned)
             .expect("metadata cache set fully pinned: associativity exhausted");
         let flat = self.flat(set, way);
-        let s = &self.slots[flat as usize];
-        let evicted = s.resident().then_some(EvictedNode {
-            offset: s.offset,
-            node: s.node,
-            dirty: s.state == SlotState::Dirty,
-            slot: flat,
+        let Slot { word: w, node: old } = self.slots[flat];
+        let evicted = (w & VALID != 0).then_some(EvictedNode {
+            offset: tag_of(w),
+            node: old,
+            dirty: w & DIRTY != 0,
+            slot: flat as u64,
         });
         if evicted.as_ref().is_some_and(|e| e.dirty) {
             self.dirty_count -= 1;
         }
-        self.fill(flat, offset, node, dirty, stamp);
+        self.fill(flat, offset, node, dirty);
         evicted
     }
 
@@ -380,8 +365,6 @@ impl MetadataCache {
     /// `offset` is already resident elsewhere — recovery installs into a
     /// fresh cache, so any of these is a recovery bug.
     pub fn install_at(&mut self, slot: u64, offset: u64, node: SitNode, dirty: bool) {
-        self.stamp += 1;
-        let stamp = self.stamp;
         let set = self.set_of(offset);
         assert_eq!(
             (slot as usize) / self.ways,
@@ -392,28 +375,27 @@ impl MetadataCache {
             !self.contains(offset),
             "install_at over resident node {offset}"
         );
-        let s = &self.slots[slot as usize];
+        let w = self.slots[slot as usize].word;
         assert!(
-            !s.resident(),
+            w & VALID == 0,
             "install_at into occupied slot {slot} (holds offset {})",
-            s.offset
+            tag_of(w)
         );
-        self.fill(slot, offset, node, dirty, stamp);
+        self.fill(slot as usize, offset, node, dirty);
     }
 
-    /// Puts `node` into the vacated flat slot `slot`, counting it if dirty.
-    fn fill(&mut self, slot: u64, offset: u64, node: SitNode, dirty: bool, lru: u64) {
-        let state = if dirty {
-            SlotState::Dirty
-        } else {
-            SlotState::Clean
-        };
-        self.slots[slot as usize] = Slot {
-            state,
-            offset,
-            node,
-            lru,
-        };
+    /// Puts `node` into the vacated flat slot `flat` as its set's most
+    /// recent slot, counting it if dirty.
+    fn fill(&mut self, flat: usize, offset: u64, node: SitNode, dirty: bool) {
+        assert!(
+            offset >> (64 - TAG_SHIFT) == 0,
+            "node offset {offset:#x} does not fit a tag word"
+        );
+        let set = flat / self.ways;
+        let slots = self.slots_of(set);
+        let word = key(offset) | if dirty { DIRTY } else { 0 };
+        fill(&mut self.slots[slots], flat % self.ways, word);
+        self.slots[flat].node = node;
         if dirty {
             self.dirty_count += 1;
             self.dirty_occ_hist.record(self.dirty_count);
@@ -422,35 +404,36 @@ impl MetadataCache {
 
     /// The flat slot index currently holding `offset`.
     pub fn slot_of(&self, offset: u64) -> Option<u64> {
-        let set = self.set_of(offset);
-        self.way_of(set, offset).map(|w| self.flat(set, w))
+        self.find(offset).map(|flat| flat as u64)
+    }
+
+    /// Resident slots with their flat indices, in slot order.
+    fn resident(&self) -> impl Iterator<Item = (u64, &Slot)> {
+        (0u64..)
+            .zip(&self.slots)
+            .filter(|(_, s)| s.word & VALID != 0)
     }
 
     /// All dirty resident nodes as `(slot, offset, node)` — the state a
     /// crash destroys.
     pub fn dirty_nodes(&self) -> Vec<(u64, u64, SitNode)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.state == SlotState::Dirty)
-            .map(|(flat, s)| (flat as u64, s.offset, s.node))
+        self.resident()
+            .filter(|(_, s)| s.word & DIRTY != 0)
+            .map(|(flat, s)| (flat, tag_of(s.word), s.node))
             .collect()
     }
 
     /// All resident nodes as `(slot, offset, node, dirty)`.
     pub fn resident_nodes(&self) -> Vec<(u64, u64, SitNode, bool)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.resident())
-            .map(|(flat, s)| (flat as u64, s.offset, s.node, s.state == SlotState::Dirty))
+        self.resident()
+            .map(|(flat, s)| (flat, tag_of(s.word), s.node, s.word & DIRTY != 0))
             .collect()
     }
 
     /// Crash: every resident line vanishes.
     pub fn clear(&mut self) {
         for s in &mut self.slots {
-            *s = Slot::default();
+            s.word = 0;
         }
         self.dirty_count = 0;
     }
@@ -483,6 +466,7 @@ impl MetadataCache {
 
 #[cfg(test)]
 mod tests {
+    use super::lru_rank::next;
     use super::*;
 
     fn tiny() -> MetadataCache {
@@ -491,6 +475,234 @@ mod tests {
             capacity_bytes: 4 * 64,
             ways: 2,
         })
+    }
+
+    /// The per-access use stamps the tag words' ranks replaced, kept as
+    /// the reference the ranks are checked against: each slot keeps the
+    /// stamp of its last lookup or install, and the victim is the first
+    /// empty slot, else the unpinned slot with the oldest stamp.
+    #[derive(Clone, Copy)]
+    struct StampSlot {
+        /// `None` while empty, else whether the node is dirty.
+        dirty: Option<bool>,
+        offset: u64,
+        node: SitNode,
+        lru: u64,
+    }
+
+    struct StampCache {
+        sets: usize,
+        ways: usize,
+        slots: Vec<StampSlot>,
+        stamp: u64,
+    }
+
+    impl StampCache {
+        fn new(cfg: MetaCacheConfig) -> Self {
+            let empty = StampSlot {
+                dirty: None,
+                offset: 0,
+                node: SitNode::zero_general(),
+                lru: 0,
+            };
+            StampCache {
+                sets: cfg.sets() as usize,
+                ways: cfg.ways,
+                slots: vec![empty; cfg.slots() as usize],
+                stamp: 0,
+            }
+        }
+
+        /// Flat slot indices of `offset`'s set.
+        fn set(&self, offset: u64) -> Range<usize> {
+            let set = (offset % self.sets as u64) as usize;
+            set * self.ways..(set + 1) * self.ways
+        }
+
+        fn find(&self, offset: u64) -> Option<usize> {
+            self.set(offset)
+                .find(|&i| self.slots[i].dirty.is_some() && self.slots[i].offset == offset)
+        }
+
+        fn lookup(&mut self, offset: u64) -> Option<SitNode> {
+            self.stamp += 1;
+            let i = self.find(offset)?;
+            self.slots[i].lru = self.stamp;
+            Some(self.slots[i].node)
+        }
+
+        /// The slot an install of `offset` fills, `None` if the set is full
+        /// and every way pinned.
+        fn victim(&self, offset: u64, pinned: &[u64]) -> Option<usize> {
+            let set = self.set(offset);
+            set.clone()
+                .find(|&i| self.slots[i].dirty.is_none())
+                .or_else(|| {
+                    set.filter(|&i| !pinned.contains(&self.slots[i].offset))
+                        .min_by_key(|&i| self.slots[i].lru)
+                })
+        }
+
+        fn probe_victim(&self, offset: u64, pinned: &[u64]) -> Option<(u64, bool)> {
+            let s = self.slots[self.victim(offset, pinned)?];
+            s.dirty.map(|d| (s.offset, d))
+        }
+
+        fn install_pinned(
+            &mut self,
+            offset: u64,
+            node: SitNode,
+            dirty: bool,
+            pinned: &[u64],
+        ) -> Option<(u64, SitNode, bool, u64)> {
+            let i = self.victim(offset, pinned).expect("a way is unpinned");
+            let old = self.slots[i];
+            self.install_at(i, offset, node, dirty);
+            old.dirty.map(|d| (old.offset, old.node, d, i as u64))
+        }
+
+        fn install_at(&mut self, slot: usize, offset: u64, node: SitNode, dirty: bool) {
+            self.stamp += 1;
+            self.slots[slot] = StampSlot {
+                dirty: Some(dirty),
+                offset,
+                node,
+                lru: self.stamp,
+            };
+        }
+
+        fn mark_dirty(&mut self, offset: u64) -> (u64, bool) {
+            let i = self.find(offset).expect("resident");
+            let was_clean = self.slots[i].dirty == Some(false);
+            self.slots[i].dirty = Some(true);
+            (i as u64, was_clean)
+        }
+
+        fn mark_clean(&mut self, offset: u64) {
+            if let Some(i) = self.find(offset) {
+                self.slots[i].dirty = Some(false);
+            }
+        }
+
+        fn clear(&mut self) {
+            for s in &mut self.slots {
+                s.dirty = None;
+            }
+        }
+
+        fn resident_nodes(&self) -> Vec<(u64, u64, SitNode, bool)> {
+            self.slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.dirty.map(|d| (i as u64, s.offset, s.node, d)))
+                .collect()
+        }
+    }
+
+    /// Seeded random lookup/install/probe/mark/clear streams pick the same
+    /// victims and leave the same slots, nodes and dirty bits under ranks
+    /// as under stamps, on 2-, 8-, 16- and 64-way sets.
+    #[test]
+    fn ranks_match_stamps_op_for_op() {
+        for ways in [2usize, 8, 16, 64] {
+            let cfg = MetaCacheConfig {
+                capacity_bytes: 4 * ways as u64 * 64,
+                ways,
+            };
+            for seed in 1..=4u64 {
+                let mut ranks = MetadataCache::new(cfg);
+                let mut stamps = StampCache::new(cfg);
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                for op in 0..20_000 {
+                    let r = next(&mut rng);
+                    // Half the offsets come from a hot half-capacity range,
+                    // so hits land at every rank; the rest from three
+                    // times the capacity, so sets fill and evict.
+                    let universe = if r & 1 == 0 {
+                        cfg.slots() / 2
+                    } else {
+                        3 * cfg.slots()
+                    };
+                    let offset = (r >> 16) % universe;
+                    let mut node = SitNode::zero_general();
+                    node.hmac = next(&mut rng);
+                    let dirty = r & 2 != 0;
+                    let at = format!("{ways} ways, seed {seed}, op {op}");
+                    match (r >> 8) % 1000 {
+                        0 => {
+                            ranks.clear();
+                            stamps.clear();
+                        }
+                        1..=99 => {
+                            ranks.mark_clean(offset);
+                            stamps.mark_clean(offset);
+                        }
+                        100..=199 if stamps.find(offset).is_some() => {
+                            let got = ranks.mark_dirty(offset);
+                            assert_eq!(got, stamps.mark_dirty(offset), "mark_dirty, {at}");
+                        }
+                        200..=299 if stamps.find(offset).is_none() => {
+                            // A slot-pinned install into an empty way of
+                            // the set, if it has one.
+                            let set = stamps.set(offset);
+                            let empty: Vec<usize> =
+                                set.filter(|&i| stamps.slots[i].dirty.is_none()).collect();
+                            if !empty.is_empty() {
+                                let slot = empty[(r >> 40) as usize % empty.len()];
+                                ranks.install_at(slot as u64, offset, node, dirty);
+                                stamps.install_at(slot, offset, node, dirty);
+                            }
+                        }
+                        300..=599 if stamps.find(offset).is_none() => {
+                            // Pin each resident node of the set with
+                            // probability ½, unless that pins every way.
+                            let mut bits = next(&mut rng);
+                            let pinned: Vec<u64> = stamps
+                                .set(offset)
+                                .map(|i| stamps.slots[i])
+                                .filter(|s| s.dirty.is_some())
+                                .map(|s| s.offset)
+                                .filter(|_| {
+                                    bits >>= 1;
+                                    bits & 1 == 1
+                                })
+                                .collect();
+                            let want = stamps.probe_victim(offset, &pinned);
+                            assert_eq!(ranks.probe_victim(offset, &pinned), want, "probe, {at}");
+                            if stamps.victim(offset, &pinned).is_some() {
+                                let got = ranks
+                                    .install_pinned(offset, node, dirty, &pinned)
+                                    .map(|e| (e.offset, e.node, e.dirty, e.slot));
+                                let want = stamps.install_pinned(offset, node, dirty, &pinned);
+                                assert_eq!(got, want, "evicted, {at}");
+                            }
+                        }
+                        _ => {
+                            let got = ranks.lookup(offset).copied();
+                            assert_eq!(got, stamps.lookup(offset), "lookup, {at}");
+                        }
+                    }
+                    let want = stamps.resident_nodes();
+                    assert_eq!(ranks.resident_nodes(), want, "resident nodes, {at}");
+                    let want_dirty: Vec<(u64, u64, SitNode)> = want
+                        .into_iter()
+                        .filter(|&(_, _, _, d)| d)
+                        .map(|(slot, offset, node, _)| (slot, offset, node))
+                        .collect();
+                    assert_eq!(ranks.dirty_nodes(), want_dirty, "dirty nodes, {at}");
+                    assert_eq!(ranks.dirty_count(), want_dirty.len() as u64, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn a_65_way_geometry_is_refused() {
+        MetadataCache::new(MetaCacheConfig {
+            capacity_bytes: 65 * 64,
+            ways: 65,
+        });
     }
 
     #[test]

@@ -9,13 +9,17 @@
 //! A counting global allocator tallies allocation calls and live bytes per
 //! thread, so the test harness's other threads never leak into a
 //! measurement. It also splits the live bytes by size class, so the
-//! ignored `heap_profile` test can say what the peak is made of.
+//! ignored `heap_profile` tests can say what a peak is made of.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
+use steins::cache::{CacheHierarchy, HierarchyConfig};
+use steins::metadata::cache::MetaCacheConfig;
+use steins::metadata::{MetadataCache, SitNode};
 use steins::nvm::SparseStore;
 use steins::prelude::*;
 use steins::trace::{OpKind, TraceOp};
+use steins_bench::ladder::{run_ladder, LadderConfig};
 use steins_obs::Histogram;
 
 struct Counting;
@@ -173,6 +177,45 @@ fn machine_bytes(cfg: &SystemConfig) -> i64 {
     let (bytes, sys) = peak_bytes(|| SecureNvmSystem::new(cfg.clone()));
     drop(sys);
     bytes
+}
+
+/// A CPU cache way is one 8 B tag word (tag, valid and dirty bits, LRU
+/// rank), and a metadata-cache slot is one 8 B tag word beside its node:
+/// a Table I hierarchy allocates 8 B per line, where a way with a 64-bit
+/// LRU stamp took 24 B, and a Table I metadata cache 96 B per slot, where
+/// a slot took 112 B.
+#[test]
+fn a_cache_way_is_one_8_byte_tag_word() {
+    let cfg = HierarchyConfig::default();
+    let lines = (cfg.l1_bytes + cfg.l2_bytes + cfg.l3_bytes) / 64;
+    let (bytes, cpu) = peak_bytes(|| CacheHierarchy::new(cfg));
+    assert_eq!(bytes, lines as i64 * 8, "a Table I CPU hierarchy");
+    drop(cpu);
+    let node = std::mem::size_of::<SitNode>();
+    assert_eq!(node, 88, "a metadata node");
+    let meta = MetaCacheConfig::table1();
+    let (bytes, cache) = peak_bytes(|| MetadataCache::new(meta));
+    assert_eq!(
+        bytes,
+        meta.slots() as i64 * (8 + node as i64),
+        "a Table I metadata cache"
+    );
+    drop(cache);
+}
+
+/// A figure-sweep machine peaks at 728,176 B while it is built: 8 B per
+/// CPU cache way and 96 B per metadata-cache slot. With a 64-bit LRU stamp
+/// and padded state in every way it peaked at 1,457,264 B.
+#[test]
+fn a_sweep_machine_costs_at_most_800_kb() {
+    let bytes = machine_bytes(&SystemConfig::sweep(
+        SchemeKind::Steins,
+        CounterMode::General,
+    ));
+    assert!(
+        bytes <= 800_000,
+        "building a sweep machine peaked at {bytes} B"
+    );
 }
 
 /// A sweep machine after `ops` operations of the persistent B-tree trace.
@@ -344,11 +387,22 @@ fn binary_size(bytes: u64) -> String {
     }
 }
 
+/// Prints the live bytes per block size class in `classes`.
+fn print_classes(classes: &[(usize, i64)]) {
+    for &(c, bytes) in classes {
+        println!(
+            "  ≤ {:>7} {:>8.2} MB",
+            binary_size(1 << c),
+            bytes as f64 / 1e6
+        );
+    }
+}
+
 /// Prints where a figure-sweep Steins-GC machine's heap peaks while it
 /// serves 300 k cactusADM ops, crashes and recovers, all on this thread,
 /// and the live bytes per block size class at that peak. Run with `cargo
-/// test --release --test construction_cost -- --ignored heap_profile
-/// --nocapture`.
+/// test --release --test construction_cost -- --ignored --exact
+/// heap_profile --nocapture`.
 #[test]
 #[ignore = "a profile to read, not a check"]
 fn heap_profile() {
@@ -377,7 +431,28 @@ fn heap_profile() {
         .max_by_key(|(_, p, _)| *p)
         .expect("three phases");
     println!("live at the {name} peak, by block size:");
-    for (c, bytes) in classes {
-        println!("  ≤ {:>7} {:>8.2} MB", binary_size(1 << c), mb(*bytes));
-    }
+    print_classes(classes);
+}
+
+/// Prints where the recovery ladder's 4 GB rung peaks: 8 shard machines
+/// built, filled until every metadata-cache slot is dirty, crashed and
+/// recovered. One execution worker keeps every allocation on this thread.
+/// Run with `cargo test --release --test construction_cost -- --ignored
+/// heap_profile_recover_4g --nocapture`.
+#[test]
+#[ignore = "a profile to read, not a check"]
+fn heap_profile_recover_4g() {
+    let lc = LadderConfig {
+        rungs_mb: vec![4096],
+        workers: vec![1],
+        shards: 8,
+        tol: 0.375,
+    };
+    let (peak, report) = peak_bytes(|| run_ladder(&lc, 1));
+    assert!(report.pass(), "{:?}", report.failures);
+    let reads: u64 = report.rungs.iter().map(|r| r.total_reads).sum();
+    println!("4096 MB x 8 shards: {reads} recovery reads");
+    println!("heap peak {:.2} MB above its start", peak as f64 / 1e6);
+    println!("live at the peak, by block size:");
+    print_classes(&peak_classes());
 }
