@@ -21,19 +21,24 @@ fn main() {
     let report = run_grid(&cfg, &sc, workers);
 
     for mix in [Mix::Uniform, Mix::Zipfian] {
-        println!("\n{} writes (scaling vs 1 shard / 1 thread):", mix.label());
         println!(
-            "{:>8} {:>8} {:>16} {:>14} {:>9}",
-            "shards", "threads", "makespan_cycles", "ops/kcycle", "scaling"
+            "\n{} writes (scaling vs 1 shard / 1 thread = work × par_eff × min(shards, threads)):",
+            mix.label()
+        );
+        println!(
+            "{:>8} {:>8} {:>16} {:>14} {:>9} {:>7} {:>8}",
+            "shards", "threads", "makespan_cycles", "ops/kcycle", "scaling", "work", "par_eff"
         );
         for c in report.cells.iter().filter(|c| c.mix == mix) {
             println!(
-                "{:>8} {:>8} {:>16} {:>14.1} {:>9.2}",
+                "{:>8} {:>8} {:>16} {:>14.1} {:>9.2} {:>7.3} {:>8.3}",
                 c.shards,
                 c.threads,
                 c.makespan_cycles,
                 sc.ops as f64 * 1000.0 / c.makespan_cycles as f64,
-                c.scaling
+                c.scaling,
+                c.work_factor,
+                c.efficiency
             );
         }
     }

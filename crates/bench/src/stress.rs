@@ -17,6 +17,12 @@
 //! must clear 3.0×). Zipfian cells are reported but not gated — a skewed
 //! mix legitimately loses some balance to its hottest lines.
 //!
+//! A cell's scaling is the product of three factors, printed beside it but
+//! not written to the artifact: the work factor (the 1-shard cycles over
+//! the cell's summed per-shard cycles; above 1 when smaller shards do less
+//! work), the parallel efficiency (summed cycles over lanes × makespan),
+//! and the lane count `min(shards, threads)`.
+//!
 //! Knobs: `STEINS_STRESS_SHARDS` / `STEINS_STRESS_THREADS` (comma lists,
 //! default `1,2,4,8`), `STEINS_STRESS_OPS` (writes per cell), `STEINS_SEED`,
 //! `STEINS_SCALE_TOL`.
@@ -93,7 +99,8 @@ pub fn stream(mix: Mix, seed: u64, lines: u64, len: usize) -> Vec<u64> {
     }
 }
 
-/// One cell's outcome (`scaling` is filled in against the 1×1 baseline).
+/// One cell's outcome (`scaling` and its factors are filled in against the
+/// 1×1 baseline).
 #[derive(Clone, Debug)]
 pub struct Cell {
     /// Shard count.
@@ -107,8 +114,15 @@ pub struct Cell {
     pub makespan_cycles: u64,
     /// The single slowest shard's clock (the `threads ≥ shards` makespan).
     pub max_shard_cycles: u64,
-    /// Speedup over the same mix's 1-shard/1-thread cell.
+    /// Speedup over the same mix's 1-shard/1-thread cell:
+    /// `work_factor × efficiency × lanes`.
     pub scaling: f64,
+    /// The 1-shard cell's cycles over this cell's summed per-shard cycles:
+    /// how much less work N smaller shards do than one.
+    pub work_factor: f64,
+    /// Summed per-shard cycles over `lanes × makespan`: how fully the
+    /// lanes are kept busy.
+    pub efficiency: f64,
     /// Wall-clock nanoseconds the replay took (informational only).
     pub wall_ns: u128,
 }
@@ -198,6 +212,7 @@ pub fn run_grid(cfg: &SystemConfig, sc: &StressConfig, workers: usize) -> Stress
                 metrics = engine.report();
             }
             let max_shard_cycles = clocks.iter().copied().max().unwrap_or(0);
+            let summed = clocks.iter().sum::<u64>().max(1) as f64;
             for &t in &sc.threads {
                 let lanes = t.min(s).max(1);
                 let mut lane_cycles = vec![0u64; lanes];
@@ -206,6 +221,8 @@ pub fn run_grid(cfg: &SystemConfig, sc: &StressConfig, workers: usize) -> Stress
                 }
                 let makespan = lane_cycles.iter().copied().max().unwrap_or(0).max(1);
                 let scaling = base_cycles as f64 / makespan as f64;
+                let work_factor = base_cycles as f64 / summed;
+                let efficiency = summed / (lanes as f64 * makespan as f64);
                 let ideal = s.min(t) as f64;
                 if mix == Mix::Uniform {
                     let floor = ideal * (1.0 - sc.tol);
@@ -222,6 +239,8 @@ pub fn run_grid(cfg: &SystemConfig, sc: &StressConfig, workers: usize) -> Stress
                     makespan_cycles: makespan,
                     max_shard_cycles,
                     scaling,
+                    work_factor,
+                    efficiency,
                     wall_ns,
                 });
             }
@@ -314,6 +333,25 @@ mod tests {
         assert!(hot > 2_000 / 256 * 4, "hottest line drew {hot}");
         let u = stream(Mix::Uniform, 9, 256, 2_000);
         assert!(u.iter().filter(|&&l| l == 0).count() < hot);
+    }
+
+    /// Each cell's scaling splits into its two factors and its lane count.
+    #[test]
+    fn scaling_is_work_factor_times_efficiency_times_lanes() {
+        let report = run_grid(&default_cfg(), &tiny(), 1);
+        for c in &report.cells {
+            let lanes = c.threads.min(c.shards) as f64;
+            let product = c.work_factor * c.efficiency * lanes;
+            assert!(
+                (product - c.scaling).abs() <= 1e-9 * c.scaling,
+                "{} {}x{}: {product} != {}",
+                c.mix.label(),
+                c.shards,
+                c.threads,
+                c.scaling
+            );
+            assert!(c.efficiency > 0.0 && c.efficiency <= 1.0 + 1e-12);
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! bound how large a sweep or test we can afford. A recovery builds none:
 //! the crash built the machine it revives into, after freeing the old
 //! volatile state. It also pins the bytes the NVM device holds per line,
-//! the largest item in a large run's peak memory, and what a line stored
-//! by `run_trace` costs with the ground truth beside it.
+//! the largest item in a large run's peak memory, what a line stored by
+//! `run_trace` costs with the ground truth beside it, and what a Zipf
+//! sampler costs per item.
 //!
 //! A counting global allocator tallies allocation calls and live bytes per
 //! thread, so the test harness's other threads never leak into a
@@ -18,7 +19,7 @@ use steins::metadata::cache::MetaCacheConfig;
 use steins::metadata::{MetadataCache, SitNode};
 use steins::nvm::SparseStore;
 use steins::prelude::*;
-use steins::trace::{OpKind, TraceOp};
+use steins::trace::{OpKind, TraceOp, Zipf};
 use steins_bench::ladder::{run_ladder, LadderConfig};
 use steins_obs::Histogram;
 
@@ -364,6 +365,20 @@ fn a_dense_device_line_costs_at_most_80_bytes() {
 fn a_device_line_written_at_stride_8_costs_at_most_108_bytes() {
     let b = device_bytes_per_line(100_000, 8);
     assert!(b <= 108.0, "{b:.1} B per line written at stride 8");
+}
+
+/// A Zipf sampler is two tables: an 8 B threshold per item and a 4 B guide
+/// entry per cell, at most two cells an item. At the persistent B-tree's
+/// 2¹⁵ lines it peaks at 393,220 B (12.0 B an item), and at omnetpp's 2¹⁶
+/// at 786,436 B.
+#[test]
+fn a_zipf_item_costs_at_most_16_bytes() {
+    let n = 1u64 << 15;
+    let (calls, (peak, z)) = allocations(|| peak_bytes(|| Zipf::new(n, 0.8)));
+    assert_eq!(z.n(), n);
+    assert!(calls <= 2, "building the sampler took {calls} allocations");
+    let b = peak as f64 / n as f64;
+    assert!(b <= 16.0, "{b:.2} B per item while the sampler was built");
 }
 
 /// This thread's live bytes per size class at its peak, largest first,
