@@ -23,9 +23,9 @@
 //! Fully deterministic for a fixed seed regardless of `STEINS_CHAOS_THREADS`.
 //! Env knobs (defaults from [`ChaosConfig::default`]): `STEINS_CHAOS_SHARDS`
 //! (4), `STEINS_CHAOS_THREADS` (4), `STEINS_CHAOS_OPS` (ops per shard, 192),
-//! `STEINS_CHAOS_FAULTS` (faults per shard, 5), `STEINS_CHAOS_SEED`,
-//! `STEINS_CHAOS_VERBOSE` (`1` prints every event and alarm).
-//! Writes `results/METRICS_chaos.json`; exits non-zero on any gate failure.
+//! `STEINS_CHAOS_FAULTS` (faults per shard, 5), `STEINS_CHAOS_SEED`.
+//! Writes `results/METRICS_chaos.json`; exits non-zero on any gate failure,
+//! after printing every event and alarm.
 
 use steins_bench::env;
 use steins_bench::metrics::write_metrics;
@@ -51,7 +51,7 @@ fn main() {
 
     let r = run_chaos(&cfg);
     println!("{r}");
-    if !r.clean() || env::flag("STEINS_CHAOS_VERBOSE") {
+    if !r.clean() {
         for e in &r.events {
             println!("  {e}");
         }

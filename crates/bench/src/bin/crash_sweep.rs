@@ -32,6 +32,13 @@
 //! target's worker in the middle of a parallel rebuild of every shard on
 //! `STEINS_RECOVERY_WORKERS` threads, which must restart only that region.
 //!
+//! Every row is one job list from `CrashSweep::jobs`, probed by
+//! `CrashSweep::run` on the worker pool and printed from its report. Each
+//! phase selects by one rule: per mask, the selection strides over the
+//! points that mask can trip on — every point whole-line, only line writes
+//! torn — so phase four's half-line tear lands on line writes too. The
+//! worker-crash rows re-run the nested rows' jobs as worker crashes.
+//!
 //! Env knobs: `STEINS_SWEEP_OPS` (stream length, default 150),
 //! `STEINS_TORN_POINTS` (line-write boundaries torn per combo, default 48),
 //! `STEINS_NESTED_OUTER` (outer boundaries nested per combo, default 12),
@@ -43,7 +50,7 @@
 //! threads, default 1), `STEINS_THREADS` (worker pool size).
 
 use steins_bench::{env, par};
-use steins_core::{CrashRepro, CrashSweep, IntegrityError, PointSelection};
+use steins_core::{CrashSweep, PointSelection, SweepReport};
 
 /// Torn-word masks swept at every selected line-write boundary: dropped,
 /// one-word prefix, half-line prefix, sparse even words, sparse odd words.
@@ -60,30 +67,17 @@ const NESTED_INNER_MASKS: [u8; 2] = [0xFF, 0x0F];
 /// (exercising the per-shard scrub leg).
 const SHARD_MASKS: [u8; 2] = [0xFF, 0x0F];
 
-/// Probes every job on the worker pool and prints the combo's row — jobs
-/// tested, failures, verdict — plus its first three repros. Returns whether
-/// every job held the contract.
-fn row<J: Send>(
-    label: &str,
-    jobs: Result<Vec<J>, IntegrityError>,
-    probe: impl Fn(J) -> Option<CrashRepro> + Sync,
-    [clean, violated]: [&str; 2],
-) -> bool {
-    let jobs = match jobs {
-        Ok(j) => j,
-        Err(e) => {
-            println!("{label:>10}  baseline run failed: {e}");
-            return false;
-        }
-    };
-    let tested = jobs.len();
-    let failures: Vec<CrashRepro> = par::map(jobs, probe).into_iter().flatten().collect();
-    let verdict = if failures.is_empty() { clean } else { violated };
-    println!("{label:>10}  {tested:>8}  {:>8}  {verdict}", failures.len());
-    for repro in failures.iter().take(3) {
+/// Prints a combo's row from its report — jobs tested, failures, verdict —
+/// plus its first three repros. Returns whether every job held the
+/// contract.
+fn print_row(label: &str, report: &SweepReport, [clean, violated]: [&str; 2]) -> bool {
+    let verdict = if report.clean() { clean } else { violated };
+    let (tested, failed) = (report.tested_points, report.failures.len());
+    println!("{label:>10}  {tested:>8}  {failed:>8}  {verdict}");
+    for repro in report.failures.iter().take(3) {
         println!("{repro}");
     }
-    failures.is_empty()
+    report.clean()
 }
 
 fn main() {
@@ -94,22 +88,20 @@ fn main() {
     let shard_shards = env::int("STEINS_SHARD_SWEEP_SHARDS").unwrap_or(2);
     let shard_points = env::int("STEINS_SHARD_POINTS").unwrap_or(4);
     let shard_nested = env::int("STEINS_SHARD_NESTED").unwrap_or(2);
+    let workers = env::int("STEINS_RECOVERY_WORKERS").unwrap_or(1).max(1);
+    let threads = par::threads();
     let combos = steins_core::campaign::COMBOS;
     let bounded =
         |scheme, mode, sel| CrashSweep::small(scheme, mode, ops, PointSelection::AtMost(sel));
     let mut all_clean = true;
 
-    println!(
-        "Crash sweep: {ops}-op stream, every persist point, {} workers",
-        par::threads()
-    );
+    println!("Crash sweep: {ops}-op stream, every persist point, {threads} workers");
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "points", "failed");
     for (scheme, mode) in combos {
         let sweep = CrashSweep::small(scheme, mode, ops, PointSelection::All);
-        all_clean &= row(
+        all_clean &= print_row(
             &scheme.label(mode),
-            sweep.crash_points(),
-            |p| sweep.probe_point(p),
+            &sweep.run(sweep.jobs(&[0xFF], None), threads),
             ["all points recovered & verified", "UNRECOVERABLE POINTS"],
         );
     }
@@ -123,16 +115,9 @@ fn main() {
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "torn", "failed");
     for (scheme, mode) in combos {
         let sweep = bounded(scheme, mode, torn_points);
-        let jobs = sweep.tearable_points().map(|points| {
-            points
-                .into_iter()
-                .flat_map(|p| TORN_MASKS.map(|m| (p, m)))
-                .collect()
-        });
-        all_clean &= row(
+        all_clean &= print_row(
             &scheme.label(mode),
-            jobs,
-            |(p, m)| sweep.probe_point_torn(p, m),
+            &sweep.run(sweep.jobs(&TORN_MASKS, None), threads),
             [
                 "all torn points recovered or scrubbed",
                 "TORN CONTRACT VIOLATIONS",
@@ -146,16 +131,15 @@ fn main() {
          inner masks {NESTED_INNER_MASKS:02x?}"
     );
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "nested", "failed");
+    let inner = Some((
+        &NESTED_INNER_MASKS[..],
+        PointSelection::AtMost(nested_inner),
+    ));
     for (scheme, mode) in combos {
         let sweep = bounded(scheme, mode, nested_outer);
-        all_clean &= row(
+        all_clean &= print_row(
             &scheme.label(mode),
-            sweep.nested_jobs(
-                &NESTED_OUTER_MASKS,
-                &NESTED_INNER_MASKS,
-                PointSelection::AtMost(nested_inner),
-            ),
-            |(p, m0, j, m1)| sweep.probe_point_nested(p, m0, j, m1),
+            &sweep.run(sweep.jobs(&NESTED_OUTER_MASKS, inner), threads),
             [
                 "all nested points re-recovered",
                 "NESTED CONTRACT VIOLATIONS",
@@ -169,45 +153,43 @@ fn main() {
     );
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "tested", "failed");
     const SHARDED_VIOLATED: &str = "SHARDED CONTRACT VIOLATIONS";
-    let nested_sel = PointSelection::AtMost(shard_nested);
+    let inner = Some((&[0xFF][..], PointSelection::AtMost(shard_nested)));
+    let mut worker_rows = Vec::new();
     for (scheme, mode) in combos {
         let label = scheme.label(mode);
         let sweep = bounded(scheme, mode, shard_points).with_shards(shard_shards);
-        let jobs = sweep.crash_points().map(|points| {
-            points
-                .into_iter()
-                .flat_map(|p| SHARD_MASKS.map(|m| (p, m)))
-                .collect()
-        });
-        all_clean &= row(
+        all_clean &= print_row(
             &label,
-            jobs,
-            |(p, m)| sweep.probe_point_torn(p, m),
+            &sweep.run(sweep.jobs(&SHARD_MASKS, None), threads),
             [
                 "all shards recovered, neighbors kept serving",
                 SHARDED_VIOLATED,
             ],
         );
         let sweep = bounded(scheme, mode, shard_nested).with_shards(shard_shards);
-        all_clean &= row(
+        let nested = sweep.jobs(&[0xFF], inner);
+        // The worker-crash leg re-tags the same whole-line nested jobs.
+        let worker = nested.clone().map(|jobs| {
+            jobs.into_iter()
+                .map(|job| job.on_workers(workers))
+                .collect()
+        });
+        all_clean &= print_row(
             &format!("{label}*"),
-            sweep.nested_jobs(&[0xFF], &[0xFF], nested_sel),
-            |(p, m0, j, m1)| sweep.probe_point_nested(p, m0, j, m1),
+            &sweep.run(nested, threads),
             [
                 "all shards re-recovered, neighbors pristine",
                 SHARDED_VIOLATED,
             ],
         );
+        worker_rows.push((format!("{label}+"), sweep.run(worker, threads)));
     }
-    let workers = env::int("STEINS_RECOVERY_WORKERS").unwrap_or(1).max(1);
     let worker_clean =
         format!("only the crashed worker's region restarted ({workers}-worker rebuild)");
-    for (scheme, mode) in combos {
-        let sweep = bounded(scheme, mode, shard_nested).with_shards(shard_shards);
-        all_clean &= row(
-            &format!("{}+", scheme.label(mode)),
-            sweep.nested_jobs(&[0xFF], &[0xFF], nested_sel),
-            |(p, _, j, _)| sweep.probe_point_worker_crash(p, j, workers),
+    for (label, report) in &worker_rows {
+        all_clean &= print_row(
+            label,
+            report,
             [&worker_clean, "WORKER-CRASH CONTRACT VIOLATIONS"],
         );
     }

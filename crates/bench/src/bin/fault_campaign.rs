@@ -22,9 +22,9 @@
 //! `--repro Steins-GC:42`) under the same seed/ops env. Exits non-zero on
 //! any contract violation or escaped panic.
 //!
-//! Env knobs: `STEINS_CAMPAIGN_POINTS` (fault points per combo, default
-//! 168 → 1008 total), `STEINS_CAMPAIGN_OPS` (stream length, default 40),
-//! `STEINS_CAMPAIGN_SEED` (default `0x5EED_FA17`), `STEINS_THREADS`.
+//! Each stream is 40 ops long. Env knobs: `STEINS_CAMPAIGN_POINTS` (fault
+//! points per combo, default 168 → 1008 total), `STEINS_CAMPAIGN_SEED`
+//! (default `0x5EED_FA17`), `STEINS_THREADS`.
 
 use steins_bench::metrics::write_metrics;
 use steins_bench::{env, par};
@@ -45,7 +45,7 @@ fn main() {
     let cfg = CampaignConfig {
         seed: env::int("STEINS_CAMPAIGN_SEED").unwrap_or(0x5EED_FA17),
         points_per_combo: env::int("STEINS_CAMPAIGN_POINTS").unwrap_or(168),
-        ops: env::int("STEINS_CAMPAIGN_OPS").unwrap_or(40),
+        ops: 40,
     };
 
     let args: Vec<String> = std::env::args().collect();

@@ -7,12 +7,15 @@
 //! Both files carry per-bench *speedup ratios* (`before_ns / after_ns`
 //! measured on the same machine in the same process), so the comparison is
 //! machine-independent: a fresh speedup may fall below the baseline's by at
-//! most `STEINS_PERF_TOL` (relative, default 0.25). Absolute nanoseconds
+//! most [`TOL`] (relative). Absolute nanoseconds
 //! are printed for context but never gated on. A bench present in the
 //! baseline but missing from the fresh run is a failure; extra fresh
 //! benches are ignored (additions should land with a new baseline).
 
 use steins_obs::json::{parse, Json};
+
+/// How far below the baseline's speedup a fresh one may fall (relative).
+const TOL: f64 = 0.25;
 
 fn load(path: &str) -> Json {
     let text =
@@ -57,11 +60,10 @@ fn main() {
         .get(1)
         .map(String::as_str)
         .unwrap_or("results/BENCH_crypto.json");
-    let tol = steins_bench::env::float("STEINS_PERF_TOL").unwrap_or(0.25);
 
     let baseline = benches(&load(baseline_path), baseline_path);
     let fresh = benches(&load(fresh_path), fresh_path);
-    println!("perf_gate: baseline {baseline_path}, fresh {fresh_path}, tol {tol}");
+    println!("perf_gate: baseline {baseline_path}, fresh {fresh_path}, tol {TOL}");
     println!(
         "{:<28}{:>10}{:>10}{:>10}{:>12}",
         "bench", "base", "fresh", "floor", "after_ns"
@@ -69,7 +71,7 @@ fn main() {
 
     let mut failures = Vec::new();
     for (name, base_speedup, _) in &baseline {
-        let floor = base_speedup * (1.0 - tol);
+        let floor = base_speedup * (1.0 - TOL);
         match fresh.iter().find(|(n, _, _)| n == name) {
             Some((_, speedup, after_ns)) => {
                 println!(
@@ -80,7 +82,7 @@ fn main() {
                 {
                     failures.push(format!(
                         "{name}: speedup {speedup:.2} below floor {floor:.2} \
-                         (baseline {base_speedup:.2}, tol {tol})"
+                         (baseline {base_speedup:.2}, tol {TOL})"
                     ));
                 }
             }

@@ -7,7 +7,7 @@
 //! [`steins_bench::ladder`]), `results/BENCH_recovery.md` (step-summary
 //! table), and `results/METRICS_recovery_ladder.json`.
 
-use steins_bench::ladder::{run_ladder, LadderConfig};
+use steins_bench::ladder::{run_ladder, LadderConfig, SCALE_TOL};
 
 fn main() {
     let lc = LadderConfig::from_env();
@@ -57,10 +57,7 @@ fn main() {
     steins_bench::metrics::write_metrics("recovery_ladder", &report.metrics);
 
     if report.pass() {
-        println!(
-            "GATE PASS: every cell met its scaling floor (tol {:.3})",
-            lc.tol
-        );
+        println!("GATE PASS: every cell met its scaling floor (tol {SCALE_TOL:.3})");
     } else {
         for f in &report.failures {
             eprintln!("GATE FAIL: {f}");

@@ -6,15 +6,14 @@
 //!
 //! * Steins-GC beats ASIT and STAR on execution time, write latency, and
 //!   NVM write traffic;
-//! * Steins-SC tracks WB-SC on execution time within `STEINS_SHAPE_TOL`
-//!   (default 15%);
+//! * Steins-SC tracks WB-SC on execution time within [`TOL`] (15%);
 //! * recovery cost at a 256 KB metadata cache orders
 //!   ASIT < STAR < Steins-GC < Steins-SC.
 //!
-//! Knobs: `STEINS_SHAPE_OPS` (default 20,000 — small enough for CI,
-//! large enough that the orderings are stable), `STEINS_SEED`,
-//! `STEINS_SHAPE_TOL`. The check logic itself lives in
-//! [`steins_bench::shape`] so the trip conditions are unit-tested.
+//! Each workload runs [`OPS`] ops (small enough for CI, large enough that
+//! the orderings are stable); the one knob is `STEINS_SEED`. The check
+//! logic itself lives in [`steins_bench::shape`] so the trip conditions
+//! are unit-tested.
 
 use std::collections::BTreeMap;
 use steins_bench::recovery_bench::recovery_at_cache_size;
@@ -23,6 +22,12 @@ use steins_bench::{env, gmean, par, run_one, Cell, GC_MATRIX, SC_MATRIX};
 use steins_core::{RunReport, SchemeKind};
 use steins_metadata::CounterMode;
 use steins_trace::WorkloadKind;
+
+/// Memory ops per workload.
+const OPS: u64 = 20_000;
+
+/// How far Steins-SC's execution time may sit from WB-SC's (relative).
+const TOL: f64 = 0.15;
 
 /// Gmean over all workloads of `metric(cell) / metric(baseline)`.
 fn norm_gmean(
@@ -47,10 +52,8 @@ fn norm_gmean(
 }
 
 fn main() {
-    let ops = env::int("STEINS_SHAPE_OPS").unwrap_or(20_000);
     let seed = env::int("STEINS_SEED").unwrap_or(42);
-    let tol = env::float("STEINS_SHAPE_TOL").unwrap_or(0.15);
-    println!("shape_check: ops/workload = {ops}, seed = {seed}, tol = {tol}");
+    println!("shape_check: ops/workload = {OPS}, seed = {seed}, tol = {TOL}");
 
     let cells: Vec<Cell> = GC_MATRIX.iter().chain(SC_MATRIX.iter()).copied().collect();
     let jobs: Vec<(Cell, WorkloadKind)> = cells
@@ -60,7 +63,7 @@ fn main() {
     let matrix: BTreeMap<(String, &'static str), RunReport> = par::map(jobs, |(cell, wl)| {
         (
             (cell.0.label(cell.1), wl.label()),
-            run_one(cell, wl, ops, seed),
+            run_one(cell, wl, OPS, seed),
         )
     })
     .into_iter()
@@ -102,7 +105,7 @@ fn main() {
         sc_ratio,
         "WB-SC",
         1.0,
-        tol,
+        TOL,
     ));
 
     // Recovery ladder at the smallest (256 KB) metadata cache.

@@ -5,9 +5,9 @@
 //! deterministic `results/BENCH_shard.json` artifact plus the per-shard
 //! metric registry `results/METRICS_shard_stress.json`, and exits nonzero
 //! if any uniform cell misses its scaling floor
-//! (`min(shards, threads) × (1 − STEINS_SCALE_TOL)`).
+//! (`min(shards, threads) × (1 − SCALE_TOL)`, [`SCALE_TOL`] = 0.25).
 
-use steins_bench::stress::{default_cfg, run_grid, Mix, StressConfig};
+use steins_bench::stress::{default_cfg, run_grid, Mix, StressConfig, SCALE_TOL};
 
 fn main() {
     let sc = StressConfig::from_env();
@@ -15,7 +15,7 @@ fn main() {
     let workers = steins_bench::par::threads();
     println!(
         "sharded stress: {} ops/cell, seed {}, shards {:?} x threads {:?}, {} workers, tol {}",
-        sc.ops, sc.seed, sc.shards, sc.threads, workers, sc.tol
+        sc.ops, sc.seed, sc.shards, sc.threads, workers, SCALE_TOL
     );
 
     let report = run_grid(&cfg, &sc, workers);

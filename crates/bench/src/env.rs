@@ -9,19 +9,9 @@ pub fn int<T: TryFrom<u64>>(name: &str) -> Option<T> {
     read(name, parse_int)
 }
 
-/// A finite float knob; `None` when unset.
-pub fn float(name: &str) -> Option<f64> {
-    read(name, parse_float)
-}
-
 /// A comma list of positive integers (`1,2,4`); `None` when unset.
 pub fn list<T: TryFrom<u64>>(name: &str) -> Option<Vec<T>> {
     read(name, parse_list)
-}
-
-/// A `0`/`1` flag; unset reads `0`.
-pub fn flag(name: &str) -> bool {
-    read(name, parse_flag).unwrap_or(false)
 }
 
 fn read<T>(name: &str, parse: impl Fn(&str) -> Result<T, String>) -> Option<T> {
@@ -48,13 +38,6 @@ fn parse_int<T: TryFrom<u64>>(v: &str) -> Result<T, String> {
     T::try_from(n).map_err(|_| format!("{n} is out of range"))
 }
 
-fn parse_float(v: &str) -> Result<f64, String> {
-    match v.trim().parse::<f64>() {
-        Ok(x) if x.is_finite() => Ok(x),
-        _ => Err("not a finite number".into()),
-    }
-}
-
 fn parse_list<T: TryFrom<u64>>(v: &str) -> Result<Vec<T>, String> {
     v.split(',')
         .map(|item| match parse_int::<u64>(item) {
@@ -62,14 +45,6 @@ fn parse_list<T: TryFrom<u64>>(v: &str) -> Result<Vec<T>, String> {
             Ok(n) => T::try_from(n).map_err(|_| format!("list item {n} is out of range")),
         })
         .collect()
-}
-
-fn parse_flag(v: &str) -> Result<bool, String> {
-    match v.trim() {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err("not a flag (0 or 1)".into()),
-    }
 }
 
 #[cfg(test)]
@@ -102,14 +77,6 @@ mod tests {
     }
 
     #[test]
-    fn floats_reject_malformed_and_non_finite_values() {
-        assert_eq!(parse_float("0.375"), Ok(0.375));
-        for bad in ["", "x", "0.2.5", "nan", "inf", "-inf"] {
-            assert!(parse_float(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
     fn lists_reject_any_bad_item() {
         assert_eq!(parse_list::<usize>("1,2,3"), Ok(vec![1, 2, 3]));
         assert_eq!(parse_list::<u64>("1, 4"), Ok(vec![1, 4]));
@@ -117,14 +84,5 @@ mod tests {
             assert!(parse_list::<u64>(bad).is_err(), "{bad:?}");
         }
         assert!(parse_list::<u32>("1,4294967296").is_err());
-    }
-
-    #[test]
-    fn flags_accept_only_0_and_1() {
-        assert_eq!(parse_flag("0"), Ok(false));
-        assert_eq!(parse_flag("1"), Ok(true));
-        for bad in ["", "yes", "true", "2", "01x"] {
-            assert!(parse_flag(bad).is_err(), "{bad:?}");
-        }
     }
 }

@@ -17,20 +17,18 @@
 //! 256 MB → 4 GB ladder sweeps dirty-state sizes two orders of magnitude
 //! apart without simulating terabytes of traffic.
 //!
-//! Determinism: the artifact depends only on the rung list, worker list,
-//! shard count, and tolerance. The OS worker count used to *execute*
+//! Determinism: the artifact depends only on the rung list, worker list
+//! and shard count. The OS worker count used to *execute*
 //! the recovery affects wall clock (printed, never exported) — per-shard
 //! reports are worker-count-invariant by the lane contract, so the JSON is
 //! byte-identical across `STEINS_THREADS` settings and host core counts.
 //!
 //! The scaling gate: every rung × workers cell must reach
-//! `min(workers, shards) × (1 − STEINS_RECOVERY_SCALE_TOL)` speedup over
-//! the same rung's 1-worker fold (default tolerance 0.375, so 4 workers
-//! must clear 2.5×).
+//! `min(workers, shards) × (1 − SCALE_TOL)` speedup over the same rung's
+//! 1-worker fold ([`SCALE_TOL`] is 0.375, so 4 workers must clear 2.5×).
 //!
-//! Knobs: `STEINS_LADDER_MB` (comma list, default `256,1024,4096`),
-//! `STEINS_LADDER_WORKERS` (default `1,2,4,8`), `STEINS_LADDER_SHARDS`
-//! (default 8), `STEINS_RECOVERY_SCALE_TOL`.
+//! Knobs: `STEINS_LADDER_MB` (comma list, default `256,1024,4096`) and
+//! `STEINS_LADDER_WORKERS` (default `1,2,4,8`), over 8 shards.
 
 use crate::env;
 use std::fmt::Write as _;
@@ -42,6 +40,9 @@ use steins_metadata::CounterMode;
 use steins_obs::MetricRegistry;
 use steins_trace::{Pattern, Workload, WorkloadKind};
 
+/// Scaling-gate tolerance: the fraction of ideal a cell may lose.
+pub const SCALE_TOL: f64 = 0.375;
+
 /// The rung/worker grid and knobs one ladder run covers.
 #[derive(Clone, Debug)]
 pub struct LadderConfig {
@@ -51,8 +52,6 @@ pub struct LadderConfig {
     pub workers: Vec<usize>,
     /// Shards (= independent recovery regions).
     pub shards: usize,
-    /// Scaling-gate tolerance (fraction of ideal allowed to be lost).
-    pub tol: f64,
 }
 
 impl LadderConfig {
@@ -61,8 +60,7 @@ impl LadderConfig {
         LadderConfig {
             rungs_mb: env::list("STEINS_LADDER_MB").unwrap_or_else(|| vec![256, 1024, 4096]),
             workers: env::list("STEINS_LADDER_WORKERS").unwrap_or_else(|| vec![1, 2, 4, 8]),
-            shards: env::int("STEINS_LADDER_SHARDS").unwrap_or(8),
-            tol: env::float("STEINS_RECOVERY_SCALE_TOL").unwrap_or(0.375),
+            shards: 8,
         }
     }
 }
@@ -189,7 +187,7 @@ pub fn run_ladder(lc: &LadderConfig, exec_workers: usize) -> LadderReport {
             let est_seconds = makespan as f64 * read_ns * 1e-9;
             let speedup = serial as f64 / makespan as f64;
             let ideal = w.min(lc.shards) as f64;
-            let floor = ideal * (1.0 - lc.tol);
+            let floor = ideal * (1.0 - SCALE_TOL);
             if speedup + 1e-9 < floor {
                 failures.push(format!(
                     "{mb} MB x {w} workers: speedup {speedup:.2} < floor {floor:.2}"
@@ -229,7 +227,7 @@ fn render_json(lc: &LadderConfig, read_ns: f64, rungs: &[Rung], failures: &[Stri
     );
     let _ = writeln!(j, "  \"shards\": {},", lc.shards);
     let _ = writeln!(j, "  \"read_ns\": {read_ns:.1},");
-    let _ = writeln!(j, "  \"tolerance\": {:.3},", lc.tol);
+    let _ = writeln!(j, "  \"tolerance\": {SCALE_TOL:.3},");
     let _ = writeln!(j, "  \"rungs\": [");
     for (i, r) in rungs.iter().enumerate() {
         let _ = writeln!(
@@ -308,7 +306,6 @@ mod tests {
             rungs_mb: vec![1, 2],
             workers: vec![1, 2],
             shards: 2,
-            tol: 0.375,
         }
     }
 

@@ -12,9 +12,9 @@
 //! to the artifact.
 //!
 //! The scaling gate: every **uniform** cell must reach
-//! `min(shards, threads) × (1 − STEINS_SCALE_TOL)` speedup over the
-//! 1-shard/1-thread baseline (default tolerance 0.25, so the 4×4 cell
-//! must clear 3.0×). Zipfian cells are reported but not gated — a skewed
+//! `min(shards, threads) × (1 − SCALE_TOL)` speedup over the
+//! 1-shard/1-thread baseline ([`SCALE_TOL`] is 0.25, so the 4×4 cell must
+//! clear 3.0×). Zipfian cells are reported but not gated — a skewed
 //! mix legitimately loses some balance to its hottest lines.
 //!
 //! A cell's scaling is the product of three factors, printed beside it but
@@ -24,8 +24,7 @@
 //! and the lane count `min(shards, threads)`.
 //!
 //! Knobs: `STEINS_STRESS_SHARDS` / `STEINS_STRESS_THREADS` (comma lists,
-//! default `1,2,4,8`), `STEINS_STRESS_OPS` (writes per cell), `STEINS_SEED`,
-//! `STEINS_SCALE_TOL`.
+//! default `1,2,4,8`), `STEINS_STRESS_OPS` (writes per cell), `STEINS_SEED`.
 
 use crate::env;
 use std::fmt::Write as _;
@@ -36,6 +35,9 @@ use steins_metadata::CounterMode;
 use steins_obs::MetricRegistry;
 use steins_trace::rng::SmallRng;
 use steins_trace::Zipf;
+
+/// Scaling-gate tolerance: the fraction of ideal a uniform cell may lose.
+pub const SCALE_TOL: f64 = 0.25;
 
 /// The grid and knobs one stress run covers.
 #[derive(Clone, Debug)]
@@ -48,8 +50,6 @@ pub struct StressConfig {
     pub ops: usize,
     /// Stream seed.
     pub seed: u64,
-    /// Scaling-gate tolerance (fraction of ideal allowed to be lost).
-    pub tol: f64,
 }
 
 impl StressConfig {
@@ -60,7 +60,6 @@ impl StressConfig {
             threads: env::list("STEINS_STRESS_THREADS").unwrap_or_else(|| vec![1, 2, 4, 8]),
             ops: env::int("STEINS_STRESS_OPS").unwrap_or(24_000),
             seed: env::int("STEINS_SEED").unwrap_or(42),
-            tol: env::float("STEINS_SCALE_TOL").unwrap_or(0.25),
         }
     }
 }
@@ -202,11 +201,20 @@ pub fn run_grid(cfg: &SystemConfig, sc: &StressConfig, workers: usize) -> Stress
     let mut biggest_uniform = 0usize;
 
     for &mix in &[Mix::Uniform, Mix::Zipfian] {
-        let (_, base, _) = run_cell(cfg, mix, 1, lines, sc.ops, sc.seed, workers);
-        let base_cycles = base[0].max(1);
+        // The 1-shard replay is every cell's base, and the grid's 1-shard
+        // cell too when it lists one.
+        let base = run_cell(cfg, mix, 1, lines, sc.ops, sc.seed, workers);
+        let base_cycles = base.1[0].max(1);
+        let mut base = Some(base);
         for &s in &sc.shards {
             // One replay per shard count; the model lanes reuse its clocks.
-            let (engine, clocks, wall_ns) = run_cell(cfg, mix, s, lines, sc.ops, sc.seed, workers);
+            let (engine, clocks, wall_ns) = match base.take() {
+                Some(cell) if s == 1 => cell,
+                kept => {
+                    base = kept;
+                    run_cell(cfg, mix, s, lines, sc.ops, sc.seed, workers)
+                }
+            };
             if mix == Mix::Uniform && s >= biggest_uniform {
                 biggest_uniform = s;
                 metrics = engine.report();
@@ -225,7 +233,7 @@ pub fn run_grid(cfg: &SystemConfig, sc: &StressConfig, workers: usize) -> Stress
                 let efficiency = summed / (lanes as f64 * makespan as f64);
                 let ideal = s.min(t) as f64;
                 if mix == Mix::Uniform {
-                    let floor = ideal * (1.0 - sc.tol);
+                    let floor = ideal * (1.0 - SCALE_TOL);
                     if scaling + 1e-9 < floor {
                         failures.push(format!(
                             "uniform {s} shards x {t} threads: scaling {scaling:.2} < floor {floor:.2}"
@@ -267,7 +275,7 @@ fn render_json(sc: &StressConfig, cells: &[Cell], failures: &[String]) -> String
     );
     let _ = writeln!(j, "  \"ops_per_cell\": {},", sc.ops);
     let _ = writeln!(j, "  \"seed\": {},", sc.seed);
-    let _ = writeln!(j, "  \"tolerance\": {:.3},", sc.tol);
+    let _ = writeln!(j, "  \"tolerance\": {SCALE_TOL:.3},");
     let _ = writeln!(j, "  \"cells\": [");
     for (i, c) in cells.iter().enumerate() {
         let ops_per_kcycle = sc.ops as f64 * 1000.0 / c.makespan_cycles as f64;
@@ -319,7 +327,6 @@ mod tests {
             threads: vec![1, 2],
             ops: 1_500,
             seed: 7,
-            tol: 0.25,
         }
     }
 
@@ -336,10 +343,26 @@ mod tests {
     }
 
     /// Each cell's scaling splits into its two factors and its lane count.
+    /// A grid without a 1-shard cell replays its own base, so its 2-shard
+    /// cells match the 1-shard grid's.
     #[test]
     fn scaling_is_work_factor_times_efficiency_times_lanes() {
-        let report = run_grid(&default_cfg(), &tiny(), 1);
-        for c in &report.cells {
+        let cfg = default_cfg();
+        let with_one = run_grid(&cfg, &tiny(), 1);
+        let sc = StressConfig {
+            shards: vec![2, 4],
+            ..tiny()
+        };
+        let without_one = run_grid(&cfg, &sc, 1);
+        let two_shards = |r: &StressReport| -> Vec<(Mix, usize, u64, f64)> {
+            r.cells
+                .iter()
+                .filter(|c| c.shards == 2)
+                .map(|c| (c.mix, c.threads, c.makespan_cycles, c.scaling))
+                .collect()
+        };
+        assert_eq!(two_shards(&with_one), two_shards(&without_one));
+        for c in with_one.cells.iter().chain(&without_one.cells) {
             let lanes = c.threads.min(c.shards) as f64;
             let product = c.work_factor * c.efficiency * lanes;
             assert!(

@@ -34,7 +34,9 @@ use steins_trace::rng::SmallRng;
 use steins_trace::Zipf;
 
 use crate::config::{SchemeKind, SystemConfig};
-use crate::crash::{CrashPoint, CrashSweep, CrashedSystem, Outage, PointSelection, SweepOp};
+use crate::crash::{
+    can_trip, CrashJob, CrashPoint, CrashSweep, CrashedSystem, Outage, PointSelection, SweepOp,
+};
 use crate::engine::synth_data;
 use crate::error::IntegrityError;
 use crate::online::OnlinePolicy;
@@ -523,33 +525,16 @@ impl FaultCampaign {
                 report.nested_points += 1;
                 let draw = rng.next_u64();
                 let m1_draw = Self::draw_mask(&mut rng);
-                let inner = match sweep.recovery_points(p, mask) {
-                    Ok(pts) => pts,
-                    Err(fail) => {
-                        report.failures.push(format!(
-                            "{label} nested point {k} mask {mask:#04x} \
-                             (seed {:#x}, iter {i}, {} ops): {}",
-                            self.cfg.seed,
-                            ops.len(),
-                            fail.error
-                        ));
-                        continue;
-                    }
+                let inner = sweep.inner_points(p, mask);
+                let q = inner[(draw % inner.len() as u64) as usize];
+                let (j, m1) = (q.seq, if can_trip(&q, m1_draw) { m1_draw } else { 0xFF });
+                let job = CrashJob::Nested {
+                    p,
+                    mask,
+                    j,
+                    inner: m1,
                 };
-                let (j, m1) = if inner.is_empty() {
-                    // WB never starts recovery: the synthetic point checks
-                    // the refusal contract under nested arming.
-                    (k + 1, 0xFF)
-                } else {
-                    let q = inner[(draw % inner.len() as u64) as usize];
-                    let m1 = if q.kind == steins_nvm::PersistKind::LineWrite {
-                        m1_draw
-                    } else {
-                        0xFF
-                    };
-                    (q.seq, m1)
-                };
-                if let Some(repro) = sweep.probe_point_nested(p, mask, j, m1) {
+                if let Some(repro) = sweep.probe(job) {
                     report.failures.push(format!(
                         "{label} nested point {k}>{j} masks {mask:#04x}>{m1:#04x} \
                          (seed {:#x}, iter {i}, {} ops): {}",
@@ -561,7 +546,7 @@ impl FaultCampaign {
             } else if i % 2 == 0 {
                 // Crash-only point: the strong sweep contract, torn-aware.
                 report.crash_points += 1;
-                if let Some(repro) = sweep.probe_point_torn(p, mask) {
+                if let Some(repro) = sweep.probe(CrashJob::Point { p, mask }) {
                     report.failures.push(format!(
                         "{label} crash point {k} mask {mask:#04x} \
                          (seed {:#x}, iter {i}, {} ops): {}",

@@ -12,11 +12,14 @@
 //! the MAC-sealed ADR recovery journal (phase, `hwm`, restarts) that makes a
 //! crash during recovery resumable.
 //!
-//! [`CrashSweep`] is the one fault-injection harness: it replays a stream
-//! through a [`ShardedEngine`] (an unsharded system is the 1-shard case),
-//! crashes at every selected persist point, and checks recovery, the
-//! lenient scrub, nested crashes during recovery, and a worker crash in the
-//! middle of a parallel whole-engine rebuild.
+//! [`CrashSweep`] is the one fault-injection harness. It replays a stream
+//! through a [`ShardedEngine`] (an unsharded system is the 1-shard case)
+//! along one path: [`CrashSweep::jobs`] lists the [`CrashJob`]s to inject —
+//! a crash at a selected persist point, a second crash during its
+//! recovery, or a worker crash in the middle of a parallel whole-engine
+//! rebuild — [`CrashSweep::probe`] injects one and checks recovery (and,
+//! after a tear, the lenient scrub) against the sweep contract, and
+//! [`CrashSweep::run`] probes a list on a worker pool.
 
 use crate::config::{SchemeKind, SystemConfig};
 use crate::diagnose;
@@ -153,16 +156,15 @@ impl CrashedSystem {
 // The NVM device numbers every durable-state transition (each accepted 64 B
 // line write, each in-place ADR-line update). [`CrashSweep`] replays a fixed
 // op stream through a [`ShardedEngine`] — an unsharded machine is the
-// 1-shard case — once to enumerate every shard's points. Then for every
-// crash point `(target shard, k)` it replays the stream with the target's
-// device armed to lose power the instant its transition k completes,
-// recovers that shard, and verifies the whole address space against the
-// sweep contract (DESIGN.md §6d): every acknowledged write reads back
-// through the router (which re-verifies the whole ancestor chain of every
-// populated tree path), and every shard's LInc registers and journal line
-// hold what they must. A failing point is shrunk to a minimal op stream and
-// printed with the first divergent node and a MAC-probe diagnosis
-// ([`crate::diagnose`]).
+// 1-shard case — once to enumerate every shard's points. Then each job
+// replays the stream with its target's device armed to lose power the
+// instant transition k completes, recovers that shard, and verifies the
+// whole address space against the sweep contract (DESIGN.md §6d): every
+// acknowledged write reads back through the router (which re-verifies the
+// whole ancestor chain of every populated tree path), and every shard's
+// LInc registers and journal line hold what they must. A failing
+// whole-line point is shrunk to a minimal op stream and printed with the
+// first divergent node and a MAC-probe diagnosis ([`crate::diagnose`]).
 
 /// One operation of the fixed, replayable stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,6 +268,64 @@ pub struct CrashPoint {
     pub k: u64,
 }
 
+/// One unit of a sweep: the crash (or crashes) to inject. A `mask` is a
+/// word mask for the tripping line write — bit *i* ⇒ 8-byte word *i*
+/// persists — and `0xFF` is the whole-line crash.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CrashJob {
+    /// One crash at `p`.
+    Point {
+        /// The crash point.
+        p: CrashPoint,
+        /// Word mask of the tripping write.
+        mask: u8,
+    },
+    /// A crash at `p`, then a second one at persist point `j` (absolute on
+    /// the target's device) that recovery itself fires.
+    Nested {
+        /// The outer crash point.
+        p: CrashPoint,
+        /// Word mask of the outer tripping write.
+        mask: u8,
+        /// The inner crash's persist point.
+        j: u64,
+        /// Word mask of the inner tripping write.
+        inner: u8,
+    },
+    /// A whole-line crash at `p`, then a parallel rebuild of every shard on
+    /// `workers` threads whose target worker crashes at persist point `j`.
+    WorkerCrash {
+        /// The outer crash point.
+        p: CrashPoint,
+        /// The inner crash's persist point on the target's device.
+        j: u64,
+        /// Rebuild threads.
+        workers: usize,
+    },
+}
+
+impl CrashJob {
+    /// A whole-line nested job as a worker crash on `workers` threads: the
+    /// same outer and inner points. Other jobs come back unchanged.
+    pub fn on_workers(self, workers: usize) -> CrashJob {
+        match self {
+            CrashJob::Nested {
+                p,
+                mask: 0xFF,
+                j,
+                inner: 0xFF,
+            } => CrashJob::WorkerCrash { p, j, workers },
+            job => job,
+        }
+    }
+}
+
+/// Whether a crash under `mask` can trip on `q`: any point whole-line, only
+/// a line write torn (ADR updates are sub-word and never tear).
+pub(crate) fn can_trip(q: &PersistPoint, mask: u8) -> bool {
+    mask == 0xFF || q.kind == PersistKind::LineWrite
+}
+
 /// A minimized failing crash point.
 #[derive(Clone, Debug)]
 pub struct CrashRepro {
@@ -310,21 +370,19 @@ impl fmt::Display for CrashRepro {
     }
 }
 
-/// Result of sweeping one scheme/mode.
+/// Result of one [`CrashSweep::run`] over a job list.
 #[derive(Clone, Debug)]
 pub struct SweepReport {
-    /// Scheme/mode label.
+    /// Scheme/mode label, plus the shard count when there is more than one.
     pub label: String,
-    /// Points (× masks) the leg enumerated before selection.
-    pub total_points: u64,
-    /// Points actually injected and verified.
+    /// Jobs probed.
     pub tested_points: u64,
-    /// Minimized repros for every failing point class found (capped).
+    /// The repro of every failing job, in job order.
     pub failures: Vec<CrashRepro>,
 }
 
 impl SweepReport {
-    /// True when every tested point recovered and verified.
+    /// True when every job held the contract.
     pub fn clean(&self) -> bool {
         self.failures.is_empty()
     }
@@ -339,10 +397,7 @@ impl fmt::Display for SweepReport {
             self.tested_points - self.failures.len() as u64,
             self.tested_points
         )?;
-        if self.total_points != self.tested_points {
-            write!(f, " (of {} enumerated)", self.total_points)?;
-        }
-        for repro in &self.failures {
+        for repro in self.failures.iter().take(SHOWN_FAILURES) {
             write!(f, "\n{repro}")?;
         }
         Ok(())
@@ -400,12 +455,13 @@ impl Outage {
     }
 }
 
-/// Outcome of arming a second crash *inside* recovery of an outer crash.
+/// How strict recovery of a crash ended, with a second crash armed inside
+/// it or none.
 enum NestedRun {
-    /// The inner point lay beyond recovery's horizon: recovery finished
-    /// first and produced a fully recovered system.
-    Completed(Box<SecureNvmSystem>),
-    /// Strict recovery failed cleanly before the inner point tripped (a
+    /// Recovery finished (no inner crash, or one beyond recovery's
+    /// horizon): the recovered system and its `core.recovery.restarts`.
+    Completed(Box<SecureNvmSystem>, u64),
+    /// Strict recovery failed cleanly before any inner point tripped (a
     /// torn outer line can legitimately defeat fail-stop recovery).
     StrictFailed(IntegrityError),
     /// The inner crash tripped mid-recovery; the partial system — parked in
@@ -417,9 +473,8 @@ enum NestedRun {
 /// Point tests spent shrinking one failure.
 const SHRINK_BUDGET: usize = 2_000;
 
-/// A sweep leg stops after this many failing points (keeps a badly broken
-/// scheme from taking forever).
-const MAX_FAILURES: usize = 3;
+/// Failures a [`SweepReport`] prints; it counts the rest.
+const SHOWN_FAILURES: usize = 3;
 
 /// `core.recovery.restarts` of a strict recovery.
 fn restarts(report: &RecoveryReport) -> u64 {
@@ -514,34 +569,46 @@ impl CrashSweep {
         Ok(self.enumerate()?.iter().map(|j| j.len() as u64).collect())
     }
 
-    /// The persist points that pass `keep`, the sweep's selection applied
-    /// per shard, plus how many passed before selection.
-    fn select_points(
+    /// The sweep's jobs. For each outer mask, in order, the sweep's
+    /// selection is applied per shard to the persist points that mask can
+    /// trip on: every point for `0xFF`, only line writes for a torn mask.
+    /// Without `inner` each selected point is one [`CrashJob::Point`]. With
+    /// `inner = (masks, selection)` each is paired with the persist points
+    /// recovery itself fires after that crash, bounded by `selection`,
+    /// under every inner mask that can trip on them, as
+    /// [`CrashJob::Nested`] jobs. When recovery fires none (WB refuses
+    /// before its first write), one synthetic point past the outer crash
+    /// stands in, so the refusal is still checked under nested arming.
+    pub fn jobs(
         &self,
-        keep: impl Fn(&PersistPoint) -> bool,
-    ) -> Result<(u64, Vec<CrashPoint>), IntegrityError> {
-        let mut total = 0;
-        let mut points = Vec::new();
-        for (shard, journal) in self.enumerate()?.into_iter().enumerate() {
-            let ks: Vec<u64> = journal.iter().filter(|p| keep(p)).map(|p| p.seq).collect();
-            total += ks.len() as u64;
-            let selected = self.selection.apply(ks);
-            points.extend(selected.into_iter().map(|k| CrashPoint { shard, k }));
+        outer_masks: &[u8],
+        inner: Option<(&[u8], PointSelection)>,
+    ) -> Result<Vec<CrashJob>, IntegrityError> {
+        let journals = self.enumerate()?;
+        let mut jobs = Vec::new();
+        for &mask in outer_masks {
+            for (shard, journal) in journals.iter().enumerate() {
+                let ks = journal.iter().filter(|q| can_trip(q, mask)).map(|q| q.seq);
+                for k in self.selection.apply(ks.collect()) {
+                    let p = CrashPoint { shard, k };
+                    let Some((inner_masks, inner_sel)) = inner else {
+                        jobs.push(CrashJob::Point { p, mask });
+                        continue;
+                    };
+                    for q in inner_sel.apply(self.inner_points(p, mask)) {
+                        for &m1 in inner_masks.iter().filter(|&&m1| can_trip(&q, m1)) {
+                            jobs.push(CrashJob::Nested {
+                                p,
+                                mask,
+                                j: q.seq,
+                                inner: m1,
+                            });
+                        }
+                    }
+                }
+            }
         }
-        Ok((total, points))
-    }
-
-    /// Every selected crash point: the unit list for point-parallel sweeps
-    /// via [`Self::probe_point`].
-    pub fn crash_points(&self) -> Result<Vec<CrashPoint>, IntegrityError> {
-        Ok(self.select_points(|_| true)?.1)
-    }
-
-    /// Every selected persist point that is a 64 B line write — the only
-    /// transitions that can tear (ADR updates are sub-word). The unit list
-    /// for point-parallel torn sweeps via [`Self::probe_point_torn`].
-    pub fn tearable_points(&self) -> Result<Vec<CrashPoint>, IntegrityError> {
-        Ok(self.select_points(|p| p.kind == PersistKind::LineWrite)?.1)
+        Ok(jobs)
     }
 
     /// Replays the stream with a (possibly torn) crash armed at `p`, then
@@ -763,63 +830,6 @@ impl CrashSweep {
         Ok(())
     }
 
-    /// Injects a crash at `p` — torn: only `word_mask`'s 8-byte words of the
-    /// tripping line persist (bit *i* ⇒ word *i* durable; `0xFF` is the
-    /// classic full persist) — and checks the sweep contract. A whole-line
-    /// crash must recover strictly with `restarts == 0`, verify, serve the
-    /// rest of the stream on every shard, and verify again. A torn crash
-    /// either recovers strictly and verifies — the torn line failing closed
-    /// — or errors cleanly, in which case the lenient scrub must salvage
-    /// everything except the torn line itself, without panicking. WB must
-    /// refuse recovery at every point.
-    fn test_point(&self, p: CrashPoint, word_mask: u8) -> Result<(), PointFailure> {
-        let Some((crashed, mut out)) = self.crash_torn(p, word_mask)? else {
-            return Ok(());
-        };
-        if !crashed.recoverable() {
-            return out.refused(crashed.recover().err());
-        }
-        match crashed.recover() {
-            Ok((sys, report)) => {
-                self.reinstate(&out, p, sys)?;
-                if word_mask != 0xFF {
-                    return Ok(());
-                }
-                let restarts = restarts(&report);
-                if restarts != 0 {
-                    return Err(out.fail(
-                        format!("first recovery reported {restarts} restarts"),
-                        "a single crash starts from an idle journal",
-                    ));
-                }
-                self.serve_rest(&mut out)?;
-                self.verify(&out, p, false)
-            }
-            Err(strict) if word_mask == 0xFF => {
-                // Whole-line persists must always recover strictly.
-                Err(out.fail(strict.to_string(), self.diagnose_error(p, &strict)))
-            }
-            Err(strict) => {
-                // A torn line may defeat strict (fail-stop) recovery — e.g.
-                // a torn in-place node flush fails its MAC exactly like
-                // tampering. The lenient scrub must then rebuild everything
-                // from the data plane.
-                let Some((crashed2, out2)) = self.crash_torn(p, word_mask)? else {
-                    return Err(out.fail("crash image not reproducible for the scrub", "n/a"));
-                };
-                let Ok((sys, report)) =
-                    catch_unwind(AssertUnwindSafe(move || crashed2.recover_lenient()))
-                else {
-                    return Err(out.fail(
-                        format!("scrub panicked after strict error: {strict}"),
-                        "lenient recovery must be total",
-                    ));
-                };
-                self.check_scrub(&out2, p, sys, &report, &strict, 0)
-            }
-        }
-    }
-
     /// The lenient contract: an interrupted prior pass is visible as a
     /// restart, nothing beyond the sacrificed line is lost, a system comes
     /// back, and the reinstated engine verifies.
@@ -926,19 +936,30 @@ impl CrashSweep {
         }
     }
 
-    /// Injects a whole-line crash at `p`, recovers and verifies; on failure
-    /// returns the minimized repro. The unit of work for point-parallel
-    /// sweeps (each call replays the stream from scratch).
-    pub fn probe_point(&self, p: CrashPoint) -> Option<CrashRepro> {
-        let fail = self.test_point(p, 0xFF).err()?;
-        Some(self.shrink(p, fail))
-    }
-
-    /// Torn variant of [`Self::probe_point`] (see the torn contract there).
-    /// Failures are truncated to the in-flight op but not greedily shrunk.
-    pub fn probe_point_torn(&self, p: CrashPoint, word_mask: u8) -> Option<CrashRepro> {
-        let fail = self.test_point(p, word_mask).err()?;
-        Some(self.repro(&format!("torn {word_mask:#04x}"), p, fail))
+    /// Injects `job`'s crash (or crashes) and checks the sweep contract
+    /// (DESIGN.md §6d); on failure returns the repro. A failing whole-line
+    /// [`CrashJob::Point`] is shrunk to a minimal op stream, every other
+    /// failure truncated to the op in flight. Each call replays the stream
+    /// from scratch.
+    pub fn probe(&self, job: CrashJob) -> Option<CrashRepro> {
+        let fail = match job {
+            CrashJob::Point { p, mask } => self.test_crash(p, mask, None),
+            CrashJob::Nested { p, mask, j, inner } => self.test_crash(p, mask, Some((j, inner))),
+            CrashJob::WorkerCrash { p, j, workers } => self.test_worker_crash(p, j, workers),
+        }
+        .err()?;
+        let (p, leg) = match job {
+            CrashJob::Point { p, mask: 0xFF } => return Some(self.shrink(p, fail)),
+            CrashJob::Point { p, mask } => (p, format!("torn {mask:#04x}")),
+            CrashJob::Nested { p, mask, j, inner } => (
+                p,
+                format!("nested {}>{j} masks {mask:#04x}>{inner:#04x}", p.k),
+            ),
+            CrashJob::WorkerCrash { p, j, workers } => {
+                (p, format!("worker-crash {}>{j} w{workers}", p.k))
+            }
+        };
+        Some(self.repro(&leg, p, fail))
     }
 
     /// Finds the first failing whole-line point of the stream, spending at
@@ -951,7 +972,7 @@ impl CrashSweep {
                 }
                 *budget -= 1;
                 let p = CrashPoint { shard, k };
-                if let Err(fail) = self.test_point(p, 0xFF) {
+                if let Err(fail) = self.test_crash(p, 0xFF, None) {
                     return Some((p, fail));
                 }
             }
@@ -988,87 +1009,52 @@ impl CrashSweep {
         best.repro("", p, fail)
     }
 
-    /// The report of a sweep whose crash-free baseline run already fails.
-    fn baseline_failed(&self, label: String, e: IntegrityError) -> SweepReport {
-        SweepReport {
-            label: label.clone(),
-            total_points: 0,
-            tested_points: 0,
-            failures: vec![CrashRepro {
-                label,
-                shard: None,
-                ops: self.ops.clone(),
-                op_index: 0,
-                crash_point: 0,
-                point: None,
-                error: format!("baseline run failed: {e}"),
-                divergent: "stream does not complete without a crash".into(),
-            }],
-        }
-    }
-
-    /// Probes `jobs` in order, stopping after [`MAX_FAILURES`] failures.
-    /// `total` is what the leg enumerated before selection.
-    fn drive<J: Copy>(
-        label: String,
-        total: u64,
-        jobs: &[J],
-        probe: impl Fn(J) -> Option<CrashRepro>,
-    ) -> SweepReport {
-        let mut failures = Vec::new();
-        let mut tested = 0u64;
-        for &job in jobs {
-            tested += 1;
-            failures.extend(probe(job));
-            if failures.len() >= MAX_FAILURES {
-                break;
-            }
-        }
+    /// Probes every job on `threads` workers ([`par::run_regions`]) and
+    /// keeps every failure, in job order. `jobs` is [`Self::jobs`]'s
+    /// result: a crash-free baseline run that already fails becomes a
+    /// report of that one failure.
+    pub fn run(&self, jobs: Result<Vec<CrashJob>, IntegrityError>, threads: usize) -> SweepReport {
+        let label = self.label();
+        let (tested_points, failures) = match jobs {
+            Ok(jobs) => (
+                jobs.len() as u64,
+                par::run_regions(threads, jobs, |job| self.probe(job))
+                    .into_iter()
+                    .flatten()
+                    .collect(),
+            ),
+            Err(e) => (
+                0,
+                vec![CrashRepro {
+                    label: label.clone(),
+                    shard: None,
+                    ops: self.ops.clone(),
+                    op_index: 0,
+                    crash_point: 0,
+                    point: None,
+                    error: format!("baseline run failed: {e}"),
+                    divergent: "stream does not complete without a crash".into(),
+                }],
+            ),
+        };
         SweepReport {
             label,
-            total_points: total,
-            tested_points: tested,
+            tested_points,
             failures,
         }
     }
 
-    /// Runs the whole-line sweep serially over every selected point.
-    pub fn run(&self) -> SweepReport {
-        let label = self.label();
-        match self.select_points(|_| true) {
-            Ok((total, points)) => Self::drive(label, total, &points, |p| self.probe_point(p)),
-            Err(e) => self.baseline_failed(label, e),
-        }
-    }
-
-    /// Sweeps torn-write variants: every selected line-write point (ADR
-    /// updates are sub-word and never tear) is re-crashed under every mask
-    /// in `word_masks` (bit *i* ⇒ 8-byte word *i* persists).
-    pub fn run_torn(&self, word_masks: &[u8]) -> SweepReport {
-        let label = format!("{} torn", self.label());
-        match self.select_points(|p| p.kind == PersistKind::LineWrite) {
-            Ok((total, points)) => {
-                let jobs: Vec<(CrashPoint, u8)> = points
-                    .iter()
-                    .flat_map(|&p| word_masks.iter().map(move |&m| (p, m)))
-                    .collect();
-                let total = total * word_masks.len() as u64;
-                Self::drive(label, total, &jobs, |(p, m)| self.probe_point_torn(p, m))
-            }
-            Err(e) => self.baseline_failed(label, e),
-        }
-    }
-
-    // ———————— Nested injection: crash *during* recovery ————————
+    // ———————— The contract: one crash, or a second during recovery ————————
     //
     // The recovery state machine journals its progress in the ADR domain
     // (`RecoveryJournal`), parks the partial system in the caller's slot
     // before its first durable write, and replays each phase re-entrantly.
-    // These drivers prove it: reproduce an outer crash, re-arm the target's
+    // A nested job proves it: reproduce an outer crash, re-arm the target's
     // device at a persist point *recovery itself* fires (journal updates,
     // record and shadow rewrites, scrub pokes — pokes are traced as tearable
     // points during injection), crash again, and require the second
-    // recovery to converge on the same verified state.
+    // recovery to converge on the same verified state. A single crash is
+    // the same check with no second crash armed.
 
     /// Enumerates the persist points recovery fires for the outer crash
     /// `(p, outer_mask)`: journal updates, record/shadow line writes, and —
@@ -1108,40 +1094,55 @@ impl CrashSweep {
             .unwrap_or_default())
     }
 
-    /// Reproduces the outer crash `(p, outer_mask)`, re-arms the target's
-    /// device at absolute persist point `j` (torn by `inner_mask` for line
-    /// writes) with poke tracing on, and runs strict recovery once. Returns
-    /// how the nested run ended plus the outer crash's outage. `Ok(None)`
-    /// when `p.k` lies beyond the target's horizon.
+    /// [`Self::recovery_points`], or — when recovery fires none (WB
+    /// refuses before its first write) or the outer crash does not
+    /// reproduce — one synthetic point past the outer crash, whose probe
+    /// still checks the contract under nested arming.
+    pub(crate) fn inner_points(&self, p: CrashPoint, mask: u8) -> Vec<PersistPoint> {
+        match self.recovery_points(p, mask) {
+            Ok(points) if !points.is_empty() => points,
+            _ => vec![PersistPoint {
+                seq: p.k + 1,
+                kind: PersistKind::AdrUpdate,
+                addr: 0,
+            }],
+        }
+    }
+
+    /// Reproduces the crash `(p, mask)`, arms the `inner = (j, inner_mask)`
+    /// crash, if any, at absolute persist point `j` of the target's device
+    /// (torn by `inner_mask` for line writes) with poke tracing on, and runs
+    /// strict recovery once. Returns how the run ended plus the outer
+    /// crash's outage. `Ok(None)` when `p.k` lies beyond the target's
+    /// horizon.
     fn crash_nested(
         &self,
         p: CrashPoint,
-        outer_mask: u8,
-        j: u64,
-        inner_mask: u8,
+        mask: u8,
+        inner: Option<(u64, u8)>,
     ) -> Result<Option<(NestedRun, Outage)>, PointFailure> {
-        let Some((mut crashed, out)) = self.crash_torn(p, outer_mask)? else {
+        let Some((mut crashed, out)) = self.crash_torn(p, mask)? else {
             return Ok(None);
         };
-        crashed.nvm.trace_pokes(true);
-        crashed.nvm.arm_crash_torn(j, inner_mask);
+        if let Some((j, inner_mask)) = inner {
+            crashed.nvm.trace_pokes(true);
+            crashed.nvm.arm_crash_torn(j, inner_mask);
+        }
         let mut slot = None;
         let run = match crashed.recover_into(&mut slot) {
-            Ok(_report) => {
+            Ok(report) => {
                 let Some(sys) = slot.take() else {
                     return Err(out.fail(
                         "recovery returned Ok without parking the system",
                         "recover_into must fill the caller's slot",
                     ));
                 };
-                NestedRun::Completed(Box::new(disarmed(sys)))
+                NestedRun::Completed(Box::new(disarmed(sys)), restarts(&report))
             }
             Err(IntegrityError::PowerCut) => {
                 let Some(partial) = slot.take() else {
                     return Err(out.fail(
-                        format!(
-                            "inner crash at point {j} tripped before recovery parked the system"
-                        ),
+                        "inner crash tripped before recovery parked the system",
                         "recovery must park before its first durable write",
                     ));
                 };
@@ -1152,224 +1153,149 @@ impl CrashSweep {
         Ok(Some((run, out)))
     }
 
-    /// Tests one nested point: outer crash at `p` (mask `outer_mask`), a
-    /// second crash at recovery-time point `j` (mask `inner_mask`), then a
-    /// *second* recovery of the doubly-crashed machine. The contract:
-    /// * WB refuses recovery at every nested point;
-    /// * if the inner point never tripped, the single recovery verifies;
-    /// * if it tripped, recovery must have parked a partial system whose
-    ///   second recovery verifies — reporting `core.recovery.restarts ≥ 1`
-    ///   unless the journal already read `DONE` (the inner crash landed on
-    ///   recovery's final durable write);
+    /// Checks one crash's contract: a crash at `p` under `mask` and, with
+    /// `inner`, a second crash armed at a persist point recovery fires:
+    /// * WB refuses recovery at every point;
+    /// * a recovery that completes verifies; after a whole-line crash it
+    ///   must also report `restarts == 0`, serve the rest of the stream on
+    ///   every shard, and verify again;
+    /// * if the inner crash tripped, recovery must have parked a partial
+    ///   system whose second recovery verifies — reporting
+    ///   `core.recovery.restarts ≥ 1` unless the journal already read
+    ///   `DONE` (the inner crash landed on recovery's final durable write);
     /// * only a torn write may defeat the strict path, in which case the
-    ///   lenient scrub must salvage everything but the sacrificed line —
-    ///   including when the inner crash interrupts the scrub itself.
-    fn test_point_nested(
+    ///   lenient scrub must salvage everything but the sacrificed line
+    ///   without panicking — including when the inner crash interrupts the
+    ///   scrub itself.
+    fn test_crash(
         &self,
         p: CrashPoint,
-        outer_mask: u8,
-        j: u64,
-        inner_mask: u8,
+        mask: u8,
+        inner: Option<(u64, u8)>,
     ) -> Result<(), PointFailure> {
-        let Some((run, out)) = self.crash_nested(p, outer_mask, j, inner_mask)? else {
+        let Some((run, mut out)) = self.crash_nested(p, mask, inner)? else {
             return Ok(());
         };
         if !self.cfg.scheme.supports_recovery() {
-            return match run {
-                NestedRun::StrictFailed(IntegrityError::RecoveryUnsupported) => Ok(()),
-                _ => Err(out.fail("WB must refuse recovery under nested injection", "n/a")),
-            };
+            return out.refused(match run {
+                NestedRun::StrictFailed(e) => Some(e),
+                _ => None,
+            });
         }
-        let strict = match run {
-            NestedRun::Completed(sys) => return self.reinstate(&out, p, *sys),
+        let (strict, crashed_twice) = match run {
+            NestedRun::Completed(sys, restarts) => {
+                self.reinstate(&out, p, *sys)?;
+                if mask != 0xFF {
+                    return Ok(());
+                }
+                if restarts != 0 {
+                    return Err(out.fail(
+                        format!("first recovery reported {restarts} restarts"),
+                        "a single crash starts from an idle journal",
+                    ));
+                }
+                self.serve_rest(&mut out)?;
+                return self.verify(&out, p, false);
+            }
             NestedRun::Crashed(crashed2) => {
                 let finished = !journal::in_progress(crashed2.nvm.recovery_journal().phase);
                 match crashed2.recover() {
                     Ok((sys2, report2)) => {
                         if restarts(&report2) == 0 && !finished {
                             return Err(out.fail(
-                                format!(
-                                    "second recovery after inner crash at {j} reported no restart"
-                                ),
+                                "second recovery after the inner crash reported no restart",
                                 "the ADR journal must record the interrupted attempt",
                             ));
                         }
                         return self.reinstate(&out, p, sys2);
                     }
-                    Err(strict) if outer_mask == 0xFF && inner_mask == 0xFF => {
+                    Err(strict) if mask == 0xFF && matches!(inner, Some((_, 0xFF))) => {
                         return Err(out.fail(
-                            format!(
-                                "clean nested crash {}>{j} failed second recovery: {strict}",
-                                p.k
-                            ),
+                            format!("clean nested crash failed second recovery: {strict}"),
                             "untorn nested crashes must recover strictly",
                         ));
                     }
-                    Err(strict) => strict,
+                    Err(strict) => (strict, true),
                 }
             }
-            // Whole-line outer persists must always recover strictly — the
-            // inner crash never even fired here.
-            NestedRun::StrictFailed(strict) if outer_mask == 0xFF => {
+            // Whole-line persists must always recover strictly — an inner
+            // crash never even fired here.
+            NestedRun::StrictFailed(strict) if mask == 0xFF => {
                 return Err(out.fail(strict.to_string(), self.diagnose_error(p, &strict)));
             }
-            NestedRun::StrictFailed(strict) => strict,
+            NestedRun::StrictFailed(strict) => (strict, false),
         };
-        self.nested_scrub_leg(&out, p, outer_mask, j, inner_mask, &strict)
+        catch_unwind(AssertUnwindSafe(|| {
+            self.scrub_leg(&out, p, mask, inner, crashed_twice, &strict)
+        }))
+        .unwrap_or_else(|_| {
+            Err(out.fail(
+                format!("scrub leg panicked after strict error: {strict}"),
+                "lenient recovery must be total",
+            ))
+        })
     }
 
-    /// The lenient leg of a nested point: reproduces the nested run and
-    /// scrubs whatever state the double fault left — the doubly-crashed
-    /// partial machine, or the outer image with the inner crash re-armed
-    /// against the scrub's own persist points (including a trip *during*
-    /// the scrub, which must journal `SCRUB` and complete on the next
-    /// lenient pass).
-    fn nested_scrub_leg(
+    /// The lenient leg, on a fresh replay of what strict recovery gave up
+    /// on: the doubly-crashed partial machine (`crashed_twice`), or the
+    /// outer image with the inner crash, if any, re-armed against the
+    /// scrub's own persist points — including a trip *during* the scrub,
+    /// which must journal `SCRUB` and complete on the next lenient pass.
+    fn scrub_leg(
         &self,
         out: &Outage,
         p: CrashPoint,
-        outer_mask: u8,
-        j: u64,
-        inner_mask: u8,
+        mask: u8,
+        inner: Option<(u64, u8)>,
+        crashed_twice: bool,
         strict: &IntegrityError,
     ) -> Result<(), PointFailure> {
-        let Some((run, out2)) = self.crash_nested(p, outer_mask, j, inner_mask)? else {
-            return Err(out.fail("nested crash not reproducible for the scrub", "n/a"));
+        if crashed_twice {
+            let Some((NestedRun::Crashed(crashed2), out2)) = self.crash_nested(p, mask, inner)?
+            else {
+                return Err(out.fail(
+                    "nested run is nondeterministic: no second crash on replay",
+                    format!("first attempt failed with: {strict}"),
+                ));
+            };
+            let min_restarts =
+                u64::from(journal::in_progress(crashed2.nvm.recovery_journal().phase));
+            let (sys, report) = crashed2.recover_lenient();
+            return self.check_scrub(&out2, p, sys, &report, strict, min_restarts);
+        }
+        let Some((mut crashed, out2)) = self.crash_torn(p, mask)? else {
+            return Err(out.fail("outer crash not reproducible for the scrub", "n/a"));
         };
-        match run {
-            NestedRun::Completed(_) => Err(out2.fail(
-                "nested run is nondeterministic: completed on replay",
-                format!("first attempt failed with: {strict}"),
-            )),
-            NestedRun::Crashed(crashed2) => {
-                let min_restarts =
-                    u64::from(journal::in_progress(crashed2.nvm.recovery_journal().phase));
-                let (sys, report) = crashed2.recover_lenient();
-                self.check_scrub(&out2, p, sys, &report, strict, min_restarts)
-            }
-            NestedRun::StrictFailed(_) => {
-                // Strict recovery refused before the inner point tripped:
-                // the scrub is what runs next, with the inner crash armed
-                // against its own rewrites.
-                let Some((mut crashed, out3)) = self.crash_torn(p, outer_mask)? else {
-                    return Err(out.fail("outer crash not reproducible for the scrub", "n/a"));
-                };
-                crashed.nvm.trace_pokes(true);
-                crashed.nvm.arm_crash_torn(j, inner_mask);
-                let mut slot = None;
-                match crashed.recover_lenient_into(&mut slot) {
-                    Ok(report) => {
-                        // Inner point beyond the scrub's horizon: the plain
-                        // scrub contract applies.
-                        let sys = slot.take().map(disarmed);
-                        self.check_scrub(&out3, p, sys, &report, strict, 0)
-                    }
-                    Err(_cut) => {
-                        let Some(partial) = slot.take() else {
-                            return Err(out3.fail(
-                                format!(
-                                    "inner crash at {j} tripped before the scrub parked the system"
-                                ),
-                                "the scrub must park before its first rewrite",
-                            ));
-                        };
-                        let crashed3 = disarmed(partial).crash();
-                        // The interrupted scrub must be journaled: strict
-                        // recovery is no longer sound on this image. A trip
-                        // on the scrub's final write legitimately reads
-                        // `DONE` — all durable work already landed.
-                        let phase = crashed3.nvm.recovery_journal().phase;
-                        if phase != journal::SCRUB && phase != journal::DONE {
-                            return Err(out3.fail(
-                                "interrupted scrub left no SCRUB journal entry",
-                                format!("journal phase {}", journal::name(phase)),
-                            ));
-                        }
-                        let min_restarts = u64::from(journal::in_progress(phase));
-                        let (sys, report) = crashed3.recover_lenient();
-                        self.check_scrub(&out3, p, sys, &report, strict, min_restarts)
-                    }
-                }
-            }
+        if let Some((j, inner_mask)) = inner {
+            crashed.nvm.trace_pokes(true);
+            crashed.nvm.arm_crash_torn(j, inner_mask);
         }
-    }
-
-    /// Probes one nested point, returning the repro on failure (campaign
-    /// unit of work; truncated to the in-flight op, not greedily shrunk).
-    pub fn probe_point_nested(
-        &self,
-        p: CrashPoint,
-        outer_mask: u8,
-        j: u64,
-        inner_mask: u8,
-    ) -> Option<CrashRepro> {
-        let fail = self.test_point_nested(p, outer_mask, j, inner_mask).err()?;
-        let leg = format!(
-            "nested {}>{j} masks {outer_mask:#04x}>{inner_mask:#04x}",
-            p.k
-        );
-        Some(self.repro(&leg, p, fail))
-    }
-
-    /// Enumerates the nested sweep's jobs `(p, outer_mask, j, inner_mask)`:
-    /// for every selected outer point × outer mask, the persist points
-    /// *recovery itself* fires, bounded by `inner_sel`. ADR journal updates
-    /// are sub-word and never tear, so torn inner masks only pair with line
-    /// writes; torn outer masks restrict the outer list to line writes. When
-    /// recovery fires no points (WB's refusal, or a pre-crash error) one
-    /// synthetic beyond-horizon inner point keeps the contract checked. The
-    /// unit list for point-parallel nested sweeps via
-    /// [`Self::probe_point_nested`] and [`Self::probe_point_worker_crash`].
-    pub fn nested_jobs(
-        &self,
-        outer_masks: &[u8],
-        inner_masks: &[u8],
-        inner_sel: PointSelection,
-    ) -> Result<Vec<(CrashPoint, u8, u64, u8)>, IntegrityError> {
-        let mut jobs = Vec::new();
-        for &m0 in outer_masks {
-            let (_, outer) =
-                self.select_points(|q| m0 == 0xFF || q.kind == PersistKind::LineWrite)?;
-            for p in outer {
-                let inner = self.recovery_points(p, m0).unwrap_or_default();
-                let inner = if inner.is_empty() {
-                    vec![PersistPoint {
-                        seq: p.k + 1,
-                        kind: PersistKind::AdrUpdate,
-                        addr: 0,
-                    }]
-                } else {
-                    inner_sel.apply(inner)
-                };
-                for q in &inner {
-                    for &m1 in inner_masks {
-                        if q.kind != PersistKind::LineWrite && m1 != 0xFF {
-                            // ADR updates are sub-word: they never tear.
-                            continue;
-                        }
-                        jobs.push((p, m0, q.seq, m1));
-                    }
-                }
-            }
+        let mut slot = None;
+        if let Ok(report) = crashed.recover_lenient_into(&mut slot) {
+            // No inner crash, or one beyond the scrub's horizon: the plain
+            // scrub contract applies.
+            return self.check_scrub(&out2, p, slot.take().map(disarmed), &report, strict, 0);
         }
-        Ok(jobs)
-    }
-
-    /// The nested sweep, serially: [`Self::nested_jobs`] × the per-point
-    /// nested contract check.
-    pub fn run_nested(
-        &self,
-        outer_masks: &[u8],
-        inner_masks: &[u8],
-        inner_sel: PointSelection,
-    ) -> SweepReport {
-        let label = format!("{} nested", self.label());
-        match self.nested_jobs(outer_masks, inner_masks, inner_sel) {
-            Ok(jobs) => Self::drive(label, jobs.len() as u64, &jobs, |(p, m0, j, m1)| {
-                self.probe_point_nested(p, m0, j, m1)
-            }),
-            Err(e) => self.baseline_failed(label, e),
+        let Some(partial) = slot.take() else {
+            return Err(out2.fail(
+                "inner crash tripped before the scrub parked the system",
+                "the scrub must park before its first rewrite",
+            ));
+        };
+        let crashed3 = disarmed(partial).crash();
+        // The interrupted scrub must be journaled: strict recovery is no
+        // longer sound on this image. A trip on the scrub's final write
+        // legitimately reads `DONE` — all durable work already landed.
+        let phase = crashed3.nvm.recovery_journal().phase;
+        if phase != journal::SCRUB && phase != journal::DONE {
+            return Err(out2.fail(
+                "interrupted scrub left no SCRUB journal entry",
+                format!("journal phase {}", journal::name(phase)),
+            ));
         }
+        let min_restarts = u64::from(journal::in_progress(phase));
+        let (sys, report) = crashed3.recover_lenient();
+        self.check_scrub(&out2, p, sys, &report, strict, min_restarts)
     }
 
     /// Probes one *worker* crash: a whole-line crash at `p`, then a
@@ -1384,22 +1310,7 @@ impl CrashSweep {
     /// `core.recovery.restarts ≥ 1` unless the inner crash landed after
     /// `DONE`. Every shard then serves the rest of the stream, and the whole
     /// space verifies with co-recovered neighbors.
-    pub fn probe_point_worker_crash(
-        &self,
-        p: CrashPoint,
-        j: u64,
-        workers: usize,
-    ) -> Option<CrashRepro> {
-        let fail = self.test_point_worker_crash(p, j, workers).err()?;
-        Some(self.repro(&format!("worker-crash {}>{j} w{workers}", p.k), p, fail))
-    }
-
-    fn test_point_worker_crash(
-        &self,
-        p: CrashPoint,
-        j: u64,
-        workers: usize,
-    ) -> Result<(), PointFailure> {
+    fn test_worker_crash(&self, p: CrashPoint, j: u64, workers: usize) -> Result<(), PointFailure> {
         enum Region {
             Done(u64),
             Tripped(Box<SecureNvmSystem>),
@@ -1497,19 +1408,6 @@ impl CrashSweep {
         self.serve_rest(&mut out)?;
         self.verify(&out, p, true)
     }
-
-    /// The worker-crash sweep: [`Self::nested_jobs`] over whole-line outer
-    /// and inner points × [`Self::probe_point_worker_crash`] on `workers`
-    /// threads.
-    pub fn run_worker_crashes(&self, inner_sel: PointSelection, workers: usize) -> SweepReport {
-        let label = format!("{} worker-crash w{workers}", self.label());
-        match self.nested_jobs(&[0xFF], &[0xFF], inner_sel) {
-            Ok(jobs) => Self::drive(label, jobs.len() as u64, &jobs, |(p, _, j, _)| {
-                self.probe_point_worker_crash(p, j, workers)
-            }),
-            Err(e) => self.baseline_failed(label, e),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1593,9 +1491,11 @@ pub(crate) mod tests {
                 vec![total],
                 "{scheme:?}/{mode:?}"
             );
-            let points = sweep.crash_points().unwrap();
-            assert_eq!(points.len() as u64, total, "{scheme:?}/{mode:?}");
-            assert!(points.iter().all(|p| p.shard == 0));
+            let jobs = sweep.jobs(&[0xFF], None).unwrap();
+            assert_eq!(jobs.len() as u64, total, "{scheme:?}/{mode:?}");
+            assert!(jobs
+                .iter()
+                .all(|job| matches!(job, CrashJob::Point { p, mask: 0xFF } if p.shard == 0)));
         }
     }
 
@@ -1607,8 +1507,8 @@ pub(crate) mod tests {
             40,
             PointSelection::AtMost(24),
         );
-        let report = sweep.run();
-        assert!(report.total_points > 0);
+        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        assert!(report.tested_points > 0);
         assert!(report.clean(), "{report}");
     }
 
@@ -1623,9 +1523,9 @@ pub(crate) mod tests {
         let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
         let ops = vec![SweepOp::Write { line: 5, tag: 128 }];
         let sweep = CrashSweep::new(cfg, ops, PointSelection::All);
-        for p in sweep.crash_points().unwrap() {
-            assert!(sweep.probe_point(p).is_none(), "point {} must recover", p.k);
-        }
+        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        assert!(report.tested_points > 0);
+        assert!(report.clean(), "{report}");
     }
 
     /// Regression: (ASIT, GC) — the sweep found 67/180 unrecoverable
@@ -1643,8 +1543,8 @@ pub(crate) mod tests {
             40,
             PointSelection::AtMost(24),
         );
-        let report = sweep.run();
-        assert!(report.total_points > 0);
+        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        assert!(report.tested_points > 0);
         assert!(report.clean(), "{report}");
     }
 
@@ -1664,8 +1564,8 @@ pub(crate) mod tests {
             40,
             PointSelection::AtMost(24),
         );
-        let report = sweep.run();
-        assert!(report.total_points > 0);
+        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        assert!(report.tested_points > 0);
         assert!(report.clean(), "{report}");
     }
 
@@ -1681,8 +1581,9 @@ pub(crate) mod tests {
         let line = cfg.data_lines;
         let ops = vec![SweepOp::Write { line, tag: 1 }];
         let sweep = CrashSweep::new(cfg, ops, PointSelection::All).with_shards(shards);
+        let p = CrashPoint { shard: 0, k: 1 };
         let probe = catch_unwind(AssertUnwindSafe(|| {
-            sweep.probe_point(CrashPoint { shard: 0, k: 1 })
+            sweep.probe(CrashJob::Point { p, mask: 0xFF })
         }));
         let payload = probe.expect_err("the bug must panic, not become a verdict");
         let msg = payload
@@ -1713,7 +1614,7 @@ pub(crate) mod tests {
             24,
             PointSelection::AtMost(12),
         );
-        let report = sweep.run();
+        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
         assert!(report.clean(), "{report}");
     }
 
@@ -1805,32 +1706,68 @@ pub(crate) mod tests {
         let sweep = CrashSweep::new(cfg, ops, PointSelection::All);
         for j in 79..=83 {
             let p = CrashPoint { shard: 0, k: 69 };
-            if let Some(repro) = sweep.probe_point_nested(p, 0xFF, j, 0xFF) {
+            let job = CrashJob::Nested {
+                p,
+                mask: 0xFF,
+                j,
+                inner: 0xFF,
+            };
+            if let Some(repro) = sweep.probe(job) {
                 panic!("inner point {j}:\n{repro}");
             }
         }
     }
 
+    /// The one selection rule: for each mask, `AtMost(n)` strides over
+    /// the points that mask can trip on — every point whole-line, only line
+    /// writes torn — from the first to the last, on every shard.
     #[test]
     fn bounded_selection_covers_first_and_last_point() {
         let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
-        let ops = SweepOp::stream(7, 64, 20);
-        // AtMost(n) with n < total must stride from 1 to total inclusive,
-        // on every shard.
+        let ops = SweepOp::stream(7, 64, 40);
         for shards in [1, 2] {
             let sweep = CrashSweep::new(cfg.clone(), ops.clone(), PointSelection::AtMost(8))
                 .with_shards(shards);
-            let points = sweep.crash_points().unwrap();
-            for (shard, total) in sweep.total_points().unwrap().into_iter().enumerate() {
-                assert!(total > 8, "stream too short to exercise striding");
-                let ks: Vec<u64> = points
-                    .iter()
-                    .filter(|p| p.shard == shard)
-                    .map(|p| p.k)
-                    .collect();
-                assert_eq!(ks.len(), 8);
-                assert_eq!(ks[0], 1);
-                assert_eq!(*ks.last().unwrap(), total);
+            let journals = sweep.enumerate().unwrap();
+            let jobs = sweep.jobs(&[0xFF, 0x0F], None).unwrap();
+            for mask in [0xFF, 0x0F] {
+                for (shard, journal) in journals.iter().enumerate() {
+                    let candidates: Vec<u64> = journal
+                        .iter()
+                        .filter(|q| mask == 0xFF || q.kind == PersistKind::LineWrite)
+                        .map(|q| q.seq)
+                        .collect();
+                    assert!(
+                        candidates.len() > 8,
+                        "stream too short to exercise striding"
+                    );
+                    let ks: Vec<u64> = jobs
+                        .iter()
+                        .filter_map(|job| match *job {
+                            CrashJob::Point { p, mask: m } if m == mask && p.shard == shard => {
+                                Some(p.k)
+                            }
+                            _ => None,
+                        })
+                        .collect();
+                    let at = format!("{shards} shard(s), shard {shard}, mask {mask:#04x}");
+                    assert_eq!(ks.len(), 8, "{at}");
+                    assert_eq!(ks[0], candidates[0], "{at}");
+                    assert_eq!(ks.last(), candidates.last(), "{at}");
+                    if mask == 0xFF {
+                        assert_eq!((ks[0], ks[7]), (1, journal.len() as u64), "{at}");
+                    }
+                    for k in ks {
+                        let q = journal
+                            .iter()
+                            .find(|q| q.seq == k)
+                            .expect("a journaled point");
+                        assert!(
+                            mask == 0xFF || q.kind == PersistKind::LineWrite,
+                            "{at}: a torn mask paired with {q:?}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1841,8 +1778,8 @@ pub(crate) mod tests {
     /// or via the scrub — with the torn line failing closed.
     fn torn_sweep(scheme: SchemeKind) {
         let sweep = CrashSweep::small(scheme, CounterMode::General, 25, PointSelection::AtMost(10));
-        let report = sweep.run_torn(&[0x00, 0x0F, 0x5A]);
-        assert!(report.total_points > 0, "no tearable points enumerated");
+        let report = sweep.run(sweep.jobs(&[0x00, 0x0F, 0x5A], None), 1);
+        assert!(report.tested_points > 0, "no tearable points enumerated");
         assert!(report.clean(), "{report}");
     }
 
@@ -1866,26 +1803,14 @@ pub(crate) mod tests {
         torn_sweep(SchemeKind::WriteBack);
     }
 
-    #[test]
-    fn full_mask_torn_sweep_matches_classic_contract() {
-        // mask 0xFF through the torn driver must behave exactly like the
-        // classic whole-line sweep: strict recovery at every point.
-        let sweep = CrashSweep::small(
-            SchemeKind::Steins,
-            CounterMode::Split,
-            20,
-            PointSelection::AtMost(8),
-        );
-        let report = sweep.run_torn(&[0xFF]);
-        assert!(report.clean(), "{report}");
-    }
-
     /// Nested contract, sampled per scheme: crash at an outer point, crash
     /// *again* during recovery, and require the second recovery (or scrub)
     /// to converge — the recovery state machine is restartable.
     fn nested_sweep(scheme: SchemeKind) {
         let sweep = CrashSweep::small(scheme, CounterMode::General, 18, PointSelection::AtMost(5));
-        let report = sweep.run_nested(&[0xFF, 0x0F], &[0xFF, 0x0F], PointSelection::AtMost(4));
+        let masks = [0xFF, 0x0F];
+        let jobs = sweep.jobs(&masks, Some((&masks, PointSelection::AtMost(4))));
+        let report = sweep.run(jobs, 1);
         assert!(report.tested_points > 0, "no nested points enumerated");
         assert!(report.clean(), "{report}");
     }
@@ -1924,7 +1849,11 @@ pub(crate) mod tests {
         // Trip on recovery's very first durable write (the phase journal
         // update), then recover the doubly-crashed machine.
         let j = inner[0].seq;
-        let (run, _out) = sweep.crash_nested(p, 0xFF, j, 0xFF).ok().unwrap().unwrap();
+        let (run, _out) = sweep
+            .crash_nested(p, 0xFF, Some((j, 0xFF)))
+            .ok()
+            .unwrap()
+            .unwrap();
         let NestedRun::Crashed(crashed2) = run else {
             panic!("inner point must trip mid-recovery");
         };

@@ -55,7 +55,8 @@ pub use campaign::{
 };
 pub use config::{SchemeKind, SystemConfig};
 pub use crash::{
-    CrashPoint, CrashRepro, CrashSweep, CrashedSystem, PointSelection, SweepOp, SweepReport,
+    CrashJob, CrashPoint, CrashRepro, CrashSweep, CrashedSystem, PointSelection, SweepOp,
+    SweepReport,
 };
 pub use engine::SecureNvmSystem;
 pub use error::IntegrityError;

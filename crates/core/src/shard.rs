@@ -601,7 +601,7 @@ impl ParallelRecovery {
 mod tests {
     use super::*;
     use crate::config::SchemeKind;
-    use crate::crash::{CrashSweep, PointSelection, SweepOp};
+    use crate::crash::{CrashJob, CrashSweep, PointSelection, SweepOp};
     use std::panic::AssertUnwindSafe;
     use steins_metadata::CounterMode;
 
@@ -761,16 +761,18 @@ mod tests {
     #[test]
     fn cross_shard_crash_smoke() {
         let sweep = sweep2(SchemeKind::Steins, 11, 40, PointSelection::AtMost(3));
-        let points = sweep.crash_points().unwrap();
-        assert!(points.iter().any(|p| p.shard == 1));
-        for p in points {
-            assert!(sweep.probe_point(p).is_none(), "{p:?} failed");
-        }
+        let jobs = sweep.jobs(&[0xFF], None).unwrap();
+        assert!(jobs
+            .iter()
+            .any(|job| matches!(job, CrashJob::Point { p, .. } if p.shard == 1)));
+        let report = sweep.run(Ok(jobs), 1);
+        assert!(report.clean(), "{report}");
     }
 
     #[test]
     fn wb_refuses_sharded_recovery_at_every_point() {
-        let report = sweep2(SchemeKind::WriteBack, 5, 24, PointSelection::AtMost(2)).run();
+        let sweep = sweep2(SchemeKind::WriteBack, 5, 24, PointSelection::AtMost(2));
+        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
         assert!(report.clean(), "{report}");
         assert!(report.tested_points > 0);
     }
@@ -778,7 +780,8 @@ mod tests {
     #[test]
     fn nested_crash_restarts_only_the_interrupted_shard() {
         let sweep = sweep2(SchemeKind::Steins, 23, 32, PointSelection::AtMost(2));
-        let report = sweep.run_nested(&[0xFF], &[0xFF], PointSelection::AtMost(2));
+        let jobs = sweep.jobs(&[0xFF], Some((&[0xFF], PointSelection::AtMost(2))));
+        let report = sweep.run(jobs, 1);
         assert!(report.clean(), "{report}");
         assert!(report.tested_points > 0);
     }
@@ -1334,7 +1337,9 @@ mod tests {
     #[test]
     fn worker_crash_mid_parallel_rebuild_restarts_only_that_region() {
         let sweep = sweep2(SchemeKind::Steins, 29, 32, PointSelection::AtMost(2));
-        let report = sweep.run_worker_crashes(PointSelection::AtMost(2), 4);
+        let jobs = sweep.jobs(&[0xFF], Some((&[0xFF], PointSelection::AtMost(2))));
+        let jobs = jobs.map(|jobs| jobs.into_iter().map(|job| job.on_workers(4)).collect());
+        let report = sweep.run(jobs, 1);
         assert!(report.clean(), "{report}");
         assert!(report.tested_points > 0);
     }

@@ -1,11 +1,11 @@
 //! Bounded sharded crash/torn/nested sweeps across every scheme.
 //!
-//! The unsharded sweeps in `robustness.rs` and the crate's unit tests run
-//! the same [`CrashSweep`] at one shard; here it replays through 2 shards,
-//! with the crash armed on one target shard at a time while its neighbor
-//! keeps serving the rest of the stream. Point selections are strided
-//! samples so the full matrix stays cheap; the exhaustive runs live in the
-//! `crash_sweep` bench binary.
+//! The unsharded sweeps in `crash::tests` and
+//! `tests/integration_crash_sweep.rs` run the same [`CrashSweep`] at one
+//! shard; here it replays through 2 shards, with the crash armed on one
+//! target shard at a time while its neighbor keeps serving the rest of the
+//! stream. Point selections are strided samples so the full matrix stays
+//! cheap; the exhaustive runs live in the `crash_sweep` bench binary.
 
 use steins_core::{CounterMode, CrashSweep, PointSelection, SchemeKind};
 
@@ -14,15 +14,13 @@ const TORN_MASKS: [u8; 2] = [0xFF, 0x0F];
 fn sweep(scheme: SchemeKind, mode: CounterMode) {
     let sharded = |sel| CrashSweep::small(scheme, mode, 28, sel).with_shards(2);
     let sweep = sharded(PointSelection::AtMost(3));
-    for p in sweep.crash_points().unwrap() {
-        for mask in TORN_MASKS {
-            if let Some(repro) = sweep.probe_point_torn(p, mask) {
-                panic!("{repro}");
-            }
-        }
-    }
-    let nested =
-        sharded(PointSelection::AtMost(2)).run_nested(&[0xFF], &[0xFF], PointSelection::AtMost(2));
+    let report = sweep.run(sweep.jobs(&TORN_MASKS, None), 1);
+    assert!(report.clean(), "{report}");
+    let sweep = sharded(PointSelection::AtMost(2));
+    let nested = sweep.run(
+        sweep.jobs(&[0xFF], Some((&[0xFF], PointSelection::AtMost(2)))),
+        1,
+    );
     assert!(nested.tested_points > 0);
     assert!(nested.clean(), "{nested}");
 }

@@ -149,9 +149,6 @@ pub struct NvmDevice {
     crash_torn_mask: u8,
     /// The point that tripped, readable after the cut.
     tripped: Option<PersistPoint>,
-    /// The torn mask actually applied at the trip (`None` until tripped, or
-    /// when the tripping transition was not a line write).
-    tripped_torn: Option<u8>,
     /// When enabled, every persist point is journaled (crash-point
     /// enumeration wants the kinds, not just the count).
     journal_points: bool,
@@ -223,7 +220,6 @@ impl NvmDevice {
             crash_at: None,
             crash_torn_mask: 0xFF,
             tripped: None,
-            tripped_torn: None,
             journal_points: false,
             point_journal: Vec::new(),
             trace_pokes: false,
@@ -267,13 +263,6 @@ impl NvmDevice {
                 kind,
                 addr,
             });
-            self.tripped_torn = match kind {
-                PersistKind::LineWrite => Some(self.crash_torn_mask),
-                // In-place ADR updates mutate at most one aligned 8-byte
-                // word (a 4 B record entry, a bitmap bit), so word-level
-                // atomicity makes them untearable.
-                PersistKind::AdrUpdate => None,
-            };
             return Err(PowerCut);
         }
         Ok(())
@@ -309,7 +298,6 @@ impl NvmDevice {
         self.crash_at = Some(at);
         self.crash_torn_mask = word_mask;
         self.tripped = None;
-        self.tripped_torn = None;
     }
 
     /// Disarms any pending crash point.
@@ -321,12 +309,6 @@ impl NvmDevice {
     /// The persist point that tripped the armed crash, if any.
     pub fn tripped_at(&self) -> Option<PersistPoint> {
         self.tripped
-    }
-
-    /// The word mask applied to the tripping write (`None` if nothing
-    /// tripped or the tripping transition was an untearable ADR update).
-    pub fn tripped_torn_mask(&self) -> Option<u8> {
-        self.tripped_torn
     }
 
     /// Enables/disables persist-point journaling (crash-point enumeration).
@@ -506,27 +488,10 @@ impl NvmDevice {
         std::mem::take(&mut self.exhausted_log)
     }
 
-    /// Promotions evicted unobserved because the exhaustion log hit
-    /// [`EXHAUSTED_LOG_CAP`] before a drain, this measurement epoch.
-    pub fn retry_exhausted_dropped(&self) -> u64 {
-        self.exhausted_dropped
-    }
-
-    /// Clears every injected stuck/unreadable fault (bit flips already
-    /// landed in storage and stay).
-    pub fn clear_faults(&mut self) {
-        self.faults.clear();
-    }
-
     /// Whether `addr`'s line reads back real content (false = uncorrectable
     /// media error; the returned bytes are poison).
     pub fn is_readable(&self, addr: u64) -> bool {
         self.faults.is_readable(addr)
-    }
-
-    /// Number of lines with an active stuck/unreadable fault.
-    pub fn fault_count(&self) -> usize {
-        self.faults.len()
     }
 
     /// Functional write without timing: the controller's in-place rewrites
@@ -778,7 +743,6 @@ mod tests {
         );
         let p = d.tripped_at().expect("trip recorded");
         assert_eq!((p.seq, p.kind, p.addr), (2, PersistKind::LineWrite, 0));
-        assert_eq!(d.tripped_torn_mask(), Some(0b0000_0111));
         // A whole-line trip keeps the tripping write in full.
         d.arm_crash(3);
         assert_eq!(d.write(0, 64, &[0x33; 64]), Err(PowerCut));
@@ -797,7 +761,11 @@ mod tests {
         // ADR updates trip untorn; the journal content is in place first.
         d.arm_crash(6);
         assert_eq!(d.adr_persist_event(256), Err(PowerCut));
-        assert_eq!(d.tripped_torn_mask(), None, "ADR updates never tear");
+        assert_eq!(
+            d.tripped_at().map(|p| p.kind),
+            Some(PersistKind::AdrUpdate),
+            "ADR updates trip untorn"
+        );
         d.arm_crash(7);
         let j = RecoveryJournal::new(4, 0, 0);
         assert_eq!(d.set_recovery_journal(j, 0), Err(PowerCut));
@@ -874,10 +842,16 @@ mod tests {
         assert!(!d.is_readable(128));
         assert!(d.is_readable(64));
         assert_eq!(d.peek(128), [crate::fault::POISON_BYTE; 64]);
-        assert_eq!(d.fault_count(), 2);
-        d.clear_faults();
-        assert_eq!(d.peek(64), [7; 64], "clearing restores stored content");
-        assert!(d.is_readable(128));
+        assert_eq!(
+            d.storage.read(64),
+            [7; 64],
+            "the overlay keeps stored content"
+        );
+        // The overlay is per device: a fresh one reads what it stored.
+        let mut fresh = dev();
+        fresh.write(0, 64, &[7; 64]).unwrap();
+        assert_eq!(fresh.peek(64), [7; 64]);
+        assert!(fresh.is_readable(128));
     }
 
     #[test]
@@ -931,10 +905,6 @@ mod tests {
             Some(READ_RETRY_ATTEMPTS as u64 * 2),
             "permanent faults are not retried"
         );
-        // Operator intervention (clear) restores the stored content.
-        d.clear_faults();
-        let (got, _) = d.read(50_000, 0);
-        assert_eq!(got, [4; 64]);
         d.reset_stats();
         let mut reg = MetricRegistry::new();
         d.export_metrics(&mut reg);
@@ -1062,10 +1032,10 @@ mod tests {
             d.inject_transient_unreadable(addr, u32::MAX);
             let _ = d.read(i * 100_000, addr);
         }
-        assert_eq!(d.retry_exhausted_dropped(), 3, "oldest 3 evicted");
         let mut reg = MetricRegistry::new();
         d.export_metrics(&mut reg);
-        assert_eq!(reg.counter("nvm.read.retry_exhausted.dropped"), Some(3));
+        let dropped = "nvm.read.retry_exhausted.dropped";
+        assert_eq!(reg.counter(dropped), Some(3), "oldest 3 evicted");
         let log = d.take_retry_exhausted();
         assert_eq!(log.len(), EXHAUSTED_LOG_CAP, "ring holds exactly the cap");
         assert_eq!(log[0].0, 3 * 64, "survivors start past the evicted head");
@@ -1074,7 +1044,9 @@ mod tests {
             (EXHAUSTED_LOG_CAP as u64 + 2) * 64
         );
         d.reset_stats();
-        assert_eq!(d.retry_exhausted_dropped(), 0, "dropped resets per epoch");
+        let mut reg = MetricRegistry::new();
+        d.export_metrics(&mut reg);
+        assert_eq!(reg.counter(dropped), None, "dropped resets per epoch");
     }
 
     #[test]

@@ -461,7 +461,6 @@ fn heap_profile_recover_4g() {
         rungs_mb: vec![4096],
         workers: vec![1],
         shards: 8,
-        tol: 0.375,
     };
     let (peak, report) = peak_bytes(|| run_ladder(&lc, 1));
     assert!(report.pass(), "{:?}", report.failures);
