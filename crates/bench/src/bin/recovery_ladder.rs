@@ -5,9 +5,12 @@
 //! and fails (exit 1) if any rung × workers cell misses its speedup
 //! floor. Writes `results/BENCH_recovery.json` (deterministic — see
 //! [`steins_bench::ladder`]), `results/BENCH_recovery.md` (step-summary
-//! table), and `results/METRICS_recovery_ladder.json`.
+//! table), and `results/METRICS_recovery_ladder.json`. Beside the modeled
+//! speedups it prints, on stdout only, each rung's real-thread wall
+//! speedup: `recover_all` on the execution threads against on one, each
+//! after a fresh fill and crash.
 
-use steins_bench::ladder::{run_ladder, LadderConfig, SCALE_TOL};
+use steins_bench::ladder::{recovery_wall, run_ladder, LadderConfig, SCALE_TOL};
 
 fn main() {
     let lc = LadderConfig::from_env();
@@ -41,6 +44,28 @@ fn main() {
         "(wall {:.2?} — wall clock is never part of the artifact)",
         wall
     );
+
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "real threads: recover_all on {exec_workers} threads against on 1 \
+         (available_parallelism {cores}), a fresh fill and crash each"
+    );
+    for &mb in &lc.rungs_mb {
+        let one = recovery_wall(mb, lc.shards, 1);
+        let many = recovery_wall(mb, lc.shards, exec_workers);
+        let modeled = report
+            .rungs
+            .iter()
+            .find(|r| r.mb == mb && r.workers == exec_workers)
+            .map_or("not modeled".to_string(), |r| format!("{:.2}x", r.speedup));
+        println!(
+            "{mb:>6}MB wall {:>8.2?} -> {:>8.2?}: speedup {:.2}x on {exec_workers} threads, \
+             modeled {modeled}",
+            one,
+            many,
+            one.as_secs_f64() / many.as_secs_f64()
+        );
+    }
 
     if let Err(e) = std::fs::create_dir_all("results") {
         eprintln!("results/: {e}");

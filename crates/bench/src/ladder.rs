@@ -32,9 +32,10 @@
 
 use crate::env;
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
 use steins_core::par;
-use steins_core::{SchemeKind, ShardedEngine, SystemConfig};
+use steins_core::{CrashedSystem, SchemeKind, ShardedEngine, SystemConfig};
 use steins_metadata::cache::MetaCacheConfig;
 use steins_metadata::CounterMode;
 use steins_obs::MetricRegistry;
@@ -133,7 +134,7 @@ pub fn rung_config(mb: u64, shards: usize) -> SystemConfig {
 /// per leaf, strided at the leaf coverage, 1.5× the slot count, driven at
 /// shard-local addresses so each region's recovery bill is independent of
 /// the striping mode.
-fn dirty_all_shards(engine: &ShardedEngine) {
+pub fn dirty_all_shards(engine: &ShardedEngine) {
     let per_shard = engine.shard_config();
     let coverage = CounterMode::General.leaf_coverage();
     let writes = per_shard.meta_cache.slots() * 3 / 2;
@@ -150,6 +151,27 @@ fn dirty_all_shards(engine: &ShardedEngine) {
     }
 }
 
+/// Rung `mb` on `shards` shards, built, dirtied and crashed: the engine
+/// and the images its `recover_all` takes.
+fn crashed_rung(mb: u64, shards: usize) -> (ShardedEngine, Vec<CrashedSystem>) {
+    let engine = ShardedEngine::new(rung_config(mb, shards), shards);
+    dirty_all_shards(&engine);
+    let images = engine.crash_all();
+    (engine, images)
+}
+
+/// Host wall time of rung `mb`'s [`ShardedEngine::recover_all`] on
+/// `workers` threads, after a fresh build, fill and crash that it does not
+/// time. Printed beside the modeled speedup, never written to an artifact.
+pub fn recovery_wall(mb: u64, shards: usize, workers: usize) -> Duration {
+    let (engine, images) = crashed_rung(mb, shards);
+    let start = Instant::now();
+    engine
+        .recover_all(images, workers)
+        .expect("ladder recovery is attack-free");
+    start.elapsed()
+}
+
 /// Runs the whole ladder, executing each rung's recovery once on
 /// `exec_workers` OS threads and modeling the worker axis from its
 /// per-region read counts. The artifact never depends on `exec_workers`.
@@ -160,11 +182,8 @@ pub fn run_ladder(lc: &LadderConfig, exec_workers: usize) -> LadderReport {
     let mut read_ns = 100.0;
 
     for &mb in &lc.rungs_mb {
-        let cfg = rung_config(mb, lc.shards);
-        read_ns = cfg.recovery_read_ns;
-        let engine = ShardedEngine::new(cfg, lc.shards);
-        dirty_all_shards(&engine);
-        let images = engine.crash_all();
+        let (engine, images) = crashed_rung(mb, lc.shards);
+        read_ns = engine.shard_config().recovery_read_ns;
         let pr = engine
             .recover_all(images, exec_workers)
             .expect("ladder recovery is attack-free");

@@ -104,29 +104,12 @@ impl FaultPlane {
         }
     }
 
-    /// Clears every injected fault.
-    pub fn clear(&mut self) {
-        self.stuck.clear();
-        self.unreadable.clear();
-        self.transient.clear();
-    }
-
     /// Whether `addr`'s line reads back real (possibly stuck) content
     /// right now — a transient fault makes the line unreadable until its
     /// remaining failures are consumed.
     pub fn is_readable(&self, addr: u64) -> bool {
         let key = addr & !63;
         !self.unreadable.contains(&key) && !self.transient.contains_key(&key)
-    }
-
-    /// Number of faulted lines (stuck + unreadable + transient).
-    pub fn len(&self) -> usize {
-        self.stuck.len() + self.unreadable.len() + self.transient.len()
-    }
-
-    /// True when no faults are injected.
-    pub fn is_empty(&self) -> bool {
-        self.stuck.is_empty() && self.unreadable.is_empty() && self.transient.is_empty()
     }
 
     /// Applies the overlay to a line read from the backing store.
@@ -149,8 +132,8 @@ mod tests {
     #[test]
     fn empty_plane_passes_through() {
         let p = FaultPlane::new();
-        assert!(p.is_empty());
         assert!(p.is_readable(64));
+        assert_eq!(p.transient_remaining(64), 0);
         assert_eq!(p.observe(64, [7; 64]), [7; 64]);
     }
 
@@ -172,9 +155,8 @@ mod tests {
             "sub-line addresses map to the line"
         );
         assert_eq!(p.observe(256, [1; 64]), [POISON_BYTE; 64]);
-        p.clear();
-        assert!(p.is_readable(256));
-        assert!(p.is_empty());
+        assert!(p.is_readable(320), "the next line is untouched");
+        assert_eq!(p.observe(320, [1; 64]), [1; 64]);
     }
 
     #[test]
@@ -188,8 +170,8 @@ mod tests {
         assert!(p.consume_transient_failure(320 + 7), "sub-line addr maps");
         assert!(!p.consume_transient_failure(320), "fault healed");
         assert!(p.is_readable(320));
+        assert_eq!(p.transient_remaining(320), 0, "nothing left behind");
         assert_eq!(p.observe(320, [5; 64]), [5; 64]);
-        assert!(p.is_empty());
     }
 
     #[test]
@@ -206,8 +188,8 @@ mod tests {
             "healed/absent lines never promote"
         );
         assert!(!p.promote_transient(128));
-        p.clear();
-        assert!(p.is_readable(64));
+        assert!(p.is_readable(128), "a failed promotion poisons nothing");
+        assert_eq!(p.observe(128, [3; 64]), [3; 64]);
     }
 
     #[test]
@@ -216,6 +198,7 @@ mod tests {
         p.stick_line(0, [0x11; 64]);
         p.mark_unreadable(0);
         assert_eq!(p.observe(0, [9; 64]), [POISON_BYTE; 64]);
-        assert_eq!(p.len(), 2);
+        assert!(!p.is_readable(0));
+        assert_eq!(p.observe(64, [9; 64]), [9; 64], "only line 0 is faulted");
     }
 }

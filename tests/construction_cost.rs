@@ -20,7 +20,7 @@ use steins::metadata::{MetadataCache, SitNode};
 use steins::nvm::SparseStore;
 use steins::prelude::*;
 use steins::trace::{OpKind, TraceOp, Zipf};
-use steins_bench::ladder::{run_ladder, LadderConfig};
+use steins_bench::ladder::{dirty_all_shards, rung_config};
 use steins_obs::Histogram;
 
 struct Counting;
@@ -297,7 +297,8 @@ fn store_bytes_per_line(lines: u64, stride: u64) -> f64 {
     peak as f64 / lines as f64
 }
 
-/// Dense writes pay the 64 B line plus 4 B of index (68 B).
+/// Dense writes pay the 64 B line plus 4 B of index (68 B): a full index
+/// page is direct, one `u32` slot per line.
 #[test]
 fn a_dense_line_costs_at_most_80_bytes() {
     let b = store_bytes_per_line(100_000, 1);
@@ -305,11 +306,20 @@ fn a_dense_line_costs_at_most_80_bytes() {
 }
 
 /// At stride 8, the recovery ladder's leaf-strided fill in general-counter
-/// mode, each index page maps 128 written lines (96 B per line).
+/// mode, each index page holds 128 lines: packed, 128 slots behind a
+/// 192 B header (70.0 B per line; 96.3 B when every page was direct).
 #[test]
-fn a_line_written_at_stride_8_costs_at_most_112_bytes() {
+fn a_line_written_at_stride_8_costs_at_most_80_bytes() {
     let b = store_bytes_per_line(100_000, 8);
-    assert!(b <= 112.0, "{b:.1} B per line written at stride 8");
+    assert!(b <= 80.0, "{b:.1} B per line written at stride 8");
+}
+
+/// At stride 64 a packed page holds 16 slots behind its header (82.2 B
+/// per line; 320.9 B when every page was direct).
+#[test]
+fn a_line_written_at_stride_64_costs_at_most_96_bytes() {
+    let b = store_bytes_per_line(100_000, 64);
+    assert!(b <= 96.0, "{b:.1} B per line written at stride 64");
 }
 
 /// Peak bytes per line while a fresh device takes `lines` timed writes,
@@ -346,7 +356,8 @@ fn traced_bytes_per_line(lines: u64) -> f64 {
 /// The ground truth keeps a trace store's version (16 B) and regenerates
 /// its payload, where it kept the 64 B payload: a line stored by
 /// `run_trace` peaked at 201.9 B with the payload map and peaks at
-/// 137.4 B.
+/// 137.9 B (137.4 B before the index directory grew from 8 to 24 B a
+/// page).
 #[test]
 fn a_traced_line_costs_at_most_170_bytes() {
     let b = traced_bytes_per_line(100_000);
@@ -360,11 +371,20 @@ fn a_dense_device_line_costs_at_most_80_bytes() {
     assert!(b <= 80.0, "{b:.1} B per line written densely");
 }
 
-/// At stride 8 the store holds 96 B per line, and wear adds 4 B.
+/// At stride 8 wear adds 4 B to the store's packed pages (75.5 B per
+/// line; 101.8 B when every page was direct).
 #[test]
-fn a_device_line_written_at_stride_8_costs_at_most_108_bytes() {
+fn a_device_line_written_at_stride_8_costs_at_most_86_bytes() {
     let b = device_bytes_per_line(100_000, 8);
-    assert!(b <= 108.0, "{b:.1} B per line written at stride 8");
+    assert!(b <= 86.0, "{b:.1} B per line written at stride 8");
+}
+
+/// At stride 64 wear adds 4 B to the store's packed pages (87.7 B per
+/// line; 326.4 B when every page was direct).
+#[test]
+fn a_device_line_written_at_stride_64_costs_at_most_100_bytes() {
+    let b = device_bytes_per_line(100_000, 64);
+    assert!(b <= 100.0, "{b:.1} B per line written at stride 64");
 }
 
 /// A Zipf sampler is two tables: an 8 B threshold per item and a 4 B guide
@@ -449,24 +469,54 @@ fn heap_profile() {
     print_classes(classes);
 }
 
-/// Prints where the recovery ladder's 4 GB rung peaks: 8 shard machines
-/// built, filled until every metadata-cache slot is dirty, crashed and
-/// recovered. One execution worker keeps every allocation on this thread.
-/// Run with `cargo test --release --test construction_cost -- --ignored
-/// heap_profile_recover_4g --nocapture`.
+/// Prints where the recovery ladder's 4 GB rung peaks while its 8 shard
+/// machines are built, filled until every metadata-cache slot is dirty,
+/// crashed and recovered: each phase's peak, the bytes live after it, and
+/// the live bytes per block size class at the highest peak. One execution
+/// worker keeps every allocation on this thread. Run with `cargo test
+/// --release --test construction_cost -- --ignored heap_profile_recover_4g
+/// --nocapture`.
 #[test]
 #[ignore = "a profile to read, not a check"]
 fn heap_profile_recover_4g() {
-    let lc = LadderConfig {
-        rungs_mb: vec![4096],
-        workers: vec![1],
-        shards: 8,
+    let mb = |b: i64| b as f64 / 1e6;
+    let live = || TALLY.with(|t| t.borrow().live);
+    let start = live();
+    let mut phases = Vec::new();
+    // Files a phase's peak above the profile's start, from its peak above
+    // its own.
+    let mut phase = |name: &'static str, peak: i64, before: i64| {
+        phases.push((name, before - start + peak, peak_classes()));
+        println!(
+            "{name:>8}: heap peak {:.2} MB above its start, {:.2} MB live after it",
+            mb(peak),
+            mb(live() - start)
+        );
     };
-    let (peak, report) = peak_bytes(|| run_ladder(&lc, 1));
-    assert!(report.pass(), "{:?}", report.failures);
-    let reads: u64 = report.rungs.iter().map(|r| r.total_reads).sum();
-    println!("4096 MB x 8 shards: {reads} recovery reads");
-    println!("heap peak {:.2} MB above its start", peak as f64 / 1e6);
-    println!("live at the peak, by block size:");
-    print_classes(&peak_classes());
+    let shards = 8;
+    let before = live();
+    let (peak, engine) = peak_bytes(|| ShardedEngine::new(rung_config(4096, shards), shards));
+    phase("build", peak, before);
+    let before = live();
+    let (peak, ()) = peak_bytes(|| dirty_all_shards(&engine));
+    phase("fill", peak, before);
+    let before = live();
+    let (peak, images) = peak_bytes(|| engine.crash_all());
+    phase("crash", peak, before);
+    let before = live();
+    let (peak, recovered) = peak_bytes(|| engine.recover_all(images, 1));
+    phase("recover", peak, before);
+    let pr = recovered.expect("ladder recovery is attack-free");
+    let reads: u64 = pr.reports.iter().map(|r| r.nvm_reads).sum();
+    println!("4096 MB x {shards} shards: {reads} recovery reads");
+    let (name, peak, classes) = phases
+        .iter()
+        .max_by_key(|&&(_, peak, _)| peak)
+        .expect("four phases");
+    println!(
+        "heap peak {:.2} MB above its start, in the {name} phase",
+        mb(*peak)
+    );
+    println!("live at the {name} peak, by block size:");
+    print_classes(classes);
 }
