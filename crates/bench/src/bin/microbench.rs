@@ -1,17 +1,19 @@
 //! Before/after hot-path microbench suite.
 //!
-//! Measures the optimized implementations against retained in-tree
-//! references (byte-oriented AES, clone-based HMAC, SipHash-keyed line
-//! store) and writes the comparison to `results/BENCH_crypto.json`:
+//! Measures the optimized implementations against in-tree references
+//! (the portable AES and SHA-256 bodies, a clone-based HMAC, a std SipHash
+//! map) and writes the comparison to `results/BENCH_crypto.json`:
 //!
-//! * AES-128 OTP generation (B/s) — T-table vs byte-oriented reference
+//! * AES-128 OTP generation (B/s) — the byte-oriented portable body vs
+//!   `Aes128::otp64`, which runs AES-NI where the CPU has it (the run
+//!   prints which)
 //! * HMAC-SHA-256/64 over the 72 B node-MAC message (msgs/s) — midstate
 //!   fast path vs clone-based two-hasher reference
 //! * the 88 B data-MAC (msgs/s)
 //! * one SHA-256 compression (blocks/s) — the portable body vs
 //!   `Sha256::compress`, which runs SHA-NI where the CPU has it (the run
 //!   prints which)
-//! * sparse line-store reads (reads/s) — FxHash store vs std SipHash map
+//! * sparse line-store reads (reads/s) — `SparseStore` vs std SipHash map
 //! * end-to-end secure writes (writes/s) at both crypto fidelities
 //!
 //! Knobs: `STEINS_MICRO_MS` (per-bench budget, ms), `STEINS_MICRO_OPS`
@@ -20,7 +22,6 @@
 use std::collections::HashMap;
 use steins_bench::{env, micro};
 use steins_core::{SchemeKind, SystemConfig};
-use steins_crypto::aes::reference::RefAes128;
 use steins_crypto::{engine::make_engine, Aes128, CryptoKind, HmacSha256, SecretKey, Sha256};
 use steins_metadata::CounterMode;
 use steins_nvm::SparseStore;
@@ -102,14 +103,13 @@ fn main() {
     let mut entries: Vec<Entry> = Vec::new();
 
     let mut g = micro::group("aes_otp");
-    let key = [7u8; 16];
+    let aes = Aes128::new(&[7u8; 16]);
+    println!("Aes128::otp64 runs the {} body", aes.body());
     let seed = [3u8; 16];
-    let aes_ref = RefAes128::new(&key);
-    let before = g.bench("otp64_bytewise_ref", || {
-        std::hint::black_box(aes_ref.otp64(&seed));
+    let before = g.bench("otp64_portable", || {
+        std::hint::black_box(aes.otp64_portable(&seed));
     });
-    let aes = Aes128::new(&key);
-    let after = g.bench("otp64_ttable", || {
+    let after = g.bench("otp64_dispatched", || {
         std::hint::black_box(aes.otp64(&seed));
     });
     entries.push(Entry {
@@ -211,10 +211,10 @@ fn main() {
     let mut g = micro::group("line_store");
     const LINES: u64 = 4096;
     let mut sip_map: HashMap<u64, [u8; 64]> = HashMap::new();
-    let mut fx_store = SparseStore::new();
+    let mut store = SparseStore::new();
     for i in 0..LINES {
         sip_map.insert(i, [i as u8; 64]);
-        fx_store.write(i * 64, &[i as u8; 64]);
+        store.write(i * 64, &[i as u8; 64]);
     }
     let mut k = 0u64;
     let before = g.bench("reads_std_siphash_map", || {
@@ -222,9 +222,9 @@ fn main() {
         std::hint::black_box(sip_map.get(&k));
     });
     let mut k = 0u64;
-    let after = g.bench("reads_fxhash_store", || {
+    let after = g.bench("reads_sparse_store", || {
         k = (k.wrapping_mul(6364136223846793005).wrapping_add(1)) % LINES;
-        std::hint::black_box(fx_store.read(k * 64));
+        std::hint::black_box(store.read(k * 64));
     });
     entries.push(Entry {
         name: "sparse_store_read",

@@ -1,5 +1,6 @@
 //! Table I — the evaluated NVM system configuration.
 
+use steins_core::config::HASH_LATENCY;
 use steins_core::{SchemeKind, SystemConfig};
 use steins_metadata::CounterMode;
 
@@ -50,7 +51,7 @@ fn main() {
         sc.height(),
         gc.height()
     );
-    println!("  Hash latency         {} cycles", cfg.hash_latency);
+    println!("  Hash latency         {} cycles", HASH_LATENCY);
     println!("  Non-volatile buffer  {} B", cfg.nv_buffer_bytes);
     println!(
         "  Offset records       {} KB region, {} lines cached in the MC",

@@ -74,7 +74,7 @@ impl CacheTree {
 
     /// Sets leaf `slot` to `leaf_mac` and recomputes the path to the root.
     /// Returns the number of HMACs computed (the latency the caller
-    /// charges: `hashes × hash_latency`, serial).
+    /// charges: `hashes × HASH_LATENCY`, serial).
     pub fn update(&mut self, engine: &dyn CryptoEngine, slot: usize, leaf_mac: u64) -> usize {
         self.levels[0][slot] = leaf_mac;
         let mut index = slot;

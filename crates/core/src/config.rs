@@ -44,6 +44,9 @@ impl SchemeKind {
     }
 }
 
+/// HMAC unit latency in cycles (Table I: 40).
+pub const HASH_LATENCY: u64 = 40;
+
 /// Full system configuration.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
@@ -64,8 +67,6 @@ pub struct SystemConfig {
     /// User data lines protected by the tree (the rest of the device holds
     /// metadata regions).
     pub data_lines: u64,
-    /// HMAC unit latency in cycles (Table I: 40).
-    pub hash_latency: u64,
     /// Steins' non-volatile parent-counter buffer capacity in bytes
     /// (Table I: 128 B ⇒ 8 × 16 B entries).
     pub nv_buffer_bytes: usize,
@@ -94,7 +95,6 @@ impl SystemConfig {
             hierarchy: HierarchyConfig::default(),
             cpu: CpuConfig::default(),
             meta_cache: MetaCacheConfig::table1(),
-            hash_latency: 40,
             nv_buffer_bytes: 128,
             record_cache_lines: 16,
             bitmap_cache_lines: 16,
@@ -128,7 +128,6 @@ impl SystemConfig {
                 ways: 8,
             },
             data_lines: 1 << 12, // 256 KB of data
-            hash_latency: 40,
             nv_buffer_bytes: 128,
             record_cache_lines: 4,
             bitmap_cache_lines: 4,
@@ -187,7 +186,7 @@ mod tests {
     #[test]
     fn table1_matches_paper() {
         let c = SystemConfig::table1(SchemeKind::Steins, CounterMode::Split);
-        assert_eq!(c.hash_latency, 40);
+        assert_eq!(HASH_LATENCY, 40);
         assert_eq!(c.nv_buffer_bytes, 128);
         assert_eq!(c.record_cache_lines, 16);
         assert_eq!(c.meta_cache.capacity_bytes, 256 << 10);

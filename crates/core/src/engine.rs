@@ -18,7 +18,7 @@
 //! how the paper's execution-time differences arise.
 
 use crate::cme::{xor_otp, MacRecord};
-use crate::config::{SchemeKind, SystemConfig};
+use crate::config::{SchemeKind, SystemConfig, HASH_LATENCY};
 use crate::error::{pass_cut, IntegrityError};
 use crate::online::{OnlinePolicy, OnlineService};
 use crate::report::{LatencyStats, RunReport};
@@ -180,7 +180,7 @@ impl SecureMemoryController {
         let pc = self.scheme_fetch_counter(offset, pc);
         let (line, t) = self.nvm.read(t, self.layout.node_addr(offset));
         let node = parse_node(self.cfg.mode, id, &line);
-        let t = t + self.cfg.hash_latency;
+        let t = t + HASH_LATENCY;
         let (crypto, hashes) = (self.crypto.as_ref(), &mut self.energy.hashes);
         verify_node(crypto, &self.layout, self.cfg.scheme, &node, id, pc, hashes)?;
         self.install_node(t, id, node, false)
@@ -279,7 +279,7 @@ impl SecureMemoryController {
         let mut node = *self.meta.peek(offset).expect("flush target resident");
         self.energy.hashes += 1;
         node.hmac = self.mac_probe(&node, offset, pc);
-        t += self.cfg.hash_latency;
+        t += HASH_LATENCY;
         let addr = self.layout.node_addr(offset);
         t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm)?;
         self.meta.write(offset, node);
@@ -422,7 +422,7 @@ impl SecureMemoryController {
         self.energy.aes_ops += 1;
         self.energy.hashes += 1;
         let mac = self.crypto.data_mac(addr, &line, major, minor);
-        t += self.cfg.hash_latency;
+        t += HASH_LATENCY;
         let recovery = MacRecord::pack_recovery(major, minor);
         // Scheme registers ride the data line + MacRecord push below: it is
         // the persist event that makes the counter increment durable.
@@ -484,7 +484,7 @@ impl SecureMemoryController {
         let mut out = ct;
         xor_otp(self.crypto.as_ref(), addr, major, minor, &mut out);
         let mac = self.crypto.data_mac(addr, &ct, major, minor);
-        t += self.cfg.hash_latency;
+        t += HASH_LATENCY;
         if mac != rec.mac {
             return Err(IntegrityError::DataMac { addr });
         }

@@ -9,6 +9,7 @@
 
 use super::SchemeState;
 use crate::cachetree::CacheTree;
+use crate::config::HASH_LATENCY;
 use crate::crash::CrashedSystem;
 use crate::engine::{parse_node, SecureMemoryController, SecureNvmSystem};
 use crate::error::IntegrityError;
@@ -117,7 +118,7 @@ impl SecureMemoryController {
             let hashes = st.cache_tree.update(self.crypto.as_ref(), slot as usize, 0);
             st.commit_root();
             self.energy.hashes += hashes as u64;
-            t += hashes as u64 * self.cfg.hash_latency;
+            t += hashes as u64 * HASH_LATENCY;
         }
         t
     }
@@ -155,7 +156,7 @@ impl SecureMemoryController {
             .update(self.crypto.as_ref(), slot as usize, leaf_mac);
         st.commit_root();
         self.energy.hashes += hashes as u64;
-        t += (1 + hashes as u64) * self.cfg.hash_latency;
+        t += (1 + hashes as u64) * HASH_LATENCY;
         // Shadow write: the 2× traffic of Fig. 13.
         t = self
             .wq

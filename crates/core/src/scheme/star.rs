@@ -14,6 +14,7 @@
 
 use super::SchemeState;
 use crate::cachetree::CacheTree;
+use crate::config::HASH_LATENCY;
 use crate::crash::CrashedSystem;
 use crate::engine::{is_zero_node, verify_node, SecureMemoryController, SecureNvmSystem};
 use crate::error::IntegrityError;
@@ -230,7 +231,7 @@ impl SecureMemoryController {
         st.nv_root = st.cache_tree.root();
         self.energy.hashes += hashes as u64;
         let ways = self.cfg.meta_cache.ways;
-        t + StarState::sort_latency(ways) + (1 + hashes as u64) * self.cfg.hash_latency
+        t + StarState::sort_latency(ways) + (1 + hashes as u64) * HASH_LATENCY
     }
 }
 

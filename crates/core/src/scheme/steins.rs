@@ -3,6 +3,7 @@
 //! runtime hooks, the crash remnant and the strict recovery.
 
 use super::SchemeState;
+use crate::config::HASH_LATENCY;
 use crate::crash::CrashedSystem;
 use crate::engine::{parse_node, verify_node, SecureMemoryController, SecureNvmSystem};
 use crate::error::IntegrityError;
@@ -243,7 +244,7 @@ impl SecureMemoryController {
         }
         self.energy.hashes += 1;
         node.hmac = self.mac_probe(&node, offset, p_new);
-        t += self.cfg.hash_latency;
+        t += HASH_LATENCY;
         let addr = self.layout.node_addr(offset);
         t = self.wq.push(t, addr, &node.to_line(), &mut self.nvm)?;
         // The NVM copy is now current: mirror the recomputed HMAC into the

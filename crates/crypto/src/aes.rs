@@ -1,20 +1,18 @@
-//! AES-128 block cipher, implemented from scratch per FIPS-197.
+//! AES-128 encryption, implemented from scratch per FIPS-197.
 //!
 //! Counter-mode encryption in secure NVM generates a 64-byte one-time pad by
-//! encrypting four 16-byte counter/address seeds. Only encryption is on the
-//! hot path; decryption is provided for completeness and round-trip tests.
+//! encrypting four 16-byte counter/address seeds, and XORs the same pad to
+//! encrypt and to decrypt, so only the forward cipher ever runs; there is no
+//! inverse cipher here.
 //!
-//! The encryption round function uses the classic 32-bit **T-table**
-//! formulation: the four tables are `const`-generated at compile time from
-//! the same S-box the byte-oriented reference uses, so every FIPS-197/NIST
-//! vector is unchanged while each round collapses to 16 table lookups and a
-//! handful of XORs. This is not constant-time — it models a *hardware* AES
+//! [`Aes128::otp64`] is the one entry point. It runs the AES-NI body where
+//! `is_x86_feature_detected!("aes")` finds it and [`Aes128::otp64_portable`]
+//! everywhere else, the way [`crate::Sha256::compress`] picks SHA-NI. The
+//! portable body is the byte-oriented FIPS-197 rounds, one lane-tweaked
+//! block at a time, and it is also the reference the tests compare the
+//! AES-NI body against. It is not constant-time — it models a *hardware* AES
 //! unit inside a simulator, it is not a production cipher for secrets on
 //! shared hosts.
-//!
-//! The original byte-oriented implementation is retained in [`mod@reference`]
-//! (compiled for tests and under the `ref-impls` feature) as the
-//! differential-test and microbenchmark baseline.
 
 /// The AES S-box (SubBytes lookup), generated from the multiplicative inverse
 /// in GF(2^8) followed by the FIPS-197 affine transformation.
@@ -75,49 +73,14 @@ const fn build_sbox() -> [u8; 256] {
 
 const SBOX: [u8; 256] = build_sbox();
 
-const fn build_inv_sbox() -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-}
-
-const INV_SBOX: [u8; 256] = build_inv_sbox();
-
 /// Round constants for the AES-128 key schedule.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-/// xtime (multiplication by `x` in GF(2^8)), usable in const context.
-const fn xtime(a: u8) -> u8 {
+/// xtime (multiplication by `x` in GF(2^8)).
+#[inline]
+fn xtime(a: u8) -> u8 {
     (a << 1) ^ (((a >> 7) & 1) * 0x1b)
 }
-
-/// The four encryption T-tables. `TE[0][x]` packs one column of the combined
-/// SubBytes+MixColumns matrix as a big-endian word:
-/// `(2·S(x)) ‖ S(x) ‖ S(x) ‖ (3·S(x))`; `TE[k]` is `TE[0]` rotated right by
-/// `8k` bits so the four state bytes of a column each index their own table.
-const fn build_te() -> [[u32; 256]; 4] {
-    let mut t = [[0u32; 256]; 4];
-    let mut i = 0usize;
-    while i < 256 {
-        let s = SBOX[i];
-        let s2 = xtime(s);
-        let s3 = (s2 ^ s) as u32;
-        let (s, s2) = (s as u32, s2 as u32);
-        let w = (s2 << 24) | (s << 16) | (s << 8) | s3;
-        t[0][i] = w;
-        t[1][i] = w.rotate_right(8);
-        t[2][i] = w.rotate_right(16);
-        t[3][i] = w.rotate_right(24);
-        i += 1;
-    }
-    t
-}
-
-const TE: [[u32; 256]; 4] = build_te();
 
 /// SubBytes applied to each byte of a big-endian word (key schedule).
 #[inline]
@@ -128,30 +91,12 @@ fn sub_word(w: u32) -> u32 {
         | u32::from(SBOX[(w & 0xff) as usize])
 }
 
-/// Generic GF(2^8) multiply for the inverse MixColumns (decryption only;
-/// `b` is one of 9, 11, 13, 14, so the loop is short and predictable).
-#[inline]
-fn mul(a: u8, b: u8) -> u8 {
-    let mut p = 0u8;
-    let mut a = a;
-    let mut b = b;
-    while b != 0 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
-}
-
-/// Hardware AES (AES-NI) kernels, used when the running CPU supports them.
+/// Hardware AES (AES-NI), used when the running CPU supports it.
 ///
-/// The round keys are the standard byte-order schedule ([`Aes128`] keeps it
-/// for decryption anyway), which is exactly what `AESENC` consumes, so no
-/// reformatting is needed. All functions require the `aes` target feature;
-/// [`Aes128::new`] probes for it once and the dispatchers fall back to the
-/// portable T-table path everywhere else.
+/// The round keys are the standard byte-order schedule, which is exactly
+/// what `AESENC` consumes, so no reformatting is needed. [`Aes128::new`]
+/// probes for the `aes` feature once and [`Aes128::otp64`] runs the portable
+/// body everywhere else.
 #[cfg(target_arch = "x86_64")]
 mod hw {
     use core::arch::x86_64::*;
@@ -190,39 +135,16 @@ mod hw {
         }
         out
     }
-
-    /// Encrypts one block in place.
-    ///
-    /// # Safety
-    /// The `aes` target feature must be available (runtime-detected).
-    #[target_feature(enable = "aes")]
-    pub unsafe fn encrypt_block(round_keys: &[[u8; 16]; 11], block: &mut [u8; 16]) {
-        // SAFETY: each load reads 16 bytes from a [u8; 16].
-        let rk: [__m128i; 11] =
-            core::array::from_fn(|i| unsafe { _mm_loadu_si128(round_keys[i].as_ptr().cast()) });
-        // SAFETY: reads 16 bytes from a [u8; 16].
-        let mut s = unsafe { _mm_loadu_si128(block.as_ptr().cast()) };
-        s = _mm_xor_si128(s, rk[0]);
-        for key in &rk[1..10] {
-            s = _mm_aesenc_si128(s, *key);
-        }
-        s = _mm_aesenclast_si128(s, rk[10]);
-        // SAFETY: writes 16 bytes into a [u8; 16].
-        unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), s) };
-    }
 }
 
 /// AES-128 with a precomputed key schedule.
 ///
-/// Encryption (the hot path) uses hardware AES-NI when the CPU has it,
-/// otherwise 32-bit T-table rounds; decryption (round-trip tests only)
-/// reuses the byte-wise inverse rounds. All paths share one key schedule
-/// and agree bit-for-bit (see the differential tests).
+/// [`Aes128::otp64`] runs AES-NI when the CPU has it, otherwise
+/// [`Aes128::otp64_portable`]; both read the same 11 round keys and agree
+/// bit-for-bit (see the differential test).
 #[derive(Clone)]
 pub struct Aes128 {
-    /// The 44 expanded key words, big-endian (one column each).
-    ek: [u32; 44],
-    /// The same schedule as 11 byte-wise round keys (decryption, AES-NI).
+    /// The 11 round keys, byte-wise (FIPS-197 column-major order).
     round_keys: [[u8; 16]; 11],
     /// Whether the running CPU's AES instructions are usable.
     use_hw: bool,
@@ -252,93 +174,60 @@ impl Aes128 {
         let use_hw = std::arch::is_x86_feature_detected!("aes");
         #[cfg(not(target_arch = "x86_64"))]
         let use_hw = false;
-        Aes128 {
-            ek,
-            round_keys,
-            use_hw,
+        Aes128 { round_keys, use_hw }
+    }
+
+    /// Which body [`Aes128::otp64`] runs on this CPU: `"aes-ni"` or
+    /// `"portable"`.
+    pub fn body(&self) -> &'static str {
+        if self.use_hw {
+            "aes-ni"
+        } else {
+            "portable"
         }
     }
 
-    /// The T-table round pipeline over the four big-endian column words
-    /// (FIPS-197 column-major state: word `i` is column `i`).
-    #[inline]
-    fn encrypt_words(&self, mut s0: u32, mut s1: u32, mut s2: u32, mut s3: u32) -> [u32; 4] {
-        let ek = &self.ek;
-        s0 ^= ek[0];
-        s1 ^= ek[1];
-        s2 ^= ek[2];
-        s3 ^= ek[3];
-        for round in 1..10 {
-            let k = round * 4;
-            let t0 = TE[0][(s0 >> 24) as usize]
-                ^ TE[1][(s1 >> 16 & 0xff) as usize]
-                ^ TE[2][(s2 >> 8 & 0xff) as usize]
-                ^ TE[3][(s3 & 0xff) as usize]
-                ^ ek[k];
-            let t1 = TE[0][(s1 >> 24) as usize]
-                ^ TE[1][(s2 >> 16 & 0xff) as usize]
-                ^ TE[2][(s3 >> 8 & 0xff) as usize]
-                ^ TE[3][(s0 & 0xff) as usize]
-                ^ ek[k + 1];
-            let t2 = TE[0][(s2 >> 24) as usize]
-                ^ TE[1][(s3 >> 16 & 0xff) as usize]
-                ^ TE[2][(s0 >> 8 & 0xff) as usize]
-                ^ TE[3][(s1 & 0xff) as usize]
-                ^ ek[k + 2];
-            let t3 = TE[0][(s3 >> 24) as usize]
-                ^ TE[1][(s0 >> 16 & 0xff) as usize]
-                ^ TE[2][(s1 >> 8 & 0xff) as usize]
-                ^ TE[3][(s2 & 0xff) as usize]
-                ^ ek[k + 3];
-            (s0, s1, s2, s3) = (t0, t1, t2, t3);
-        }
-        // Final round: SubBytes + ShiftRows only (no MixColumns).
-        #[inline]
-        fn sb(b: u32) -> u32 {
-            u32::from(SBOX[b as usize])
-        }
-        let o0 = (sb(s0 >> 24) << 24)
-            | (sb(s1 >> 16 & 0xff) << 16)
-            | (sb(s2 >> 8 & 0xff) << 8)
-            | sb(s3 & 0xff);
-        let o1 = (sb(s1 >> 24) << 24)
-            | (sb(s2 >> 16 & 0xff) << 16)
-            | (sb(s3 >> 8 & 0xff) << 8)
-            | sb(s0 & 0xff);
-        let o2 = (sb(s2 >> 24) << 24)
-            | (sb(s3 >> 16 & 0xff) << 16)
-            | (sb(s0 >> 8 & 0xff) << 8)
-            | sb(s1 & 0xff);
-        let o3 = (sb(s3 >> 24) << 24)
-            | (sb(s0 >> 16 & 0xff) << 16)
-            | (sb(s1 >> 8 & 0xff) << 8)
-            | sb(s2 & 0xff);
-        [o0 ^ ek[40], o1 ^ ek[41], o2 ^ ek[42], o3 ^ ek[43]]
-    }
-
-    /// Encrypts one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    /// Generates a 64-byte one-time pad from a 16-byte seed by encrypting
+    /// `seed || ctr_i` for four consecutive block counters, exactly like the
+    /// hardware CME pipelines in Supermem/Anubis which fan a (line address,
+    /// counter) seed across four AES lanes. The per-lane tweak lands in byte
+    /// 15, so lane 0 is E_k(seed).
+    pub fn otp64(&self, seed: &[u8; 16]) -> [u8; 64] {
         #[cfg(target_arch = "x86_64")]
         if self.use_hw {
             // SAFETY: `use_hw` is set only when `is_x86_feature_detected!`
             // confirmed the `aes` feature on this CPU.
-            unsafe { hw::encrypt_block(&self.round_keys, block) };
-            return;
+            return unsafe { hw::otp64(&self.round_keys, seed) };
         }
-        self.encrypt_block_soft(block);
+        self.otp64_portable(seed)
     }
 
-    /// Portable T-table encryption (always available; the hardware path
-    /// must match it bit-for-bit).
-    fn encrypt_block_soft(&self, block: &mut [u8; 16]) {
-        let s0 = u32::from_be_bytes(block[0..4].try_into().unwrap());
-        let s1 = u32::from_be_bytes(block[4..8].try_into().unwrap());
-        let s2 = u32::from_be_bytes(block[8..12].try_into().unwrap());
-        let s3 = u32::from_be_bytes(block[12..16].try_into().unwrap());
-        let out = self.encrypt_words(s0, s1, s2, s3);
-        for (i, w) in out.iter().enumerate() {
-            block[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+    /// The portable OTP, one lane-tweaked block at a time: the fallback of
+    /// [`Aes128::otp64`] and the reference its AES-NI body is tested
+    /// against.
+    pub fn otp64_portable(&self, seed: &[u8; 16]) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        for i in 0..4u8 {
+            let mut block = *seed;
+            block[15] ^= i; // per-lane tweak keeps the four pads distinct
+            self.encrypt_block(&mut block);
+            out[i as usize * 16..i as usize * 16 + 16].copy_from_slice(&block);
         }
+        out
+    }
+
+    /// Encrypts one 16-byte block in place (byte-oriented rounds).
+    fn encrypt_block(&self, block: &mut [u8; 16]) {
+        Self::add_round_key(block, &self.round_keys[0]);
+        for round in 1..10 {
+            Self::sub_bytes(block);
+            Self::shift_rows(block);
+            Self::mix_columns(block);
+            Self::add_round_key(block, &self.round_keys[round]);
+        }
+        Self::sub_bytes(block);
+        Self::shift_rows(block);
+        Self::add_round_key(block, &self.round_keys[10]);
     }
 
     #[inline]
@@ -349,256 +238,38 @@ impl Aes128 {
     }
 
     #[inline]
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
+    fn sub_bytes(state: &mut [u8; 16]) {
         for b in state.iter_mut() {
-            *b = INV_SBOX[*b as usize];
+            *b = SBOX[*b as usize];
         }
     }
 
-    // State layout: state[c*4 + r] = row r, column c (FIPS-197 column-major).
+    // State layout: state[c*4 + r] = row r, column c (column-major).
     #[inline]
-    fn inv_shift_rows(state: &mut [u8; 16]) {
+    fn shift_rows(state: &mut [u8; 16]) {
         for r in 1..4 {
             let row = [state[r], state[4 + r], state[8 + r], state[12 + r]];
             for c in 0..4 {
-                state[c * 4 + r] = row[(c + 4 - r) % 4];
+                state[c * 4 + r] = row[(c + r) % 4];
             }
         }
     }
 
     #[inline]
-    fn inv_mix_columns(state: &mut [u8; 16]) {
+    fn mix_columns(state: &mut [u8; 16]) {
         for c in 0..4 {
             let col = &mut state[c * 4..c * 4 + 4];
             let (a0, a1, a2, a3) = (col[0], col[1], col[2], col[3]);
-            col[0] = mul(a0, 14) ^ mul(a1, 11) ^ mul(a2, 13) ^ mul(a3, 9);
-            col[1] = mul(a0, 9) ^ mul(a1, 14) ^ mul(a2, 11) ^ mul(a3, 13);
-            col[2] = mul(a0, 13) ^ mul(a1, 9) ^ mul(a2, 14) ^ mul(a3, 11);
-            col[3] = mul(a0, 11) ^ mul(a1, 13) ^ mul(a2, 9) ^ mul(a3, 14);
-        }
-    }
-
-    /// Decrypts one 16-byte block in place (off the hot path; byte-wise).
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[10]);
-        for round in (1..10).rev() {
-            Self::inv_shift_rows(block);
-            Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[round]);
-            Self::inv_mix_columns(block);
-        }
-        Self::inv_shift_rows(block);
-        Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
-    }
-
-    /// Four-block interleaved T-table encryption. A single block's round is
-    /// a serial chain of L1 table loads; four independent lanes stepped
-    /// through each round *together* let those loads overlap, which is
-    /// where most of the batched-OTP speedup over four serial
-    /// [`Self::encrypt_words`] calls comes from.
-    #[inline]
-    fn encrypt4_words(&self, states: &mut [[u32; 4]; 4]) {
-        let ek = &self.ek;
-        for st in states.iter_mut() {
-            for (c, w) in st.iter_mut().enumerate() {
-                *w ^= ek[c];
-            }
-        }
-        for round in 1..10 {
-            let k = round * 4;
-            // Fixed-trip lane loop: unrolled, 16 independent column
-            // computations per round.
-            for st in states.iter_mut() {
-                let [s0, s1, s2, s3] = *st;
-                st[0] = TE[0][(s0 >> 24) as usize]
-                    ^ TE[1][(s1 >> 16 & 0xff) as usize]
-                    ^ TE[2][(s2 >> 8 & 0xff) as usize]
-                    ^ TE[3][(s3 & 0xff) as usize]
-                    ^ ek[k];
-                st[1] = TE[0][(s1 >> 24) as usize]
-                    ^ TE[1][(s2 >> 16 & 0xff) as usize]
-                    ^ TE[2][(s3 >> 8 & 0xff) as usize]
-                    ^ TE[3][(s0 & 0xff) as usize]
-                    ^ ek[k + 1];
-                st[2] = TE[0][(s2 >> 24) as usize]
-                    ^ TE[1][(s3 >> 16 & 0xff) as usize]
-                    ^ TE[2][(s0 >> 8 & 0xff) as usize]
-                    ^ TE[3][(s1 & 0xff) as usize]
-                    ^ ek[k + 2];
-                st[3] = TE[0][(s3 >> 24) as usize]
-                    ^ TE[1][(s0 >> 16 & 0xff) as usize]
-                    ^ TE[2][(s1 >> 8 & 0xff) as usize]
-                    ^ TE[3][(s2 & 0xff) as usize]
-                    ^ ek[k + 3];
-            }
-        }
-        #[inline]
-        fn sb(b: u32) -> u32 {
-            u32::from(SBOX[b as usize])
-        }
-        for st in states.iter_mut() {
-            let [s0, s1, s2, s3] = *st;
-            st[0] = ((sb(s0 >> 24) << 24)
-                | (sb(s1 >> 16 & 0xff) << 16)
-                | (sb(s2 >> 8 & 0xff) << 8)
-                | sb(s3 & 0xff))
-                ^ ek[40];
-            st[1] = ((sb(s1 >> 24) << 24)
-                | (sb(s2 >> 16 & 0xff) << 16)
-                | (sb(s3 >> 8 & 0xff) << 8)
-                | sb(s0 & 0xff))
-                ^ ek[41];
-            st[2] = ((sb(s2 >> 24) << 24)
-                | (sb(s3 >> 16 & 0xff) << 16)
-                | (sb(s0 >> 8 & 0xff) << 8)
-                | sb(s1 & 0xff))
-                ^ ek[42];
-            st[3] = ((sb(s3 >> 24) << 24)
-                | (sb(s0 >> 16 & 0xff) << 16)
-                | (sb(s1 >> 8 & 0xff) << 8)
-                | sb(s2 & 0xff))
-                ^ ek[43];
-        }
-    }
-
-    /// Generates a 64-byte one-time pad from a 16-byte seed by encrypting
-    /// `seed || ctr_i` for four consecutive block counters, exactly like the
-    /// hardware CME pipelines in Supermem/Anubis which fan a (line address,
-    /// counter) seed across four AES lanes.
-    ///
-    /// Batched: the seed is converted to column words once and all four
-    /// lanes run through the interleaved `encrypt4_words` path against
-    /// one shared key schedule — the per-lane tweak lands in byte 15, i.e.
-    /// the low byte of the last column word.
-    pub fn otp64(&self, seed: &[u8; 16]) -> [u8; 64] {
-        #[cfg(target_arch = "x86_64")]
-        if self.use_hw {
-            // SAFETY: `use_hw` is set only when `is_x86_feature_detected!`
-            // confirmed the `aes` feature on this CPU.
-            return unsafe { hw::otp64(&self.round_keys, seed) };
-        }
-        self.otp64_soft(seed)
-    }
-
-    /// Portable interleaved T-table OTP (always available; the hardware
-    /// path must match it bit-for-bit).
-    fn otp64_soft(&self, seed: &[u8; 16]) -> [u8; 64] {
-        let s0 = u32::from_be_bytes(seed[0..4].try_into().unwrap());
-        let s1 = u32::from_be_bytes(seed[4..8].try_into().unwrap());
-        let s2 = u32::from_be_bytes(seed[8..12].try_into().unwrap());
-        let s3 = u32::from_be_bytes(seed[12..16].try_into().unwrap());
-        // Per-lane tweak keeps the four pads distinct (seed[15] ^= lane).
-        let mut states = [
-            [s0, s1, s2, s3],
-            [s0, s1, s2, s3 ^ 1],
-            [s0, s1, s2, s3 ^ 2],
-            [s0, s1, s2, s3 ^ 3],
-        ];
-        self.encrypt4_words(&mut states);
-        let mut out = [0u8; 64];
-        for (lane, st) in states.iter().enumerate() {
-            for (i, w) in st.iter().enumerate() {
-                let at = lane * 16 + i * 4;
-                out[at..at + 4].copy_from_slice(&w.to_be_bytes());
-            }
-        }
-        out
-    }
-}
-
-/// The original table-free byte-oriented AES-128, kept as the
-/// differential-test reference and the "before" side of the microbench
-/// suite. Semantically identical to [`Aes128`]; an order of magnitude
-/// slower.
-#[cfg(any(test, feature = "ref-impls"))]
-pub mod reference {
-    use super::{xtime, Aes128, SBOX};
-
-    /// Byte-oriented AES-128 (the pre-T-table implementation).
-    #[derive(Clone)]
-    pub struct RefAes128 {
-        round_keys: [[u8; 16]; 11],
-    }
-
-    impl RefAes128 {
-        /// Expands `key` into the 11 round keys of AES-128.
-        pub fn new(key: &[u8; 16]) -> Self {
-            // Reuse the word-oriented schedule; the byte round keys are
-            // bit-identical to the original byte-wise expansion.
-            RefAes128 {
-                round_keys: Aes128::new(key).round_keys,
-            }
-        }
-
-        #[inline]
-        fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-            for (s, k) in state.iter_mut().zip(rk.iter()) {
-                *s ^= k;
-            }
-        }
-
-        #[inline]
-        fn sub_bytes(state: &mut [u8; 16]) {
-            for b in state.iter_mut() {
-                *b = SBOX[*b as usize];
-            }
-        }
-
-        // State layout: state[c*4 + r] = row r, column c (column-major).
-        #[inline]
-        fn shift_rows(state: &mut [u8; 16]) {
-            for r in 1..4 {
-                let row = [state[r], state[4 + r], state[8 + r], state[12 + r]];
-                for c in 0..4 {
-                    state[c * 4 + r] = row[(c + r) % 4];
-                }
-            }
-        }
-
-        #[inline]
-        fn mix_columns(state: &mut [u8; 16]) {
-            for c in 0..4 {
-                let col = &mut state[c * 4..c * 4 + 4];
-                let (a0, a1, a2, a3) = (col[0], col[1], col[2], col[3]);
-                col[0] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3;
-                col[1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3;
-                col[2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3);
-                col[3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3);
-            }
-        }
-
-        /// Encrypts one 16-byte block in place (byte-oriented rounds).
-        pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-            Self::add_round_key(block, &self.round_keys[0]);
-            for round in 1..10 {
-                Self::sub_bytes(block);
-                Self::shift_rows(block);
-                Self::mix_columns(block);
-                Self::add_round_key(block, &self.round_keys[round]);
-            }
-            Self::sub_bytes(block);
-            Self::shift_rows(block);
-            Self::add_round_key(block, &self.round_keys[10]);
-        }
-
-        /// 64-byte OTP, one lane-tweaked block encryption at a time.
-        pub fn otp64(&self, seed: &[u8; 16]) -> [u8; 64] {
-            let mut out = [0u8; 64];
-            for i in 0..4u8 {
-                let mut block = *seed;
-                block[15] ^= i; // per-lane tweak keeps the four pads distinct
-                self.encrypt_block(&mut block);
-                out[i as usize * 16..i as usize * 16 + 16].copy_from_slice(&block);
-            }
-            out
+            col[0] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3;
+            col[1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3;
+            col[2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3);
+            col[3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::reference::RefAes128;
     use super::*;
 
     fn xorshift(state: &mut u64) -> u64 {
@@ -619,6 +290,19 @@ mod tests {
         out
     }
 
+    /// Lane 0 of the pad is E_k(seed), so a FIPS-197 vector checks both
+    /// bodies through their first 16 bytes. Where the CPU has no AES-NI,
+    /// the dispatched body is the portable one.
+    fn check_vector(key: &[u8; 16], plaintext: &[u8; 16], expected: &[u8; 16]) {
+        let aes = Aes128::new(key);
+        assert_eq!(aes.otp64(plaintext)[..16], expected[..], "{}", aes.body());
+        assert_eq!(
+            aes.otp64_portable(plaintext)[..16],
+            expected[..],
+            "portable"
+        );
+    }
+
     #[test]
     fn sbox_matches_fips197_samples() {
         // Spot values from the FIPS-197 S-box table.
@@ -626,98 +310,56 @@ mod tests {
         assert_eq!(SBOX[0x01], 0x7c);
         assert_eq!(SBOX[0x53], 0xed);
         assert_eq!(SBOX[0xff], 0x16);
-        assert_eq!(INV_SBOX[0x63], 0x00);
-        assert_eq!(INV_SBOX[0xed], 0x53);
     }
 
     #[test]
     fn fips197_appendix_b_vector() {
         // FIPS-197 Appendix B: key 2b7e1516..., plaintext 3243f6a8...
-        let key = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let mut block = [
-            0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-            0x07, 0x34,
-        ];
-        let expected = [
-            0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
-            0x0b, 0x32,
-        ];
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(block, expected);
-        aes.decrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
+        check_vector(
+            &[
+                0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+                0x4f, 0x3c,
+            ],
+            &[
                 0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-                0x07, 0x34
-            ]
+                0x07, 0x34,
+            ],
+            &[
+                0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
+                0x0b, 0x32,
+            ],
         );
     }
 
     #[test]
     fn fips197_appendix_c1_vector() {
         // FIPS-197 Appendix C.1: key 000102...0f, plaintext 00112233...ff.
-        let key: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let mut block: [u8; 16] = core::array::from_fn(|i| (i * 0x11) as u8);
-        let expected = [
-            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-            0xc5, 0x5a,
-        ];
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(block, expected);
+        check_vector(
+            &core::array::from_fn(|i| i as u8),
+            &core::array::from_fn(|i| (i * 0x11) as u8),
+            &[
+                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
+                0xc5, 0x5a,
+            ],
+        );
     }
 
-    #[test]
-    fn roundtrip_many_blocks() {
-        let aes = Aes128::new(&[0xA5; 16]);
-        for i in 0u64..64 {
-            let mut block = [0u8; 16];
-            block[..8].copy_from_slice(&i.to_le_bytes());
-            block[8..].copy_from_slice(&(i.wrapping_mul(0x9e3779b9)).to_le_bytes());
-            let original = block;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, original, "encryption must change the block");
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, original);
-        }
-    }
-
-    /// The T-table pipeline must agree with the retained byte-oriented
-    /// reference on 10k random (key, block) pairs, and decrypt must invert
-    /// every one of them.
-    #[test]
-    fn ttable_matches_reference_differential_10k() {
-        let mut st = 0x0123_4567_89ab_cdefu64;
-        for _ in 0..10_000 {
-            let key: [u8; 16] = rand_bytes(&mut st);
-            let block: [u8; 16] = rand_bytes(&mut st);
-            let fast = Aes128::new(&key);
-            let slow = RefAes128::new(&key);
-            let mut a = block;
-            fast.encrypt_block(&mut a);
-            let mut b = block;
-            slow.encrypt_block(&mut b);
-            assert_eq!(a, b, "T-table vs reference diverged (key {key:02x?})");
-            fast.decrypt_block(&mut a);
-            assert_eq!(a, block, "decrypt must invert encrypt");
-        }
-    }
-
-    /// The batched OTP must equal four reference single-block encryptions.
+    /// 10,000 random (key, seed) pairs through both bodies, all four lanes.
     #[test]
     fn otp64_matches_reference_differential() {
+        eprintln!(
+            "comparing {} against portable",
+            Aes128::new(&[0; 16]).body()
+        );
         let mut st = 0xdead_beef_1234_5678u64;
-        for _ in 0..1_000 {
+        for i in 0..10_000 {
             let key: [u8; 16] = rand_bytes(&mut st);
             let seed: [u8; 16] = rand_bytes(&mut st);
+            let aes = Aes128::new(&key);
             assert_eq!(
-                Aes128::new(&key).otp64(&seed)[..],
-                RefAes128::new(&key).otp64(&seed)[..]
+                aes.otp64(&seed)[..],
+                aes.otp64_portable(&seed)[..],
+                "pair {i}"
             );
         }
     }
@@ -739,24 +381,5 @@ mod tests {
         let a = aes.otp64(&[1; 16]);
         let b = aes.otp64(&[2; 16]);
         assert_ne!(a[..], b[..]);
-    }
-
-    /// Whatever the dispatcher picks (AES-NI here, T-tables elsewhere) must
-    /// match the portable software path bit-for-bit on random inputs.
-    #[test]
-    fn dispatch_matches_soft_paths() {
-        let mut st = 0x5eed_5eed_5eed_5eedu64;
-        for _ in 0..2_000 {
-            let key: [u8; 16] = rand_bytes(&mut st);
-            let aes = Aes128::new(&key);
-            let block: [u8; 16] = rand_bytes(&mut st);
-            let mut a = block;
-            aes.encrypt_block(&mut a);
-            let mut b = block;
-            aes.encrypt_block_soft(&mut b);
-            assert_eq!(a, b, "encrypt_block dispatch diverged");
-            let seed: [u8; 16] = rand_bytes(&mut st);
-            assert_eq!(aes.otp64(&seed)[..], aes.otp64_soft(&seed)[..]);
-        }
     }
 }

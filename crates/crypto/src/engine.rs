@@ -2,7 +2,9 @@
 //! levels of the simulator's crypto units.
 //!
 //! * [`RealCrypto`]: AES-128 OTPs + HMAC-SHA-256/64 MACs — bit-faithful to
-//!   the hardware design the papers assume. Used by functional tests.
+//!   the hardware design the papers assume, on AES-NI and SHA-NI where the
+//!   host has them and on the portable bodies elsewhere, with the same
+//!   bytes either way. Used by functional tests.
 //! * [`FastCrypto`]: SipHash-2-4 for both the OTP and MAC roles — keyed and
 //!   collision-resistant enough for simulation, ~40× faster. Used by the
 //!   long figure sweeps.

@@ -10,10 +10,15 @@
 //!
 //! This crate implements both from scratch — AES-128 per FIPS-197 and
 //! SHA-256/HMAC-SHA-256 per FIPS-180-4/RFC-2104 — plus a fast SipHash-2-4
-//! style keyed hash. All are exposed behind the [`CryptoEngine`] trait so the
-//! simulator can choose full-fidelity crypto for functional tests and the
-//! fast keyed hash for long figure sweeps *without changing any code path*:
-//! the set of crypto invocations (and hence the charged timing) is identical.
+//! style keyed hash. AES and SHA-256 each have two bodies: the hardware
+//! instructions (AES-NI, SHA-NI) where the running CPU has them, and one
+//! portable body that runs everywhere else and is the reference the tests
+//! compare the hardware body against. AES only encrypts: CME XORs the same
+//! pad both ways, so nothing runs the inverse cipher. All are exposed behind
+//! the [`CryptoEngine`] trait so the simulator can choose full-fidelity
+//! crypto for functional tests and the fast keyed hash for long figure
+//! sweeps *without changing any code path*: the set of crypto invocations
+//! (and hence the charged timing) is identical.
 
 pub mod aes;
 pub mod engine;

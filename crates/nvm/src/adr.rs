@@ -8,7 +8,6 @@
 //! to the caller), while a crash flushes every resident line for free.
 
 use crate::storage::Line;
-use crate::Cycle;
 use std::collections::VecDeque;
 
 /// A bounded, LRU-managed set of NVM-backed lines inside the ADR domain.
@@ -17,16 +16,6 @@ pub struct AdrRegion {
     /// LRU order: front = least recently used. Small (≤ tens of lines), so a
     /// VecDeque scan beats hash-map bookkeeping.
     resident: VecDeque<(u64, Line)>,
-}
-
-/// Outcome of touching a line in the ADR region.
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-pub enum AdrAccess {
-    /// Line already resident; no NVM traffic.
-    Hit,
-    /// Line not resident; caller must fetch it from NVM (one read) and, if a
-    /// dirty line was evicted to make room, write that one back (`Some`).
-    Miss { evicted: Option<u64> },
 }
 
 impl AdrRegion {
@@ -106,11 +95,6 @@ impl AdrRegion {
         self.capacity
     }
 }
-
-/// Marker for timestamped ADR operations (reserved for future detailed
-/// persist-ordering models; currently the region is timing-free and callers
-/// charge NVM traffic on miss/evict themselves).
-pub type AdrCycle = Cycle;
 
 #[cfg(test)]
 mod tests {
