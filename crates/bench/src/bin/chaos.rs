@@ -29,7 +29,7 @@
 
 use steins_bench::env;
 use steins_bench::metrics::write_metrics;
-use steins_core::campaign::{run_chaos, ChaosConfig};
+use steins_core::chaos::{run_chaos, ChaosConfig};
 use steins_core::OnlinePolicy;
 
 const OVERHEAD_LIMIT: f64 = 1.10;

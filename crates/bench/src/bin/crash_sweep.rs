@@ -50,7 +50,7 @@
 //! threads, default 1), `STEINS_THREADS` (worker pool size).
 
 use steins_bench::{env, par};
-use steins_core::{CrashSweep, PointSelection, SweepReport};
+use steins_core::{CrashSweep, Jobs, PointSelection, SweepReport};
 
 /// Torn-word masks swept at every selected line-write boundary: dropped,
 /// one-word prefix, half-line prefix, sparse even words, sparse odd words.
@@ -90,7 +90,7 @@ fn main() {
     let shard_nested = env::int("STEINS_SHARD_NESTED").unwrap_or(2);
     let workers = env::int("STEINS_RECOVERY_WORKERS").unwrap_or(1).max(1);
     let threads = par::threads();
-    let combos = steins_core::campaign::COMBOS;
+    let combos = steins_core::config::COMBOS;
     let bounded =
         |scheme, mode, sel| CrashSweep::small(scheme, mode, ops, PointSelection::AtMost(sel));
     let mut all_clean = true;
@@ -101,7 +101,7 @@ fn main() {
         let sweep = CrashSweep::small(scheme, mode, ops, PointSelection::All);
         all_clean &= print_row(
             &scheme.label(mode),
-            &sweep.run(sweep.jobs(&[0xFF], None), threads),
+            &sweep.run(sweep.jobs(Jobs::Masks(&[0xFF], None)), threads),
             ["all points recovered & verified", "UNRECOVERABLE POINTS"],
         );
     }
@@ -117,7 +117,7 @@ fn main() {
         let sweep = bounded(scheme, mode, torn_points);
         all_clean &= print_row(
             &scheme.label(mode),
-            &sweep.run(sweep.jobs(&TORN_MASKS, None), threads),
+            &sweep.run(sweep.jobs(Jobs::Masks(&TORN_MASKS, None)), threads),
             [
                 "all torn points recovered or scrubbed",
                 "TORN CONTRACT VIOLATIONS",
@@ -139,7 +139,7 @@ fn main() {
         let sweep = bounded(scheme, mode, nested_outer);
         all_clean &= print_row(
             &scheme.label(mode),
-            &sweep.run(sweep.jobs(&NESTED_OUTER_MASKS, inner), threads),
+            &sweep.run(sweep.jobs(Jobs::Masks(&NESTED_OUTER_MASKS, inner)), threads),
             [
                 "all nested points re-recovered",
                 "NESTED CONTRACT VIOLATIONS",
@@ -160,14 +160,14 @@ fn main() {
         let sweep = bounded(scheme, mode, shard_points).with_shards(shard_shards);
         all_clean &= print_row(
             &label,
-            &sweep.run(sweep.jobs(&SHARD_MASKS, None), threads),
+            &sweep.run(sweep.jobs(Jobs::Masks(&SHARD_MASKS, None)), threads),
             [
                 "all shards recovered, neighbors kept serving",
                 SHARDED_VIOLATED,
             ],
         );
         let sweep = bounded(scheme, mode, shard_nested).with_shards(shard_shards);
-        let nested = sweep.jobs(&[0xFF], inner);
+        let nested = sweep.jobs(Jobs::Masks(&[0xFF], inner));
         // The worker-crash leg re-tags the same whole-line nested jobs.
         let worker = nested.clone().map(|jobs| {
             jobs.into_iter()

@@ -16,11 +16,13 @@
 //! persist points (journal updates, record/shadow rewrites) — the second
 //! recovery must converge off the ADR recovery journal.
 //!
-//! Fully deterministic for a fixed seed: any failure reproduces from the
-//! `(seed, combo, iteration)` tuple in its repro line — replay exactly one
-//! point with `fault_campaign --repro <combo-label>:<iteration>` (e.g.
-//! `--repro Steins-GC:42`) under the same seed/ops env. Exits non-zero on
-//! any contract violation or escaped panic.
+//! Each combo is one seeded `CrashSweep` job list (`Jobs::Seeded`) run
+//! through `CrashSweep::run`, so every point is checked by the crash
+//! sweep's one probe. Fully deterministic for a fixed seed: a failure names
+//! its job index, which is its iteration — replay exactly that point with
+//! `fault_campaign --repro <combo-label>:<iteration>` (e.g.
+//! `--repro Steins-GC:42`) under the same seed env. Exits non-zero on any
+//! contract violation or escaped panic.
 //!
 //! Each stream is 40 ops long. Env knobs: `STEINS_CAMPAIGN_POINTS` (fault
 //! points per combo, default 168 → 1008 total), `STEINS_CAMPAIGN_SEED`
@@ -28,7 +30,21 @@
 
 use steins_bench::metrics::write_metrics;
 use steins_bench::{env, par};
-use steins_core::campaign::{CampaignConfig, CampaignReport, FaultCampaign, COMBOS};
+use steins_core::config::COMBOS;
+use steins_core::crash::{campaign_metrics, SWEEP_LINES};
+use steins_core::{CrashSweep, Jobs, PointSelection, SweepOp, SystemConfig};
+use steins_obs::MetricRegistry;
+
+/// Length of every combo's op stream.
+const OPS: usize = 40;
+
+/// The campaign's sweep of `COMBOS[combo]`: a stream of its own seed.
+fn combo_sweep(seed: u64, combo: usize) -> CrashSweep {
+    let (scheme, mode) = COMBOS[combo];
+    let ops = SweepOp::stream(seed ^ ((combo as u64) << 17), SWEEP_LINES, OPS);
+    let cfg = SystemConfig::small_for_tests(scheme, mode);
+    CrashSweep::new(cfg, ops, PointSelection::All)
+}
 
 /// Parses a `--repro` point spec `<combo-label>:<iteration>` against the
 /// campaign's combo labels.
@@ -41,12 +57,29 @@ fn parse_repro(spec: &str) -> Option<(usize, usize)> {
     Some((combo, iter))
 }
 
+/// One `core.campaign.*` counter of `m`.
+fn counter(m: &MetricRegistry, key: &str) -> u64 {
+    m.counter(&format!("core.campaign.{key}")).unwrap_or(0)
+}
+
+/// The table's columns: points, crash, nested, attack, panics, strict
+/// detections and unrecoverable data lines.
+fn columns(m: &MetricRegistry) -> [u64; 7] {
+    let kinds = ["points.crash", "points.nested", "points.attack"].map(|k| counter(m, k));
+    [
+        kinds.iter().sum(),
+        kinds[0],
+        kinds[1],
+        kinds[2],
+        counter(m, "panics"),
+        counter(m, "strict.detected"),
+        counter(m, "scrub.data.unrecoverable"),
+    ]
+}
+
 fn main() {
-    let cfg = CampaignConfig {
-        seed: env::int("STEINS_CAMPAIGN_SEED").unwrap_or(0x5EED_FA17),
-        points_per_combo: env::int("STEINS_CAMPAIGN_POINTS").unwrap_or(168),
-        ops: 40,
-    };
+    let seed = env::int("STEINS_CAMPAIGN_SEED").unwrap_or(0x5EED_FA17);
+    let points = env::int("STEINS_CAMPAIGN_POINTS").unwrap_or(168);
 
     let args: Vec<String> = std::env::args().collect();
     if let Some(pos) = args.iter().position(|a| a == "--repro") {
@@ -65,31 +98,30 @@ fn main() {
         };
         let (scheme, mode) = COMBOS[combo];
         println!(
-            "Repro: {} iteration {iter}, seed {:#x}, {} ops/stream",
-            scheme.label(mode),
-            cfg.seed,
-            cfg.ops
+            "Repro: {} iteration {iter}, seed {seed:#x}, {OPS} ops/stream",
+            scheme.label(mode)
         );
-        let r = FaultCampaign::new(cfg)
-            .run_point(combo, iter)
-            .expect("combo index in range");
-        println!("{r}");
-        std::process::exit(if r.clean() { 0 } else { 1 });
+        let sweep = combo_sweep(seed, combo);
+        let failure = match sweep.jobs(Jobs::Seeded(seed, iter..iter + 1)) {
+            Ok(jobs) => jobs.into_iter().find_map(|job| {
+                println!("  job {iter}: {job:?}");
+                sweep.probe(job).map(|repro| repro.to_string())
+            }),
+            Err(e) => Some(format!("baseline run failed: {e}")),
+        };
+        if let Some(failure) = failure {
+            println!("  FAIL: {failure}");
+            std::process::exit(1);
+        }
+        println!("  PASS: every point met its contract");
+        return;
     }
 
+    let threads = par::threads();
     println!(
-        "Fault campaign: seed {:#x}, {} points × {} combos ({} ops/stream), {} workers",
-        cfg.seed,
-        cfg.points_per_combo,
+        "Fault campaign: seed {seed:#x}, {points} points × {} combos ({OPS} ops/stream), \
+         {threads} workers",
         COMBOS.len(),
-        cfg.ops,
-        par::threads()
-    );
-
-    let campaign = FaultCampaign::new(cfg.clone());
-    let reports: Vec<(String, CampaignReport)> = par::map(
-        COMBOS.iter().enumerate().collect::<Vec<_>>(),
-        |(ci, (scheme, mode))| (scheme.label(*mode), campaign.run_combo(ci, *scheme, *mode)),
     );
 
     let mut summary = String::from(
@@ -101,45 +133,49 @@ fn main() {
         "{:>10}  {:>7}  {:>6}  {:>7}  {:>7}  {:>7}  {:>9}  {:>14}  result",
         "combo", "points", "crash", "nested", "attack", "panics", "detected", "unrecoverable"
     );
-    let mut merged = CampaignReport {
-        seed: cfg.seed,
-        ..CampaignReport::default()
-    };
-    for (label, r) in &reports {
-        let verdict = if r.clean() { "pass" } else { "FAIL" };
+    let mut total = MetricRegistry::new();
+    let mut failures = Vec::new();
+    for (combo, (scheme, mode)) in COMBOS.into_iter().enumerate() {
+        let sweep = combo_sweep(seed, combo);
+        let jobs = sweep.jobs(Jobs::Seeded(seed, 0..points));
+        let report = sweep.run(jobs.clone(), threads);
+        let m = campaign_metrics(jobs.as_deref().unwrap_or_default(), &report);
+        let label = scheme.label(mode);
+        let verdict = if report.clean() { "pass" } else { "FAIL" };
+        let [n, crash, nested, attack, panics, detected, unrecoverable] = columns(&m);
         println!(
-            "{:>10}  {:>7}  {:>6}  {:>7}  {:>7}  {:>7}  {:>9}  {:>14}  {verdict}",
-            label,
-            r.points(),
-            r.crash_points,
-            r.nested_points,
-            r.attack_points,
-            r.panics,
-            r.strict_detected,
-            r.data_unrecoverable
+            "{label:>10}  {n:>7}  {crash:>6}  {nested:>7}  {attack:>7}  {panics:>7}  \
+             {detected:>9}  {unrecoverable:>14}  {verdict}"
         );
         summary.push_str(&format!(
-            "| {label} | {} | {} | {} | {} | {} | {} | {} | {verdict} |\n",
-            r.points(),
-            r.crash_points,
-            r.nested_points,
-            r.attack_points,
-            r.panics,
-            r.strict_detected,
-            r.data_unrecoverable
+            "| {label} | {n} | {crash} | {nested} | {attack} | {panics} | {detected} | \
+             {unrecoverable} | {verdict} |\n"
         ));
-        merged.merge(r);
+        total.merge(&m);
+        failures.extend(report.failures);
     }
-    println!("\n{merged}");
+    let [n, crash, nested, attack, panics, detected, unrecoverable] = columns(&total);
+    println!(
+        "\ncampaign seed {seed:#x}: {n} points ({crash} crash, {nested} nested, {attack} attack), \
+         {panics} panics, {detected} strict detections, scrub {{intact {}, \
+         unrecoverable {unrecoverable}, meta-recovered {}}}",
+        counter(&total, "scrub.data.intact"),
+        counter(&total, "scrub.meta.recovered"),
+    );
+    if failures.is_empty() {
+        println!("  PASS: every point met its contract");
+    } else {
+        println!("  FAIL: {} point(s) broke the contract", failures.len());
+        for failure in &failures {
+            println!("  - {failure}");
+        }
+    }
     summary.push_str(&format!(
-        "\n**{} total points ({} nested), {} panics, {} failures.**\n",
-        merged.points(),
-        merged.nested_points,
-        merged.panics,
-        merged.failures.len()
+        "\n**{n} total points ({nested} nested), {panics} panics, {} failures.**\n",
+        failures.len()
     ));
 
-    if let Some(path) = write_metrics("campaign", &merged.metrics()) {
+    if let Some(path) = write_metrics("campaign", &total) {
         println!("metrics -> {}", path.display());
     }
     if let Ok(step) = std::env::var("GITHUB_STEP_SUMMARY") {
@@ -148,7 +184,7 @@ fn main() {
             let _ = f.write_all(summary.as_bytes());
         }
     }
-    if !merged.clean() {
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }

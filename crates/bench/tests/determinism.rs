@@ -6,10 +6,12 @@
 use std::collections::BTreeMap;
 use steins_bench::metrics::matrix_metrics;
 use steins_bench::{run_one, Cell};
-use steins_core::campaign::{CampaignConfig, CampaignReport, FaultCampaign, COMBOS};
+use steins_core::config::COMBOS;
+use steins_core::crash::{campaign_metrics, SWEEP_LINES};
 use steins_core::par;
-use steins_core::SchemeKind;
+use steins_core::{CrashSweep, Jobs, PointSelection, SchemeKind, SweepOp, SystemConfig};
 use steins_metadata::CounterMode;
+use steins_obs::MetricRegistry;
 use steins_trace::WorkloadKind;
 
 fn sweep_json(workers: usize) -> String {
@@ -43,36 +45,33 @@ fn metrics_export_identical_for_1_and_4_workers() {
     assert_eq!(seq, par4, "worker count must not change exported metrics");
 }
 
-/// The fault campaign's exported metrics — including the nested
-/// crash-during-recovery axis (every iteration with `i % 4 == 2`) — must be
-/// byte-identical across worker counts: each iteration's RNG derives from
-/// `(seed, combo, i)` alone and combos merge in a fixed order.
-fn campaign_json(workers: usize) -> String {
-    let cfg = CampaignConfig {
-        seed: 0xD17E,
-        points_per_combo: 4,
-        ops: 14,
-    };
-    let campaign = FaultCampaign::new(cfg.clone());
-    let reports = par::run_regions(
-        workers,
-        COMBOS.iter().enumerate().collect::<Vec<_>>(),
-        |(ci, (scheme, mode))| campaign.run_combo(ci, *scheme, *mode),
-    );
-    let mut merged = CampaignReport {
-        seed: cfg.seed,
-        ..CampaignReport::default()
-    };
-    for r in &reports {
-        merged.merge(r);
+/// The committed `results/METRICS_campaign.json` is the default campaign
+/// (`fault_campaign` at seed `0x5EED_FA17`, 168 points per combo, 40-op
+/// streams): the seeded lists — including the nested crash-during-recovery
+/// axis — run at 1 and at 4 `run` threads must both export it byte for byte.
+fn campaign_json(threads: usize) -> String {
+    let seed = 0x5EED_FA17;
+    let mut total = MetricRegistry::new();
+    for (combo, (scheme, mode)) in COMBOS.into_iter().enumerate() {
+        let ops = SweepOp::stream(seed ^ ((combo as u64) << 17), SWEEP_LINES, 40);
+        let cfg = SystemConfig::small_for_tests(scheme, mode);
+        let sweep = CrashSweep::new(cfg, ops, PointSelection::All);
+        let jobs = sweep.jobs(Jobs::Seeded(seed, 0..168));
+        let report = sweep.run(jobs.clone(), threads);
+        total.merge(&campaign_metrics(&jobs.unwrap(), &report));
     }
-    merged.metrics().to_json_deterministic().pretty()
+    total.to_json_deterministic().pretty()
 }
 
 #[test]
 fn campaign_metrics_with_nested_axis_identical_for_1_and_4_workers() {
-    let seq = campaign_json(1);
-    let par4 = campaign_json(4);
-    assert!(seq.contains("core.campaign.points.nested"));
-    assert_eq!(seq, par4, "worker count must not change campaign metrics");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/METRICS_campaign.json"
+    );
+    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert!(committed.contains("core.campaign.points.nested"));
+    for threads in [1, 4] {
+        assert_eq!(campaign_json(threads), committed, "{threads} run thread(s)");
+    }
 }

@@ -44,6 +44,18 @@ impl SchemeKind {
     }
 }
 
+/// The six supported (scheme, counter-mode) combinations: ASIT and STAR are
+/// general-counter designs (split-counter variants are out of scope by
+/// design), WB and Steins run in both modes.
+pub const COMBOS: [(SchemeKind, CounterMode); 6] = [
+    (SchemeKind::WriteBack, CounterMode::General),
+    (SchemeKind::WriteBack, CounterMode::Split),
+    (SchemeKind::Asit, CounterMode::General),
+    (SchemeKind::Star, CounterMode::General),
+    (SchemeKind::Steins, CounterMode::General),
+    (SchemeKind::Steins, CounterMode::Split),
+];
+
 /// HMAC unit latency in cycles (Table I: 40).
 pub const HASH_LATENCY: u64 = 40;
 
@@ -161,7 +173,16 @@ impl SystemConfig {
             self.nv_buffer_bytes >= 16,
             "NV buffer must hold at least one 16 B entry"
         );
-        assert!(self.record_cache_lines >= 1);
+        assert!(
+            self.record_cache_lines >= 1,
+            "record_cache_lines must be >= 1: the ADR record region needs at least one line"
+        );
+        if self.scheme == SchemeKind::Star {
+            assert!(
+                self.bitmap_cache_lines >= 1,
+                "STAR needs bitmap_cache_lines >= 1: its ADR bitmap region needs at least one line"
+            );
+        }
     }
 }
 
@@ -198,6 +219,22 @@ mod tests {
     #[should_panic(expected = "does not support split")]
     fn asit_split_rejected() {
         SystemConfig::small_for_tests(SchemeKind::Asit, CounterMode::Split).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "record_cache_lines must be >= 1")]
+    fn zero_record_lines_rejected() {
+        let mut c = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
+        c.record_cache_lines = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "STAR needs bitmap_cache_lines >= 1")]
+    fn star_without_bitmap_lines_rejected() {
+        let mut c = SystemConfig::small_for_tests(SchemeKind::Star, CounterMode::General);
+        c.bitmap_cache_lines = 0;
+        c.validate();
     }
 
     #[test]

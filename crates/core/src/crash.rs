@@ -16,12 +16,15 @@
 //! through a [`ShardedEngine`] (an unsharded system is the 1-shard case)
 //! along one path: [`CrashSweep::jobs`] lists the [`CrashJob`]s to inject —
 //! a crash at a selected persist point, a second crash during its
-//! recovery, or a worker crash in the middle of a parallel whole-engine
-//! rebuild — [`CrashSweep::probe`] injects one and checks recovery (and,
-//! after a tear, the lenient scrub) against the sweep contract, and
-//! [`CrashSweep::run`] probes a list on a worker pool.
+//! recovery, a worker crash in the middle of a parallel whole-engine
+//! rebuild, or a crash whose image is then tampered with — either by
+//! enumeration or drawn by the seeded fault campaign ([`Jobs`]).
+//! [`CrashSweep::probe`] injects one and checks it: recovery (and, after a
+//! tear, the lenient scrub) against the sweep contract, an attacked image
+//! against the robustness contract. [`CrashSweep::run`] probes a list on a
+//! worker pool.
 
-use crate::config::{SchemeKind, SystemConfig};
+use crate::config::{SchemeKind, SystemConfig, COMBOS};
 use crate::diagnose;
 use crate::engine::SecureNvmSystem;
 use crate::error::IntegrityError;
@@ -33,10 +36,12 @@ use crate::shard::ShardedEngine;
 use crate::truth::Truth;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use steins_crypto::CryptoEngine;
 use steins_metadata::{CounterMode, MemoryLayout, RootNode};
 use steins_nvm::{NvmDevice, PersistKind, PersistPoint};
+use steins_obs::{Histogram, MetricRegistry};
 use steins_trace::rng::SmallRng;
 
 /// A machine that lost power: only non-volatile state remains, beside the
@@ -166,6 +171,10 @@ impl CrashedSystem {
 // whole-line point is shrunk to a minimal op stream and printed with the
 // first divergent node and a MAC-probe diagnosis ([`crate::diagnose`]).
 
+/// The data-line universe of the standard streams ([`CrashSweep::small`]
+/// and the fault campaign's) and of the campaign's data-line attacks.
+pub const SWEEP_LINES: u64 = 192;
+
 /// One operation of the fixed, replayable stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepOp {
@@ -271,7 +280,7 @@ pub struct CrashPoint {
 /// One unit of a sweep: the crash (or crashes) to inject. A `mask` is a
 /// word mask for the tripping line write — bit *i* ⇒ 8-byte word *i*
 /// persists — and `0xFF` is the whole-line crash.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CrashJob {
     /// One crash at `p`.
     Point {
@@ -302,6 +311,43 @@ pub enum CrashJob {
         /// Rebuild threads.
         workers: usize,
     },
+    /// A crash at `p` whose image is then corrupted by `attacks` before
+    /// strict recovery and the lenient scrub each run on it.
+    Attacked {
+        /// The crash point.
+        p: CrashPoint,
+        /// Word mask of the tripping write.
+        mask: u8,
+        /// The post-crash corruptions, applied in order.
+        attacks: Vec<Attack>,
+    },
+}
+
+/// What [`CrashSweep::jobs`] lists.
+#[derive(Clone, Debug)]
+pub enum Jobs<'a> {
+    /// `Masks(outer, inner)`: for each outer mask, in order, the sweep's
+    /// selection applied per shard to the persist points that mask can
+    /// trip on — every point for `0xFF`, only line writes for a torn mask.
+    /// Without `inner` each selected point is one [`CrashJob::Point`]. With
+    /// `inner = Some((masks, selection))` each is paired with the persist
+    /// points recovery itself fires after that crash, bounded by
+    /// `selection`, under every inner mask that can trip on them, as
+    /// [`CrashJob::Nested`] jobs. When recovery fires none (WB refuses
+    /// before its first write), one synthetic point past the outer crash
+    /// stands in, so the refusal is still checked under nested arming.
+    Masks(&'a [u8], Option<(&'a [u8], PointSelection)>),
+    /// `Seeded(seed, iters)`: the fault campaign, one job per iteration `i`
+    /// of `iters`, drawn from an RNG seeded by `(seed, combo, i)` alone —
+    /// `combo` is the sweep's index in [`COMBOS`] — so an iteration lists
+    /// alone as it does inside any range. Each draws a crash point
+    /// uniformly over shard 0's persist points and a word mask (`0xFF`
+    /// where the point is an ADR update, which never tears). Iterations
+    /// with `i % 4 == 2` add a second crash at a drawn recovery-time point
+    /// ([`CrashJob::Nested`], its mask likewise tearing only a line write),
+    /// other even ones stay a [`CrashJob::Point`], and odd ones draw 1–3
+    /// [`Attack`]s ([`CrashJob::Attacked`]).
+    Seeded(u64, Range<usize>),
 }
 
 impl CrashJob {
@@ -326,11 +372,124 @@ pub(crate) fn can_trip(q: &PersistPoint, mask: u8) -> bool {
     mask == 0xFF || q.kind == PersistKind::LineWrite
 }
 
+/// One post-crash corruption of a [`CrashJob::Attacked`] image. Node
+/// offsets index the target's metadata region, lines its data region.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Attack {
+    /// XOR `mask` into byte `byte` of the node at `offset`.
+    TamperNode { offset: u64, byte: usize, mask: u8 },
+    /// XOR `mask` into byte `byte` of data line `line`.
+    TamperData { line: u64, byte: usize, mask: u8 },
+    /// Rewrite the offset record of metadata-cache slot `slot`.
+    RewriteRecord { slot: u64, entry: Option<u64> },
+    /// Overwrite the node at `node_offset` with `fill` bytes.
+    RawOverwrite { node_offset: u64, fill: u8 },
+    /// Media fault: the node at `node_offset` reads back stuck at `fill`.
+    StuckLine { node_offset: u64, fill: u8 },
+    /// Media fault: data line `data_line` stops being readable.
+    Unreadable { data_line: u64 },
+    /// Flip bit `bit` of byte `byte` of data line `data_line` in storage.
+    BitFlip {
+        data_line: u64,
+        byte: usize,
+        bit: u8,
+    },
+}
+
+/// Draws a torn-word mask: whole-line persists stay the common case, with
+/// prefix tears, arbitrary subsets, and dropped writes mixed in.
+pub(crate) fn draw_mask(rng: &mut SmallRng) -> u8 {
+    match rng.next_u64() % 4 {
+        0 | 1 => 0xFF,
+        2 => {
+            // Prefix tear: the first 1..=7 words landed.
+            let words = 1 + (rng.next_u64() % 7) as u8;
+            (1u16 << words).wrapping_sub(1) as u8
+        }
+        _ => (rng.next_u64() & 0xFF) as u8, // arbitrary subset, 0x00 possible
+    }
+}
+
+/// Draws one post-crash corruption over `total_nodes` metadata nodes,
+/// `cache_slots` record slots and the stream's [`SWEEP_LINES`] data lines.
+fn draw_attack(rng: &mut SmallRng, total_nodes: u64, cache_slots: u64) -> Attack {
+    let nz = |m: u8| if m == 0 { 1 } else { m };
+    match rng.next_u64() % 7 {
+        0 => Attack::TamperNode {
+            offset: rng.next_u64() % total_nodes,
+            byte: (rng.next_u64() % 64) as usize,
+            mask: nz((rng.next_u64() & 0xFF) as u8),
+        },
+        1 => Attack::TamperData {
+            line: rng.next_u64() % SWEEP_LINES,
+            byte: (rng.next_u64() % 64) as usize,
+            mask: nz((rng.next_u64() & 0xFF) as u8),
+        },
+        2 => Attack::RewriteRecord {
+            slot: rng.next_u64() % cache_slots,
+            entry: if rng.next_u64() % 2 == 0 {
+                Some(rng.next_u64() % total_nodes)
+            } else {
+                None
+            },
+        },
+        3 => Attack::RawOverwrite {
+            node_offset: rng.next_u64() % total_nodes,
+            fill: (rng.next_u64() & 0xFF) as u8,
+        },
+        4 => Attack::StuckLine {
+            node_offset: rng.next_u64() % total_nodes,
+            fill: (rng.next_u64() & 0xFF) as u8,
+        },
+        5 => Attack::Unreadable {
+            data_line: rng.next_u64() % SWEEP_LINES,
+        },
+        _ => Attack::BitFlip {
+            data_line: rng.next_u64() % SWEEP_LINES,
+            byte: (rng.next_u64() % 64) as usize,
+            bit: (rng.next_u64() % 8) as u8,
+        },
+    }
+}
+
+/// Applies an attack to a crashed image.
+fn apply_attack(crashed: &mut CrashedSystem, a: Attack) {
+    let data_addr = |line: u64| crashed.layout.data_base + line * 64;
+    match a {
+        Attack::TamperNode { offset, byte, mask } => crashed.tamper_node_at(offset, byte, mask),
+        Attack::TamperData { line, byte, mask } => crashed.tamper_data_at(line, byte, mask),
+        Attack::RewriteRecord { slot, entry } => crashed.rewrite_record(slot, entry),
+        Attack::RawOverwrite { node_offset, fill } => {
+            let addr = crashed.layout.node_addr(node_offset);
+            crashed.poke_raw(addr, &[fill; 64]);
+        }
+        Attack::StuckLine { node_offset, fill } => {
+            let addr = crashed.layout.node_addr(node_offset);
+            crashed.nvm_mut().inject_stuck_line(addr, [fill; 64]);
+        }
+        Attack::Unreadable { data_line } => {
+            let addr = data_addr(data_line);
+            crashed.nvm_mut().inject_unreadable(addr);
+        }
+        Attack::BitFlip {
+            data_line,
+            byte,
+            bit,
+        } => {
+            let addr = data_addr(data_line);
+            crashed.nvm_mut().inject_bit_flip(addr, byte, bit);
+        }
+    }
+}
+
 /// A minimized failing crash point.
 #[derive(Clone, Debug)]
 pub struct CrashRepro {
     /// Scheme/mode label ("Steins-SC" …).
     pub label: String,
+    /// The failing job's index in the list [`CrashSweep::run`] probed; in
+    /// a [`Jobs::Seeded`] list from iteration 0 it is the iteration.
+    pub job: Option<usize>,
     /// The shard the crash was armed on, in a sweep of more than one shard.
     pub shard: Option<usize>,
     /// The minimized op stream that still fails.
@@ -349,13 +508,14 @@ pub struct CrashRepro {
 
 impl fmt::Display for CrashRepro {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let job = self.job.map(|j| format!("job {j}, ")).unwrap_or_default();
         let shard = self
             .shard
             .map(|s| format!("shard {s} "))
             .unwrap_or_default();
         writeln!(
             f,
-            "{}: {shard}crash point {} (op {} of {}) is unrecoverable",
+            "{}: {job}{shard}crash point {} (op {} of {}) is unrecoverable",
             self.label,
             self.crash_point,
             self.op_index,
@@ -370,6 +530,23 @@ impl fmt::Display for CrashRepro {
     }
 }
 
+/// What [`CrashJob::Attacked`] jobs count besides pass or fail; no other
+/// job counts anything here.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AttackTally {
+    /// Strict recoveries of an attacked image that returned an error.
+    pub detected: u64,
+    /// Unwinds caught in strict recovery, the scrub or a read after it;
+    /// each also fails its job.
+    pub unwinds: u64,
+    /// Data lines the scrubs verified intact.
+    pub data_intact: u64,
+    /// Data lines the scrubs classified unrecoverable.
+    pub data_unrecoverable: u64,
+    /// Metadata nodes the scrubs rebuilt.
+    pub meta_recovered: u64,
+}
+
 /// Result of one [`CrashSweep::run`] over a job list.
 #[derive(Clone, Debug)]
 pub struct SweepReport {
@@ -379,6 +556,8 @@ pub struct SweepReport {
     pub tested_points: u64,
     /// The repro of every failing job, in job order.
     pub failures: Vec<CrashRepro>,
+    /// The attacked jobs' tallies, summed.
+    pub attacked: AttackTally,
 }
 
 impl SweepReport {
@@ -386,6 +565,39 @@ impl SweepReport {
     pub fn clean(&self) -> bool {
         self.failures.is_empty()
     }
+}
+
+/// The `core.campaign.*` keys of a seeded list and its report: jobs per
+/// kind and the histogram of their crash points from `jobs`, failures and
+/// the attacked jobs' tallies from `report`.
+pub fn campaign_metrics(jobs: &[CrashJob], report: &SweepReport) -> MetricRegistry {
+    let mut m = MetricRegistry::new();
+    let mut hist = Histogram::new();
+    let mut kinds = [("crash", 0), ("nested", 0), ("attack", 0)];
+    for job in jobs {
+        let (kind, p) = match job {
+            CrashJob::Point { p, .. } => (0, p),
+            CrashJob::Nested { p, .. } | CrashJob::WorkerCrash { p, .. } => (1, p),
+            CrashJob::Attacked { p, .. } => (2, p),
+        };
+        kinds[kind].1 += 1;
+        hist.record(p.k);
+    }
+    for (kind, n) in kinds {
+        m.counter_add(&format!("core.campaign.points.{kind}"), n);
+    }
+    let t = &report.attacked;
+    m.counter_add("core.campaign.panics", t.unwinds);
+    m.counter_add("core.campaign.failures", report.failures.len() as u64);
+    m.counter_add("core.campaign.strict.detected", t.detected);
+    m.counter_add("core.campaign.scrub.data.intact", t.data_intact);
+    m.counter_add(
+        "core.campaign.scrub.data.unrecoverable",
+        t.data_unrecoverable,
+    );
+    m.counter_add("core.campaign.scrub.meta.recovered", t.meta_recovered);
+    m.insert_hist("core.campaign.point", &hist);
+    m
 }
 
 impl fmt::Display for SweepReport {
@@ -530,7 +742,7 @@ impl CrashSweep {
         selection: PointSelection,
     ) -> Self {
         let cfg = SystemConfig::small_for_tests(scheme, mode);
-        let ops = SweepOp::stream(0x5EED ^ ops as u64, 192, ops);
+        let ops = SweepOp::stream(0x5EED ^ ops as u64, SWEEP_LINES, ops);
         CrashSweep::new(cfg, ops, selection)
     }
 
@@ -569,24 +781,15 @@ impl CrashSweep {
         Ok(self.enumerate()?.iter().map(|j| j.len() as u64).collect())
     }
 
-    /// The sweep's jobs. For each outer mask, in order, the sweep's
-    /// selection is applied per shard to the persist points that mask can
-    /// trip on: every point for `0xFF`, only line writes for a torn mask.
-    /// Without `inner` each selected point is one [`CrashJob::Point`]. With
-    /// `inner = (masks, selection)` each is paired with the persist points
-    /// recovery itself fires after that crash, bounded by `selection`,
-    /// under every inner mask that can trip on them, as
-    /// [`CrashJob::Nested`] jobs. When recovery fires none (WB refuses
-    /// before its first write), one synthetic point past the outer crash
-    /// stands in, so the refusal is still checked under nested arming.
-    pub fn jobs(
-        &self,
-        outer_masks: &[u8],
-        inner: Option<(&[u8], PointSelection)>,
-    ) -> Result<Vec<CrashJob>, IntegrityError> {
+    /// The sweep's jobs, listed as `what` says.
+    pub fn jobs(&self, what: Jobs) -> Result<Vec<CrashJob>, IntegrityError> {
         let journals = self.enumerate()?;
+        let (outer, inner) = match what {
+            Jobs::Masks(outer, inner) => (outer, inner),
+            Jobs::Seeded(seed, iters) => return Ok(self.seeded(&journals[0], seed, iters)),
+        };
         let mut jobs = Vec::new();
-        for &mask in outer_masks {
+        for &mask in outer {
             for (shard, journal) in journals.iter().enumerate() {
                 let ks = journal.iter().filter(|q| can_trip(q, mask)).map(|q| q.seq);
                 for k in self.selection.apply(ks.collect()) {
@@ -611,9 +814,64 @@ impl CrashSweep {
         Ok(jobs)
     }
 
+    /// [`Jobs::Seeded`]'s list, drawn against shard 0's persist points
+    /// `journal`.
+    fn seeded(&self, journal: &[PersistPoint], seed: u64, iters: Range<usize>) -> Vec<CrashJob> {
+        let total = journal.len() as u64;
+        if total == 0 {
+            return Vec::new();
+        }
+        let combo = COMBOS
+            .iter()
+            .position(|&c| c == (self.cfg.scheme, self.cfg.mode))
+            .expect("validate admits only the combos");
+        let cfg = ShardedEngine::split_config(&self.cfg, self.shards);
+        let slots = cfg.meta_cache.slots();
+        let nodes = MemoryLayout::new(cfg.mode, cfg.data_lines, slots)
+            .geometry
+            .total_nodes();
+        iters
+            .map(|i| {
+                let mut rng = SmallRng::seed_from_u64(
+                    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .rotate_left(combo as u32 * 7)
+                        ^ (i as u64).wrapping_mul(0xD134_2543_DE82_EF95),
+                );
+                let k = rng.gen_range_inclusive(1, total);
+                let p = CrashPoint { shard: 0, k };
+                let drawn = draw_mask(&mut rng);
+                let mask = if can_trip(&journal[k as usize - 1], drawn) {
+                    drawn
+                } else {
+                    0xFF
+                };
+                if i % 4 == 2 {
+                    let draw = rng.next_u64();
+                    let drawn = draw_mask(&mut rng);
+                    let points = self.inner_points(p, mask);
+                    let q = points[(draw % points.len() as u64) as usize];
+                    let inner = if can_trip(&q, drawn) { drawn } else { 0xFF };
+                    CrashJob::Nested {
+                        p,
+                        mask,
+                        j: q.seq,
+                        inner,
+                    }
+                } else if i % 2 == 0 {
+                    CrashJob::Point { p, mask }
+                } else {
+                    let attacks = (0..1 + rng.next_u64() % 3)
+                        .map(|_| draw_attack(&mut rng, nodes, slots))
+                        .collect();
+                    CrashJob::Attacked { p, mask, attacks }
+                }
+            })
+            .collect()
+    }
+
     /// Replays the stream with a (possibly torn) crash armed at `p`, then
     /// reconciles ground truth. `Ok(None)` when `p.k` lies beyond the
-    /// target's horizon. Shared with the randomized fault campaign.
+    /// target's horizon.
     pub(crate) fn crash_torn(
         &self,
         p: CrashPoint,
@@ -926,6 +1184,7 @@ impl CrashSweep {
             } else {
                 format!("{} {leg}", self.label())
             },
+            job: None,
             shard: (self.shards > 1).then_some(p.shard),
             ops: self.ops[..=fail.op_index].to_vec(),
             op_index: fail.op_index,
@@ -942,14 +1201,27 @@ impl CrashSweep {
     /// failure truncated to the op in flight. Each call replays the stream
     /// from scratch.
     pub fn probe(&self, job: CrashJob) -> Option<CrashRepro> {
-        let fail = match job {
+        self.probe_tallied(job).0
+    }
+
+    /// [`Self::probe`], plus what an attacked job counted.
+    fn probe_tallied(&self, job: CrashJob) -> (Option<CrashRepro>, AttackTally) {
+        let mut tally = AttackTally::default();
+        let verdict = match job {
             CrashJob::Point { p, mask } => self.test_crash(p, mask, None),
             CrashJob::Nested { p, mask, j, inner } => self.test_crash(p, mask, Some((j, inner))),
             CrashJob::WorkerCrash { p, j, workers } => self.test_worker_crash(p, j, workers),
-        }
-        .err()?;
+            CrashJob::Attacked {
+                p,
+                mask,
+                ref attacks,
+            } => self.test_attacked(p, mask, attacks, &mut tally),
+        };
+        let Err(fail) = verdict else {
+            return (None, tally);
+        };
         let (p, leg) = match job {
-            CrashJob::Point { p, mask: 0xFF } => return Some(self.shrink(p, fail)),
+            CrashJob::Point { p, mask: 0xFF } => return (Some(self.shrink(p, fail)), tally),
             CrashJob::Point { p, mask } => (p, format!("torn {mask:#04x}")),
             CrashJob::Nested { p, mask, j, inner } => (
                 p,
@@ -958,8 +1230,11 @@ impl CrashSweep {
             CrashJob::WorkerCrash { p, j, workers } => {
                 (p, format!("worker-crash {}>{j} w{workers}", p.k))
             }
+            CrashJob::Attacked { p, mask, attacks } => {
+                (p, format!("attacked {} mask {mask:#04x} {attacks:?}", p.k))
+            }
         };
-        Some(self.repro(&leg, p, fail))
+        (Some(self.repro(&leg, p, fail)), tally)
     }
 
     /// Finds the first failing whole-line point of the stream, spending at
@@ -1010,23 +1285,23 @@ impl CrashSweep {
     }
 
     /// Probes every job on `threads` workers ([`par::run_regions`]) and
-    /// keeps every failure, in job order. `jobs` is [`Self::jobs`]'s
-    /// result: a crash-free baseline run that already fails becomes a
-    /// report of that one failure.
+    /// keeps every failure, named by its job index, in job order, with the
+    /// attacked jobs' tallies. `jobs` is [`Self::jobs`]'s result: a
+    /// crash-free baseline run that already fails becomes a report of that
+    /// one failure.
     pub fn run(&self, jobs: Result<Vec<CrashJob>, IntegrityError>, threads: usize) -> SweepReport {
-        let label = self.label();
-        let (tested_points, failures) = match jobs {
-            Ok(jobs) => (
-                jobs.len() as u64,
-                par::run_regions(threads, jobs, |job| self.probe(job))
-                    .into_iter()
-                    .flatten()
-                    .collect(),
-            ),
-            Err(e) => (
-                0,
-                vec![CrashRepro {
-                    label: label.clone(),
+        let mut report = SweepReport {
+            label: self.label(),
+            tested_points: 0,
+            failures: Vec::new(),
+            attacked: AttackTally::default(),
+        };
+        let jobs = match jobs {
+            Ok(jobs) => jobs,
+            Err(e) => {
+                report.failures.push(CrashRepro {
+                    label: report.label.clone(),
+                    job: None,
                     shard: None,
                     ops: self.ops.clone(),
                     op_index: 0,
@@ -1034,14 +1309,29 @@ impl CrashSweep {
                     point: None,
                     error: format!("baseline run failed: {e}"),
                     divergent: "stream does not complete without a crash".into(),
-                }],
-            ),
+                });
+                return report;
+            }
         };
-        SweepReport {
-            label,
-            tested_points,
-            failures,
+        report.tested_points = jobs.len() as u64;
+        let probed = par::run_regions(
+            threads,
+            jobs.into_iter().enumerate().collect(),
+            |(i, job)| {
+                let (repro, tally) = self.probe_tallied(job);
+                (repro.map(|r| CrashRepro { job: Some(i), ..r }), tally)
+            },
+        );
+        let sum = &mut report.attacked;
+        for (repro, t) in probed {
+            report.failures.extend(repro);
+            sum.detected += t.detected;
+            sum.unwinds += t.unwinds;
+            sum.data_intact += t.data_intact;
+            sum.data_unrecoverable += t.data_unrecoverable;
+            sum.meta_recovered += t.meta_recovered;
         }
+        report
     }
 
     // ———————— The contract: one crash, or a second during recovery ————————
@@ -1408,6 +1698,144 @@ impl CrashSweep {
         self.serve_rest(&mut out)?;
         self.verify(&out, p, true)
     }
+
+    // ———————— The robustness contract: a crash, then an attack ————————
+    //
+    // Tampering after the crash defeats the sweep contract by design: an
+    // attacked image promises detection, never correction, and never a
+    // panic. A failing job is truncated to the op in flight: the replay
+    // stops at the power cut, so no later op could change its verdict.
+
+    /// Reproduces the crash `(p, mask)` and lands `attacks` on the
+    /// target's image. `Ok(None)` when `p.k` lies beyond the target's
+    /// horizon.
+    fn attacked_image(
+        &self,
+        p: CrashPoint,
+        mask: u8,
+        attacks: &[Attack],
+    ) -> Result<Option<(CrashedSystem, Outage)>, PointFailure> {
+        Ok(self.crash_torn(p, mask)?.map(|(mut crashed, out)| {
+            for &a in attacks {
+                apply_attack(&mut crashed, a);
+            }
+            (crashed, out)
+        }))
+    }
+
+    /// Checks an attacked crash image:
+    /// * strict recovery must not unwind; an `Err` counts as a detection;
+    /// * the lenient scrub, on a freshly rebuilt copy of the image, must
+    ///   not unwind either;
+    /// * every tampered data line that held acked content must be flagged
+    ///   unrecoverable, unless a media fault shadows what the scrub saw or
+    ///   the tear sacrificed the line;
+    /// * when the scheme can recover, no acked line may read back wrong as
+    ///   `Ok`, and no read may unwind.
+    ///
+    /// WB is held to the same contract: its strict refusal is a detection.
+    fn test_attacked(
+        &self,
+        p: CrashPoint,
+        mask: u8,
+        attacks: &[Attack],
+        tally: &mut AttackTally,
+    ) -> Result<(), PointFailure> {
+        let Some((crashed, out)) = self.attacked_image(p, mask, attacks)? else {
+            return Ok(());
+        };
+        match catch_unwind(AssertUnwindSafe(move || crashed.recover().err())) {
+            Ok(Some(_)) => tally.detected += 1,
+            Ok(None) => {}
+            Err(_) => {
+                tally.unwinds += 1;
+                return Err(out.fail(
+                    "strict recovery panicked on an attacked image",
+                    "recovery must fail closed, never unwind",
+                ));
+            }
+        }
+        let Some((crashed, ..)) = self.attacked_image(p, mask, attacks)? else {
+            return Err(out.fail("attacked image not reproducible for the scrub", "n/a"));
+        };
+        let Ok((sys, scrub)) = catch_unwind(AssertUnwindSafe(move || crashed.recover_lenient()))
+        else {
+            tally.unwinds += 1;
+            return Err(out.fail(
+                "lenient scrub panicked on an attacked image",
+                "lenient recovery must be total",
+            ));
+        };
+        tally.data_intact += scrub.data_intact;
+        tally.data_unrecoverable += scrub.data_unrecoverable;
+        tally.meta_recovered += scrub.meta_recovered;
+
+        // The data lines whose storage an attack corrupted (global
+        // addresses), unless a read-path media fault shadows what the scrub
+        // saw.
+        let map = out.engine.map();
+        let media = attacks
+            .iter()
+            .any(|a| matches!(a, Attack::StuckLine { .. } | Attack::Unreadable { .. }));
+        let mut tampered = attacks.iter().filter_map(|a| match *a {
+            Attack::TamperData { line, .. }
+            | Attack::BitFlip {
+                data_line: line, ..
+            } => Some(map.global_line(out.target, line) * 64),
+            _ => None,
+        });
+        let flagged = |addr: u64| {
+            scrub
+                .unrecoverable_addrs
+                .iter()
+                .any(|&a| map.global_line(out.target, a / 64) * 64 == addr)
+        };
+        if let Some(addr) = tampered.find(|&addr| {
+            !media
+                && out.expected.contains_key(&addr)
+                && Some(addr) != out.sacrificed
+                && !flagged(addr)
+        }) {
+            return Err(out.fail(
+                format!("tampered durable line {addr:#x} not flagged unrecoverable"),
+                format!("{scrub}"),
+            ));
+        }
+
+        if !self.cfg.scheme.supports_recovery() {
+            return Ok(());
+        }
+        let Some(sys) = sys else {
+            return Err(out.fail(
+                "scrub returned no system for a recoverable scheme",
+                format!("{scrub}"),
+            ));
+        };
+        out.engine.put_shard(out.target, sys);
+        let mut lines: Vec<u64> = out.expected.keys().copied().collect();
+        lines.sort_unstable();
+        let wrong = catch_unwind(AssertUnwindSafe(|| {
+            lines.into_iter().find(|&addr| {
+                out.engine
+                    .read(addr)
+                    .is_ok_and(|got| got != out.expected[&addr])
+            })
+        }));
+        match wrong {
+            Ok(None) => Ok(()),
+            Ok(Some(addr)) => Err(out.fail(
+                format!("read of {addr:#x} returned wrong data as Ok after the scrub"),
+                "a line that verifies must hold its acked content",
+            )),
+            Err(_) => {
+                tally.unwinds += 1;
+                Err(out.fail(
+                    "read after the scrub panicked",
+                    "reads must fail closed, never unwind",
+                ))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1480,7 +1908,7 @@ pub(crate) mod tests {
     /// its crash points are the unsharded machine's.
     #[test]
     fn one_shard_sweep_enumerates_a_bare_systems_persist_points() {
-        for (scheme, mode) in crate::campaign::COMBOS {
+        for (scheme, mode) in COMBOS {
             let sweep = CrashSweep::small(scheme, mode, 60, PointSelection::All);
             let mut bare = SecureNvmSystem::new(SystemConfig::small_for_tests(scheme, mode));
             run_bare(&mut bare, &sweep.ops);
@@ -1491,7 +1919,7 @@ pub(crate) mod tests {
                 vec![total],
                 "{scheme:?}/{mode:?}"
             );
-            let jobs = sweep.jobs(&[0xFF], None).unwrap();
+            let jobs = sweep.jobs(Jobs::Masks(&[0xFF], None)).unwrap();
             assert_eq!(jobs.len() as u64, total, "{scheme:?}/{mode:?}");
             assert!(jobs
                 .iter()
@@ -1507,7 +1935,7 @@ pub(crate) mod tests {
             40,
             PointSelection::AtMost(24),
         );
-        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        let report = sweep.run(sweep.jobs(Jobs::Masks(&[0xFF], None)), 1);
         assert!(report.tested_points > 0);
         assert!(report.clean(), "{report}");
     }
@@ -1523,7 +1951,7 @@ pub(crate) mod tests {
         let cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::General);
         let ops = vec![SweepOp::Write { line: 5, tag: 128 }];
         let sweep = CrashSweep::new(cfg, ops, PointSelection::All);
-        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        let report = sweep.run(sweep.jobs(Jobs::Masks(&[0xFF], None)), 1);
         assert!(report.tested_points > 0);
         assert!(report.clean(), "{report}");
     }
@@ -1543,7 +1971,7 @@ pub(crate) mod tests {
             40,
             PointSelection::AtMost(24),
         );
-        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        let report = sweep.run(sweep.jobs(Jobs::Masks(&[0xFF], None)), 1);
         assert!(report.tested_points > 0);
         assert!(report.clean(), "{report}");
     }
@@ -1564,7 +1992,7 @@ pub(crate) mod tests {
             40,
             PointSelection::AtMost(24),
         );
-        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        let report = sweep.run(sweep.jobs(Jobs::Masks(&[0xFF], None)), 1);
         assert!(report.tested_points > 0);
         assert!(report.clean(), "{report}");
     }
@@ -1614,7 +2042,7 @@ pub(crate) mod tests {
             24,
             PointSelection::AtMost(12),
         );
-        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        let report = sweep.run(sweep.jobs(Jobs::Masks(&[0xFF], None)), 1);
         assert!(report.clean(), "{report}");
     }
 
@@ -1670,7 +2098,7 @@ pub(crate) mod tests {
             ("Steins-GC", 447, 0xb8080070bb9aab43),
             ("Steins-SC", 265, 0xfda7c171fab18932),
         ];
-        let got = crate::campaign::COMBOS.map(|(scheme, mode)| {
+        let got = COMBOS.map(|(scheme, mode)| {
             let ops = evicting_stream(0x5EED ^ 150, 150);
             let sweep = CrashSweep::new(one_set(scheme, mode), ops, PointSelection::All);
             let runtime = sweep.enumerate().unwrap().remove(0);
@@ -1729,7 +2157,7 @@ pub(crate) mod tests {
             let sweep = CrashSweep::new(cfg.clone(), ops.clone(), PointSelection::AtMost(8))
                 .with_shards(shards);
             let journals = sweep.enumerate().unwrap();
-            let jobs = sweep.jobs(&[0xFF, 0x0F], None).unwrap();
+            let jobs = sweep.jobs(Jobs::Masks(&[0xFF, 0x0F], None)).unwrap();
             for mask in [0xFF, 0x0F] {
                 for (shard, journal) in journals.iter().enumerate() {
                     let candidates: Vec<u64> = journal
@@ -1769,6 +2197,34 @@ pub(crate) mod tests {
                     }
                 }
             }
+            // A seeded list keeps the rule too: where a drawn mask cannot
+            // tear its point, outer or inner, the job carries `0xFF`.
+            let seeded = Jobs::Seeded(0x5EED_FA17, 0..40);
+            for job in sweep.jobs(seeded).unwrap() {
+                let (p, mask, inner) = match job {
+                    CrashJob::Point { p, mask } | CrashJob::Attacked { p, mask, .. } => {
+                        (p, mask, None)
+                    }
+                    CrashJob::Nested { p, mask, j, inner } => (p, mask, Some((j, inner))),
+                    CrashJob::WorkerCrash { .. } => unreachable!("never drawn"),
+                };
+                let q = journals[p.shard][p.k as usize - 1];
+                assert!(
+                    can_trip(&q, mask),
+                    "{shards} shard(s): {mask:#04x} on {q:?}"
+                );
+                if let Some((j, m1)) = inner {
+                    let points = sweep.inner_points(p, mask);
+                    let q = points
+                        .iter()
+                        .find(|q| q.seq == j)
+                        .expect("a recovery point");
+                    assert!(
+                        can_trip(q, m1),
+                        "{shards} shard(s): inner {m1:#04x} on {q:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -1778,7 +2234,7 @@ pub(crate) mod tests {
     /// or via the scrub — with the torn line failing closed.
     fn torn_sweep(scheme: SchemeKind) {
         let sweep = CrashSweep::small(scheme, CounterMode::General, 25, PointSelection::AtMost(10));
-        let report = sweep.run(sweep.jobs(&[0x00, 0x0F, 0x5A], None), 1);
+        let report = sweep.run(sweep.jobs(Jobs::Masks(&[0x00, 0x0F, 0x5A], None)), 1);
         assert!(report.tested_points > 0, "no tearable points enumerated");
         assert!(report.clean(), "{report}");
     }
@@ -1809,7 +2265,10 @@ pub(crate) mod tests {
     fn nested_sweep(scheme: SchemeKind) {
         let sweep = CrashSweep::small(scheme, CounterMode::General, 18, PointSelection::AtMost(5));
         let masks = [0xFF, 0x0F];
-        let jobs = sweep.jobs(&masks, Some((&masks, PointSelection::AtMost(4))));
+        let jobs = sweep.jobs(Jobs::Masks(
+            &masks,
+            Some((&masks, PointSelection::AtMost(4))),
+        ));
         let report = sweep.run(jobs, 1);
         assert!(report.tested_points > 0, "no nested points enumerated");
         assert!(report.clean(), "{report}");
@@ -1833,6 +2292,137 @@ pub(crate) mod tests {
     #[test]
     fn wb_nested_points_keep_refusing_recovery() {
         nested_sweep(SchemeKind::WriteBack);
+    }
+
+    /// The fault campaign's sweep of `COMBOS[combo]`: its `ops`-op stream,
+    /// every point selectable.
+    fn campaign_sweep(seed: u64, combo: usize, ops: usize) -> CrashSweep {
+        let (scheme, mode) = COMBOS[combo];
+        let ops = SweepOp::stream(seed ^ ((combo as u64) << 17), SWEEP_LINES, ops);
+        let cfg = SystemConfig::small_for_tests(scheme, mode);
+        CrashSweep::new(cfg, ops, PointSelection::All)
+    }
+
+    /// Lists the seeded campaign's iterations `0..n` on `sweep` and runs
+    /// them on one thread.
+    fn seeded_run(sweep: &CrashSweep, seed: u64, n: usize) -> (Vec<CrashJob>, SweepReport) {
+        let jobs = sweep.jobs(Jobs::Seeded(seed, 0..n)).unwrap();
+        (jobs.clone(), sweep.run(Ok(jobs), 1))
+    }
+
+    #[test]
+    fn seeded_campaign_is_deterministic_for_a_fixed_seed() {
+        let sweep = campaign_sweep(0xABCD, 4, 18);
+        let (jobs_a, a) = seeded_run(&sweep, 0xABCD, 4);
+        let (jobs_b, b) = seeded_run(&sweep, 0xABCD, 4);
+        assert_eq!(jobs_a, jobs_b);
+        assert_eq!(a.clean(), b.clean());
+        assert_eq!(a.attacked, b.attacked);
+        let text = |r: &SweepReport| r.failures.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+        assert_eq!(text(&a), text(&b));
+        assert_eq!(
+            campaign_metrics(&jobs_a, &a)
+                .to_json_deterministic()
+                .pretty(),
+            campaign_metrics(&jobs_b, &b)
+                .to_json_deterministic()
+                .pretty()
+        );
+    }
+
+    #[test]
+    fn seeded_campaign_passes_on_steins_and_asit() {
+        for combo in [2, 4] {
+            let (_, r) = seeded_run(&campaign_sweep(0xFA17, combo, 20), 0xFA17, 6);
+            assert!(r.clean(), "campaign failed:\n{r}");
+            assert_eq!(r.tested_points, 6);
+            assert_eq!(r.attacked.unwinds, 0);
+        }
+    }
+
+    #[test]
+    fn campaign_metrics_export_round_trips() {
+        let (jobs, r) = seeded_run(&campaign_sweep(1, 0, 12), 1, 2);
+        let m = campaign_metrics(&jobs, &r);
+        let counter = |key: &str| m.counter(&format!("core.campaign.{key}")).unwrap();
+        assert_eq!(
+            counter("points.crash") + counter("points.nested") + counter("points.attack"),
+            r.tested_points
+        );
+        assert_eq!(counter("failures"), r.failures.len() as u64);
+        assert_eq!(
+            m.hist("core.campaign.point").map(|h| h.count()),
+            Some(r.tested_points)
+        );
+    }
+
+    /// Iteration `i` is a nested job when `i % 4 == 2`, a crash-only job
+    /// on other even `i` and an attacked one (1–3 attacks) on odd `i`.
+    #[test]
+    fn seeded_jobs_include_the_nested_axis_and_pass() {
+        for combo in [2, 3] {
+            let (jobs, r) = seeded_run(&campaign_sweep(0x2E57ED, combo, 16), 0x2E57ED, 4);
+            for (i, job) in jobs.iter().enumerate() {
+                match job {
+                    CrashJob::Nested { .. } => assert_eq!(i, 2),
+                    CrashJob::Point { .. } => assert_eq!(i, 0),
+                    CrashJob::Attacked { attacks, .. } => {
+                        assert_eq!(i % 2, 1);
+                        assert!((1..=3).contains(&attacks.len()), "{attacks:?}");
+                    }
+                    CrashJob::WorkerCrash { .. } => panic!("never drawn"),
+                }
+            }
+            assert!(r.clean(), "campaign failed:\n{r}");
+        }
+    }
+
+    /// Clause 14 on a known target: line 3's acked content is tampered in
+    /// storage after a crash at the stream's last point. On every combo
+    /// the scrub must flag it unrecoverable (and reads of it must not
+    /// come back wrong as `Ok`), and WB's refused strict recovery counts
+    /// as a detection.
+    #[test]
+    fn a_tampered_acked_line_is_flagged_unrecoverable() {
+        for (scheme, mode) in COMBOS {
+            let ops = vec![
+                SweepOp::Write { line: 3, tag: 7 },
+                SweepOp::Write { line: 9, tag: 1 },
+            ];
+            let cfg = SystemConfig::small_for_tests(scheme, mode);
+            let sweep = CrashSweep::new(cfg, ops, PointSelection::All);
+            let k = sweep.total_points().unwrap()[0];
+            let job = CrashJob::Attacked {
+                p: CrashPoint { shard: 0, k },
+                mask: 0xFF,
+                attacks: vec![Attack::TamperData {
+                    line: 3,
+                    byte: 5,
+                    mask: 0x10,
+                }],
+            };
+            let report = sweep.run(Ok(vec![job]), 1);
+            assert!(report.clean(), "{report}");
+            let t = report.attacked;
+            assert!(t.data_unrecoverable >= 1, "{scheme:?}/{mode:?}: {t:?}");
+            if !scheme.supports_recovery() {
+                assert_eq!(t.detected, 1, "WB's refusal is a detection");
+            }
+        }
+    }
+
+    /// `fault_campaign --repro` lists one iteration alone: it must draw
+    /// the very job the whole list drew.
+    #[test]
+    fn repro_replays_a_single_iteration_identically() {
+        let sweep = campaign_sweep(0xFA17, 4, 20);
+        let all = sweep.jobs(Jobs::Seeded(0xFA17, 0..6)).unwrap();
+        for (i, job) in all.iter().enumerate() {
+            let one = sweep.jobs(Jobs::Seeded(0xFA17, i..i + 1));
+            assert_eq!(one.unwrap(), std::slice::from_ref(job), "iteration {i}");
+        }
+        assert!(matches!(all[2], CrashJob::Nested { .. }));
+        assert!(sweep.probe(all[2].clone()).is_none());
     }
 
     #[test]
@@ -1877,6 +2467,7 @@ pub(crate) mod tests {
     fn crash_repro_display_names_the_point() {
         let repro = CrashRepro {
             label: "Steins-GC".into(),
+            job: None,
             shard: None,
             ops: vec![SweepOp::Write { line: 3, tag: 9 }],
             op_index: 0,
@@ -1900,16 +2491,17 @@ pub(crate) mod tests {
              error: LInc registers inconsistent after recovery\n  \
              divergence: lincs stored [1] != recomputed [2]\n  \
              ops: [Write { line: 3, tag: 9 }]",
-            "the 1-shard text names no shard"
+            "the 1-shard text names no shard, and a probed job no index"
         );
         let sharded = CrashRepro {
             label: "Steins-GC x2".into(),
+            job: Some(4),
             shard: Some(1),
             ..repro
         }
         .to_string();
         assert!(
-            sharded.starts_with("Steins-GC x2: shard 1 crash point 17 (op 0 of 1)"),
+            sharded.starts_with("Steins-GC x2: job 4, shard 1 crash point 17 (op 0 of 1)"),
             "{sharded}"
         );
     }

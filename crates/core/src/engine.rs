@@ -935,20 +935,9 @@ mod tests {
     use super::*;
     use steins_metadata::CounterMode;
 
-    fn all_schemes() -> Vec<(SchemeKind, CounterMode)> {
-        vec![
-            (SchemeKind::WriteBack, CounterMode::General),
-            (SchemeKind::WriteBack, CounterMode::Split),
-            (SchemeKind::Asit, CounterMode::General),
-            (SchemeKind::Star, CounterMode::General),
-            (SchemeKind::Steins, CounterMode::General),
-            (SchemeKind::Steins, CounterMode::Split),
-        ]
-    }
-
     #[test]
     fn write_read_roundtrip_every_scheme() {
-        for (scheme, mode) in all_schemes() {
+        for (scheme, mode) in crate::config::COMBOS {
             let cfg = SystemConfig::small_for_tests(scheme, mode);
             let mut sys = SecureNvmSystem::new(cfg);
             let data = [0xAB; 64];
@@ -967,7 +956,7 @@ mod tests {
     /// one whose write-back would re-seal the old truth over the tampering.
     #[test]
     fn a_tampered_line_fails_every_access() {
-        for (scheme, mode) in all_schemes() {
+        for (scheme, mode) in crate::config::COMBOS {
             let mut sys = SecureNvmSystem::new(SystemConfig::small_for_tests(scheme, mode));
             let (read, written) = (5 * 64, 9 * 64);
             for addr in [read, written] {
@@ -1018,7 +1007,7 @@ mod tests {
 
     #[test]
     fn many_writes_roundtrip_through_evictions() {
-        for (scheme, mode) in all_schemes() {
+        for (scheme, mode) in crate::config::COMBOS {
             // One set of 8 ways: 600 lines overflow it repeatedly, so dirty
             // nodes are evicted and flushed.
             let mut sys = SecureNvmSystem::new(crate::crash::tests::one_set(scheme, mode));

@@ -15,12 +15,15 @@
 //!   crash remnant and its strict recovery.
 //! * [`crash`] / [`recovery`] — crash injection (volatile state loss with
 //!   ADR flush) and the scaffolding the schemes' strict recoveries share.
+//!   [`crash::CrashSweep`] is the one crash harness: whole-line, torn,
+//!   nested and worker crashes at enumerated persist points, and the
+//!   seeded fault campaign's crashes, nested crashes and post-crash
+//!   attacks, all listed by one `jobs` and checked by one `probe`.
 //! * [`attack`] — tampering/replay injection used by the security tests.
 //! * [`scrub`] — lenient recovery: the non-panicking integrity scrub with
 //!   region-granular verdicts (`Intact`/`Recovered`/`Unrecoverable`).
-//! * [`campaign`] — the seeded randomized fault campaign composing crash
-//!   points × torn-word masks × attacks/media faults, plus the chaos mode
-//!   that injects them under live multi-shard serving traffic.
+//! * [`chaos`] — chaos mode: media faults, torn writes and whole-shard
+//!   power cuts injected under live multi-shard serving traffic.
 //! * [`online`] — the online integrity service: incremental background
 //!   scrub, quarantine, and alarms.
 //! * [`par`] — the shared-counter job pool and deterministic lane folding
@@ -32,7 +35,7 @@
 
 pub mod attack;
 pub mod cachetree;
-pub mod campaign;
+pub mod chaos;
 pub mod cme;
 pub mod config;
 pub mod crash;
@@ -50,12 +53,10 @@ pub mod scrub;
 pub mod shard;
 mod truth;
 
-pub use campaign::{
-    run_chaos, CampaignConfig, CampaignReport, ChaosConfig, ChaosReport, FaultCampaign,
-};
+pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use config::{SchemeKind, SystemConfig};
 pub use crash::{
-    CrashJob, CrashPoint, CrashRepro, CrashSweep, CrashedSystem, PointSelection, SweepOp,
+    CrashJob, CrashPoint, CrashRepro, CrashSweep, CrashedSystem, Jobs, PointSelection, SweepOp,
     SweepReport,
 };
 pub use engine::SecureNvmSystem;

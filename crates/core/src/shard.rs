@@ -601,7 +601,7 @@ impl ParallelRecovery {
 mod tests {
     use super::*;
     use crate::config::SchemeKind;
-    use crate::crash::{CrashJob, CrashSweep, PointSelection, SweepOp};
+    use crate::crash::{CrashJob, CrashSweep, Jobs, PointSelection, SweepOp};
     use std::panic::AssertUnwindSafe;
     use steins_metadata::CounterMode;
 
@@ -761,7 +761,7 @@ mod tests {
     #[test]
     fn cross_shard_crash_smoke() {
         let sweep = sweep2(SchemeKind::Steins, 11, 40, PointSelection::AtMost(3));
-        let jobs = sweep.jobs(&[0xFF], None).unwrap();
+        let jobs = sweep.jobs(Jobs::Masks(&[0xFF], None)).unwrap();
         assert!(jobs
             .iter()
             .any(|job| matches!(job, CrashJob::Point { p, .. } if p.shard == 1)));
@@ -772,7 +772,7 @@ mod tests {
     #[test]
     fn wb_refuses_sharded_recovery_at_every_point() {
         let sweep = sweep2(SchemeKind::WriteBack, 5, 24, PointSelection::AtMost(2));
-        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        let report = sweep.run(sweep.jobs(Jobs::Masks(&[0xFF], None)), 1);
         assert!(report.clean(), "{report}");
         assert!(report.tested_points > 0);
     }
@@ -780,7 +780,10 @@ mod tests {
     #[test]
     fn nested_crash_restarts_only_the_interrupted_shard() {
         let sweep = sweep2(SchemeKind::Steins, 23, 32, PointSelection::AtMost(2));
-        let jobs = sweep.jobs(&[0xFF], Some((&[0xFF], PointSelection::AtMost(2))));
+        let jobs = sweep.jobs(Jobs::Masks(
+            &[0xFF],
+            Some((&[0xFF], PointSelection::AtMost(2))),
+        ));
         let report = sweep.run(jobs, 1);
         assert!(report.clean(), "{report}");
         assert!(report.tested_points > 0);
@@ -1337,7 +1340,10 @@ mod tests {
     #[test]
     fn worker_crash_mid_parallel_rebuild_restarts_only_that_region() {
         let sweep = sweep2(SchemeKind::Steins, 29, 32, PointSelection::AtMost(2));
-        let jobs = sweep.jobs(&[0xFF], Some((&[0xFF], PointSelection::AtMost(2))));
+        let jobs = sweep.jobs(Jobs::Masks(
+            &[0xFF],
+            Some((&[0xFF], PointSelection::AtMost(2))),
+        ));
         let jobs = jobs.map(|jobs| jobs.into_iter().map(|job| job.on_workers(4)).collect());
         let report = sweep.run(jobs, 1);
         assert!(report.clean(), "{report}");

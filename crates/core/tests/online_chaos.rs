@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use steins_core::campaign::{run_chaos, ChaosConfig};
+use steins_core::chaos::{run_chaos, ChaosConfig};
 use steins_core::{CounterMode, OnlinePolicy, SchemeKind, SecureNvmSystem, SystemConfig};
 use steins_trace::rng::SmallRng;
 

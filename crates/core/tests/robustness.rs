@@ -4,9 +4,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use steins_core::campaign::{CampaignConfig, FaultCampaign};
-use steins_core::crash::CrashedSystem;
-use steins_core::{CounterMode, SchemeKind, SecureNvmSystem, SystemConfig};
+use steins_core::config::COMBOS;
+use steins_core::crash::{campaign_metrics, CrashedSystem, SWEEP_LINES};
+use steins_core::{
+    CounterMode, CrashSweep, Jobs, PointSelection, SchemeKind, SecureNvmSystem, SweepOp,
+    SystemConfig,
+};
 use steins_metadata::MemoryLayout;
 use steins_trace::rng::SmallRng;
 
@@ -107,20 +110,32 @@ fn scrub_reports_are_deterministic_for_a_fixed_seed() {
     );
 }
 
+/// The seeded campaign's contract on every combo (DESIGN.md §6d clause
+/// 14): crash-only and nested jobs meet the sweep contract, attacked ones
+/// the robustness contract, and the lists, verdicts and exported metrics
+/// are the same at one and two `run` threads.
 #[test]
 fn fault_campaign_all_combos_clean_and_deterministic() {
-    let cfg = CampaignConfig {
-        seed: 0xCAFE,
-        points_per_combo: 8,
-        ops: 24,
-    };
-    let a = FaultCampaign::new(cfg.clone()).run_all();
-    assert!(a.clean(), "campaign failed:\n{a}");
-    assert_eq!(a.points(), 48);
-    assert_eq!(a.panics, 0);
-    let b = FaultCampaign::new(cfg).run_all();
-    assert_eq!(
-        a.metrics().to_json_deterministic().pretty(),
-        b.metrics().to_json_deterministic().pretty()
-    );
+    let (seed, mut points, mut detected, mut unrecoverable) = (0xCAFE, 0, 0, 0);
+    for (combo, (scheme, mode)) in COMBOS.into_iter().enumerate() {
+        let ops = SweepOp::stream(seed ^ ((combo as u64) << 17), SWEEP_LINES, 24);
+        let cfg = SystemConfig::small_for_tests(scheme, mode);
+        let sweep = CrashSweep::new(cfg, ops, PointSelection::All);
+        let list = || sweep.jobs(Jobs::Seeded(seed, 0..8)).unwrap();
+        let jobs = list();
+        assert_eq!(jobs, list());
+        let a = sweep.run(Ok(jobs.clone()), 1);
+        assert!(a.clean(), "campaign failed:\n{a}");
+        assert_eq!(a.attacked.unwinds, 0);
+        let b = sweep.run(Ok(list()), 2);
+        assert_eq!(
+            campaign_metrics(&jobs, &a).to_json_deterministic().pretty(),
+            campaign_metrics(&jobs, &b).to_json_deterministic().pretty()
+        );
+        points += a.tested_points;
+        detected += a.attacked.detected;
+        unrecoverable += a.attacked.data_unrecoverable;
+    }
+    assert_eq!(points, 48);
+    assert!(detected > 0 && unrecoverable > 0, "the attacks hit nothing");
 }

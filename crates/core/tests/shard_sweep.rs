@@ -7,18 +7,21 @@
 //! stream. Point selections are strided samples so the full matrix stays
 //! cheap; the exhaustive runs live in the `crash_sweep` bench binary.
 
-use steins_core::{CounterMode, CrashSweep, PointSelection, SchemeKind};
+use steins_core::{CounterMode, CrashSweep, Jobs, PointSelection, SchemeKind};
 
 const TORN_MASKS: [u8; 2] = [0xFF, 0x0F];
 
 fn sweep(scheme: SchemeKind, mode: CounterMode) {
     let sharded = |sel| CrashSweep::small(scheme, mode, 28, sel).with_shards(2);
     let sweep = sharded(PointSelection::AtMost(3));
-    let report = sweep.run(sweep.jobs(&TORN_MASKS, None), 1);
+    let report = sweep.run(sweep.jobs(Jobs::Masks(&TORN_MASKS, None)), 1);
     assert!(report.clean(), "{report}");
     let sweep = sharded(PointSelection::AtMost(2));
     let nested = sweep.run(
-        sweep.jobs(&[0xFF], Some((&[0xFF], PointSelection::AtMost(2)))),
+        sweep.jobs(Jobs::Masks(
+            &[0xFF],
+            Some((&[0xFF], PointSelection::AtMost(2))),
+        )),
         1,
     );
     assert!(nested.tested_points > 0);

@@ -48,7 +48,7 @@ pub use steins_trace as trace;
 pub mod prelude {
     pub use steins_core::config::{CounterMode, SchemeKind, SystemConfig};
     pub use steins_core::crash::{
-        CrashJob, CrashPoint, CrashRepro, CrashSweep, PointSelection, SweepOp, SweepReport,
+        CrashJob, CrashPoint, CrashRepro, CrashSweep, Jobs, PointSelection, SweepOp, SweepReport,
     };
     pub use steins_core::engine::SecureNvmSystem;
     pub use steins_core::recovery::RecoveryReport;

@@ -21,7 +21,7 @@ fn swept_cells() -> Vec<(SchemeKind, CounterMode)> {
 fn bounded_sweep_every_recoverable_combo_is_clean() {
     for (scheme, mode) in swept_cells() {
         let sweep = CrashSweep::small(scheme, mode, 60, PointSelection::AtMost(20));
-        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        let report = sweep.run(sweep.jobs(Jobs::Masks(&[0xFF], None)), 1);
         assert!(report.tested_points > 0, "{scheme:?}/{mode:?}");
         assert!(report.clean(), "{scheme:?}/{mode:?}:\n{report}");
     }
@@ -33,7 +33,7 @@ fn bounded_sweep_wb_refuses_recovery_at_every_point() {
     // the harness scores as a pass (RecoveryUnsupported).
     for mode in [CounterMode::General, CounterMode::Split] {
         let sweep = CrashSweep::small(SchemeKind::WriteBack, mode, 40, PointSelection::AtMost(12));
-        let report = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        let report = sweep.run(sweep.jobs(Jobs::Masks(&[0xFF], None)), 1);
         assert!(report.clean(), "{mode:?}:\n{report}");
     }
 }
@@ -47,7 +47,7 @@ fn sweep_is_deterministic_across_runs() {
             30,
             PointSelection::AtMost(8),
         );
-        let r = sweep.run(sweep.jobs(&[0xFF], None), 1);
+        let r = sweep.run(sweep.jobs(Jobs::Masks(&[0xFF], None)), 1);
         (r.tested_points, r.failures.len())
     };
     assert_eq!(run(), run());

@@ -1,19 +1,9 @@
 //! Cross-crate integration: full-system runs across every scheme × counter
 //! mode, checking functional equivalence and report sanity.
 
+use steins::core::config::COMBOS;
 use steins::prelude::*;
 use steins::trace::{Workload, WorkloadKind};
-
-fn all_cells() -> Vec<(SchemeKind, CounterMode)> {
-    vec![
-        (SchemeKind::WriteBack, CounterMode::General),
-        (SchemeKind::WriteBack, CounterMode::Split),
-        (SchemeKind::Asit, CounterMode::General),
-        (SchemeKind::Star, CounterMode::General),
-        (SchemeKind::Steins, CounterMode::General),
-        (SchemeKind::Steins, CounterMode::Split),
-    ]
-}
 
 fn run_workload(scheme: SchemeKind, mode: CounterMode, kind: WorkloadKind, ops: u64) -> RunReport {
     let cfg = SystemConfig::small_for_tests(scheme, mode);
@@ -27,7 +17,7 @@ fn run_workload(scheme: SchemeKind, mode: CounterMode, kind: WorkloadKind, ops: 
 
 #[test]
 fn every_scheme_runs_every_workload_class() {
-    for (scheme, mode) in all_cells() {
+    for (scheme, mode) in COMBOS {
         for kind in [WorkloadKind::Lbm, WorkloadKind::Milc, WorkloadKind::PHash] {
             let report = run_workload(scheme, mode, kind, 3_000);
             assert!(report.cycles > 0, "{scheme:?}/{mode:?}/{kind:?}");
@@ -41,7 +31,7 @@ fn every_scheme_runs_every_workload_class() {
 fn user_visible_data_identical_across_schemes() {
     // The recovery scheme must never change what the application reads.
     let mut final_reads: Vec<Vec<u8>> = Vec::new();
-    for (scheme, mode) in all_cells() {
+    for (scheme, mode) in COMBOS {
         let cfg = SystemConfig::small_for_tests(scheme, mode);
         let mut sys = SecureNvmSystem::new(cfg);
         for i in 0..500u64 {
