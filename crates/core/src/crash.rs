@@ -515,7 +515,7 @@ impl fmt::Display for CrashRepro {
             .unwrap_or_default();
         writeln!(
             f,
-            "{}: {job}{shard}crash point {} (op {} of {}) is unrecoverable",
+            "{}: {job}{shard}crash point {} (op {} of {}) failed",
             self.label,
             self.crash_point,
             self.op_index,
@@ -2486,7 +2486,7 @@ pub(crate) mod tests {
         assert!(s.contains("LInc"), "{s}");
         assert_eq!(
             s,
-            "Steins-GC: crash point 17 (op 0 of 1) is unrecoverable\n  \
+            "Steins-GC: crash point 17 (op 0 of 1) failed\n  \
              tripped at AdrUpdate of addr 0x40\n  \
              error: LInc registers inconsistent after recovery\n  \
              divergence: lincs stored [1] != recomputed [2]\n  \

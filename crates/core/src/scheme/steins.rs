@@ -10,7 +10,7 @@ use crate::error::IntegrityError;
 use crate::linc::LincBank;
 use crate::nvbuffer::{NvBuffer, NvBufferEntry};
 use crate::recovery::{journal, RecoveryReport};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use steins_crypto::FxHashMap;
 use steins_metadata::counter::CounterBlock;
 use steins_metadata::records::{record_coords, RecordLine, RECORDS_PER_LINE};
@@ -399,7 +399,7 @@ impl CrashedSystem {
         let sets = self.cfg.meta_cache.sets();
         let ways = self.cfg.meta_cache.ways as u64;
         let mut dirty: BTreeSet<u64> = BTreeSet::new();
-        let mut pinned: HashMap<u64, u64> = HashMap::new();
+        let mut pinned: FxHashMap<u64, u64> = FxHashMap::default();
         for r in 0..self.layout.record_lines() {
             reads += 1;
             let line = self.nvm.peek(self.layout.record_addr(r));
@@ -590,7 +590,7 @@ impl CrashedSystem {
         nv: SteinsNv,
         recovered: Vec<(u64, SitNode)>,
         lincs: LincBank,
-        pinned: HashMap<u64, u64>,
+        pinned: FxHashMap<u64, u64>,
         restarts: u32,
     ) -> Result<(), IntegrityError> {
         let cfg = self.cfg.clone();
@@ -614,7 +614,12 @@ impl CrashedSystem {
         // the mark is a progress record, not a resume point.
         let sets = cfg.meta_cache.sets();
         let ways = cfg.meta_cache.ways as u64;
-        let mut occupied: HashSet<u64> = pinned.values().copied().collect();
+        // One bit per metadata-cache slot, set once a node claims it.
+        let mut occupied = vec![0u64; (sets * ways).div_ceil(64) as usize];
+        let claim = |occupied: &mut [u64], s: u64| occupied[(s / 64) as usize] |= 1 << (s % 64);
+        for &s in pinned.values() {
+            claim(&mut occupied, s);
+        }
         let total = recovered.len() as u64;
         let mut installed = 0u64;
         let mut deferred = Vec::new();
@@ -625,9 +630,9 @@ impl CrashedSystem {
                 let set = off % sets;
                 let free = (0..ways)
                     .map(|w| set * ways + w)
-                    .find(|f| !occupied.contains(f));
+                    .find(|&f| occupied[(f / 64) as usize] & (1 << (f % 64)) == 0);
                 if let Some(f) = free {
-                    occupied.insert(f);
+                    claim(&mut occupied, f);
                 }
                 free
             });

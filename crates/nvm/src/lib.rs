@@ -8,8 +8,9 @@
 //!   occupancy, returning completion times for reads/writes,
 //! * [`write_queue::WriteQueue`] — the 64-entry MC write queue; writes leave
 //!   the critical path unless the queue fills,
-//! * [`storage::SparseStore`] — 64 B-line backing store that holds only the
-//!   lines written, behind a page index over a line arena,
+//! * [`storage::SparseStore`] — 64 B-line backing store (or one word per
+//!   line) that holds only the lines written, behind a page index over an
+//!   arena,
 //! * [`adr::AdrRegion`] — the asynchronous-DRAM-refresh persist domain:
 //!   volatile MC state that is guaranteed to flush to NVM on a crash,
 //! * [`energy::EnergyModel`] — per-operation energy accounting.

@@ -1,18 +1,21 @@
-//! Sparse 64 B-line backing store.
+//! Sparse line-granular map: the device's 64 B lines, or a word per line.
 //!
 //! The simulated device addresses far more lines than any run writes, so
-//! the store keeps only the lines written; a line never written reads as
-//! all-zeroes (matching a freshly initialized secure region whose counters
-//! are all zero).
+//! the store keeps only the lines written. A [`SparseStore`] maps a line
+//! address to a [`Value`]: a [`Line`] for the device image, or a `u64`
+//! word for the engine's ground truth, which keeps a trace store's version
+//! per line. A line never written reads as the value's zero (all-zero
+//! bytes, matching a freshly initialized secure region whose counters are
+//! all zero, or the word 0).
 //!
 //! Two structures hold it, both allocated on first write:
 //!
 //! * an **index**: one page of `u32` slot numbers per 1,024 lines, behind
 //!   a directory that grows to the highest page written. Slot `s` names
-//!   line `s` of the arena; slot 0 means never written;
-//! * an **arena**: the lines in first-write order, in fixed 64 KB chunks,
-//!   after an all-zero line 0. A chunk never moves, so a growing store never
-//!   holds two copies of its lines.
+//!   value `s` of the arena; slot 0 means never written;
+//! * an **arena**: the values in first-write order, in fixed chunks of
+//!   1,024 (64 KB of lines, 8 KB of words), after a zero value 0. A chunk
+//!   never moves, so a growing store never holds two copies of its values.
 //!
 //! An index page takes one of two forms:
 //!
@@ -29,19 +32,21 @@
 //! The directory keeps the forms apart in two vectors indexed by page: a
 //! direct page behind a thin pointer, a packed one behind a slice's fat
 //! pointer (empty, allocating nothing, where the page is direct or never
-//! written). So a dense read goes directory → page → chunk → line with the
+//! written). So a dense read goes directory → page → chunk → value with the
 //! loads and tests of a store whose pages are all direct; one fat-pointer
 //! directory telling the forms apart by length cost a dense read about
 //! 4 % more (a shift and a length load). A packed read adds a header
 //! test, a bit test and a popcount, with no hash and no probe.
 //!
-//! A stored line costs its 64 bytes plus its share of its index page: 68 B
-//! per line written densely (a direct page), 69.5 B at a stride of 8
-//! lines (128 slots and the header, 704 B a page) and 80 B at a stride of
-//! 64 (16 slots, 256 B a page), where direct pages cost 96 B and 320 B
-//! a line. A page holding one line costs 196 B. The directory adds 24 B per
-//! page up to the highest one written. [`SparseStore::iter`] yields lines
-//! in ascending address order.
+//! A stored value costs its own bytes plus its share of its index page:
+//! 4 B per line written densely (a direct page), 5.5 B at a stride of 8
+//! lines (128 slots and the header, 704 B a page) and 16 B at a stride of
+//! 64 (16 slots, 256 B a page), where direct pages cost 32 B and 256 B a
+//! line. So a line of the device image costs 68 B dense, 69.5 B at stride
+//! 8 and 80 B at stride 64, and a word 12 B, 13.5 B and 24 B. A page
+//! holding one line costs 196 B of index. The directory adds 24 B per page
+//! up to the highest one written. [`SparseStore::iter`] yields values in
+//! ascending address order.
 //!
 //! A line keeps its slot for the life of the store, and
 //! [`SparseStore::write`] returns it, so a per-line side table can be a
@@ -66,29 +71,56 @@ const BITMAP: usize = PAGE_LINES / 32;
 /// 64-bit bitmap word of the lines before it. The slots follow.
 const HEADER: usize = BITMAP + PAGE_LINES / 64;
 
-/// Lines one arena chunk holds (64 KB).
+/// Values one arena chunk holds (64 KB of lines).
 const CHUNK_LINES: usize = 1024;
 
 /// One arena chunk. Its lines keep the allocator's 16-byte alignment: a
 /// 64-byte-aligned chunk goes through `posix_memalign`, whose split-off
 /// slivers fragment the heap enough to cost a multi-session run several
 /// MB of peak RSS.
-type Chunk = [Line; CHUNK_LINES];
+type Chunk<T> = [T; CHUNK_LINES];
 
-/// Sparse line-granular storage with zero-fill semantics.
-#[derive(Clone, Default)]
-pub struct SparseStore {
+/// What a [`SparseStore`] keeps per line: a [`Line`] or a `u64` word.
+pub trait Value: Copy + std::fmt::Debug {
+    /// What a never-written line reads as.
+    const ZERO: Self;
+}
+
+impl Value for Line {
+    const ZERO: Self = [0; LINE_BYTES];
+}
+
+impl Value for u64 {
+    const ZERO: Self = 0;
+}
+
+/// Sparse line-granular storage with zero-fill semantics: a map from line
+/// address to a `T`, by default the line itself.
+#[derive(Clone)]
+pub struct SparseStore<T: Value = Line> {
     /// Direct index pages by page number (module docs); `None` for a page
     /// that is packed or never written.
     direct: Vec<Option<Box<[u32; PAGE_LINES]>>>,
     /// Packed index pages by page number, as many entries as `direct`;
     /// empty for a page that is direct or never written.
     packed: Vec<Box<[u32]>>,
-    /// The arena. Its line 0, the one slot 0 names, stays all-zero, so a
-    /// read of a never-written line the directory reaches needs no test.
-    chunks: Vec<Box<Chunk>>,
-    /// Lines written: arena lines `1..=len`.
+    /// The arena. Its value 0, the one slot 0 names, stays zero, so a read
+    /// of a never-written line the directory reaches needs no test.
+    chunks: Vec<Box<Chunk<T>>>,
+    /// Lines written: arena values `1..=len`.
     len: usize,
+}
+
+impl<T: Value> Default for SparseStore<T> {
+    /// An empty store. Allocates nothing.
+    fn default() -> Self {
+        SparseStore {
+            direct: Vec::new(),
+            packed: Vec::new(),
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
 }
 
 /// Byte address → (index page, line within it). All accessors go through
@@ -187,11 +219,13 @@ fn packed_slot_mut(page: &mut Box<[u32]>, off: usize) -> &mut u32 {
 }
 
 impl SparseStore {
-    /// Creates an empty (all-zero) store. Allocates nothing.
+    /// Creates an empty (all-zero) line store. Allocates nothing.
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<T: Value> SparseStore<T> {
     /// The slot the index gives line `off` of page `page` (0 = never
     /// written). `page` must be one the directory reaches.
     #[inline]
@@ -202,29 +236,29 @@ impl SparseStore {
         }
     }
 
-    /// The arena line a slot of a written page names.
+    /// The arena value a slot of a written page names.
     #[inline]
-    fn line(&self, slot: u32) -> &Line {
+    fn value(&self, slot: u32) -> &T {
         let (chunk, i) = position(slot);
         &self.chunks[chunk][i]
     }
 
-    /// Reads the line holding byte address `addr` (which must be 64 B
-    /// aligned conceptually; callers pass line-aligned addresses).
+    /// Reads the value of the line holding byte address `addr` (which must
+    /// be 64 B aligned conceptually; callers pass line-aligned addresses).
     #[inline]
-    pub fn read(&self, addr: u64) -> Line {
+    pub fn read(&self, addr: u64) -> T {
         let (page, off) = locate(addr);
         if page < self.direct.len() {
-            *self.line(self.slot(page, off))
+            *self.value(self.slot(page, off))
         } else {
-            [0u8; LINE_BYTES]
+            T::ZERO
         }
     }
 
-    /// Writes a full line at byte address `addr` and returns its slot: the
-    /// same number for every write to one line, from 1 up, in first-write
-    /// order.
-    pub fn write(&mut self, addr: u64, line: &Line) -> u32 {
+    /// Writes the value of the line at byte address `addr` and returns its
+    /// slot: the same number for every write to one line, from 1 up, in
+    /// first-write order.
+    pub fn write(&mut self, addr: u64, value: &T) -> u32 {
         let (page, off) = locate(addr);
         if page >= self.direct.len() {
             self.direct.resize_with(page + 1, || None);
@@ -245,7 +279,7 @@ impl SparseStore {
             if next / CHUNK_LINES == self.chunks.len() {
                 // Built on the heap: a 64 KB array would pass through the
                 // stack.
-                let chunk = vec![[0; LINE_BYTES]; CHUNK_LINES].into_boxed_slice();
+                let chunk = vec![T::ZERO; CHUNK_LINES].into_boxed_slice();
                 self.chunks
                     .push(chunk.try_into().expect("a chunk holds CHUNK_LINES lines"));
             }
@@ -253,7 +287,7 @@ impl SparseStore {
         }
         let slot = *slot;
         let (chunk, i) = position(slot);
-        self.chunks[chunk][i] = *line;
+        self.chunks[chunk][i] = *value;
         slot
     }
 
@@ -269,10 +303,10 @@ impl SparseStore {
         self.len
     }
 
-    /// Iterates over `(byte_addr, line)` pairs of populated lines, in
+    /// Iterates over `(byte_addr, value)` pairs of populated lines, in
     /// ascending address order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &Line)> {
-        self.slots().map(|(addr, slot)| (addr, self.line(slot)))
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.slots().map(|(addr, slot)| (addr, self.value(slot)))
     }
 
     /// Iterates over `(byte_addr, slot)` pairs of populated lines, in
@@ -302,6 +336,10 @@ mod tests {
         assert_eq!(s.read(0), [0u8; 64]);
         assert_eq!(s.read(1 << 33), [0u8; 64]); // beyond-4GB addressing works
         assert_eq!(s.population(), 0);
+        let mut words = SparseStore::<u64>::default();
+        assert_eq!(words.read(1 << 33), 0);
+        words.write(64, &7);
+        assert_eq!((words.read(0), words.read(64)), (0, 7));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use steins::cache::{CacheHierarchy, HierarchyConfig};
+use steins::core::engine::synth_data;
 use steins::metadata::cache::MetaCacheConfig;
 use steins::metadata::{MetadataCache, SitNode};
 use steins::nvm::SparseStore;
@@ -353,15 +354,14 @@ fn traced_bytes_per_line(lines: u64) -> f64 {
     peak as f64 / lines as f64
 }
 
-/// The ground truth keeps a trace store's version (16 B) and regenerates
-/// its payload, where it kept the 64 B payload: a line stored by
-/// `run_trace` peaked at 201.9 B with the payload map and peaks at
-/// 137.9 B (137.4 B before the index directory grew from 8 to 24 B a
-/// page).
+/// The ground truth keeps a trace store's version, one 8 B word on the
+/// line store's paged index, and regenerates its payload: a line stored by
+/// `run_trace` peaks at 117.2 B, where it peaked at 137.9 B with the
+/// version in a 25 B hash bucket and at 201.9 B with the 64 B payload.
 #[test]
-fn a_traced_line_costs_at_most_170_bytes() {
+fn a_traced_line_costs_at_most_125_bytes() {
     let b = traced_bytes_per_line(100_000);
-    assert!(b <= 170.0, "{b:.1} B per line stored by run_trace");
+    assert!(b <= 125.0, "{b:.1} B per line stored by run_trace");
 }
 
 /// Dense timed writes pay the store's 68 B and 4 B of wear count.
@@ -433,40 +433,112 @@ fn print_classes(classes: &[(usize, i64)]) {
     }
 }
 
-/// Prints where a figure-sweep Steins-GC machine's heap peaks while it
-/// serves 300 k cactusADM ops, crashes and recovers, all on this thread,
-/// and the live bytes per block size class at that peak. Run with `cargo
-/// test --release --test construction_cost -- --ignored --exact
-/// heap_profile --nocapture`.
+/// The Steins figure-sweep geometry with the bit-faithful crypto engine,
+/// as the repository benchmark builds its trace and kv-sharded machines.
+fn bench_config(mode: CounterMode) -> SystemConfig {
+    let mut cfg = SystemConfig::sweep(SchemeKind::Steins, mode);
+    cfg.crypto = CryptoKind::Real;
+    cfg
+}
+
+/// A profiled run's phases: each one's name, its heap peak above its own
+/// start and the live bytes per size class at that peak.
+type Phases = Vec<(&'static str, i64, Vec<(usize, i64)>)>;
+
+/// Runs `f` as a phase of `phases` and returns its result.
+fn phase<T>(phases: &mut Phases, name: &'static str, f: impl FnOnce() -> T) -> T {
+    let (peak, out) = peak_bytes(f);
+    phases.push((name, peak, peak_classes()));
+    out
+}
+
+/// Prints each phase's peak and the live bytes per block size class at
+/// the highest.
+fn print_phases(phases: &Phases) {
+    for (name, peak, _) in phases {
+        println!(
+            "{name:>8}: heap peak {:.2} MB above its start",
+            *peak as f64 / 1e6
+        );
+    }
+    let (name, _, classes) = phases.iter().max_by_key(|(_, p, _)| *p).expect("a phase");
+    println!("live at the {name} peak, by block size:");
+    print_classes(classes);
+}
+
+/// Prints where the heap peaks on the repository benchmark's workloads
+/// but recover-4g (its sibling below), each at its benchmark size on
+/// Steins with the bit-faithful crypto engine, all on this thread: a
+/// machine serving ptree-gc's, cactus-gc's and mcf-sc's trace, crashing
+/// and recovering; and kv-sharded's 4-shard engine taking both clients'
+/// requests through the direct API, one client after the other, then
+/// crashing and recovering on one worker. Run with `cargo test --release
+/// --test construction_cost -- --ignored --exact heap_profile
+/// --nocapture`.
 #[test]
 #[ignore = "a profile to read, not a check"]
 fn heap_profile() {
-    let mb = |b: i64| b as f64 / 1e6;
-    let cfg = SystemConfig::sweep(SchemeKind::Steins, CounterMode::General);
-    let mut sys = SecureNvmSystem::new(cfg);
-    let mut phases = Vec::new();
-    let mut phase = |name: &'static str, peak: i64| phases.push((name, peak, peak_classes()));
-    let wl = Workload::new(WorkloadKind::CactusAdm, 300_000, 42);
-    let (peak, report) = peak_bytes(|| sys.run_trace(wl.generate()).expect("clean run"));
-    phase("serve", peak);
-    let (peak, crashed) = peak_bytes(|| sys.crash());
-    phase("crash", peak);
-    let (peak, recovered) = peak_bytes(|| crashed.recover());
-    phase("recover", peak);
-    let (_, rr) = recovered.expect("recovery verifies");
-    println!(
-        "300000 cactusADM ops: {} NVM writes, {} nodes recovered",
-        report.nvm.writes, rr.nodes_recovered
-    );
-    for (name, peak, _) in &phases {
-        println!("{name:>8}: heap peak {:.2} MB above its start", mb(*peak));
+    let traces = [
+        (
+            "ptree-gc",
+            WorkloadKind::PTree,
+            CounterMode::General,
+            300_000,
+        ),
+        (
+            "cactus-gc",
+            WorkloadKind::CactusAdm,
+            CounterMode::General,
+            300_000,
+        ),
+        ("mcf-sc", WorkloadKind::Mcf, CounterMode::Split, 2_000_000),
+    ];
+    for (name, kind, mode, ops) in traces {
+        let mut sys = SecureNvmSystem::new(bench_config(mode));
+        let mut phases = Phases::new();
+        let wl = Workload::new(kind, ops, 42);
+        let report = phase(&mut phases, "serve", || {
+            sys.run_trace(wl.generate()).expect("clean run")
+        });
+        let crashed = phase(&mut phases, "crash", || sys.crash());
+        let recovered = phase(&mut phases, "recover", || crashed.recover());
+        let (_, rr) = recovered.expect("recovery verifies");
+        println!(
+            "{name}, {ops} ops: {} NVM writes, {} nodes recovered",
+            report.nvm.writes, rr.nodes_recovered
+        );
+        print_phases(&phases);
     }
-    let (name, _, classes) = phases
-        .iter()
-        .max_by_key(|(_, p, _)| *p)
-        .expect("three phases");
-    println!("live at the {name} peak, by block size:");
-    print_classes(classes);
+    // Each client replays its own persistent B-tree stream (200 k ops,
+    // flushes dropped) on the lines whose bit 2 is its number, writing a
+    // trace store's payload, as the benchmark's clients do.
+    let shards = 4;
+    let engine = ShardedEngine::new(bench_config(CounterMode::General), shards);
+    let mut phases = Phases::new();
+    let requests = phase(&mut phases, "serve", || {
+        let mut requests = 0;
+        for c in 0..2u64 {
+            let seed = 42 ^ (c + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let ops = Workload::new(WorkloadKind::PTree, 200_000, seed).generate();
+            for (i, op) in ops.filter(|op| op.kind != OpKind::Flush).enumerate() {
+                let addr = (((op.addr / 64) & !4) | (c << 2)) * 64;
+                if op.kind == OpKind::Store {
+                    let data = synth_data(addr, i as u64 + 1);
+                    engine.write(addr, &data).expect("clean write");
+                } else {
+                    engine.read(addr).expect("clean read");
+                }
+                requests += 1;
+            }
+        }
+        requests
+    });
+    let images = phase(&mut phases, "crash", || engine.crash_all());
+    let recovered = phase(&mut phases, "recover", || engine.recover_all(images, 1));
+    let pr = recovered.expect("every shard recovers");
+    let nodes: usize = pr.reports.iter().map(|r| r.nodes_recovered).sum();
+    println!("kv-sharded, {requests} requests on {shards} shards: {nodes} nodes recovered");
+    print_phases(&phases);
 }
 
 /// Prints where the recovery ladder's 4 GB rung peaks while its 8 shard
