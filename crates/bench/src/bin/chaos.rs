@@ -20,15 +20,16 @@
 //!   *default* policy may cost at most 10% modeled makespan versus serving
 //!   with the service off.
 //!
-//! Fully deterministic for a fixed seed regardless of `STEINS_CHAOS_THREADS`.
-//! Env knobs (defaults from [`ChaosConfig::default`]): `STEINS_CHAOS_SHARDS`
-//! (4), `STEINS_CHAOS_THREADS` (4), `STEINS_CHAOS_OPS` (ops per shard, 192),
+//! Fully deterministic for a fixed seed regardless of the worker count,
+//! which is the shared `STEINS_THREADS` (unset or 0 = available
+//! parallelism). Env knobs (defaults from [`ChaosConfig::default`]):
+//! `STEINS_CHAOS_SHARDS` (4), `STEINS_CHAOS_OPS` (ops per shard, 192),
 //! `STEINS_CHAOS_FAULTS` (faults per shard, 5), `STEINS_CHAOS_SEED`.
 //! Writes `results/METRICS_chaos.json`; exits non-zero on any gate failure,
 //! after printing every event and alarm.
 
-use steins_bench::env;
 use steins_bench::metrics::write_metrics;
+use steins_bench::{env, par};
 use steins_core::chaos::{run_chaos, ChaosConfig};
 use steins_core::OnlinePolicy;
 
@@ -39,7 +40,7 @@ fn main() {
     let cfg = ChaosConfig {
         seed: env::int("STEINS_CHAOS_SEED").unwrap_or(defaults.seed),
         shards: env::int("STEINS_CHAOS_SHARDS").unwrap_or(defaults.shards),
-        threads: env::int("STEINS_CHAOS_THREADS").unwrap_or(defaults.threads),
+        threads: par::threads(),
         ops_per_shard: env::int("STEINS_CHAOS_OPS").unwrap_or(defaults.ops_per_shard),
         faults_per_shard: env::int("STEINS_CHAOS_FAULTS").unwrap_or(defaults.faults_per_shard),
         ..defaults
@@ -65,13 +66,12 @@ fn main() {
     // aggressive policy to maximize fault coverage).
     let quiet = ChaosConfig {
         faults_per_shard: 0,
-        scrub: false,
+        policy: None,
         ..cfg.clone()
     };
     let base = run_chaos(&quiet);
     let scrubbed = run_chaos(&ChaosConfig {
-        scrub: true,
-        policy: OnlinePolicy::default(),
+        policy: Some(OnlinePolicy::default()),
         ..quiet.clone()
     });
     assert_eq!(

@@ -25,20 +25,6 @@ pub struct CacheTree {
 }
 
 impl CacheTree {
-    /// A tree over `leaves` all-zero leaves, with every interior MAC
-    /// computed — so incremental updates and full rebuilds always agree.
-    pub fn new(engine: &dyn CryptoEngine, leaves: usize) -> Self {
-        assert!(leaves >= 1);
-        let mut levels = vec![vec![0u64; leaves]];
-        while levels.last().expect("nonempty").len() > 1 {
-            let next = levels.last().unwrap().len().div_ceil(CT_FANOUT);
-            levels.push(vec![0u64; next]);
-        }
-        let mut tree = CacheTree { levels };
-        tree.recompute_all(engine);
-        tree
-    }
-
     fn recompute_all(&mut self, engine: &dyn CryptoEngine) {
         for level in 1..self.levels.len() {
             let (lower, upper) = self.levels.split_at_mut(level);
@@ -96,14 +82,15 @@ impl CacheTree {
         *self.levels.last().expect("nonempty").first().expect("root")
     }
 
-    /// Builds a whole tree over the given `leaf_macs` with every interior
-    /// MAC computed. Recovery seeds a restartable tree from the durable
-    /// leaf summaries it has just verified, then resumes incremental
-    /// updates from there.
-    pub fn from_leaves(engine: &dyn CryptoEngine, leaf_macs: &[u64]) -> Self {
+    /// Builds a whole tree over `leaf_macs` with every interior MAC
+    /// computed, so incremental updates and full rebuilds always agree. A
+    /// fresh machine's tree sits over all-zero leaves; recovery seeds a
+    /// restartable tree from the durable leaf summaries it has just
+    /// verified, then resumes incremental updates from there.
+    pub fn from_leaves(engine: &dyn CryptoEngine, leaf_macs: Vec<u64>) -> Self {
         assert!(!leaf_macs.is_empty());
         let mut tree = CacheTree {
-            levels: vec![leaf_macs.to_vec()],
+            levels: vec![leaf_macs],
         };
         while tree.levels.last().expect("nonempty").len() > 1 {
             let next = tree.levels.last().unwrap().len().div_ceil(CT_FANOUT);
@@ -113,12 +100,10 @@ impl CacheTree {
         tree
     }
 
-    /// Rebuilds a whole tree from scratch over `leaf_macs` (recovery path),
-    /// returning `(root, hashes_computed)`.
-    pub fn rebuild(engine: &dyn CryptoEngine, leaf_macs: &[u64]) -> (u64, usize) {
-        let tree = Self::from_leaves(engine, leaf_macs);
-        let hashes: usize = tree.levels[1..].iter().map(|l| l.len()).sum();
-        (tree.root(), hashes)
+    /// The root of a whole tree rebuilt from scratch over `leaf_macs`
+    /// (recovery path).
+    pub fn rebuild(engine: &dyn CryptoEngine, leaf_macs: &[u64]) -> u64 {
+        Self::from_leaves(engine, leaf_macs.to_vec()).root()
     }
 }
 
@@ -135,14 +120,14 @@ mod tests {
     fn depth_matches_anubis_4_levels() {
         // 4096 slots / fanout 8 ⇒ 512, 64, 8, 1: 4 levels above leaves.
         let e = eng();
-        let t = CacheTree::new(e.as_ref(), 4096);
+        let t = CacheTree::from_leaves(e.as_ref(), vec![0; 4096]);
         assert_eq!(t.depth(), 4, "§IV: ASIT's 4-level cache-tree");
     }
 
     #[test]
     fn update_changes_root_and_counts_hashes() {
         let e = eng();
-        let mut t = CacheTree::new(e.as_ref(), 64);
+        let mut t = CacheTree::from_leaves(e.as_ref(), vec![0; 64]);
         let r0 = t.root();
         let hashes = t.update(e.as_ref(), 5, 0x1234);
         assert_eq!(hashes, t.depth());
@@ -152,13 +137,13 @@ mod tests {
     #[test]
     fn incremental_equals_rebuild() {
         let e = eng();
-        let mut t = CacheTree::new(e.as_ref(), 100);
+        let mut t = CacheTree::from_leaves(e.as_ref(), vec![0; 100]);
         let mut leaves = vec![0u64; 100];
         for (i, v) in [(3usize, 7u64), (99, 8), (0, 9), (50, 10)] {
             t.update(e.as_ref(), i, v);
             leaves[i] = v;
         }
-        let (root, _) = CacheTree::rebuild(e.as_ref(), &leaves);
+        let root = CacheTree::rebuild(e.as_ref(), &leaves);
         assert_eq!(t.root(), root);
     }
 
@@ -166,10 +151,10 @@ mod tests {
     fn rebuild_detects_any_leaf_change() {
         let e = eng();
         let leaves: Vec<u64> = (0..32).collect();
-        let (root, _) = CacheTree::rebuild(e.as_ref(), &leaves);
+        let root = CacheTree::rebuild(e.as_ref(), &leaves);
         let mut tampered = leaves.clone();
         tampered[17] ^= 1;
-        let (root2, _) = CacheTree::rebuild(e.as_ref(), &tampered);
+        let root2 = CacheTree::rebuild(e.as_ref(), &tampered);
         assert_ne!(root, root2);
     }
 
@@ -177,21 +162,21 @@ mod tests {
     fn from_leaves_resumes_incremental_updates() {
         let e = eng();
         let leaves: Vec<u64> = (0..64).map(|i| i * 3).collect();
-        let mut seeded = CacheTree::from_leaves(e.as_ref(), &leaves);
-        let (root, _) = CacheTree::rebuild(e.as_ref(), &leaves);
+        let mut seeded = CacheTree::from_leaves(e.as_ref(), leaves.clone());
+        let root = CacheTree::rebuild(e.as_ref(), &leaves);
         assert_eq!(seeded.root(), root);
         // Incremental update on the seeded tree matches a fresh rebuild.
         seeded.update(e.as_ref(), 17, 0xBEEF);
         let mut changed = leaves;
         changed[17] = 0xBEEF;
-        let (root2, _) = CacheTree::rebuild(e.as_ref(), &changed);
+        let root2 = CacheTree::rebuild(e.as_ref(), &changed);
         assert_eq!(seeded.root(), root2);
     }
 
     #[test]
     fn single_leaf_tree() {
         let e = eng();
-        let mut t = CacheTree::new(e.as_ref(), 1);
+        let mut t = CacheTree::from_leaves(e.as_ref(), vec![0; 1]);
         assert_eq!(t.depth(), 0);
         t.update(e.as_ref(), 0, 42);
         assert_eq!(t.root(), 42);

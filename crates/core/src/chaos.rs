@@ -42,10 +42,9 @@ pub struct ChaosConfig {
     pub ops_per_shard: usize,
     /// Faults injected per shard, spread over its op stream.
     pub faults_per_shard: usize,
-    /// Whether the online integrity service runs during the chaos.
-    pub scrub: bool,
-    /// Policy for the online service (when `scrub`).
-    pub policy: OnlinePolicy,
+    /// The online integrity service's policy, or `None` to serve without
+    /// the service.
+    pub policy: Option<OnlinePolicy>,
 }
 
 impl Default for ChaosConfig {
@@ -56,12 +55,11 @@ impl Default for ChaosConfig {
             threads: 4,
             ops_per_shard: 192,
             faults_per_shard: 5,
-            scrub: true,
-            policy: OnlinePolicy {
+            policy: Some(OnlinePolicy {
                 scrub_period_ops: 16,
                 scrub_batch_lines: 4,
                 throttle_occupancy: 0.9,
-            },
+            }),
         }
     }
 }
@@ -134,7 +132,7 @@ pub struct ChaosReport {
     pub faults_healed: u64,
     /// Injected faults whose line is quarantined behind an alarm.
     pub faults_quarantined: u64,
-    /// Faults neither healed nor quarantined (with `scrub`, must be
+    /// Faults neither healed nor quarantined (with a `policy`, must be
     /// empty; shard-granular degradation also accounts).
     pub unaccounted_faults: Vec<String>,
     /// Quarantined lines missing a matching alarm (must be empty).
@@ -529,7 +527,7 @@ fn serve_chaos_shard(
     // would dominate the scrub-overhead measurement.
     if !engine.is_degraded(s) {
         engine.with_shard(s, |sys| sys.ctrl.nvm.disarm_crash());
-        if cfg.scrub && !out.media_faults.is_empty() {
+        if cfg.policy.is_some() && !out.media_faults.is_empty() {
             engine.with_shard(s, |sys| sys.online_scrub_pass());
         }
     }
@@ -549,7 +547,7 @@ fn serve_chaos_shard(
             out.quarantined += 1;
         } else if readable {
             out.healed += 1;
-        } else if cfg.scrub {
+        } else if cfg.policy.is_some() {
             out.unaccounted.push(format!(
                 "s{s} {label} at local {laddr:#x}: unreadable yet not quarantined"
             ));
@@ -566,8 +564,8 @@ fn serve_chaos_shard(
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let sys_cfg = SystemConfig::small_for_tests(SchemeKind::Steins, CounterMode::Split);
     let engine = ShardedEngine::new(sys_cfg, cfg.shards);
-    if cfg.scrub {
-        engine.enable_online(cfg.policy);
+    if let Some(policy) = cfg.policy {
+        engine.enable_online(policy);
     }
     let plans: Vec<(usize, ChaosPlan)> = (0..cfg.shards)
         .map(|s| (s, chaos_plan(cfg, s, engine.shard_config().data_lines)))
@@ -754,7 +752,7 @@ mod tests {
     fn chaos_without_scrub_still_never_lies() {
         let r = run_chaos(&ChaosConfig {
             seed: 0x0BAD_5EED,
-            scrub: false,
+            policy: None,
             ..ChaosConfig::default()
         });
         // Without the online service there is no quarantine ledger, so

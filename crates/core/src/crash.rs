@@ -24,6 +24,7 @@
 //! against the robustness contract. [`CrashSweep::run`] probes a list on a
 //! worker pool.
 
+use crate::cme::MacRecord;
 use crate::config::{SchemeKind, SystemConfig, COMBOS};
 use crate::diagnose;
 use crate::engine::SecureNvmSystem;
@@ -1154,9 +1155,8 @@ impl CrashSweep {
             }
             IntegrityError::DataMac { addr } => {
                 let dline = addr / 64;
-                let (laddr, byte) = crashed.layout.mac_slot(dline);
-                let rec = crate::cme::MacRecord::read_slot(&crashed.nvm.peek(laddr), byte / 16);
-                let (mj, _) = crate::cme::MacRecord::unpack_recovery(rec.recovery);
+                let rec = MacRecord::load(&crashed.nvm, &crashed.layout, dline);
+                let (mj, _) = MacRecord::unpack_recovery(rec.recovery);
                 let data = crashed.nvm.peek(addr & !63);
                 let span = self.cfg.mode.leaf_coverage().max(64);
                 format!(

@@ -65,7 +65,7 @@ pub fn probe_data_mac(
     let hi = major_hint + major_radius;
     for major in lo..=hi {
         for minor in 0..minor_span.max(1) {
-            if ctrl.data_mac_probe(addr, data, major, minor) == stored_mac {
+            if ctrl.crypto.data_mac(addr, data, major, minor) == stored_mac {
                 return DataMacDiagnosis::Matches { major, minor };
             }
         }

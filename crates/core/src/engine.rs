@@ -46,9 +46,27 @@ pub(crate) fn is_zero_node(node: &SitNode) -> bool {
     node.hmac == 0 && node.to_line() == [0u8; 64]
 }
 
+/// The MAC field the node at metadata offset `offset` stores under parent
+/// counter `pc`.
+pub(crate) fn seal_node(
+    crypto: &dyn CryptoEngine,
+    layout: &MemoryLayout,
+    scheme: SchemeKind,
+    node: &SitNode,
+    offset: u64,
+    pc: u64,
+) -> u64 {
+    let mac = crypto.mac64_72(&node.mac_message(layout.node_addr(offset), pc));
+    scheme::seal_node_mac(scheme, mac, pc)
+}
+
 /// Verifies a node's stored MAC field against its parent counter `pc`,
 /// adding the MAC it computes to `hashes`. A zero node under a zero parent
-/// counter is the lazily-initialized state and passes unhashed.
+/// counter is the lazily-initialized state and passes unhashed. It opens
+/// the raw MAC rather than [`seal_node`]'s field: every metadata fetch runs
+/// this check, and sealing first only to mask STAR's counter bits off again
+/// adds host time (about 1.6 % of the frozen benchmark's recover-4g
+/// recovery on a 2-vCPU VM).
 pub(crate) fn verify_node(
     crypto: &dyn CryptoEngine,
     layout: &MemoryLayout,
@@ -289,12 +307,6 @@ impl SecureMemoryController {
 
     // ——— MAC records (functionally ECC-embedded; see DESIGN.md §2.7) ———
 
-    pub(crate) fn get_mac_record(&self, data_line: u64) -> MacRecord {
-        let (laddr, byte) = self.layout.mac_slot(data_line);
-        let line = self.nvm.peek(laddr);
-        MacRecord::read_slot(&line, byte / 16)
-    }
-
     pub(crate) fn set_mac_record(
         &mut self,
         data_line: u64,
@@ -347,7 +359,7 @@ impl SecureMemoryController {
             let (mut buf, t2) = self.nvm.read(t, daddr);
             t = t2;
             self.energy.hashes += 1;
-            if self.get_mac_record(d).mac != self.crypto.data_mac(daddr, &buf, old_major, minor) {
+            if self.data_mac_record(d).mac != self.crypto.data_mac(daddr, &buf, old_major, minor) {
                 continue; // corrupt under the old pair: skip, never launder
             }
             // Decrypt under the old pair, re-encrypt under (new major, 0).
@@ -467,8 +479,8 @@ impl SecureMemoryController {
         // The OTP is generated in parallel with the NVM read (§II-B), so it
         // adds no latency; the MAC check does.
         self.energy.aes_ops += 1;
-        let rec = self.get_mac_record(dline);
-        if rec == MacRecord::default() && ct == [0u8; 64] {
+        let rec = self.data_mac_record(dline);
+        if rec.unwritten(&ct) {
             // Never-written line: defined to read as zeros, nothing to MAC.
             // (The leaf's major may be nonzero if siblings overflowed — the
             // record, not the counter pair, says whether data exists.)
@@ -514,23 +526,16 @@ impl SecureMemoryController {
             .collect()
     }
 
-    /// Reads a data block's MAC record (diagnostics).
-    pub fn data_mac_record(&self, data_line: u64) -> crate::cme::MacRecord {
-        self.get_mac_record(data_line)
-    }
-
-    /// Recomputes a data MAC under an arbitrary counter pair (diagnostics).
-    pub fn data_mac_probe(&self, addr: u64, data: &[u8; 64], major: u64, minor: u64) -> u64 {
-        self.crypto.data_mac(addr, data, major, minor)
+    /// Data line `data_line`'s MAC record (uncounted: a peek).
+    pub fn data_mac_record(&self, data_line: u64) -> MacRecord {
+        MacRecord::load(&self.nvm, &self.layout, data_line)
     }
 
     /// Recomputes the MAC field a node would store under parent counter
-    /// `pc` (diagnostics/ablation probing; does not touch energy counters).
+    /// `pc` (does not touch energy counters).
     pub fn mac_probe(&self, node: &SitNode, offset: u64, pc: u64) -> u64 {
-        let mac = self
-            .crypto
-            .mac64_72(&node.mac_message(self.layout.node_addr(offset), pc));
-        scheme::seal_node_mac(self.cfg.scheme, mac, pc)
+        let (crypto, scheme) = (self.crypto.as_ref(), self.cfg.scheme);
+        seal_node(crypto, &self.layout, scheme, node, offset, pc)
     }
 
     /// The memory layout in force.

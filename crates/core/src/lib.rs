@@ -20,8 +20,8 @@
 //!   seeded fault campaign's crashes, nested crashes and post-crash
 //!   attacks, all listed by one `jobs` and checked by one `probe`.
 //! * [`attack`] — tampering/replay injection used by the security tests.
-//! * [`scrub`] — lenient recovery: the non-panicking integrity scrub with
-//!   region-granular verdicts (`Intact`/`Recovered`/`Unrecoverable`).
+//! * [`scrub`] — lenient recovery: the non-panicking integrity scrub, which
+//!   rebuilds every node from the data plane.
 //! * [`chaos`] — chaos mode: media faults, torn writes and whole-shard
 //!   power cuts injected under live multi-shard serving traffic.
 //! * [`online`] — the online integrity service: incremental background
@@ -64,7 +64,7 @@ pub use error::IntegrityError;
 pub use online::{OnlinePolicy, OnlineService};
 pub use recovery::RecoveryReport;
 pub use report::RunReport;
-pub use scrub::{ScrubReport, Verdict};
+pub use scrub::ScrubReport;
 pub use shard::{ParallelRecovery, RepairOutcome, ShardedEngine};
 
 // Re-export the counter mode so downstream users need only this crate.

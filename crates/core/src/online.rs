@@ -13,10 +13,11 @@
 //!   background read (charging device bank occupancy — the serving cost
 //!   the throttle bounds — and driving the device's bounded
 //!   exponential-backoff retry schedule, which heals short transient
-//!   faults), then the data MAC against the line's
-//!   [`MacRecord`]. The patrol persists nothing: its cursor is volatile
-//!   and dies with the power, so a restarted service starts at line zero
-//!   (a repaired shard runs one full pass before it serves again).
+//!   faults), then the line's verdict against its MAC record
+//!   ([`crate::cme::MacRecord::judge`]). The patrol persists nothing: its
+//!   cursor is volatile and dies with the power, so a restarted service
+//!   starts at line zero (a repaired shard runs one full pass before it
+//!   serves again).
 //! * **Throttle negotiation** — a scrub step first consults the live
 //!   write-queue occupancy; above `throttle_occupancy` the step yields to
 //!   serving traffic (alarm draining still runs — detections are never
@@ -35,7 +36,7 @@ use std::collections::BTreeSet;
 
 use steins_obs::{Alarm, AlarmKind, AlarmLog, MetricRegistry};
 
-use crate::cme::MacRecord;
+use crate::cme::LineVerdict;
 use crate::engine::SecureNvmSystem;
 
 /// Policy knobs of the online integrity service (Triad-NVM-style:
@@ -261,16 +262,14 @@ impl OnlineService {
             self.healed += 1;
         }
         let rec = sys.ctrl.data_mac_record(d);
-        if rec == MacRecord::default() && ct == [0u8; 64] {
-            return; // never-written: defined zeros
-        }
-        let (major, minor) = MacRecord::unpack_recovery(rec.recovery);
-        if sys.ctrl.data_mac_probe(daddr, &ct, major, minor) == rec.mac {
-            self.verified += 1;
-        } else {
-            let shard = sys.ctrl.nvm.shard();
-            let cycle = sys.sim_cycles();
-            self.quarantine_line(AlarmKind::MacMismatch, shard, daddr, cycle);
+        match rec.judge(sys.ctrl.crypto.as_ref(), daddr, &ct) {
+            LineVerdict::Unwritten => {} // defined zeros
+            LineVerdict::Authentic { .. } => self.verified += 1,
+            LineVerdict::Forged { .. } => {
+                let shard = sys.ctrl.nvm.shard();
+                let cycle = sys.sim_cycles();
+                self.quarantine_line(AlarmKind::MacMismatch, shard, daddr, cycle);
+            }
         }
     }
 

@@ -16,9 +16,9 @@
 //! Parallelism lives one level up, across whole shards
 //! ([`crate::ShardedEngine::recover_all`]).
 
-use crate::cme::MacRecord;
+use crate::cme::{LineVerdict, MacRecord};
 use crate::crash::CrashedSystem;
-use crate::engine::{parse_node, SecureNvmSystem};
+use crate::engine::{parse_node, verify_node, SecureNvmSystem};
 use crate::error::IntegrityError;
 use steins_crypto::CryptoEngine;
 use steins_metadata::counter::{CounterBlock, SplitCounters};
@@ -230,68 +230,79 @@ impl CrashedSystem {
         parse_node(self.cfg.mode, id, &self.nvm.peek(addr))
     }
 
-    fn mac_record(&self, data_line: u64) -> MacRecord {
-        let (laddr, byte) = self.layout.mac_slot(data_line);
-        MacRecord::read_slot(&self.nvm.peek(laddr), byte / 16)
+    /// Verifies node `id`'s stored MAC field against parent counter `pc`.
+    pub(crate) fn verify_node(
+        &self,
+        node: &SitNode,
+        id: NodeId,
+        pc: u64,
+    ) -> Result<(), IntegrityError> {
+        let (crypto, scheme) = (self.crypto.as_ref(), self.cfg.scheme);
+        verify_node(crypto, &self.layout, scheme, node, id, pc, &mut 0)
     }
 
     /// Recovers a leaf's counters from the persisted data blocks and their
     /// MAC records (§III-G; the 8 reads/leaf in GC, 64 in SC behind
-    /// Fig. 17's Steins-SC point), verifying every data block's HMAC.
+    /// Fig. 17's Steins-SC point): one read per line, since the record
+    /// rides the line's ECC bits (DESIGN.md §2.7). The first forged line
+    /// fails recovery.
     pub(crate) fn recover_leaf(
         &self,
         rd: &mut u64,
         id: NodeId,
         stale: &SitNode,
     ) -> Result<SitNode, IntegrityError> {
-        let geo = &self.layout.geometry;
-        match self.cfg.mode {
-            CounterMode::General => {
-                let mut g = *stale.counters.as_general();
-                for (j, d) in geo.data_of_leaf(id).into_iter().enumerate() {
-                    let rec = self.mac_record(d);
-                    *rd += 1;
-                    let addr = self.layout.data_base + d * 64;
-                    let data = self.nvm.peek(addr);
-                    if rec == MacRecord::default() && data == [0u8; 64] {
-                        g.set(j, 0);
-                        continue;
-                    }
-                    let (ctr, minor) = MacRecord::unpack_recovery(rec.recovery);
-                    if self.crypto.data_mac(addr, &data, ctr, minor) != rec.mac {
-                        return Err(IntegrityError::DataMac { addr });
-                    }
-                    g.set(j, ctr);
+        self.leaf_from_data(rd, 1, id, *stale, |addr, v| match v {
+            LineVerdict::Forged { .. } => Err(IntegrityError::DataMac { addr }),
+            _ => Ok(()),
+        })
+    }
+
+    /// Rebuilds leaf `id` over `base` from its data lines' verdicts, in
+    /// coverage order, charging `per_line` reads a line. `seen` sees each
+    /// verdict first and may stop the rebuild. A general leaf takes every
+    /// line's record counter (0 if unwritten); a split leaf starts from zero
+    /// and takes the largest authentic major and each authentic minor.
+    /// Total on arbitrary record/data bytes.
+    pub(crate) fn leaf_from_data<E>(
+        &self,
+        rd: &mut u64,
+        per_line: u64,
+        id: NodeId,
+        base: SitNode,
+        mut seen: impl FnMut(u64, LineVerdict) -> Result<(), E>,
+    ) -> Result<SitNode, E> {
+        let mut counters = match self.cfg.mode {
+            CounterMode::General => base.counters,
+            CounterMode::Split => CounterBlock::Split(SplitCounters {
+                major: 0,
+                minors: [0; 64],
+            }),
+        };
+        let lines = self.layout.geometry.data_of_leaf(id);
+        for (j, d) in lines.into_iter().enumerate() {
+            *rd += per_line;
+            let addr = self.layout.data_base + d * 64;
+            let rec = MacRecord::load(&self.nvm, &self.layout, d);
+            let v = rec.judge(self.crypto.as_ref(), addr, &self.nvm.peek(addr));
+            seen(addr, v)?;
+            match (&mut counters, v) {
+                (CounterBlock::General(g), LineVerdict::Unwritten) => g.set(j, 0),
+                (
+                    CounterBlock::General(g),
+                    LineVerdict::Authentic { major, .. } | LineVerdict::Forged { major },
+                ) => g.set(j, major),
+                (CounterBlock::Split(s), LineVerdict::Authentic { major, minor }) => {
+                    s.major = s.major.max(major);
+                    s.minors[j] = minor as u8;
                 }
-                Ok(SitNode {
-                    counters: CounterBlock::General(g),
-                    hmac: stale.hmac,
-                })
-            }
-            CounterMode::Split => {
-                let mut major = 0u64;
-                let mut minors = [0u8; 64];
-                for (j, d) in geo.data_of_leaf(id).into_iter().enumerate() {
-                    let rec = self.mac_record(d);
-                    *rd += 1;
-                    let addr = self.layout.data_base + d * 64;
-                    let data = self.nvm.peek(addr);
-                    if rec == MacRecord::default() && data == [0u8; 64] {
-                        continue;
-                    }
-                    let (mj, mn) = MacRecord::unpack_recovery(rec.recovery);
-                    if self.crypto.data_mac(addr, &data, mj, mn) != rec.mac {
-                        return Err(IntegrityError::DataMac { addr });
-                    }
-                    major = major.max(mj);
-                    minors[j] = mn as u8;
-                }
-                Ok(SitNode {
-                    counters: CounterBlock::Split(SplitCounters { major, minors }),
-                    hmac: stale.hmac,
-                })
+                (CounterBlock::Split(_), _) => {}
             }
         }
+        Ok(SitNode {
+            counters,
+            hmac: base.hmac,
+        })
     }
 }
 

@@ -70,7 +70,7 @@ pub(crate) struct AsitNv {
 impl AsitState {
     /// Fresh state for a metadata cache with `slots` lines.
     pub(crate) fn new(engine: &dyn CryptoEngine, slots: usize) -> Self {
-        let cache_tree = CacheTree::new(engine, slots);
+        let cache_tree = CacheTree::from_leaves(engine, vec![0; slots]);
         let root = cache_tree.root();
         AsitState {
             cache_tree,
@@ -201,7 +201,7 @@ impl CrashedSystem {
         // pre-image, so a crash during the replay below recovers again.
         let mut seed_root = nv.root;
         let mut seed_inflight = None;
-        let (rebuilt, _) = CacheTree::rebuild(self.crypto.as_ref(), &leaf_macs);
+        let rebuilt = CacheTree::rebuild(self.crypto.as_ref(), &leaf_macs);
         if rebuilt != nv.root {
             // Under 8 B write atomicity the one shadow write that was in
             // flight at the crash may have torn — the registers already hold
@@ -224,7 +224,7 @@ impl CrashedSystem {
             };
             let mut prev_macs = leaf_macs.clone();
             prev_macs[inf.slot as usize] = old_mac;
-            let (prev_rebuilt, _) = CacheTree::rebuild(self.crypto.as_ref(), &prev_macs);
+            let prev_rebuilt = CacheTree::rebuild(self.crypto.as_ref(), &prev_macs);
             if prev_rebuilt != inf.prev_root {
                 return Err(IntegrityError::CacheTreeMismatch {
                     stored: nv.root,
@@ -289,7 +289,7 @@ impl CrashedSystem {
         // starting empty: the tags, tree and root already describe what is
         // in NVM, so every boundary inside the replay below is a state this
         // same recovery procedure accepts — the replay is re-entrant.
-        let seeded = CacheTree::from_leaves(self.crypto.as_ref(), &leaf_macs);
+        let seeded = CacheTree::from_leaves(self.crypto.as_ref(), leaf_macs);
         debug_assert_eq!(seeded.root(), seed_root, "seed tree must match root");
         let tags: HashMap<u64, u64> = entries.iter().map(|(s, off, _)| (*s, *off)).collect();
         let sys = out.insert(self.revive());

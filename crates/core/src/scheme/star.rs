@@ -16,7 +16,7 @@ use super::SchemeState;
 use crate::cachetree::CacheTree;
 use crate::config::HASH_LATENCY;
 use crate::crash::CrashedSystem;
-use crate::engine::{is_zero_node, verify_node, SecureMemoryController, SecureNvmSystem};
+use crate::engine::{is_zero_node, SecureMemoryController, SecureNvmSystem};
 use crate::error::IntegrityError;
 use crate::recovery::{journal, RecoveryReport};
 use std::collections::BTreeSet;
@@ -71,7 +71,7 @@ pub(crate) struct StarState {
 impl StarState {
     /// Fresh state for a cache with `sets` sets.
     pub(crate) fn new(engine: &dyn CryptoEngine, sets: usize, bitmap_cache_lines: usize) -> Self {
-        let cache_tree = CacheTree::new(engine, sets);
+        let cache_tree = CacheTree::from_leaves(engine, vec![0; sets]);
         let nv_root = cache_tree.root();
         StarState {
             cache_tree,
@@ -296,16 +296,7 @@ impl CrashedSystem {
                         }
                         let (_, lsbs) = unpack_hmac(child.hmac);
                         let rc = reconstruct_counter(g.get(j), lsbs);
-                        let scheme = self.cfg.scheme;
-                        verify_node(
-                            self.crypto.as_ref(),
-                            &self.layout,
-                            scheme,
-                            &child,
-                            cid,
-                            rc,
-                            &mut 0,
-                        )?;
+                        self.verify_node(&child, cid, rc)?;
                         g.set(j, rc);
                     }
                     SitNode {
@@ -347,7 +338,7 @@ impl CrashedSystem {
             set_message(&mut msg, in_set.into_iter());
             *leaf = self.crypto.mac64(&msg);
         }
-        let (rebuilt, _) = CacheTree::rebuild(self.crypto.as_ref(), &leaf_macs);
+        let rebuilt = CacheTree::rebuild(self.crypto.as_ref(), &leaf_macs);
         if rebuilt != nv_root {
             return Err(IntegrityError::CacheTreeMismatch {
                 stored: nv_root,

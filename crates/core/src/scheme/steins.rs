@@ -5,7 +5,7 @@
 use super::SchemeState;
 use crate::config::HASH_LATENCY;
 use crate::crash::CrashedSystem;
-use crate::engine::{parse_node, verify_node, SecureMemoryController, SecureNvmSystem};
+use crate::engine::{parse_node, SecureMemoryController, SecureNvmSystem};
 use crate::error::IntegrityError;
 use crate::linc::LincBank;
 use crate::nvbuffer::{NvBuffer, NvBufferEntry};
@@ -473,18 +473,6 @@ impl CrashedSystem {
         let mut recovered: Vec<(u64, SitNode)> = Vec::with_capacity(dirty.len());
         let mut per_level = vec![0usize; geo.levels()];
         let mut parents = 0..0;
-        let check = |node: &SitNode, id: NodeId, pc: u64| {
-            let scheme = self.cfg.scheme;
-            verify_node(
-                self.crypto.as_ref(),
-                &self.layout,
-                scheme,
-                node,
-                id,
-                pc,
-                &mut 0,
-            )
-        };
         for k in (0..geo.levels()).rev() {
             let mut delta_sum: i128 = 0;
             let run = recovered.len();
@@ -510,7 +498,7 @@ impl CrashedSystem {
                     };
                     parent.counters.as_general().get(slot)
                 };
-                check(&stale, id, pc)?;
+                self.verify_node(&stale, id, pc)?;
 
                 // Reconstruct the latest counters from persistent children
                 // (§III-B: the generation functions make this possible).
@@ -520,7 +508,7 @@ impl CrashedSystem {
                         reads += 1;
                         let child = self.stale_node(cid);
                         let cval = child.counters.parent_value();
-                        check(&child, cid, cval)?;
+                        self.verify_node(&child, cid, cval)?;
                         g.set(j, cval);
                     }
                     SitNode {

@@ -11,16 +11,18 @@
 //!
 //! The scrub is a **full re-initialization rebuild**:
 //!
-//! 1. *Data plane.* Every data line is verified against its MAC record
-//!    (the per-block HMAC + recovery counter riding the ECC spare bits).
-//!    Verdicts: `Intact` (MAC verifies), `Unrecoverable` (mismatch with no
-//!    redundant source — torn data write, media fault, or tampering), or
-//!    untouched (never written).
-//! 2. *Tree.* Leaf counters are rebuilt from the verified MAC records;
-//!    every parent counter is regenerated bottom-up from its children;
-//!    every node is re-MACed against its regenerated parent counter and
-//!    written home. Nodes whose rebuilt line equals the stale home copy are
-//!    `Intact`, the rest `Recovered`.
+//! 1. *Data plane.* Every data line is judged against its MAC record
+//!    (the per-block HMAC + recovery counter riding the ECC spare bits) by
+//!    the one verdict strict recovery and the patrol use too,
+//!    [`crate::cme::MacRecord::judge`]: authentic lines count intact,
+//!    forged ones unrecoverable (no redundant source — torn data write,
+//!    media fault, or tampering), never-written ones untouched.
+//! 2. *Tree.* Leaf counters are rebuilt from the MAC records by strict
+//!    recovery's own leaf rebuild, over an all-zero node; every parent
+//!    counter is regenerated bottom-up from its children; every node is
+//!    re-MACed against its regenerated parent counter and written home.
+//!    Nodes whose rebuilt line equals the stale home copy count intact, the
+//!    rest recovered.
 //! 3. *Anchors.* The on-chip root registers are reset to the regenerated
 //!    top-level values; scheme NV state (LIncs, cache-tree roots, shadow
 //!    tags) restarts fresh; the record/shadow/bitmap regions are reset to
@@ -35,29 +37,17 @@
 //! that). Lenient mode is for fault recovery, not adversarial recovery;
 //! callers pick per §III-H threat model.
 
-use crate::cme::MacRecord;
+use std::convert::Infallible;
+
+use crate::cme::LineVerdict;
 use crate::crash::CrashedSystem;
-use crate::engine::{is_zero_node, SecureNvmSystem};
+use crate::engine::{is_zero_node, seal_node, SecureNvmSystem};
 use crate::error::IntegrityError;
 use crate::recovery::journal;
-use crate::scheme::seal_node_mac;
-use steins_metadata::counter::{CounterBlock, SplitCounters};
+use steins_metadata::counter::CounterBlock;
 use steins_metadata::records::RecordLine;
-use steins_metadata::{CounterMode, NodeId, SitNode};
+use steins_metadata::{NodeId, SitNode};
 use steins_obs::MetricRegistry;
-
-/// Scrub classification for one region (a data line or a metadata node).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// The persisted bytes verified as-is.
-    Intact,
-    /// The bytes were reconstructed from a redundant source (MAC records,
-    /// child counters) and rewritten.
-    Recovered,
-    /// MAC mismatch with no redundant source: the content is lost. The
-    /// region is left failing deterministically (reads return an error).
-    Unrecoverable,
-}
 
 /// What the integrity scrub found and did.
 #[derive(Clone, Debug, PartialEq)]
@@ -155,13 +145,6 @@ impl std::fmt::Display for ScrubReport {
     }
 }
 
-/// One data line's scrub outcome plus the counter pair to rebuild with.
-enum DataOutcome {
-    Untouched,
-    Verified { major: u64, minor: u64 },
-    Bad { major: u64 },
-}
-
 impl CrashedSystem {
     /// Lenient recovery: scrubs the image, classifies every region, and
     /// rebuilds a consistent live system (`None` for WB, which has no
@@ -223,6 +206,12 @@ impl CrashedSystem {
             let id = NodeId { level: 0, index };
             nodes[geo.offset_of(id) as usize] = self.scrub_leaf(&mut reads, id, &mut report);
         }
+        // Lost content stays lost: drop it from the functional ground truth
+        // so post-scrub reads of these lines fail deterministically (the
+        // stored record still disagrees with the stored bytes).
+        for &addr in &report.unrecoverable_addrs {
+            self.truth.remove(addr);
+        }
 
         if !self.recoverable() {
             report.nvm_reads = reads;
@@ -271,14 +260,13 @@ impl CrashedSystem {
                     .get(slot),
             };
             let mut node = nodes[off as usize];
-            node.hmac = 0;
             let addr = self.layout.node_addr(off);
             let line = if pc == 0 && is_zero_node(&node) {
                 // Lazily-initialized state: zero node under a zero counter.
                 [0u8; 64]
             } else {
-                let mac = self.crypto.mac64_72(&node.mac_message(addr, pc));
-                node.hmac = seal_node_mac(self.cfg.scheme, mac, pc);
+                let (crypto, scheme) = (self.crypto.as_ref(), self.cfg.scheme);
+                node.hmac = seal_node(crypto, &self.layout, scheme, &node, off, pc);
                 node.to_line()
             };
             reads += 1;
@@ -334,85 +322,22 @@ impl CrashedSystem {
         Ok(report)
     }
 
-    /// Rebuilds one leaf from the data plane, recording verdicts. Total on
-    /// arbitrary record/data bytes.
-    fn scrub_leaf(&mut self, reads: &mut u64, id: NodeId, report: &mut ScrubReport) -> SitNode {
-        let geo = self.layout.geometry.clone();
-        let outcomes: Vec<(usize, u64, DataOutcome)> = geo
-            .data_of_leaf(id)
-            .into_iter()
-            .enumerate()
-            .map(|(j, d)| (j, d, self.scrub_data_line(reads, d)))
-            .collect();
-        let mut unrecoverable = Vec::new();
-        for (_, d, o) in &outcomes {
-            let addr = self.layout.data_base + d * 64;
-            match o {
-                DataOutcome::Untouched => report.data_untouched += 1,
-                DataOutcome::Verified { .. } => report.data_intact += 1,
-                DataOutcome::Bad { .. } => {
+    /// Rebuilds one leaf over an all-zero node from the data plane,
+    /// recording verdicts: two reads a line (the record, then the data), and
+    /// a forged line is unrecoverable. Total on arbitrary record/data bytes.
+    fn scrub_leaf(&self, reads: &mut u64, id: NodeId, report: &mut ScrubReport) -> SitNode {
+        let counted = self.leaf_from_data(reads, 2, id, SitNode::zero_general(), |addr, v| {
+            match v {
+                LineVerdict::Unwritten => report.data_untouched += 1,
+                LineVerdict::Authentic { .. } => report.data_intact += 1,
+                LineVerdict::Forged { .. } => {
                     report.data_unrecoverable += 1;
                     report.unrecoverable_addrs.push(addr);
-                    unrecoverable.push(addr);
                 }
             }
-        }
-        // Lost content stays lost: drop it from the functional ground truth
-        // so post-scrub reads of these lines fail deterministically (the
-        // stored record still disagrees with the stored bytes).
-        for addr in unrecoverable {
-            self.truth.remove(addr);
-        }
-        match self.cfg.mode {
-            CounterMode::General => {
-                let mut g = *SitNode::general_from_line(&[0u8; 64]).counters.as_general();
-                for (j, _, o) in &outcomes {
-                    match o {
-                        DataOutcome::Untouched => g.set(*j, 0),
-                        DataOutcome::Verified { major, .. } | DataOutcome::Bad { major, .. } => {
-                            g.set(*j, *major)
-                        }
-                    }
-                }
-                SitNode {
-                    counters: CounterBlock::General(g),
-                    hmac: 0,
-                }
-            }
-            CounterMode::Split => {
-                let mut major = 0u64;
-                let mut minors = [0u8; 64];
-                for (j, _, o) in &outcomes {
-                    if let DataOutcome::Verified { major: mj, minor } = o {
-                        major = major.max(*mj);
-                        minors[*j] = *minor as u8;
-                    }
-                }
-                SitNode {
-                    counters: CounterBlock::Split(SplitCounters { major, minors }),
-                    hmac: 0,
-                }
-            }
-        }
-    }
-
-    /// Classifies one data line against its MAC record.
-    fn scrub_data_line(&self, reads: &mut u64, data_line: u64) -> DataOutcome {
-        let (laddr, byte) = self.layout.mac_slot(data_line);
-        *reads += 1;
-        let rec = MacRecord::read_slot(&self.nvm.peek(laddr), byte / 16);
-        let addr = self.layout.data_base + data_line * 64;
-        *reads += 1;
-        let data = self.nvm.peek(addr);
-        if rec == MacRecord::default() && data == [0u8; 64] {
-            return DataOutcome::Untouched;
-        }
-        let (major, minor) = MacRecord::unpack_recovery(rec.recovery);
-        if self.crypto.data_mac(addr, &data, major, minor) == rec.mac {
-            DataOutcome::Verified { major, minor }
-        } else {
-            DataOutcome::Bad { major }
-        }
+            Ok::<(), Infallible>(())
+        });
+        counted.unwrap_or_else(|never| match never {})
     }
 }
 
@@ -420,6 +345,7 @@ impl CrashedSystem {
 mod tests {
     use super::*;
     use crate::config::{SchemeKind, SystemConfig};
+    use steins_metadata::CounterMode;
 
     fn scrubbed(scheme: SchemeKind, mode: CounterMode) -> (Option<SecureNvmSystem>, ScrubReport) {
         let cfg = SystemConfig::small_for_tests(scheme, mode);

@@ -23,24 +23,6 @@ pub struct NvmStats {
 }
 
 impl NvmStats {
-    /// Mean read service latency in cycles (0 if no reads).
-    pub fn avg_read_cycles(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_service_cycles as f64 / self.reads as f64
-        }
-    }
-
-    /// Mean write service latency in cycles (0 if no writes).
-    pub fn avg_write_cycles(&self) -> f64 {
-        if self.writes == 0 {
-            0.0
-        } else {
-            self.write_service_cycles as f64 / self.writes as f64
-        }
-    }
-
     /// Total write traffic in bytes.
     pub fn write_traffic_bytes(&self) -> u64 {
         self.writes * crate::storage::LINE_BYTES as u64
@@ -63,13 +45,6 @@ impl NvmStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn averages_handle_zero() {
-        let s = NvmStats::default();
-        assert_eq!(s.avg_read_cycles(), 0.0);
-        assert_eq!(s.avg_write_cycles(), 0.0);
-    }
 
     #[test]
     fn merge_adds_fields() {
