@@ -45,9 +45,11 @@ fn main() {
         faults_per_shard: env::int("STEINS_CHAOS_FAULTS").unwrap_or(defaults.faults_per_shard),
         ..defaults
     };
+    // The worker count goes to stderr: stdout is the same at any count.
+    eprintln!("chaos on {} workers", cfg.threads);
     println!(
-        "Chaos: seed {:#x}, {} shards x {} ops ({} faults/shard), {} workers, scrub on",
-        cfg.seed, cfg.shards, cfg.ops_per_shard, cfg.faults_per_shard, cfg.threads,
+        "Chaos: seed {:#x}, {} shards x {} ops ({} faults/shard), scrub on",
+        cfg.seed, cfg.shards, cfg.ops_per_shard, cfg.faults_per_shard,
     );
 
     let r = run_chaos(&cfg);

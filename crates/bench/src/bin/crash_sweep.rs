@@ -95,7 +95,9 @@ fn main() {
         |scheme, mode, sel| CrashSweep::small(scheme, mode, ops, PointSelection::AtMost(sel));
     let mut all_clean = true;
 
-    println!("Crash sweep: {ops}-op stream, every persist point, {threads} workers");
+    // The worker count goes to stderr: stdout is the same at any count.
+    eprintln!("crash sweep on {threads} workers");
+    println!("Crash sweep: {ops}-op stream, every persist point");
     println!("{:>10}  {:>8}  {:>8}  result", "combo", "points", "failed");
     for (scheme, mode) in combos {
         let sweep = CrashSweep::small(scheme, mode, ops, PointSelection::All);

@@ -144,10 +144,12 @@ impl CrashedSystem {
     }
 
     /// The revived machine: the image's NVM, SIT root and ground truth in
-    /// the empty machine the crash built, whose scheme registers start
-    /// fresh (zero LIncs, empty shadow tags, empty cache trees). Every
-    /// recovery and the lenient scrub revive through here, after their
-    /// verification and before their first durable write.
+    /// the machine the crash built, whose scheme registers start fresh
+    /// (zero LIncs, empty shadow tags, empty cache trees). Every recovery
+    /// and the lenient scrub revive through here, after their verification
+    /// and before their first durable write. The machine is empty but for
+    /// what verification put in its volatile metadata cache: the nodes
+    /// Steins recovery verified.
     pub(crate) fn revive(self) -> SecureNvmSystem {
         let mut sys = self.machine;
         sys.ctrl.nvm = self.nvm;

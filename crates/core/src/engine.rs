@@ -519,10 +519,8 @@ impl SecureMemoryController {
     /// Offsets of every dirty node currently in the metadata cache
     /// (tests/diagnostics — the state a crash would lose).
     pub fn meta_dirty_offsets(&self) -> Vec<u64> {
-        self.meta
-            .dirty_nodes()
-            .into_iter()
-            .map(|(_, offset, _)| offset)
+        (0..self.meta.config().slots())
+            .filter_map(|slot| self.meta.dirty_at(slot))
             .collect()
     }
 
@@ -706,10 +704,18 @@ impl SecureNvmSystem {
         self.check_quarantine(addr)?;
         let acc = self.hier.access(addr, true);
         self.service_events(&acc.events)?;
-        let written = match self.hier.flush_line(addr) {
-            Some(_) => self.ctrl.write_data(self.cpu.now, addr, data).map(drop),
-            None => Ok(()),
-        };
+        match self.hier.flush_line(addr) {
+            Some(_) => self.persist_line(addr, data)?,
+            None => self.truth.set(addr, data),
+        }
+        self.maybe_online_step();
+        Ok(())
+    }
+
+    /// Writes `data` to `addr`'s line through the controller, with no CPU
+    /// cache in between, and keeps ground truth in step.
+    fn persist_line(&mut self, addr: u64, data: &[u8; 64]) -> Result<(), IntegrityError> {
+        let written = self.ctrl.write_data(self.cpu.now, addr, data).map(drop);
         match written {
             // The store never became durable (e.g. its metadata path is
             // damaged): the ack is an error, so ground truth keeps the
@@ -720,9 +726,7 @@ impl SecureNvmSystem {
             // which reconciles ground truth against the tripping persist.
             _ => self.truth.set(addr, data),
         }
-        written?;
-        self.maybe_online_step();
-        Ok(())
+        written
     }
 
     /// Direct API: securely reads one line (through the CPU caches; a hit
@@ -855,8 +859,12 @@ impl SecureNvmSystem {
             }
             Err(e)
         };
-        // A power cut passes straight up: the service dies with the power.
-        if let Err(e) = pass_cut(self.write(addr, data))? {
+        // Replace the line whole. `write`'s write-allocate fill would read
+        // and verify the old line first, and that line failing its MAC is
+        // why it is quarantined; a CPU-cached copy is dropped unwritten. A
+        // power cut passes straight up: the service dies with the power.
+        self.hier.flush_line(addr);
+        if let Err(e) = pass_cut(self.persist_line(addr, data))? {
             return requarantine(self, e);
         }
         // Verify-after-write: read straight from the device through the

@@ -461,6 +461,44 @@ mod tests {
         assert!(s.online().unwrap().is_quarantined(victim));
     }
 
+    /// `heal_write` replaces a line whose stored bytes fail their MAC, the
+    /// case it exists for, without reading the old line first: a live line
+    /// with a flipped bit, and a tampered line that a lenient recovery
+    /// dropped and the patrol then quarantined. The quarantine lifts with
+    /// one audited clear and the line reads back the new data.
+    #[test]
+    fn heal_write_replaces_a_line_that_fails_its_mac() {
+        for mode in [CounterMode::General, CounterMode::Split] {
+            let written = || {
+                let mut s = sys(mode);
+                for line in 0..8u64 {
+                    s.write(line * 64, &synth_data(line * 64, 5)).unwrap();
+                }
+                s
+            };
+            let mut live = written();
+            live.enable_online(active_policy());
+            live.ctrl.nvm.inject_bit_flip(0, 3, 1);
+            live.online_scrub_pass();
+            let mut crashed = written().crash();
+            crashed.tamper_data_at(3, 17, 0x80);
+            let (recovered, _) = crashed.recover_lenient();
+            let mut recovered = recovered.expect("Steins rebuilds its metadata");
+            recovered.enable_online(active_policy());
+            recovered.online_scrub_pass();
+            for (mut s, addr) in [(live, 0), (recovered, 3 * 64)] {
+                let svc = s.online().unwrap();
+                assert!(svc.is_quarantined(addr), "{mode:?} {addr:#x}");
+                let fresh = synth_data(addr, 9);
+                assert_eq!(s.heal_write(addr, &fresh), Ok(()), "{mode:?} {addr:#x}");
+                let svc = s.online().unwrap();
+                assert!(!svc.is_quarantined(addr), "{mode:?} {addr:#x}");
+                assert_eq!(svc.alarms().count(AlarmKind::QuarantineCleared), 1);
+                assert_eq!(s.read(addr), Ok(fresh), "{mode:?} {addr:#x}");
+            }
+        }
+    }
+
     #[test]
     fn transient_fault_heals_and_permanent_fault_quarantines() {
         let mut s = sys(CounterMode::General);

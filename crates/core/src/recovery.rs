@@ -190,7 +190,9 @@ impl CrashedSystem {
     /// owns the partially-rebuilt system — including its NVM image and ADR
     /// recovery journal — and can crash it again and re-run recovery. All
     /// planning and verification happen before parking and touch nothing
-    /// durable.
+    /// durable; verification may fill the unparked machine's volatile
+    /// metadata cache (Steins installs each node as it verifies), which a
+    /// refusal drops with the image.
     pub fn recover_into(
         self,
         out: &mut Option<SecureNvmSystem>,

@@ -19,7 +19,6 @@ use crate::crash::CrashedSystem;
 use crate::engine::{is_zero_node, SecureMemoryController, SecureNvmSystem};
 use crate::error::IntegrityError;
 use crate::recovery::{journal, RecoveryReport};
-use std::collections::BTreeSet;
 use steins_crypto::CryptoEngine;
 use steins_metadata::counter::CounterBlock;
 use steins_metadata::{NodeId, SitNode};
@@ -249,9 +248,10 @@ impl CrashedSystem {
         let geo = self.layout.geometry.clone();
         let mut reads = 0u64;
 
-        // 1. Read the dirty bitmap.
+        // 1. Read the dirty bitmap. The scan meets offsets ascending and
+        //    once each, so `dirty` comes out sorted.
         let total = geo.total_nodes();
-        let mut dirty: BTreeSet<u64> = BTreeSet::new();
+        let mut dirty: Vec<u64> = Vec::new();
         for l in 0..self.layout.bitmap_lines() {
             reads += 1;
             let line = self.nvm.peek(self.layout.bitmap_base + l * 64);
@@ -263,7 +263,7 @@ impl CrashedSystem {
                     if byte & (1 << bit) != 0 {
                         let off = l * 512 + byte_idx as u64 * 8 + bit;
                         if off < total {
-                            dirty.insert(off);
+                            dirty.push(off);
                         }
                     }
                 }
@@ -273,7 +273,7 @@ impl CrashedSystem {
         let reads_bitmap_scan = reads;
 
         // 2. Top-down reconstruction from child-carried counter LSBs, one
-        //    level's range of `dirty` at a time. `items` comes out in the
+        //    level's run of `dirty` at a time. `items` comes out in the
         //    canonical install order (level descending, offset ascending)
         //    shared by first runs and restarts: the rebuild below regrows
         //    the cache-tree register one item at a time in exactly this
@@ -282,7 +282,9 @@ impl CrashedSystem {
         let mut per_level = vec![0usize; geo.levels()];
         for k in (0..geo.levels()).rev() {
             let base = geo.offset_of(NodeId { level: k, index: 0 });
-            for &off in dirty.range(base..base + geo.nodes_at(k)) {
+            let end = base + geo.nodes_at(k);
+            let level = dirty.partition_point(|&o| o < base)..dirty.partition_point(|&o| o < end);
+            for &off in &dirty[level] {
                 let id = geo.node_at_offset(off);
                 reads += 1;
                 let stale = self.stale_node(id);

@@ -10,7 +10,7 @@ use crate::error::IntegrityError;
 use crate::linc::LincBank;
 use crate::nvbuffer::{NvBuffer, NvBufferEntry};
 use crate::recovery::{journal, RecoveryReport};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
 use steins_crypto::FxHashMap;
 use steins_metadata::counter::CounterBlock;
 use steins_metadata::records::{record_coords, RecordLine, RECORDS_PER_LINE};
@@ -379,9 +379,11 @@ impl SecureMemoryController {
 impl CrashedSystem {
     /// Strict recovery (§III-G): offset records and NV-buffer replay name
     /// the candidate dirty set, which is rebuilt top-down from persistent
-    /// children with per-level LInc verification.
+    /// children with per-level LInc verification. Each node goes into the
+    /// crash-built machine's metadata cache as soon as its own checks pass;
+    /// that cache is volatile, so a refused recovery drops it with `self`.
     pub(super) fn recover_steins(
-        self,
+        mut self,
         nv: SteinsNv,
         out: &mut Option<SecureNvmSystem>,
         prior: RecoveryJournal,
@@ -391,34 +393,28 @@ impl CrashedSystem {
         let mut lincs = nv.lincs.clone();
         let mut reads = 0u64;
 
-        // 1. Offset records → candidate dirty set (may over-approximate;
-        //    clean nodes recover to themselves, §III-H). Remember each
-        //    offset's recorded slot: the rebuild pins nodes back into their
-        //    old slots so the rewritten record region is byte-identical to
-        //    the pre-crash one (recovery idempotence).
+        // 1. Offset records → the plan, one (offset, recorded slot) entry
+        //    per in-tree entry (may over-approximate; clean nodes recover to
+        //    themselves, §III-H). Nodes go back into their recorded slots,
+        //    so the rewritten record region is byte-identical to the
+        //    pre-crash one (recovery idempotence). An entry whose slot is
+        //    not in its offset's set is never written by the runtime — it
+        //    is a zero-initialized line decoding as "offset 0" — so it pins
+        //    no slot. Slots number cache lines, far below 2³².
         let sets = self.cfg.meta_cache.sets();
         let ways = self.cfg.meta_cache.ways as u64;
-        let mut dirty: BTreeSet<u64> = BTreeSet::new();
-        let mut pinned: FxHashMap<u64, u64> = FxHashMap::default();
-        for r in 0..self.layout.record_lines() {
+        let record_lines = self.layout.record_lines();
+        let mut plan: Vec<(u64, Option<u32>)> = Vec::with_capacity(
+            (record_lines * RECORDS_PER_LINE) as usize + 2 * nv.buffer.entries().len(),
+        );
+        for r in 0..record_lines {
             reads += 1;
             let line = self.nvm.peek(self.layout.record_addr(r));
             for (e, off) in RecordLine::from_line(&line).entries() {
                 let off = u64::from(off);
                 if off < geo.total_nodes() {
-                    dirty.insert(off);
-                    // Stale duplicates (a node re-dirtied in a new slot
-                    // leaves its old entry behind) resolve last-wins; any
-                    // consistent choice keeps chosen slots unique because a
-                    // slot's entry names exactly one offset. Entries whose
-                    // slot is not in the offset's set are never written by
-                    // the runtime — they are zero-initialized record lines
-                    // decoding as "offset 0" — so they only feed the dirty
-                    // over-approximation, not the slot pinning.
                     let slot = r * RECORDS_PER_LINE + e as u64;
-                    if slot / ways == off % sets {
-                        pinned.insert(off, slot);
-                    }
+                    plan.push((off, (slot / ways == off % sets).then_some(slot as u32)));
                 }
             }
         }
@@ -459,25 +455,45 @@ impl CrashedSystem {
                 lincs.sub(cid.level, delta);
                 lincs.add(pid.level, delta);
             }
-            dirty.insert(poff);
-            dirty.insert(e.child_offset);
+            plan.push((poff, None));
+            plan.push((e.child_offset, None));
         }
 
         let reads_buffer_replay = reads - reads_record_scan;
 
-        // 3. Top-down recovery with per-level LInc verification. Offsets
-        //    run level by level, so a level's dirty nodes are one range of
-        //    `dirty`. The recovered nodes go into one Vec in install order
-        //    (level descending, offset ascending), where a node's parent
-        //    sits in the previous level's run.
-        let mut recovered: Vec<(u64, SitNode)> = Vec::with_capacity(dirty.len());
+        // Each offset once, with the largest slot it recorded: the scan met
+        // slots ascending, so stale duplicates (a node re-dirtied in a new
+        // slot leaves its old entry behind) resolve last-wins. Chosen slots
+        // stay unique because a slot's entry names exactly one offset.
+        plan.sort_unstable_by_key(|&(off, slot)| (off, Reverse(slot)));
+        plan.dedup_by_key(|&mut (off, _)| off);
+
+        // 3. Top-down recovery with per-level LInc verification, in install
+        //    order (level descending, offset ascending); offsets run level by
+        //    level, so a level's nodes are one run of `plan`. A verified node
+        //    goes dirty (§III-G: "all the retrieved nodes will be marked as
+        //    dirty") into its recorded slot, else (a buffer-replay parent)
+        //    into its set's first unclaimed way. Every recorded slot is
+        //    claimed up front, so no free way is one a later node needs. A
+        //    node whose set is full waits in `deferred` for the rebuild's
+        //    evicting pass, so a recovered parent is resident or in the
+        //    previous level's run of `deferred`.
+        let mut occupied = vec![0u64; (sets * ways).div_ceil(64) as usize];
+        let claim = |occupied: &mut [u64], s: u64| occupied[(s / 64) as usize] |= 1 << (s % 64);
+        for s in plan.iter().filter_map(|&(_, s)| s) {
+            claim(&mut occupied, u64::from(s));
+        }
+        let mut deferred: Vec<(u64, SitNode)> = Vec::new();
         let mut per_level = vec![0usize; geo.levels()];
         let mut parents = 0..0;
         for k in (0..geo.levels()).rev() {
             let mut delta_sum: i128 = 0;
-            let run = recovered.len();
             let base = geo.offset_of(NodeId { level: k, index: 0 });
-            for &off in dirty.range(base..base + geo.nodes_at(k)) {
+            let end = base + geo.nodes_at(k);
+            let level =
+                plan.partition_point(|&(o, _)| o < base)..plan.partition_point(|&(o, _)| o < end);
+            let run = deferred.len();
+            for &(off, pinned) in &plan[level.clone()] {
                 let id = geo.node_at_offset(off);
                 reads += 1;
                 let stale = self.stale_node(id);
@@ -488,13 +504,16 @@ impl CrashedSystem {
                 } else {
                     let (pid, slot) = geo.parent_of(id).expect("non-top");
                     let poff = geo.offset_of(pid);
-                    let level_above = &recovered[parents.clone()];
-                    let parent = match level_above.binary_search_by_key(&poff, |&(o, _)| o) {
-                        Ok(i) => level_above[i].1,
-                        Err(_) => {
-                            reads += 1;
-                            self.stale_node(pid)
-                        }
+                    let level_above = &deferred[parents.clone()];
+                    let parent = match self.machine.ctrl.meta.peek(poff) {
+                        Some(&p) => p,
+                        None => match level_above.binary_search_by_key(&poff, |&(o, _)| o) {
+                            Ok(i) => level_above[i].1,
+                            Err(_) => {
+                                reads += 1;
+                                self.stale_node(pid)
+                            }
+                        },
                     };
                     parent.counters.as_general().get(slot)
                 };
@@ -520,10 +539,22 @@ impl CrashedSystem {
                 };
                 delta_sum +=
                     rec.counters.parent_value() as i128 - stale.counters.parent_value() as i128;
-                recovered.push((off, rec));
+                let slot = pinned.map(u64::from).or_else(|| {
+                    let set = off % sets;
+                    let free = (set * ways..(set + 1) * ways)
+                        .find(|&f| occupied[(f / 64) as usize] & (1 << (f % 64)) == 0);
+                    if let Some(f) = free {
+                        claim(&mut occupied, f);
+                    }
+                    free
+                });
+                match slot {
+                    Some(s) => self.machine.ctrl.meta.install_at(s, off, rec, true),
+                    None => deferred.push((off, rec)),
+                }
             }
-            per_level[k] = recovered.len() - run;
-            parents = run..recovered.len();
+            per_level[k] = level.len();
+            parents = run..deferred.len();
             if delta_sum != lincs.get(k) as i128 {
                 return Err(IntegrityError::LIncMismatch {
                     level: k,
@@ -533,6 +564,9 @@ impl CrashedSystem {
             }
         }
 
+        // Every node is placed: free the plan before the rebuild allocates.
+        let installed = (plan.len() - deferred.len()) as u64;
+        drop((plan, occupied));
         let report = RecoveryReport::new(
             "Steins",
             &[
@@ -545,19 +579,19 @@ impl CrashedSystem {
             restarts,
             self.cfg.recovery_read_ns,
         );
-        self.rebuild_steins(out, nv, recovered, lincs, pinned, restarts)?;
+        self.rebuild_steins(out, nv, installed, deferred, lincs, restarts)?;
         Ok(report)
     }
 
-    /// Rebuilds the live Steins system, restartably, from the recovered
-    /// nodes in install order (level descending, offset ascending). The
-    /// phase structure:
+    /// Rebuilds the live Steins system, restartably, around the `installed`
+    /// nodes verification already put into the metadata cache. The phase
+    /// structure:
     ///
-    /// 1. `STEINS_REBUILD` — reinstall recovered nodes into the metadata
-    ///    cache (volatile). The scheme registers keep their *crash-time*
-    ///    LInc/NV-buffer values (`nv`), so durable state is completely
-    ///    unchanged through this phase: a crash here re-runs recovery
-    ///    verbatim.
+    /// 1. `STEINS_REBUILD` — journal the cached nodes, then install the
+    ///    `deferred` ones (volatile). The scheme registers keep their
+    ///    *crash-time* LInc/NV-buffer values (`nv`), so durable state is
+    ///    completely unchanged through this phase: a crash here re-runs
+    ///    recovery verbatim.
     /// 2. `STEINS_RECORDS` — rewrite the offset-record region. Nodes were
     ///    pinned back into their recorded slots, so for those slots the new
     ///    lines equal the old ones; lines gaining buffer-replay parents may
@@ -576,62 +610,22 @@ impl CrashedSystem {
         self,
         out: &mut Option<SecureNvmSystem>,
         nv: SteinsNv,
-        recovered: Vec<(u64, SitNode)>,
+        mut installed: u64,
+        deferred: Vec<(u64, SitNode)>,
         lincs: LincBank,
-        pinned: FxHashMap<u64, u64>,
         restarts: u32,
     ) -> Result<(), IntegrityError> {
         let cfg = self.cfg.clone();
         let geo = self.layout.geometry.clone();
         let (crash_queued, crash_retired) = (nv.buffer.entries().len(), nv.buffer.retired());
         let old_lincs = nv.lincs.clone();
+        let total = installed + deferred.len() as u64;
         let sys = out.insert(self.revive());
-        let st = regs(&mut sys.ctrl.scheme);
-        st.nv = nv;
-        // Reinstall recovered nodes dirty (§III-G: "all the retrieved nodes
-        // will be marked as dirty"). Nodes with a record entry go back into
-        // their recorded slot; buffer-replay parents (never recorded) take
-        // a free way in their set. Slot-assigned installs must all land
-        // before any over-full fallback runs: the evicting install picks
-        // its own victim way and would otherwise fill a way that `occupied`
-        // reserved for a later pinned install (tripping install_at's
-        // occupied-slot assert at small cache sizes). So a node with no
-        // way left waits in `deferred`, in install order, for a second
-        // pass. Both passes journal `hwm` = items installed. Installs are
-        // volatile in this phase (a re-run repeats the whole recovery), so
-        // the mark is a progress record, not a resume point.
-        let sets = cfg.meta_cache.sets();
-        let ways = cfg.meta_cache.ways as u64;
-        // One bit per metadata-cache slot, set once a node claims it.
-        let mut occupied = vec![0u64; (sets * ways).div_ceil(64) as usize];
-        let claim = |occupied: &mut [u64], s: u64| occupied[(s / 64) as usize] |= 1 << (s % 64);
-        for &s in pinned.values() {
-            claim(&mut occupied, s);
-        }
-        let total = recovered.len() as u64;
-        let mut installed = 0u64;
-        let mut deferred = Vec::new();
-        sys.ctrl
-            .journal_write(journal::STEINS_REBUILD, 0, restarts)?;
-        for (off, node) in recovered {
-            let slot = pinned.get(&off).copied().or_else(|| {
-                let set = off % sets;
-                let free = (0..ways)
-                    .map(|w| set * ways + w)
-                    .find(|&f| occupied[(f / 64) as usize] & (1 << (f % 64)) == 0);
-                if let Some(f) = free {
-                    claim(&mut occupied, f);
-                }
-                free
-            });
-            let Some(s) = slot else {
-                deferred.push((off, node));
-                continue;
-            };
-            sys.ctrl.meta.install_at(s, off, node, true);
-            installed += 1;
+        regs(&mut sys.ctrl.scheme).nv = nv;
+        // `hwm` = nodes installed: a progress record, not a resume point.
+        for hwm in 0..=installed {
             sys.ctrl
-                .journal_write(journal::STEINS_REBUILD, installed, restarts)?;
+                .journal_write(journal::STEINS_REBUILD, hwm, restarts)?;
         }
         // Set over-full (a parent landed in a set whose ways were all
         // recorded dirty): fall back to the evicting install. A fallback
@@ -654,16 +648,18 @@ impl CrashedSystem {
             sys.ctrl
                 .journal_write(journal::STEINS_REBUILD, installed, restarts)?;
         }
-        // Rewrite the record region to match the slot assignment.
+        // Rewrite the record region to match the slot assignment. The
+        // region is whole lines, so entries past the last slot stay empty.
         sys.ctrl
             .journal_write(journal::STEINS_RECORDS, 0, restarts)?;
-        let mut lines = vec![RecordLine::default(); sys.ctrl.layout.record_lines() as usize];
-        for (slot, offset, _) in sys.ctrl.meta.dirty_nodes() {
-            let (rl, e) = record_coords(slot);
-            lines[rl as usize].set(e, offset as u32);
-        }
-        for (r, rl) in lines.iter().enumerate() {
-            let addr = sys.ctrl.layout.record_addr(r as u64);
+        for r in 0..sys.ctrl.layout.record_lines() {
+            let mut rl = RecordLine::default();
+            for e in 0..RECORDS_PER_LINE as usize {
+                if let Some(off) = sys.ctrl.meta.dirty_at(r * RECORDS_PER_LINE + e as u64) {
+                    rl.set(e, off as u32);
+                }
+            }
+            let addr = sys.ctrl.layout.record_addr(r);
             sys.ctrl.nvm.poke(addr, &rl.to_line())?;
         }
         // Atomic register switch: recovered LIncs + empty buffer become

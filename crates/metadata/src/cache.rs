@@ -414,13 +414,12 @@ impl MetadataCache {
             .filter(|(_, s)| s.word & VALID != 0)
     }
 
-    /// All dirty resident nodes as `(slot, offset, node)` — the state a
-    /// crash destroys.
-    pub fn dirty_nodes(&self) -> Vec<(u64, u64, SitNode)> {
-        self.resident()
-            .filter(|(_, s)| s.word & DIRTY != 0)
-            .map(|(flat, s)| (flat, tag_of(s.word), s.node))
-            .collect()
+    /// The offset of the node flat slot `slot` holds dirty — what a crash
+    /// destroys there. `None` for a clean or empty slot, or one past the
+    /// cache.
+    pub fn dirty_at(&self, slot: u64) -> Option<u64> {
+        let w = self.slots.get(slot as usize)?.word;
+        (w & VALID != 0 && w & DIRTY != 0).then(|| tag_of(w))
     }
 
     /// All resident nodes as `(slot, offset, node, dirty)`.
@@ -684,12 +683,15 @@ mod tests {
                     }
                     let want = stamps.resident_nodes();
                     assert_eq!(ranks.resident_nodes(), want, "resident nodes, {at}");
-                    let want_dirty: Vec<(u64, u64, SitNode)> = want
+                    let want_dirty: Vec<(u64, u64)> = want
                         .into_iter()
                         .filter(|&(_, _, _, d)| d)
-                        .map(|(slot, offset, node, _)| (slot, offset, node))
+                        .map(|(slot, offset, _, _)| (slot, offset))
                         .collect();
-                    assert_eq!(ranks.dirty_nodes(), want_dirty, "dirty nodes, {at}");
+                    let dirty: Vec<(u64, u64)> = (0..cfg.slots())
+                        .filter_map(|s| Some((s, ranks.dirty_at(s)?)))
+                        .collect();
+                    assert_eq!(dirty, want_dirty, "dirty nodes, {at}");
                     assert_eq!(ranks.dirty_count(), want_dirty.len() as u64, "{at}");
                 }
             }
@@ -714,9 +716,8 @@ mod tests {
         assert_eq!(c.slot_of(2), Some(1));
         assert_eq!(c.slot_of(0), Some(0));
         assert_eq!(c.dirty_count(), 1);
-        let dirty = c.dirty_nodes();
-        assert_eq!(dirty.len(), 1);
-        assert_eq!((dirty[0].0, dirty[0].1), (1, 2));
+        assert_eq!(c.dirty_at(1), Some(2));
+        assert_eq!(c.dirty_at(0), None);
     }
 
     #[test]
@@ -802,12 +803,12 @@ mod tests {
         c.install(0, SitNode::zero_general(), true);
         c.install(1, SitNode::zero_general(), false);
         c.install(2, SitNode::zero_general(), true);
-        let dirty = c.dirty_nodes();
-        let offsets: Vec<u64> = dirty.iter().map(|(_, o, _)| *o).collect();
-        assert_eq!(offsets.len(), 2);
-        assert!(offsets.contains(&0) && offsets.contains(&2));
+        // Slots 0 and 1 are set 0's ways, slot 2 set 1's first; a slot past
+        // the cache holds nothing.
+        let dirty: Vec<Option<u64>> = (0..5).map(|s| c.dirty_at(s)).collect();
+        assert_eq!(dirty, [Some(0), Some(2), None, None, None]);
         c.clear();
-        assert!(c.dirty_nodes().is_empty());
+        assert!((0..4).all(|s| c.dirty_at(s).is_none()));
         assert!(!c.contains(0));
     }
 
