@@ -118,9 +118,10 @@ fn main() {
     }
 
     let threads = par::threads();
+    // The worker count goes to stderr: stdout is the same at any count.
+    eprintln!("fault campaign on {threads} workers");
     println!(
-        "Fault campaign: seed {seed:#x}, {points} points × {} combos ({OPS} ops/stream), \
-         {threads} workers",
+        "Fault campaign: seed {seed:#x}, {points} points × {} combos ({OPS} ops/stream)",
         COMBOS.len(),
     );
 

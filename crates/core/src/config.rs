@@ -3,6 +3,7 @@
 use steins_cache::{CpuConfig, HierarchyConfig};
 use steins_crypto::CryptoKind;
 use steins_metadata::cache::MetaCacheConfig;
+use steins_metadata::geometry::ROOT_FANOUT;
 pub use steins_metadata::CounterMode;
 use steins_nvm::NvmConfig;
 
@@ -169,6 +170,20 @@ impl SystemConfig {
             );
         }
         assert!(self.data_lines >= 1, "empty data region");
+        // A dirty node stays resident and pinned while its flush installs
+        // its parent, which a 1-way set has no way left for. Only a tree
+        // whose leaves all sit under the root has no parent to install.
+        let leaves = self.data_lines.div_ceil(self.mode.leaf_coverage());
+        if leaves > ROOT_FANOUT {
+            assert!(
+                self.meta_cache.ways >= 2,
+                "a tree with a parent level ({leaves} leaves over a {ROOT_FANOUT}-counter \
+                 root) needs >= 2 metadata-cache ways, got {}: a node's flush pins it while \
+                 its parent is installed (the full pin-depth bound Steins-GC needs is still \
+                 open, ROADMAP item 8)",
+                self.meta_cache.ways
+            );
+        }
         assert!(
             self.nv_buffer_bytes >= 16,
             "NV buffer must hold at least one 16 B entry"
@@ -235,6 +250,62 @@ mod tests {
         let mut c = SystemConfig::small_for_tests(SchemeKind::Star, CounterMode::General);
         c.bitmap_cache_lines = 0;
         c.validate();
+    }
+
+    /// A `small_for_tests` config with a 1-way metadata cache of four sets.
+    fn one_way(scheme: SchemeKind, mode: CounterMode) -> SystemConfig {
+        let mut c = SystemConfig::small_for_tests(scheme, mode);
+        c.meta_cache = MetaCacheConfig {
+            capacity_bytes: 4 * 64,
+            ways: 1,
+        };
+        c
+    }
+
+    #[test]
+    #[should_panic(expected = "(512 leaves over a 64-counter root) needs >= 2 metadata-cache ways")]
+    fn one_way_wb_gc_rejected() {
+        one_way(SchemeKind::WriteBack, CounterMode::General).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "(512 leaves over a 64-counter root) needs >= 2 metadata-cache ways")]
+    fn one_way_asit_rejected() {
+        one_way(SchemeKind::Asit, CounterMode::General).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "(512 leaves over a 64-counter root) needs >= 2 metadata-cache ways")]
+    fn one_way_star_rejected() {
+        one_way(SchemeKind::Star, CounterMode::General).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "(512 leaves over a 64-counter root) needs >= 2 metadata-cache ways")]
+    fn one_way_steins_gc_rejected() {
+        one_way(SchemeKind::Steins, CounterMode::General).validate();
+    }
+
+    /// A tree whose leaves all sit under the root has no parent level for
+    /// a flush to install, so 1 way serves it: a `small_for_tests`
+    /// split-counter tree (64 leaves), or a general-counter one over 512
+    /// data lines.
+    #[test]
+    fn one_way_serves_a_tree_without_a_parent_level() {
+        for scheme in [SchemeKind::WriteBack, SchemeKind::Steins] {
+            one_way(scheme, CounterMode::Split).validate();
+            let mut gc = one_way(scheme, CounterMode::General);
+            gc.data_lines = 64 * 8;
+            gc.validate();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "(65 leaves over a 64-counter root) needs >= 2 metadata-cache ways")]
+    fn one_way_split_counter_with_a_parent_level_rejected() {
+        let mut sc = one_way(SchemeKind::Steins, CounterMode::Split);
+        sc.data_lines = 64 * 64 + 1;
+        sc.validate();
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl SecureMemoryController {
         );
         let nvm = NvmDevice::new(cfg.nvm.clone());
         let wq = WriteQueue::new(cfg.nvm.write_queue_entries);
-        let meta = MetadataCache::new(cfg.meta_cache);
+        let meta = MetadataCache::new(cfg.meta_cache, &layout.geometry);
         let root = RootNode::new(layout.geometry.root_fanout());
         let scheme = scheme::new_state(&cfg, &layout, crypto.as_ref());
         SecureMemoryController {
@@ -181,7 +181,7 @@ impl SecureMemoryController {
     /// if absent. Returns the cycle the node is available.
     pub(crate) fn ensure_cached(&mut self, t: Cycle, id: NodeId) -> Result<Cycle, IntegrityError> {
         let offset = self.layout.geometry.offset_of(id);
-        if self.meta.lookup(offset).is_some() {
+        if self.meta.touch(offset) {
             self.energy.cache_accesses += 1;
             return Ok(t);
         }
@@ -284,7 +284,7 @@ impl SecureMemoryController {
             Some((pid, slot)) => {
                 t = self.ensure_cached(t, pid)?;
                 let poff = self.layout.geometry.offset_of(pid);
-                let pre = *self.meta.peek(poff).expect("parent just ensured");
+                let pre = self.meta.peek(poff).expect("parent just ensured");
                 let mut p = pre;
                 p.counters.as_general_mut().increment(slot);
                 let v = p.counters.as_general().get(slot);
@@ -294,7 +294,7 @@ impl SecureMemoryController {
                 v
             }
         };
-        let mut node = *self.meta.peek(offset).expect("flush target resident");
+        let mut node = self.meta.peek(offset).expect("flush target resident");
         self.energy.hashes += 1;
         node.hmac = self.mac_probe(&node, offset, pc);
         t += HASH_LATENCY;
@@ -406,7 +406,7 @@ impl SecureMemoryController {
         let (leaf_id, slot) = self.layout.geometry.leaf_of_data(dline);
         t = self.ensure_cached(t, leaf_id)?;
         let loff = self.layout.geometry.offset_of(leaf_id);
-        let pre_leaf = *self.meta.peek(loff).expect("leaf just ensured");
+        let pre_leaf = self.meta.peek(loff).expect("leaf just ensured");
         let mut leaf = pre_leaf;
         let mut reenc: Option<(u64, [u8; 64])> = None;
         match &mut leaf.counters {
@@ -463,12 +463,7 @@ impl SecureMemoryController {
         let (leaf_id, slot) = self.layout.geometry.leaf_of_data(dline);
         t = self.ensure_cached(t, leaf_id)?;
         let loff = self.layout.geometry.offset_of(leaf_id);
-        let (major, minor) = self
-            .meta
-            .peek(loff)
-            .expect("leaf just ensured")
-            .counters
-            .enc_pair(slot);
+        let (major, minor) = self.meta.enc_pair(loff, slot).expect("leaf just ensured");
         let (ct, t2) = self.nvm.read(t, addr);
         t = t2;
         if !self.nvm.is_readable(addr) {

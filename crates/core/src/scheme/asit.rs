@@ -127,7 +127,7 @@ impl SecureMemoryController {
     /// the cache-tree path for it.
     pub(super) fn asit_mirror(&mut self, mut t: Cycle, offset: u64) -> Result<Cycle, PowerCut> {
         let slot = self.meta.slot_of(offset).expect("node resident");
-        let node = *self.meta.peek(offset).expect("node resident");
+        let node = self.meta.peek(offset).expect("node resident");
         let line = node.to_line();
         // Leaf MAC over (content ‖ slot), then the path to the root. The
         // register updates are persist-event-free, so doing them BEFORE the

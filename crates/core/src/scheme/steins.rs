@@ -212,7 +212,7 @@ impl SecureMemoryController {
                 }
             }
         }
-        let mut node = *self.meta.peek(offset).expect("flush target resident");
+        let mut node = self.meta.peek(offset).expect("flush target resident");
         let p_new = node.counters.parent_value();
         // Crash-ordering invariant: the parent-side accounting for `p_new`
         // (parent record + counter apply, or NV-buffer park, or
@@ -506,7 +506,7 @@ impl CrashedSystem {
                     let poff = geo.offset_of(pid);
                     let level_above = &deferred[parents.clone()];
                     let parent = match self.machine.ctrl.meta.peek(poff) {
-                        Some(&p) => p,
+                        Some(p) => p,
                         None => match level_above.binary_search_by_key(&poff, |&(o, _)| o) {
                             Ok(i) => level_above[i].1,
                             Err(_) => {

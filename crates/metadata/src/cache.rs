@@ -1,18 +1,23 @@
 //! The memory-controller metadata cache (Table I: 256 KB, 8-way, LRU, 64 B).
 //!
 //! Unlike the tag-only CPU caches, this cache holds *live node values*: the
-//! secure engine mutates cached nodes in place and the crash model needs the
-//! exact dirty contents that are lost. Slots are identified by a flat index
+//! secure engine reads cached nodes out and writes them back changed, and
+//! the crash model needs the exact dirty contents that are lost. Slots are identified by a flat index
 //! `set · ways + way`, the coordinate Steins' offset records are keyed by
 //! (§III-C: "a record for each metadata cache line").
 //!
 //! Storage is one slab of slots indexed by that flat slot (not a
-//! `Vec<Vec<_>>`). A slot is its node beside one 8-byte tag word, the CPU
-//! caches' way: the node offset as the tag, the valid and dirty bits, and
-//! the slot's LRU rank among its set's resident slots (`lru_rank.rs` in
-//! `steins-cache`, included here by path), 96 B in all. The victim is the
-//! first empty slot, else the least recently used unpinned one, and a set
-//! holds at most 64 ways.
+//! `Vec<Vec<_>>`). A slot is one 8-byte tag word, the CPU caches' way (the
+//! node offset as the tag, the valid and dirty bits, and the slot's LRU
+//! rank among its set's resident slots: `lru_rank.rs` in `steins-cache`,
+//! included here by path), beside its node as eight counter words and the
+//! HMAC, 80 B in all. The words are `SitNode::counter_words`: a general
+//! block's counters verbatim, a split leaf's major and its minors ten to a
+//! word. Which offsets hold split leaves (the leaf level in split-counter
+//! mode, none in general-counter mode) the cache learns from the tree
+//! geometry it is built for, so nodes go in and come out as [`SitNode`]
+//! values. The victim is the first empty slot, else the least recently
+//! used unpinned one, and a set holds at most 64 ways.
 //!
 //! One controller owns the cache and mutates it through `&mut` — the
 //! sharded engine holds the shard's mutex — so no slot state is shared
@@ -20,6 +25,8 @@
 //! refuses an occupied slot, so a pinned install can never silently
 //! overwrite a node another install already placed.
 
+use crate::counter::{CounterBlock, CounterMode};
+use crate::geometry::SitGeometry;
 use crate::node::SitNode;
 use lru_rank::{check_ways, fill, find, key, tag_of, touch, Way, DIRTY, TAG_SHIFT, VALID};
 use std::ops::Range;
@@ -70,11 +77,13 @@ impl MetaCacheConfig {
 #[path = "../../cache/src/lru_rank.rs"]
 mod lru_rank;
 
-/// One slot: its tag word and the node it holds (stale while empty).
+/// One slot: its tag word and the node it holds, as its counter words and
+/// HMAC (stale while empty).
 #[derive(Clone, Copy)]
 struct Slot {
     word: u64,
-    node: SitNode,
+    counters: [u64; 8],
+    hmac: u64,
 }
 
 impl Way for Slot {
@@ -105,6 +114,9 @@ pub struct MetadataCache {
     cfg: MetaCacheConfig,
     /// Slot `(set, way)` lives at index `set * ways + way`.
     slots: Vec<Slot>,
+    /// Offsets below this hold split leaves (the leaf level sits first in
+    /// the metadata region); 0 in general-counter mode.
+    split_below: u64,
     sets: usize,
     ways: usize,
     hits: u64,
@@ -120,8 +132,8 @@ pub struct MetadataCache {
 }
 
 impl MetadataCache {
-    /// Builds an empty cache.
-    pub fn new(cfg: MetaCacheConfig) -> Self {
+    /// Builds an empty cache for the nodes of `geometry`'s tree.
+    pub fn new(cfg: MetaCacheConfig, geometry: &SitGeometry) -> Self {
         check_ways(cfg.ways);
         assert!(cfg.sets() >= 1, "metadata cache too small");
         let sets = cfg.sets() as usize;
@@ -131,10 +143,15 @@ impl MetadataCache {
             slots: vec![
                 Slot {
                     word: 0,
-                    node: SitNode::zero_general(),
+                    counters: [0; 8],
+                    hmac: 0,
                 };
                 sets * ways
             ],
+            split_below: match geometry.mode() {
+                CounterMode::Split => geometry.nodes_at(0),
+                CounterMode::General => 0,
+            },
             sets,
             ways,
             hits: 0,
@@ -143,6 +160,24 @@ impl MetadataCache {
             dirty_occ_hist: Histogram::new(),
             flush_batch_hist: Histogram::new(),
         }
+    }
+
+    /// The node flat slot `flat` holds, which sits at `offset`.
+    fn node(&self, flat: usize, offset: u64) -> SitNode {
+        let s = &self.slots[flat];
+        SitNode::from_counter_words(&s.counters, s.hmac, offset < self.split_below)
+    }
+
+    /// Puts `node`, which sits at `offset`, into flat slot `flat`'s words.
+    fn store(&mut self, flat: usize, offset: u64, node: &SitNode) {
+        debug_assert_eq!(
+            matches!(node.counters, CounterBlock::Split(_)),
+            offset < self.split_below,
+            "node {offset} is not in its level's counter layout"
+        );
+        let s = &mut self.slots[flat];
+        s.counters = node.counter_words();
+        s.hmac = node.hmac;
     }
 
     fn set_of(&self, offset: u64) -> usize {
@@ -171,28 +206,31 @@ impl MetadataCache {
         self.way_of(set, offset).map(|w| self.flat(set, w))
     }
 
-    /// Looks up the node at `offset`, updating LRU and hit/miss counters.
-    pub fn lookup(&mut self, offset: u64) -> Option<&mut SitNode> {
+    /// The flat slot holding `offset`, made its set's most recent slot,
+    /// counting the hit or miss.
+    fn hit(&mut self, offset: u64) -> Option<usize> {
         let set = self.set_of(offset);
-        match self.way_of(set, offset) {
+        let way = self.way_of(set, offset);
+        match way {
             Some(way) => {
                 self.hits += 1;
                 let slots = self.slots_of(set);
                 touch(&mut self.slots[slots], way);
-                let flat = self.flat(set, way);
-                Some(&mut self.slots[flat].node)
             }
-            None => {
-                self.misses += 1;
-                None
-            }
+            None => self.misses += 1,
         }
+        way.map(|way| self.flat(set, way))
     }
 
-    /// Copy-out read: like [`Self::lookup`] but returns the node by value,
-    /// which keeps engine code free of long-lived borrows.
+    /// Whether `offset` is resident, with [`Self::read`]'s LRU update and
+    /// hit/miss accounting but copying nothing.
+    pub fn touch(&mut self, offset: u64) -> bool {
+        self.hit(offset).is_some()
+    }
+
+    /// The node at `offset`, by value, updating LRU and hit/miss counters.
     pub fn read(&mut self, offset: u64) -> Option<SitNode> {
-        self.lookup(offset).map(|n| *n)
+        self.hit(offset).map(|flat| self.node(flat, offset))
     }
 
     /// Copy-in write of a resident node's contents (no hit/miss accounting;
@@ -200,7 +238,7 @@ impl MetadataCache {
     pub fn write(&mut self, offset: u64, node: SitNode) -> bool {
         match self.find(offset) {
             Some(flat) => {
-                self.slots[flat].node = node;
+                self.store(flat, offset, &node);
                 true
             }
             None => false,
@@ -212,18 +250,19 @@ impl MetadataCache {
         self.set_of(offset)
     }
 
-    /// Resident slots of one set, in way order.
-    fn resident_in(&self, set: usize) -> impl Iterator<Item = &Slot> {
-        self.slots[self.slots_of(set)]
-            .iter()
-            .filter(|s| s.word & VALID != 0)
+    /// The resident flat slots among `flats` with their tag words, in
+    /// slot order.
+    fn resident(&self, flats: Range<usize>) -> impl Iterator<Item = (usize, u64)> + '_ {
+        flats
+            .map(|flat| (flat, self.slots[flat].word))
+            .filter(|&(_, w)| w & VALID != 0)
     }
 
     /// All resident nodes of one set as `(offset, node, dirty)`, in way
     /// order (STAR sorts these by address before MACing).
     pub fn set_nodes(&self, set: usize) -> Vec<(u64, SitNode, bool)> {
-        self.resident_in(set)
-            .map(|s| (tag_of(s.word), s.node, s.word & DIRTY != 0))
+        self.resident(self.slots_of(set))
+            .map(|(flat, w)| (tag_of(w), self.node(flat, tag_of(w)), w & DIRTY != 0))
             .collect()
     }
 
@@ -234,9 +273,9 @@ impl MetadataCache {
     pub fn dirty_set_nodes_into(&mut self, set: usize, out: &mut Vec<(u64, SitNode)>) {
         let before = out.len();
         out.extend(
-            self.resident_in(set)
-                .filter(|s| s.word & DIRTY != 0)
-                .map(|s| (tag_of(s.word), s.node)),
+            self.resident(self.slots_of(set))
+                .filter(|&(_, w)| w & DIRTY != 0)
+                .map(|(flat, w)| (tag_of(w), self.node(flat, tag_of(w)))),
         );
         self.flush_batch_hist.record((out.len() - before) as u64);
     }
@@ -246,9 +285,22 @@ impl MetadataCache {
         self.sets
     }
 
-    /// Peeks without LRU/stat side effects.
-    pub fn peek(&self, offset: u64) -> Option<&SitNode> {
-        self.find(offset).map(|flat| &self.slots[flat].node)
+    /// The node at `offset`, by value, without LRU/stat side effects.
+    pub fn peek(&self, offset: u64) -> Option<SitNode> {
+        self.find(offset).map(|flat| self.node(flat, offset))
+    }
+
+    /// The `(major, minor)` encryption-counter pair of child `slot` of the
+    /// node at `offset` ([`CounterBlock::enc_pair`]), read from the slot's
+    /// words without unpacking the node or touching LRU/stats.
+    pub fn enc_pair(&self, offset: u64, slot: usize) -> Option<(u64, u64)> {
+        let flat = self.find(offset)?;
+        let split = offset < self.split_below;
+        Some(SitNode::enc_pair_in_words(
+            &self.slots[flat].counters,
+            split,
+            slot,
+        ))
     }
 
     /// Whether `offset` is resident.
@@ -320,8 +372,11 @@ impl MetadataCache {
     /// `pinned` offsets. The secure engine pins the ancestor chain it is
     /// operating on so recursive evictions cannot displace in-flight nodes.
     ///
-    /// Panics if every way of the set is pinned. Nothing bounds the pin
-    /// depth by the associativity yet: a one-set metadata cache under the
+    /// Panics if every way of the set is pinned. In general-counter mode a
+    /// node's flush keeps it pinned while its parent is installed, so a
+    /// 1-way set would always reach this panic, and `SystemConfig::validate`
+    /// requires 2 ways there. Nothing bounds deeper pin chains by the
+    /// associativity yet: a one-set metadata cache under the
     /// `small_for_tests` hierarchy reaches this panic at 2 and 3 ways
     /// (Steins-GC, when an NV-buffer drain nests victim flushes), and
     /// whether the Table I geometry (8 ways) can reach it is open.
@@ -341,17 +396,17 @@ impl MetadataCache {
             .victim_way(set, pinned)
             .expect("metadata cache set fully pinned: associativity exhausted");
         let flat = self.flat(set, way);
-        let Slot { word: w, node: old } = self.slots[flat];
-        let evicted = (w & VALID != 0).then_some(EvictedNode {
+        let w = self.slots[flat].word;
+        let evicted = (w & VALID != 0).then(|| EvictedNode {
             offset: tag_of(w),
-            node: old,
+            node: self.node(flat, tag_of(w)),
             dirty: w & DIRTY != 0,
             slot: flat as u64,
         });
         if evicted.as_ref().is_some_and(|e| e.dirty) {
             self.dirty_count -= 1;
         }
-        self.fill(flat, offset, node, dirty);
+        self.fill(flat, offset, &node, dirty);
         evicted
     }
 
@@ -381,12 +436,12 @@ impl MetadataCache {
             "install_at into occupied slot {slot} (holds offset {})",
             tag_of(w)
         );
-        self.fill(slot as usize, offset, node, dirty);
+        self.fill(slot as usize, offset, &node, dirty);
     }
 
     /// Puts `node` into the vacated flat slot `flat` as its set's most
     /// recent slot, counting it if dirty.
-    fn fill(&mut self, flat: usize, offset: u64, node: SitNode, dirty: bool) {
+    fn fill(&mut self, flat: usize, offset: u64, node: &SitNode, dirty: bool) {
         assert!(
             offset >> (64 - TAG_SHIFT) == 0,
             "node offset {offset:#x} does not fit a tag word"
@@ -395,7 +450,7 @@ impl MetadataCache {
         let slots = self.slots_of(set);
         let word = key(offset) | if dirty { DIRTY } else { 0 };
         fill(&mut self.slots[slots], flat % self.ways, word);
-        self.slots[flat].node = node;
+        self.store(flat, offset, node);
         if dirty {
             self.dirty_count += 1;
             self.dirty_occ_hist.record(self.dirty_count);
@@ -405,13 +460,6 @@ impl MetadataCache {
     /// The flat slot index currently holding `offset`.
     pub fn slot_of(&self, offset: u64) -> Option<u64> {
         self.find(offset).map(|flat| flat as u64)
-    }
-
-    /// Resident slots with their flat indices, in slot order.
-    fn resident(&self) -> impl Iterator<Item = (u64, &Slot)> {
-        (0u64..)
-            .zip(&self.slots)
-            .filter(|(_, s)| s.word & VALID != 0)
     }
 
     /// The offset of the node flat slot `slot` holds dirty — what a crash
@@ -424,8 +472,11 @@ impl MetadataCache {
 
     /// All resident nodes as `(slot, offset, node, dirty)`.
     pub fn resident_nodes(&self) -> Vec<(u64, u64, SitNode, bool)> {
-        self.resident()
-            .map(|(flat, s)| (flat, tag_of(s.word), s.node, s.word & DIRTY != 0))
+        self.resident(0..self.slots.len())
+            .map(|(flat, w)| {
+                let offset = tag_of(w);
+                (flat as u64, offset, self.node(flat, offset), w & DIRTY != 0)
+            })
             .collect()
     }
 
@@ -467,10 +518,17 @@ impl MetadataCache {
 mod tests {
     use super::lru_rank::next;
     use super::*;
+    use crate::counter::{CTR56_MAX, MINOR_MAX};
+
+    /// A cache of `cfg` for a general-counter tree, whose offsets all hold
+    /// general nodes.
+    fn general(cfg: MetaCacheConfig) -> MetadataCache {
+        MetadataCache::new(cfg, &SitGeometry::new(CounterMode::General, 1))
+    }
 
     fn tiny() -> MetadataCache {
         // 2 sets × 2 ways.
-        MetadataCache::new(MetaCacheConfig {
+        general(MetaCacheConfig {
             capacity_bytes: 4 * 64,
             ways: 2,
         })
@@ -609,7 +667,7 @@ mod tests {
                 ways,
             };
             for seed in 1..=4u64 {
-                let mut ranks = MetadataCache::new(cfg);
+                let mut ranks = general(cfg);
                 let mut stamps = StampCache::new(cfg);
                 let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 for op in 0..20_000 {
@@ -677,7 +735,7 @@ mod tests {
                             }
                         }
                         _ => {
-                            let got = ranks.lookup(offset).copied();
+                            let got = ranks.read(offset);
                             assert_eq!(got, stamps.lookup(offset), "lookup, {at}");
                         }
                     }
@@ -698,10 +756,88 @@ mod tests {
         }
     }
 
+    /// Seeded nodes come back bit for bit through the slot codec and
+    /// through a one-slot cache (install → peek and every child's
+    /// `enc_pair` → evict): general blocks
+    /// over the whole `u64` range, and split leaves with any major and
+    /// every minor value at every position, in a general-counter cache and
+    /// a split-counter one.
+    #[test]
+    fn nodes_round_trip_through_slots() {
+        let one_slot = MetaCacheConfig {
+            capacity_bytes: 64,
+            ways: 1,
+        };
+        // 512 leaves under 64 level-1 nodes in either mode, so the
+        // split-counter cache holds general nodes too.
+        let gc = SitGeometry::new(CounterMode::General, 512 * 8);
+        let sc = SitGeometry::new(CounterMode::Split, 512 * 64);
+        let mut rng = 0x5107_C0DE_u64;
+        let mut seen = [0u64; 64]; // minor values seen, one bit each, per position
+        for geo in [&gc, &sc] {
+            let mut c = MetadataCache::new(one_slot, geo);
+            let mut last: Option<(u64, SitNode)> = None;
+            for i in 0..2_000u64 {
+                let step = 1 + next(&mut rng) % (geo.total_nodes() - 1);
+                let offset = last.map_or(0, |(o, _)| o + step) % geo.total_nodes();
+                let split =
+                    geo.mode() == CounterMode::Split && geo.node_at_offset(offset).level == 0;
+                let mut node = if split {
+                    SitNode::zero_split()
+                } else {
+                    SitNode::zero_general()
+                };
+                node.hmac = next(&mut rng);
+                match &mut node.counters {
+                    CounterBlock::General(g) if i % 16 == 0 => {
+                        g.0 = [0, 1, CTR56_MAX, 1 << 56, u64::MAX - 1, u64::MAX, 1 << 63, 7];
+                    }
+                    CounterBlock::General(g) => g.0 = [(); 8].map(|_| next(&mut rng)),
+                    CounterBlock::Split(s) => {
+                        s.major = next(&mut rng);
+                        for (j, m) in s.minors.iter_mut().enumerate() {
+                            *m = next(&mut rng) as u8 & MINOR_MAX;
+                            seen[j] |= 1 << *m;
+                        }
+                    }
+                }
+                let words = node.counter_words();
+                assert_eq!(SitNode::from_counter_words(&words, node.hmac, split), node);
+                let evicted = c.install(offset, node, i % 2 == 0);
+                assert_eq!(
+                    evicted.map(|e| (e.offset, e.node)),
+                    last,
+                    "{:?}",
+                    geo.mode()
+                );
+                assert_eq!(c.peek(offset), Some(node));
+                for j in 0..node.counters.fanout() {
+                    assert_eq!(c.enc_pair(offset, j), Some(node.counters.enc_pair(j)));
+                }
+                last = Some((offset, node));
+            }
+        }
+        assert!(
+            seen.iter().all(|&s| s == u64::MAX),
+            "every minor value at every position"
+        );
+    }
+
+    /// A node packed in the other level's layout is caught where it is
+    /// packed.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not in its level's counter layout")]
+    fn a_general_node_at_a_split_leaf_is_refused() {
+        let sc = SitGeometry::new(CounterMode::Split, 64 * 64);
+        let mut c = MetadataCache::new(MetaCacheConfig::table1(), &sc);
+        c.install(0, SitNode::zero_general(), false);
+    }
+
     #[test]
     #[should_panic(expected = "at most 64 ways")]
     fn a_65_way_geometry_is_refused() {
-        MetadataCache::new(MetaCacheConfig {
+        general(MetaCacheConfig {
             capacity_bytes: 65 * 64,
             ways: 65,
         });
@@ -762,8 +898,8 @@ mod tests {
         let mut node = SitNode::zero_general();
         node.hmac = 77;
         assert!(c.install(4, node, false).is_none());
-        assert_eq!(c.lookup(4).map(|n| n.hmac), Some(77));
-        assert!(c.lookup(6).is_none());
+        assert_eq!(c.read(4).map(|n| n.hmac), Some(77));
+        assert!(!c.touch(6));
         assert_eq!(c.stats(), (1, 1));
     }
 
@@ -787,7 +923,7 @@ mod tests {
         // Offsets 0,2,4 share set 0 (sets=2).
         c.install(0, n0, true);
         c.install(2, SitNode::zero_general(), false);
-        c.lookup(2); // 0 becomes LRU
+        c.touch(2); // 0 becomes LRU
         let ev = c
             .install(4, SitNode::zero_general(), false)
             .expect("evicts");
@@ -823,11 +959,15 @@ mod tests {
     }
 
     #[test]
-    fn in_place_mutation_via_lookup() {
+    fn mutation_via_read_and_write() {
         let mut c = tiny();
         c.install(8, SitNode::zero_general(), false);
-        c.lookup(8).unwrap().counters.as_general_mut().set(3, 99);
+        let mut node = c.read(8).unwrap();
+        node.counters.as_general_mut().set(3, 99);
+        assert!(c.write(8, node));
         assert_eq!(c.peek(8).unwrap().counters.as_general().get(3), 99);
+        assert!(!c.write(10, node), "a write to an absent node is refused");
+        assert_eq!(c.stats(), (1, 0), "peek and write count nothing");
     }
 
     #[test]

@@ -77,6 +77,60 @@ impl SitNode {
         line
     }
 
+    /// The counters as eight words, the form a metadata-cache slot keeps:
+    /// a general block's counters verbatim (lossless, a counter an
+    /// increment carried to 2^56 included), a split block's major in word
+    /// 0 and its six-bit minors ten to a word, low bits first, in words
+    /// 1–7. Like [`Self::counter_bytes`], it relies on every minor being at
+    /// most [`MINOR_MAX`].
+    pub(crate) fn counter_words(&self) -> [u64; 8] {
+        match &self.counters {
+            CounterBlock::General(g) => g.0,
+            CounterBlock::Split(s) => {
+                let mut tens = [0u8; 70];
+                tens[..64].copy_from_slice(&s.minors);
+                let mut words = [s.major, 0, 0, 0, 0, 0, 0, 0];
+                for (w, ten) in words[1..].iter_mut().zip(tens.chunks_exact(10)) {
+                    let eight = u64::from_le_bytes(ten[..8].try_into().expect("8 bytes"));
+                    *w = gather8(eight) | u64::from(ten[8]) << 48 | u64::from(ten[9]) << 54;
+                }
+                words
+            }
+        }
+    }
+
+    /// Inverse of [`Self::counter_words`] for a node of the given layout.
+    pub(crate) fn from_counter_words(words: &[u64; 8], hmac: u64, split: bool) -> Self {
+        let counters = if split {
+            let mut tens = [0u8; 70];
+            for (ten, &w) in tens.chunks_exact_mut(10).zip(&words[1..]) {
+                ten[..8].copy_from_slice(&spread8(w).to_le_bytes());
+                ten[8] = (w >> 48) as u8 & MINOR_MAX;
+                ten[9] = (w >> 54) as u8 & MINOR_MAX;
+            }
+            let mut minors = [0u8; 64];
+            minors.copy_from_slice(&tens[..64]);
+            CounterBlock::Split(SplitCounters {
+                major: words[0],
+                minors,
+            })
+        } else {
+            CounterBlock::General(GeneralCounters(*words))
+        };
+        SitNode { counters, hmac }
+    }
+
+    /// [`CounterBlock::enc_pair`] of the node whose counter words are
+    /// `words`, read without unpacking the node.
+    pub(crate) fn enc_pair_in_words(words: &[u64; 8], split: bool, slot: usize) -> (u64, u64) {
+        if split {
+            let minor = words[1 + slot / 10] >> (6 * (slot % 10)) & u64::from(MINOR_MAX);
+            (words[0], minor)
+        } else {
+            (words[slot], 0)
+        }
+    }
+
     /// Deserializes a general node from a 64 B line.
     pub fn general_from_line(line: &Line) -> Self {
         let mut g = GeneralCounters::default();
@@ -118,6 +172,24 @@ impl SitNode {
         msg[64..72].copy_from_slice(&parent_counter.to_le_bytes());
         msg
     }
+}
+
+/// Eight six-bit fields, the low 48 bits of `w`, spread one to a byte:
+/// halves to 32-bit lanes, quarters to 16-bit lanes, fields to bytes. A
+/// cached split leaf's minors go through here and [`gather8`] each time
+/// the leaf is read out or written back, so both are branch-free.
+fn spread8(w: u64) -> u64 {
+    let x = (w & 0xFF_FFFF) | (w >> 24 & 0xFF_FFFF) << 32;
+    let x = (x & 0x0000_0FFF_0000_0FFF) | (x >> 12 & 0x0000_0FFF_0000_0FFF) << 16;
+    (x & 0x003F_003F_003F_003F) | (x >> 6 & 0x003F_003F_003F_003F) << 8
+}
+
+/// Inverse of [`spread8`]: the low six bits of each of eight bytes,
+/// packed into the low 48 bits.
+fn gather8(x: u64) -> u64 {
+    let x = (x & 0x003F_003F_003F_003F) | (x >> 8 & 0x003F_003F_003F_003F) << 6;
+    let x = (x & 0x0000_0FFF_0000_0FFF) | (x >> 16 & 0x0000_0FFF_0000_0FFF) << 12;
+    (x & 0xFF_FFFF) | (x >> 32 & 0xFF_FFFF) << 24
 }
 
 /// The on-chip root: up to 64 trusted counters in a non-volatile register

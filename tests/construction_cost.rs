@@ -18,7 +18,7 @@ use std::cell::RefCell;
 use steins::cache::{CacheHierarchy, HierarchyConfig};
 use steins::core::engine::synth_data;
 use steins::metadata::cache::MetaCacheConfig;
-use steins::metadata::{MetadataCache, SitNode};
+use steins::metadata::{MetadataCache, SitGeometry};
 use steins::nvm::SparseStore;
 use steins::prelude::*;
 use steins::trace::{OpKind, TraceOp, Zipf};
@@ -183,10 +183,11 @@ fn machine_bytes(cfg: &SystemConfig) -> i64 {
 }
 
 /// A CPU cache way is one 8 B tag word (tag, valid and dirty bits, LRU
-/// rank), and a metadata-cache slot is one 8 B tag word beside its node:
-/// a Table I hierarchy allocates 8 B per line, where a way with a 64-bit
-/// LRU stamp took 24 B, and a Table I metadata cache 96 B per slot, where
-/// a slot took 112 B.
+/// rank), and a metadata-cache slot is one 8 B tag word beside its node's
+/// eight counter words and HMAC: a Table I hierarchy allocates 8 B per
+/// line, where a way with a 64-bit LRU stamp took 24 B, and a Table I
+/// metadata cache 80 B per slot in either counter mode, where a slot
+/// holding an 88 B `SitNode` took 96 B, and one with a stamp 112 B.
 #[test]
 fn a_cache_way_is_one_8_byte_tag_word() {
     let cfg = HierarchyConfig::default();
@@ -194,29 +195,31 @@ fn a_cache_way_is_one_8_byte_tag_word() {
     let (bytes, cpu) = peak_bytes(|| CacheHierarchy::new(cfg));
     assert_eq!(bytes, lines as i64 * 8, "a Table I CPU hierarchy");
     drop(cpu);
-    let node = std::mem::size_of::<SitNode>();
-    assert_eq!(node, 88, "a metadata node");
     let meta = MetaCacheConfig::table1();
-    let (bytes, cache) = peak_bytes(|| MetadataCache::new(meta));
-    assert_eq!(
-        bytes,
-        meta.slots() as i64 * (8 + node as i64),
-        "a Table I metadata cache"
-    );
-    drop(cache);
+    for mode in [CounterMode::General, CounterMode::Split] {
+        let tree = SitGeometry::new(mode, (16 << 30) / 64);
+        let (bytes, cache) = peak_bytes(|| MetadataCache::new(meta, &tree));
+        assert_eq!(
+            bytes,
+            meta.slots() as i64 * 80,
+            "a Table I {mode:?} metadata cache"
+        );
+        drop(cache);
+    }
 }
 
-/// A figure-sweep machine peaks at 728,176 B while it is built: 8 B per
-/// CPU cache way and 96 B per metadata-cache slot. With a 64-bit LRU stamp
-/// and padded state in every way it peaked at 1,457,264 B.
+/// A figure-sweep machine peaks at 662,640 B while it is built: 8 B per
+/// CPU cache way and 80 B per metadata-cache slot. With 96 B slots it
+/// peaked at 728,176 B, and with a 64-bit LRU stamp and padded state in
+/// every way at 1,457,264 B.
 #[test]
-fn a_sweep_machine_costs_at_most_800_kb() {
+fn a_sweep_machine_costs_at_most_700_kb() {
     let bytes = machine_bytes(&SystemConfig::sweep(
         SchemeKind::Steins,
         CounterMode::General,
     ));
     assert!(
-        bytes <= 800_000,
+        bytes <= 700_000,
         "building a sweep machine peaked at {bytes} B"
     );
 }
