@@ -21,7 +21,7 @@ use crate::cme::{xor_otp, MacRecord};
 use crate::config::{SchemeKind, SystemConfig, HASH_LATENCY};
 use crate::error::{pass_cut, IntegrityError};
 use crate::online::{OnlinePolicy, OnlineService};
-use crate::report::{LatencyStats, RunReport};
+use crate::report::RunReport;
 use crate::scheme::{self, SchemeState};
 use crate::truth::Truth;
 use steins_cache::{CacheHierarchy, CpuModel, MemEvent};
@@ -29,6 +29,7 @@ use steins_crypto::{engine::make_engine, CryptoEngine};
 use steins_metadata::counter::{CounterBlock, CounterMode, SplitIncrement};
 use steins_metadata::{MemoryLayout, MetadataCache, NodeId, RootNode, SitNode};
 use steins_nvm::{Cycle, EnergyCounters, EnergyModel, NvmDevice, PowerCut, WriteQueue};
+use steins_obs::Histogram;
 use steins_trace::{OpKind, TraceOp};
 
 /// Parses a metadata NVM line by its level: split-mode leaves hold split
@@ -101,8 +102,8 @@ pub struct SecureMemoryController {
     pub(crate) scheme: SchemeState,
     pub(crate) front_free: Cycle,
     pub(crate) energy: EnergyCounters,
-    pub(crate) wlat: LatencyStats,
-    pub(crate) rlat: LatencyStats,
+    pub(crate) wlat: Histogram,
+    pub(crate) rlat: Histogram,
     pinned: Vec<u64>,
 }
 
@@ -141,8 +142,8 @@ impl SecureMemoryController {
             scheme,
             front_free: 0,
             energy: EnergyCounters::default(),
-            wlat: LatencyStats::default(),
-            rlat: LatencyStats::default(),
+            wlat: Histogram::new(),
+            rlat: Histogram::new(),
             pinned: Vec::new(),
         }
     }
@@ -442,7 +443,7 @@ impl SecureMemoryController {
         self.set_mac_record(dline, MacRecord { mac, recovery })?;
         t = self.wq.push(t, addr, &line, &mut self.nvm)?;
         self.front_free = t;
-        self.wlat.record(arrival, t);
+        self.wlat.record(t - arrival);
         Ok(t)
     }
 
@@ -480,7 +481,7 @@ impl SecureMemoryController {
             // (The leaf's major may be nonzero if siblings overflowed — the
             // record, not the counter pair, says whether data exists.)
             self.front_free = t;
-            self.rlat.record(arrival, t);
+            self.rlat.record(t - arrival);
             return Ok((ct, t));
         }
         self.energy.hashes += 1;
@@ -496,7 +497,7 @@ impl SecureMemoryController {
             return Err(IntegrityError::DataMac { addr });
         }
         self.front_free = t;
-        self.rlat.record(arrival, t);
+        self.rlat.record(t - arrival);
         Ok((out, t))
     }
 
@@ -912,8 +913,8 @@ impl SecureNvmSystem {
         metrics.counter_add("core.cpu.instructions", self.cpu.instructions);
         metrics.counter_add("core.cpu.read_stall_cycles", self.cpu.read_stall_cycles);
         metrics.counter_add("core.cpu.write_stall_cycles", self.cpu.write_stall_cycles);
-        metrics.insert_hist("core.read.latency_cycles", &self.ctrl.rlat.hist);
-        metrics.insert_hist("core.write.latency_cycles", &self.ctrl.wlat.hist);
+        metrics.insert_hist("core.read.latency_cycles", &self.ctrl.rlat);
+        metrics.insert_hist("core.write.latency_cycles", &self.ctrl.wlat);
         if let Some(o) = &self.online {
             o.export_metrics(&mut metrics);
         }
@@ -922,8 +923,8 @@ impl SecureNvmSystem {
             cycles: self.cpu.now,
             seconds: self.cpu.seconds(self.cfg.nvm.timings.freq_ghz),
             instructions: self.cpu.instructions,
-            write_latency: self.ctrl.wlat.avg(),
-            read_latency: self.ctrl.rlat.avg(),
+            write_latency: self.ctrl.wlat.mean(),
+            read_latency: self.ctrl.rlat.mean(),
             nvm,
             energy_events: energy,
             energy_pj: energy.total_pj(&EnergyModel::default()),
@@ -931,8 +932,8 @@ impl SecureNvmSystem {
             meta_misses,
             read_stall_cycles: self.cpu.read_stall_cycles,
             write_stall_cycles: self.cpu.write_stall_cycles,
-            read_hist: self.ctrl.rlat.hist.clone(),
-            write_hist: self.ctrl.wlat.hist.clone(),
+            read_hist: self.ctrl.rlat.clone(),
+            write_hist: self.ctrl.wlat.clone(),
             metrics,
         }
     }

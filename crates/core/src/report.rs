@@ -3,38 +3,6 @@
 use steins_nvm::{EnergyCounters, NvmStats};
 use steins_obs::{Histogram, MetricRegistry};
 
-/// Arrival→completion latency accumulator: running mean plus the full
-/// log-bucketed distribution (the paper argues through averages; the
-/// observability layer adds the tail).
-#[derive(Clone, Debug, Default)]
-pub struct LatencyStats {
-    /// Completed operations.
-    pub count: u64,
-    /// Summed latency in cycles.
-    pub total_cycles: u64,
-    /// Per-operation latency distribution.
-    pub hist: Histogram,
-}
-
-impl LatencyStats {
-    /// Records one operation spanning `[arrival, done]`.
-    pub fn record(&mut self, arrival: u64, done: u64) {
-        debug_assert!(done >= arrival);
-        self.count += 1;
-        self.total_cycles += done - arrival;
-        self.hist.record(done - arrival);
-    }
-
-    /// Mean latency in cycles (0 when empty).
-    pub fn avg(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_cycles as f64 / self.count as f64
-        }
-    }
-}
-
 /// Everything a figure needs from one simulation run.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -89,24 +57,5 @@ impl RunReport {
         } else {
             self.meta_hits as f64 / total as f64
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn latency_stats_average() {
-        let mut s = LatencyStats::default();
-        s.record(10, 20);
-        s.record(0, 30);
-        assert_eq!(s.count, 2);
-        assert!((s.avg() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_latency_is_zero() {
-        assert_eq!(LatencyStats::default().avg(), 0.0);
     }
 }

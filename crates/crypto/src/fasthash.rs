@@ -85,9 +85,9 @@ impl SipHash24 {
 /// FxHash-style 64-bit hasher (rustc's `FxHasher`, re-derived from its
 /// public description: `hash = (hash rol 5 ^ word) * K` per word, with a
 /// fixed odd multiplier). Deterministic and unkeyed — only for internal,
-/// non-adversarial maps such as the oracle `truth` map. The NVM device's
-/// line store and wear counts use no hash at all: a page index and one
-/// count per store slot (`steins_nvm::SparseStore`, `WearTracker`).
+/// non-adversarial maps such as Steins' pending-rebuild nodes. The NVM
+/// device's line store and the engine's ground truth use no hash at all:
+/// a page index over an arena (`steins_nvm::SparseStore`).
 #[derive(Default, Clone, Copy)]
 pub struct FxHasher64 {
     hash: u64,

@@ -100,8 +100,6 @@ impl Way for Slot {
 pub struct EvictedNode {
     /// Its metadata-region offset.
     pub offset: u64,
-    /// The evicted contents.
-    pub node: SitNode,
     /// Whether it was dirty (must be flushed through the secure write path).
     pub dirty: bool,
     /// The flat slot index it vacated.
@@ -399,7 +397,6 @@ impl MetadataCache {
         let w = self.slots[flat].word;
         let evicted = (w & VALID != 0).then(|| EvictedNode {
             offset: tag_of(w),
-            node: self.node(flat, tag_of(w)),
             dirty: w & DIRTY != 0,
             slot: flat as u64,
         });
@@ -611,11 +608,11 @@ mod tests {
             node: SitNode,
             dirty: bool,
             pinned: &[u64],
-        ) -> Option<(u64, SitNode, bool, u64)> {
+        ) -> Option<(u64, bool, u64)> {
             let i = self.victim(offset, pinned).expect("a way is unpinned");
             let old = self.slots[i];
             self.install_at(i, offset, node, dirty);
-            old.dirty.map(|d| (old.offset, old.node, d, i as u64))
+            old.dirty.map(|d| (old.offset, d, i as u64))
         }
 
         fn install_at(&mut self, slot: usize, offset: u64, node: SitNode, dirty: bool) {
@@ -729,7 +726,7 @@ mod tests {
                             if stamps.victim(offset, &pinned).is_some() {
                                 let got = ranks
                                     .install_pinned(offset, node, dirty, &pinned)
-                                    .map(|e| (e.offset, e.node, e.dirty, e.slot));
+                                    .map(|e| (e.offset, e.dirty, e.slot));
                                 let want = stamps.install_pinned(offset, node, dirty, &pinned);
                                 assert_eq!(got, want, "evicted, {at}");
                             }
@@ -758,7 +755,8 @@ mod tests {
 
     /// Seeded nodes come back bit for bit through the slot codec and
     /// through a one-slot cache (install → peek and every child's
-    /// `enc_pair` → evict): general blocks
+    /// `enc_pair`, and peek again just before the next install evicts
+    /// it): general blocks
     /// over the whole `u64` range, and split leaves with any major and
     /// every minor value at every position, in a general-counter cache and
     /// a split-counter one.
@@ -776,10 +774,10 @@ mod tests {
         let mut seen = [0u64; 64]; // minor values seen, one bit each, per position
         for geo in [&gc, &sc] {
             let mut c = MetadataCache::new(one_slot, geo);
-            let mut last: Option<(u64, SitNode)> = None;
+            let mut last: Option<(u64, SitNode, bool)> = None;
             for i in 0..2_000u64 {
                 let step = 1 + next(&mut rng) % (geo.total_nodes() - 1);
-                let offset = last.map_or(0, |(o, _)| o + step) % geo.total_nodes();
+                let offset = last.map_or(0, |(o, _, _)| o + step) % geo.total_nodes();
                 let split =
                     geo.mode() == CounterMode::Split && geo.node_at_offset(offset).level == 0;
                 let mut node = if split {
@@ -803,10 +801,14 @@ mod tests {
                 }
                 let words = node.counter_words();
                 assert_eq!(SitNode::from_counter_words(&words, node.hmac, split), node);
-                let evicted = c.install(offset, node, i % 2 == 0);
+                if let Some((o, n, _)) = last {
+                    assert_eq!(c.peek(o), Some(n), "{:?}", geo.mode());
+                }
+                let dirty = i % 2 == 0;
+                let evicted = c.install(offset, node, dirty);
                 assert_eq!(
-                    evicted.map(|e| (e.offset, e.node)),
-                    last,
+                    evicted.map(|e| (e.offset, e.dirty, e.slot)),
+                    last.map(|(o, _, d)| (o, d, 0)),
                     "{:?}",
                     geo.mode()
                 );
@@ -814,7 +816,7 @@ mod tests {
                 for j in 0..node.counters.fanout() {
                     assert_eq!(c.enc_pair(offset, j), Some(node.counters.enc_pair(j)));
                 }
-                last = Some((offset, node));
+                last = Some((offset, node, dirty));
             }
         }
         assert!(
@@ -924,12 +926,11 @@ mod tests {
         c.install(0, n0, true);
         c.install(2, SitNode::zero_general(), false);
         c.touch(2); // 0 becomes LRU
+        assert_eq!(c.peek(0).map(|n| n.hmac), Some(10));
         let ev = c
             .install(4, SitNode::zero_general(), false)
             .expect("evicts");
-        assert_eq!(ev.offset, 0);
-        assert!(ev.dirty);
-        assert_eq!(ev.node.hmac, 10);
+        assert_eq!((ev.offset, ev.dirty, ev.slot), (0, true, 0));
         assert!(!c.contains(0));
     }
 

@@ -11,7 +11,6 @@ use crate::config::NvmConfig;
 use crate::fault::FaultPlane;
 use crate::stats::NvmStats;
 use crate::storage::{Line, SparseStore};
-use crate::wear::{WearProfile, WearTracker};
 use crate::Cycle;
 use steins_obs::{Histogram, MetricRegistry};
 
@@ -138,7 +137,6 @@ pub struct NvmDevice {
     next_activate: Cycle,
     storage: SparseStore,
     stats: NvmStats,
-    wear: WearTracker,
     /// Durable-state transitions so far (crash-point enumeration).
     persist_seq: u64,
     /// Armed crash point: trip when `persist_seq` reaches this value.
@@ -150,7 +148,8 @@ pub struct NvmDevice {
     /// The point that tripped, readable after the cut.
     tripped: Option<PersistPoint>,
     /// When enabled, every persist point is journaled (crash-point
-    /// enumeration wants the kinds, not just the count).
+    /// enumeration wants the kinds, not just the count; write-endurance
+    /// attribution folds the line writes by address).
     journal_points: bool,
     /// The journal itself.
     point_journal: Vec<PersistPoint>,
@@ -215,7 +214,6 @@ impl NvmDevice {
             next_activate: 0,
             storage: SparseStore::new(),
             stats: NvmStats::default(),
-            wear: WearTracker::new(),
             persist_seq: 0,
             crash_at: None,
             crash_torn_mask: 0xFF,
@@ -405,18 +403,16 @@ impl NvmDevice {
         self.write_hist.record(done - now);
         self.bank_hists[bank_idx].record(done - now);
 
-        // A write that trips the armed crash still wore its cells.
-        let slot = self.store_line(addr, line);
-        self.wear.record(slot);
+        self.store_line(addr, line);
         self.persist_event(PersistKind::LineWrite, addr)?;
         Ok(done)
     }
 
     /// Stores a line as a line-write persist point will: applies the
     /// torn-write word mask if the next persist event trips the armed
-    /// crash. Returns the line's slot in the store. Shared by the timed
-    /// write path and traced pokes, which emit the event after it.
-    fn store_line(&mut self, addr: u64, line: &Line) -> u32 {
+    /// crash. Shared by the timed write path and traced pokes, which emit
+    /// the event after it.
+    fn store_line(&mut self, addr: u64, line: &Line) {
         // Torn-write injection: if this very write trips the armed crash
         // under a partial word mask, persist only the masked 8-byte words —
         // the line's other words keep their previous durable content.
@@ -428,9 +424,9 @@ impl NvmDevice {
                     merged[w * 8..w * 8 + 8].copy_from_slice(&line[w * 8..w * 8 + 8]);
                 }
             }
-            self.storage.write(addr, &merged)
+            self.storage.write(addr, &merged);
         } else {
-            self.storage.write(addr, line)
+            self.storage.write(addr, line);
         }
     }
 
@@ -579,13 +575,6 @@ impl NvmDevice {
         &self.stats
     }
 
-    /// Per-line write-endurance profile (timed writes only; `poke`,
-    /// `overwrite` and fault injection are functional plumbing and do not
-    /// wear cells).
-    pub fn wear(&self) -> WearProfile<'_> {
-        self.wear.profile(&self.storage)
-    }
-
     /// Mutable statistics (the write queue files its stall cycles here).
     pub fn stats_mut(&mut self) -> &mut NvmStats {
         &mut self.stats
@@ -648,7 +637,6 @@ impl NvmDevice {
 mod tests {
     use super::*;
     use crate::timing::NvmTimings;
-    use crate::wear::WearSummary;
 
     fn dev() -> NvmDevice {
         NvmDevice::new(NvmConfig::small_for_tests())
@@ -803,19 +791,38 @@ mod tests {
         assert_eq!(d.journal_mac(), 0xDEAD, "MAC is stored with the journal");
     }
 
+    /// The journal records each persist point at its address: a timed
+    /// write, one that trips an armed torn crash too, and a traced poke as
+    /// a line write. Untraced pokes, overwrites and injected bit flips add
+    /// nothing, so its line writes are the device's timed writes wherever
+    /// poke tracing is off.
     #[test]
     fn point_journal_records_kinds() {
+        use PersistKind::{AdrUpdate, LineWrite};
         let mut d = dev();
         d.journal_points(true);
         d.write(0, 0, &[1; 64]).unwrap();
         d.adr_persist_event(64).unwrap();
-        d.write(0, 128, &[2; 64]).unwrap();
-        let j = d.point_journal();
-        assert_eq!(j.len(), 3);
-        assert_eq!(j[0].kind, PersistKind::LineWrite);
-        assert_eq!(j[1].kind, PersistKind::AdrUpdate);
-        assert_eq!(j[1].addr, 64);
-        assert_eq!(j[2].seq, 3);
+        d.poke(192, &[2; 64]).unwrap();
+        d.overwrite(256, &[3; 64]);
+        d.inject_bit_flip(0, 5, 1);
+        d.arm_crash_torn(3, 0b0101_0101);
+        assert_eq!(d.write(0, 128, &[4; 64]), Err(PowerCut));
+        d.disarm_crash();
+        d.trace_pokes(true);
+        d.poke(320, &[5; 64]).unwrap();
+        let j: Vec<_> = d
+            .point_journal()
+            .iter()
+            .map(|p| (p.seq, p.kind, p.addr))
+            .collect();
+        let want = [
+            (1, LineWrite, 0),
+            (2, AdrUpdate, 64),
+            (3, LineWrite, 128),
+            (4, LineWrite, 320),
+        ];
+        assert_eq!(j, want);
         d.journal_points(false);
         d.write(0, 192, &[3; 64]).unwrap();
         assert!(d.point_journal().is_empty(), "disabling clears the journal");
@@ -910,106 +917,6 @@ mod tests {
         d.export_metrics(&mut reg);
         assert_eq!(reg.counter("nvm.read.retries"), Some(0));
         assert_eq!(reg.counter("nvm.read.retry_exhausted"), Some(0));
-    }
-
-    /// Seeded differential run of the wear counts against a plain map.
-    /// Timed writes count, and so does a torn write that trips the armed
-    /// crash; pokes (traced or not), overwrites and bit-flip injection do
-    /// not, though they too give a never-written line a store slot. Slots
-    /// run in first-write order, not address order, so `summary` must
-    /// still find the lowest-addressed of the hottest lines, and
-    /// `in_range` must match the model over every region of a
-    /// layout-shaped partition of the address space.
-    #[test]
-    fn wear_matches_a_plain_map() {
-        use std::cmp::Reverse;
-        use std::collections::BTreeMap;
-        // xorshift64: this crate has no RNG.
-        let mut x = 0xD1B5_4A32_D192_ED03u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut d = dev();
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        let count = |model: &mut BTreeMap<u64, u64>, addr: u64| {
-            *model.entry(addr).or_insert(0) += 1;
-        };
-        // Lines over four index pages, both sides of each page boundary,
-        // and a few hot lines, visited high page first so slots and
-        // addresses disagree.
-        let edges = [1023u64, 1024, 2047, 2048, 3071, 3072];
-        for op in 0..30_000u32 {
-            let r = next();
-            let line = match r % 8 {
-                0 => edges[(r >> 8) as usize % edges.len()],
-                1 => 4095 - (r >> 8) % 4,
-                _ => 4095 - ((r >> 8) % 4096).min((op / 8) as u64),
-            };
-            let addr = line * 64;
-            let data = [r as u8; 64];
-            match (r >> 32) % 10 {
-                0..=4 => {
-                    d.write(0, addr, &data).unwrap();
-                    count(&mut model, addr);
-                }
-                5 => {
-                    // A torn write that trips the crash wore its cells.
-                    d.arm_crash_torn(d.persist_seq() + 1, (r >> 16) as u8);
-                    assert_eq!(d.write(0, addr, &data), Err(PowerCut));
-                    d.disarm_crash();
-                    count(&mut model, addr);
-                }
-                6 => d.poke(addr, &data).unwrap(),
-                7 => {
-                    d.trace_pokes(true);
-                    d.poke(addr, &data).unwrap();
-                    d.trace_pokes(false);
-                }
-                8 => d.overwrite(addr, &data),
-                _ => d.inject_bit_flip(addr, (r >> 16) as usize, (r >> 24) as u8),
-            }
-        }
-        // A tie for hottest: the higher line reaches the top count first
-        // and holds the lower slot, and the lower line still wins.
-        let top = model.values().copied().max().unwrap_or(0) + 1;
-        for _ in 0..top {
-            for addr in [9000 * 64, 5000 * 64] {
-                d.write(0, addr, &[1; 64]).unwrap();
-                count(&mut model, addr);
-            }
-        }
-
-        let (hottest, max) = model
-            .iter()
-            .max_by_key(|&(&a, &c)| (c, Reverse(a)))
-            .map(|(&a, &c)| (a, c))
-            .unwrap();
-        assert_eq!((hottest, max), (5000 * 64, top));
-        let total: u64 = model.values().sum();
-        let want = WearSummary {
-            lines_touched: model.len() as u64,
-            total_writes: total,
-            max_writes: max,
-            hottest_line: hottest,
-            mean_writes: total as f64 / model.len() as f64,
-        };
-        assert_eq!(d.wear().summary(), Some(want));
-        assert!(
-            d.storage().population() > model.len(),
-            "untimed writes reached lines no timed write did"
-        );
-        // Regions shaped like a layout's (data, MAC, tree, records, shadow,
-        // bitmap): uneven cuts in lines, one on a page boundary, the last
-        // region open-ended.
-        let cuts = [0, 700, 1024, 2100, 2111, 4000, u64::MAX / 64];
-        for pair in cuts.windows(2) {
-            let (base, end) = (pair[0] * 64, pair[1] * 64);
-            let want: u64 = model.range(base..end).map(|(_, c)| c).sum();
-            assert_eq!(d.wear().in_range(base, end), want, "[{base:#x}, {end:#x})");
-        }
     }
 
     #[test]

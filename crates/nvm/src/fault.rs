@@ -21,7 +21,7 @@
 //!   ([`FaultPlane::promote_transient`]).
 //!
 //! The plane is an overlay on [`crate::device::NvmDevice`]'s read path, so
-//! timing, wear, and persist-point enumeration are unaffected by injected
+//! timing and persist-point enumeration are unaffected by injected
 //! faults — a fault changes what the controller *sees*, not what the device
 //! *does*.
 

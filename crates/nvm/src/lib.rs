@@ -27,7 +27,6 @@ pub mod fault;
 pub mod stats;
 pub mod storage;
 pub mod timing;
-pub mod wear;
 pub mod write_queue;
 
 pub use adr::AdrRegion;
@@ -42,7 +41,6 @@ pub use fault::{FaultPlane, POISON_BYTE};
 pub use stats::NvmStats;
 pub use storage::{Line, SparseStore, LINE_BYTES};
 pub use timing::NvmTimings;
-pub use wear::{WearProfile, WearSummary, WearTracker};
 pub use write_queue::WriteQueue;
 
 /// Simulation time unit: memory-controller clock cycles.

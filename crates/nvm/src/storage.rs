@@ -47,12 +47,6 @@
 //! holding one line costs 196 B of index. The directory adds 24 B per page
 //! up to the highest one written. [`SparseStore::iter`] yields values in
 //! ascending address order.
-//!
-//! A line keeps its slot for the life of the store, and
-//! [`SparseStore::write`] returns it, so a per-line side table can be a
-//! plain array indexed by slot: the device's wear counts
-//! ([`crate::WearTracker`]) add 4 B per line that way, with no second
-//! lookup. [`SparseStore::slots`] walks the slots in address order.
 
 /// Cache-line granularity of the whole system (Table I: 64 B everywhere).
 pub const LINE_BYTES: usize = 64;
@@ -255,10 +249,8 @@ impl<T: Value> SparseStore<T> {
         }
     }
 
-    /// Writes the value of the line at byte address `addr` and returns its
-    /// slot: the same number for every write to one line, from 1 up, in
-    /// first-write order.
-    pub fn write(&mut self, addr: u64, value: &T) -> u32 {
+    /// Writes the value of the line at byte address `addr`.
+    pub fn write(&mut self, addr: u64, value: &T) {
         let (page, off) = locate(addr);
         if page >= self.direct.len() {
             self.direct.resize_with(page + 1, || None);
@@ -285,10 +277,8 @@ impl<T: Value> SparseStore<T> {
             }
             self.len = next;
         }
-        let slot = *slot;
-        let (chunk, i) = position(slot);
+        let (chunk, i) = position(*slot);
         self.chunks[chunk][i] = *value;
-        slot
     }
 
     /// Whether the line was ever written (used by attack injection to pick
@@ -311,7 +301,7 @@ impl<T: Value> SparseStore<T> {
 
     /// Iterates over `(byte_addr, slot)` pairs of populated lines, in
     /// ascending address order.
-    pub fn slots(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    fn slots(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         let pages = 0..self.direct.len();
         let pages = pages.filter(|&p| self.direct[p].is_some() || !self.packed[p].is_empty());
         pages.flat_map(move |p| {
@@ -377,9 +367,9 @@ mod tests {
     #[test]
     fn a_line_keeps_the_slot_its_first_write_got() {
         let mut s = SparseStore::new();
-        assert_eq!(s.write(4096, &[1; 64]), 1);
-        assert_eq!(s.write(0, &[2; 64]), 2);
-        assert_eq!(s.write(4096, &[3; 64]), 1);
+        s.write(4096, &[1; 64]);
+        s.write(0, &[2; 64]);
+        s.write(4096, &[3; 64]);
         assert_eq!(s.slots().collect::<Vec<_>>(), [(0, 2), (4096, 1)]);
     }
 
@@ -499,9 +489,9 @@ mod tests {
     /// ones and shift their slots. Each first write is followed by
     /// `rounds` rewrites of a written line and reads of a random line of
     /// the run's pages, the empty one too; one write in five is
-    /// all-zero. After every op the store agrees with the model, and a
-    /// write returns the line's first-write slot. A clone of the finished
-    /// store, which holds both page forms, reads the same.
+    /// all-zero. After every op the store agrees with the model, every
+    /// line keeping its first-write slot. A clone of the finished store,
+    /// which holds both page forms, reads the same.
     fn differential(seed: u64, rounds: u32) {
         for order in ["ascending", "descending", "shuffled"] {
             let mut next = xorshift(seed);
@@ -521,9 +511,8 @@ mod tests {
             let write = |s: &mut SparseStore, model: &mut Model, addr: u64, r: u64| {
                 let data = if r % 5 == 0 { [0; 64] } else { [r as u8; 64] };
                 let first = model.len() as u32 + 1;
-                let want = model.entry(addr).or_insert((first, data));
-                want.1 = data;
-                assert_eq!(s.write(addr, &data), want.0, "{order}: slot of {addr:#x}");
+                model.entry(addr).or_insert((first, data)).1 = data;
+                s.write(addr, &data);
             };
             let mut written = Vec::new();
             for (op, &line) in lines.iter().enumerate() {
